@@ -10,9 +10,11 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
+from .. import __version__
 from ..padic import (
     Mu8,
     PrimeCtx,
+    _legendre_unit,
     fraction_valuation,
     hilbert_symbol,
     mu_psi,
@@ -46,6 +48,7 @@ from ..metaplectic import (
     MetaSL2,
     SectionFsi,
     SectionValue,
+    _mat_mul,
     decompose_big_cell,
     intertwine_eval_exact,
     intertwine_level,
@@ -68,13 +71,9 @@ def case_seed(seed: int, name: str) -> int:
     return int(digest[:16], 16)
 
 
-def _legendre(a: int, p: int) -> int:
-    return 1 if pow(a % p, (p - 1) // 2, p) == 1 else -1
-
-
 def nonresidue(p: int) -> int:
     for u in range(2, p):
-        if _legendre(u, p) == -1:
+        if _legendre_unit(u, p) == -1:
             return u
     raise AssertionError(p)
 
@@ -763,12 +762,6 @@ def check_section_law(cfg, rng):
     return cases, {"p": list(cfg.p), "samples": cfg.samples}
 
 
-def _mat2_mul(a, b):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2)) for i in range(2)
-    )
-
-
 def check_big_cell(cfg, rng):
     cases = 0
     for p in cfg.p:
@@ -781,9 +774,9 @@ def check_big_cell(cfg, rng):
             a, xv, ybar = decompose_big_cell(ctx.of(y), ctx.of(x))
             if a.value != 1 - xv.value * ybar.value or a.value * y != ybar.value:
                 raise CheckFailure({"p": p, "x": x, "y": y, "reason": "relations"})
-            lhs = _mat2_mul(MetaSL2.lower(ctx, y).rows, MetaSL2.upper(ctx, x).rows)
+            lhs = _mat_mul(MetaSL2.lower(ctx, y).rows, MetaSL2.upper(ctx, x).rows)
             borel = ((a.value, xv.value), (Q(0), 1 / a.value))
-            rhs = _mat2_mul(borel, MetaSL2.lower(ctx, ybar.value).rows)
+            rhs = _mat_mul(borel, MetaSL2.lower(ctx, ybar.value).rows)
             if lhs != rhs:
                 raise CheckFailure({"p": p, "x": x, "y": y, "reason": "recomposition"})
             cases += 1
@@ -974,15 +967,6 @@ CATALOG = {
 
 # =============================================================== driver
 
-def _tool_version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("artifact")
-    except Exception:
-        return "unknown"
-
-
 def run_campaign(cfg) -> "Report":
     """Run the configured checks and collect a deterministic report.
 
@@ -999,7 +983,7 @@ def run_campaign(cfg) -> "Report":
 
     cfg.validate(CATALOG)
     names = list(cfg.checks) if cfg.checks else sorted(CATALOG)
-    report = Report(version=_tool_version(), config=cfg.as_dict())
+    report = Report(version=__version__, config=cfg.as_dict())
     for name in names:
         spec = CATALOG[name]
         if spec.sampled and cfg.samples == 0:

@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass, field, replace
 
-from ..padic import PadicError
+from ..padic import PadicError, _is_prime
 
 
 class HarnessError(PadicError):
@@ -15,17 +15,6 @@ DEFAULT_LEVELS = (1, 2)
 DEFAULT_SECTION_LEVELS = (1, 2)
 DEFAULT_SAMPLES = 40
 DEFAULT_SEED = 287454020
-
-
-def _is_prime(k: int) -> bool:
-    if k < 2:
-        return False
-    f = 2
-    while f * f <= k:
-        if k % f == 0:
-            return False
-        f += 1
-    return True
 
 
 @dataclass(frozen=True)

@@ -140,7 +140,8 @@ def decompose_big_cell(y: PAdic, x: PAdic):
         raise MetaError("product lies outside the decomposable cell")
     a = 1 / d
     ybar = y.value / d
-    assert a == 1 - x.value * ybar and a * y.value == ybar
+    if a != 1 - x.value * ybar or a * y.value != ybar:
+        raise MetaError("big-cell relations fail")
     return y.ctx.of(a), x, y.ctx.of(ybar)
 
 
@@ -350,8 +351,8 @@ def _eval_fsi_raw(sec: SectionFsi, g: MetaSL2) -> SectionValue:
 def eval_fsi_exact(sec: SectionFsi, g: MetaSL2) -> SectionValue:
     """Evaluate the level-i section at a cover element, symbolically.
 
-    The level must clear the empirical threshold for eta, below which
-    the right-invariance that makes the family useful is not yet there.
+    The level must clear section_level(eta), below which the
+    right-invariance that makes the family useful is not yet there.
     """
     if sec.eta.ctx != g.ctx:
         raise MetaError("mixed prime contexts")
@@ -364,70 +365,15 @@ def eval_fsi(sec: SectionFsi, g: MetaSL2) -> complex:
     return eval_fsi_exact(sec, g).as_complex(g.ctx.p)
 
 
-_SECTION_LEVELS: dict = {}
+def section_level(eta: CharacterFx) -> int:
+    """Smallest level i whose section is right-invariant under the
+    depth-4i congruence subgroup: max(1, ceil(c/4)) for conductor c.
 
-
-def _invariance_samples(ctx: PrimeCtx):
-    p = ctx.p
-    gs = [
-        MetaSL2.identity(ctx),
-        MetaSL2.flip(ctx),
-        MetaSL2.upper(ctx, Q(2, p)),
-        MetaSL2.lower(ctx, Q(p**2)),
-        MetaSL2.diag(ctx, Q(p)),
-        MetaSL2.diag(ctx, Q(2)),
-    ]
-    words = list(gs)
-    for g1 in gs:
-        for g2 in gs:
-            words.append(g1 * g2)
-    for g1 in gs[:4]:
-        for g2 in gs:
-            for g3 in gs[2:]:
-                words.append(g1 * g2 * g3)
-    return words
-
-
-def section_level(eta: CharacterFx, max_level: int = 12) -> int:
-    """Smallest level whose section passes the right-invariance battery.
-
-    Right translation by generators of the depth-4i congruence subgroup
-    must fix every sampled value exactly.  The result is cached per
-    character datum.
+    Right translation by diag(1 + p^{4i}) multiplies the section by
+    eta(1 + p^{4i}), and for odd p that element generates
+    (1 + P^{4i})/(1 + P^c), so invariance holds exactly when 4i >= c.
     """
-    key = (eta.ctx.p, eta.conductor, eta.unit_phase, eta.varpi_phase)
-    if key in _SECTION_LEVELS:
-        return _SECTION_LEVELS[key]
-    ctx = eta.ctx
-    words = _invariance_samples(ctx)
-    level = None
-    for i in range(1, max_level + 1):
-        sec = SectionFsi(i=i, eta=eta, s=Q(1, 2))
-        step = Q(ctx.p) ** (4 * i)
-        hs = [
-            MetaSL2.upper(ctx, step),
-            MetaSL2.upper(ctx, 2 * step),
-            MetaSL2.lower(ctx, step),
-            MetaSL2.lower(ctx, 2 * step),
-            MetaSL2.diag(ctx, 1 + step),
-            MetaSL2.diag(ctx, 1 + 2 * step),
-        ]
-        ok = True
-        for g in words:
-            base = _eval_fsi_raw(sec, g)
-            for h in hs:
-                if _eval_fsi_raw(sec, g * h) != base:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            level = i
-            break
-    if level is None:
-        raise MetaError("no section level found below the cap")
-    _SECTION_LEVELS[key] = level
-    return level
+    return max(1, -(-eta.conductor // 4))
 
 
 def _bound_exponent(p: int, x_bound) -> int:
@@ -485,12 +431,17 @@ def intertwine_eval_exact(sec: SectionFsi, x: PAdic, x_bound) -> SectionValue:
         z = Q(t) * Q(ctx.p) ** (3 * i)
         b = -z / (1 - z * x.value)
         a, _, ybar = decompose_big_cell(ctx.of(-b), x)
-        assert fraction_valuation(ybar.value, ctx.p) >= 3 * i
-        assert fraction_valuation(a.value - 1, ctx.p) >= c
-        assert mu_psi(a, twist=-1) == Mu8(0)
-        assert sec.eta.phase(a.value) == 0
+        if fraction_valuation(ybar.value, ctx.p) < 3 * i:
+            raise MetaError("cell decomposition left the support ball")
+        if fraction_valuation(a.value - 1, ctx.p) < c:
+            raise MetaError("torus entry outside the conductor ball")
+        if mu_psi(a, twist=-1) != Mu8(0):
+            raise MetaError("normalizing root nontrivial on the support")
+        if sec.eta.phase(a.value) != 0:
+            raise MetaError("character nontrivial on the support")
         val = _eval_fsi_raw(sec, MetaSL2.lower(ctx, -b) * MetaSL2.upper(ctx, x.value))
-        assert val == SectionValue.one()
+        if val != SectionValue.one():
+            raise MetaError("integrand is not 1 on the support")
     return SectionValue(Q(0), Q(-3 * i))
 
 

@@ -13,7 +13,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 Q = Fraction
 
@@ -162,17 +161,6 @@ class Mu8:
     def value(self) -> complex:
         return cmath.exp(2j * cmath.pi * self.k / 8)
 
-    @classmethod
-    def from_complex(cls, z: complex, tol: float = 1e-9) -> "Mu8":
-        r = abs(z)
-        if r == 0:
-            raise PadicError("cannot snap zero to a root of unity")
-        w = z / r
-        for k in range(8):
-            if abs(w - cmath.exp(2j * cmath.pi * k / 8)) < tol:
-                return cls(k)
-        raise PadicError(f"{z} is not an eighth root of unity within {tol}")
-
 
 @dataclass(frozen=True)
 class PAdic:
@@ -288,31 +276,21 @@ def hilbert_symbol(a: PAdic, b: PAdic) -> int:
 
 
 def weil_index(a: PAdic, twist=1) -> Mu8:
-    """gamma(psi_{twist*a}): the normalized Gauss sum, snapped to an eighth root.
+    """gamma(psi_b) for b = twist*a, by the classical Gauss sum evaluation.
 
-    The sum runs over the residue ring at a depth where the phase has
-    stabilized; a is first shifted by an even power of p so the summand
-    valuation is -2 or -3.
+    With b = u p^k, u a unit: gamma = 1 when k is even, and
+    (u|p) * (1 if p = 1 mod 4 else i) when k is odd (Ranga Rao, Pacific
+    J. Math. 157, 1993; Kudla, Notes on the local theta correspondence).
     """
-    return _weil_index_cached(a, _as_fraction(twist))
-
-
-@lru_cache(maxsize=None)
-def _weil_index_cached(a: PAdic, twist: Q) -> Mu8:
-    ctx = a.ctx
-    b = a.value * twist
+    b = a.value * _as_fraction(twist)
     if b == 0:
         raise PadicError("Weil index needs a nonzero scaling")
-    p = ctx.p
+    p = a.ctx.p
     k = fraction_valuation(b, p)
-    s = (k + 2 + 1) // 2 if (k % 2) else (k + 2) // 2
-    bb = b / Q(p) ** (2 * s)
-    e = 2 * s - k
-    mod = p**e
-    total = 0j
-    for x in range(mod):
-        total += cmath.exp(2j * cmath.pi * float(_pfrac(bb * x * x, p)))
-    return Mu8.from_complex(total)
+    if k % 2 == 0:
+        return Mu8(0)
+    root = Mu8(0) if p % 4 == 1 else Mu8(2)
+    return root if _legendre_unit(b / Q(p) ** k, p) == 1 else root * Mu8(4)
 
 
 def mu_psi(a: PAdic, twist=1) -> Mu8:

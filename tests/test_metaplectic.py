@@ -1,17 +1,24 @@
 """Double cover, characters, sections, and the intertwining integral.
 
 Oracles come first: plain tuple matrix products, a brute-force residue
-character table, and an exhaustive Riemann sum for the integral over a
-box that contains the support.  Frozen values follow, then seeded
+character table, a right-invariance battery for the section level, and
+an exhaustive Riemann sum for the integral over a box that contains the
+support.  Frozen values follow, then seeded
 property batteries.
 """
 import cmath
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as Q
 
 import pytest
 
-from padicsp.padic import PrimeCtx, fraction_valuation, hilbert_symbol, mu_psi
+import padicsp
+from padicsp import metaplectic
+from padicsp.padic import Mu8, PrimeCtx, fraction_valuation, hilbert_symbol, mu_psi
 from padicsp.metaplectic import (
     CharacterFx,
     MetaError,
@@ -84,6 +91,53 @@ def oracle_intertwine_riemann(sec, x, box_exp, cell_exp):
         acc += vol
     assert seen_phase is not None
     return acc, seen_phase
+
+
+def invariance_batteries(ctx, max_level=3):
+    """For each level i = 1..max_level, the pairs (g, [g*h for the six
+    generators h of the depth-4i congruence subgroup]) over 138 sample
+    cover words g: six generators, their pairs, and triples."""
+    p = ctx.p
+    gs = [
+        MetaSL2.identity(ctx),
+        MetaSL2.flip(ctx),
+        MetaSL2.upper(ctx, Q(2, p)),
+        MetaSL2.lower(ctx, Q(p**2)),
+        MetaSL2.diag(ctx, Q(p)),
+        MetaSL2.diag(ctx, Q(2)),
+    ]
+    words = list(gs)
+    words += [g1 * g2 for g1 in gs for g2 in gs]
+    words += [g1 * g2 * g3 for g1 in gs[:4] for g2 in gs for g3 in gs[2:]]
+    batteries = []
+    for i in range(1, max_level + 1):
+        step = Q(p) ** (4 * i)
+        hs = [
+            MetaSL2.upper(ctx, step),
+            MetaSL2.upper(ctx, 2 * step),
+            MetaSL2.lower(ctx, step),
+            MetaSL2.lower(ctx, 2 * step),
+            MetaSL2.diag(ctx, 1 + step),
+            MetaSL2.diag(ctx, 1 + 2 * step),
+        ]
+        batteries.append([(g, [g * h for h in hs]) for g in words])
+    return batteries
+
+
+def oracle_section_level(eta, batteries):
+    """Smallest level i whose section passes batteries[i - 1]: right
+    translation by each congruence generator fixes the section's value
+    at every sample word."""
+    for i, battery in enumerate(batteries, start=1):
+        sec = SectionFsi(i=i, eta=eta, s=Q(1, 2))
+        if all(
+            _eval_fsi_raw(sec, gh) == base
+            for g, translates in battery
+            for base in [_eval_fsi_raw(sec, g)]
+            for gh in translates
+        ):
+            return i
+    raise AssertionError(f"no section level up to {len(batteries)}")
 
 
 def rand_cover_word(ctx, rng, length=4):
@@ -394,6 +448,19 @@ def test_section_levels_at_desk_scale():
     assert section_level(ramified_character(C5, 2, turns=3)) == 1
 
 
+@pytest.mark.parametrize("p,max_conductor", [(3, 9), (5, 5), (7, 5)])
+def test_section_level_matches_invariance_oracle(p, max_conductor):
+    ctx = PrimeCtx(p)
+    batteries = invariance_batteries(ctx)
+    for c in range(max_conductor + 1):
+        for varpi in (Q(0), Q(1, 4)):
+            if c == 0:
+                eta = unramified_character(ctx, varpi)
+            else:
+                eta = ramified_character(ctx, c, varpi_phase=varpi)
+            assert section_level(eta) == oracle_section_level(eta, batteries), (p, c, varpi)
+
+
 @pytest.mark.parametrize(
     "ctx,conductor,turns,s",
     [(C3, 1, 1, Q(1, 2)), (C3, 2, 1, Q(-3, 2)), (C5, 1, 2, Q(0))],
@@ -518,6 +585,39 @@ def test_intertwine_error_paths():
         intertwine_eval(sec, C3.of(Q(1, 27)), 9)
     with pytest.raises(MetaError):
         intertwine_eval(sec, C5.of(0), 9)
+
+
+def test_intertwine_support_guard_raises(monkeypatch):
+    monkeypatch.setattr(metaplectic, "mu_psi", lambda a, twist=1: Mu8(2))
+    sec = SectionFsi(i=1, eta=ramified_character(C3, 1), s=Q(1, 2))
+    with pytest.raises(MetaError, match="normalizing root"):
+        intertwine_eval_exact(sec, C3.of(0), 1)
+
+
+def test_intertwine_support_guard_survives_optimize_flag():
+    script = textwrap.dedent(
+        """
+        from fractions import Fraction as Q
+        from padicsp import metaplectic as meta
+        from padicsp.padic import Mu8, PrimeCtx
+
+        assert False, "python -O should strip this assert"
+        meta.mu_psi = lambda a, twist=1: Mu8(2)
+        ctx = PrimeCtx(3)
+        sec = meta.SectionFsi(i=1, eta=meta.ramified_character(ctx, 1), s=Q(1, 2))
+        try:
+            meta.intertwine_eval_exact(sec, ctx.of(0), 1)
+        except meta.MetaError as exc:
+            print(exc)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(padicsp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert "normalizing root" in out.stdout
 
 
 def test_intertwine_level_monotone_in_bound():
