@@ -22,8 +22,10 @@ rewrites) verify their own output before returning it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .padic import PhaseQZ, fraction_valuation, _pfrac
 from .rootsys import (
@@ -37,6 +39,7 @@ from .rootsys import (
 )
 
 Q = Fraction
+_ZERO = Q(0)
 
 
 class MatrixError(ValueError):
@@ -75,23 +78,27 @@ class Mat:
         return self.rows[ij[0]][ij[1]]
 
     def __mul__(self, other: "Mat") -> "Mat":
+        """Exact product over one integer denominator.
+
+        Each factor is scaled by the lcm of its denominators, the integer
+        rows are multiplied skipping zeros, and each entry of the result
+        becomes one Fraction.
+        """
         if self.ctx != other.ctx or self.size != other.size:
             raise MatrixError("incompatible matrices")
-        n = self.size
-        orows = other.rows
-        out = [[Q(0)] * n for _ in range(n)]
-        for i in range(n):
-            srow = self.rows[i]
-            orow = out[i]
-            for k in range(n):
-                a = srow[k]
+        da, arows = _integer_rows(self.rows)
+        db, brows = _integer_rows(other.rows)
+        den = da * db
+        out = []
+        for arow in arows:
+            acc = [0] * len(arow)
+            for a, brow in zip(arow, brows):
                 if a:
-                    brow = orows[k]
-                    for j in range(n):
-                        b = brow[j]
+                    for j, b in enumerate(brow):
                         if b:
-                            orow[j] += a * b
-        return Mat(self.ctx, tuple(tuple(r) for r in out))
+                            acc[j] += a * b
+            out.append(tuple(Q(s, den) if s else _ZERO for s in acc))
+        return Mat(self.ctx, tuple(out))
 
     def transpose(self) -> "Mat":
         return Mat(self.ctx, tuple(zip(*self.rows)))
@@ -134,6 +141,12 @@ class Mat:
 
     def is_lower_unitriangular(self) -> bool:
         return self.transpose().is_upper_unitriangular()
+
+
+def _integer_rows(rows):
+    """(d, integer rows) with rows == integer rows / d, d the lcm of the denominators."""
+    d = math.lcm(*{x.denominator for row in rows for x in row})
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
 
 
 def form_matrix(ctx, n: int) -> Mat:
@@ -315,6 +328,11 @@ def root_product_inverse(ctx, n: int, factors) -> Mat:
 def weyl_generator_matrix(ctx, n: int, k: int) -> Mat:
     if not 1 <= k <= n:
         raise MatrixError("generator index out of range")
+    return _weyl_generator_matrix(ctx, n, k)
+
+
+@lru_cache(maxsize=None)
+def _weyl_generator_matrix(ctx, n: int, k: int) -> Mat:
     if k < n:
         a = [[Q(1 if i == j else 0) for j in range(n)] for i in range(n)]
         a[k - 1][k - 1] = a[k][k] = Q(0)
@@ -325,6 +343,11 @@ def weyl_generator_matrix(ctx, n: int, k: int) -> Mat:
 
 def weyl_rep(ctx, w: WeylElem) -> Mat:
     """Canonical monomial representative: generators along a reduced word."""
+    return _weyl_rep(ctx, w)
+
+
+@lru_cache(maxsize=None)
+def _weyl_rep(ctx, w: WeylElem) -> Mat:
     out = Mat.identity(ctx, 2 * w.n)
     for k in w.reduced_word():
         out = out * weyl_generator_matrix(ctx, w.n, k)
@@ -382,7 +405,8 @@ def bruhat_decompose(g: Mat):
     pivots = []
     for col in range(size):
         piv = max((r for r in range(size) if not used[r] and a[r][col]), default=None)
-        assert piv is not None, "singular input"
+        if piv is None:
+            raise MatrixError("singular input")
         used[piv] = True
         pivots.append((piv, col))
         pval = a[piv][col]
@@ -411,18 +435,22 @@ def bruhat_decompose(g: Mat):
     wrep = weyl_rep(ctx, w)
     wrep_inv = symplectic_inverse(wrep)
     d = monomial * wrep_inv
-    assert d.is_diagonal()
+    if not d.is_diagonal():
+        raise FactorizationError("monomial part is not torus times the Weyl representative")
     u_r = rm.inverse()
     a2 = wrep * u_r * wrep_inv
     bmat, cmat = _unitriangular_ul(a2)
     um = wrep_inv * cmat * wrep
-    assert um.is_upper_unitriangular()
+    if not um.is_upper_unitriangular():
+        raise FactorizationError("right factor is not upper unitriangular")
     dinv = d.inverse()
     u = lm.inverse() * (d * bmat * dinv)
-    assert u.is_upper_unitriangular()
-    assert u * d * wrep * um == g
-    for part in (d, um, u):
-        assert is_symplectic(part)
+    if not u.is_upper_unitriangular():
+        raise FactorizationError("left factor is not upper unitriangular")
+    if u * d * wrep * um != g:
+        raise FactorizationError("recomposition u t W(w) um differs from the input")
+    if not all(is_symplectic(part) for part in (d, um, u)):
+        raise FactorizationError("a Bruhat factor is not symplectic")
     return u, d, w, um
 
 
@@ -553,7 +581,7 @@ def commutator_coefficients(ctx, n: int, g1: Root, r, g2: Root, s):
     """[x_g1(r), x_g2(s)] = prod x_{i g1 + j g2}(c_ij); returns {(i, j): c}.
 
     Candidate roots are peeled in ascending height; the residue must be
-    the identity, which is asserted.
+    the identity, which is checked.
     """
     from .rootsys import root_from_vector
 
@@ -575,7 +603,8 @@ def commutator_coefficients(ctx, n: int, g1: Root, r, g2: Root, s):
         if c:
             out[(i, j)] = c
             cur = mul_root_elem_left(root, -c, cur)
-    assert cur.is_identity(), "commutator escaped the candidate span"
+    if not cur.is_identity():
+        raise FactorizationError("commutator escaped the candidate span")
     return out
 
 
@@ -704,7 +733,7 @@ def cell_word_rewrite(t: Mat, w: WeylElem, rs, u: Mat, m: int):
 
     returning (u_tilde, rs_tilde, q).  The identity is verified exactly
     and the pivot coefficient keeps its absolute value, which is also
-    asserted.  Raises FactorizationError when every coefficient already
+    checked.  Raises FactorizationError when every coefficient already
     sits at depth m (nothing to rewrite).
     """
     ctx = t.ctx
@@ -750,8 +779,10 @@ def cell_word_rewrite(t: Mat, w: WeylElem, rs, u: Mat, m: int):
 
     lhs = tw * x_part * u
     rhs = u_tilde * tw * root_product(ctx, n, list(reversed(list(zip(order, rs_tilde)))))
-    assert lhs == rhs, "rewrite identity failed"
-    assert fraction_valuation(rs_tilde[q], ctx.p) == fraction_valuation(rs[q], ctx.p), "pivot size drifted"
+    if lhs != rhs:
+        raise FactorizationError("rewrite identity failed")
+    if fraction_valuation(rs_tilde[q], ctx.p) != fraction_valuation(rs[q], ctx.p):
+        raise FactorizationError("pivot size drifted")
     return u_tilde, rs_tilde, q
 
 
@@ -768,7 +799,7 @@ def cell_collapse_witness(t: Mat, w: WeylElem, roots, rs, bad_index: int = None)
     is then decomposed.  With bad_index = l the pair
     (roots[0], roots[l]) must be bad; the factor at l is omitted from
     the descending product and reinstated at the far right next to its
-    opposite.  Returns the cell w' of the result, asserting w' < w.
+    opposite.  Returns the cell w' of the result, checking w' < w.
     """
     ctx = t.ctx
     n = w.n
@@ -800,5 +831,6 @@ def cell_collapse_witness(t: Mat, w: WeylElem, roots, rs, bad_index: int = None)
         factors.append((-roots[bad_index], -1 / rs[bad_index]))
     g = t * weyl_rep(ctx, w) * root_product(ctx, n, factors)
     _, _, w_prime, _ = bruhat_decompose(g)
-    assert bruhat_leq(w_prime, w) and w_prime != w, "cell did not drop"
+    if not (bruhat_leq(w_prime, w) and w_prime != w):
+        raise FactorizationError("cell did not drop")
     return w_prime

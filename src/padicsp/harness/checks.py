@@ -665,7 +665,9 @@ def check_obstructed_decompositions(cfg, rng):
             t = ch.torus(ctx, [Q(1)] * n)
             try:
                 ch.cell_word_rewrite(t, w0, rs, u, m)
-            except FactorizationError:
+            except FactorizationError as exc:
+                if "already lies at depth" not in str(exc):
+                    raise  # a failed self-check, not the rejection
                 cases += 1
             else:
                 raise CheckFailure({"p": p, "n": n, "m": m, "reason": "in-depth word accepted"})

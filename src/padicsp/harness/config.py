@@ -69,6 +69,8 @@ class CampaignConfig:
         return self
 
     def as_dict(self) -> dict:
+        """The campaign parameters, without `out`: where a report is
+        written must not change its bytes."""
         return {
             "n": list(self.n),
             "p": list(self.p),
@@ -77,7 +79,6 @@ class CampaignConfig:
             "samples": self.samples,
             "seed": self.seed,
             "checks": list(self.checks),
-            "out": self.out,
         }
 
 

@@ -21,6 +21,7 @@ from .padic import (
     PAdic,
     PadicError,
     PrimeCtx,
+    _as_fraction,
     fraction_valuation,
     hilbert_symbol,
     mu_psi,
@@ -29,12 +30,6 @@ from .padic import (
 
 class MetaError(PadicError):
     pass
-
-
-def _as_q(x):
-    if isinstance(x, PAdic):
-        return x.value
-    return Q(x)
 
 
 def _rows2(rows):
@@ -89,15 +84,15 @@ class MetaSL2:
 
     @classmethod
     def upper(cls, ctx: PrimeCtx, b, zeta=1) -> "MetaSL2":
-        return cls(ctx, ((1, _as_q(b)), (0, 1)), zeta)
+        return cls(ctx, ((1, _as_fraction(b)), (0, 1)), zeta)
 
     @classmethod
     def lower(cls, ctx: PrimeCtx, y, zeta=1) -> "MetaSL2":
-        return cls(ctx, ((1, 0), (_as_q(y), 1)), zeta)
+        return cls(ctx, ((1, 0), (_as_fraction(y), 1)), zeta)
 
     @classmethod
     def diag(cls, ctx: PrimeCtx, a, zeta=1) -> "MetaSL2":
-        a = _as_q(a)
+        a = _as_fraction(a)
         if a == 0:
             raise MetaError("torus entry must be nonzero")
         return cls(ctx, ((a, 0), (0, 1 / a)), zeta)
@@ -212,7 +207,7 @@ class CharacterFx:
 
     def phase(self, a) -> Q:
         """Turn fraction of the character value at a nonzero argument."""
-        a = _as_q(a)
+        a = _as_fraction(a)
         if a == 0:
             raise MetaError("character evaluated at 0")
         v = fraction_valuation(a, self.ctx.p)

@@ -173,7 +173,10 @@ def norm_one_decompose(x: QuadExtElem, m: int):
         den = 1 - d * s * s
         e = ext.elem(sigma * (1 + d * s * s) / den, sigma * 2 * s / den)
         u = x / e
-    assert e.norm_fraction() == 1
-    assert e * u == x
-    assert (u - one).base_valuation() >= m
+    if e.norm_fraction() != 1:
+        raise PadicError("norm-one factor has norm other than 1")
+    if e * u != x:
+        raise PadicError("factors do not recompose x")
+    if (u - one).base_valuation() < m:
+        raise PadicError(f"principal-unit factor is not in 1 + p^{m} O_E")
     return e, u

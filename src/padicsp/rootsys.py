@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 
 class RootError(ValueError):
@@ -30,16 +31,35 @@ def _is_root_vector(vec) -> bool:
     return False
 
 
+@lru_cache(maxsize=None)
+def _euclid(n: int, coeffs: tuple) -> tuple:
+    """Euclidean vector of the root with these simple coefficients.
+
+    Raises RootError when coeffs is not a root; an error is never
+    cached, so the cache holds the 2n^2 roots of each rank only.
+    """
+    if len(coeffs) != n:
+        raise RootError("coefficient vector has wrong length")
+    vec = []
+    for k in range(n):
+        prev = coeffs[k - 1] if k >= 1 else 0
+        if k < n - 1:
+            vec.append(coeffs[k] - prev)
+        else:
+            vec.append(2 * coeffs[n - 1] - prev)
+    vec = tuple(vec)
+    if not _is_root_vector(vec):
+        raise RootError(f"{coeffs} is not a root for n={n}")
+    return vec
+
+
 @dataclass(frozen=True)
 class Root:
     n: int
     coeffs: tuple
 
     def __post_init__(self):
-        if len(self.coeffs) != self.n:
-            raise RootError("coefficient vector has wrong length")
-        if not _is_root_vector(self.euclid()):
-            raise RootError(f"{self.coeffs} is not a root for n={self.n}")
+        _euclid(self.n, self.coeffs)
 
     @classmethod
     def from_euclid(cls, n: int, vec) -> "Root":
@@ -59,16 +79,7 @@ class Root:
         return cls(n, tuple(coeffs))
 
     def euclid(self) -> tuple:
-        c = self.coeffs
-        n = self.n
-        vec = []
-        for k in range(n):
-            prev = c[k - 1] if k >= 1 else 0
-            if k < n - 1:
-                vec.append(c[k] - prev)
-            else:
-                vec.append(2 * c[n - 1] - prev)
-        return tuple(vec)
+        return _euclid(self.n, self.coeffs)
 
     @property
     def height(self) -> int:
@@ -123,6 +134,11 @@ def simple_roots(n: int):
 
 def positive_roots(n: int):
     """All positive roots, sorted by (height, coefficients)."""
+    return list(_positive_roots(n))
+
+
+@lru_cache(maxsize=None)
+def _positive_roots(n: int) -> tuple:
     out = []
     for i in range(n):
         vec = [0] * n
@@ -134,7 +150,7 @@ def positive_roots(n: int):
                 vec[i], vec[j] = 1, sign
                 out.append(Root.from_euclid(n, vec))
     out.sort(key=lambda r: (r.height, r.coeffs))
-    return out
+    return tuple(out)
 
 
 def root_from_vector(n: int, vec):
@@ -213,13 +229,13 @@ class WeylElem:
 
     def negated_positive_roots(self):
         """Sigma_w^-: positive roots sent negative, by (height, coeffs)."""
-        return [g for g in positive_roots(self.n) if self.apply(g).is_negative()]
+        return list(_root_split(self)[0])
 
     def kept_positive_roots(self):
-        return [g for g in positive_roots(self.n) if self.apply(g).is_positive()]
+        return list(_root_split(self)[1])
 
     def length(self) -> int:
-        return len(self.negated_positive_roots())
+        return len(_root_split(self)[0])
 
     def right_descents(self):
         out = []
@@ -229,16 +245,30 @@ class WeylElem:
         return out
 
     def reduced_word(self) -> tuple:
-        w = self
-        rev = []
-        while True:
-            ds = w.right_descents()
-            if not ds:
-                break
-            k = ds[0]
-            rev.append(k)
-            w = w * WeylElem.simple(self.n, k)
-        return tuple(reversed(rev))
+        return _reduced_word(self)
+
+
+@lru_cache(maxsize=None)
+def _root_split(w: WeylElem) -> tuple:
+    """(positive roots w sends negative, positive roots w keeps positive)."""
+    negated, kept = [], []
+    for g in _positive_roots(w.n):
+        (negated if w.apply(g).is_negative() else kept).append(g)
+    return tuple(negated), tuple(kept)
+
+
+@lru_cache(maxsize=None)
+def _reduced_word(w: WeylElem) -> tuple:
+    """Strip the first right descent until none is left."""
+    rev = []
+    while True:
+        ds = w.right_descents()
+        if not ds:
+            break
+        k = ds[0]
+        rev.append(k)
+        w = w * WeylElem.simple(w.n, k)
+    return tuple(reversed(rev))
 
 
 def reflection(root: Root) -> WeylElem:
@@ -247,11 +277,13 @@ def reflection(root: Root) -> WeylElem:
     gg = sum(c * c for c in g)  # 2 for short roots, 4 for long
     imgs = []
     for k in range(n):
-        assert (2 * g[k]) % gg == 0
+        if (2 * g[k]) % gg:
+            raise RootError(f"reflection in {root.coeffs} is not integral")
         c = (2 * g[k]) // gg
         col = tuple((1 if t == k else 0) - c * g[t] for t in range(n))
         nz = [(i, v) for i, v in enumerate(col) if v]
-        assert len(nz) == 1 and abs(nz[0][1]) == 1, (root, col)
+        if len(nz) != 1 or abs(nz[0][1]) != 1:
+            raise RootError(f"reflection in {root.coeffs} sends line {k + 1} to {col}")
         i, v = nz[0]
         imgs.append((i + 1) * (1 if v > 0 else -1))
     return WeylElem(n, tuple(imgs))
@@ -272,16 +304,14 @@ def coordinate_rotation(n: int) -> WeylElem:
     return WeylElem(n, tuple(list(range(2, n + 1)) + [1]))
 
 
-_BRUHAT_CACHE: dict = {}
-
-
 def bruhat_leq(w1: WeylElem, w2: WeylElem) -> bool:
     if w1.n != w2.n:
         raise RootError("mixed ranks")
-    key = (w1.imgs, w2.imgs)
-    hit = _BRUHAT_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return _bruhat_leq(w1, w2)
+
+
+@lru_cache(maxsize=None)
+def _bruhat_leq(w1: WeylElem, w2: WeylElem) -> bool:
     if w1.is_identity():
         res = True
     elif w1.length() > w2.length():
@@ -297,14 +327,14 @@ def bruhat_leq(w1: WeylElem, w2: WeylElem) -> bool:
             if w2inv.apply(a).is_negative():
                 s = WeylElem.simple(n, k)
                 break
-        assert s is not None
+        if s is None:
+            raise RootError(f"{w2.imgs} has no left descent")
         sw2 = s * w2
         sw1 = s * w1
         if sw1.length() < w1.length():
-            res = bruhat_leq(sw1, sw2)
+            res = _bruhat_leq(sw1, sw2)
         else:
-            res = bruhat_leq(w1, sw2)
-    _BRUHAT_CACHE[key] = res
+            res = _bruhat_leq(w1, sw2)
     return res
 
 
@@ -319,7 +349,12 @@ def subword_products(n: int, word):
 
 
 def weyl_below(w: WeylElem):
-    return subword_products(w.n, w.reduced_word())
+    return list(_weyl_below(w))
+
+
+@lru_cache(maxsize=None)
+def _weyl_below(w: WeylElem) -> tuple:
+    return tuple(subword_products(w.n, w.reduced_word()))
 
 
 def full_weyl_group(n: int):
@@ -361,8 +396,13 @@ def bad_pair_witness(g1: Root, g2: Root):
 
 def bad_pairs(n: int):
     """All bad pairs, via the predicate over positive root pairs."""
-    pos = positive_roots(n)
-    return [(g1, g2) for g2 in pos for g1 in pos if is_bad_pair(g1, g2)]
+    return list(_bad_pairs(n))
+
+
+@lru_cache(maxsize=None)
+def _bad_pairs(n: int) -> tuple:
+    pos = _positive_roots(n)
+    return tuple((g1, g2) for g2 in pos for g1 in pos if is_bad_pair(g1, g2))
 
 
 def ordered_negated_roots(w: WeylElem):

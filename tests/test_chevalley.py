@@ -9,11 +9,18 @@ Independent routes used here:
   * a filtration-walk volume oracle that counts one-root coset layers
     directly, against the closed-form volume exponents.
 """
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as Q
 
 import pytest
 
+import padicsp
+from padicsp import chevalley
+from padicsp.harness.checks import _random_word_matrix
 from padicsp.padic import PAdic, PrimeCtx, fraction_valuation, psi
 from padicsp.rootsys import (
     Root,
@@ -191,6 +198,39 @@ def test_mat_mul_matches_oracle():
         a = Mat(C3, tuple(tuple(Q(rng.randint(-5, 5), rng.choice([1, 2, 3])) for _ in range(4)) for _ in range(4)))
         b = Mat(C3, tuple(tuple(Q(rng.randint(-5, 5), rng.choice([1, 2, 3])) for _ in range(4)) for _ in range(4)))
         assert (a * b).rows == oracle_matmul(a.rows, b.rows)
+
+
+def test_mat_mul_integer_kernel_matches_oracle():
+    """Products through one integer denominator against the Fraction triple loop."""
+    for n in (2, 3, 4):
+        for p in (3, 5, 7):
+            ctx = PrimeCtx(p)
+            rng = random.Random(100 * n + p)
+            size = 2 * n
+            group = full_weyl_group(n)
+            roots = positive_roots(n)
+            dens = (1, 2, 7 * p, p, p**2, p**3)
+
+            def mixed():
+                """Mixed p-power denominators, about 40 % zeros."""
+                return Mat(ctx, tuple(
+                    tuple(Q(rng.randint(-9, 9), rng.choice(dens)) if rng.random() < 0.6 else Q(0) for _ in range(size))
+                    for _ in range(size)
+                ))
+
+            pairs = []
+            for _ in range(3):
+                pairs.append((_random_word_matrix(ctx, n, rng), _random_word_matrix(ctx, n, rng)))
+                w = weyl_rep(ctx, group[rng.randrange(len(group))])
+                root = roots[rng.randrange(len(roots))]
+                x = root_elem(ctx, n, rng.choice((root, -root)), Q(rng.randint(-9, 9), p ** rng.randrange(4)))
+                pairs += [(w, x), (x, w), (mixed(), mixed())]
+            zero = Mat(ctx, tuple(tuple(Q(0) for _ in range(size)) for _ in range(size)))
+            pairs += [(zero, pairs[0][0]), (pairs[0][1], zero), (zero, zero)]
+            for a, b in pairs:
+                got = (a * b).rows
+                assert got == oracle_matmul(a.rows, b.rows)
+                assert all(type(x) is Q for row in got for x in row)
 
 
 def test_mat_inverse_round_trip():
@@ -758,3 +798,57 @@ def test_cell_collapse_mode2_over_bad_triples(n):
         rs = [Q(rng.choice([1, 2, 5]), rng.choice([1, 3])), Q(rng.choice([1, 2]), rng.choice([1, 3]))]
         w_prime = cell_collapse_witness(t, w, pair, rs, bad_index=1)
         assert bruhat_leq(w_prime, w) and w_prime != w
+
+
+# ------------------------------------------------------------ self-checks
+
+def test_bruhat_torus_guard_raises(monkeypatch):
+    monkeypatch.setattr(chevalley, "weyl_from_monomial_pattern", lambda n, positions: WeylElem.identity(n))
+    with pytest.raises(FactorizationError, match="monomial part"):
+        bruhat_decompose(top_cell_matrix(C3, 2))
+
+
+def test_self_checks_survive_optimize_flag():
+    """One guard each in rootsys, chevalley and quadext still raises under python -O."""
+    script = textwrap.dedent(
+        """
+        import functools
+        from fractions import Fraction as Q
+        from padicsp import chevalley, quadext, rootsys
+        from padicsp.padic import PAdic, PadicError, PrimeCtx
+
+        assert False, "python -O should strip this assert"
+        ctx = PrimeCtx(3)
+        w0 = rootsys.highest_root_reflection(2)
+
+        rootsys._bruhat_leq = functools.lru_cache(maxsize=None)(rootsys._bruhat_leq.__wrapped__)
+        rootsys.simple_roots = lambda n: []
+        try:
+            rootsys.bruhat_leq(rootsys.WeylElem.simple(2, 1), w0)
+        except rootsys.RootError as exc:
+            print(exc)
+
+        chevalley.weyl_from_monomial_pattern = lambda n, positions: rootsys.WeylElem.identity(n)
+        try:
+            chevalley.bruhat_decompose(chevalley.top_cell_matrix(ctx, 2))
+        except chevalley.FactorizationError as exc:
+            print(exc)
+
+        real = quadext.square_root_in_unit_ball
+        quadext.square_root_in_unit_ball = lambda a, m, extra_digits=0: PAdic(
+            2 * real(a, m, extra_digits=extra_digits).value, a.ctx
+        )
+        try:
+            quadext.norm_one_decompose(quadext.QuadExt(ctx, Q(2)).elem(-1), 1)
+        except PadicError as exc:
+            print(exc)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(padicsp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    for message in ("no left descent", "monomial part", "principal-unit factor"):
+        assert message in out.stdout

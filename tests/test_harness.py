@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -347,3 +348,18 @@ def test_cli_decompose_rejects_non_rational(tmp_path, capsys):
 def test_cli_decompose_missing_file(capsys):
     assert main(["decompose", "--n", "2", "--matrix", "/nonexistent/mat.txt"]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_cli_report_bytes_do_not_depend_on_out_path(tmp_path, capsys):
+    texts = []
+    for name in ("a", "b/deeper"):
+        out = tmp_path / name / "report.json"
+        out.parent.mkdir(parents=True)
+        argv = ["verify", "--n", "2", "--p", "3", "--m", "1", "--samples", "2", "--seed", "42"]
+        assert main(argv + ["--checks", "bad-pairs,volumes,psi-character", "--out", str(out)]) == 0
+        text = out.read_text()
+        assert str(out) not in text
+        texts.append(re.sub(r'\n *"seconds": [^\n]*', "", text).encode())
+    capsys.readouterr()
+    assert texts[0] == texts[1]
+    assert "out" not in json.loads(texts[0])["config"]

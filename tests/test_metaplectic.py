@@ -18,7 +18,7 @@ import pytest
 
 import padicsp
 from padicsp import metaplectic
-from padicsp.padic import Mu8, PrimeCtx, fraction_valuation, hilbert_symbol, mu_psi
+from padicsp.padic import Mu8, PadicError, PrimeCtx, fraction_valuation, hilbert_symbol, mu_psi
 from padicsp.metaplectic import (
     CharacterFx,
     MetaError,
@@ -152,7 +152,7 @@ def rand_cover_word(ctx, rng, length=4):
         elif k == 2:
             g = g * MetaSL2.lower(ctx, Q(rng.randrange(-8, 9)) * p ** rng.randrange(0, 4))
         else:
-            g = g * MetaSL2.diag(ctx, Q(rng.choice((1, 2, -1, -2))) * p ** rng.randrange(-2, 3))
+            g = g * MetaSL2.diag(ctx, Q(rng.choice((1, 2, -1, -2))) * Q(p) ** rng.randrange(-2, 3))
     return g
 
 
@@ -625,3 +625,12 @@ def test_intertwine_level_monotone_in_bound():
     levels = [intertwine_level(eta, Q(3) ** m) for m in range(0, 7)]
     assert levels == sorted(levels)
     assert levels[0] >= section_level(eta)
+
+
+def test_cover_constructors_reject_floats():
+    ctx = PrimeCtx(3)
+    for build in (MetaSL2.upper, MetaSL2.lower, MetaSL2.diag):
+        with pytest.raises(PadicError, match="exact rational"):
+            build(ctx, 0.1)
+    with pytest.raises(PadicError, match="exact rational"):
+        ramified_character(ctx, 1).phase(0.5)

@@ -30,6 +30,7 @@ from padicsp.padic import (
     square_root_in_unit_ball,
     weil_index,
 )
+from padicsp import quadext
 from padicsp.quadext import QuadExt, norm_one_decompose
 
 Q = Fraction
@@ -446,3 +447,15 @@ def test_norm_one_decompose_rejects_bad_norm():
     E = EXTS[0]
     with pytest.raises(PadicError):
         norm_one_decompose(E.elem(2, 1), 1)  # norm 4 - 2 = 2, not 1 mod 3
+
+
+def test_norm_one_decompose_unit_guard_raises(monkeypatch):
+    """A wrong square root steers the chart off x; the level check must say so."""
+    real = quadext.square_root_in_unit_ball
+
+    def doubled(a, m, extra_digits=0):
+        return PAdic(2 * real(a, m, extra_digits=extra_digits).value, a.ctx)
+
+    monkeypatch.setattr(quadext, "square_root_in_unit_ball", doubled)
+    with pytest.raises(PadicError, match="principal-unit factor"):
+        norm_one_decompose(EXTS[0].elem(-1), 1)

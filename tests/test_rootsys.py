@@ -7,12 +7,14 @@ oracle routes.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections import deque
 
 import pytest
 
+from padicsp import rootsys
 from padicsp.rootsys import (
     Root,
     RootError,
@@ -466,3 +468,65 @@ def test_root_decompositions_basics():
         assert tuple(total) == (1, 1, 0)
     assert root_decompositions(n, (0, 0, 0)) == []
     assert root_decompositions(n, (-1, 0, 0)) == []
+
+
+# ------------------------------------------------------- memoised accessors
+
+def test_cached_accessors_hand_out_fresh_lists():
+    w0 = highest_root_reflection(3)
+    for read in (
+        lambda: positive_roots(3),
+        w0.negated_positive_roots,
+        w0.kept_positive_roots,
+        lambda: weyl_below(w0),
+        lambda: bad_pairs(3),
+    ):
+        first = read()
+        expected = list(first)
+        first.reverse()
+        first.append(first[0])
+        assert read() == expected
+        assert read() is not read()
+
+
+def oracle_positive_vectors(n: int):
+    """e_i +- e_j (i < j) and 2 e_i: the vectors whose first nonzero entry is positive."""
+    out = []
+    for i in range(n):
+        out.append(tuple(2 if k == i else 0 for k in range(n)))
+        for j in range(i + 1, n):
+            for sign in (1, -1):
+                out.append(tuple(1 if k == i else sign if k == j else 0 for k in range(n)))
+    return out
+
+
+def oracle_signed_image(w: WeylElem, vec) -> tuple:
+    out = [0] * w.n
+    for k, c in enumerate(vec):
+        t = w.imgs[k]
+        out[abs(t) - 1] += c if t > 0 else -c
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cached_length_matches_brute_force_recount(n):
+    for w in full_weyl_group(n):
+        negated = {
+            v for v in oracle_positive_vectors(n)
+            if next(c for c in oracle_signed_image(w, v) if c) < 0
+        }
+        for _ in range(2):  # the second round reads the caches
+            assert w.length() == len(negated)
+            got = w.negated_positive_roots()
+            assert {g.euclid() for g in got} == negated
+            assert got == sorted(got, key=lambda g: (g.height, g.coeffs))
+            kept = {g.euclid() for g in w.kept_positive_roots()}
+            assert kept == set(oracle_positive_vectors(n)) - negated
+
+
+def test_bruhat_descent_guard_raises(monkeypatch):
+    fresh = functools.lru_cache(maxsize=None)(rootsys._bruhat_leq.__wrapped__)
+    monkeypatch.setattr(rootsys, "_bruhat_leq", fresh)  # no verdict cached by earlier tests
+    monkeypatch.setattr(rootsys, "simple_roots", lambda n: [])
+    with pytest.raises(RootError, match="no left descent"):
+        bruhat_leq(WeylElem.simple(2, 1), highest_root_reflection(2))
