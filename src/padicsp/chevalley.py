@@ -164,10 +164,17 @@ def is_symplectic(g: Mat) -> bool:
 
 
 def symplectic_inverse(g: Mat) -> Mat:
-    # g^-1 = -J' tg J' for symplectic g
+    # g^-1 = -J' tg J' for symplectic g.  J' is the antidiagonal with signs
+    # e = +1 on the first n lines and -1 on the last n, so the product only
+    # permutes and signs entries: inv[i][j] = e_i e_j g[N-1-j][N-1-i]
     n = g.size // 2
-    jp = form_matrix(g.ctx, n)
-    return (jp * g.transpose() * jp).scale(-1)
+    return Mat(
+        g.ctx,
+        tuple(
+            tuple(x if (i < n) == (j < n) else -x for j, x in enumerate(reversed(col)))
+            for i, col in enumerate(reversed(tuple(zip(*g.rows))))
+        ),
+    )
 
 
 # ------------------------------------------------------- block builders

@@ -374,7 +374,7 @@ def section_level(eta: CharacterFx) -> int:
 def _bound_exponent(p: int, x_bound) -> int:
     """Smallest integer M with p^M >= x_bound, so the compact set
     {|x| <= x_bound} sits inside P^{-M}."""
-    b = Q.from_float(x_bound) if isinstance(x_bound, float) else Q(x_bound)
+    b = _as_fraction(x_bound)
     if b <= 0:
         raise MetaError("the bound on |x| must be positive")
     m = 0
@@ -408,7 +408,7 @@ def intertwine_eval_exact(sec: SectionFsi, x: PAdic, x_bound) -> SectionValue:
     if x.ctx != ctx:
         raise MetaError("mixed prime contexts")
     i = sec.i
-    if x.value != 0 and Q(ctx.p) ** (-fraction_valuation(x.value, ctx.p)) > Q(x_bound):
+    if x.value != 0 and Q(ctx.p) ** (-fraction_valuation(x.value, ctx.p)) > _as_fraction(x_bound):
         raise MetaError("point lies outside the stated compact set")
     c = max(sec.eta.conductor, 1)
     depth = 3 * i + (fraction_valuation(x.value, ctx.p) if x.value != 0 else 0)

@@ -113,40 +113,6 @@ class Term:
         return fraction_valuation(x - self.center, p) >= self.rad
 
 
-def _norm_phase_key(halfq: int, phase: Q):
-    # fold the half turn into a sign so that c and -c cancel exactly
-    ph = phase - (phase.numerator // phase.denominator)
-    if ph >= Q(1, 2):
-        return (halfq, ph - Q(1, 2)), -1
-    return (halfq, ph), 1
-
-
-class _Monomials:
-    """Signed accumulator for coefficients sharing one ball and frequency."""
-
-    def __init__(self):
-        self.data = {}
-
-    def add(self, co: Coeff):
-        if co.is_zero():
-            return
-        key, sign = _norm_phase_key(co.halfq, co.phase)
-        v = self.data.get(key, Q(0)) + sign * co.rat
-        if v == 0:
-            self.data.pop(key, None)
-        else:
-            self.data[key] = v
-
-    def coeffs(self):
-        out = []
-        for (halfq, ph), rat in sorted(self.data.items()):
-            out.append(Coeff(rat, halfq, ph))
-        return out
-
-    def signature(self):
-        return tuple(sorted(self.data.items()))
-
-
 def _reduce_coeff(co: Coeff, p: int) -> Coeff:
     # move every factor of p from the rational part into the q exponent
     if co.rat == 0 or co.rat.numerator % p != 0 and co.rat.denominator % p != 0:
@@ -178,18 +144,33 @@ def _split_term(t: Term, new_rad: int, p: int):
 
 
 def _regroup(terms, p):
-    balls = {}
+    # one slot per ball, reduced frequency and monomial; the half turn is
+    # folded into the sign so that c and -c cancel exactly
+    slots = {}
     for t in terms:
         tn = _normalize_term(t, p)
         if tn is None:
             continue
-        slot = balls.setdefault((tn.center, tn.rad), {})
-        slot.setdefault(tn.freq, _Monomials()).add(tn.coeff)
-    out = []
-    for (center, rad), freqs in balls.items():
-        for freq, mons in freqs.items():
-            for co in mons.coeffs():
-                out.append(Term(co, freq, center, rad))
+        rat, ph = tn.coeff.rat, tn.coeff.phase
+        if ph >= Q(1, 2):
+            rat, ph = -rat, ph - Q(1, 2)
+        key = (tn.center, tn.rad, tn.freq, tn.coeff.halfq, ph)
+        v = slots.get(key, 0) + rat
+        if v:
+            slots[key] = v
+        else:
+            del slots[key]
+    out = [
+        Term(Coeff(v, halfq, ph), freq, center, rad)
+        for (center, rad, freq, halfq, ph), v in slots.items()
+    ]
+    if len(out) > _REFINE_CAP:
+        raise SchwartzError("ball refinement exceeded the term budget")
+    # Denominators stay prime to p, but a sum can be divisible by p; its
+    # power of p then moves into the q exponent, where it may meet another
+    # monomial of the slot.  Each such pass merges slots, so this ends.
+    if any(t.coeff.rat.numerator % p == 0 for t in out):
+        return _regroup(out, p)
     return out
 
 
@@ -197,71 +178,50 @@ _REFINE_CAP = 20000  # term budget while separating nested balls
 
 
 def _disjointify(terms, p):
-    while True:
-        if len(terms) > _REFINE_CAP:
-            raise SchwartzError("ball refinement exceeded the term budget")
-        balls = sorted({(t.center, t.rad) for t in terms}, key=lambda b: b[1])
-        split_at = None
-        for i, (c1, r1) in enumerate(balls):
-            for c2, r2 in balls[i + 1 :]:
-                if r2 > r1 and fraction_valuation(c2 - c1, p) >= r1:
-                    split_at = (c1, r1)
-                    break
-            if split_at:
-                break
-        if split_at is None:
-            return terms
-        c1, r1 = split_at
+    # Split sweep, coarsest radius to finest.  A ball must be cut exactly
+    # when it is a strict ancestor of another ball, so every ancestor of
+    # every ball is marked once; cutting a marked ball yields its marked
+    # child one radius further down, and the sweep reaches it next.
+    if not terms:
+        return terms
+    top = min(t.rad for t in terms)
+    marked = {}
+    for center, rad in {(t.center, t.rad) for t in terms}:
+        for r in range(top, rad):
+            marked.setdefault(r, set()).add(_head(center, r, p))
+    for r in sorted(marked):
         nxt = []
         for t in terms:
-            if (t.center, t.rad) == (c1, r1):
-                nxt.extend(_split_term(t, r1 + 1, p))
+            if t.rad == r and t.center in marked[r]:
+                nxt.extend(_split_term(t, r + 1, p))
             else:
                 nxt.append(t)
-        terms = _regroup(nxt, p)
-
-
-def _parent_signature(ball_terms, parent_rad, p):
-    # re-express the child's terms relative to the parent ball
-    sig = {}
-    for t in ball_terms:
-        f_red = _head(t.freq, -parent_rad, p)
-        co = _reduce_coeff(t.coeff, p)
-        tail = t.freq - f_red
-        if tail != 0:
-            co = co.times_phase(_pfrac(tail * t.center, p))
-        mons = sig.setdefault(f_red, _Monomials())
-        mons.add(co)
-    return {f: m.signature() for f, m in sig.items() if m.signature()}
+        if len(nxt) != len(terms):
+            terms = _regroup(nxt, p)
+    return terms
 
 
 def _merge_siblings(terms, p):
-    while True:
-        by_ball = {}
-        for t in terms:
-            by_ball.setdefault((t.center, t.rad), []).append(t)
-        merged = None
-        parents = {}
-        for (center, rad), ts in by_ball.items():
-            pc = _head(center, rad - 1, p)
-            digit = (center - pc) * Q(p) ** (1 - rad)
-            parents.setdefault((pc, rad), {})[int(digit)] = ts
-        for (pc, rad), children in parents.items():
-            if len(children) != p:
-                continue
-            sigs = [_parent_signature(ts, rad - 1, p) for ts in children.values()]
-            if all(s == sigs[0] for s in sigs[1:]):
-                merged = ((pc, rad), children, sigs[0])
-                break
-        if merged is None:
-            return terms
-        (pc, rad), children, sig = merged
-        drop = {(ts[0].center, rad) for ts in children.values()}
-        nxt = [t for t in terms if (t.center, t.rad) not in drop]
-        for f_red, mon_sig in sig.items():
-            for (halfq, ph), rat in mon_sig:
-                nxt.append(Term(Coeff(rat, halfq, ph), f_red, pc, rad - 1))
-        terms = _regroup(nxt, p)
+    # Merge sweep, finest radius to coarsest: p sibling balls carrying the
+    # same (coeff, freq) terms glue into their parent.  A normalised
+    # child's frequency is already reduced at the parent's radius, and a
+    # glued parent can only complete a family one radius further up.
+    levels = {}
+    for t in terms:
+        levels.setdefault(t.rad, {}).setdefault(t.center, []).append(t)
+    rad = max(levels, default=0)
+    while levels and rad >= min(levels):
+        families = {}
+        for center, ts in levels.get(rad, {}).items():
+            families.setdefault(_head(center, rad - 1, p), []).append(ts)
+        for pc, kids in families.items():
+            if len(kids) == p and len({frozenset((t.coeff, t.freq) for t in ts) for ts in kids}) == 1:
+                for ts in kids:
+                    del levels[rad][ts[0].center]
+                glued = [Term(t.coeff, t.freq, pc, rad - 1) for t in kids[0]]
+                levels.setdefault(rad - 1, {})[pc] = glued
+        rad -= 1
+    return [t for balls in levels.values() for ts in balls.values() for t in ts]
 
 
 @dataclass(frozen=True)
@@ -288,6 +248,13 @@ class SchwartzFn:
         return not self.terms
 
     def canonical(self) -> "SchwartzFn":
+        """The same function on pairwise disjoint balls, in one fixed form.
+
+        Terms are normalised and summed per ball, reduced frequency and
+        monomial.  A split sweep then cuts every ball that contains a finer
+        one, coarse radius to fine; a merge sweep glues every complete set
+        of p sibling balls with equal terms into its parent, fine to coarse.
+        """
         p = self.ctx.p
         terms = _regroup(list(self.terms), p)
         terms = _disjointify(terms, p)
@@ -367,26 +334,24 @@ class SchwartzFn:
         return total if exact else float(total) + fuzz
 
     def _residual_groups(self, tol: float):
-        can = self.canonical()
         groups = {}
-        for t in can.terms:
+        for t in self.canonical().terms:
             key = (t.center, t.rad, t.freq)
             groups[key] = groups.get(key, 0j) + t.coeff.as_complex(self.ctx.p)
-        return can, {k: v for k, v in groups.items() if abs(v) > tol}
+        return {k: v for k, v in groups.items() if abs(v) > tol}
 
     def equals(self, other: "SchwartzFn", tol: float = 1e-9) -> bool:
         diff = self.minus(other)
         if diff.is_structural_zero():
             return True
-        _, bad = diff._residual_groups(tol)
-        return not bad
+        return not diff._residual_groups(tol)
 
     def difference_witness(self, other: "SchwartzFn", tol: float = 1e-9) -> Optional[Q]:
         """A rational point where the two functions visibly differ."""
         diff = self.minus(other)
         if diff.is_structural_zero():
             return None
-        _, bad = diff._residual_groups(tol)
+        bad = diff._residual_groups(tol)
         if not bad:
             return None
         p = self.ctx.p
@@ -558,13 +523,7 @@ def weil_act(word, phi: SchwartzFn, twist: int = 1) -> SchwartzFn:
         elif tag == "flip":
             out = _op_flip(out, eps, with_gamma=True)
         elif tag == "sign":
-            out = SchwartzFn(
-                out.ctx,
-                tuple(
-                    Term(t.coeff.times_sign(it[1]), t.freq, t.center, t.rad)
-                    for t in out.terms
-                ),
-            ).canonical()
+            out = out.scaled(Coeff(Q(it[1]))).canonical()
         else:
             out = _op_heis(out, it[1], it[2], it[3], eps)
     return out
@@ -608,24 +567,24 @@ def weil_act_cover(g: MetaSL2, phi: SchwartzFn, twist: int = 1) -> SchwartzFn:
     out = weil_act(word, phi, twist)
     sign = g.zeta * lifted.zeta
     if sign == -1:
-        out = SchwartzFn(
-            out.ctx,
-            tuple(Term(t.coeff.times_sign(-1), t.freq, t.center, t.rad) for t in out.terms),
-        ).canonical()
+        out = out.scaled(Coeff(Q(sign))).canonical()
     return out
+
+
+def _rep_identity_sides(g1, g2, phi: SchwartzFn, twist: int):
+    # the composed operators, and the action of the product in the cover
+    lhs = weil_act(g1, weil_act(g2, phi, twist), twist)
+    prod = cover_lift(phi.ctx, g1) * cover_lift(phi.ctx, g2)
+    return lhs, weil_act_cover(prod, phi, twist)
 
 
 def check_rep_identity(g1, g2, phi: SchwartzFn, twist: int = 1, tol: float = 1e-9) -> bool:
     """Operator composition against the cocycle-weighted product action."""
-    lhs = weil_act(g1, weil_act(g2, phi, twist), twist)
-    prod = cover_lift(phi.ctx, g1) * cover_lift(phi.ctx, g2)
-    rhs = weil_act_cover(prod, phi, twist)
+    lhs, rhs = _rep_identity_sides(g1, g2, phi, twist)
     return lhs.equals(rhs, tol)
 
 
 def rep_identity_witness(g1, g2, phi: SchwartzFn, twist: int = 1, tol: float = 1e-9):
     """None when the identity holds; otherwise a point where it fails."""
-    lhs = weil_act(g1, weil_act(g2, phi, twist), twist)
-    prod = cover_lift(phi.ctx, g1) * cover_lift(phi.ctx, g2)
-    rhs = weil_act_cover(prod, phi, twist)
+    lhs, rhs = _rep_identity_sides(g1, g2, phi, twist)
     return lhs.difference_witness(rhs, tol)

@@ -235,7 +235,7 @@ def test_mat_mul_integer_kernel_matches_oracle():
 
 def test_mat_inverse_round_trip():
     rng = random.Random(2)
-    for n in (2, 3):
+    for n in (1, 2, 3, 4):
         g = random_root_word_matrix(C3, n, rng)
         assert (g * g.inverse()).is_identity()
         assert symplectic_inverse(g) == g.inverse()

@@ -627,6 +627,17 @@ def test_intertwine_level_monotone_in_bound():
     assert levels[0] >= section_level(eta)
 
 
+def test_intertwine_rejects_float_bounds():
+    eta = ramified_character(C3, 1)
+    sec = SectionFsi(i=intertwine_level(eta, 9), eta=eta, s=Q(1, 2))
+    with pytest.raises(PadicError, match="exact rational"):
+        intertwine_level(eta, 9.0)
+    for x in (C3.of(0), C3.of(Q(1, 3))):
+        assert intertwine_eval_exact(sec, x, 9) == SectionValue(Q(0), Q(-3 * sec.i))
+        with pytest.raises(PadicError, match="exact rational"):
+            intertwine_eval_exact(sec, x, 9.0)
+
+
 def test_cover_constructors_reject_floats():
     ctx = PrimeCtx(3)
     for build in (MetaSL2.upper, MetaSL2.lower, MetaSL2.diag):

@@ -20,6 +20,7 @@ from padicsp.padic import (
     psi,
     weil_index,
 )
+from padicsp import schwartz
 from padicsp.metaplectic import MetaSL2, rao_cocycle
 from padicsp.schwartz import (
     Coeff,
@@ -136,6 +137,128 @@ def oracle_square_character_trivial(p, b, rho):
     )
 
 
+class _OracleMonomials:
+    """Signed accumulator for coefficients sharing one ball and frequency."""
+
+    def __init__(self):
+        self.data = {}
+
+    def add(self, co):
+        if co.is_zero():
+            return
+        ph = co.phase - (co.phase.numerator // co.phase.denominator)
+        key, sign = ((co.halfq, ph - Q(1, 2)), -1) if ph >= Q(1, 2) else ((co.halfq, ph), 1)
+        v = self.data.get(key, Q(0)) + sign * co.rat
+        if v == 0:
+            self.data.pop(key, None)
+        else:
+            self.data[key] = v
+
+    def coeffs(self):
+        return [Coeff(rat, halfq, ph) for (halfq, ph), rat in sorted(self.data.items())]
+
+    def signature(self):
+        return tuple(sorted(self.data.items()))
+
+
+def _oracle_regroup(terms, p):
+    balls = {}
+    for t in terms:
+        tn = schwartz._normalize_term(t, p)
+        if tn is None:
+            continue
+        slot = balls.setdefault((tn.center, tn.rad), {})
+        slot.setdefault(tn.freq, _OracleMonomials()).add(tn.coeff)
+    out = []
+    for (center, rad), freqs in balls.items():
+        for freq, mons in freqs.items():
+            for co in mons.coeffs():
+                out.append(Term(co, freq, center, rad))
+    return out
+
+
+def _oracle_disjointify(terms, p):
+    # split the coarsest ball holding a finer one, regroup, rescan
+    while True:
+        if len(terms) > schwartz._REFINE_CAP:
+            raise SchwartzError("ball refinement exceeded the term budget")
+        balls = sorted({(t.center, t.rad) for t in terms}, key=lambda b: b[1])
+        split_at = None
+        for i, (c1, r1) in enumerate(balls):
+            for c2, r2 in balls[i + 1:]:
+                if r2 > r1 and fraction_valuation(c2 - c1, p) >= r1:
+                    split_at = (c1, r1)
+                    break
+            if split_at:
+                break
+        if split_at is None:
+            return terms
+        nxt = []
+        for t in terms:
+            if (t.center, t.rad) == split_at:
+                nxt.extend(schwartz._split_term(t, split_at[1] + 1, p))
+            else:
+                nxt.append(t)
+        terms = _oracle_regroup(nxt, p)
+
+
+def _oracle_parent_signature(ball_terms, parent_rad, p):
+    # re-express the child's terms relative to the parent ball
+    sig = {}
+    for t in ball_terms:
+        f_red = schwartz._head(t.freq, -parent_rad, p)
+        co = schwartz._reduce_coeff(t.coeff, p)
+        tail = t.freq - f_red
+        if tail != 0:
+            co = co.times_phase(_pfrac(tail * t.center, p))
+        sig.setdefault(f_red, _OracleMonomials()).add(co)
+    return {f: m.signature() for f, m in sig.items() if m.signature()}
+
+
+def _oracle_merge_siblings(terms, p):
+    # glue one complete family of equal siblings, regroup, rescan
+    while True:
+        by_ball = {}
+        for t in terms:
+            by_ball.setdefault((t.center, t.rad), []).append(t)
+        parents = {}
+        for (center, rad), ts in by_ball.items():
+            pc = schwartz._head(center, rad - 1, p)
+            digit = (center - pc) * Q(p) ** (1 - rad)
+            parents.setdefault((pc, rad), {})[int(digit)] = ts
+        merged = None
+        for (pc, rad), children in parents.items():
+            if len(children) != p:
+                continue
+            sigs = [_oracle_parent_signature(ts, rad - 1, p) for ts in children.values()]
+            if all(s == sigs[0] for s in sigs[1:]):
+                merged = ((pc, rad), children, sigs[0])
+                break
+        if merged is None:
+            return terms
+        (pc, rad), children, sig = merged
+        drop = {(ts[0].center, rad) for ts in children.values()}
+        nxt = [t for t in terms if (t.center, t.rad) not in drop]
+        for f_red, mon_sig in sig.items():
+            for (halfq, ph), rat in mon_sig:
+                nxt.append(Term(Coeff(rat, halfq, ph), f_red, pc, rad - 1))
+        terms = _oracle_regroup(nxt, p)
+
+
+def oracle_canonical(terms, p):
+    """The fixed-point canonical form: one edit per full rescan.
+
+    Each round splits the coarsest ball that strictly contains another,
+    or glues one complete family of p siblings whose terms agree once
+    re-expressed at the parent, then regroups the whole list.
+    """
+    terms = _oracle_regroup(list(terms), p)
+    terms = _oracle_disjointify(terms, p)
+    terms = _oracle_merge_siblings(terms, p)
+    terms.sort(key=lambda t: (t.rad, t.center, t.freq, t.coeff.halfq, t.coeff.phase))
+    return tuple(terms)
+
+
 def ball_points(center, rad, p, spread=2):
     """A few rationals in center + P^rad and a few just outside."""
     inside = [center, center + Q(p) ** rad, center + 2 * Q(p) ** (rad + 1)]
@@ -211,10 +334,11 @@ def test_canonical_is_idempotent_and_value_preserving():
 
 
 def test_sibling_cosets_merge_to_parent():
-    step = Q(3)
-    kids = [Term(Coeff.one(), Q(0), k * step, 2) for k in range(3)]
-    f = SchwartzFn.from_terms(C3, kids)
-    assert f == SchwartzFn.indicator(C3, 0, 1)
+    # three children of P^1 glue into it; nine grandchildren of O glue twice
+    children = [Term(Coeff.one(), Q(0), k * Q(3), 2) for k in range(3)]
+    grandchildren = [Term(Coeff.one(), Q(0), Q(k), 2) for k in range(9)]
+    assert SchwartzFn.from_terms(C3, children) == SchwartzFn.indicator(C3, 0, 1)
+    assert SchwartzFn.from_terms(C3, grandchildren) == SchwartzFn.indicator(C3, 0, 0)
 
 
 def test_full_residue_split_merges_even_with_frequency():
@@ -233,6 +357,86 @@ def test_refinement_budget_guard():
     wide = SchwartzFn.indicator(C3, 0, -3)
     with pytest.raises(SchwartzError):
         weil_act([("upper", Q(3) ** -20)], wide)
+
+
+def test_refinement_budget_guard_on_the_canonical_path(monkeypatch):
+    # separating P^5 from O cuts O down five radii; the widest list the
+    # sweep holds has 11 terms (2 pieces per radius, plus the merged P^5)
+    nested = [Term(Coeff.one(), Q(0), Q(0), 0), Term(Coeff.one(), Q(0), Q(0), 5)]
+    monkeypatch.setattr(schwartz, "_REFINE_CAP", 11)
+    assert len(SchwartzFn.from_terms(C3, nested).terms) == 11
+    monkeypatch.setattr(schwartz, "_REFINE_CAP", 10)
+    with pytest.raises(SchwartzError, match="term budget"):
+        SchwartzFn.from_terms(C3, nested)
+
+
+def _nested_ball_terms(rng, p):
+    # balls around one center at radii -2..3, some with a full family of
+    # children, so that splits cascade and sums meet on shared balls
+    base = Q(rng.randint(-p * p, p * p), rng.choice([1, p]))
+    terms = []
+    for _ in range(rng.randint(1, 6)):
+        rad = rng.randint(-2, 3)
+        center = base + rng.randint(0, p) * Q(p) ** rng.randint(-1, 3)
+        co = Coeff(Q(rng.choice([1, -1, 2, 3, Q(1, 2)])), rng.randint(-1, 1), Q(rng.randint(0, 7), 8))
+        freq = Q(rng.randint(-p, p), rng.choice([1, p, p * p]))
+        terms.append(Term(co, freq, center, rad))
+        if rng.random() < 0.3:
+            terms += [Term(co, freq, center + k * Q(p) ** rad, rad + 1) for k in range(p)]
+    return terms
+
+
+def test_canonical_matches_fixed_point_oracle_on_nested_balls():
+    # One oracle pass can leave a summed coefficient that p divides when
+    # no regroup follows it, as with three copies of 1_O at p = 3; its
+    # answer is then not a fixed point of itself, and the library returns
+    # that fixed point.
+    cases = [(3, [Term(Coeff.one(), Q(0), Q(0), 0)] * 3)]
+    for p in (3, 5, 7):
+        rng = random.Random(20 + p)
+        cases += [(p, _nested_ball_terms(rng, p)) for _ in range(60)]
+    unsettled = 0
+    for p, terms in cases:
+        got = SchwartzFn(PrimeCtx(p), tuple(terms)).canonical().terms
+        want = oracle_canonical(terms, p)
+        settled = oracle_canonical(want, p)
+        if settled != want:
+            unsettled += 1
+            assert oracle_canonical(settled, p) == settled
+        assert got == settled, (p, terms)
+    assert SchwartzFn.from_terms(C3, cases[0][1]).terms[0].coeff == Coeff(Q(1), 2)
+    assert 1 <= unsettled < 10
+
+
+def test_canonical_matches_fixed_point_oracle_on_weil_words(monkeypatch):
+    seen = []
+    canonical = SchwartzFn.canonical
+
+    def recording(fn):
+        seen.append(fn)
+        return canonical(fn)
+
+    monkeypatch.setattr(SchwartzFn, "canonical", recording)
+    rng = random.Random(21)
+    for p in (3, 5, 7):
+        ctx = PrimeCtx(p)
+        phis = [SchwartzFn.indicator(ctx), phi_m(ctx, 1, 2), SchwartzFn.indicator(ctx, Q(1), 1)]
+        for _ in range(15):
+            words = [[], []]
+            for word in words:
+                for _ in range(rng.randint(1, 3)):
+                    tag = rng.choice(["flip", "upper", "diag", "sign"])
+                    if tag == "flip":
+                        word.append(("flip",))
+                    elif tag == "sign":
+                        word.append(("sign", rng.choice([1, -1])))
+                    else:
+                        word.append((tag, Q(rng.choice([1, 2, -1])) * Q(p) ** rng.randint(-1, 1)))
+            assert check_rep_identity(*words, rng.choice(phis), twist=rng.choice([1, -1]))
+    monkeypatch.undo()
+    assert len(seen) > 300
+    for fn in seen:
+        assert fn.canonical().terms == oracle_canonical(fn.terms, fn.ctx.p)
 
 
 def test_plus_rejects_mixed_contexts():
