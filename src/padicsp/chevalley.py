@@ -16,18 +16,19 @@ The first listed position is the "primary" one: the coefficient of a
 root factor can be read off there.  Weyl generators are m(swap) for the
 short simple roots and the middle [[0, 1], [-1, 0]] block for the long
 one; canonical monomial representatives multiply those along a reduced
-word.  Everything is exact (fractions.Fraction), and the structural
-routines (Bruhat normal form, unipotent refactoring, the two cell
-rewrites) verify their own output before returning it.
+word.  Everything is exact: a matrix is integer rows over one positive
+denominator, in lowest terms.  The structural routines (Bruhat normal
+form, unipotent refactoring, the two cell rewrites) verify their own
+output before returning it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
-from .padic import PhaseQZ, fraction_valuation, _pfrac
+from .padic import PhaseQZ, fraction_valuation, _as_fraction, _pfrac
 from .rootsys import (
     Root,
     WeylElem,
@@ -39,7 +40,6 @@ from .rootsys import (
 )
 
 Q = Fraction
-_ZERO = Q(0)
 
 
 class MatrixError(ValueError):
@@ -50,64 +50,100 @@ class FactorizationError(MatrixError):
     pass
 
 
-@dataclass(frozen=True)
 class Mat:
-    """Immutable exact matrix tagged with a prime context."""
+    """Immutable exact matrix tagged with a prime context.
 
-    ctx: PrimeCtx
-    rows: tuple
+    Stored in lowest terms as one positive integer denominator `den` and
+    integer rows `num` with gcd(den, *entries) == 1, so equal matrices
+    have equal storage.  `rows` is the Fraction view, built on first use.
+    """
+
+    __slots__ = ("ctx", "den", "num", "_rows")
+
+    def __init__(self, ctx, rows):
+        den, num = _integer_rows([[_as_fraction(x) for x in row] for row in rows])
+        _fill(self, ctx, den, num)
 
     @classmethod
     def from_lists(cls, ctx, rows) -> "Mat":
-        return cls(ctx, tuple(tuple(Q(x) for x in row) for row in rows))
+        return cls(ctx, rows)
+
+    @classmethod
+    def from_integers(cls, ctx, den, num) -> "Mat":
+        """num / den for a nonzero integer den and integer rows num."""
+        den = _as_integer(den)
+        if not den:
+            raise MatrixError("zero denominator")
+        num = tuple(tuple(_as_integer(x) for x in row) for row in num)
+        if den < 0:
+            den, num = -den, tuple(tuple(-x for x in row) for row in num)
+        return _mat(ctx, den, num)
 
     @classmethod
     def identity(cls, ctx, size: int) -> "Mat":
-        return cls(ctx, tuple(tuple(Q(1 if i == j else 0) for j in range(size)) for i in range(size)))
+        return _mat(ctx, 1, _eye(size))
 
     @classmethod
     def diagonal(cls, ctx, entries) -> "Mat":
-        es = [Q(e) for e in entries]
-        return cls(ctx, tuple(tuple(es[i] if i == j else Q(0) for j in range(len(es))) for i in range(len(es))))
+        es = [_as_fraction(e) for e in entries]
+        rows = [[0] * len(es) for _ in es]
+        for i, e in enumerate(es):
+            rows[i][i] = e
+        return _mat(ctx, *_integer_rows(rows))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Mat is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, Mat):
+            return NotImplemented
+        return self.den == other.den and self.num == other.num and self.ctx == other.ctx
+
+    def __hash__(self):
+        return hash((self.ctx, self.den, self.num))
+
+    def __repr__(self):
+        return f"Mat(ctx={self.ctx!r}, rows={self.rows!r})"
+
+    @property
+    def rows(self) -> tuple:
+        """The entries as Fractions."""
+        rows = self._rows
+        if rows is None:
+            den = self.den
+            rows = tuple(tuple(Q(x, den) for x in row) for row in self.num)
+            object.__setattr__(self, "_rows", rows)
+        return rows
 
     @property
     def size(self) -> int:
-        return len(self.rows)
+        return len(self.num)
 
     def __getitem__(self, ij):
-        return self.rows[ij[0]][ij[1]]
+        return Q(self.num[ij[0]][ij[1]], self.den)
 
     def __mul__(self, other: "Mat") -> "Mat":
-        """Exact product over one integer denominator.
-
-        Each factor is scaled by the lcm of its denominators, the integer
-        rows are multiplied skipping zeros, and each entry of the result
-        becomes one Fraction.
-        """
-        if self.ctx != other.ctx or self.size != other.size:
+        """Exact product: integer rows times integer rows, skipping zeros,
+        over the product of the two denominators."""
+        if (self.ctx is not other.ctx and self.ctx != other.ctx) or len(self.num) != len(other.num):
             raise MatrixError("incompatible matrices")
-        da, arows = _integer_rows(self.rows)
-        db, brows = _integer_rows(other.rows)
-        den = da * db
+        brows = other.num
         out = []
-        for arow in arows:
+        for arow in self.num:
             acc = [0] * len(arow)
             for a, brow in zip(arow, brows):
                 if a:
                     for j, b in enumerate(brow):
                         if b:
                             acc[j] += a * b
-            out.append(tuple(Q(s, den) if s else _ZERO for s in acc))
-        return Mat(self.ctx, tuple(out))
+            out.append(tuple(acc))
+        return _mat(self.ctx, self.den * other.den, tuple(out))
 
     def transpose(self) -> "Mat":
-        return Mat(self.ctx, tuple(zip(*self.rows)))
-
-    def scale(self, c) -> "Mat":
-        c = Q(c)
-        return Mat(self.ctx, tuple(tuple(c * x for x in row) for row in self.rows))
+        return _mat(self.ctx, self.den, tuple(zip(*self.num)))
 
     def inverse(self) -> "Mat":
+        """Gauss-Jordan over Fractions."""
         n = self.size
         a = [list(row) for row in self.rows]
         b = [[Q(1 if i == j else 0) for j in range(n)] for i in range(n)]
@@ -125,42 +161,65 @@ class Mat:
                     f = a[r][col]
                     a[r] = [x - f * y for x, y in zip(a[r], a[col])]
                     b[r] = [x - f * y for x, y in zip(b[r], b[col])]
-        return Mat(self.ctx, tuple(tuple(row) for row in b))
+        return _mat(self.ctx, *_integer_rows(b))
 
     def is_identity(self) -> bool:
-        return all(x == (1 if i == j else 0) for i, row in enumerate(self.rows) for j, x in enumerate(row))
+        return self.den == 1 and self.num == _eye(len(self.num))
 
     def is_diagonal(self) -> bool:
-        return all(i == j or not x for i, row in enumerate(self.rows) for j, x in enumerate(row))
+        return all(not x for i, row in enumerate(self.num) for j, x in enumerate(row) if i != j)
 
     def is_upper_triangular(self) -> bool:
-        return all(not x for i, row in enumerate(self.rows) for j, x in enumerate(row) if i > j)
+        return not any(x for i, row in enumerate(self.num) for x in row[:i])
 
     def is_upper_unitriangular(self) -> bool:
-        return self.is_upper_triangular() and all(row[i] == 1 for i, row in enumerate(self.rows))
+        den = self.den
+        return self.is_upper_triangular() and all(row[i] == den for i, row in enumerate(self.num))
 
-    def is_lower_unitriangular(self) -> bool:
-        return self.transpose().is_upper_unitriangular()
+
+def _fill(m: Mat, ctx, den: int, num: tuple) -> None:
+    object.__setattr__(m, "ctx", ctx)
+    object.__setattr__(m, "den", den)
+    object.__setattr__(m, "num", num)
+    object.__setattr__(m, "_rows", None)
+
+
+def _mat(ctx, den: int, num: tuple) -> Mat:
+    """The Mat num / den for den > 0 and integer rows num, reduced to lowest terms."""
+    if den != 1:
+        g = math.gcd(den, *chain.from_iterable(num))
+        if g != 1:
+            den //= g
+            num = tuple(tuple(x // g for x in row) for row in num)
+    m = object.__new__(Mat)
+    _fill(m, ctx, den, num)
+    return m
+
+
+@lru_cache(maxsize=None)
+def _eye(size: int) -> tuple:
+    return tuple(tuple(1 if i == j else 0 for j in range(size)) for i in range(size))
+
+
+def _as_integer(x) -> int:
+    q = _as_fraction(x)
+    if q.denominator != 1:
+        raise MatrixError(f"{x!r} is not an integer")
+    return q.numerator
 
 
 def _integer_rows(rows):
-    """(d, integer rows) with rows == integer rows / d, d the lcm of the denominators."""
-    d = math.lcm(*{x.denominator for row in rows for x in row})
-    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
-
-
-def form_matrix(ctx, n: int) -> Mat:
-    rows = [[Q(0)] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        rows[i][2 * n - 1 - i] = Q(1)
-        rows[n + i][n - 1 - i] = Q(-1)
-    return Mat(ctx, tuple(tuple(r) for r in rows))
+    """(d, integer rows) with rows == integer rows / d, d the lcm of the
+    denominators; the entries are ints and Fractions."""
+    d = math.lcm(*(x.denominator for row in rows for x in row))
+    return d, tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in rows)
 
 
 def is_symplectic(g: Mat) -> bool:
-    n = g.size // 2
-    jp = form_matrix(g.ctx, n)
-    return g.transpose() * jp * g == jp
+    """g^-1 g == 1 with g^-1 = -J' tg J': the same test as tg J' g == J', since J'^2 = -1."""
+    if g.size % 2:
+        raise MatrixError("odd size")
+    return (symplectic_inverse(g) * g).is_identity()
 
 
 def symplectic_inverse(g: Mat) -> Mat:
@@ -168,11 +227,12 @@ def symplectic_inverse(g: Mat) -> Mat:
     # e = +1 on the first n lines and -1 on the last n, so the product only
     # permutes and signs entries: inv[i][j] = e_i e_j g[N-1-j][N-1-i]
     n = g.size // 2
-    return Mat(
+    return _mat(
         g.ctx,
+        g.den,
         tuple(
             tuple(x if (i < n) == (j < n) else -x for j, x in enumerate(reversed(col)))
-            for i, col in enumerate(reversed(tuple(zip(*g.rows))))
+            for i, col in enumerate(reversed(tuple(zip(*g.num))))
         ),
     )
 
@@ -199,41 +259,40 @@ def radical_embed(ctx, n: int, x_rows) -> Mat:
     x = Mat.from_lists(ctx, x_rows) if not isinstance(x_rows, Mat) else x_rows
     for i in range(n):
         for j in range(n):
-            if x.rows[j][i] != x.rows[n - 1 - i][n - 1 - j]:
+            if x.num[j][i] != x.num[n - 1 - i][n - 1 - j]:
                 raise MatrixError("block is not symmetric about the antidiagonal")
-    rows = [[Q(1 if i == j else 0) for j in range(2 * n)] for i in range(2 * n)]
+    den = x.den
+    num = [[den if i == j else 0 for j in range(2 * n)] for i in range(2 * n)]
     for i in range(n):
-        for j in range(n):
-            rows[i][n + j] = x.rows[i][j]
-    return Mat(ctx, tuple(tuple(r) for r in rows))
+        num[i][n:] = x.num[i]
+    return _mat(ctx, den, tuple(map(tuple, num)))
 
 
 def torus(ctx, entries) -> Mat:
-    es = [Q(e) for e in entries]
-    n = len(es)
+    es = [_as_fraction(e) for e in entries]
     return Mat.diagonal(ctx, es + [1 / e for e in reversed(es)])
 
 
 def first_axis_torus(ctx, n: int, a) -> Mat:
     """diag(a, 1, ..., 1, a^-1)."""
-    return torus(ctx, [Q(a)] + [Q(1)] * (n - 1))
+    return torus(ctx, [a] + [1] * (n - 1))
 
 
 def sl2_embed(ctx, n: int, g2) -> Mat:
     """The middle SL_2 block at lines n, n+1."""
-    rows = [[Q(1 if i == j else 0) for j in range(2 * n)] for i in range(2 * n)]
+    rows = [[1 if i == j else 0 for j in range(2 * n)] for i in range(2 * n)]
     for i in range(2):
         for j in range(2):
-            rows[n - 1 + i][n - 1 + j] = Q(g2[i][j])
-    return Mat(ctx, tuple(tuple(r) for r in rows))
+            rows[n - 1 + i][n - 1 + j] = g2[i][j]
+    return Mat(ctx, rows)
 
 
 def rotation_matrix(ctx, n: int) -> Mat:
     """m of the n-cycle sending line k to line k+1 (line n to line 1)."""
-    c = [[Q(0)] * n for _ in range(n)]
-    c[0][n - 1] = Q(1)
+    c = [[0] * n for _ in range(n)]
+    c[0][n - 1] = 1
     for i in range(n - 1):
-        c[i + 1][i] = Q(1)
+        c[i + 1][i] = 1
     return levi_embed(ctx, n, c)
 
 
@@ -250,10 +309,10 @@ def corner_column_unipotent(ctx, n: int, ys, x) -> Mat:
         raise MatrixError("needs rank >= 2")
     if len(ys) != n - 2:
         raise MatrixError("y must have n - 2 entries")
-    a = [[Q(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    a = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for i, y in enumerate(ys):
-        a[i][n - 1] = Q(y)
-    a[n - 2][n - 1] = Q(x)
+        a[i][n - 1] = y
+    a[n - 2][n - 1] = x
     return levi_embed(ctx, n, a)
 
 
@@ -280,44 +339,50 @@ def root_positions(n: int, root: Root):
 
 
 def root_elem(ctx, n: int, root: Root, r) -> Mat:
-    r = Q(r)
-    rows = [[Q(1 if i == j else 0) for j in range(2 * n)] for i in range(2 * n)]
+    r = _as_fraction(r)
+    den = r.denominator
+    num = [[den if i == j else 0 for j in range(2 * n)] for i in range(2 * n)]
     for i, j, s in root_positions(n, root):
-        rows[i][j] += s * r
-    return Mat(ctx, tuple(tuple(row) for row in rows))
+        num[i][j] += s * r.numerator
+    return _mat(ctx, den, tuple(map(tuple, num)))
 
+
+# x_root(r) = 1 + r E with E^2 = 0, and the two positions of a short root
+# never chain (E1 E2 = E2 E1 = 0), so both updates below read the input's
+# entries.  Over the denominator g.den * rd every entry is scaled by rd and
+# the update adds s * rn times an input entry, where r = rn / rd.
 
 def mul_root_elem(g: Mat, root: Root, r) -> Mat:
     """g * x_root(r) as column updates (cheap for long products)."""
-    r = Q(r)
+    r = _as_fraction(r)
     if not r:
         return g
-    n = g.size // 2
-    rows = [list(row) for row in g.rows]
-    for a, b, s in root_positions(n, root):
-        c = s * r
-        for i in range(2 * n):
-            v = rows[i][a]
-            if v:
-                rows[i][b] += v * c
-    return Mat(g.ctx, tuple(tuple(row) for row in rows))
+    rn, rd = r.numerator, r.denominator
+    src = g.num
+    out = [list(row) for row in src] if rd == 1 else [[x * rd for x in row] for row in src]
+    for a, b, s in root_positions(g.size // 2, root):
+        c = s * rn
+        for row, orig in zip(out, src):
+            if orig[a]:
+                row[b] += c * orig[a]
+    return _mat(g.ctx, g.den * rd, tuple(map(tuple, out)))
 
 
 def mul_root_elem_left(root: Root, r, g: Mat) -> Mat:
     """x_root(r) * g as row updates."""
-    r = Q(r)
+    r = _as_fraction(r)
     if not r:
         return g
-    n = g.size // 2
-    rows = [list(row) for row in g.rows]
-    for a, b, s in root_positions(n, root):
-        c = s * r
-        src = rows[b]
-        dst = rows[a]
-        for j in range(2 * n):
-            if src[j]:
-                dst[j] += c * src[j]
-    return Mat(g.ctx, tuple(tuple(row) for row in rows))
+    rn, rd = r.numerator, r.denominator
+    src = g.num
+    out = [list(row) for row in src] if rd == 1 else [[x * rd for x in row] for row in src]
+    for a, b, s in root_positions(g.size // 2, root):
+        c = s * rn
+        dst = out[a]
+        for j, v in enumerate(src[b]):
+            if v:
+                dst[j] += c * v
+    return _mat(g.ctx, g.den * rd, tuple(map(tuple, out)))
 
 
 def root_product(ctx, n: int, factors) -> Mat:
@@ -341,9 +406,9 @@ def weyl_generator_matrix(ctx, n: int, k: int) -> Mat:
 @lru_cache(maxsize=None)
 def _weyl_generator_matrix(ctx, n: int, k: int) -> Mat:
     if k < n:
-        a = [[Q(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        a[k - 1][k - 1] = a[k][k] = Q(0)
-        a[k - 1][k] = a[k][k - 1] = Q(1)
+        a = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        a[k - 1][k - 1] = a[k][k] = 0
+        a[k - 1][k] = a[k][k - 1] = 1
         return levi_embed(ctx, n, a)
     return sl2_embed(ctx, n, ((0, 1), (-1, 0)))
 
@@ -363,12 +428,11 @@ def _weyl_rep(ctx, w: WeylElem) -> Mat:
 
 def top_cell_matrix(ctx, n: int) -> Mat:
     """Representative of the reflection in 2 e_1: the long corner element."""
-    rows = [[Q(0)] * (2 * n) for _ in range(2 * n)]
-    rows[0][2 * n - 1] = Q(1)
-    rows[2 * n - 1][0] = Q(-1)
-    for i in range(1, 2 * n - 1):
-        rows[i][i] = Q(1)
-    return Mat(ctx, tuple(tuple(r) for r in rows))
+    num = [list(row) for row in _eye(2 * n)]
+    num[0][0] = num[-1][-1] = 0
+    num[0][-1] = 1
+    num[-1][0] = -1
+    return _mat(ctx, 1, tuple(map(tuple, num)))
 
 
 # --------------------------------------------------------- Bruhat cells
@@ -394,64 +458,64 @@ def weyl_from_monomial_pattern(n: int, positions) -> WeylElem:
 def bruhat_decompose(g: Mat):
     """g = u * t * W(w) * um with u in U, t in T, um in U_w^-.
 
-    Gaussian elimination with lowest-possible pivots: row operations
-    only ever add a lower row to a higher one (recorded in an upper
-    unitriangular L), column operations only push rightward (recorded in
-    an upper unitriangular R).  The result is verified by recomposition
-    before returning.
+    Gaussian elimination with lowest-possible pivots brings g to a
+    monomial L g R: row operations only ever add a lower row to a higher
+    one and column operations only push rightward, so L and R are upper
+    unitriangular.  Only their inverses are needed, and the elimination
+    writes them down as it goes: undoing the row operations of column col
+    fills the pivot's column of L^-1 with column col of the working matrix
+    over the pivot, and undoing its column operations fills row col of
+    R^-1 with the pivot row over the pivot.  Rows of the working matrix
+    are integer lists over their own denominator.  The result is verified by
+    recomposition before returning.
     """
     ctx = g.ctx
     size = g.size
     n = size // 2
     if not is_symplectic(g):
         raise MatrixError("not symplectic")
-    a = [list(row) for row in g.rows]
-    lmat = [[Q(1 if i == j else 0) for j in range(size)] for i in range(size)]
-    rmat = [[Q(1 if i == j else 0) for j in range(size)] for i in range(size)]
+    a = [(list(row), g.den) for row in g.num]
+    linv = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
+    rinv = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
     used = [False] * size
     pivots = []
     for col in range(size):
-        piv = max((r for r in range(size) if not used[r] and a[r][col]), default=None)
+        piv = max((r for r in range(size) if not used[r] and a[r][0][col]), default=None)
         if piv is None:
             raise MatrixError("singular input")
         used[piv] = True
         pivots.append((piv, col))
-        pval = a[piv][col]
+        prow, pden = a[piv]
+        pval = prow[col]
         for r in range(piv):
-            if a[r][col]:
-                f = a[r][col] / pval
-                for j in range(size):
-                    if a[piv][j]:
-                        a[r][j] -= f * a[piv][j]
-                for j in range(size):
-                    if lmat[piv][j]:
-                        lmat[r][j] -= f * lmat[piv][j]
+            row, rden = a[r]
+            c = row[col]
+            if c:
+                # row r -= (c / pval) row piv, over the denominator rden * pval
+                linv[r][piv] = Q(c * pden, rden * pval)
+                a[r] = _reduced_row([x * pval - c * y for x, y in zip(row, prow)], rden * pval)
+        # Column col is now zero off the pivot, so clearing the pivot row by
+        # column operations changes no other entry of the working matrix.
         for c2 in range(col + 1, size):
-            if a[piv][c2]:
-                f = a[piv][c2] / pval
-                for r in range(size):
-                    if a[r][col]:
-                        a[r][c2] -= f * a[r][col]
-                for r in range(size):
-                    if rmat[r][col]:
-                        rmat[r][c2] -= f * rmat[r][col]
-    lm = Mat(ctx, tuple(tuple(r) for r in lmat))
-    rm = Mat(ctx, tuple(tuple(r) for r in rmat))
-    monomial = Mat(ctx, tuple(tuple(r) for r in a))
+            if prow[c2]:
+                rinv[col][c2] = Q(prow[c2], pval)
+        a[piv] = ([pval if j == col else 0 for j in range(size)], pden)
+    lm_inv = _mat(ctx, *_integer_rows(linv))
+    u_r = _mat(ctx, *_integer_rows(rinv))
+    monomial = _mat(ctx, *_integer_rows([[Q(x, den) if x else 0 for x in row] for row, den in a]))
     w = weyl_from_monomial_pattern(n, pivots)
     wrep = weyl_rep(ctx, w)
     wrep_inv = symplectic_inverse(wrep)
     d = monomial * wrep_inv
     if not d.is_diagonal():
         raise FactorizationError("monomial part is not torus times the Weyl representative")
-    u_r = rm.inverse()
     a2 = wrep * u_r * wrep_inv
     bmat, cmat = _unitriangular_ul(a2)
     um = wrep_inv * cmat * wrep
     if not um.is_upper_unitriangular():
         raise FactorizationError("right factor is not upper unitriangular")
-    dinv = d.inverse()
-    u = lm.inverse() * (d * bmat * dinv)
+    dinv = Mat.diagonal(ctx, [Q(d.den, row[i]) for i, row in enumerate(d.num)])
+    u = lm_inv * (d * bmat * dinv)
     if not u.is_upper_unitriangular():
         raise FactorizationError("left factor is not upper unitriangular")
     if u * d * wrep * um != g:
@@ -461,34 +525,42 @@ def bruhat_decompose(g: Mat):
     return u, d, w, um
 
 
+def _reduced_row(row, den):
+    """(row, den) scaled to lowest terms with den > 0."""
+    g = math.gcd(den, *row)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return row, den
+    return [x // g for x in row], den // g
+
+
 def _unitriangular_ul(a: Mat):
     """A = B C with B upper and C lower unitriangular, by back recursion."""
     size = a.size
+    rows = a.rows
     b = [[Q(1 if i == j else 0) for j in range(size)] for i in range(size)]
     c = [[Q(1 if i == j else 0) for j in range(size)] for i in range(size)]
     for k in range(size - 1, -1, -1):
         for i in range(k):
-            s = a.rows[i][k]
+            s = rows[i][k]
             for kp in range(k + 1, size):
                 if b[i][kp] and c[kp][k]:
                     s -= b[i][kp] * c[kp][k]
             b[i][k] = s
         for j in range(k):
-            s = a.rows[k][j]
+            s = rows[k][j]
             for kp in range(k + 1, size):
                 if b[k][kp] and c[kp][j]:
                     s -= b[k][kp] * c[kp][j]
             c[k][j] = s
-        diag = a.rows[k][k]
+        diag = rows[k][k]
         for kp in range(k + 1, size):
             if b[k][kp] and c[kp][k]:
                 diag -= b[k][kp] * c[kp][k]
         if diag != 1:
             raise FactorizationError("input is not in the unitriangular cell")
-    return (
-        Mat(a.ctx, tuple(tuple(r) for r in b)),
-        Mat(a.ctx, tuple(tuple(r) for r in c)),
-    )
+    return _mat(a.ctx, *_integer_rows(b)), _mat(a.ctx, *_integer_rows(c))
 
 
 def weyl_from_rank_pattern(g: Mat) -> WeylElem:
@@ -496,7 +568,8 @@ def weyl_from_rank_pattern(g: Mat) -> WeylElem:
 
     r(i, j) = rank of the submatrix on rows i.., columns ..j; the pivot
     pattern is its discrete mixed difference.  No pivoting choices are
-    involved, so this cross-checks the elimination route.
+    involved, so this cross-checks the elimination route.  Ranks are taken
+    on the integer rows by fraction-free elimination.
     """
     size = g.size
     n = size // 2
@@ -504,7 +577,7 @@ def weyl_from_rank_pattern(g: Mat) -> WeylElem:
     def corner_rank(i: int, j: int) -> int:
         if i >= size or j <= 0:
             return 0
-        sub = [list(row[:j]) for row in g.rows[i:]]
+        sub = [list(row[:j]) for row in g.num[i:]]
         rank = 0
         rows_n = len(sub)
         for col in range(j):
@@ -512,11 +585,11 @@ def weyl_from_rank_pattern(g: Mat) -> WeylElem:
             if piv is None:
                 continue
             sub[rank], sub[piv] = sub[piv], sub[rank]
-            pr = sub[rank]
+            top = sub[rank]
             for r in range(rank + 1, rows_n):
-                if sub[r][col]:
-                    f = sub[r][col] / pr[col]
-                    sub[r] = [x - f * y for x, y in zip(sub[r], pr)]
+                f = sub[r][col]
+                if f:
+                    sub[r] = [x * top[col] - f * y for x, y in zip(sub[r], top)]
             rank += 1
         return rank
 
@@ -549,7 +622,7 @@ def peel_unipotent(u: Mat):
     cur = u
     for g in positive_roots(n):
         i, j, s = primary_position(n, g)
-        c = cur.rows[i][j] / s
+        c = cur[i, j] / s
         if c:
             coords[g] = c
             cur = mul_root_elem_left(g, -c, cur)
@@ -592,7 +665,7 @@ def commutator_coefficients(ctx, n: int, g1: Root, r, g2: Root, s):
     """
     from .rootsys import root_from_vector
 
-    r, s = Q(r), Q(s)
+    r, s = _as_fraction(r), _as_fraction(s)
     com = root_product(ctx, n, [(g1, r), (g2, s), (g1, -r), (g2, -s)])
     cands = []
     for i in range(1, 5):
@@ -606,7 +679,7 @@ def commutator_coefficients(ctx, n: int, g1: Root, r, g2: Root, s):
     cur = com
     for (i, j), root in cands:
         a, b, sg = primary_position(n, root)
-        c = cur.rows[a][b] / sg
+        c = cur[a, b] / sg
         if c:
             out[(i, j)] = c
             cur = mul_root_elem_left(root, -c, cur)
@@ -617,7 +690,7 @@ def commutator_coefficients(ctx, n: int, g1: Root, r, g2: Root, s):
 
 def cell_identity_borel_part(ctx, n: int, root: Root, r) -> Mat:
     """b with x_g(r) x_{-g}(-1/r) = W(s_g) b; checks b is in the Borel."""
-    r = Q(r)
+    r = _as_fraction(r)
     if not r:
         raise MatrixError("needs r nonzero")
     lhs = root_product(ctx, n, [(root, r), (-root, -1 / r)])
@@ -643,9 +716,11 @@ def conjugating_torus(ctx, n: int, m: int) -> Mat:
 def in_standard_level(g: Mat, m: int) -> bool:
     """Membership in the principal congruence subgroup of depth m."""
     p = g.ctx.p
-    for i, row in enumerate(g.rows):
+    den = g.den
+    bound = m + fraction_valuation(den, p)
+    for i, row in enumerate(g.num):
         for j, x in enumerate(row):
-            if fraction_valuation(x - (1 if i == j else 0), p) < m:
+            if fraction_valuation(x - den if i == j else x, p) < bound:
                 return False
     return True
 
@@ -654,9 +729,11 @@ def in_skew_level(g: Mat, m: int) -> bool:
     """Membership in the torus-conjugated congruence subgroup."""
     p = g.ctx.p
     es = level_exponents(g.size // 2, m)
-    for i, row in enumerate(g.rows):
+    den = g.den
+    base = m + fraction_valuation(den, p)
+    for i, row in enumerate(g.num):
         for j, x in enumerate(row):
-            if fraction_valuation(x - (1 if i == j else 0), p) < m + es[i] - es[j]:
+            if fraction_valuation(x - den if i == j else x, p) < base + es[i] - es[j]:
                 return False
     return True
 
@@ -676,7 +753,7 @@ def generic_character(u: Mat) -> PhaseQZ:
     n = u.size // 2
     if not u.is_upper_unitriangular():
         raise MatrixError("not unipotent upper triangular")
-    total = sum((u.rows[i][i + 1] for i in range(n)), Q(0))
+    total = Q(sum(u.num[i][i + 1] for i in range(n)), u.den)
     return PhaseQZ(_pfrac(total, u.ctx.p), u.ctx.p)
 
 
@@ -686,10 +763,10 @@ def skew_level_character(h: Mat, m: int) -> PhaseQZ:
     n = h.size // 2
     if not in_skew_level(h, m):
         raise MatrixError("not in the skew level subgroup")
-    d = conjugating_torus(ctx, n, m)
-    k = d.inverse() * h * d
+    # conjugating by d = diag(p^e_i) scales entry (i, j) by p^(e_j - e_i)
+    es = level_exponents(n, m)
     p = Q(ctx.p)
-    total = sum((k.rows[i][i + 1] for i in range(n)), Q(0)) * p ** (-2 * m)
+    total = sum(h[i, i + 1] * p ** (es[i + 1] - es[i]) for i in range(n)) * p ** (-2 * m)
     return PhaseQZ(_pfrac(total, ctx.p), ctx.p)
 
 
@@ -746,7 +823,7 @@ def cell_word_rewrite(t: Mat, w: WeylElem, rs, u: Mat, m: int):
     ctx = t.ctx
     n = w.n
     order = ordered_negated_roots(w)
-    rs = [Q(r) for r in rs]
+    rs = [_as_fraction(r) for r in rs]
     if len(rs) != len(order):
         raise MatrixError("coefficient list does not match the negated-root order")
     q = next(
@@ -811,7 +888,7 @@ def cell_collapse_witness(t: Mat, w: WeylElem, roots, rs, bad_index: int = None)
     ctx = t.ctx
     n = w.n
     roots = list(roots)
-    rs = [Q(r) for r in rs]
+    rs = [_as_fraction(r) for r in rs]
     if not roots or len(rs) != len(roots):
         raise MatrixError("coefficient list does not match the root list")
     negated = set(w.negated_positive_roots())

@@ -217,9 +217,6 @@ class CharacterFx:
     def value(self, a) -> complex:
         return cmath.exp(2j * cmath.pi * float(self.phase(a)))
 
-    def is_trivial_on_units(self) -> bool:
-        return self.conductor == 0
-
 
 def unramified_character(ctx: PrimeCtx, varpi_phase=Q(0)) -> CharacterFx:
     return CharacterFx(ctx, 0, Q(0), varpi_phase)

@@ -155,9 +155,6 @@ class Mu8:
     def conjugate(self) -> "Mu8":
         return self.inverse()
 
-    def as_phase(self) -> Q:
-        return Q(self.k, 8)
-
     def value(self) -> complex:
         return cmath.exp(2j * cmath.pi * self.k / 8)
 

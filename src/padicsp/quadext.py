@@ -136,10 +136,6 @@ class QuadExtElem:
     def d_frac(self) -> Q:
         return self.ext.d
 
-    def is_integral(self) -> bool:
-        v = self.base_valuation()
-        return v is INF or v >= 0
-
 
 def norm_one_decompose(x: QuadExtElem, m: int):
     """Split x = e * u with norm(e) = 1 exactly and u in 1 + p^m O_E.

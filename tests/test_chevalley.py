@@ -9,6 +9,7 @@ Independent routes used here:
   * a filtration-walk volume oracle that counts one-root coset layers
     directly, against the closed-form volume exponents.
 """
+import math
 import os
 import random
 import subprocess
@@ -21,7 +22,7 @@ import pytest
 import padicsp
 from padicsp import chevalley
 from padicsp.harness.checks import _random_word_matrix
-from padicsp.padic import PAdic, PrimeCtx, fraction_valuation, psi
+from padicsp.padic import PAdic, PadicError, PrimeCtx, fraction_valuation, psi
 from padicsp.rootsys import (
     Root,
     WeylElem,
@@ -49,7 +50,6 @@ from padicsp.chevalley import (
     conjugating_torus,
     corner_column_unipotent,
     first_axis_torus,
-    form_matrix,
     generic_character,
     in_skew_level,
     in_standard_level,
@@ -89,6 +89,15 @@ def oracle_matmul(a, b):
         tuple(sum(a[i][k] * b[k][j] for k in range(size)) for j in range(size))
         for i in range(size)
     )
+
+
+def form_matrix(ctx, n):
+    """J' = [[0, J], [-J, 0]] with J the n x n antidiagonal of ones."""
+    rows = [[Q(0)] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        rows[i][2 * n - 1 - i] = Q(1)
+        rows[n + i][n - 1 - i] = Q(-1)
+    return Mat(ctx, tuple(tuple(r) for r in rows))
 
 
 def oracle_identity(size):
@@ -160,6 +169,58 @@ def oracle_volume_exponent(ctx, n, m, roots, rng, enumerate_cap=60000):
         for g, c in unipotent_coords(u, order):
             assert fraction_valuation(c, ctx.p) >= -(2 * g.height - 1) * m
     return total
+
+
+def oracle_is_symplectic(g):
+    """The two-product test tg J' g == J'."""
+    jp = form_matrix(g.ctx, g.size // 2)
+    return g.transpose() * jp * g == jp
+
+
+def oracle_unitriangular_ul(a):
+    """A = B C with B upper and C lower unitriangular, by back recursion."""
+    size = a.size
+    b = [[Q(1 if i == j else 0) for j in range(size)] for i in range(size)]
+    c = [[Q(1 if i == j else 0) for j in range(size)] for i in range(size)]
+    for k in range(size - 1, -1, -1):
+        for i in range(k):
+            b[i][k] = a.rows[i][k] - sum(b[i][kp] * c[kp][k] for kp in range(k + 1, size))
+        for j in range(k):
+            c[k][j] = a.rows[k][j] - sum(b[k][kp] * c[kp][j] for kp in range(k + 1, size))
+        assert a.rows[k][k] - sum(b[k][kp] * c[kp][k] for kp in range(k + 1, size)) == 1
+    return Mat(a.ctx, b), Mat(a.ctx, c)
+
+
+def oracle_bruhat_decompose(g):
+    """The Gauss-Jordan route: Fraction elimination recording L and R, then
+    L^-1, R^-1 and d^-1 by Mat.inverse."""
+    ctx, size = g.ctx, g.size
+    a = [list(row) for row in g.rows]
+    lmat = [list(row) for row in oracle_identity(size)]
+    rmat = [list(row) for row in oracle_identity(size)]
+    used = [False] * size
+    pivots = []
+    for col in range(size):
+        piv = max(r for r in range(size) if not used[r] and a[r][col])
+        used[piv] = True
+        pivots.append((piv, col))
+        for r in range(piv):
+            f = a[r][col] / a[piv][col]
+            a[r] = [x - f * y for x, y in zip(a[r], a[piv])]
+            lmat[r] = [x - f * y for x, y in zip(lmat[r], lmat[piv])]
+        for c2 in range(col + 1, size):
+            f = a[piv][c2] / a[piv][col]
+            for r in range(size):
+                a[r][c2] -= f * a[r][col]
+                rmat[r][c2] -= f * rmat[r][col]
+    w = chevalley.weyl_from_monomial_pattern(size // 2, pivots)
+    wrep = weyl_rep(ctx, w)
+    wrep_inv = wrep.inverse()
+    d = Mat(ctx, a) * wrep_inv
+    bmat, cmat = oracle_unitriangular_ul(wrep * Mat(ctx, rmat).inverse() * wrep_inv)
+    um = wrep_inv * cmat * wrep
+    u = Mat(ctx, lmat).inverse() * (d * bmat * d.inverse())
+    return u, d, w, um
 
 
 def random_root_word_matrix(ctx, n, rng, length=6):
@@ -251,6 +312,82 @@ def test_form_matrix_and_symplectic_checks():
     )
     assert not is_symplectic(Mat.diagonal(C3, [1, 2, 3, 4]))
     assert is_symplectic(Mat.diagonal(C3, [2, 3, Q(1, 3), Q(1, 2)]))
+
+
+def test_is_symplectic_matches_two_product_oracle():
+    verdicts = []
+    for n in (1, 2, 3, 4):
+        for p in (3, 5, 7):
+            ctx = PrimeCtx(p)
+            rng = random.Random(300 + 10 * n + p)
+            for _ in range(8):
+                g = random_root_word_matrix(ctx, n, rng)
+                assert is_symplectic(g) and oracle_is_symplectic(g)
+                # one entry changed: symplectic again only when the change
+                # is a long-root factor, which these draws rarely hit
+                rows = [list(row) for row in g.rows]
+                i, j = rng.randrange(2 * n), rng.randrange(2 * n)
+                rows[i][j] += Q(rng.choice([1, -1]), rng.choice([1, p]))
+                bent = Mat(ctx, rows)
+                verdicts.append(is_symplectic(bent))
+                assert verdicts[-1] == oracle_is_symplectic(bent)
+    assert verdicts.count(False) >= 0.75 * len(verdicts)
+    for ctx, entries in ((C3, [1, 2, 3, 4]), (C3, [2, 3, Q(1, 3), Q(1, 2)]), (PrimeCtx(5), [Q(1, 5), 5])):
+        g = Mat.diagonal(ctx, entries)
+        assert is_symplectic(g) == oracle_is_symplectic(g)
+    assert not is_symplectic(Mat.diagonal(C3, [1, 2, 3, 4]))
+
+
+def test_matrix_canonical_form():
+    """Lowest terms over one positive denominator, whatever the route."""
+    root = Root(2, (1, 1))
+    by_rows = Mat(C3, rank2_literal("sum", Q(1, 3)))
+    by_product = root_elem(C3, 2, root, Q(1, 6)) * root_elem(C3, 2, root, Q(1, 6))
+    by_update = mul_root_elem(root_elem(C3, 2, root, Q(1, 2)), root, Q(-1, 6))
+    by_integers = Mat.from_integers(C3, -6, tuple(tuple(-2 * x for x in row) for row in by_rows.num))
+    for m in (by_product, by_update, by_integers):
+        assert m == by_rows and hash(m) == hash(by_rows)
+        assert (m.den, m.num) == (3, by_rows.num)
+    assert Mat.from_integers(C3, 3, by_rows.num) == by_rows
+    rng = random.Random(11)
+    for n in (1, 2, 3):
+        for _ in range(10):
+            a, b = random_root_word_matrix(C3, n, rng), random_root_word_matrix(C3, n, rng)
+            left = mul_root_elem_left(-positive_roots(n)[-1], Q(5, 9), a)
+            for m in (a * b, symplectic_inverse(a), left) + bruhat_decompose(b)[::3]:
+                assert m.den > 0 and math.gcd(m.den, *(x for row in m.num for x in row)) == 1
+                assert Mat(C3, m.rows) == m and hash(Mat(C3, m.rows)) == hash(m)
+            zero = Mat(C3, [[Q(0, 1)] * (2 * n)] * (2 * n))
+            assert zero.den == 1 and (a * zero).den == 1 and (a * zero) == zero
+    with pytest.raises(MatrixError):
+        Mat.from_integers(C3, 0, ((1,),))
+    with pytest.raises(MatrixError):
+        Mat.from_integers(C3, 1, ((Q(1, 2),),))
+
+
+def test_matrix_constructors_reject_floats():
+    root = Root(2, (1, 0))
+    eye = Mat.identity(C3, 4)
+    calls = [
+        lambda: Mat(C3, ((0.5, 0), (0, 2))),
+        lambda: Mat.from_lists(C3, [[1, 0], [0, 2.0]]),
+        lambda: Mat.from_integers(C3, 1, ((1.0, 0), (0, 1))),
+        lambda: Mat.from_integers(C3, 2.0, ((1, 0), (0, 1))),
+        lambda: Mat.diagonal(C3, [0.5, 2]),
+        lambda: torus(C3, [0.1, 2]),
+        lambda: first_axis_torus(C3, 2, 0.5),
+        lambda: root_elem(C3, 2, root, 0.5),
+        lambda: mul_root_elem(eye, root, 0.5),
+        lambda: mul_root_elem_left(root, 0.5, eye),
+        lambda: sl2_embed(C3, 2, ((0.0, 1), (-1, 0))),
+        lambda: corner_column_unipotent(C3, 3, [0.5], 1),
+        lambda: corner_column_unipotent(C3, 2, [], 0.25),
+        lambda: levi_embed(C3, 2, [[1, 0.5], [0, 1]]),
+        lambda: radical_embed(C3, 1, [[0.5]]),
+    ]
+    for call in calls:
+        with pytest.raises(PadicError):
+            call()
 
 
 def test_levi_embed_is_homomorphism():
@@ -436,6 +573,19 @@ def test_bruhat_decompose_edge_cells():
     g = root_elem(C3, 2, Root(2, (1, 0)), Q(2, 3))
     u, d, w, um = bruhat_decompose(g)
     assert w.is_identity() and um.is_identity() and d.is_identity()
+
+
+def test_bruhat_decompose_matches_gauss_jordan_oracle():
+    cases = 0
+    for n in (1, 2, 3, 4):
+        for p in (3, 5, 7):
+            ctx = PrimeCtx(p)
+            rng = random.Random(500 + 10 * n + p)
+            for _ in range(20):
+                g = random_root_word_matrix(ctx, n, rng) if rng.random() < 0.5 else _random_word_matrix(ctx, n, rng)
+                assert bruhat_decompose(g) == oracle_bruhat_decompose(g)
+                cases += 1
+    assert cases >= 240
 
 
 def test_bruhat_rejects_non_symplectic():
