@@ -3,10 +3,10 @@
 __version__ = "0.1.0"
 
 from .padic import (
-    Mu8,
+    Cyclo,
+    Mono,
     PAdic,
     PadicError,
-    PhaseQZ,
     PrimeCtx,
     hilbert_symbol,
     mu_psi,
@@ -15,10 +15,10 @@ from .padic import (
 )
 
 __all__ = [
-    "Mu8",
+    "Cyclo",
+    "Mono",
     "PAdic",
     "PadicError",
-    "PhaseQZ",
     "PrimeCtx",
     "hilbert_symbol",
     "mu_psi",

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 
-from .padic import PhaseQZ, fraction_valuation, _as_fraction, _pfrac
+from .padic import Mono, fraction_valuation, _as_fraction, _pfrac
 from .rootsys import (
     Root,
     WeylElem,
@@ -748,16 +748,16 @@ def negative_coordinate_bound(root: Root, m: int) -> int:
     return (2 * root.height + 1) * m
 
 
-def generic_character(u: Mat) -> PhaseQZ:
+def generic_character(u: Mat) -> Mono:
     """psi of the sum of the n superdiagonal entries through the middle."""
     n = u.size // 2
     if not u.is_upper_unitriangular():
         raise MatrixError("not unipotent upper triangular")
     total = Q(sum(u.num[i][i + 1] for i in range(n)), u.den)
-    return PhaseQZ(_pfrac(total, u.ctx.p), u.ctx.p)
+    return Mono(turn=_pfrac(total, u.ctx.p))
 
 
-def skew_level_character(h: Mat, m: int) -> PhaseQZ:
+def skew_level_character(h: Mat, m: int) -> Mono:
     """The depth-m character: conjugate back and read the superdiagonal."""
     ctx = h.ctx
     n = h.size // 2
@@ -767,7 +767,7 @@ def skew_level_character(h: Mat, m: int) -> PhaseQZ:
     es = level_exponents(n, m)
     p = Q(ctx.p)
     total = sum(h[i, i + 1] * p ** (es[i + 1] - es[i]) for i in range(n)) * p ** (-2 * m)
-    return PhaseQZ(_pfrac(total, ctx.p), ctx.p)
+    return Mono(turn=_pfrac(total, ctx.p))
 
 
 # --------------------------------------------------------- volume ledger

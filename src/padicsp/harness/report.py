@@ -1,14 +1,16 @@
 """Machine-readable campaign reports.
 
 Reports are deterministic given the seed: byte-identical apart from the
-per-check wall times.  Rationals serialize as "num/den" strings and
-roots as coefficient vectors so payloads can be replayed.
+per-check wall times.  Rationals serialize as "num/den" strings, exact
+scalars as their three rationals and roots as coefficient vectors so
+payloads can be replayed.
 """
 
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 
+from ..padic import Mono, PAdic
 from ..rootsys import Root, WeylElem
 
 PASS = "pass"
@@ -23,6 +25,8 @@ def encode_value(v):
     """JSON-safe view of the values that show up in payloads."""
     if isinstance(v, Q):
         return f"{v.numerator}/{v.denominator}"
+    if isinstance(v, Mono):
+        return {"rat": encode_value(v.rat), "qexp": encode_value(v.qexp), "turn": encode_value(v.turn)}
     if isinstance(v, Root):
         return {"root": list(v.coeffs)}
     if isinstance(v, WeylElem):
@@ -37,7 +41,7 @@ def encode_value(v):
         return {"re": v.real, "im": v.imag}
     if hasattr(v, "rows"):
         return {"rows": encode_value(v.rows)}
-    if hasattr(v, "value"):
+    if isinstance(v, PAdic):
         return encode_value(v.value)
     return repr(v)
 

@@ -7,17 +7,18 @@ decomposition of products lower(y)*upper(x), a compactly supported
 family of induced-section functions indexed by a level i, and the exact
 evaluation of the standard intertwining integral against that family.
 
-Values stay symbolic as long as possible: a SectionValue is a root of
-unity recorded as a turn fraction together with a power of q, and only
-the public entry points collapse that to a complex float.
+Values are exact Monos: a root of unity recorded as a turn fraction
+times a power of q.  Only the float wrappers eval_fsi and
+intertwine_eval collapse one to a complex number, and eval_fsi is the
+one place a complex s is accepted.
 """
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction as Q
 from functools import lru_cache
 
 from .padic import (
-    Mu8,
+    Mono,
     PAdic,
     PadicError,
     PrimeCtx,
@@ -214,8 +215,8 @@ class CharacterFx:
         u = a / Q(self.ctx.p) ** v
         return (self._unit_turn(u) + v * self.varpi_phase) % 1
 
-    def value(self, a) -> complex:
-        return cmath.exp(2j * cmath.pi * float(self.phase(a)))
+    def value(self, a) -> Mono:
+        return Mono(turn=self.phase(a))
 
 
 def unramified_character(ctx: PrimeCtx, varpi_phase=Q(0)) -> CharacterFx:
@@ -229,68 +230,6 @@ def ramified_character(ctx: PrimeCtx, conductor: int, turns: int = 1, varpi_phas
         raise MetaError("need conductor >= 1")
     order = (ctx.p - 1) * ctx.p ** (conductor - 1)
     return CharacterFx(ctx, conductor, Q(turns, order), varpi_phase)
-
-
-# -------------------------------------------------------- section values
-
-@dataclass(frozen=True)
-class SectionValue:
-    """An exact scalar: a root of unity (turn fraction) times q**qexp.
-
-    qexp is a Fraction for rational s and drops to a complex number only
-    when a complex s parameter forces it.
-    """
-
-    phase: Q = Q(0)
-    qexp: object = Q(0)
-    zero: bool = False
-
-    def __post_init__(self):
-        if self.zero:
-            object.__setattr__(self, "phase", Q(0))
-            object.__setattr__(self, "qexp", Q(0))
-        else:
-            object.__setattr__(self, "phase", Q(self.phase) % 1)
-            if not isinstance(self.qexp, complex):
-                object.__setattr__(self, "qexp", Q(self.qexp))
-
-    @classmethod
-    def nothing(cls) -> "SectionValue":
-        return cls(zero=True)
-
-    @classmethod
-    def one(cls) -> "SectionValue":
-        return cls()
-
-    def __mul__(self, other: "SectionValue") -> "SectionValue":
-        if self.zero or other.zero:
-            return SectionValue.nothing()
-        return SectionValue(self.phase + other.phase, self.qexp + other.qexp)
-
-    def scaled_by_sign(self, sign: int) -> "SectionValue":
-        if self.zero:
-            return self
-        return SectionValue(self.phase + (Q(1, 2) if sign == -1 else 0), self.qexp)
-
-    def as_complex(self, q: int) -> complex:
-        if self.zero:
-            return 0j
-        root = cmath.exp(2j * cmath.pi * float(self.phase))
-        if isinstance(self.qexp, complex):
-            return root * cmath.exp(self.qexp * cmath.log(q))
-        return root * float(q) ** float(self.qexp)
-
-
-def _mu8_phase(m: Mu8) -> Q:
-    return Q(m.k, 8)
-
-
-def _as_s(s):
-    if isinstance(s, complex):
-        if s.imag == 0:
-            return Q(s.real)
-        return s
-    return Q(s)
 
 
 # ------------------------------------------------------------- sections
@@ -309,7 +248,8 @@ class SectionFsi:
     s: object = Q(1, 2)
 
     def __post_init__(self):
-        object.__setattr__(self, "s", _as_s(self.s))
+        if isinstance(self.s, (int, Q)):
+            object.__setattr__(self, "s", Q(self.s))
         if self.i < 1:
             raise MetaError("level must be a positive integer")
 
@@ -318,43 +258,54 @@ class SectionFsi:
         return self.eta.ctx
 
 
-def _eval_fsi_raw(sec: SectionFsi, g: MetaSL2) -> SectionValue:
+def _eval_fsi_raw(sec: SectionFsi, g: MetaSL2) -> Mono:
     ctx = g.ctx
     rows = g.rows
     if rows[1][1] == 0:
-        return SectionValue.nothing()
+        return Mono.zero()
     a = 1 / rows[1][1]
     x = rows[1][0] * a
     if fraction_valuation(x, ctx.p) < 3 * sec.i:
-        return SectionValue.nothing()
+        return Mono.zero()
     # the defining factorization lives in the cover: peeling the lower
     # factor off (g, zeta) flips the sheet by the cocycle of the pair
     borel = ((a, rows[0][1]), (0, rows[1][1]))
     peel = rao_cocycle(ctx, borel, ((1, 0), (x, 1)))
-    mu_inv = mu_psi(ctx.of(a), twist=-1).inverse()
     v = fraction_valuation(a, ctx.p)
-    val = SectionValue(
-        _mu8_phase(mu_inv) + sec.eta.phase(a),
-        -v * (sec.s + Q(1, 2)),
-    )
-    return val.scaled_by_sign(g.zeta * peel)
+    root = mu_psi(ctx.of(a), twist=-1).inverse() * sec.eta.value(a)
+    return root * Mono(g.zeta * peel, -v * (sec.s + Q(1, 2)))
 
 
-def eval_fsi_exact(sec: SectionFsi, g: MetaSL2) -> SectionValue:
+def eval_fsi_exact(sec: SectionFsi, g: MetaSL2) -> Mono:
     """Evaluate the level-i section at a cover element, symbolically.
 
     The level must clear section_level(eta), below which the
     right-invariance that makes the family useful is not yet there.
+    A complex s has no exact value: eval_fsi takes that case.
     """
     if sec.eta.ctx != g.ctx:
         raise MetaError("mixed prime contexts")
+    if not isinstance(sec.s, Q):
+        raise MetaError(f"s = {sec.s!r} is not rational; use eval_fsi")
     if sec.i < section_level(sec.eta):
         raise MetaError("level below the section threshold for this character")
     return _eval_fsi_raw(sec, g)
 
 
 def eval_fsi(sec: SectionFsi, g: MetaSL2) -> complex:
-    return eval_fsi_exact(sec, g).as_complex(g.ctx.p)
+    """eval_fsi_exact as a complex number, for any complex s.
+
+    The exact value at s = -1/2 carries every root of unity and |a|^0;
+    |a|^(s + 1/2) = q^(-v(a)(s + 1/2)) is then applied in floats.
+    """
+    p = g.ctx.p
+    if isinstance(sec.s, Q):
+        return eval_fsi_exact(sec, g).as_complex(p)
+    root = eval_fsi_exact(replace(sec, s=Q(-1, 2)), g)
+    if root.is_zero():
+        return 0j
+    v = -fraction_valuation(g.rows[1][1], p)
+    return root.as_complex(p) * cmath.exp(-v * (complex(sec.s) + 0.5) * cmath.log(p))
 
 
 def section_level(eta: CharacterFx) -> int:
@@ -390,7 +341,7 @@ def intertwine_level(eta: CharacterFx, x_bound) -> int:
     return max(section_level(eta), -(need // -3))
 
 
-def intertwine_eval_exact(sec: SectionFsi, x: PAdic, x_bound) -> SectionValue:
+def intertwine_eval_exact(sec: SectionFsi, x: PAdic, x_bound) -> Mono:
     """The standard intertwining integral of the level-i section at
     flip*upper(x), computed exactly.
 
@@ -427,14 +378,14 @@ def intertwine_eval_exact(sec: SectionFsi, x: PAdic, x_bound) -> SectionValue:
             raise MetaError("cell decomposition left the support ball")
         if fraction_valuation(a.value - 1, ctx.p) < c:
             raise MetaError("torus entry outside the conductor ball")
-        if mu_psi(a, twist=-1) != Mu8(0):
+        if not mu_psi(a, twist=-1).is_one():
             raise MetaError("normalizing root nontrivial on the support")
         if sec.eta.phase(a.value) != 0:
             raise MetaError("character nontrivial on the support")
         val = _eval_fsi_raw(sec, MetaSL2.lower(ctx, -b) * MetaSL2.upper(ctx, x.value))
-        if val != SectionValue.one():
+        if not val.is_one():
             raise MetaError("integrand is not 1 on the support")
-    return SectionValue(Q(0), Q(-3 * i))
+    return Mono(1, -3 * i)
 
 
 def intertwine_eval(sec: SectionFsi, x: PAdic, x_bound) -> complex:

@@ -4,8 +4,11 @@ Numbers are plain rationals (fractions.Fraction) tagged with a prime
 context, so every valuation, character value and symbol below is exact.
 The additive character psi is the standard unramified one: psi(x)
 depends only on the p-part of x, extracted as a fraction with p-power
-denominator.  Values of psi live in PhaseQZ (an exponent in Q/Z with
-p-power denominator); Weil indices live in Mu8 (eighth roots of unity).
+denominator.  Every scalar the library produces -- psi-values, Weil
+indices, Schwartz coefficients, section values -- is one Mono
+r * q^e * exp(2 pi i t) with r, e, t rational.  A sum of Monos has one
+exact canonical form, Cyclo, in Q(zeta_(8 p^k)), so equality is decided
+without a tolerance; floats appear only in the complex embeddings.
 """
 from __future__ import annotations
 
@@ -94,69 +97,172 @@ class PrimeCtx:
     def uniformizer(self) -> "PAdic":
         return PAdic(Q(self.p), self)
 
-    def psi(self, x) -> "PhaseQZ":
+    def psi(self, x) -> "Mono":
         return psi(self.of(x))
 
 
-@dataclass(frozen=True)
-class PhaseQZ:
-    """A value of the unramified character: exponent in Q/Z, p-power denominator."""
+_HALF = Q(1, 2)
 
-    exponent: Q
-    p: int
+
+@dataclass(frozen=True)
+class Mono:
+    """The exact scalar rat * q**qexp * exp(2 pi i turn), for q the residue field size.
+
+    rat is kept >= 0 (a sign is half a turn) and turn in [0, 1); zero is
+    Mono(0, 0, 0).  psi-values are Mono(turn=t), Weil indices
+    Mono(turn=k/8), Schwartz coefficients carry half-integer qexp and
+    section values qexp = -v(s + 1/2).  q itself is the context's: only
+    the complex embedding needs it.
+    """
+
+    rat: Q = Q(1)
+    qexp: Q = Q(0)
+    turn: Q = Q(0)
 
     def __post_init__(self):
-        e = self.exponent - math.floor(self.exponent)
-        object.__setattr__(self, "exponent", e)
-        den = e.denominator
-        while den % self.p == 0:
-            den //= self.p
-        if den != 1:
-            raise PadicError(f"exponent {e} does not have p-power denominator for p={self.p}")
+        rat = self.rat if type(self.rat) is Q else _as_fraction(self.rat)
+        if not rat:
+            object.__setattr__(self, "rat", Q(0))
+            object.__setattr__(self, "qexp", Q(0))
+            object.__setattr__(self, "turn", Q(0))
+            return
+        turn = self.turn if type(self.turn) is Q else _as_fraction(self.turn)
+        if rat < 0:
+            rat, turn = -rat, turn + _HALF
+        object.__setattr__(self, "rat", rat)
+        if type(self.qexp) is not Q:
+            object.__setattr__(self, "qexp", _as_fraction(self.qexp))
+        if not 0 <= turn < 1:
+            turn -= turn.numerator // turn.denominator
+        object.__setattr__(self, "turn", turn)
 
     @classmethod
-    def one(cls, p: int) -> "PhaseQZ":
-        return cls(Q(0), p)
+    def one(cls) -> "Mono":
+        return cls()
 
-    def __mul__(self, other: "PhaseQZ") -> "PhaseQZ":
-        if self.p != other.p:
-            raise PadicError("mixed prime contexts")
-        return PhaseQZ(self.exponent + other.exponent, self.p)
+    @classmethod
+    def zero(cls) -> "Mono":
+        return cls(Q(0))
 
-    def inverse(self) -> "PhaseQZ":
-        return PhaseQZ(-self.exponent, self.p)
+    def is_zero(self) -> bool:
+        return not self.rat
 
     def is_one(self) -> bool:
-        return self.exponent == 0
+        return self.rat == 1 and not self.qexp and not self.turn
 
-    def value(self) -> complex:
-        return cmath.exp(2j * cmath.pi * float(self.exponent))
+    def __mul__(self, other: "Mono") -> "Mono":
+        return Mono(self.rat * other.rat, self.qexp + other.qexp, self.turn + other.turn)
+
+    def inverse(self) -> "Mono":
+        if not self.rat:
+            raise PadicError("0 has no inverse")
+        return Mono(1 / self.rat, -self.qexp, -self.turn)
+
+    def conjugate(self) -> "Mono":
+        return Mono(self.rat, self.qexp, -self.turn)
+
+    def as_complex(self, q: int) -> complex:
+        """The complex embedding: sqrt(q) > 0 and a turn t goes to exp(2 pi i t)."""
+        mag = float(self.rat) * float(q) ** float(self.qexp)
+        return mag * cmath.exp(2j * cmath.pi * float(self.turn))
+
+
+def _turn_split(turn: Q, p: int):
+    # turn = j/8 + a/p^k mod 1 by CRT; the rest of the denominator must divide 8
+    den = turn.denominator
+    k = 0
+    while den % p == 0:
+        den //= p
+        k += 1
+    if 8 % den:
+        raise PadicError(f"turn {turn} has no place in Q(zeta_(8 p^k)) for p = {p}")
+    pk = p**k
+    u = turn.numerator * (8 // den)  # turn = u / (8 p^k)
+    return u * pow(pk, -1, 8) % 8, u * pow(8, -1, pk) % pk, k
 
 
 @dataclass(frozen=True)
-class Mu8:
-    """An eighth root of unity exp(2 pi i k/8), k mod 8."""
+class Cyclo:
+    """A finite sum of Monos over one prime, in one exact canonical form.
 
-    k: int
+    The sum is written in Q(zeta_(8 p^k)), k the deepest p-power its turns
+    need, on the basis zeta_8^j zeta_(p^k)^a (j < 4, a < phi(p^k)):
+    sqrt(p) = eps^-1 sum_r (r|p) zeta_p^r with eps = 1 for p = 1 mod 4
+    and i otherwise, zeta_8^4 = -1, and Phi_(p^k)(x) = Phi_p(x^(p^(k-1))).
+    These bases nest under zeta_(p^k) = zeta_(p^(k+1))^p, so the form does
+    not depend on k.  terms holds one Mono(c, 0, j/8 + a/p^k) per nonzero
+    coefficient, sorted by turn; the sum is zero exactly when it is empty.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "k", self.k % 8)
+    p: int
+    terms: tuple
 
     @classmethod
-    def one(cls) -> "Mu8":
-        return cls(0)
+    def of(cls, p: int, monos) -> "Cyclo":
+        monos = [m for m in monos if m.rat]
+        if any((2 * m.qexp).denominator != 1 for m in monos):
+            raise PadicError("a q exponent is not a half-integer")
+        splits = [_turn_split(m.turn, p) for m in monos]
+        big = max([1] + [k for _, _, k in splits])  # work in Q(zeta_(8 p^big))
+        pk, step = p**big, p ** (big - 1)
+        phi = pk - step
+        acc = {}
 
-    def __mul__(self, other: "Mu8") -> "Mu8":
-        return Mu8(self.k + other.k)
+        def add(c, j, a):
+            # c zeta_8^j zeta_(p^big)^a onto the basis: zeta_8^4 = -1, and
+            # x^a = -sum_i x^(a - phi + i p^(big-1)) when a >= phi
+            if j >= 4:
+                c, j = -c, j - 4
+            if a < phi:
+                acc[j, a] = acc.get((j, a), 0) + c
+                return
+            for i in range(p - 1):
+                b = a - phi + i * step
+                acc[j, b] = acc.get((j, b), 0) - c
 
-    def inverse(self) -> "Mu8":
-        return Mu8(-self.k)
+        for m, (j, a, k) in zip(monos, splits):
+            a *= p ** (big - k)
+            twice = int(2 * m.qexp)
+            c = m.rat * Q(p) ** (twice // 2)
+            if not twice % 2:
+                add(c, j, a)
+                continue
+            if p % 4 == 3:  # eps = i
+                j = (j + 6) % 8
+            for r in range(1, p):
+                add(_legendre_unit(Q(r), p) * c, j, (a + r * step) % pk)
+        terms = [Mono(c, 0, Q(j, 8) + Q(a, pk)) for (j, a), c in acc.items() if c]
+        return cls(p, tuple(sorted(terms, key=lambda m: m.turn)))
 
-    def conjugate(self) -> "Mu8":
-        return self.inverse()
+    def is_zero(self) -> bool:
+        return not self.terms
 
-    def value(self) -> complex:
-        return cmath.exp(2j * cmath.pi * self.k / 8)
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def rational(self):
+        """The value as a Fraction when it is rational, else None."""
+        if not self.terms:
+            return Q(0)
+        if len(self.terms) == 1 and self.terms[0].turn in (0, _HALF):
+            m = self.terms[0]
+            return m.rat if not m.turn else -m.rat
+        return None
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Q)):
+            return self.rational() == other
+        if isinstance(other, Cyclo):
+            return self.p == other.p and self.terms == other.terms
+        return NotImplemented
+
+    def __hash__(self):
+        r = self.rational()
+        return hash(r) if r is not None else hash((self.p, self.terms))
+
+    def as_complex(self) -> complex:
+        """The complex embedding, summand by summand."""
+        return sum((m.as_complex(self.p) for m in self.terms), 0j)
 
 
 @dataclass(frozen=True)
@@ -241,9 +347,9 @@ def valuation(x: PAdic):
     return x.valuation()
 
 
-def psi(x: PAdic) -> PhaseQZ:
+def psi(x: PAdic) -> Mono:
     """The unramified additive character, trivial exactly on the integer ring."""
-    return PhaseQZ(_pfrac(x.value, x.ctx.p), x.ctx.p)
+    return Mono(turn=_pfrac(x.value, x.ctx.p))
 
 
 def _legendre_unit(u: Q, p: int) -> int:
@@ -272,7 +378,10 @@ def hilbert_symbol(a: PAdic, b: PAdic) -> int:
     return s
 
 
-def weil_index(a: PAdic, twist=1) -> Mu8:
+_EIGHTH_ROOTS = tuple(Mono(turn=Q(k, 8)) for k in range(8))
+
+
+def weil_index(a: PAdic, twist=1) -> Mono:
     """gamma(psi_b) for b = twist*a, by the classical Gauss sum evaluation.
 
     With b = u p^k, u a unit: gamma = 1 when k is even, and
@@ -285,12 +394,12 @@ def weil_index(a: PAdic, twist=1) -> Mu8:
     p = a.ctx.p
     k = fraction_valuation(b, p)
     if k % 2 == 0:
-        return Mu8(0)
-    root = Mu8(0) if p % 4 == 1 else Mu8(2)
-    return root if _legendre_unit(b / Q(p) ** k, p) == 1 else root * Mu8(4)
+        return _EIGHTH_ROOTS[0]
+    root = 0 if p % 4 == 1 else 2
+    return _EIGHTH_ROOTS[root if _legendre_unit(b / Q(p) ** k, p) == 1 else root + 4]
 
 
-def mu_psi(a: PAdic, twist=1) -> Mu8:
+def mu_psi(a: PAdic, twist=1) -> Mono:
     """mu(a) = gamma(psi_twist) / gamma(psi_{twist*a})."""
     return weil_index(a.ctx.of(1), twist) * weil_index(a, twist).inverse()
 

@@ -1,12 +1,13 @@
 """Exact Schwartz functions on the p-adic line and the Weil action on them.
 
 A function is stored as a finite list of terms c * psi(beta*x) * 1_B(x),
-where B is a ball center + P^rad and the coefficient c is kept as an exact
-monomial: a positive rational times an integer power of sqrt(q) times a
-root of unity recorded by its rational turn.  Every generator of the
-metaplectic SL2 (and of the Heisenberg group) maps a term list to a term
-list in closed form, so operator identities can be checked with no
-floating-point error except at the final comparison fallback.
+where B is a ball center + P^rad and the coefficient c is an exact Mono:
+a positive rational times a half-integer power of q times a root of
+unity recorded by its rational turn.  Every generator of the metaplectic
+SL2 (and of the Heisenberg group) maps a term list to a term list in
+closed form.  Values, integrals, masses and equality sum coefficients in
+the exact cyclotomic form Cyclo, so operator identities are decided with
+no floating-point arithmetic at all.
 """
 
 from dataclasses import dataclass
@@ -15,10 +16,12 @@ from itertools import product
 from typing import Optional
 
 from .padic import (
+    Cyclo,
+    Mono,
     PAdic,
     PadicError,
     PrimeCtx,
-    Mu8,
+    _HALF,
     _as_fraction,
     _pfrac,
     fraction_valuation,
@@ -40,71 +43,10 @@ def _head(x: Q, k: int, p: int) -> Q:
 
 
 @dataclass(frozen=True)
-class Coeff:
-    """Monomial coefficient rat * q**(halfq/2) * exp(2 pi i phase)."""
-
-    rat: Q = Q(1)
-    halfq: int = 0
-    phase: Q = Q(0)
-
-    def __post_init__(self):
-        rat = _as_fraction(self.rat)
-        phase = _as_fraction(self.phase)
-        if rat == 0:
-            object.__setattr__(self, "rat", Q(0))
-            object.__setattr__(self, "halfq", 0)
-            object.__setattr__(self, "phase", Q(0))
-            return
-        if rat < 0:
-            rat = -rat
-            phase = phase + Q(1, 2)
-        object.__setattr__(self, "rat", rat)
-        object.__setattr__(self, "phase", phase - (phase.numerator // phase.denominator))
-
-    @classmethod
-    def one(cls) -> "Coeff":
-        return cls()
-
-    @classmethod
-    def zero(cls) -> "Coeff":
-        return cls(Q(0))
-
-    def is_zero(self) -> bool:
-        return self.rat == 0
-
-    def times(self, other: "Coeff") -> "Coeff":
-        return Coeff(self.rat * other.rat, self.halfq + other.halfq, self.phase + other.phase)
-
-    def times_phase(self, turn) -> "Coeff":
-        return Coeff(self.rat, self.halfq, self.phase + _as_fraction(turn))
-
-    def times_q(self, halfsteps: int) -> "Coeff":
-        return Coeff(self.rat, self.halfq + halfsteps, self.phase)
-
-    def times_sign(self, sign: int) -> "Coeff":
-        if sign == 1:
-            return self
-        if sign == -1:
-            return self.times_phase(Q(1, 2))
-        raise SchwartzError(f"sign must be +1 or -1, got {sign}")
-
-    def times_mu8(self, m: Mu8) -> "Coeff":
-        return self.times_phase(Q(m.k, 8))
-
-    def as_complex(self, q: int) -> complex:
-        import cmath
-
-        if self.rat == 0:
-            return 0j
-        mag = float(self.rat) * float(q) ** (self.halfq / 2)
-        return mag * cmath.exp(2j * cmath.pi * float(self.phase))
-
-
-@dataclass(frozen=True)
 class Term:
     """coeff * psi(freq * x) on the ball center + P^rad."""
 
-    coeff: Coeff
+    coeff: Mono
     freq: Q
     center: Q
     rad: int
@@ -113,12 +55,12 @@ class Term:
         return fraction_valuation(x - self.center, p) >= self.rad
 
 
-def _reduce_coeff(co: Coeff, p: int) -> Coeff:
+def _reduce_coeff(co: Mono, p: int) -> Mono:
     # move every factor of p from the rational part into the q exponent
     if co.rat == 0 or co.rat.numerator % p != 0 and co.rat.denominator % p != 0:
         return co
     v = fraction_valuation(co.rat, p)
-    return Coeff(co.rat * Q(p) ** (-v), co.halfq + 2 * v, co.phase)
+    return Mono(co.rat * Q(p) ** (-v), co.qexp + v, co.turn)
 
 
 def _normalize_term(t: Term, p: int) -> Optional[Term]:
@@ -129,7 +71,7 @@ def _normalize_term(t: Term, p: int) -> Optional[Term]:
     co = _reduce_coeff(t.coeff, p)
     tail = t.freq - f_red
     if tail != 0:
-        co = co.times_phase(_pfrac(tail * c_red, p))
+        co = Mono(co.rat, co.qexp, co.turn + _pfrac(tail * c_red, p))
     return Term(co, f_red, c_red, t.rad)
 
 
@@ -151,18 +93,18 @@ def _regroup(terms, p):
         tn = _normalize_term(t, p)
         if tn is None:
             continue
-        rat, ph = tn.coeff.rat, tn.coeff.phase
-        if ph >= Q(1, 2):
-            rat, ph = -rat, ph - Q(1, 2)
-        key = (tn.center, tn.rad, tn.freq, tn.coeff.halfq, ph)
+        rat, ph = tn.coeff.rat, tn.coeff.turn
+        if ph >= _HALF:
+            rat, ph = -rat, ph - _HALF
+        key = (tn.center, tn.rad, tn.freq, tn.coeff.qexp, ph)
         v = slots.get(key, 0) + rat
         if v:
             slots[key] = v
         else:
             del slots[key]
     out = [
-        Term(Coeff(v, halfq, ph), freq, center, rad)
-        for (center, rad, freq, halfq, ph), v in slots.items()
+        Term(Mono(v, qexp, ph), freq, center, rad)
+        for (center, rad, freq, qexp, ph), v in slots.items()
     ]
     if len(out) > _REFINE_CAP:
         raise SchwartzError("ball refinement exceeded the term budget")
@@ -237,7 +179,7 @@ class SchwartzFn:
 
     @classmethod
     def indicator(cls, ctx: PrimeCtx, center=0, rad: int = 0) -> "SchwartzFn":
-        t = Term(Coeff.one(), Q(0), _as_fraction(center), int(rad))
+        t = Term(Mono(), Q(0), _as_fraction(center), int(rad))
         return cls(ctx, (t,)).canonical()
 
     @classmethod
@@ -259,13 +201,13 @@ class SchwartzFn:
         terms = _regroup(list(self.terms), p)
         terms = _disjointify(terms, p)
         terms = _merge_siblings(terms, p)
-        terms.sort(key=lambda t: (t.rad, t.center, t.freq, t.coeff.halfq, t.coeff.phase))
+        terms.sort(key=lambda t: (t.rad, t.center, t.freq, t.coeff.qexp, t.coeff.turn))
         return SchwartzFn(self.ctx, tuple(terms))
 
-    def scaled(self, co: Coeff) -> "SchwartzFn":
+    def scaled(self, co: Mono) -> "SchwartzFn":
         return SchwartzFn(
             self.ctx,
-            tuple(Term(t.coeff.times(co), t.freq, t.center, t.rad) for t in self.terms),
+            tuple(Term(t.coeff * co, t.freq, t.center, t.rad) for t in self.terms),
         )
 
     def plus(self, other: "SchwartzFn") -> "SchwartzFn":
@@ -274,7 +216,7 @@ class SchwartzFn:
         return SchwartzFn(self.ctx, self.terms + other.terms).canonical()
 
     def minus(self, other: "SchwartzFn") -> "SchwartzFn":
-        return self.plus(other.scaled(Coeff(Q(-1))))
+        return self.plus(other.scaled(Mono(-1)))
 
     def reflect(self) -> "SchwartzFn":
         return SchwartzFn(
@@ -282,89 +224,72 @@ class SchwartzFn:
             tuple(Term(t.coeff, -t.freq, -t.center, t.rad) for t in self.terms),
         ).canonical()
 
-    def value_at(self, x) -> complex:
-        import cmath
-
+    def value_at(self, x) -> Cyclo:
         xq = x.value if isinstance(x, PAdic) else _as_fraction(x)
         p = self.ctx.p
-        total = 0j
-        for t in self.terms:
-            if t.contains(xq, p):
-                turn = _pfrac(t.freq * xq, p)
-                total += t.coeff.as_complex(p) * cmath.exp(2j * cmath.pi * float(turn))
-        return total
+        return Cyclo.of(p, (
+            t.coeff * Mono(turn=_pfrac(t.freq * xq, p)) for t in self.terms if t.contains(xq, p)
+        ))
 
-    def integral(self) -> complex:
-        import cmath
-
+    def integral(self) -> Cyclo:
         p = self.ctx.p
-        total = 0j
-        for t in self.canonical().terms:
-            if t.freq != 0 and fraction_valuation(t.freq, p) < -t.rad:
-                continue
-            turn = _pfrac(t.freq * t.center, p)
-            total += (
-                t.coeff.as_complex(p)
-                * cmath.exp(2j * cmath.pi * float(turn))
-                * float(p) ** (-t.rad)
-            )
-        return total
+        return Cyclo.of(p, (
+            t.coeff * Mono(1, -t.rad, _pfrac(t.freq * t.center, p))
+            for t in self.canonical().terms
+            if t.freq == 0 or fraction_valuation(t.freq, p) >= -t.rad
+        ))
+
+    def _slots(self):
+        # coefficients per (ball, reduced frequency); on a canonical
+        # function distinct slots are linearly independent
+        slots = {}
+        for t in self.terms:
+            slots.setdefault((t.center, t.rad, t.freq), []).append(t.coeff)
+        return slots
 
     def norm_sq(self):
-        """Squared L2 mass, exact whenever each ball-character slot is a monomial.
+        """Squared L2 mass: the sum of c_i conj(c_j) vol over each slot.
 
-        Distinct reduced frequencies on one ball are orthogonal, so those
-        cross terms vanish exactly.  A slot holding a genuine sum of
-        incommensurable monomials falls back to a float.
+        Distinct reduced frequencies on one ball are orthogonal, so only
+        pairs within a slot contribute.  The result is a Fraction when
+        the mass is rational, else its exact Cyclo (1_O + zeta_8 1_O
+        has mass 2 + sqrt 2).
         """
-        q = Q(self.ctx.p)
-        slots = {}
-        for t in self.canonical().terms:
-            slots.setdefault((t.center, t.rad, t.freq), []).append(t.coeff)
-        total = Q(0)
-        fuzz = 0.0
-        exact = True
-        for (_, rad, _), cos in slots.items():
-            if len(cos) == 1:
-                total += cos[0].rat ** 2 * q ** cos[0].halfq * q ** -rad
-            else:
-                exact = False
-                s = sum(co.as_complex(self.ctx.p) for co in cos)
-                fuzz += abs(s) ** 2 * float(q) ** -rad
-        return total if exact else float(total) + fuzz
+        mass = Cyclo.of(self.ctx.p, (
+            ci * cj.conjugate() * Mono(qexp=-rad)
+            for (_, rad, _), cos in self.canonical()._slots().items()
+            for ci in cos
+            for cj in cos
+        ))
+        r = mass.rational()
+        return mass if r is None else r
 
-    def _residual_groups(self, tol: float):
-        groups = {}
-        for t in self.canonical().terms:
-            key = (t.center, t.rad, t.freq)
-            groups[key] = groups.get(key, 0j) + t.coeff.as_complex(self.ctx.p)
-        return {k: v for k, v in groups.items() if abs(v) > tol}
+    def _residual_groups(self):
+        # the slots of a canonical function whose coefficient sum is not 0
+        p = self.ctx.p
+        return [
+            key for key, cos in self._slots().items()
+            if len(cos) == 1 or Cyclo.of(p, cos)
+        ]
 
-    def equals(self, other: "SchwartzFn", tol: float = 1e-9) -> bool:
+    def equals(self, other: "SchwartzFn") -> bool:
+        return not self.minus(other)._residual_groups()
+
+    def difference_witness(self, other: "SchwartzFn") -> Optional[Q]:
+        """A rational point where the two functions differ, or None."""
         diff = self.minus(other)
-        if diff.is_structural_zero():
-            return True
-        return not diff._residual_groups(tol)
-
-    def difference_witness(self, other: "SchwartzFn", tol: float = 1e-9) -> Optional[Q]:
-        """A rational point where the two functions visibly differ."""
-        diff = self.minus(other)
-        if diff.is_structural_zero():
-            return None
-        bad = diff._residual_groups(tol)
+        bad = diff._residual_groups()
         if not bad:
             return None
         p = self.ctx.p
-        probes = []
-        for center, rad, _freq in bad.keys():
-            probes.append((center, rad))
-        for center, rad in sorted(set(probes), key=lambda b: b[1]):
+        balls = {(center, rad) for center, rad, _freq in bad}
+        for center, rad in sorted(balls, key=lambda b: b[1]):
             for depth in range(0, 5):
                 for digits in product(range(p), repeat=depth):
                     x = center
                     for j, d in enumerate(digits):
                         x += d * Q(p) ** (rad + j)
-                    if abs(self.value_at(x) - other.value_at(x)) > tol / 2:
+                    if diff.value_at(x):
                         return x
         raise SchwartzError("difference detected but no witness point found")
 
@@ -396,7 +321,7 @@ def _op_upper(phi: SchwartzFn, b: Q, eps: int) -> SchwartzFn:
     for t in phi.terms:
         for piece in _split_term(t, max(t.rad, need), p):
             c = piece.center
-            co = piece.coeff.times_phase(_pfrac(-eps * b * c * c, p))
+            co = piece.coeff * Mono(turn=_pfrac(-eps * b * c * c, p))
             out.append(Term(co, piece.freq + 2 * eps * b * c, c, piece.rad))
     return SchwartzFn(phi.ctx, tuple(out)).canonical()
 
@@ -406,22 +331,19 @@ def _op_diag(phi: SchwartzFn, a: Q, eps: int) -> SchwartzFn:
         raise SchwartzError("m1(a) needs a nonzero")
     ctx = phi.ctx
     v = fraction_valuation(a, ctx.p)
-    mu = mu_psi(ctx.of(a), twist=eps)
+    scale = mu_psi(ctx.of(a), twist=eps) * Mono(qexp=Q(-v, 2))
     out = []
     for t in phi.terms:
-        co = t.coeff.times_q(-v).times_mu8(mu)
-        out.append(Term(co, t.freq * a, t.center / a, t.rad - v))
+        out.append(Term(t.coeff * scale, t.freq * a, t.center / a, t.rad - v))
     return SchwartzFn(ctx, tuple(out)).canonical()
 
 
 def _op_flip(phi: SchwartzFn, eps: int, with_gamma: bool) -> SchwartzFn:
     ctx = phi.ctx
     out = []
-    gamma = weil_index(ctx.of(1), twist=eps) if with_gamma else None
+    gamma = weil_index(ctx.of(1), twist=eps).turn if with_gamma else 0
     for t in phi.terms:
-        co = t.coeff.times_q(-2 * t.rad).times_phase(_pfrac(t.freq * t.center, ctx.p))
-        if gamma is not None:
-            co = co.times_mu8(gamma)
+        co = t.coeff * Mono(1, -t.rad, gamma + _pfrac(t.freq * t.center, ctx.p))
         out.append(Term(co, 2 * eps * t.center, Q(-eps) * t.freq / 2, -t.rad))
     return SchwartzFn(ctx, tuple(out)).canonical()
 
@@ -431,8 +353,7 @@ def _op_heis(phi: SchwartzFn, x: Q, xp: Q, z: Q, eps: int) -> SchwartzFn:
     out = []
     for t in phi.terms:
         turn = _pfrac(eps * (z + x * xp) + t.freq * x, p)
-        co = t.coeff.times_phase(turn)
-        out.append(Term(co, t.freq + 2 * eps * xp, t.center - x, t.rad))
+        out.append(Term(t.coeff * Mono(turn=turn), t.freq + 2 * eps * xp, t.center - x, t.rad))
     return SchwartzFn(phi.ctx, tuple(out)).canonical()
 
 
@@ -523,7 +444,7 @@ def weil_act(word, phi: SchwartzFn, twist: int = 1) -> SchwartzFn:
         elif tag == "flip":
             out = _op_flip(out, eps, with_gamma=True)
         elif tag == "sign":
-            out = out.scaled(Coeff(Q(it[1]))).canonical()
+            out = out.scaled(Mono(it[1])).canonical()
         else:
             out = _op_heis(out, it[1], it[2], it[3], eps)
     return out
@@ -567,7 +488,7 @@ def weil_act_cover(g: MetaSL2, phi: SchwartzFn, twist: int = 1) -> SchwartzFn:
     out = weil_act(word, phi, twist)
     sign = g.zeta * lifted.zeta
     if sign == -1:
-        out = out.scaled(Coeff(Q(sign))).canonical()
+        out = out.scaled(Mono(sign)).canonical()
     return out
 
 
@@ -578,13 +499,13 @@ def _rep_identity_sides(g1, g2, phi: SchwartzFn, twist: int):
     return lhs, weil_act_cover(prod, phi, twist)
 
 
-def check_rep_identity(g1, g2, phi: SchwartzFn, twist: int = 1, tol: float = 1e-9) -> bool:
+def check_rep_identity(g1, g2, phi: SchwartzFn, twist: int = 1) -> bool:
     """Operator composition against the cocycle-weighted product action."""
     lhs, rhs = _rep_identity_sides(g1, g2, phi, twist)
-    return lhs.equals(rhs, tol)
+    return lhs.equals(rhs)
 
 
-def rep_identity_witness(g1, g2, phi: SchwartzFn, twist: int = 1, tol: float = 1e-9):
+def rep_identity_witness(g1, g2, phi: SchwartzFn, twist: int = 1):
     """None when the identity holds; otherwise a point where it fails."""
     lhs, rhs = _rep_identity_sides(g1, g2, phi, twist)
-    return lhs.difference_witness(rhs, tol)
+    return lhs.difference_witness(rhs)

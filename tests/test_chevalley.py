@@ -760,7 +760,7 @@ def test_generic_character_values_and_multiplicativity():
     n = 3
     for g in simple_roots(n):
         u = root_elem(C3, n, g, Q(2, 9))
-        assert generic_character(u).exponent == Q(2, 9)
+        assert generic_character(u).turn == Q(2, 9)
     for g in positive_roots(n):
         if g.height > 1:
             u = root_elem(C3, n, g, Q(1, 27))

@@ -7,7 +7,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from padicsp.padic import PrimeCtx, fraction_valuation
+from padicsp.padic import Mono, PrimeCtx, fraction_valuation, psi
 from padicsp.rootsys import Root, WeylElem
 from padicsp.harness import (
     CATALOG,
@@ -98,6 +98,11 @@ def test_encode_value_shapes():
     assert encode_value({"x": [Q(1, 2), 3]}) == {"x": ["1/2", 3]}
     c = encode_value(complex(1.0, -2.0))
     assert c == {"im": -2.0, "re": 1.0}
+    # the exact scalar as its three rationals: 2 sqrt(q) zeta_8
+    assert encode_value(Mono(2, Q(1, 2), Q(1, 8))) == {"rat": "2/1", "qexp": "1/2", "turn": "1/8"}
+    assert encode_value(psi(PrimeCtx(3).of(Q(1, 3)))) == {"rat": "1/1", "qexp": "0/1", "turn": "1/3"}
+    assert encode_value([Mono(-1)]) == [{"rat": "1/1", "qexp": "0/1", "turn": "1/2"}]
+    assert encode_value(PrimeCtx(5).of(Q(2, 5))) == "2/5"
 
 
 def test_fail_record_requires_counterexample():

@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 
 from padicsp.padic import (
     INF,
-    Mu8,
+    Cyclo,
+    Mono,
     PAdic,
     PadicError,
-    PhaseQZ,
     PrimeCtx,
     _pfrac,
     fraction_valuation,
@@ -34,6 +34,11 @@ from padicsp import quadext
 from padicsp.quadext import QuadExt, norm_one_decompose
 
 Q = Fraction
+
+
+def mu8(k):
+    """The eighth root of unity exp(2 pi i k/8)."""
+    return Mono(turn=Q(k, 8))
 
 
 # ---------------------------------------------------------------- oracles
@@ -78,7 +83,7 @@ def oracle_hilbert_solvable(a: int, b: int, p: int) -> int:
     return -1
 
 
-def oracle_weil_gauss_sum(b: Q, p: int) -> Mu8:
+def oracle_weil_gauss_sum(b: Q, p: int) -> Mono:
     """gamma(psi_b) as the normalized quadratic Gauss sum, in floats.
 
     b is first shifted by an even power of p (gamma only sees the square
@@ -101,7 +106,7 @@ def oracle_weil_gauss_sum(b: Q, p: int) -> Mu8:
     w = total / abs(total)
     for k in range(8):
         if abs(w - cmath.exp(2j * cmath.pi * k / 8)) < 1e-9:
-            return Mu8(k)
+            return mu8(k)
     raise AssertionError(f"Gauss sum {total} for b={b}, p={p} is not an eighth root")
 
 
@@ -190,21 +195,109 @@ def test_psi_conductor_sharp():
         assert psi(ctx.of(1)).is_one()
         assert psi(ctx.of(Q(1, p) * p)).is_one()
         assert not psi(ctx.of(Q(1, p))).is_one()
-        assert psi(ctx.of(Q(1, p))).value() == pytest.approx(
+        assert psi(ctx.of(Q(1, p))).as_complex(p) == pytest.approx(
             complex(math.cos(2 * math.pi / p), math.sin(2 * math.pi / p))
         )
 
 
 def test_phase_rejects_non_p_power_denominator():
+    # a turn must live in Q(zeta_(8 p^k)) to be summed exactly
     with pytest.raises(PadicError):
-        PhaseQZ(Q(1, 2), 3)
-    assert PhaseQZ(Q(4, 3), 3).exponent == Q(1, 3)
+        Cyclo.of(3, [Mono(turn=Q(1, 5))])
+    assert Mono(turn=Q(4, 3)).turn == Q(1, 3)
 
 
 def test_mu8_arithmetic():
-    i = Mu8(2)
-    assert i * i == Mu8(4)
-    assert (i * i * i * i) == Mu8.one()
+    i = mu8(2)
+    assert i * i == mu8(4)
+    assert (i * i * i * i) == Mono.one()
+
+
+# ------------------------------------------------------ the exact scalar
+
+def test_mono_normal_form_and_algebra():
+    c = Mono(Q(-3, 2), Q(1, 2), Q(1, 8))
+    assert (c.rat, c.qexp, c.turn) == (Q(3, 2), Q(1, 2), Q(5, 8))
+    assert abs(c.as_complex(3) - (-1.5) * 3 ** 0.5 * cmath.exp(2j * cmath.pi / 8)) < 1e-12
+    assert Mono(Q(0), 5, Q(1, 3)) == Mono.zero() and Mono.zero().is_zero()
+    assert c * c.inverse() == Mono.one() and (c * c.inverse()).is_one()
+    assert c * c.conjugate() == Mono(Q(9, 4), 1)
+    assert Mono(-1) * Mono(-1) == Mono.one()
+    with pytest.raises(PadicError):
+        Mono(0.5)
+    with pytest.raises(PadicError):
+        Mono.zero().inverse()
+
+
+def _legendre(a, p):
+    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_cyclo_gauss_sum_and_cyclotomic_relations_are_zero(p):
+    # sum_a (a|p) zeta_p^a = eps sqrt(p), eps = 1 or i as p = 1 or 3 mod 4
+    eps = Mono() if p % 4 == 1 else mu8(2)
+    gauss = [Mono(_legendre(a, p), 0, Q(a, p)) for a in range(1, p)]
+    assert Cyclo.of(p, gauss + [Mono(-1, Q(1, 2)) * eps]).is_zero()
+    # a whole p-th roots orbit through zeta_(p^2) sums to zero
+    orbit = [Mono(1, 0, Q(a, p) + Q(1, p * p)) for a in range(p)]
+    assert Cyclo.of(p, orbit).is_zero()
+    # sqrt(p)^2 = p, and a lone root of unity is not zero
+    assert Cyclo.of(p, [Mono(1, 1), Mono(-p)]).is_zero()
+    assert not Cyclo.of(p, [Mono(1, Q(1, 2), Q(3, p * p))]).is_zero()
+    # the form does not depend on the level the turns were written at
+    assert Cyclo.of(p, [Mono(turn=Q(p - 1, p))]) == Cyclo.of(p, [Mono(turn=Q(p * (p - 1), p * p))])
+
+
+def _random_cyclo_sum(rng, p):
+    """Monomials plus, half the time, an exact relation that sums to zero."""
+    def mono():
+        return Mono(
+            Q(rng.randint(-3, 3), rng.randint(1, 2)),
+            Q(rng.randint(-2, 2), 2),
+            Q(rng.randrange(8), 8) + Q(rng.randrange(p * p), p * p),
+        )
+
+    monos = [mono() for _ in range(rng.randint(0, 3))]
+    if rng.random() < 0.5:
+        c = mono()
+        eps = Mono() if p % 4 == 1 else mu8(2)
+        relation = rng.choice([
+            [Mono(_legendre(a, p), 0, Q(a, p)) for a in range(1, p)] + [Mono(-1, Q(1, 2)) * eps],
+            [Mono(1, 0, Q(a, p) + Q(rng.randrange(p), p * p)) for a in range(p)],
+            [mu8(k) for k in (0, 4)],
+            [Mono(1, 1), Mono(-p)],
+        ])
+        monos += [c * m for m in relation]
+    if rng.random() < 0.3:
+        monos += [m * Mono(-1) for m in monos]  # cancel everything so far
+    rng.shuffle(monos)
+    return monos
+
+
+def test_cyclo_zero_verdicts_match_the_complex_embedding():
+    rng = random.Random(20260418)
+    zeros = 0
+    for trial in range(2400):
+        p = (3, 5, 7, 11, 13)[trial % 5]
+        monos = _random_cyclo_sum(rng, p)
+        exact = Cyclo.of(p, monos)
+        approx = sum((m.as_complex(p) for m in monos), 0j)
+        assert exact.is_zero() == (abs(approx) < 1e-9), (p, monos)
+        assert abs(exact.as_complex() - approx) < 1e-9
+        zeros += exact.is_zero()
+    assert 400 < zeros < 2000  # both verdicts are well represented
+
+
+def test_cyclo_rational_view_and_equality():
+    s = Cyclo.of(3, [Mono(2), Mono(turn=Q(1, 8)), Mono(turn=Q(-1, 8))])
+    assert s.rational() is None and s != 2
+    assert abs(s.as_complex() - (2 + 2 ** 0.5)) < 1e-12
+    assert Cyclo.of(5, [Mono(3, 1), Mono(turn=Q(1, 2))]) == 14
+    assert Cyclo.of(5, []) == 0 and not Cyclo.of(5, [])
+    assert hash(Cyclo.of(5, [Mono(Q(1, 2))])) == hash(Q(1, 2))
+    with pytest.raises(PadicError):
+        Cyclo.of(3, [Mono(1, Q(1, 3))])
 
 
 # --------------------------------------------------------- Hilbert symbol
@@ -250,13 +343,13 @@ def test_hilbert_detects_norms_from_squares(a):
 # ------------------------------------------------------------ Weil index
 
 def test_weil_index_frozen_values():
-    assert weil_index(C3.of(1)) == Mu8.one()
+    assert weil_index(C3.of(1)) == Mono.one()
     # classical g(27) = i sqrt(27)
-    assert weil_index(C3.of(3)) == Mu8(2)
-    assert weil_index(C5.of(5)) == Mu8(0)  # p = 1 mod 4, unit part square
-    assert weil_index(C5.of(10)) == Mu8(4)  # 2 is a nonresidue mod 5
-    assert weil_index(C7.of(7)) == Mu8(2)
-    assert weil_index(C7.of(21)) == Mu8(6)  # 3 nonresidue, times i
+    assert weil_index(C3.of(3)) == mu8(2)
+    assert weil_index(C5.of(5)) == mu8(0)  # p = 1 mod 4, unit part square
+    assert weil_index(C5.of(10)) == mu8(4)  # 2 is a nonresidue mod 5
+    assert weil_index(C7.of(7)) == mu8(2)
+    assert weil_index(C7.of(21)) == mu8(6)  # 3 nonresidue, times i
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -295,7 +388,7 @@ def test_mu_trivial_on_units(p):
     ctx = PrimeCtx(p)
     for a in range(1, p * p):
         if a % p:
-            assert mu_psi(ctx.of(a)) == Mu8.one()
+            assert mu_psi(ctx.of(a)) == Mono.one()
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -308,7 +401,7 @@ def test_mu_cocycle_is_hilbert_symbol(p):
         for b in reps:
             lhs = mu_psi(ctx.of(a)) * mu_psi(ctx.of(b))
             h = hilbert_symbol(ctx.of(a), ctx.of(b))
-            rhs = mu_psi(ctx.of(a * b)) * (Mu8(0) if h == 1 else Mu8(4))
+            rhs = mu_psi(ctx.of(a * b)) * (mu8(0) if h == 1 else mu8(4))
             assert lhs == rhs, (a, b, p)
 
 
@@ -321,9 +414,9 @@ def test_mu_with_negative_twist():
 
 
 def test_mu_frozen():
-    assert mu_psi(C3.of(4)) == Mu8.one()
-    assert mu_psi(C3.of(3)) == Mu8(-2)
-    assert mu_psi(C5.of(10)) == Mu8(4)
+    assert mu_psi(C3.of(4)) == Mono.one()
+    assert mu_psi(C3.of(3)) == mu8(-2)
+    assert mu_psi(C5.of(10)) == mu8(4)
 
 
 # ------------------------------------------------------------ square root
