@@ -1,18 +1,23 @@
 """Exact Schwartz functions on the p-adic line and the Weil action on them.
 
-A function is stored as a finite list of terms c * psi(beta*x) * 1_B(x),
-where B is a ball center + P^rad and the coefficient c is an exact Mono:
-a positive rational times a half-integer power of q times a root of
-unity recorded by its rational turn.  Every generator of the metaplectic
-SL2 (and of the Heisenberg group) maps a term list to a term list in
-closed form.  Values, integrals, masses and equality sum coefficients in
-the exact cyclotomic form Cyclo, so operator identities are decided with
-no floating-point arithmetic at all.
+A function is stored as a finite list of terms c * psi(a x^2 + beta x) * 1_B(x),
+where B is a ball center + P^rad, a and beta are rationals and the
+coefficient c is an exact Mono: a positive rational times a half-integer
+power of q times a root of unity recorded by its rational turn.  Every
+generator of the metaplectic SL2 (and of the Heisenberg group) maps each
+term to one term in closed form: upper(b) adds to a, diag and the
+Heisenberg group scale and shift, and the flip is p-adic stationary phase
+(Weil, Acta Math. 111, 1964).  So no generator ever cuts a ball.
+
+Chirps psi(a x^2 + beta x) on one ball are linearly dependent, so
+equality is decided by the exact L2 mass of the difference, a Gram sum of
+the same Gaussian integrals.  Values, integrals, masses and equality are
+exact sums in the cyclotomic form Cyclo, with no floating-point arithmetic
+at all.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from itertools import product
 from typing import Optional
 
 from .padic import (
@@ -44,15 +49,26 @@ def _head(x: Q, k: int, p: int) -> Q:
 
 @dataclass(frozen=True)
 class Term:
-    """coeff * psi(freq * x) on the ball center + P^rad."""
+    """coeff * psi(quad * x^2 + freq * x) on the ball center + P^rad.
+
+    In reduced form the center keeps its digits below rad, quad those
+    below -2 rad (so quad is 0 when the square phase is affine on the
+    ball) and freq those below -rad; every dropped tail is a constant or a
+    frequency on the ball and lives in coeff and freq instead.
+    """
 
     coeff: Mono
     freq: Q
     center: Q
     rad: int
+    quad: Q = Q(0)
 
     def contains(self, x: Q, p: int) -> bool:
         return fraction_valuation(x - self.center, p) >= self.rad
+
+    def phase(self, x: Q, p: int) -> Mono:
+        """coeff * psi(quad x^2 + freq x), the value at a point of the ball."""
+        return self.coeff * Mono(turn=_pfrac((self.quad * x + self.freq) * x, p))
 
 
 def _reduce_coeff(co: Mono, p: int) -> Mono:
@@ -67,12 +83,19 @@ def _normalize_term(t: Term, p: int) -> Optional[Term]:
     if t.coeff.is_zero():
         return None
     c_red = _head(t.center, t.rad, p)
-    f_red = _head(t.freq, -t.rad, p)
+    freq, a_red, shift = t.freq, t.quad, Q(0)
+    if a_red:
+        # on c + P^rad, a x^2 = 2 a c x - a c^2 mod Z_p for a in P^(-2 rad)
+        a_red = _head(t.quad, -2 * t.rad, p)
+        a_tail = t.quad - a_red
+        freq += 2 * a_tail * c_red
+        shift = -a_tail * c_red * c_red
+    f_red = _head(freq, -t.rad, p)
     co = _reduce_coeff(t.coeff, p)
-    tail = t.freq - f_red
-    if tail != 0:
-        co = Mono(co.rat, co.qexp, co.turn + _pfrac(tail * c_red, p))
-    return Term(co, f_red, c_red, t.rad)
+    shift += (freq - f_red) * c_red
+    if shift != 0:
+        co = Mono(co.rat, co.qexp, co.turn + _pfrac(shift, p))
+    return Term(co, f_red, c_red, t.rad, a_red)
 
 
 def _split_term(t: Term, new_rad: int, p: int):
@@ -82,11 +105,11 @@ def _split_term(t: Term, new_rad: int, p: int):
         return
     step = Q(p) ** t.rad
     for k in range(p ** (new_rad - t.rad)):
-        yield Term(t.coeff, t.freq, t.center + k * step, new_rad)
+        yield Term(t.coeff, t.freq, t.center + k * step, new_rad, t.quad)
 
 
 def _regroup(terms, p):
-    # one slot per ball, reduced frequency and monomial; the half turn is
+    # one slot per ball, reduced phase and monomial; the half turn is
     # folded into the sign so that c and -c cancel exactly
     slots = {}
     for t in terms:
@@ -96,15 +119,15 @@ def _regroup(terms, p):
         rat, ph = tn.coeff.rat, tn.coeff.turn
         if ph >= _HALF:
             rat, ph = -rat, ph - _HALF
-        key = (tn.center, tn.rad, tn.freq, tn.coeff.qexp, ph)
+        key = (tn.center, tn.rad, tn.freq, tn.quad, tn.coeff.qexp, ph)
         v = slots.get(key, 0) + rat
         if v:
             slots[key] = v
         else:
             del slots[key]
     out = [
-        Term(Mono(v, qexp, ph), freq, center, rad)
-        for (center, rad, freq, qexp, ph), v in slots.items()
+        Term(Mono(v, qexp, ph), freq, center, rad, quad)
+        for (center, rad, freq, quad, qexp, ph), v in slots.items()
     ]
     if len(out) > _REFINE_CAP:
         raise SchwartzError("ball refinement exceeded the term budget")
@@ -116,7 +139,7 @@ def _regroup(terms, p):
     return out
 
 
-_REFINE_CAP = 20000  # term budget while separating nested balls
+_REFINE_CAP = 20000  # term budget of the split sweep that separates nested balls
 
 
 def _disjointify(terms, p):
@@ -145,9 +168,9 @@ def _disjointify(terms, p):
 
 def _merge_siblings(terms, p):
     # Merge sweep, finest radius to coarsest: p sibling balls carrying the
-    # same (coeff, freq) terms glue into their parent.  A normalised
-    # child's frequency is already reduced at the parent's radius, and a
-    # glued parent can only complete a family one radius further up.
+    # same (coeff, freq, quad) terms glue into their parent.  A normalised
+    # child's phase is already reduced at the parent's radius, and a glued
+    # parent can only complete a family one radius further up.
     levels = {}
     for t in terms:
         levels.setdefault(t.rad, {}).setdefault(t.center, []).append(t)
@@ -157,18 +180,55 @@ def _merge_siblings(terms, p):
         for center, ts in levels.get(rad, {}).items():
             families.setdefault(_head(center, rad - 1, p), []).append(ts)
         for pc, kids in families.items():
-            if len(kids) == p and len({frozenset((t.coeff, t.freq) for t in ts) for ts in kids}) == 1:
+            if len(kids) == p and len({frozenset((t.coeff, t.freq, t.quad) for t in ts) for ts in kids}) == 1:
                 for ts in kids:
                     del levels[rad][ts[0].center]
-                glued = [Term(t.coeff, t.freq, pc, rad - 1) for t in kids[0]]
+                glued = [Term(t.coeff, t.freq, pc, rad - 1, t.quad) for t in kids[0]]
                 levels.setdefault(rad - 1, {})[pc] = glued
         rad -= 1
     return [t for balls in levels.values() for ts in balls.values() for t in ts]
 
 
+def _gauss_integral(a: Q, b: Q, r: int, ctx: PrimeCtx) -> Mono:
+    """The integral of psi(a t^2 + b t) over P^r, by p-adic stationary phase.
+
+    Put j = v(a) + 2r.  When j >= 0, psi(a t^2) is 1 on P^r and the
+    integral is vol(P^r) = q^-r if b is in P^-r, else 0.  When j < 0 it is
+    0 unless v(b) >= v(a) + r; then completing the square gives
+    psi(-b^2/4a) q^-r q^(j/2) gamma(a), gamma the Weil index
+    (Igusa, Local Zeta Functions, 2000; Ranga Rao 1993).
+    """
+    p = ctx.p
+    va = fraction_valuation(a, p)
+    if va + 2 * r >= 0:
+        return Mono(1, -r) if fraction_valuation(b, p) >= -r else Mono.zero()
+    if fraction_valuation(b, p) < va + r:
+        return Mono.zero()
+    gamma = weil_index(ctx.of(a))
+    return Mono(1, Q(va, 2), gamma.turn + _pfrac(-b * b / (4 * a), p))
+
+
+def _ball_integral(a: Q, b: Q, center: Q, r: int, ctx: PrimeCtx) -> Mono:
+    # the integral of psi(a x^2 + b x) over center + P^r, with x = center + t
+    lead = Mono(turn=_pfrac((a * center + b) * center, ctx.p))
+    return lead * _gauss_integral(a, 2 * a * center + b, r, ctx)
+
+
+def _gram(terms, ctx: PrimeCtx):
+    # the monomials of the L2 mass of a sum of terms on one ball:
+    # c_i conj(c_j) times the integral of psi((a_i - a_j) x^2 + (b_i - b_j) x)
+    for ti in terms:
+        for tj in terms:
+            if ti.quad == tj.quad and ti.freq == tj.freq:
+                vol = Mono(1, -ti.rad)
+            else:
+                vol = _ball_integral(ti.quad - tj.quad, ti.freq - tj.freq, ti.center, ti.rad, ctx)
+            yield ti.coeff * tj.coeff.conjugate() * vol
+
+
 @dataclass(frozen=True)
 class SchwartzFn:
-    """Finite exact combination of character-times-ball terms."""
+    """Finite exact combination of quadratic-phase-times-ball terms."""
 
     ctx: PrimeCtx
     terms: tuple
@@ -192,22 +252,25 @@ class SchwartzFn:
     def canonical(self) -> "SchwartzFn":
         """The same function on pairwise disjoint balls, in one fixed form.
 
-        Terms are normalised and summed per ball, reduced frequency and
-        monomial.  A split sweep then cuts every ball that contains a finer
-        one, coarse radius to fine; a merge sweep glues every complete set
-        of p sibling balls with equal terms into its parent, fine to coarse.
+        Terms are normalised (quad mod P^(-2 rad), freq mod P^(-rad), the
+        tails folded into freq and the coefficient) and summed per ball,
+        reduced phase and monomial.  A split sweep then cuts every ball
+        that contains a finer one, coarse radius to fine; a merge sweep
+        glues every complete set of p sibling balls with equal terms into
+        its parent, fine to coarse.  A single term has exactly one reduced
+        form, so two equal one-term functions are equal tuples.
         """
         p = self.ctx.p
         terms = _regroup(list(self.terms), p)
         terms = _disjointify(terms, p)
         terms = _merge_siblings(terms, p)
-        terms.sort(key=lambda t: (t.rad, t.center, t.freq, t.coeff.qexp, t.coeff.turn))
+        terms.sort(key=lambda t: (t.rad, t.center, t.freq, t.quad, t.coeff.qexp, t.coeff.turn))
         return SchwartzFn(self.ctx, tuple(terms))
 
     def scaled(self, co: Mono) -> "SchwartzFn":
         return SchwartzFn(
             self.ctx,
-            tuple(Term(t.coeff * co, t.freq, t.center, t.rad) for t in self.terms),
+            tuple(Term(t.coeff * co, t.freq, t.center, t.rad, t.quad) for t in self.terms),
         )
 
     def plus(self, other: "SchwartzFn") -> "SchwartzFn":
@@ -221,77 +284,77 @@ class SchwartzFn:
     def reflect(self) -> "SchwartzFn":
         return SchwartzFn(
             self.ctx,
-            tuple(Term(t.coeff, -t.freq, -t.center, t.rad) for t in self.terms),
+            tuple(Term(t.coeff, -t.freq, -t.center, t.rad, t.quad) for t in self.terms),
         ).canonical()
 
     def value_at(self, x) -> Cyclo:
         xq = x.value if isinstance(x, PAdic) else _as_fraction(x)
         p = self.ctx.p
-        return Cyclo.of(p, (
-            t.coeff * Mono(turn=_pfrac(t.freq * xq, p)) for t in self.terms if t.contains(xq, p)
-        ))
+        return Cyclo.of(p, (t.phase(xq, p) for t in self.terms if t.contains(xq, p)))
 
     def integral(self) -> Cyclo:
-        p = self.ctx.p
-        return Cyclo.of(p, (
-            t.coeff * Mono(1, -t.rad, _pfrac(t.freq * t.center, p))
-            for t in self.canonical().terms
-            if t.freq == 0 or fraction_valuation(t.freq, p) >= -t.rad
+        ctx = self.ctx
+        return Cyclo.of(ctx.p, (
+            t.coeff * _ball_integral(t.quad, t.freq, t.center, t.rad, ctx) for t in self.terms
         ))
 
-    def _slots(self):
-        # coefficients per (ball, reduced frequency); on a canonical
-        # function distinct slots are linearly independent
-        slots = {}
+    def _balls(self):
+        # the terms of each ball; on a canonical function the balls are disjoint
+        balls = {}
         for t in self.terms:
-            slots.setdefault((t.center, t.rad, t.freq), []).append(t.coeff)
-        return slots
+            balls.setdefault((t.center, t.rad), []).append(t)
+        return balls
 
     def norm_sq(self):
-        """Squared L2 mass: the sum of c_i conj(c_j) vol over each slot.
+        """Squared L2 mass: the Gram sum of c_i conj(c_j) psi-integrals over each ball.
 
-        Distinct reduced frequencies on one ball are orthogonal, so only
-        pairs within a slot contribute.  The result is a Fraction when
-        the mass is rational, else its exact Cyclo (1_O + zeta_8 1_O
-        has mass 2 + sqrt 2).
+        The result is a Fraction when the mass is rational, else its exact
+        Cyclo (1_O + zeta_8 1_O has mass 2 + sqrt 2).
         """
-        mass = Cyclo.of(self.ctx.p, (
-            ci * cj.conjugate() * Mono(qexp=-rad)
-            for (_, rad, _), cos in self.canonical()._slots().items()
-            for ci in cos
-            for cj in cos
+        ctx = self.ctx
+        mass = Cyclo.of(ctx.p, (
+            m for ts in self.canonical()._balls().values() for m in _gram(ts, ctx)
         ))
         r = mass.rational()
         return mass if r is None else r
 
-    def _residual_groups(self):
-        # the slots of a canonical function whose coefficient sum is not 0
-        p = self.ctx.p
+    def _residual_balls(self):
+        # the balls of a canonical function on which it is not 0: one term
+        # is never 0, and a sum is 0 exactly when its L2 mass is
+        ctx = self.ctx
         return [
-            key for key, cos in self._slots().items()
-            if len(cos) == 1 or Cyclo.of(p, cos)
+            key for key, ts in self._balls().items()
+            if len(ts) == 1 or Cyclo.of(ctx.p, _gram(ts, ctx))
         ]
 
     def equals(self, other: "SchwartzFn") -> bool:
-        return not self.minus(other)._residual_groups()
+        return not self.minus(other)._residual_balls()
 
     def difference_witness(self, other: "SchwartzFn") -> Optional[Q]:
-        """A rational point where the two functions differ, or None."""
+        """A rational point where the two functions differ, or None.
+
+        Starting from a ball where the difference has mass, descend into a
+        child ball that keeps mass until the difference is nonzero at the
+        center; the function is locally constant, so this ends.
+        """
         diff = self.minus(other)
-        bad = diff._residual_groups()
+        bad = diff._residual_balls()
         if not bad:
             return None
-        p = self.ctx.p
-        balls = {(center, rad) for center, rad, _freq in bad}
-        for center, rad in sorted(balls, key=lambda b: b[1]):
-            for depth in range(0, 5):
-                for digits in product(range(p), repeat=depth):
-                    x = center
-                    for j, d in enumerate(digits):
-                        x += d * Q(p) ** (rad + j)
-                    if diff.value_at(x):
-                        return x
-        raise SchwartzError("difference detected but no witness point found")
+        ctx = self.ctx
+        p = ctx.p
+        center, rad = bad[0]
+        terms = diff._balls()[bad[0]]
+        while not Cyclo.of(p, (t.phase(center, p) for t in terms)):
+            for k in range(p):
+                child = center + k * Q(p) ** rad
+                kids = [Term(t.coeff, t.freq, child, rad + 1, t.quad) for t in terms]
+                if Cyclo.of(p, _gram(kids, ctx)):
+                    break
+            else:
+                raise SchwartzError("difference detected but no witness point found")
+            center, rad, terms = child, rad + 1, kids
+        return center
 
 
 def phi_m(ctx: PrimeCtx, m: int, n: int) -> SchwartzFn:
@@ -308,22 +371,12 @@ def _check_twist(twist: int) -> int:
 
 
 def _op_upper(phi: SchwartzFn, b: Q, eps: int) -> SchwartzFn:
-    # multiply by psi_eps(b x^2), refining balls until that is affine
+    # multiply by psi_eps(b x^2): every term's quadratic coefficient gains eps b
     if b == 0:
         return phi
-    p = phi.ctx.p
-    v = fraction_valuation(b, p)
-    need = (1 - v) // 2  # smallest r with 2r + v(b) >= 0
-    cost = sum(p ** max(0, need - t.rad) for t in phi.terms)
-    if cost > _REFINE_CAP:
-        raise SchwartzError("ball refinement exceeded the term budget")
-    out = []
-    for t in phi.terms:
-        for piece in _split_term(t, max(t.rad, need), p):
-            c = piece.center
-            co = piece.coeff * Mono(turn=_pfrac(-eps * b * c * c, p))
-            out.append(Term(co, piece.freq + 2 * eps * b * c, c, piece.rad))
-    return SchwartzFn(phi.ctx, tuple(out)).canonical()
+    return SchwartzFn(phi.ctx, tuple(
+        Term(t.coeff, t.freq, t.center, t.rad, t.quad + eps * b) for t in phi.terms
+    )).canonical()
 
 
 def _op_diag(phi: SchwartzFn, a: Q, eps: int) -> SchwartzFn:
@@ -334,26 +387,48 @@ def _op_diag(phi: SchwartzFn, a: Q, eps: int) -> SchwartzFn:
     scale = mu_psi(ctx.of(a), twist=eps) * Mono(qexp=Q(-v, 2))
     out = []
     for t in phi.terms:
-        out.append(Term(t.coeff * scale, t.freq * a, t.center / a, t.rad - v))
+        out.append(Term(t.coeff * scale, t.freq * a, t.center / a, t.rad - v, t.quad * a * a))
     return SchwartzFn(ctx, tuple(out)).canonical()
 
 
 def _op_flip(phi: SchwartzFn, eps: int, with_gamma: bool) -> SchwartzFn:
+    # The transform of c psi(a x^2 + f x) 1_(x0 + P^r) at y is
+    # c psi(a x0^2 + f x0 + 2 eps x0 y) G(a, 2 a x0 + f + 2 eps y), G the
+    # Gaussian integral over P^r; it lives on the ball where G is not 0,
+    # centred at y0 = -eps (2 a x0 + f) / 2.  When psi(a t^2) is affine on
+    # P^r that ball has radius -r and the phase is linear; otherwise it has
+    # radius v(a) + r, and completing the square leaves
+    # q^(v(a)/2) gamma(a) psi(-f^2/4a) psi(-y^2/a - eps f y / a).
     ctx = phi.ctx
+    p = ctx.p
     out = []
     gamma = weil_index(ctx.of(1), twist=eps).turn if with_gamma else 0
     for t in phi.terms:
-        co = t.coeff * Mono(1, -t.rad, gamma + _pfrac(t.freq * t.center, ctx.p))
-        out.append(Term(co, 2 * eps * t.center, Q(-eps) * t.freq / 2, -t.rad))
+        a, f, x0, r = t.quad, t.freq, t.center, t.rad
+        va = fraction_valuation(a, p)
+        if va + 2 * r >= 0:
+            phase = f * x0
+            if a:  # a x^2 = 2 a x0 x - a x0^2 on the ball
+                f += 2 * a * x0
+                phase += a * x0 * x0
+            co = t.coeff * Mono(1, -r, gamma + _pfrac(phase, p))
+            out.append(Term(co, 2 * eps * x0, Q(-eps) * f / 2, -r))
+            continue
+        y0 = -eps * (2 * a * x0 + f) / 2
+        turn = gamma + weil_index(ctx.of(a)).turn + _pfrac(-f * f / (4 * a), p)
+        out.append(Term(t.coeff * Mono(1, Q(va, 2), turn), -eps * f / a, y0, va + r, -1 / a))
     return SchwartzFn(ctx, tuple(out)).canonical()
 
 
 def _op_heis(phi: SchwartzFn, x: Q, xp: Q, z: Q, eps: int) -> SchwartzFn:
+    # phi(y + x) psi_eps(z + x xp + 2 xp y); the square phase of a term
+    # shifts by x into its frequency and constant
     p = phi.ctx.p
     out = []
     for t in phi.terms:
-        turn = _pfrac(eps * (z + x * xp) + t.freq * x, p)
-        out.append(Term(t.coeff * Mono(turn=turn), t.freq + 2 * eps * xp, t.center - x, t.rad))
+        turn = _pfrac(eps * (z + x * xp) + (t.quad * x + t.freq) * x, p)
+        freq = t.freq + 2 * eps * xp + 2 * t.quad * x
+        out.append(Term(t.coeff * Mono(turn=turn), freq, t.center - x, t.rad, t.quad))
     return SchwartzFn(phi.ctx, tuple(out)).canonical()
 
 

@@ -1,11 +1,14 @@
 """Exact Schwartz space and the generator action on it.
 
 Oracles come first and are value-level: a Riemann sum for the transform
-with kernel psi(2xy), and pointwise formulas for every generator so that
-the closed-form term rewriting can be cross-checked at sample points.
-Frozen shapes and invariance thresholds follow, then seeded batteries.
+with kernel psi(2xy), a residue enumeration for the Gaussian integral,
+and pointwise formulas for every generator so that the closed-form term
+rewriting can be cross-checked at sample points.  The ball path that
+square phases replaced is frozen as oracle_weil_act.  Frozen shapes and
+invariance thresholds follow, then seeded batteries.
 """
 import cmath
+import math
 import random
 from fractions import Fraction as Q
 
@@ -54,25 +57,37 @@ def psi_num(t, p, eps=1):
     return e_frac(_pfrac(eps * t, p))
 
 
-def oracle_fourier(phi, x, eps=1):
-    """Riemann sum of phi(y) psi_eps(2xy) dy over a box holding the support.
+def riemann_grid(phi, x=Q(0), eps=1):
+    """(box, depth): phi(y) psi_eps(2xy) is constant on y + P^depth for y in P^-box.
 
-    The coset depth is chosen so the integrand is constant on each coset,
-    which makes the sum exact up to float roundoff.
+    Moving y by d in P^depth moves quad y^2 + (freq + 2 eps x) y by
+    (2 quad y + freq + 2 eps x) d + quad d^2, which is p-integral once
+    depth >= box - v(quad) and depth >= -v(freq + 2 eps x).
     """
     p = phi.ctx.p
-    if not phi.terms:
-        return 0j
-    box = 0
+    box = max(-min(0, t.rad, fraction_valuation(t.center, p)) for t in phi.terms)
     depth = 1
     for t in phi.terms:
-        lo = min(t.rad, fraction_valuation(t.center, p))
-        box = max(box, -min(0, lo))
         g = t.freq + 2 * eps * x
         lvl = t.rad
         if g != 0:
             lvl = max(lvl, -fraction_valuation(g, p))
+        if t.quad != 0:
+            lvl = max(lvl, box - fraction_valuation(t.quad, p))
         depth = max(depth, lvl)
+    return box, depth
+
+
+def oracle_fourier(phi, x, eps=1):
+    """Riemann sum of phi(y) psi_eps(2xy) dy over a box holding the support.
+
+    The coset depth is chosen so the integrand, square phase included, is
+    constant on each coset, which makes the sum exact up to float roundoff.
+    """
+    p = phi.ctx.p
+    if not phi.terms:
+        return 0j
+    box, depth = riemann_grid(phi, x, eps)
     total = 0j
     for k in range(p ** (box + depth)):
         y = Q(k, p**box)
@@ -273,6 +288,146 @@ def oracle_residual_groups(fn, tol=1e-9):
     return {k: v for k, v in groups.items() if abs(v) > tol}
 
 
+def oracle_gauss_integral(p, a, b, r):
+    """The integral of psi(a t^2 + b t) over P^r by residue enumeration.
+
+    t runs over p^r k for k below p^D, with D large enough that moving k
+    by p^D changes a t^2 + b t by a p-adic integer.  Each phase
+    (A k^2 + B k) / L is read in integers as its p-part n / p^e.  The
+    sum of counted roots of unity c_n zeta_(p^e)^n is 0 exactly when c is
+    constant on the cosets of the order-p subgroup, whose sums of
+    zeta_(p^e)^n vanish and span the kernel; else it is summed in Cyclo.
+    """
+    depth = max(1, -(fraction_valuation(a, p) + 2 * r))
+    if b != 0:
+        depth = max(depth, -(fraction_valuation(b, p) + r))
+    step = Q(p) ** r
+    sa, sb = a * step * step, b * step
+    den = math.lcm(sa.denominator, sb.denominator)
+    qa, qb = sa.numerator * (den // sa.denominator), sb.numerator * (den // sb.denominator)
+    pe = 1
+    while den % p == 0:
+        den //= p
+        pe *= p
+    unit = pow(den, -1, pe) if pe > 1 else 0
+    counts = {}
+    for k in range(p**depth):
+        n = (qa * k * k + qb * k) * unit % pe
+        counts[n] = counts.get(n, 0) + 1
+    if pe > 1 and all(counts.get(n, 0) == counts.get((n + pe // p) % pe, 0) for n in range(pe)):
+        return Cyclo.of(p, [])
+    return Cyclo.of(p, (Mono(c, -r - depth, Q(n, pe)) for n, c in counts.items()))
+
+
+def oracle_integral(phi):
+    """The integral of phi as an exact Riemann sum over its constancy grid."""
+    p = phi.ctx.p
+    if not phi.terms:
+        return Cyclo.of(p, [])
+    box, depth = riemann_grid(phi)
+    return Cyclo.of(p, (
+        m * Mono(qexp=-depth)
+        for k in range(p ** (box + depth))
+        for m in phi.value_at(Q(k, p**box)).terms
+    ))
+
+
+# The ball path the quadratic phase replaced, frozen as an oracle: upper(b)
+# cuts every ball until psi(b x^2) is affine on each piece, and no term
+# ever carries a square phase.  Only SchwartzFn.canonical is shared, and
+# it is checked against oracle_canonical on this path's own inputs.
+
+def _oracle_op_upper(phi, b, eps):
+    if b == 0:
+        return phi
+    p = phi.ctx.p
+    v = fraction_valuation(b, p)
+    need = (1 - v) // 2  # smallest r with 2r + v(b) >= 0
+    cost = sum(p ** max(0, need - t.rad) for t in phi.terms)
+    if cost > schwartz._REFINE_CAP:
+        raise SchwartzError("ball refinement exceeded the term budget")
+    out = []
+    for t in phi.terms:
+        for piece in schwartz._split_term(t, max(t.rad, need), p):
+            c = piece.center
+            co = piece.coeff * Mono(turn=_pfrac(-eps * b * c * c, p))
+            out.append(Term(co, piece.freq + 2 * eps * b * c, c, piece.rad))
+    return SchwartzFn(phi.ctx, tuple(out)).canonical()
+
+
+def _oracle_op_diag(phi, a, eps):
+    ctx = phi.ctx
+    v = fraction_valuation(a, ctx.p)
+    scale = mu_psi(ctx.of(a), twist=eps) * Mono(qexp=Q(-v, 2))
+    out = [Term(t.coeff * scale, t.freq * a, t.center / a, t.rad - v) for t in phi.terms]
+    return SchwartzFn(ctx, tuple(out)).canonical()
+
+
+def _oracle_op_flip(phi, eps):
+    ctx = phi.ctx
+    gamma = weil_index(ctx.of(1), twist=eps).turn
+    out = []
+    for t in phi.terms:
+        co = t.coeff * Mono(1, -t.rad, gamma + _pfrac(t.freq * t.center, ctx.p))
+        out.append(Term(co, 2 * eps * t.center, Q(-eps) * t.freq / 2, -t.rad))
+    return SchwartzFn(ctx, tuple(out)).canonical()
+
+
+def oracle_weil_act(word, phi, twist=1):
+    """weil_act on the ball path, rightmost factor first."""
+    out = phi
+    for item in reversed(word):
+        tag = item[0]
+        if tag == "upper":
+            out = _oracle_op_upper(out, Q(item[1]), twist)
+        elif tag == "diag":
+            out = _oracle_op_diag(out, Q(item[1]), twist)
+        elif tag == "flip":
+            out = _oracle_op_flip(out, twist)
+        elif tag == "sign":
+            out = out.scaled(Mono(item[1])).canonical()
+        else:
+            raise AssertionError(tag)
+    return out
+
+
+def oracle_rep_identity_sides(g1, g2, phi, twist):
+    """Both sides of the representation identity on the ball path."""
+    ctx = phi.ctx
+    lhs = oracle_weil_act(g1, oracle_weil_act(g2, phi, twist), twist)
+    prod = cover_lift(ctx, g1) * cover_lift(ctx, g2)
+    word = canonical_word(ctx, prod.rows)
+    rhs = oracle_weil_act(word, phi, twist)
+    if prod.zeta * cover_lift(ctx, word).zeta == -1:
+        rhs = rhs.scaled(Mono(-1)).canonical()
+    return lhs, rhs
+
+
+def oracle_equals(f, g):
+    """The slot test of the ball path: a canonical difference without
+    square phases is 0 exactly when every (ball, frequency) slot sums to 0."""
+    slots = {}
+    for t in f.minus(g).terms:
+        assert t.quad == 0
+        slots.setdefault((t.center, t.rad, t.freq), []).append(t.coeff)
+    return not any(len(cos) == 1 or Cyclo.of(f.ctx.p, cos) for cos in slots.values())
+
+
+def rand_rep_word(rng, p, kmax=2):
+    """1-3 letters from flip, upper, diag and sign, entries u p^k, |k| <= kmax."""
+    out = []
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randrange(4)
+        if k == 0:
+            out.append(("flip",))
+        elif k == 3:
+            out.append(("sign", rng.choice([1, -1])))
+        else:
+            entry = Q(rng.choice([1, 2, -1])) * Q(p) ** rng.randint(-kmax, kmax)
+            out.append(("upper" if k == 1 else "diag", entry))
+    return out
+
+
 def ball_points(center, rad, p, spread=2):
     """A few rationals in center + P^rad and a few just outside."""
     inside = [center, center + Q(p) ** rad, center + 2 * Q(p) ** (rad + 1)]
@@ -367,10 +522,22 @@ def test_full_residue_split_merges_even_with_frequency():
 
 
 def test_refinement_budget_guard():
-    # a very deep quadratic character on a wide ball would need p^13 pieces
+    # a very deep quadratic character on a wide ball: the ball path needed
+    # 3^13 pieces and raised; the square phase keeps it one term
     wide = SchwartzFn.indicator(C3, 0, -3)
-    with pytest.raises(SchwartzError):
-        weil_act([("upper", Q(3) ** -20)], wide)
+    b = Q(3) ** -20
+    with pytest.raises(SchwartzError, match="term budget"):
+        oracle_weil_act([("upper", b)], wide)
+    for eps in (1, -1):
+        out = weil_act([("upper", b)], wide, twist=eps)
+        (t,) = out.terms
+        assert (t.coeff, t.freq, t.center, t.rad) == (Mono.one(), 0, 0, -3)
+        assert fraction_valuation(t.quad - eps * b, 3) >= 6  # reduced mod P^(-2 rad)
+        for x in (Q(0), Q(1), Q(1, 27), Q(5, 9), Q(2, 81), Q(1, 3) + Q(3) ** 8, Q(1, 81)):
+            inside = fraction_valuation(x, 3) >= -3
+            want = [Mono(turn=_pfrac(eps * b * x * x, 3))] if inside else []
+            assert out.value_at(x) == Cyclo.of(3, want)
+            assert abs(out.value_at(x).as_complex() - oracle_step("upper", (b,), wide, x, eps)) < 1e-9
 
 
 def test_refinement_budget_guard_on_the_canonical_path(monkeypatch):
@@ -382,6 +549,159 @@ def test_refinement_budget_guard_on_the_canonical_path(monkeypatch):
     monkeypatch.setattr(schwartz, "_REFINE_CAP", 10)
     with pytest.raises(SchwartzError, match="term budget"):
         SchwartzFn.from_terms(C3, nested)
+
+
+def test_gauss_integral_matches_residue_enumeration():
+    # the stationary-phase closed form against the brute-force sum, for
+    # every unit class of a and b on both sides of v(b) >= v(a) + r
+    ctx_of = {p: PrimeCtx(p) for p in (3, 5, 7)}
+    cases = 0
+    for p, ctx in ctx_of.items():
+        for j in (-1, -2, -3, -4):
+            for u in range(1, p):
+                r = (u + j) % 3 - 1
+                va = j - 2 * r
+                a = Q(u) * Q(p) ** va
+                edge = va + r
+                for b in (Q(0), -2 * Q(p) ** (edge - 1), Q(u + 1) * Q(p) ** edge, Q(p) ** (edge + 1) / 2):
+                    got = schwartz._gauss_integral(a, b, r, ctx)
+                    assert Cyclo.of(p, [got]) == oracle_gauss_integral(p, a, b, r), (p, a, b, r)
+                    vanishes = b != 0 and fraction_valuation(b, p) < edge
+                    assert got.is_zero() == vanishes
+                    if not vanishes:
+                        # magnitude q^-r q^(j/2), phase psi(-b^2/4a) times an eighth root
+                        assert got.rat == 1 and got.qexp == -r + Q(j, 2)
+                        root = got.turn - _pfrac(-b * b / (4 * a), p)
+                        assert (8 * root).denominator == 1
+                        assert Mono(turn=root) == weil_index(ctx.of(a))
+                    cases += 1
+    # where psi(a t^2) is 1 on P^r the integral is the volume or 0
+    for a, b, r, want in ((Q(1, 9), Q(0), 1, Mono(1, -1)), (Q(1, 3), Q(1, 9), 1, Mono.zero()),
+                          (Q(0), Q(1, 3), 1, Mono(1, -1)), (Q(2, 3), Q(1, 3), 0, None)):
+        got = schwartz._gauss_integral(a, b, r, C3)
+        assert Cyclo.of(3, [got]) == oracle_gauss_integral(3, a, b, r)
+        if want is not None:
+            assert got == want
+    assert cases == 4 * 4 * (2 + 4 + 6)
+
+
+def test_weil_act_verdicts_match_the_ball_path_oracle(monkeypatch):
+    # every case the ball path decides gets the same verdict; the square
+    # phase decides every case, each side as one term
+    monkeypatch.setattr(schwartz, "_REFINE_CAP", 1000)  # the oracle gives up fast
+    rng = random.Random(24)
+    decided = undecided = 0
+    for p in (3, 5, 7):
+        ctx = PrimeCtx(p)
+        phis = [SchwartzFn.indicator(ctx), phi_m(ctx, 1, 2), SchwartzFn.indicator(ctx, Q(1), 1)]
+        for _ in range(60):
+            g1, g2 = rand_rep_word(rng, p), rand_rep_word(rng, p)
+            phi, eps = rng.choice(phis), rng.choice([1, -1])
+            lhs, rhs = schwartz._rep_identity_sides(g1, g2, phi, eps)
+            assert len(lhs.terms) == len(rhs.terms) == 1
+            verdict = check_rep_identity(g1, g2, phi, twist=eps)
+            assert verdict and lhs == rhs, (p, g1, g2, eps)
+            try:
+                want = oracle_equals(*oracle_rep_identity_sides(g1, g2, phi, eps))
+            except SchwartzError:
+                undecided += 1
+                continue
+            assert verdict == want, (p, g1, g2, eps)
+            decided += 1
+    assert decided >= 170 and undecided >= 1, (decided, undecided)
+
+
+def test_deep_words_match_pointwise_oracle():
+    # words the ball path could not afford, against pointwise formulas
+    rng = random.Random(25)
+    b = Q(3) ** -20
+    wide = SchwartzFn.indicator(C3, 0, -3)
+    word = [("flip",), ("upper", b)]
+    out = weil_act(word, wide)
+    assert len(out.terms) == 1 and out.terms[0].rad == -23
+    xs = [Q(0), Q(3) ** 25, Q(2) * Q(3) ** 23, Q(3) ** 22, Q(1, 2) * Q(3) ** 24]
+    for x in xs:
+        # flip . upper(b) . 1_(P^-3) at x, as the Gaussian integral over P^-3
+        want = schwartz._gauss_integral(b, 2 * x, -3, C3)
+        assert out.value_at(x) == Cyclo.of(3, [want]), x
+    for p in (3, 5):
+        ctx = PrimeCtx(p)
+        phi = phi_m(ctx, 1, 1)
+        for eps in (1, -1):
+            word = [("flip",), ("upper", Q(p) ** -2), ("flip",)]
+            got = weil_act(word, phi, twist=eps)
+            assert len(got.terms) == 1
+            pts = [Q(0), Q(1), Q(1, p), Q(2, p * p), Q(p), Q(rng.randint(1, p**3), p**2)]
+            for x in pts:
+                assert abs(got.value_at(x).as_complex() - oracle_word(word, phi, x, eps)) < 1e-9, (p, eps, x)
+
+
+def _chirp_terms(rng, p):
+    # one ball carrying two square phases and a linear one, a chirp on a
+    # ball inside it and one on a ball elsewhere; supports stay in P^-1
+    # and square phases above P^-4, so the Riemann grid has p^5 points
+    center = Q(rng.randint(0, p - 1))
+    rad = rng.randint(-1, 0)
+    terms = []
+    for _ in range(2):
+        quad = Q(rng.choice([1, 2, -1])) * Q(p) ** (-2 * rad - rng.randint(1, 2))
+        co = Mono(Q(rng.randint(1, 3)), Q(rng.randint(-1, 1), 2), Q(rng.randint(0, 7), 8))
+        terms.append(Term(co, Q(rng.randint(-p, p), p), center, rad, quad))
+    terms.append(Term(Mono(Q(-1)), Q(rng.randint(0, p)), center, rad))
+    terms.append(Term(Mono(2, 0, Q(1, 4)), Q(0), center + Q(p) ** (rad + 1), rad + 1, Q(p) ** (-2 * rad - 3)))
+    terms.append(Term(Mono.one(), Q(1, p), Q(1, p), 0, Q(2, p * p)))
+    return terms
+
+
+def test_chirp_sums_plancherel_integral_values_and_reflection():
+    rng = random.Random(26)
+    for p, count in ((3, 5), (5, 2)):
+        ctx = PrimeCtx(p)
+        for _ in range(count):
+            raw = SchwartzFn(ctx, tuple(_chirp_terms(rng, p)))
+            f = raw.canonical()
+            assert sum(t.quad != 0 for t in f.terms) >= 2
+            assert fourier(f).norm_sq() == f.norm_sq()
+            assert fourier(f, twist=-1).norm_sq() == f.norm_sq()
+            assert f.integral() == oracle_integral(f) == raw.integral()
+            assert f.canonical() == f
+            box, depth = riemann_grid(f)
+            for _ in range(8):
+                x = Q(rng.randint(-p ** (box + depth), p ** (box + depth)), p**box)
+                want = Cyclo.of(p, (
+                    t.coeff * Mono(turn=_pfrac(t.quad * x * x + t.freq * x, p))
+                    for t in raw.terms if fraction_valuation(x - t.center, p) >= t.rad
+                ))
+                assert f.value_at(x) == raw.value_at(x) == want
+                assert f.reflect().value_at(-x) == want
+            y = Q(rng.randint(0, p * p), p)
+            assert abs(fourier(f).value_at(y).as_complex() - oracle_fourier(f, y)) < 1e-9
+
+
+def test_chirp_relation_is_zero_by_mass_and_witnessed_when_broken():
+    # psi(u x^2/p) on O expands in the linear characters of O/P with Gauss
+    # sum coefficients; the terms never cancel, yet the difference is 0
+    for p in (3, 5, 7):
+        ctx = PrimeCtx(p)
+        for u in (1, p - 1):
+            chirp = SchwartzFn.from_terms(ctx, [Term(Mono.one(), Q(0), Q(0), 0, Q(u, p))])
+            expansion = SchwartzFn.from_terms(ctx, [
+                Term(Mono(Q(1, p), 0, Q(u * k * k - b * k, p)), Q(b, p), Q(0), 0)
+                for b in range(p) for k in range(p)
+            ])
+            diff = chirp.minus(expansion)
+            assert len(diff.terms) > 1 and diff._residual_balls() == []
+            assert chirp.equals(expansion) and diff.norm_sq() == 0
+            assert chirp.difference_witness(expansion) is None
+            broken = expansion.plus(SchwartzFn.from_terms(ctx, [Term(Mono(Q(1, p)), Q(1, p), Q(0), 0)]))
+            assert not chirp.equals(broken)
+            x = chirp.difference_witness(broken)
+            assert chirp.value_at(x) != broken.value_at(x)
+    # a chirp against its own square-phase-free neighbour, deep in a ball
+    f = SchwartzFn.from_terms(C3, [Term(Mono.one(), Q(0), Q(0), -2, Q(1, 3) ** 9)])
+    g = SchwartzFn.indicator(C3, 0, -2)
+    x = f.difference_witness(g)
+    assert f.value_at(x) != g.value_at(x)
 
 
 def _nested_ball_terms(rng, p):
@@ -423,6 +743,7 @@ def test_canonical_matches_fixed_point_oracle_on_nested_balls():
 
 
 def test_canonical_matches_fixed_point_oracle_on_weil_words(monkeypatch):
+    # the inputs come from the ball path, which cuts balls on every upper
     seen = []
     canonical = SchwartzFn.canonical
 
@@ -446,7 +767,8 @@ def test_canonical_matches_fixed_point_oracle_on_weil_words(monkeypatch):
                         word.append(("sign", rng.choice([1, -1])))
                     else:
                         word.append((tag, Q(rng.choice([1, 2, -1])) * Q(p) ** rng.randint(-1, 1)))
-            assert check_rep_identity(*words, rng.choice(phis), twist=rng.choice([1, -1]))
+            lhs, rhs = oracle_rep_identity_sides(*words, rng.choice(phis), rng.choice([1, -1]))
+            assert oracle_equals(lhs, rhs)
     monkeypatch.undo()
     assert len(seen) > 300
     for fn in seen:
@@ -637,6 +959,42 @@ def test_short_words_match_pointwise_formulas_seeded():
                 assert abs(got.value_at(k).as_complex() - want) < 1e-9, (p, word, eps, k)
 
 
+def test_generators_on_chirps_match_pointwise_formulas_seeded():
+    # every generator, and the Heisenberg law, on inputs that already
+    # carry square phases, one on a ball and two sharing one
+    rng = random.Random(27)
+    for p, ctx in ((3, C3), (5, C5)):
+        phis = [
+            SchwartzFn.from_terms(ctx, [Term(Mono.one(), Q(1, p), Q(0), 0, Q(1, p))]),
+            SchwartzFn.from_terms(ctx, [
+                Term(Mono(2, 0, Q(1, 8)), Q(0), Q(1), 1, Q(2, p**3)),
+                Term(Mono.one(), Q(1), Q(1), 1, Q(-1, p**4)),
+            ]),
+        ]
+        for _ in range(16):
+            tag = rng.choice(["upper", "diag", "flip", "heis", "sign"])
+            if tag in ("upper", "diag"):
+                item = (tag, Q(rng.choice([1, 2, -1])) * Q(p) ** rng.randint(-2, 2))
+            elif tag == "heis":
+                item = ("heis", Q(rng.randint(-3, 3), rng.choice([1, p])),
+                        Q(rng.randint(-3, 3), rng.choice([1, p])), Q(rng.randint(-3, 3)))
+            elif tag == "sign":
+                item = ("sign", rng.choice([1, -1]))
+            else:
+                item = ("flip",)
+            eps = rng.choice([1, -1])
+            phi = rng.choice(phis)
+            got = weil_act([item], phi, twist=eps)
+            for k in [Q(0), Q(1), Q(1, p), Q(2, p * p), Q(p), Q(rng.randint(1, p**3), p)]:
+                want = oracle_step(item[0], item[1:], phi, k, eps)
+                assert abs(got.value_at(k).as_complex() - want) < 1e-9, (p, item, eps, k)
+            pick = lambda: Q(rng.randint(-4, 4), rng.choice([1, p, p * p]))
+            h1 = HeisenbergElem.of(ctx, pick(), pick(), pick())
+            h2 = HeisenbergElem.of(ctx, pick(), pick(), pick())
+            lhs = weil_act([h1], weil_act([h2], phi, twist=eps), twist=eps)
+            assert lhs.equals(weil_act([h1 * h2], phi, twist=eps)), (p, h1, h2, eps)
+
+
 def test_flip_on_deep_ball_closed_form():
     # the transform of the level ball, with the index factor in front
     for n, m in ((2, 1), (1, 2), (3, 1)):
@@ -684,8 +1042,8 @@ def test_upper_breaks_below_true_threshold(n, m):
 
 @pytest.mark.parametrize("n,m", INVARIANCE_GRID)
 def test_lower_fixes_phi_m_through_true_threshold(n, m):
-    # odd valuations route through a quadratic character sum, whose
-    # slots hold several monomials; equality sums them exactly
+    # the word routes through square phases and the stationary-phase flip
+    # and must come back to the ball exactly
     f = phi_m(C3, m, n)
     stated = (4 * n - 1) * m
     true_edge = (4 * n - 2) * m
@@ -867,45 +1225,40 @@ def test_norm_sq_is_exact_and_not_always_rational():
 
 
 def test_exact_equality_agrees_with_the_float_oracle_on_residual_words(monkeypatch):
-    # words whose two sides differ term by term but agree as functions:
-    # their difference reaches the slot sums, where the exact verdict must
-    # match the frozen float one, also after a visible perturbation
+    # words whose two ball-path sides differ term by term but agree as
+    # functions: their difference reaches the slot sums, where the exact
+    # verdict must match the frozen float one, also after a visible
+    # perturbation; the library decides per ball, so slots project to balls
     monkeypatch.setattr(schwartz, "_REFINE_CAP", 1000)  # skip the costly words fast
     rng = random.Random(23)
+
+    def balls(groups):
+        return {(center, rad) for center, rad, _freq in groups}
+
     for p in (7, 11, 13):
         ctx = PrimeCtx(p)
         phis = [SchwartzFn.indicator(ctx), SchwartzFn.indicator(ctx, Q(1), 1)]
-
-        def word():
-            out = []
-            for _ in range(rng.randint(1, 3)):
-                k = rng.randrange(4)
-                if k == 0:
-                    out.append(("flip",))
-                elif k == 3:
-                    out.append(("sign", rng.choice([1, -1])))
-                else:
-                    entry = Q(rng.choice([1, 2, -1])) * Q(p) ** rng.randint(-1, 1)
-                    out.append(("upper" if k == 1 else "diag", entry))
-            return out
-
         reached = multi = 0
         for _ in range(400):
-            g1, g2, phi, eps = word(), word(), rng.choice(phis), rng.choice([1, -1])
+            g1, g2 = rand_rep_word(rng, p, kmax=1), rand_rep_word(rng, p, kmax=1)
+            phi, eps = rng.choice(phis), rng.choice([1, -1])
             try:
-                lhs, rhs = schwartz._rep_identity_sides(g1, g2, phi, eps)
+                lhs, rhs = oracle_rep_identity_sides(g1, g2, phi, eps)
                 diff = lhs.minus(rhs)
             except SchwartzError:
                 continue
             if diff.is_structural_zero():
                 continue
             reached += 1
-            multi += sum(len(cos) > 1 for cos in diff._slots().values())
-            assert set(diff._residual_groups()) == set(oracle_residual_groups(diff))
+            slots = {}
+            for t in diff.terms:
+                slots.setdefault((t.center, t.rad, t.freq), []).append(t)
+            multi += sum(len(ts) > 1 for ts in slots.values())
+            assert set(diff._residual_balls()) == balls(oracle_residual_groups(diff))
             assert check_rep_identity(g1, g2, phi, twist=eps) == (not oracle_residual_groups(diff))
             t = diff.terms[0]
             bumped = diff.plus(SchwartzFn(ctx, (Term(Mono(1, -1), t.freq, t.center, t.rad),)))
-            assert set(bumped._residual_groups()) == set(oracle_residual_groups(bumped))
+            assert set(bumped._residual_balls()) == balls(oracle_residual_groups(bumped))
             if reached == 4:
                 break
         assert reached == 4 and multi >= 4, (p, reached, multi)
