@@ -16,7 +16,7 @@ from ..rootsys import (
 from ..chevalley import Mat, MatrixError, bruhat_decompose
 from .checks import CATALOG, run_campaign
 from .config import HarnessError, build_config, read_config_file
-from .report import FAIL, FLAGGED, PASS, SKIPPED, encode_value
+from .report import FAIL, PASS, SKIPPED, encode_value
 
 
 def _int_list(text):
@@ -61,7 +61,7 @@ def _build_parser():
 
 # ---------------------------------------------------------------- verify
 
-_STATUS_TAG = {PASS: "PASS", FAIL: "FAIL", FLAGGED: "FLAGGED", SKIPPED: "SKIPPED"}
+_STATUS_TAG = {PASS: "PASS", FAIL: "FAIL", SKIPPED: "SKIPPED"}
 
 
 def _cmd_verify(args):
@@ -92,7 +92,7 @@ def _cmd_verify(args):
         tally[rec.status] += 1
     print(
         f"summary: {len(report.checks)} checks, {tally[PASS]} pass, {tally[FAIL]} fail, "
-        f"{tally[FLAGGED]} flagged, {tally[SKIPPED]} skipped"
+        f"{tally[SKIPPED]} skipped"
     )
     if cfg.out:
         report.write(cfg.out)

@@ -1,6 +1,6 @@
 """Campaign configuration: flags, config files, validation."""
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from ..padic import PadicError, _is_prime
 
@@ -122,10 +122,6 @@ def read_config_file(path: str) -> dict:
     return values
 
 
-_LIST_KEYS = {"n": "n", "p": "p", "m": "m", "i": "i"}
-_INT_KEYS = {"samples": "samples", "seed": "seed"}
-
-
 def build_config(file_values: dict = None, **overrides) -> CampaignConfig:
     """Config-file values first, then explicit flag overrides on top."""
     cfg = CampaignConfig()
@@ -134,11 +130,11 @@ def build_config(file_values: dict = None, **overrides) -> CampaignConfig:
         if val is not None:
             merged[key] = val
     for key, val in merged.items():
-        if key in _LIST_KEYS:
-            cfg = replace(cfg, **{_LIST_KEYS[key]: _parse_int_list(val)})
-        elif key in _INT_KEYS:
+        if key in ("n", "p", "m", "i"):
+            cfg = replace(cfg, **{key: _parse_int_list(val)})
+        elif key in ("samples", "seed"):
             try:
-                cfg = replace(cfg, **{_INT_KEYS[key]: int(val)})
+                cfg = replace(cfg, **{key: int(val)})
             except (TypeError, ValueError) as exc:
                 raise HarnessError(f"bad integer for {key}: {val!r}") from exc
         elif key == "checks":

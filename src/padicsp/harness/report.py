@@ -15,10 +15,9 @@ from ..rootsys import Root, WeylElem
 
 PASS = "pass"
 FAIL = "fail"
-FLAGGED = "flagged"
 SKIPPED = "skipped"
 
-_STATUSES = (PASS, FAIL, FLAGGED, SKIPPED)
+_STATUSES = (PASS, FAIL, SKIPPED)
 
 
 def encode_value(v):
@@ -98,7 +97,6 @@ class Report:
             "summary": {
                 "pass": sum(1 for r in self.checks if r.status == PASS),
                 "fail": sum(1 for r in self.checks if r.status == FAIL),
-                "flagged": sum(1 for r in self.checks if r.status == FLAGGED),
                 "skipped": sum(1 for r in self.checks if r.status == SKIPPED),
             },
         }

@@ -391,7 +391,7 @@ def _op_diag(phi: SchwartzFn, a: Q, eps: int) -> SchwartzFn:
     return SchwartzFn(ctx, tuple(out)).canonical()
 
 
-def _op_flip(phi: SchwartzFn, eps: int, with_gamma: bool) -> SchwartzFn:
+def _op_flip(phi: SchwartzFn, eps: int) -> SchwartzFn:
     # The transform of c psi(a x^2 + f x) 1_(x0 + P^r) at y is
     # c psi(a x0^2 + f x0 + 2 eps x0 y) G(a, 2 a x0 + f + 2 eps y), G the
     # Gaussian integral over P^r; it lives on the ball where G is not 0,
@@ -402,7 +402,6 @@ def _op_flip(phi: SchwartzFn, eps: int, with_gamma: bool) -> SchwartzFn:
     ctx = phi.ctx
     p = ctx.p
     out = []
-    gamma = weil_index(ctx.of(1), twist=eps).turn if with_gamma else 0
     for t in phi.terms:
         a, f, x0, r = t.quad, t.freq, t.center, t.rad
         va = fraction_valuation(a, p)
@@ -411,11 +410,11 @@ def _op_flip(phi: SchwartzFn, eps: int, with_gamma: bool) -> SchwartzFn:
             if a:  # a x^2 = 2 a x0 x - a x0^2 on the ball
                 f += 2 * a * x0
                 phase += a * x0 * x0
-            co = t.coeff * Mono(1, -r, gamma + _pfrac(phase, p))
+            co = t.coeff * Mono(1, -r, _pfrac(phase, p))
             out.append(Term(co, 2 * eps * x0, Q(-eps) * f / 2, -r))
             continue
         y0 = -eps * (2 * a * x0 + f) / 2
-        turn = gamma + weil_index(ctx.of(a)).turn + _pfrac(-f * f / (4 * a), p)
+        turn = weil_index(ctx.of(a)).turn + _pfrac(-f * f / (4 * a), p)
         out.append(Term(t.coeff * Mono(1, Q(va, 2), turn), -eps * f / a, y0, va + r, -1 / a))
     return SchwartzFn(ctx, tuple(out)).canonical()
 
@@ -433,8 +432,11 @@ def _op_heis(phi: SchwartzFn, x: Q, xp: Q, z: Q, eps: int) -> SchwartzFn:
 
 
 def fourier(phi: SchwartzFn, twist: int = 1) -> SchwartzFn:
-    """Integral transform with kernel psi_twist(2xy), self-dual measure."""
-    return _op_flip(phi, _check_twist(twist), with_gamma=False)
+    """Integral transform with kernel psi_twist(2xy), self-dual measure.
+
+    This is also the `flip` letter of `weil_act`: its Weil index factor
+    gamma(1) is 1 for both twists, since v(1) is even."""
+    return _op_flip(phi, _check_twist(twist))
 
 
 @dataclass(frozen=True)
@@ -517,7 +519,7 @@ def weil_act(word, phi: SchwartzFn, twist: int = 1) -> SchwartzFn:
         elif tag == "diag":
             out = _op_diag(out, it[1], eps)
         elif tag == "flip":
-            out = _op_flip(out, eps, with_gamma=True)
+            out = _op_flip(out, eps)
         elif tag == "sign":
             out = out.scaled(Mono(it[1])).canonical()
         else:

@@ -1,11 +1,17 @@
 """The release gate: thirteen numbered verdicts over the whole stack.
 
 Each test prints one scoreboard line, ``criterion NN: PASS`` or
-``FAIL``, and conftest repeats the collected lines after the run.  The
-verdicts cover the root census, the matrix layer, the congruence
-filtrations, the covering group, and the representation on test
-functions, each at the scale and tolerance the gate promises, reusing
-the independent oracles of the per-module suites.
+``FAIL``, and conftest repeats the collected lines after the run (a
+criterion that raises shows as ``ERROR``).  The verdicts cover the root
+census, the matrix layer, the congruence filtrations, the covering
+group, and the representation on test functions, each at the scale and
+tolerance the gate promises, reusing the independent oracles of the
+per-module suites.
+
+Where a criterion's verdict is a catalog check of `padicsp verify`
+(criteria 02, 04, 05, 06, 09, 11 and 12), the criterion runs that check
+with its own seed and case counts through `run_check` and adds only
+what the check does not assert.
 
 Criterion 10 checks the deep-ball vectors at two places: invariance
 at the paper's radii -(4n-3)m upstairs and (4n-1)m downstairs, and
@@ -17,12 +23,7 @@ import time
 from fractions import Fraction as Q
 
 import conftest
-from test_chevalley import (
-    admissible_rewrite_case,
-    oracle_volume_exponent,
-    random_root_word_matrix,
-    random_unipotent,
-)
+from test_chevalley import oracle_volume_exponent, random_unipotent
 from test_padic import oracle_hilbert_solvable, smallest_nonresidue
 from test_rootsys import radical_root
 from test_schwartz import oracle_square_character_trivial
@@ -37,61 +38,71 @@ from padicsp.padic import (
     psi,
     weil_index,
 )
-from padicsp.quadext import QuadExt, norm_one_decompose
 from padicsp.rootsys import (
     WeylElem,
     bad_pair_weyl_factorizations,
     bad_pair_witness,
     bad_pairs,
     bad_triples,
-    bad_triples_for_pair,
     bruhat_leq,
     chain_word_sigma,
     full_weyl_group,
     highest_root_reflection,
     is_bad_pair,
-    ordered_negated_roots,
     positive_roots,
-    reflection,
     root_decompositions,
     root_from_vector,
 )
 from padicsp.chevalley import (
-    bruhat_decompose,
-    cell_collapse_witness,
-    cell_identity_borel_part,
-    cell_word_rewrite,
     corner_column_unipotent,
     first_axis_torus,
     generic_character,
     in_skew_level,
     levi_embed,
-    mul_root_elem,
     negative_coordinate_bound,
     radical_coordinate_bound,
     root_elem,
-    root_product,
     rotate_conjugate,
     skew_level_character,
-    torus,
     volume_exponent,
-    weyl_from_rank_pattern,
-    weyl_rep,
 )
 from padicsp.metaplectic import (
     MetaSL2,
     SectionFsi,
     _eval_fsi_raw,
-    decompose_big_cell,
     intertwine_eval,
     intertwine_eval_exact,
     intertwine_level,
     ramified_character,
 )
 from padicsp import schwartz as sw
+from padicsp.harness import CampaignConfig, CheckFailure
+from padicsp.harness.checks import (
+    check_bad_pair_factorizations,
+    check_big_cell,
+    check_bruhat_oracle,
+    check_cell_collapse,
+    check_cell_identity,
+    check_cell_word_rewrite,
+    check_fourier_closure,
+    check_norm_one_split,
+    check_obstructed_decompositions,
+    check_weil_rep_identity,
+)
 
 C3 = PrimeCtx(3)
 C5 = PrimeCtx(5)
+
+
+def run_check(check, seed, problems, **settings) -> int:
+    """Run one catalog check at the default ranks, primes and levels
+    with `settings` on top; its counterexample becomes a problem."""
+    try:
+        cases, _ = check(CampaignConfig(**settings), random.Random(seed))
+    except CheckFailure as exc:
+        problems.append(f"{check.__name__}: {exc.payload}")
+        return 0
+    return cases
 
 
 def record(num: int, label: str, ok: bool, note: str = "") -> bool:
@@ -146,17 +157,9 @@ def test_criterion_02_factorization_sets():
     t0 = time.perf_counter()
     problems = []
     n = 3
-    w0 = highest_root_reflection(n)
-    expected = {
-        (1, 2): {w0},
-        (1, 3): {w0, WeylElem.from_word(n, [2, 3, 2, 1])},
-        (2, 3): {WeylElem.from_word(n, [1, 2, 3, 2]), WeylElem.from_word(n, [2, 3, 2])},
-    }
+    run_check(check_bad_pair_factorizations, 20201, problems)
     for g1, g2 in bad_pairs(n):
         i, j = bad_pair_witness(g1, g2)
-        got = set(bad_triples_for_pair(g1, g2))
-        if got != expected[(i, j)]:
-            problems.append(f"set mismatch at {(i, j)}")
         sigma = WeylElem.from_word(n, chain_word_sigma(n, i, j))
         for w, witness in bad_pair_weyl_factorizations(g1, g2):
             if witness is None:
@@ -246,46 +249,17 @@ def test_criterion_03_reflection_and_shape_laws():
 def test_criterion_04_cell_collapse_descent():
     """Appended opposite factors land strictly below, both insertion modes.
 
-    200 seeded cases per obstructed pair and prime for the reinsertion
-    mode, 200 per rank and prime for the plain mode; the witness
-    constructor multiplies the factors out and reads the cell off the
-    decomposition, and the verdict re-checks the strict drop.
+    200 seeded cases per obstructed triple and prime for the reinsertion
+    mode (obstructed-decompositions, which also rejects an in-depth word
+    per rank and prime), 200 per rank and prime for the plain mode
+    (cell-collapse, which reinserts whenever the tail holds a bad pair);
+    the witness constructor multiplies the factors out and reads the
+    cell off the decomposition, and each check re-checks the strict drop.
     """
     t0 = time.perf_counter()
-    rng = random.Random(40401)
     problems = []
-    cases = 0
-    for p in (3, 5):
-        ctx = PrimeCtx(p)
-        for n in (2, 3):
-            for g1, g2, w in bad_triples(n):
-                for _ in range(200):
-                    t = torus(ctx, [Q(rng.choice([1, 2, 5]))] + [Q(1)] * (n - 1))
-                    rs = [
-                        Q(rng.choice([1, 2, 5]), rng.choice([1, p])),
-                        Q(rng.choice([1, 2]), rng.choice([1, p])),
-                    ]
-                    w_prime = cell_collapse_witness(t, w, [g1, g2], rs, bad_index=1)
-                    if not bruhat_leq(w_prime, w) or w_prime == w:
-                        problems.append(f"no drop p={p} n={n} w={w}")
-                    cases += 1
-            w0 = highest_root_reflection(n)
-            ws = [w for w in full_weyl_group(n) if bruhat_leq(w, w0) and not w.is_identity()]
-            done = 0
-            while done < 200:
-                w = ws[rng.randrange(len(ws))]
-                order = ordered_negated_roots(w)
-                q = rng.randrange(len(order))
-                tail = sorted(order[q:], key=lambda g: g.height)
-                if any(is_bad_pair(tail[0], g) for g in tail[1:]):
-                    continue
-                t = torus(ctx, [Q(rng.choice([1, 2, 3, 5]))] + [Q(1)] * (n - 1))
-                rs = [Q(rng.choice([1, 2, 5]), rng.choice([1, p])) for _ in tail]
-                w_prime = cell_collapse_witness(t, w, tail, rs)
-                if not bruhat_leq(w_prime, w) or w_prime == w:
-                    problems.append(f"no drop p={p} n={n} w={w} plain")
-                done += 1
-                cases += 1
+    cases = run_check(check_obstructed_decompositions, 40401, problems, samples=1600)
+    cases += run_check(check_cell_collapse, 40402, problems, samples=200)
     elapsed = time.perf_counter() - t0
     if elapsed >= 120.0:
         problems.append(f"took {elapsed:.1f}s")
@@ -297,31 +271,8 @@ def test_criterion_04_cell_collapse_descent():
 
 def test_criterion_05_pivot_rewriter():
     """Depth rewriting: exact two-sided identity, pivot size preserved."""
-    rng = random.Random(50501)
     problems = []
-    cases = 0
-    for p in (3, 5):
-        ctx = PrimeCtx(p)
-        for n in (2, 3):
-            for m in (1, 2):
-                for _ in range(30):
-                    w, rs, u, t, q_at = admissible_rewrite_case(ctx, n, m, rng)
-                    order = ordered_negated_roots(w)
-                    u_tilde, rs_tilde, q = cell_word_rewrite(t, w, rs, u, m)
-                    if q > q_at or not u_tilde.is_upper_unitriangular():
-                        problems.append(f"pivot moved p={p} n={n} m={m}")
-                    if fraction_valuation(rs_tilde[q], p) != fraction_valuation(rs[q], p):
-                        problems.append(f"pivot size changed p={p} n={n} m={m}")
-                    lhs = t * weyl_rep(ctx, w)
-                    for k in range(len(order) - 1, q - 1, -1):
-                        lhs = mul_root_elem(lhs, order[k], rs[k])
-                    lhs = lhs * u
-                    rhs = u_tilde * t * weyl_rep(ctx, w)
-                    for k in range(len(order) - 1, -1, -1):
-                        rhs = mul_root_elem(rhs, order[k], rs_tilde[k])
-                    if lhs != rhs:
-                        problems.append(f"identity broken p={p} n={n} m={m}")
-                    cases += 1
+    cases = run_check(check_cell_word_rewrite, 50501, problems, samples=120)
     assert record(5, "pivot rewriter exactness", not problems,
                   f"{cases} cases"), problems[:3]
 
@@ -330,29 +281,9 @@ def test_criterion_05_pivot_rewriter():
 
 def test_criterion_06_cell_identity_and_bruhat_oracle():
     """Opposite-pair cell identity plus 500 word decompositions per rank."""
-    rng = random.Random(60601)
     problems = []
-    cases = 0
-    for n in (2, 3):
-        for g in positive_roots(n):
-            for _ in range(5):
-                r = Q(rng.choice([1, 2, 4, 5]), rng.choice([1, 3, 9]))
-                if rng.random() < 0.5:
-                    r = -r
-                b = cell_identity_borel_part(C3, n, g, r)
-                lhs = root_product(C3, n, [(g, r), (-g, -1 / r)])
-                if not b.is_upper_triangular() or weyl_rep(C3, reflection(g)) * b != lhs:
-                    problems.append(f"cell identity n={n} g={g} r={r}")
-                cases += 1
-        for ctx in (C3, C5):
-            for _ in range(250):
-                g = random_root_word_matrix(ctx, n, rng)
-                u, d, w, um = bruhat_decompose(g)
-                if u * d * weyl_rep(ctx, w) * um != g:
-                    problems.append(f"recomposition n={n} p={ctx.p}")
-                if weyl_from_rank_pattern(g) != w:
-                    problems.append(f"rank-pattern oracle n={n} p={ctx.p}")
-                cases += 1
+    cases = run_check(check_cell_identity, 60601, problems, samples=40)
+    cases += run_check(check_bruhat_oracle, 60602, problems, samples=250)
     assert record(6, "cell identity and decomposition oracle", not problems,
                   f"{cases} cases"), problems[:3]
 
@@ -471,52 +402,14 @@ def test_criterion_08_hilbert_and_weil_cocycle():
 
 # ---------------------------------------------------------- criterion 9
 
-def _cover_word(rng, p):
-    out = []
-    for _ in range(rng.randint(1, 3)):
-        k = rng.randrange(4)
-        if k == 0:
-            out.append(("flip",))
-        elif k == 1:
-            out.append(("upper", Q(rng.choice([1, 2, -1])) * Q(p) ** rng.randint(-2, 2)))
-        elif k == 2:
-            out.append(("diag", Q(rng.choice([1, 2, -1])) * Q(p) ** rng.randint(-2, 2)))
-        else:
-            out.append(("sign", rng.choice([1, -1])))
-    return out
-
-
 def test_criterion_09_weil_representation():
     """300 composition triples per prime, decided exactly, and
     double-transform inversion with exact supports."""
-    rng = random.Random(90901)
     problems = []
-    cases = 0
+    cases = run_check(check_weil_rep_identity, 90901, problems, samples=300)
+    cases += run_check(check_fourier_closure, 90902, problems, samples=25)
     for p in (3, 5):
-        ctx = PrimeCtx(p)
-        phis = [
-            sw.SchwartzFn.indicator(ctx),
-            sw.phi_m(ctx, 1, 2),
-            sw.SchwartzFn.indicator(ctx, Q(1), 1),
-        ]
-        for _ in range(300):
-            g1, g2 = _cover_word(rng, p), _cover_word(rng, p)
-            phi = rng.choice(phis)
-            eps = rng.choice([1, -1])
-            if not sw.check_rep_identity(g1, g2, phi, twist=eps):
-                problems.append(f"composition p={p} g1={g1} g2={g2}")
-            cases += 1
-        for _ in range(25):
-            c = Q(rng.randint(-6, 6), rng.choice([1, p]))
-            r = rng.randint(-1, 2)
-            f = sw.SchwartzFn.indicator(ctx, c, r)
-            ff = sw.fourier(sw.fourier(f))
-            if ff != f.reflect():
-                problems.append(f"inversion shape p={p} c={c} r={r}")
-            if sw.fourier(f).norm_sq() != f.norm_sq():
-                problems.append(f"mass p={p} c={c} r={r}")
-            cases += 1
-        g = sw.phi_m(ctx, 1, 2)
+        g = sw.phi_m(PrimeCtx(p), 1, 2)
         if not sw.fourier(sw.fourier(g)).equals(g.reflect()):
             problems.append(f"inversion on the deep ball p={p}")
         cases += 1
@@ -611,7 +504,7 @@ def _support_is_exactly_the_ball(sec, xval, i):
         b = Q(k) * Q(p) ** low
         val = _eval_fsi_raw(sec, MetaSL2.lower(ctx, -b) * MetaSL2.upper(ctx, xval))
         inside = b == 0 or fraction_valuation(b, p) >= 3 * i
-        if val.zero == inside:
+        if val.is_zero() == inside:
             return False
     return True
 
@@ -619,30 +512,10 @@ def _support_is_exactly_the_ball(sec, xval, i):
 def test_criterion_11_big_cell_and_intertwining():
     """Opposite-cell coordinates, the stabilized support ball, and the
     plain q^(-3i) volume for two ramified characters and two s values."""
-    rng = random.Random(111101)
     problems = []
-    cases = 0
+    cases = run_check(check_big_cell, 111101, problems, samples=100)
     for p in (3, 5):
         ctx = PrimeCtx(p)
-        for _ in range(100):
-            y = Q(rng.randint(-20, 20), rng.choice([1, p, p * p])) * Q(p) ** rng.randint(-1, 2)
-            x = Q(rng.randint(-20, 20), rng.choice([1, p, p * p])) * Q(p) ** rng.randint(-1, 2)
-            if 1 + x * y == 0:
-                continue
-            a, xv, ybar = decompose_big_cell(ctx.of(y), ctx.of(x))
-            if a.value != 1 - xv.value * ybar.value or a.value * y != ybar.value:
-                problems.append(f"cell coordinates p={p} x={x} y={y}")
-            # recomposition on the underlying matrices; no sheet pinned here
-            m1 = (MetaSL2.lower(ctx, y) * MetaSL2.upper(ctx, x)).rows
-            bor = ((a.value, xv.value), (Q(0), 1 / a.value))
-            low = MetaSL2.lower(ctx, ybar.value).rows
-            m2 = tuple(
-                tuple(sum(bor[i][k] * low[k][j] for k in range(2)) for j in range(2))
-                for i in range(2)
-            )
-            if m1 != m2:
-                problems.append(f"recomposition p={p} x={x} y={y}")
-            cases += 1
         etas = [
             ramified_character(ctx, 1, 1),
             ramified_character(ctx, 1, 1, varpi_phase=Q(1, 4)),
@@ -675,40 +548,10 @@ def test_criterion_11_big_cell_and_intertwining():
 # --------------------------------------------------------- criterion 12
 
 def test_criterion_12_norm_one_splitting():
-    """Unit-norm times one-plus-deep, 200 seeded elements per extension."""
-    rng = random.Random(121201)
+    """Unit-norm times one-plus-deep, 100 seeded elements per extension
+    and level, three quadratic extensions per prime."""
     problems = []
-    cases = 0
-    exts = [
-        QuadExt(C3, Q(smallest_nonresidue(3))),
-        QuadExt(C5, Q(smallest_nonresidue(5))),
-        QuadExt(C3, Q(3)),
-    ]
-    for ext in exts:
-        p = ext.ctx.p
-        for m in (1, 2):
-            done = 0
-            while done < 100:
-                s = Q(rng.randint(-9, 9), rng.choice([1, p])) * Q(p) ** rng.randint(-1, 1)
-                den = 1 - ext.d * s * s
-                if den == 0:
-                    continue
-                e0 = ext.elem((1 + ext.d * s * s) / den, 2 * s / den)
-                u0 = ext.one() + ext.elem(
-                    Q(rng.randint(-8, 8)) * Q(p) ** m, Q(rng.randint(-8, 8)) * Q(p) ** m
-                )
-                x = e0 * u0
-                if fraction_valuation(x.norm_fraction() - 1, p) < m:
-                    problems.append(f"seed escaped the norm ball d={ext.d} m={m}")
-                    done += 1
-                    continue
-                e, u = norm_one_decompose(x, m)
-                if e * u != x or e.norm_fraction() != 1:
-                    problems.append(f"split broken d={ext.d} m={m} x={x}")
-                if (u - ext.one()).base_valuation() < m:
-                    problems.append(f"second factor too shallow d={ext.d} m={m} x={x}")
-                done += 1
-                cases += 1
+    cases = run_check(check_norm_one_split, 121201, problems, samples=100)
     assert record(12, "norm-one splitting", not problems,
                   f"{cases} cases"), problems[:3]
 

@@ -21,7 +21,8 @@ import pytest
 
 import padicsp
 from padicsp import chevalley
-from padicsp.harness.checks import _random_word_matrix
+from padicsp.harness import CampaignConfig
+from padicsp.harness.checks import _random_word_matrix, check_cell_word_rewrite
 from padicsp.padic import PAdic, PadicError, PrimeCtx, fraction_valuation, psi
 from padicsp.rootsys import (
     Root,
@@ -832,46 +833,11 @@ def test_volume_exponent_against_filtration_oracle(n):
 
 # -------------------------------------------------------- cell rewriting
 
-def admissible_rewrite_case(ctx, n, m, rng):
-    w0 = highest_root_reflection(n)
-    ws = [w for w in full_weyl_group(n) if bruhat_leq(w, w0) and w.length() >= 1]
-    w = ws[rng.randrange(len(ws))]
-    order = ordered_negated_roots(w)
-    q_at = rng.randrange(len(order))
-    rs = []
-    for k, g in enumerate(order):
-        bound = radical_coordinate_bound(g, m)
-        if k == q_at:
-            v = bound - 1 - rng.randrange(3)
-        elif k < q_at:
-            v = bound + rng.randrange(3)
-        else:
-            v = bound - rng.randrange(3)
-        units = [c for c in (1, 2, 4, 5, 7) if c % ctx.p]
-        rs.append(Q(rng.choice(units)) * Q(ctx.p) ** v)
-    u = random_unipotent(ctx, n, rng, depth=m)
-    t = torus(ctx, [Q(ctx.p) ** rng.randrange(-2, 3) * rng.choice([1, 2]) for _ in range(n)])
-    return w, rs, u, t, q_at
-
-
 @pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (3, 1), (3, 2)])
 def test_cell_word_rewrite_admissible_cases(n, m):
-    rng = random.Random(130 + 10 * n + m)
-    for _ in range(12):
-        w, rs, u, t, q_at = admissible_rewrite_case(C3, n, m, rng)
-        u_tilde, rs_tilde, q = cell_word_rewrite(t, w, rs, u, m)
-        assert q <= q_at
-        assert u_tilde.is_upper_unitriangular()
-        order = ordered_negated_roots(w)
-        assert fraction_valuation(rs_tilde[q], 3) == fraction_valuation(rs[q], 3)
-        lhs = t * weyl_rep(C3, w)
-        for k in range(len(order) - 1, q - 1, -1):
-            lhs = mul_root_elem(lhs, order[k], rs[k])
-        lhs = lhs * u
-        rhs = u_tilde * t * weyl_rep(C3, w)
-        for k in range(len(order) - 1, -1, -1):
-            rhs = mul_root_elem(rhs, order[k], rs_tilde[k])
-        assert lhs == rhs
+    cfg = CampaignConfig(n=(n,), p=(3,), m=(m,), samples=48)
+    cases, _ = check_cell_word_rewrite(cfg, random.Random(130 + 10 * n + m))
+    assert cases == 12
 
 
 def test_cell_word_rewrite_rejects_in_depth_word():

@@ -26,6 +26,8 @@ from padicsp.padic import (
     weil_index,
 )
 from padicsp import schwartz
+from padicsp.harness import CampaignConfig
+from padicsp.harness.checks import check_weil_rep_identity
 from padicsp.metaplectic import MetaSL2, rao_cocycle
 from padicsp.schwartz import (
     HeisenbergElem,
@@ -663,6 +665,8 @@ def test_chirp_sums_plancherel_integral_values_and_reflection():
             assert sum(t.quad != 0 for t in f.terms) >= 2
             assert fourier(f).norm_sq() == f.norm_sq()
             assert fourier(f, twist=-1).norm_sq() == f.norm_sq()
+            for eps in (1, -1):
+                assert weil_act([("flip",)], f, twist=eps) == fourier(f, twist=eps)
             assert f.integral() == oracle_integral(f) == raw.integral()
             assert f.canonical() == f
             box, depth = riemann_grid(f)
@@ -1175,32 +1179,8 @@ def test_rep_identity_diag_pair_hilbert_cocycle():
 
 
 def test_rep_identity_seeded_battery():
-    rng = random.Random(19)
-    checked = 0
-    for p, ctx in ((3, C3), (5, C5)):
-        phis = [SchwartzFn.indicator(ctx), phi_m(ctx, 1, 2), SchwartzFn.indicator(ctx, Q(1), 1)]
-
-        def rand_word():
-            out = []
-            for _ in range(rng.randint(1, 3)):
-                k = rng.randrange(4)
-                if k == 0:
-                    out.append(("flip",))
-                elif k == 1:
-                    out.append(("upper", Q(rng.choice([1, 2, -1])) * Q(p) ** rng.randint(-2, 2)))
-                elif k == 2:
-                    out.append(("diag", Q(rng.choice([1, 2, -1])) * Q(p) ** rng.randint(-2, 2)))
-                else:
-                    out.append(("sign", rng.choice([1, -1])))
-            return out
-
-        for _ in range(40):
-            g1, g2 = rand_word(), rand_word()
-            phi = rng.choice(phis)
-            eps = rng.choice([1, -1])
-            assert check_rep_identity(g1, g2, phi, twist=eps), (p, g1, g2, eps)
-            checked += 1
-    assert checked == 80
+    cases, _ = check_weil_rep_identity(CampaignConfig(p=(3, 5), samples=40), random.Random(19))
+    assert cases == 80
 
 
 def test_rep_identity_witness_none_on_success():
