@@ -17,9 +17,12 @@ root factor can be read off there.  Weyl generators are m(swap) for the
 short simple roots and the middle [[0, 1], [-1, 0]] block for the long
 one; canonical monomial representatives multiply those along a reduced
 word.  Everything is exact: a matrix is integer rows over one positive
-denominator, in lowest terms.  The structural routines (Bruhat normal
-form, unipotent refactoring, the two cell rewrites) verify their own
-output before returning it.
+denominator, in lowest terms.  A matrix carries no prime: cells, root
+groups and Weyl representatives never read p, and only the functions
+that read valuations (the congruence levels, the depth characters and
+the cell-word rewrite) take a PrimeCtx, as their leading argument.  The
+structural routines (Bruhat normal form, unipotent refactoring, the two
+cell rewrites) verify their own output before returning it.
 """
 from __future__ import annotations
 
@@ -51,45 +54,43 @@ class FactorizationError(MatrixError):
 
 
 class Mat:
-    """Immutable exact matrix tagged with a prime context.
+    """Immutable exact square matrix.
 
     Stored in lowest terms as one positive integer denominator `den` and
     integer rows `num` with gcd(den, *entries) == 1, so equal matrices
     have equal storage.  `rows` is the Fraction view, built on first use.
     """
 
-    __slots__ = ("ctx", "den", "num", "_rows")
+    __slots__ = ("den", "num", "_rows")
 
-    def __init__(self, ctx, rows):
-        den, num = _integer_rows([[_as_fraction(x) for x in row] for row in rows])
-        _fill(self, ctx, den, num)
-
-    @classmethod
-    def from_lists(cls, ctx, rows) -> "Mat":
-        return cls(ctx, rows)
+    def __init__(self, rows):
+        rows = [[_as_fraction(x) for x in row] for row in rows]
+        _check_square(rows)
+        _fill(self, *_integer_rows(rows))
 
     @classmethod
-    def from_integers(cls, ctx, den, num) -> "Mat":
-        """num / den for a nonzero integer den and integer rows num."""
+    def from_integers(cls, den, num) -> "Mat":
+        """num / den for a nonzero integer den and square integer rows num."""
         den = _as_integer(den)
         if not den:
             raise MatrixError("zero denominator")
         num = tuple(tuple(_as_integer(x) for x in row) for row in num)
+        _check_square(num)
         if den < 0:
             den, num = -den, tuple(tuple(-x for x in row) for row in num)
-        return _mat(ctx, den, num)
+        return _mat(den, num)
 
     @classmethod
-    def identity(cls, ctx, size: int) -> "Mat":
-        return _mat(ctx, 1, _eye(size))
+    def identity(cls, size: int) -> "Mat":
+        return _mat(1, _eye(size))
 
     @classmethod
-    def diagonal(cls, ctx, entries) -> "Mat":
+    def diagonal(cls, entries) -> "Mat":
         es = [_as_fraction(e) for e in entries]
         rows = [[0] * len(es) for _ in es]
         for i, e in enumerate(es):
             rows[i][i] = e
-        return _mat(ctx, *_integer_rows(rows))
+        return _mat(*_integer_rows(rows))
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
@@ -97,13 +98,13 @@ class Mat:
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        return self.den == other.den and self.num == other.num and self.ctx == other.ctx
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.ctx, self.den, self.num))
+        return hash((self.den, self.num))
 
     def __repr__(self):
-        return f"Mat(ctx={self.ctx!r}, rows={self.rows!r})"
+        return f"Mat(rows={self.rows!r})"
 
     @property
     def rows(self) -> tuple:
@@ -125,7 +126,7 @@ class Mat:
     def __mul__(self, other: "Mat") -> "Mat":
         """Exact product: integer rows times integer rows, skipping zeros,
         over the product of the two denominators."""
-        if (self.ctx is not other.ctx and self.ctx != other.ctx) or len(self.num) != len(other.num):
+        if len(self.num) != len(other.num):
             raise MatrixError("incompatible matrices")
         brows = other.num
         out = []
@@ -137,10 +138,10 @@ class Mat:
                         if b:
                             acc[j] += a * b
             out.append(tuple(acc))
-        return _mat(self.ctx, self.den * other.den, tuple(out))
+        return _mat(self.den * other.den, tuple(out))
 
     def transpose(self) -> "Mat":
-        return _mat(self.ctx, self.den, tuple(zip(*self.num)))
+        return _mat(self.den, tuple(zip(*self.num)))
 
     def inverse(self) -> "Mat":
         """Gauss-Jordan over Fractions."""
@@ -161,7 +162,7 @@ class Mat:
                     f = a[r][col]
                     a[r] = [x - f * y for x, y in zip(a[r], a[col])]
                     b[r] = [x - f * y for x, y in zip(b[r], b[col])]
-        return _mat(self.ctx, *_integer_rows(b))
+        return _mat(*_integer_rows(b))
 
     def is_identity(self) -> bool:
         return self.den == 1 and self.num == _eye(len(self.num))
@@ -177,14 +178,13 @@ class Mat:
         return self.is_upper_triangular() and all(row[i] == den for i, row in enumerate(self.num))
 
 
-def _fill(m: Mat, ctx, den: int, num: tuple) -> None:
-    object.__setattr__(m, "ctx", ctx)
+def _fill(m: Mat, den: int, num: tuple) -> None:
     object.__setattr__(m, "den", den)
     object.__setattr__(m, "num", num)
     object.__setattr__(m, "_rows", None)
 
 
-def _mat(ctx, den: int, num: tuple) -> Mat:
+def _mat(den: int, num: tuple) -> Mat:
     """The Mat num / den for den > 0 and integer rows num, reduced to lowest terms."""
     if den != 1:
         g = math.gcd(den, *chain.from_iterable(num))
@@ -192,8 +192,13 @@ def _mat(ctx, den: int, num: tuple) -> Mat:
             den //= g
             num = tuple(tuple(x // g for x in row) for row in num)
     m = object.__new__(Mat)
-    _fill(m, ctx, den, num)
+    _fill(m, den, num)
     return m
+
+
+def _check_square(rows) -> None:
+    if any(len(row) != len(rows) for row in rows):
+        raise MatrixError("rows do not form a square matrix")
 
 
 @lru_cache(maxsize=None)
@@ -215,6 +220,13 @@ def _integer_rows(rows):
     return d, tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in rows)
 
 
+def _over_common_den(rows):
+    """(d, integer rows) for a list of (integer row, den > 0) pairs, d the
+    lcm of the dens."""
+    d = math.lcm(*(den for _, den in rows))
+    return d, tuple(tuple(x * (d // den) for x in row) for row, den in rows)
+
+
 def is_symplectic(g: Mat) -> bool:
     """g^-1 g == 1 with g^-1 = -J' tg J': the same test as tg J' g == J', since J'^2 = -1."""
     if g.size % 2:
@@ -228,7 +240,6 @@ def symplectic_inverse(g: Mat) -> Mat:
     # permutes and signs entries: inv[i][j] = e_i e_j g[N-1-j][N-1-i]
     n = g.size // 2
     return _mat(
-        g.ctx,
         g.den,
         tuple(
             tuple(x if (i < n) == (j < n) else -x for j, x in enumerate(reversed(col)))
@@ -239,9 +250,9 @@ def symplectic_inverse(g: Mat) -> Mat:
 
 # ------------------------------------------------------- block builders
 
-def levi_embed(ctx, n: int, a_rows) -> Mat:
+def levi_embed(n: int, a_rows) -> Mat:
     """m(A) = diag(A, J tA^-1 J) for A in GL_n."""
-    a = Mat.from_lists(ctx, a_rows) if not isinstance(a_rows, Mat) else a_rows
+    a = Mat(a_rows) if not isinstance(a_rows, Mat) else a_rows
     if a.size != n:
         raise MatrixError("Levi block has wrong size")
     ainv = a.inverse()
@@ -251,12 +262,14 @@ def levi_embed(ctx, n: int, a_rows) -> Mat:
             rows[i][j] = a.rows[i][j]
             # J tA^-1 J reverses both indices of the transpose
             rows[n + i][n + j] = ainv.rows[n - 1 - j][n - 1 - i]
-    return Mat(ctx, tuple(tuple(r) for r in rows))
+    return Mat(rows)
 
 
-def radical_embed(ctx, n: int, x_rows) -> Mat:
+def radical_embed(n: int, x_rows) -> Mat:
     """n(X) = [[I, X], [0, I]]; X must satisfy tX = J X J."""
-    x = Mat.from_lists(ctx, x_rows) if not isinstance(x_rows, Mat) else x_rows
+    x = Mat(x_rows) if not isinstance(x_rows, Mat) else x_rows
+    if x.size != n:
+        raise MatrixError("radical block has wrong size")
     for i in range(n):
         for j in range(n):
             if x.num[j][i] != x.num[n - 1 - i][n - 1 - j]:
@@ -265,45 +278,45 @@ def radical_embed(ctx, n: int, x_rows) -> Mat:
     num = [[den if i == j else 0 for j in range(2 * n)] for i in range(2 * n)]
     for i in range(n):
         num[i][n:] = x.num[i]
-    return _mat(ctx, den, tuple(map(tuple, num)))
+    return _mat(den, tuple(map(tuple, num)))
 
 
-def torus(ctx, entries) -> Mat:
+def torus(entries) -> Mat:
     es = [_as_fraction(e) for e in entries]
-    return Mat.diagonal(ctx, es + [1 / e for e in reversed(es)])
+    return Mat.diagonal(es + [1 / e for e in reversed(es)])
 
 
-def first_axis_torus(ctx, n: int, a) -> Mat:
+def first_axis_torus(n: int, a) -> Mat:
     """diag(a, 1, ..., 1, a^-1)."""
-    return torus(ctx, [a] + [1] * (n - 1))
+    return torus([a] + [1] * (n - 1))
 
 
-def sl2_embed(ctx, n: int, g2) -> Mat:
+def sl2_embed(n: int, g2) -> Mat:
     """The middle SL_2 block at lines n, n+1."""
     rows = [[1 if i == j else 0 for j in range(2 * n)] for i in range(2 * n)]
     for i in range(2):
         for j in range(2):
             rows[n - 1 + i][n - 1 + j] = g2[i][j]
-    return Mat(ctx, rows)
+    return Mat(rows)
 
 
-def rotation_matrix(ctx, n: int) -> Mat:
+def rotation_matrix(n: int) -> Mat:
     """m of the n-cycle sending line k to line k+1 (line n to line 1)."""
     c = [[0] * n for _ in range(n)]
     c[0][n - 1] = 1
     for i in range(n - 1):
         c[i + 1][i] = 1
-    return levi_embed(ctx, n, c)
+    return levi_embed(n, c)
 
 
 def rotate_conjugate(g: Mat) -> Mat:
     """Conjugation by the coordinate rotation."""
     n = g.size // 2
-    w1 = rotation_matrix(g.ctx, n)
+    w1 = rotation_matrix(n)
     return w1 * g * symplectic_inverse(w1)
 
 
-def corner_column_unipotent(ctx, n: int, ys, x) -> Mat:
+def corner_column_unipotent(n: int, ys, x) -> Mat:
     """m of [[I_{n-2}, 0, y], [0, 1, x], [0, 0, 1]]: the zeta-integral slice."""
     if n < 2:
         raise MatrixError("needs rank >= 2")
@@ -313,7 +326,7 @@ def corner_column_unipotent(ctx, n: int, ys, x) -> Mat:
     for i, y in enumerate(ys):
         a[i][n - 1] = y
     a[n - 2][n - 1] = x
-    return levi_embed(ctx, n, a)
+    return levi_embed(n, a)
 
 
 # --------------------------------------------------- root group elements
@@ -338,13 +351,13 @@ def root_positions(n: int, root: Root):
     return [(big - b, a, 1), (big - a, b, 1)]
 
 
-def root_elem(ctx, n: int, root: Root, r) -> Mat:
+def root_elem(n: int, root: Root, r) -> Mat:
     r = _as_fraction(r)
     den = r.denominator
     num = [[den if i == j else 0 for j in range(2 * n)] for i in range(2 * n)]
     for i, j, s in root_positions(n, root):
         num[i][j] += s * r.numerator
-    return _mat(ctx, den, tuple(map(tuple, num)))
+    return _mat(den, tuple(map(tuple, num)))
 
 
 # x_root(r) = 1 + r E with E^2 = 0, and the two positions of a short root
@@ -365,7 +378,7 @@ def mul_root_elem(g: Mat, root: Root, r) -> Mat:
         for row, orig in zip(out, src):
             if orig[a]:
                 row[b] += c * orig[a]
-    return _mat(g.ctx, g.den * rd, tuple(map(tuple, out)))
+    return _mat(g.den * rd, tuple(map(tuple, out)))
 
 
 def mul_root_elem_left(root: Root, r, g: Mat) -> Mat:
@@ -382,57 +395,57 @@ def mul_root_elem_left(root: Root, r, g: Mat) -> Mat:
         for j, v in enumerate(src[b]):
             if v:
                 dst[j] += c * v
-    return _mat(g.ctx, g.den * rd, tuple(map(tuple, out)))
+    return _mat(g.den * rd, tuple(map(tuple, out)))
 
 
-def root_product(ctx, n: int, factors) -> Mat:
+def root_product(n: int, factors) -> Mat:
     """x_{g_1}(r_1) ... x_{g_k}(r_k), left to right."""
-    out = Mat.identity(ctx, 2 * n)
+    out = Mat.identity(2 * n)
     for root, r in factors:
         out = mul_root_elem(out, root, r)
     return out
 
 
-def root_product_inverse(ctx, n: int, factors) -> Mat:
-    return root_product(ctx, n, [(root, -r) for root, r in reversed(list(factors))])
+def root_product_inverse(n: int, factors) -> Mat:
+    return root_product(n, [(root, -r) for root, r in reversed(list(factors))])
 
 
-def weyl_generator_matrix(ctx, n: int, k: int) -> Mat:
+def weyl_generator_matrix(n: int, k: int) -> Mat:
     if not 1 <= k <= n:
         raise MatrixError("generator index out of range")
-    return _weyl_generator_matrix(ctx, n, k)
+    return _weyl_generator_matrix(n, k)
 
 
 @lru_cache(maxsize=None)
-def _weyl_generator_matrix(ctx, n: int, k: int) -> Mat:
+def _weyl_generator_matrix(n: int, k: int) -> Mat:
     if k < n:
         a = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         a[k - 1][k - 1] = a[k][k] = 0
         a[k - 1][k] = a[k][k - 1] = 1
-        return levi_embed(ctx, n, a)
-    return sl2_embed(ctx, n, ((0, 1), (-1, 0)))
+        return levi_embed(n, a)
+    return sl2_embed(n, ((0, 1), (-1, 0)))
 
 
-def weyl_rep(ctx, w: WeylElem) -> Mat:
+def weyl_rep(w: WeylElem) -> Mat:
     """Canonical monomial representative: generators along a reduced word."""
-    return _weyl_rep(ctx, w)
+    return _weyl_rep(w)
 
 
 @lru_cache(maxsize=None)
-def _weyl_rep(ctx, w: WeylElem) -> Mat:
-    out = Mat.identity(ctx, 2 * w.n)
+def _weyl_rep(w: WeylElem) -> Mat:
+    out = Mat.identity(2 * w.n)
     for k in w.reduced_word():
-        out = out * weyl_generator_matrix(ctx, w.n, k)
+        out = out * weyl_generator_matrix(w.n, k)
     return out
 
 
-def top_cell_matrix(ctx, n: int) -> Mat:
+def top_cell_matrix(n: int) -> Mat:
     """Representative of the reflection in 2 e_1: the long corner element."""
     num = [list(row) for row in _eye(2 * n)]
     num[0][0] = num[-1][-1] = 0
     num[0][-1] = 1
     num[-1][0] = -1
-    return _mat(ctx, 1, tuple(map(tuple, num)))
+    return _mat(1, tuple(map(tuple, num)))
 
 
 # --------------------------------------------------------- Bruhat cells
@@ -469,7 +482,6 @@ def bruhat_decompose(g: Mat):
     are integer lists over their own denominator.  The result is verified by
     recomposition before returning.
     """
-    ctx = g.ctx
     size = g.size
     n = size // 2
     if not is_symplectic(g):
@@ -500,11 +512,11 @@ def bruhat_decompose(g: Mat):
             if prow[c2]:
                 rinv[col][c2] = Q(prow[c2], pval)
         a[piv] = ([pval if j == col else 0 for j in range(size)], pden)
-    lm_inv = _mat(ctx, *_integer_rows(linv))
-    u_r = _mat(ctx, *_integer_rows(rinv))
-    monomial = _mat(ctx, *_integer_rows([[Q(x, den) if x else 0 for x in row] for row, den in a]))
+    lm_inv = _mat(*_integer_rows(linv))
+    u_r = _mat(*_integer_rows(rinv))
+    monomial = _mat(*_over_common_den(a))
     w = weyl_from_monomial_pattern(n, pivots)
-    wrep = weyl_rep(ctx, w)
+    wrep = weyl_rep(w)
     wrep_inv = symplectic_inverse(wrep)
     d = monomial * wrep_inv
     if not d.is_diagonal():
@@ -514,7 +526,7 @@ def bruhat_decompose(g: Mat):
     um = wrep_inv * cmat * wrep
     if not um.is_upper_unitriangular():
         raise FactorizationError("right factor is not upper unitriangular")
-    dinv = Mat.diagonal(ctx, [Q(d.den, row[i]) for i, row in enumerate(d.num)])
+    dinv = Mat.diagonal([Q(d.den, row[i]) for i, row in enumerate(d.num)])
     u = lm_inv * (d * bmat * dinv)
     if not u.is_upper_unitriangular():
         raise FactorizationError("left factor is not upper unitriangular")
@@ -536,31 +548,29 @@ def _reduced_row(row, den):
 
 
 def _unitriangular_ul(a: Mat):
-    """A = B C with B upper and C lower unitriangular, by back recursion."""
+    """A = B C with B upper and C lower unitriangular.
+
+    Row operations that add a lower row to a higher one clear the columns
+    above the diagonal from the right, and every pivot must be 1.  Undoing
+    the operations of column k fills column k of B with the cleared
+    entries; what is left is C.  Rows of the working matrix are integer
+    lists over their own denominator.
+    """
     size = a.size
-    rows = a.rows
-    b = [[Q(1 if i == j else 0) for j in range(size)] for i in range(size)]
-    c = [[Q(1 if i == j else 0) for j in range(size)] for i in range(size)]
+    work = [(list(row), a.den) for row in a.num]
+    b = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
     for k in range(size - 1, -1, -1):
-        for i in range(k):
-            s = rows[i][k]
-            for kp in range(k + 1, size):
-                if b[i][kp] and c[kp][k]:
-                    s -= b[i][kp] * c[kp][k]
-            b[i][k] = s
-        for j in range(k):
-            s = rows[k][j]
-            for kp in range(k + 1, size):
-                if b[k][kp] and c[kp][j]:
-                    s -= b[k][kp] * c[kp][j]
-            c[k][j] = s
-        diag = rows[k][k]
-        for kp in range(k + 1, size):
-            if b[k][kp] and c[kp][k]:
-                diag -= b[k][kp] * c[kp][k]
-        if diag != 1:
+        prow, pden = work[k]
+        if prow[k] != pden:
             raise FactorizationError("input is not in the unitriangular cell")
-    return _mat(a.ctx, *_integer_rows(b)), _mat(a.ctx, *_integer_rows(c))
+        for i in range(k):
+            row, rden = work[i]
+            c = row[k]
+            if c:
+                # row i -= (c / rden) row k, over the denominator rden * pden
+                b[i][k] = Q(c, rden)
+                work[i] = _reduced_row([x * pden - c * y for x, y in zip(row, prow)], rden * pden)
+    return _mat(*_integer_rows(b)), _mat(*_over_common_den(work))
 
 
 def weyl_from_rank_pattern(g: Mat) -> WeylElem:
@@ -604,11 +614,6 @@ def weyl_from_rank_pattern(g: Mat) -> WeylElem:
 
 # ------------------------------------------------ unipotent coordinates
 
-def primary_position(n: int, root: Root):
-    i, j, s = root_positions(n, root)[0]
-    return i, j, s
-
-
 def peel_unipotent(u: Mat):
     """Coordinates of an upper unipotent over ascending root height.
 
@@ -621,7 +626,7 @@ def peel_unipotent(u: Mat):
     coords = {}
     cur = u
     for g in positive_roots(n):
-        i, j, s = primary_position(n, g)
+        i, j, s = root_positions(n, g)[0]
         c = cur[i, j] / s
         if c:
             coords[g] = c
@@ -639,13 +644,12 @@ def unipotent_coords(u: Mat, roots_order):
     within the nilpotency class; raises if u needs a root outside the
     given order.
     """
-    ctx = u.ctx
     n = u.size // 2
     order = list(roots_order)
     cs = {g: Q(0) for g in order}
     max_rounds = 2 * n + 2
     for _ in range(max_rounds):
-        prod = root_product(ctx, n, [(g, cs[g]) for g in order])
+        prod = root_product(n, [(g, cs[g]) for g in order])
         if prod == u:
             return [(g, cs[g]) for g in order]
         delta = symplectic_inverse(prod) * u
@@ -657,7 +661,7 @@ def unipotent_coords(u: Mat, roots_order):
     raise FactorizationError("refinement did not converge")
 
 
-def commutator_coefficients(ctx, n: int, g1: Root, r, g2: Root, s):
+def commutator_coefficients(n: int, g1: Root, r, g2: Root, s):
     """[x_g1(r), x_g2(s)] = prod x_{i g1 + j g2}(c_ij); returns {(i, j): c}.
 
     Candidate roots are peeled in ascending height; the residue must be
@@ -666,7 +670,7 @@ def commutator_coefficients(ctx, n: int, g1: Root, r, g2: Root, s):
     from .rootsys import root_from_vector
 
     r, s = _as_fraction(r), _as_fraction(s)
-    com = root_product(ctx, n, [(g1, r), (g2, s), (g1, -r), (g2, -s)])
+    com = root_product(n, [(g1, r), (g2, s), (g1, -r), (g2, -s)])
     cands = []
     for i in range(1, 5):
         for j in range(1, 5):
@@ -678,7 +682,7 @@ def commutator_coefficients(ctx, n: int, g1: Root, r, g2: Root, s):
     out = {}
     cur = com
     for (i, j), root in cands:
-        a, b, sg = primary_position(n, root)
+        a, b, sg = root_positions(n, root)[0]
         c = cur[a, b] / sg
         if c:
             out[(i, j)] = c
@@ -688,14 +692,14 @@ def commutator_coefficients(ctx, n: int, g1: Root, r, g2: Root, s):
     return out
 
 
-def cell_identity_borel_part(ctx, n: int, root: Root, r) -> Mat:
+def cell_identity_borel_part(n: int, root: Root, r) -> Mat:
     """b with x_g(r) x_{-g}(-1/r) = W(s_g) b; checks b is in the Borel."""
     r = _as_fraction(r)
     if not r:
         raise MatrixError("needs r nonzero")
-    lhs = root_product(ctx, n, [(root, r), (-root, -1 / r)])
+    lhs = root_product(n, [(root, r), (-root, -1 / r)])
     s = reflection(root)
-    b = symplectic_inverse(weyl_rep(ctx, s)) * lhs
+    b = symplectic_inverse(weyl_rep(s)) * lhs
     if not b.is_upper_triangular():
         raise MatrixError("cell identity failed")
     return b
@@ -710,12 +714,12 @@ def level_exponents(n: int, m: int):
 
 def conjugating_torus(ctx, n: int, m: int) -> Mat:
     p = Q(ctx.p)
-    return Mat.diagonal(ctx, [p**e for e in level_exponents(n, m)])
+    return Mat.diagonal([p**e for e in level_exponents(n, m)])
 
 
-def in_standard_level(g: Mat, m: int) -> bool:
+def in_standard_level(ctx, g: Mat, m: int) -> bool:
     """Membership in the principal congruence subgroup of depth m."""
-    p = g.ctx.p
+    p = ctx.p
     den = g.den
     bound = m + fraction_valuation(den, p)
     for i, row in enumerate(g.num):
@@ -725,9 +729,9 @@ def in_standard_level(g: Mat, m: int) -> bool:
     return True
 
 
-def in_skew_level(g: Mat, m: int) -> bool:
+def in_skew_level(ctx, g: Mat, m: int) -> bool:
     """Membership in the torus-conjugated congruence subgroup."""
-    p = g.ctx.p
+    p = ctx.p
     es = level_exponents(g.size // 2, m)
     den = g.den
     base = m + fraction_valuation(den, p)
@@ -748,20 +752,19 @@ def negative_coordinate_bound(root: Root, m: int) -> int:
     return (2 * root.height + 1) * m
 
 
-def generic_character(u: Mat) -> Mono:
+def generic_character(ctx, u: Mat) -> Mono:
     """psi of the sum of the n superdiagonal entries through the middle."""
     n = u.size // 2
     if not u.is_upper_unitriangular():
         raise MatrixError("not unipotent upper triangular")
     total = Q(sum(u.num[i][i + 1] for i in range(n)), u.den)
-    return Mono(turn=_pfrac(total, u.ctx.p))
+    return Mono(turn=_pfrac(total, ctx.p))
 
 
-def skew_level_character(h: Mat, m: int) -> Mono:
+def skew_level_character(ctx, h: Mat, m: int) -> Mono:
     """The depth-m character: conjugate back and read the superdiagonal."""
-    ctx = h.ctx
     n = h.size // 2
-    if not in_skew_level(h, m):
+    if not in_skew_level(ctx, h, m):
         raise MatrixError("not in the skew level subgroup")
     # conjugating by d = diag(p^e_i) scales entry (i, j) by p^(e_j - e_i)
     es = level_exponents(n, m)
@@ -806,7 +809,7 @@ def volume_exponent(kind: str, n: int, m: int, root: Root = None, w: WeylElem = 
 
 # ----------------------------------------------------------- cell moves
 
-def cell_word_rewrite(t: Mat, w: WeylElem, rs, u: Mat, m: int):
+def cell_word_rewrite(ctx, t: Mat, w: WeylElem, rs, u: Mat, m: int):
     """Push a depth-m unipotent through a negated-root word.
 
     Input: torus t, w below the top reflection, coefficients rs along
@@ -820,7 +823,6 @@ def cell_word_rewrite(t: Mat, w: WeylElem, rs, u: Mat, m: int):
     checked.  Raises FactorizationError when every coefficient already
     sits at depth m (nothing to rewrite).
     """
-    ctx = t.ctx
     n = w.n
     order = ordered_negated_roots(w)
     rs = [_as_fraction(r) for r in rs]
@@ -832,7 +834,7 @@ def cell_word_rewrite(t: Mat, w: WeylElem, rs, u: Mat, m: int):
     )
     if q is None:
         raise FactorizationError("word already lies at depth m")
-    if not (u.is_upper_unitriangular() and in_skew_level(u, m)):
+    if not (u.is_upper_unitriangular() and in_skew_level(ctx, u, m)):
         raise MatrixError("u is not in the depth-m unipotent subgroup")
     if not t.is_diagonal() or not is_symplectic(t):
         raise MatrixError("t is not in the torus")
@@ -840,29 +842,29 @@ def cell_word_rewrite(t: Mat, w: WeylElem, rs, u: Mat, m: int):
     plus_order = sorted(w.kept_positive_roots(), key=lambda g: (g.height, g.coeffs))
     full_order = plus_order + list(reversed(order))
     u_coords = unipotent_coords(u, full_order)
-    u_plus = root_product(ctx, n, u_coords[: len(plus_order)])
+    u_plus = root_product(n, u_coords[: len(plus_order)])
     tail = u_coords[len(plus_order):]
 
     desc = [(order[k], rs[k]) for k in range(len(order) - 1, q - 1, -1)]
-    x_part = root_product(ctx, n, desc)
-    conj = x_part * u_plus * root_product_inverse(ctx, n, desc)
+    x_part = root_product(n, desc)
+    conj = x_part * u_plus * root_product_inverse(n, desc)
     conj_coords = unipotent_coords(conj, full_order)
-    u1_plus = root_product(ctx, n, conj_coords[: len(plus_order)])
-    u1_minus = root_product(ctx, n, conj_coords[len(plus_order):])
+    u1_plus = root_product(n, conj_coords[: len(plus_order)])
+    u1_minus = root_product(n, conj_coords[len(plus_order):])
 
-    v = u1_minus * x_part * root_product(ctx, n, tail)
+    v = u1_minus * x_part * root_product(n, tail)
     v_coords = unipotent_coords(v, list(reversed(order)))
     rt = {g: c for g, c in v_coords}
     rs_tilde = [rt[g] for g in order]
 
-    wrep = weyl_rep(ctx, w)
+    wrep = weyl_rep(w)
     tw = t * wrep
     u_tilde = tw * u1_plus * symplectic_inverse(tw)
     if not u_tilde.is_upper_unitriangular():
         raise FactorizationError("conjugated plus part left the unipotent radical")
 
     lhs = tw * x_part * u
-    rhs = u_tilde * tw * root_product(ctx, n, list(reversed(list(zip(order, rs_tilde)))))
+    rhs = u_tilde * tw * root_product(n, list(reversed(list(zip(order, rs_tilde)))))
     if lhs != rhs:
         raise FactorizationError("rewrite identity failed")
     if fraction_valuation(rs_tilde[q], ctx.p) != fraction_valuation(rs[q], ctx.p):
@@ -885,7 +887,6 @@ def cell_collapse_witness(t: Mat, w: WeylElem, roots, rs, bad_index: int = None)
     the descending product and reinstated at the far right next to its
     opposite.  Returns the cell w' of the result, checking w' < w.
     """
-    ctx = t.ctx
     n = w.n
     roots = list(roots)
     rs = [_as_fraction(r) for r in rs]
@@ -913,7 +914,7 @@ def cell_collapse_witness(t: Mat, w: WeylElem, roots, rs, bad_index: int = None)
         factors = [(roots[k], rs[k]) for k in range(len(roots) - 1, -1, -1) if k != bad_index]
         factors.append((roots[bad_index], rs[bad_index]))
         factors.append((-roots[bad_index], -1 / rs[bad_index]))
-    g = t * weyl_rep(ctx, w) * root_product(ctx, n, factors)
+    g = t * weyl_rep(w) * root_product(n, factors)
     _, _, w_prime, _ = bruhat_decompose(g)
     if not (bruhat_leq(w_prime, w) and w_prime != w):
         raise FactorizationError("cell did not drop")

@@ -104,17 +104,17 @@ def matrix_ranks(cfg):
     return [n for n in cfg.n if n <= 3]
 
 
-def _deep_unipotent(ctx, n, rng, m):
-    u = ch.Mat.identity(ctx, 2 * n)
+def _deep_unipotent(p, n, rng, m):
+    u = ch.Mat.identity(2 * n)
     for g in positive_roots(n):
         v = ch.radical_coordinate_bound(g, m) + rng.randrange(0, 3)
-        u = ch.mul_root_elem(u, g, Q(rng.randint(-5, 5)) * Q(ctx.p) ** v)
+        u = ch.mul_root_elem(u, g, Q(rng.randint(-5, 5)) * Q(p) ** v)
     return u
 
 
-def _random_torus(ctx, n, rng):
-    entries = [Q(rng.choice([1, 2, -1])) * Q(ctx.p) ** rng.randrange(-2, 3) for _ in range(n)]
-    return ch.torus(ctx, entries)
+def _random_torus(p, n, rng):
+    entries = [Q(rng.choice([1, 2, -1])) * Q(p) ** rng.randrange(-2, 3) for _ in range(n)]
+    return ch.torus(entries)
 
 
 # =============================================================== padic
@@ -399,36 +399,35 @@ def check_reflection_positivity(cfg, rng):
 
 # ============================================================ chevalley
 
-def _random_word_matrix(ctx, n, rng, length=6):
+def _random_word_matrix(p, n, rng, length=6):
     roots = positive_roots(n)
-    g = ch.Mat.identity(ctx, 2 * n)
+    g = ch.Mat.identity(2 * n)
     for _ in range(length):
         root = roots[rng.randrange(len(roots))]
         if rng.random() < 0.5:
             root = -root
         g = ch.mul_root_elem(g, root, Q(rng.randint(-6, 6), rng.choice([1, 1, 3])))
-    g = g * _random_torus(ctx, n, rng)
+    g = g * _random_torus(p, n, rng)
     for k in [rng.randrange(1, n + 1) for _ in range(rng.randrange(3))]:
-        g = g * ch.weyl_rep(ctx, WeylElem.simple(n, k))
+        g = g * ch.weyl_rep(WeylElem.simple(n, k))
     return g
 
 
 def check_symplectic_generators(cfg, rng):
     cases = 0
     for p in cfg.p:
-        ctx = PrimeCtx(p)
         for n in matrix_ranks(cfg):
             for g in positive_roots(n):
                 r = sample_rational(rng, p, signed=True)
-                if not ch.is_symplectic(ch.root_elem(ctx, n, g, r)):
+                if not ch.is_symplectic(ch.root_elem(n, g, r)):
                     raise CheckFailure({"p": p, "n": n, "root": g, "r": r})
                 cases += 1
             for w in (WeylElem.simple(n, 1), highest_root_reflection(n)):
-                if not ch.is_symplectic(ch.weyl_rep(ctx, w)):
+                if not ch.is_symplectic(ch.weyl_rep(w)):
                     raise CheckFailure({"p": p, "n": n, "w": w})
                 cases += 1
             for _ in range(max(1, cfg.samples // 4)):
-                g = _random_word_matrix(ctx, n, rng)
+                g = _random_word_matrix(p, n, rng)
                 if not ch.is_symplectic(g):
                     raise CheckFailure({"p": p, "n": n, "rows": g.rows})
                 if ch.symplectic_inverse(g) != g.inverse():
@@ -440,24 +439,23 @@ def check_symplectic_generators(cfg, rng):
 def check_chevalley_commutators(cfg, rng):
     cases = 0
     for p in cfg.p:
-        ctx = PrimeCtx(p)
         for n in matrix_ranks(cfg):
             roots = positive_roots(n)
-            eye = ch.Mat.identity(ctx, 2 * n)
+            eye = ch.Mat.identity(2 * n)
             for g1 in roots:
                 for g2 in roots:
                     if g1 == g2 or g1 == -g2:
                         continue
                     r = sample_rational(rng, p, signed=True)
                     s = sample_rational(rng, p, signed=True)
-                    x = ch.root_elem(ctx, n, g1, r)
-                    y = ch.root_elem(ctx, n, g2, s)
+                    x = ch.root_elem(n, g1, r)
+                    y = ch.root_elem(n, g2, s)
                     # x_g(r)^-1 = x_g(-r), checked rather than assumed
-                    x_inv, y_inv = ch.root_elem(ctx, n, g1, -r), ch.root_elem(ctx, n, g2, -s)
+                    x_inv, y_inv = ch.root_elem(n, g1, -r), ch.root_elem(n, g2, -s)
                     if x * x_inv != eye or y * y_inv != eye:
                         raise CheckFailure({"p": p, "n": n, "g1": g1, "g2": g2, "r": r, "s": s, "reason": "root inverse"})
                     comm = x * y * x_inv * y_inv
-                    coeffs = ch.commutator_coefficients(ctx, n, g1, r, g2, s)
+                    coeffs = ch.commutator_coefficients(n, g1, r, g2, s)
                     rebuilt = eye
                     for (i, j), c in sorted(coeffs.items(), key=lambda t: sum(t[0])):
                         vec = tuple(i * a + j * b for a, b in zip(g1.euclid(), g2.euclid()))
@@ -477,14 +475,13 @@ def check_chevalley_commutators(cfg, rng):
 def check_cell_identity(cfg, rng):
     cases = 0
     for p in cfg.p:
-        ctx = PrimeCtx(p)
         for n in matrix_ranks(cfg):
             for g in positive_roots(n):
                 for _ in range(max(1, cfg.samples // 8)):
                     r = sample_rational(rng, p, signed=True)
-                    borel = ch.cell_identity_borel_part(ctx, n, g, r)
-                    lhs = ch.root_product(ctx, n, [(g, r), (-g, -1 / r)])
-                    if not borel.is_upper_triangular() or ch.weyl_rep(ctx, reflection(g)) * borel != lhs:
+                    borel = ch.cell_identity_borel_part(n, g, r)
+                    lhs = ch.root_product(n, [(g, r), (-g, -1 / r)])
+                    if not borel.is_upper_triangular() or ch.weyl_rep(reflection(g)) * borel != lhs:
                         raise CheckFailure({"p": p, "n": n, "root": g, "r": r})
                     cases += 1
     return cases, {"p": list(cfg.p), "n": matrix_ranks(cfg)}
@@ -493,12 +490,11 @@ def check_cell_identity(cfg, rng):
 def check_bruhat_oracle(cfg, rng):
     cases = 0
     for p in cfg.p:
-        ctx = PrimeCtx(p)
         for n in matrix_ranks(cfg):
             for _ in range(cfg.samples):
-                g = _random_word_matrix(ctx, n, rng)
+                g = _random_word_matrix(p, n, rng)
                 u, d, w, um = ch.bruhat_decompose(g)
-                if u * d * ch.weyl_rep(ctx, w) * um != g:
+                if u * d * ch.weyl_rep(w) * um != g:
                     raise CheckFailure({"p": p, "n": n, "rows": g.rows, "reason": "recomposition"})
                 if ch.weyl_from_rank_pattern(g) != w:
                     raise CheckFailure({"p": p, "n": n, "rows": g.rows, "reason": "rank pattern"})
@@ -509,7 +505,6 @@ def check_bruhat_oracle(cfg, rng):
 def check_levi_stability(cfg, rng):
     cases = 0
     for p in cfg.p:
-        ctx = PrimeCtx(p)
         for n in matrix_ranks(cfg):
             for _ in range(cfg.samples):
                 a = [[Q(0)] * n for _ in range(n)]
@@ -517,7 +512,7 @@ def check_levi_stability(cfg, rng):
                     a[i][i] = Q(rng.choice([1, 2, -1]))
                     for j in range(i + 1, n):
                         a[i][j] = Q(rng.randint(-3, 3))
-                ga = ch.levi_embed(ctx, n, tuple(tuple(r) for r in a))
+                ga = ch.levi_embed(n, a)
                 if not ch.is_symplectic(ga):
                     raise CheckFailure({"p": p, "n": n, "rows": ga.rows, "reason": "levi not symplectic"})
                 # the radical block is symmetric about the antidiagonal
@@ -526,7 +521,7 @@ def check_levi_stability(cfg, rng):
                     for j in range(n):
                         mi, mj = n - 1 - j, n - 1 - i
                         x[i][j] = x[mi][mj] if (mi, mj) < (i, j) else Q(rng.randint(-4, 4))
-                gx = ch.radical_embed(ctx, n, tuple(tuple(r) for r in x))
+                gx = ch.radical_embed(n, x)
                 prod = ga * gx * ga.inverse()
                 if not prod.is_upper_unitriangular():
                     raise CheckFailure({"p": p, "n": n, "reason": "radical not normalized"})
@@ -545,31 +540,31 @@ def check_congruence_structure(cfg, rng):
                     raise CheckFailure({"p": p, "n": n, "m": m, "exps": exps})
                 for g in positive_roots(n):
                     b = ch.radical_coordinate_bound(g, m)
-                    if not ch.in_skew_level(ch.root_elem(ctx, n, g, Q(p) ** b), m):
+                    if not ch.in_skew_level(ctx, ch.root_elem(n, g, Q(p) ** b), m):
                         raise CheckFailure({"p": p, "n": n, "m": m, "root": g, "reason": "bound in"})
-                    if ch.in_skew_level(ch.root_elem(ctx, n, g, Q(p) ** (b - 1)), m):
+                    if ch.in_skew_level(ctx, ch.root_elem(n, g, Q(p) ** (b - 1)), m):
                         raise CheckFailure({"p": p, "n": n, "m": m, "root": g, "reason": "bound sharp"})
                     cases += 1
                 t = ch.conjugating_torus(ctx, n, m)
-                t_inv = ch.Mat.diagonal(ctx, [Q(p) ** -e for e in exps])
+                t_inv = ch.Mat.diagonal([Q(p) ** -e for e in exps])
                 for _ in range(8):
-                    u = _deep_unipotent(ctx, n, rng, m)
-                    if not ch.in_skew_level(u, m):
+                    u = _deep_unipotent(p, n, rng, m)
+                    if not ch.in_skew_level(ctx, u, m):
                         raise CheckFailure({"p": p, "n": n, "m": m, "reason": "box not in level"})
-                    if not ch.in_standard_level(t_inv * u * t, m):
+                    if not ch.in_standard_level(ctx, t_inv * u * t, m):
                         raise CheckFailure({"p": p, "n": n, "m": m, "reason": "conjugation level"})
-                    u2 = _deep_unipotent(ctx, n, rng, m)
-                    lhs = ch.skew_level_character(u * u2, m)
-                    rhs = ch.skew_level_character(u, m) * ch.skew_level_character(u2, m)
+                    u2 = _deep_unipotent(p, n, rng, m)
+                    lhs = ch.skew_level_character(ctx, u * u2, m)
+                    rhs = ch.skew_level_character(ctx, u, m) * ch.skew_level_character(ctx, u2, m)
                     if lhs != rhs:
                         raise CheckFailure({"p": p, "n": n, "m": m, "reason": "character additivity"})
-                    if ch.skew_level_character(u, m) != ch.generic_character(u):
+                    if ch.skew_level_character(ctx, u, m) != ch.generic_character(ctx, u):
                         raise CheckFailure({"p": p, "n": n, "m": m, "reason": "character content"})
                     cases += 1
     return cases, {"p": list(cfg.p), "n": matrix_ranks(cfg), "m": list(cfg.m)}
 
 
-def _admissible_rewrite_case(ctx, n, m, rng):
+def _admissible_rewrite_case(p, n, m, rng):
     w0 = highest_root_reflection(n)
     ws = [w for w in full_weyl_group(n) if bruhat_leq(w, w0) and w.length() >= 1]
     w = ws[rng.randrange(len(ws))]
@@ -585,11 +580,11 @@ def _admissible_rewrite_case(ctx, n, m, rng):
         else:
             v = bound - rng.randrange(3)
         unit = rng.choice([1, 2, 4, 7])
-        while unit % ctx.p == 0:
+        while unit % p == 0:
             unit = rng.choice([1, 2, 4, 7])
-        rs.append(Q(unit) * Q(ctx.p) ** v)
-    u = _deep_unipotent(ctx, n, rng, m)
-    t = _random_torus(ctx, n, rng)
+        rs.append(Q(unit) * Q(p) ** v)
+    u = _deep_unipotent(p, n, rng, m)
+    t = _random_torus(p, n, rng)
     return w, rs, u, t, q_at
 
 
@@ -600,18 +595,18 @@ def check_cell_word_rewrite(cfg, rng):
         for n in matrix_ranks(cfg):
             for m in cfg.m:
                 for _ in range(max(1, cfg.samples // 4)):
-                    w, rs, u, t, q_at = _admissible_rewrite_case(ctx, n, m, rng)
-                    u_t, rs_t, qpos = ch.cell_word_rewrite(t, w, rs, u, m)
+                    w, rs, u, t, q_at = _admissible_rewrite_case(p, n, m, rng)
+                    u_t, rs_t, qpos = ch.cell_word_rewrite(ctx, t, w, rs, u, m)
                     order = ordered_negated_roots(w)
                     if qpos > q_at or not u_t.is_upper_unitriangular():
                         raise CheckFailure({"p": p, "n": n, "m": m, "rs": rs, "reason": "pivot position"})
                     if fraction_valuation(rs_t[qpos], p) != fraction_valuation(rs[qpos], p):
                         raise CheckFailure({"p": p, "n": n, "m": m, "rs": rs, "reason": "pivot size"})
-                    lhs = t * ch.weyl_rep(ctx, w)
+                    lhs = t * ch.weyl_rep(w)
                     for k in range(len(order) - 1, qpos - 1, -1):
                         lhs = ch.mul_root_elem(lhs, order[k], rs[k])
                     lhs = lhs * u
-                    rhs = u_t * t * ch.weyl_rep(ctx, w)
+                    rhs = u_t * t * ch.weyl_rep(w)
                     for k in range(len(order) - 1, -1, -1):
                         rhs = ch.mul_root_elem(rhs, order[k], rs_t[k])
                     if lhs != rhs:
@@ -623,7 +618,6 @@ def check_cell_word_rewrite(cfg, rng):
 def check_cell_collapse(cfg, rng):
     cases = 0
     for p in cfg.p:
-        ctx = PrimeCtx(p)
         for n in matrix_ranks(cfg):
             w0 = highest_root_reflection(n)
             ws = [w for w in full_weyl_group(n) if bruhat_leq(w, w0) and not w.is_identity()]
@@ -633,7 +627,7 @@ def check_cell_collapse(cfg, rng):
                 q = rng.randrange(len(order))
                 tail = sorted(order[q:], key=lambda g: g.height)
                 bad_ls = [l for l in range(1, len(tail)) if is_bad_pair(tail[0], tail[l])]
-                t = _random_torus(ctx, n, rng)
+                t = _random_torus(p, n, rng)
                 rs = [Q(rng.choice([1, 2, 5]), rng.choice([1, p])) for _ in tail]
                 if bad_ls:
                     w_prime = ch.cell_collapse_witness(t, w, tail, rs, bad_index=bad_ls[0])
@@ -652,7 +646,7 @@ def check_obstructed_decompositions(cfg, rng):
         for n in matrix_ranks(cfg):
             for g1, g2, w in bad_triples(n):
                 for _ in range(max(1, cfg.samples // 8)):
-                    t = _random_torus(ctx, n, rng)
+                    t = _random_torus(p, n, rng)
                     rs = [
                         Q(rng.choice([1, 2, 5]), rng.choice([1, p])),
                         Q(rng.choice([1, 2]), rng.choice([1, p])),
@@ -666,10 +660,10 @@ def check_obstructed_decompositions(cfg, rng):
             w0 = highest_root_reflection(n)
             order = ordered_negated_roots(w0)
             rs = [Q(p) ** ch.radical_coordinate_bound(g, m) for g in order]
-            u = _deep_unipotent(ctx, n, rng, m)
-            t = ch.torus(ctx, [Q(1)] * n)
+            u = _deep_unipotent(p, n, rng, m)
+            t = ch.torus([Q(1)] * n)
             try:
-                ch.cell_word_rewrite(t, w0, rs, u, m)
+                ch.cell_word_rewrite(ctx, t, w0, rs, u, m)
             except FactorizationError as exc:
                 if "already lies at depth" not in str(exc):
                     raise  # a failed self-check, not the rejection

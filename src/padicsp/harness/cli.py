@@ -5,7 +5,6 @@ import json
 import sys
 from fractions import Fraction as Q
 
-from ..padic import PrimeCtx
 from ..rootsys import (
     bad_pairs,
     bad_triples,
@@ -161,7 +160,7 @@ def _read_matrix(path, n):
     except (ValueError, ZeroDivisionError) as exc:
         raise HarnessError(f"bad rational entry: {exc}")
     rows = tuple(tuple(vals[r * size + c] for c in range(size)) for r in range(size))
-    return Mat(PrimeCtx(3), rows)
+    return Mat(rows)
 
 
 def _print_mat(label, mat):

@@ -304,20 +304,20 @@ def test_criterion_07_congruence_filtration():
                 nb = negative_coordinate_bound(g, m)
                 if b != -(2 * g.height - 1) * m or nb != (2 * g.height + 1) * m:
                     problems.append(f"bound formula n={n} m={m} g={g}")
-                if not in_skew_level(root_elem(C3, n, g, Q(3) ** b), m):
+                if not in_skew_level(C3, root_elem(n, g, Q(3) ** b), m):
                     problems.append(f"inside bound rejected n={n} m={m} g={g}")
-                if in_skew_level(root_elem(C3, n, g, Q(3) ** (b - 1)), m):
+                if in_skew_level(C3, root_elem(n, g, Q(3) ** (b - 1)), m):
                     problems.append(f"outside bound accepted n={n} m={m} g={g}")
-                if not in_skew_level(root_elem(C3, n, -g, Q(3) ** nb), m):
+                if not in_skew_level(C3, root_elem(n, -g, Q(3) ** nb), m):
                     problems.append(f"inside lower bound rejected n={n} m={m} g={g}")
-                if in_skew_level(root_elem(C3, n, -g, Q(3) ** (nb - 1)), m):
+                if in_skew_level(C3, root_elem(n, -g, Q(3) ** (nb - 1)), m):
                     problems.append(f"outside lower bound accepted n={n} m={m} g={g}")
                 cases += 1
             for _ in range(10):
                 u = random_unipotent(C3, n, rng, depth=m)
-                if not in_skew_level(u, m):
+                if not in_skew_level(C3, u, m):
                     problems.append(f"box element outside level n={n} m={m}")
-                if skew_level_character(u, m) != generic_character(u):
+                if skew_level_character(C3, u, m) != generic_character(C3, u):
                     problems.append(f"character disagreement n={n} m={m}")
                 cases += 1
     # corner-slice identities, 50 + 50 seeded instances
@@ -326,12 +326,12 @@ def test_criterion_07_congruence_filtration():
         n = 3 + (k % 3 == 0)
         ys = [Q(rng.randint(-6, 6), rng.choice([1, ctx.p])) for _ in range(n - 2)]
         a = Q(rng.choice([1, 2, 5]), rng.choice([1, ctx.p]))
-        lhs = first_axis_torus(ctx, n, a) * rotate_conjugate(corner_column_unipotent(ctx, n, ys, 0))
+        lhs = first_axis_torus(n, a) * rotate_conjugate(corner_column_unipotent(n, ys, 0))
         block = [[Q(1 if i == j else 0) for j in range(n)] for i in range(n)]
         block[0][0] = a
         for i, y in enumerate(ys):
             block[i + 1][0] = y
-        if lhs != levi_embed(ctx, n, block):
+        if lhs != levi_embed(n, block):
             problems.append(f"torus-product identity k={k}")
         cases += 1
     for k in range(50):
@@ -344,19 +344,19 @@ def test_criterion_07_congruence_filtration():
         block[0][0] = a
         for kk, y in enumerate(ys):
             block[kk + 1][0] = y
-        mid = levi_embed(ctx, n, block)
+        mid = levi_embed(n, block)
         r = Q(rng.randint(-5, 5), rng.choice([1, ctx.p, ctx.p ** 2]))
         chain = root_from_vector(
             n, tuple(1 if t == 0 else (-1 if t == i + 1 else 0) for t in range(n))
         )
-        lhs = root_elem(ctx, n, chain, -r) * mid * root_elem(ctx, n, chain, r)
+        lhs = root_elem(n, chain, -r) * mid * root_elem(n, chain, r)
         bump = [[Q(1 if u == v else 0) for v in range(n)] for u in range(n)]
         bump[0][i + 1] = (a - 1) * r
         for kk, y in enumerate(ys):
             bump[kk + 1][i + 1] = y * r
-        if lhs != levi_embed(ctx, n, bump) * mid:
+        if lhs != levi_embed(n, bump) * mid:
             problems.append(f"conjugation identity k={k}")
-        if generic_character(levi_embed(ctx, n, bump)) != psi(PAdic(ys[-1] * r, ctx)):
+        if generic_character(ctx, levi_embed(n, bump)) != psi(PAdic(ys[-1] * r, ctx)):
             problems.append(f"character extraction k={k}")
         cases += 1
     assert record(7, "congruence filtration and characters", not problems,

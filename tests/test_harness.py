@@ -325,10 +325,9 @@ def _matrix_file(tmp_path, rows):
 def test_cli_decompose_round_trip(tmp_path, capsys):
     from padicsp.chevalley import mul_root_elem, root_elem, torus, weyl_rep
 
-    ctx = PrimeCtx(3)
-    g = root_elem(ctx, 2, Root(2, (1, 0)), Q(5, 3))
-    g = g * torus(ctx, [Q(3), Q(1, 3)])
-    g = g * weyl_rep(ctx, WeylElem.simple(2, 2))
+    g = root_elem(2, Root(2, (1, 0)), Q(5, 3))
+    g = g * torus([Q(3), Q(1, 3)])
+    g = g * weyl_rep(WeylElem.simple(2, 2))
     g = mul_root_elem(g, -Root(2, (0, 1)), Q(2))
     path = _matrix_file(tmp_path, g.rows)
     assert main(["decompose", "--n", "2", "--matrix", path]) == 0
