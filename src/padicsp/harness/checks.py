@@ -47,7 +47,6 @@ from ..metaplectic import (
     MetaError,
     MetaSL2,
     SectionFsi,
-    _mat_mul,
     decompose_big_cell,
     intertwine_eval_exact,
     intertwine_level,
@@ -775,9 +774,9 @@ def check_big_cell(cfg, rng):
             a, xv, ybar = decompose_big_cell(ctx.of(y), ctx.of(x))
             if a.value != 1 - xv.value * ybar.value or a.value * y != ybar.value:
                 raise CheckFailure({"p": p, "x": x, "y": y, "reason": "relations"})
-            lhs = _mat_mul(MetaSL2.lower(ctx, y).rows, MetaSL2.upper(ctx, x).rows)
-            borel = ((a.value, xv.value), (Q(0), 1 / a.value))
-            rhs = _mat_mul(borel, MetaSL2.lower(ctx, ybar.value).rows)
+            lhs = (MetaSL2.lower(ctx, y) * MetaSL2.upper(ctx, x)).rows
+            borel = MetaSL2(ctx, ((a.value, xv.value), (0, 1 / a.value)))
+            rhs = (borel * MetaSL2.lower(ctx, ybar.value)).rows
             if lhs != rhs:
                 raise CheckFailure({"p": p, "x": x, "y": y, "reason": "recomposition"})
             cases += 1

@@ -1,11 +1,22 @@
 """Double cover of SL2 over Q_p and its induced-section machinery.
 
-The cover multiplies group elements against a sign computed from two
-Hilbert symbols of lower-row data.  On top of it this module builds
-multiplicative characters of Q_p^* with finite conductor data, the cell
-decomposition of products lower(y)*upper(x), a compactly supported
-family of induced-section functions indexed by a level i, and the exact
-evaluation of the standard intertwining integral against that family.
+An element of the cover is an SL2 matrix g with a sheet sign, and the
+product multiplies the signs against Rao's cocycle
+
+    c(g1, g2) = (x1, x2)(-x1 x2, x12),
+
+where ( , ) is the Hilbert symbol and x1, x2, x12 are the lower-row
+invariants of g1, g2 and g1 g2: x(g) is the (2,1) entry when it is
+nonzero, else the (2,2) entry (Kubota, On automorphic functions and the
+reciprocity law in a number field, 1969; Ranga Rao, Pacific J. Math.
+157, 1993).  The symbols read only the valuation and the unit residue
+mod p of each invariant, so every element keeps that pair for its own
+x(g) and a product computes one new pair.  On top of the cover this
+module builds multiplicative characters of Q_p^* with finite conductor
+data, the cell decomposition of products lower(y)*upper(x), a compactly
+supported family of induced-section functions indexed by a level i, and
+the exact evaluation of the standard intertwining integral against that
+family.
 
 Values are exact Monos: a root of unity recorded as a turn fraction
 times a power of q.  Only the float wrappers eval_fsi and
@@ -13,6 +24,7 @@ intertwine_eval collapse one to a complex number, and eval_fsi is the
 one place a complex s is accepted.
 """
 import cmath
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction as Q
 from functools import lru_cache
@@ -23,8 +35,9 @@ from .padic import (
     PadicError,
     PrimeCtx,
     _as_fraction,
+    _hilbert,
+    _unit_class,
     fraction_valuation,
-    hilbert_symbol,
     mu_psi,
 )
 
@@ -33,51 +46,53 @@ class MetaError(PadicError):
     pass
 
 
-def _rows2(rows):
-    t = tuple(tuple(Q(v) for v in row) for row in rows)
-    if len(t) != 2 or any(len(row) != 2 for row in t):
-        raise MetaError("need a 2x2 matrix")
-    return t
-
-
-def _mat_mul(a, b):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2)) for i in range(2)
-    )
+def _rao_sign(x1, x2, x12, p: int) -> int:
+    # Rao's (x1, x2)(-x1 x2, x12) on the (valuation, unit residue) pairs
+    (v1, r1), (v2, r2), (v12, r12) = x1, x2, x12
+    return _hilbert(v1, r1, v2, r2, p) * _hilbert(v1 + v2, -r1 * r2 % p, v12, r12, p)
 
 
 def rao_x(ctx: PrimeCtx, rows) -> PAdic:
     """Lower-row invariant: the (2,1) entry when nonzero, else (2,2)."""
-    g = _rows2(rows)
-    if g[0][0] * g[1][1] - g[0][1] * g[1][0] != 1:
-        raise MetaError("matrix is not in SL2")
-    return ctx.of(g[1][0] if g[1][0] != 0 else g[1][1])
+    c, d = MetaSL2(ctx, rows).rows[1]
+    return ctx.of(c if c else d)
 
 
 def rao_cocycle(ctx: PrimeCtx, rows1, rows2) -> int:
-    """Sign attached to a pair of SL2 elements by two Hilbert symbols."""
-    g1, g2 = _rows2(rows1), _rows2(rows2)
-    prod = _mat_mul(g1, g2)
-    x1 = rao_x(ctx, g1)
-    x2 = rao_x(ctx, g2)
-    x12 = rao_x(ctx, prod)
-    return hilbert_symbol(x1, x2) * hilbert_symbol(ctx.of(-x1.value * x2.value), x12)
+    """Rao's cocycle c(g1, g2) = (x1, x2)(-x1 x2, x12) of two SL2 matrices.
+
+    x1, x2 and x12 are the lower-row invariants (see rao_x) of g1, g2
+    and g1 g2 (Kubota 1969; Ranga Rao, Pacific J. Math. 157, 1993): the
+    sheet sign of the product of the two unit-sheet lifts.
+    """
+    return (MetaSL2(ctx, rows1) * MetaSL2(ctx, rows2)).zeta
 
 
-@dataclass(frozen=True)
 class MetaSL2:
-    """An element of the double cover: an SL2 matrix plus a sheet sign."""
+    """An element of the double cover: an SL2 matrix plus a sheet sign.
 
-    ctx: PrimeCtx
-    rows: tuple
-    zeta: int = 1
+    Stored like chevalley.Mat: integer rows `num` over one positive
+    denominator `den`, in lowest terms, and `rows` is the Fraction view,
+    built on first use.  `zeta` is the sheet sign and `ctx` the prime
+    whose Hilbert symbols the product reads; `_x` holds the valuation
+    and the unit residue mod p of the invariant x(g).
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows", _rows2(self.rows))
-        if self.rows[0][0] * self.rows[1][1] - self.rows[0][1] * self.rows[1][0] != 1:
-            raise MetaError("matrix is not in SL2")
-        if self.zeta not in (1, -1):
+    __slots__ = ("ctx", "den", "num", "zeta", "_x", "_rows")
+
+    def __init__(self, ctx: PrimeCtx, rows, zeta=1):
+        rows = [[_as_fraction(v) for v in row] for row in rows]
+        if len(rows) != 2 or any(len(row) != 2 for row in rows):
+            raise MetaError("need a 2x2 matrix")
+        if zeta not in (1, -1):
             raise MetaError("sheet sign must be +1 or -1")
+        (a, b), (c, d) = rows
+        den = math.lcm(a.denominator, b.denominator, c.denominator, d.denominator)
+        num = tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in rows)
+        (a, b), (c, d) = num
+        if a * d - b * c != den * den:
+            raise MetaError("matrix is not in SL2")
+        _store(self, ctx, den, num, zeta, _unit_class(c or d, den, ctx.p))
 
     @classmethod
     def identity(cls, ctx: PrimeCtx) -> "MetaSL2":
@@ -102,23 +117,89 @@ class MetaSL2:
     def flip(cls, ctx: PrimeCtx, zeta=1) -> "MetaSL2":
         return cls(ctx, ((0, 1), (-1, 0)), zeta)
 
+    def __setattr__(self, name, value):
+        raise AttributeError("MetaSL2 is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, MetaSL2):
+            return NotImplemented
+        return (
+            self.zeta == other.zeta
+            and self.den == other.den
+            and self.num == other.num
+            and self.ctx == other.ctx
+        )
+
+    def __hash__(self):
+        return hash((self.ctx, self.den, self.num, self.zeta))
+
+    def __repr__(self):
+        return f"MetaSL2(ctx={self.ctx!r}, rows={self.rows!r}, zeta={self.zeta!r})"
+
+    @property
+    def rows(self) -> tuple:
+        """The matrix entries as Fractions."""
+        rows = self._rows
+        if rows is None:
+            den = self.den
+            rows = tuple(tuple(Q(v, den) for v in row) for row in self.num)
+            object.__setattr__(self, "_rows", rows)
+        return rows
+
     def __mul__(self, other: "MetaSL2") -> "MetaSL2":
-        if self.ctx != other.ctx:
+        """One 2x2 integer product; the sheet sign is Rao's cocycle of the
+        stored invariants of the factors and the product's own."""
+        ctx = self.ctx
+        if other.ctx != ctx:
             raise MetaError("mixed prime contexts")
-        sign = rao_cocycle(self.ctx, self.rows, other.rows)
-        return MetaSL2(self.ctx, _mat_mul(self.rows, other.rows), self.zeta * other.zeta * sign)
+        # one entry per statement: a tuple of four would fill the
+        # interpreter's free list for 4-tuples and raise the peak RSS
+        (a, b), (c, d) = self.num
+        (e, f), (g, h) = other.num
+        den = self.den * other.den
+        n00 = a * e + b * g
+        n01 = a * f + b * h
+        n10 = c * e + d * g
+        n11 = c * f + d * h
+        k = math.gcd(den, n00, n01, n10, n11)
+        if k != 1:
+            den //= k
+            n00 //= k
+            n01 //= k
+            n10 //= k
+            n11 //= k
+        if n00 * n11 - n01 * n10 != den * den:
+            raise MetaError("product is not in SL2")
+        x = _unit_class(n10 or n11, den, ctx.p)
+        zeta = self.zeta * other.zeta * _rao_sign(self._x, other._x, x, ctx.p)
+        return _store(object.__new__(MetaSL2), ctx, den, ((n00, n01), (n10, n11)), zeta, x)
 
     def inverse(self) -> "MetaSL2":
-        g = self.rows
-        ginv = ((g[1][1], -g[0][1]), (-g[1][0], g[0][0]))
-        sign = rao_cocycle(self.ctx, g, ginv)
-        return MetaSL2(self.ctx, ginv, self.zeta * sign)
+        """(g, zeta)^-1 = (g^-1, zeta c(g, g^-1)); x(1) = 1, so
+        c(g, g^-1) = (x(g), x(g^-1))."""
+        (a, b), (c, d) = self.num
+        p = self.ctx.p
+        x = _unit_class(-c or a, self.den, p)
+        (v1, r1), (v2, r2) = self._x, x
+        zeta = self.zeta * _hilbert(v1, r1, v2, r2, p)
+        return _store(object.__new__(MetaSL2), self.ctx, self.den, ((d, -b), (-c, a)), zeta, x)
 
     def matrix_is_identity(self) -> bool:
-        return self.rows == ((1, 0), (0, 1))
+        return self.den == 1 and self.num == ((1, 0), (0, 1))
 
     def is_identity(self) -> bool:
         return self.matrix_is_identity() and self.zeta == 1
+
+
+def _store(g: MetaSL2, ctx: PrimeCtx, den: int, num: tuple, zeta: int, x) -> MetaSL2:
+    # num / den in lowest terms with det 1, and x = (v, r) of x(g)
+    object.__setattr__(g, "ctx", ctx)
+    object.__setattr__(g, "den", den)
+    object.__setattr__(g, "num", num)
+    object.__setattr__(g, "zeta", zeta)
+    object.__setattr__(g, "_x", x)
+    object.__setattr__(g, "_rows", None)
+    return g
 
 
 def decompose_big_cell(y: PAdic, x: PAdic):
@@ -269,8 +350,10 @@ def _eval_fsi_raw(sec: SectionFsi, g: MetaSL2) -> Mono:
         return Mono.zero()
     # the defining factorization lives in the cover: peeling the lower
     # factor off (g, zeta) flips the sheet by the cocycle of the pair
-    borel = ((a, rows[0][1]), (0, rows[1][1]))
-    peel = rao_cocycle(ctx, borel, ((1, 0), (x, 1)))
+    # (borel, lower(x)), whose invariants are d, x (1 when x = 0) and x(g)
+    d = rows[1][1]
+    x_lower = _unit_class(x.numerator, x.denominator, ctx.p) if x else (0, 1)
+    peel = _rao_sign(_unit_class(d.numerator, d.denominator, ctx.p), x_lower, g._x, ctx.p)
     v = fraction_valuation(a, ctx.p)
     root = mu_psi(ctx.of(a), twist=-1).inverse() * sec.eta.value(a)
     return root * Mono(g.zeta * peel, -v * (sec.s + Q(1, 2)))

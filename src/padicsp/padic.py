@@ -94,9 +94,6 @@ class PrimeCtx:
     def of(self, x) -> "PAdic":
         return PAdic(_as_fraction(x), self)
 
-    def uniformizer(self) -> "PAdic":
-        return PAdic(Q(self.p), self)
-
     def psi(self, x) -> "Mono":
         return psi(self.of(x))
 
@@ -320,11 +317,6 @@ class PAdic:
     def valuation(self):
         return fraction_valuation(self.value, self.ctx.p)
 
-    def abs_exp(self):
-        """|x| = q**abs_exp(); -inf for 0."""
-        v = self.valuation()
-        return -v if v is not INF else -INF
-
     def is_unit(self) -> bool:
         return self.valuation() == 0
 
@@ -359,6 +351,34 @@ def _legendre_unit(u: Q, p: int) -> int:
     return 1 if ls == 1 else -1
 
 
+def _unit_class(num: int, den: int, p: int):
+    """(v, r) with num/den = p^v * w, w a p-adic unit and r = w mod p.
+
+    Read off the integers alone: num != 0 and den != 0.
+    """
+    v = 0
+    while not num % p:
+        num //= p
+        v += 1
+    while not den % p:
+        den //= p
+        v -= 1
+    return v, num * pow(den, -1, p) % p
+
+
+def _hilbert(va: int, ra: int, vb: int, rb: int, p: int) -> int:
+    """(a, b) over Q_p, odd p, for a = p^va u and b = p^vb w with units
+    u = ra and w = rb mod p: the classical formula
+    (-1)^(va vb (p-1)/2) (u|p)^vb (w|p)^va, taken as one Legendre symbol.
+    """
+    m = 1
+    if vb % 2:
+        m = ra
+    if va % 2:
+        m *= -rb if vb % 2 else rb
+    return 1 if m == 1 or pow(m % p, (p - 1) // 2, p) == 1 else -1
+
+
 def hilbert_symbol(a: PAdic, b: PAdic) -> int:
     """(a, b) over Q_p, odd p, by the classical unit/valuation formula."""
     if a.ctx != b.ctx:
@@ -366,16 +386,9 @@ def hilbert_symbol(a: PAdic, b: PAdic) -> int:
     if a.value == 0 or b.value == 0:
         raise PadicError("Hilbert symbol needs nonzero arguments")
     p = a.ctx.p
-    alpha, beta = a.valuation(), b.valuation()
-    u, v = a.unit_part(), b.unit_part()
-    s = 1
-    if beta % 2 == 1:
-        s *= _legendre_unit(u, p)
-    if alpha % 2 == 1:
-        s *= _legendre_unit(v, p)
-    if alpha % 2 == 1 and beta % 2 == 1:
-        s *= _legendre_unit(Q(-1), p)
-    return s
+    va, ra = _unit_class(a.value.numerator, a.value.denominator, p)
+    vb, rb = _unit_class(b.value.numerator, b.value.denominator, p)
+    return _hilbert(va, ra, vb, rb, p)
 
 
 _EIGHTH_ROOTS = tuple(Mono(turn=Q(k, 8)) for k in range(8))

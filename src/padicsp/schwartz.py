@@ -529,21 +529,22 @@ def weil_act(word, phi: SchwartzFn, twist: int = 1) -> SchwartzFn:
 
 def cover_lift(ctx: PrimeCtx, word) -> MetaSL2:
     """Product of the unit-sheet lifts of the SL2 items of a word."""
-    out = MetaSL2.identity(ctx)
+    out = None
     for item in word:
         it = _norm_item(item)
         tag = it[0]
         if tag == "upper":
-            out = out * MetaSL2.upper(ctx, it[1])
+            g = MetaSL2.upper(ctx, it[1])
         elif tag == "diag":
-            out = out * MetaSL2.diag(ctx, it[1])
+            g = MetaSL2.diag(ctx, it[1])
         elif tag == "flip":
-            out = out * MetaSL2.flip(ctx)
+            g = MetaSL2.flip(ctx)
         elif tag == "sign":
-            out = out * MetaSL2(ctx, ((Q(1), Q(0)), (Q(0), Q(1))), it[1])
+            g = MetaSL2(ctx, ((1, 0), (0, 1)), it[1])
         else:
             raise SchwartzError("Heisenberg items have no SL2 lift")
-    return out
+        out = g if out is None else out * g
+    return MetaSL2.identity(ctx) if out is None else out
 
 
 def canonical_word(ctx: PrimeCtx, rows) -> list:

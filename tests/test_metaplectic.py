@@ -16,6 +16,8 @@ from fractions import Fraction as Q
 
 import pytest
 
+from test_padic import legendre, oracle_hilbert_solvable, smallest_nonresidue
+
 import padicsp
 from padicsp import metaplectic
 from padicsp.padic import Mono, PadicError, PrimeCtx, fraction_valuation, hilbert_symbol, mu_psi
@@ -40,6 +42,9 @@ from padicsp.metaplectic import (
 
 C3 = PrimeCtx(3)
 C5 = PrimeCtx(5)
+C7 = PrimeCtx(7)
+C11 = PrimeCtx(11)
+C13 = PrimeCtx(13)
 
 
 # ------------------------------------------------------------- oracles
@@ -48,6 +53,37 @@ def oracle_mul(a, b):
     return tuple(
         tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2)) for i in range(2)
     )
+
+
+_ORACLE_HILBERT = {}
+
+
+def oracle_hilbert(a, b, p):
+    """(a, b) over Q_p by the solvability search, on the square-class
+    representatives 1, u, p, u p (u the least non-residue) of a and b."""
+    if p not in _ORACLE_HILBERT:
+        u = smallest_nonresidue(p)
+        reps = [1, u, p, u * p]
+        _ORACLE_HILBERT[p] = {(r, s): oracle_hilbert_solvable(r, s, p) for r in reps for s in reps}
+
+    def rep(x):
+        v = fraction_valuation(x, p)
+        w = x / Q(p) ** v
+        unit = smallest_nonresidue(p) if legendre(w.numerator * pow(w.denominator, -1, p), p) == -1 else 1
+        return unit * p ** (v % 2)
+
+    return _ORACLE_HILBERT[p][rep(Q(a)), rep(Q(b))]
+
+
+def oracle_rao_cocycle(g1, g2, p):
+    """The three-matrix formula: x read off g1, g2 and their product,
+    then (x1, x2)(-x1 x2, x12)."""
+
+    def x(g):
+        return g[1][0] if g[1][0] != 0 else g[1][1]
+
+    x1, x2, x12 = x(g1), x(g2), x(oracle_mul(g1, g2))
+    return oracle_hilbert(x1, x2, p) * oracle_hilbert(-x1 * x2, x12, p)
 
 
 def oracle_unit_characters(p, c):
@@ -209,7 +245,7 @@ def test_cocycle_identity_right_is_trivial():
         assert rao_cocycle(C3, e, g) == 1
 
 
-@pytest.mark.parametrize("ctx", [C3, C5])
+@pytest.mark.parametrize("ctx", [C3, C5, C7, C11, C13])
 def test_cocycle_condition_on_seeded_triples(ctx):
     rng = random.Random(101 + ctx.p)
     for _ in range(1000 // 2):
@@ -219,6 +255,33 @@ def test_cocycle_condition_on_seeded_triples(ctx):
         lhs = rao_cocycle(ctx, g1, g2) * rao_cocycle(ctx, oracle_mul(g1, g2), g3)
         rhs = rao_cocycle(ctx, g2, g3) * rao_cocycle(ctx, g1, oracle_mul(g2, g3))
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("ctx", [C3, C5, C7])
+def test_sheet_sign_matches_three_matrix_oracle(ctx):
+    """(g h).zeta = g.zeta h.zeta c(g, h), with c the three-matrix formula
+    on oracle Hilbert symbols, over seeded cover words and the single
+    factors: upper and diag take the x = (2,2) branch, flip has x = -1."""
+    p = ctx.p
+    rng = random.Random(707 + p)
+    singles = [
+        MetaSL2.flip(ctx),
+        MetaSL2.flip(ctx, zeta=-1),
+        MetaSL2.upper(ctx, Q(2, p)),
+        MetaSL2.upper(ctx, Q(-3 * p, 7)),
+        MetaSL2.diag(ctx, Q(p)),
+        MetaSL2.diag(ctx, Q(-2, p**3)),
+        MetaSL2.diag(ctx, Q(smallest_nonresidue(p) * 5, 11)),
+        MetaSL2.lower(ctx, Q(2 * p**2, 5)),
+    ]
+    words = [rand_cover_word(ctx, rng, rng.randrange(1, 5)) for _ in range(40)]
+    pairs = [(g, h) for g in singles for h in singles]
+    pairs += [(g, h) for g in words for h in singles] + [(h, g) for g in words for h in singles]
+    pairs += list(zip(words, reversed(words)))
+    for g, h in pairs:
+        sign = oracle_rao_cocycle(g.rows, h.rows, p)
+        assert (g * h).zeta == g.zeta * h.zeta * sign, (g, h)
+        assert rao_cocycle(ctx, g.rows, h.rows) == sign
 
 
 def test_genuineness_of_torus_products():
@@ -257,14 +320,37 @@ def test_cover_product_matches_matrix_oracle():
 
 
 def test_cover_rejects_bad_data():
-    with pytest.raises(MetaError):
-        MetaSL2(C3, ((1, 1), (1, 1)))
-    with pytest.raises(MetaError):
-        MetaSL2(C3, ((1, 0), (0, 1)), zeta=2)
+    e = ((1, 0), (0, 1))
+    builds = (
+        lambda r: MetaSL2(C3, r),
+        lambda r: rao_x(C3, r),
+        lambda r: rao_cocycle(C3, r, e),
+        lambda r: rao_cocycle(C3, e, r),
+    )
+    for rows in (((1, 0, 0), (0, 1, 0)), ((1,),), (e[0],), e + ((0, 0),)):
+        for build in builds:
+            with pytest.raises(MetaError, match="2x2"):
+                build(rows)
+    for rows in (((1, 1), (1, 1)), ((2, 0), (0, 1)), ((Q(1, 2), 0), (0, 1)), ((0, 1), (1, 0))):
+        for build in builds:
+            with pytest.raises(MetaError, match="not in SL2"):
+                build(rows)
+    assert MetaSL2(C3, ((Q(1, 2), 0), (0, 2))).rows == ((Q(1, 2), 0), (0, 2))
+    for zeta in (2, 0, -2):
+        with pytest.raises(MetaError, match="sheet sign"):
+            MetaSL2(C3, e, zeta=zeta)
+        with pytest.raises(MetaError, match="sheet sign"):
+            MetaSL2.upper(C3, 1, zeta=zeta)
+        with pytest.raises(MetaError, match="sheet sign"):
+            MetaSL2.flip(C3, zeta=zeta)
     with pytest.raises(MetaError):
         MetaSL2.diag(C3, 0)
-    with pytest.raises(MetaError):
+    with pytest.raises(MetaError, match="mixed prime"):
         MetaSL2.identity(C3) * MetaSL2.identity(C5)
+    with pytest.raises(MetaError, match="mixed prime"):
+        MetaSL2.flip(C5) * MetaSL2.upper(C7, Q(1, 5))
+    with pytest.raises(AttributeError):
+        MetaSL2.flip(C3).zeta = -1
 
 
 # ------------------------------------------------------------ big cell
@@ -643,5 +729,7 @@ def test_cover_constructors_reject_floats():
     for build in (MetaSL2.upper, MetaSL2.lower, MetaSL2.diag):
         with pytest.raises(PadicError, match="exact rational"):
             build(ctx, 0.1)
+    with pytest.raises(PadicError, match="exact rational"):
+        MetaSL2(ctx, ((1, 0.5), (0, 1)))
     with pytest.raises(PadicError, match="exact rational"):
         ramified_character(ctx, 1).phase(0.5)

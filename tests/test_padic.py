@@ -309,12 +309,19 @@ def test_hilbert_formula_matches_frozen_table():
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_hilbert_formula_matches_solvability_oracle(p):
+    """The 16 square-class pairs, and the same classes scaled by squares
+    c^2 whose numerators and denominators carry p and other primes."""
     ctx = PrimeCtx(p)
     u = smallest_nonresidue(p)
     reps = [1, u, p, u * p]
+    scales = [Q(1), Q(2, p), Q(3 * p, 7), Q(-5, 2 * p**2), Q(p**3, 11)]
     for a in reps:
         for b in reps:
-            assert hilbert_symbol(ctx.of(a), ctx.of(b)) == oracle_hilbert_solvable(a, b, p), (a, b, p)
+            expected = oracle_hilbert_solvable(a, b, p)
+            for c in scales:
+                for d in scales:
+                    got = hilbert_symbol(ctx.of(a * c * c), ctx.of(b * d * d))
+                    assert got == expected, (a, b, c, d, p)
 
 
 @given(rationals(5), rationals(5), rationals(5))

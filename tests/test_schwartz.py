@@ -1144,6 +1144,14 @@ def test_canonical_word_rejects_non_sl2():
         canonical_word(C3, ((Q(1), Q(1)), (Q(1), Q(1))))
 
 
+def test_cover_lift_folds_from_the_first_letter():
+    assert cover_lift(C3, []).is_identity()
+    assert cover_lift(C3, [("sign", -1)]) == MetaSL2(C3, ((1, 0), (0, 1)), -1)
+    word = [("flip",), ("upper", Q(1, 3)), ("diag", Q(2, 9))]
+    expected = MetaSL2.flip(C3) * MetaSL2.upper(C3, Q(1, 3)) * MetaSL2.diag(C3, Q(2, 9))
+    assert cover_lift(C3, word) == expected
+
+
 def test_cover_lift_rejects_heisenberg_items():
     with pytest.raises(SchwartzError):
         cover_lift(C3, [("heis", Q(1), Q(0), Q(0))])
