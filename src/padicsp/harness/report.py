@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 
-from ..padic import Mono, PAdic
+from ..padic import Mono
 from ..rootsys import Root, WeylElem
 
 PASS = "pass"
@@ -40,8 +40,6 @@ def encode_value(v):
         return {"re": v.real, "im": v.imag}
     if hasattr(v, "rows"):
         return {"rows": encode_value(v.rows)}
-    if isinstance(v, PAdic):
-        return encode_value(v.value)
     return repr(v)
 
 

@@ -31,7 +31,6 @@ from functools import lru_cache
 
 from .padic import (
     Mono,
-    PAdic,
     PadicError,
     PrimeCtx,
     _as_fraction,
@@ -52,10 +51,10 @@ def _rao_sign(x1, x2, x12, p: int) -> int:
     return _hilbert(v1, r1, v2, r2, p) * _hilbert(v1 + v2, -r1 * r2 % p, v12, r12, p)
 
 
-def rao_x(ctx: PrimeCtx, rows) -> PAdic:
+def rao_x(ctx: PrimeCtx, rows) -> Q:
     """Lower-row invariant: the (2,1) entry when nonzero, else (2,2)."""
     c, d = MetaSL2(ctx, rows).rows[1]
-    return ctx.of(c if c else d)
+    return c if c else d
 
 
 def rao_cocycle(ctx: PrimeCtx, rows1, rows2) -> int:
@@ -202,24 +201,23 @@ def _store(g: MetaSL2, ctx: PrimeCtx, den: int, num: tuple, zeta: int, x) -> Met
     return g
 
 
-def decompose_big_cell(y: PAdic, x: PAdic):
+def decompose_big_cell(y, x):
     """Split lower(y)*upper(x) as a Borel part times lower(ybar).
 
-    Returns (a, b, ybar) with lower(y)*upper(x) equal to the matrix
-    ((a, b), (0, 1/a)) times lower(ybar).  The relations a = 1 - x*ybar
-    and a*y = ybar pin the answer; the product leaves the decomposable
-    cell exactly when 1 + x*y = 0.
+    Returns the rationals (a, b, ybar) with lower(y)*upper(x) equal to
+    the matrix ((a, b), (0, 1/a)) times lower(ybar).  The relations
+    a = 1 - x*ybar and a*y = ybar pin the answer; the product leaves the
+    decomposable cell exactly when 1 + x*y = 0.
     """
-    if y.ctx != x.ctx:
-        raise MetaError("mixed prime contexts")
-    d = 1 + x.value * y.value
+    y, x = _as_fraction(y), _as_fraction(x)
+    d = 1 + x * y
     if d == 0:
         raise MetaError("product lies outside the decomposable cell")
     a = 1 / d
-    ybar = y.value / d
-    if a != 1 - x.value * ybar or a * y.value != ybar:
+    ybar = y / d
+    if a != 1 - x * ybar or a * y != ybar:
         raise MetaError("big-cell relations fail")
-    return y.ctx.of(a), x, y.ctx.of(ybar)
+    return a, x, ybar
 
 
 # ----------------------------------------------------------- characters
@@ -424,7 +422,7 @@ def intertwine_level(eta: CharacterFx, x_bound) -> int:
     return max(section_level(eta), -(need // -3))
 
 
-def intertwine_eval_exact(sec: SectionFsi, x: PAdic, x_bound) -> Mono:
+def intertwine_eval_exact(sec: SectionFsi, x, x_bound) -> Mono:
     """The standard intertwining integral of the level-i section at
     flip*upper(x), computed exactly.
 
@@ -436,14 +434,13 @@ def intertwine_eval_exact(sec: SectionFsi, x: PAdic, x_bound) -> Mono:
     integral collapses to the volume q^{-3i} exactly.
     """
     ctx = sec.ctx
-    if x.ctx != ctx:
-        raise MetaError("mixed prime contexts")
+    x = _as_fraction(x)
     i = sec.i
-    if x.value != 0 and Q(ctx.p) ** (-fraction_valuation(x.value, ctx.p)) > _as_fraction(x_bound):
+    if x != 0 and Q(ctx.p) ** (-fraction_valuation(x, ctx.p)) > _as_fraction(x_bound):
         raise MetaError("point lies outside the stated compact set")
     c = max(sec.eta.conductor, 1)
-    depth = 3 * i + (fraction_valuation(x.value, ctx.p) if x.value != 0 else 0)
-    if x.value != 0 and (depth < 1 or depth < c):
+    depth = 3 * i + (fraction_valuation(x, ctx.p) if x != 0 else 0)
+    if x != 0 and (depth < 1 or depth < c):
         raise MetaError(
             "support detection failed to stabilize: level too small for this point"
         )
@@ -455,21 +452,21 @@ def intertwine_eval_exact(sec: SectionFsi, x: PAdic, x_bound) -> Mono:
     # lands back in the ball and the integrand is exactly 1 there
     for t in (1, 2, ctx.p - 1):
         z = Q(t) * Q(ctx.p) ** (3 * i)
-        b = -z / (1 - z * x.value)
-        a, _, ybar = decompose_big_cell(ctx.of(-b), x)
-        if fraction_valuation(ybar.value, ctx.p) < 3 * i:
+        b = -z / (1 - z * x)
+        a, _, ybar = decompose_big_cell(-b, x)
+        if fraction_valuation(ybar, ctx.p) < 3 * i:
             raise MetaError("cell decomposition left the support ball")
-        if fraction_valuation(a.value - 1, ctx.p) < c:
+        if fraction_valuation(a - 1, ctx.p) < c:
             raise MetaError("torus entry outside the conductor ball")
-        if not mu_psi(a, twist=-1).is_one():
+        if not mu_psi(ctx.of(a), twist=-1).is_one():
             raise MetaError("normalizing root nontrivial on the support")
-        if sec.eta.phase(a.value) != 0:
+        if sec.eta.phase(a) != 0:
             raise MetaError("character nontrivial on the support")
-        val = _eval_fsi_raw(sec, MetaSL2.lower(ctx, -b) * MetaSL2.upper(ctx, x.value))
+        val = _eval_fsi_raw(sec, MetaSL2.lower(ctx, -b) * MetaSL2.upper(ctx, x))
         if not val.is_one():
             raise MetaError("integrand is not 1 on the support")
     return Mono(1, -3 * i)
 
 
-def intertwine_eval(sec: SectionFsi, x: PAdic, x_bound) -> complex:
+def intertwine_eval(sec: SectionFsi, x, x_bound) -> complex:
     return intertwine_eval_exact(sec, x, x_bound).as_complex(sec.ctx.p)

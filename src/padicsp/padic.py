@@ -1,7 +1,10 @@
 """Exact arithmetic over the p-adic rationals, odd residue characteristic.
 
-Numbers are plain rationals (fractions.Fraction) tagged with a prime
-context, so every valuation, character value and symbol below is exact.
+A p-adic number is a plain rational, a fractions.Fraction, so every
+valuation, character value and symbol below is exact.  The functions
+that read a valuation -- psi, hilbert_symbol, weil_index, mu_psi,
+is_square and square_root_in_unit_ball -- take it as ctx.of(x), the
+Fraction x tagged with its PrimeCtx; everything else passes Fractions.
 The additive character psi is the standard unramified one: psi(x)
 depends only on the p-part of x, extracted as a fraction with p-power
 denominator.  Every scalar the library produces -- psi-values, Weil
@@ -38,8 +41,6 @@ def _is_prime(k: int) -> bool:
 
 
 def _as_fraction(x) -> Q:
-    if isinstance(x, PAdic):
-        return x.value
     if isinstance(x, (int, Q)):
         return Q(x)
     raise PadicError(f"cannot coerce {x!r} to an exact rational")
@@ -87,15 +88,16 @@ class PrimeCtx:
         if self.p == 2:
             raise PadicError("p = 2 rejected: the workbench requires odd residue characteristic")
 
-    @property
-    def q(self) -> int:
-        return self.p
-
     def of(self, x) -> "PAdic":
         return PAdic(_as_fraction(x), self)
 
-    def psi(self, x) -> "Mono":
-        return psi(self.of(x))
+
+@dataclass(frozen=True)
+class PAdic:
+    """A rational tagged with its prime: the argument of a valuation reader."""
+
+    value: Q
+    ctx: PrimeCtx
 
 
 _HALF = Q(1, 2)
@@ -227,7 +229,7 @@ class Cyclo:
             if p % 4 == 3:  # eps = i
                 j = (j + 6) % 8
             for r in range(1, p):
-                add(_legendre_unit(Q(r), p) * c, j, (a + r * step) % pk)
+                add(_legendre(r, p) * c, j, (a + r * step) % pk)
         terms = [Mono(c, 0, Q(j, 8) + Q(a, pk)) for (j, a), c in acc.items() if c]
         return cls(p, tuple(sorted(terms, key=lambda m: m.turn)))
 
@@ -262,93 +264,14 @@ class Cyclo:
         return sum((m.as_complex(self.p) for m in self.terms), 0j)
 
 
-@dataclass(frozen=True)
-class PAdic:
-    """An exact rational viewed inside Q_p."""
-
-    value: Q
-    ctx: PrimeCtx
-
-    def _lift(self, other) -> Q:
-        if isinstance(other, PAdic):
-            if other.ctx != self.ctx:
-                raise PadicError("mixed prime contexts")
-            return other.value
-        return _as_fraction(other)
-
-    def __add__(self, other):
-        return PAdic(self.value + self._lift(other), self.ctx)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return PAdic(self.value - self._lift(other), self.ctx)
-
-    def __rsub__(self, other):
-        return PAdic(self._lift(other) - self.value, self.ctx)
-
-    def __mul__(self, other):
-        return PAdic(self.value * self._lift(other), self.ctx)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return PAdic(self.value / self._lift(other), self.ctx)
-
-    def __rtruediv__(self, other):
-        return PAdic(self._lift(other) / self.value, self.ctx)
-
-    def __neg__(self):
-        return PAdic(-self.value, self.ctx)
-
-    def __eq__(self, other):
-        if isinstance(other, PAdic):
-            return self.ctx == other.ctx and self.value == other.value
-        if isinstance(other, (int, Q)):
-            return self.value == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.ctx.p))
-
-    def __str__(self):
-        return str(self.value)
-
-    def valuation(self):
-        return fraction_valuation(self.value, self.ctx.p)
-
-    def is_unit(self) -> bool:
-        return self.valuation() == 0
-
-    def unit_part(self) -> Q:
-        """u with x = u * p^v."""
-        if self.value == 0:
-            raise PadicError("0 has no unit part")
-        return self.value / Q(self.ctx.p) ** self.valuation()
-
-    def is_square(self) -> bool:
-        if self.value == 0:
-            return True
-        v = self.valuation()
-        if v % 2 != 0:
-            return False
-        return _legendre_unit(self.unit_part(), self.ctx.p) == 1
-
-
-def valuation(x: PAdic):
-    return x.valuation()
-
-
 def psi(x: PAdic) -> Mono:
     """The unramified additive character, trivial exactly on the integer ring."""
     return Mono(turn=_pfrac(x.value, x.ctx.p))
 
 
-def _legendre_unit(u: Q, p: int) -> int:
-    # u a p-adic unit given as a rational
-    m = (u.numerator * pow(u.denominator, -1, p)) % p
-    ls = pow(m, (p - 1) // 2, p)
-    return 1 if ls == 1 else -1
+def _legendre(r: int, p: int) -> int:
+    """(r|p) for an integer r prime to p."""
+    return 1 if pow(r, (p - 1) // 2, p) == 1 else -1
 
 
 def _unit_class(num: int, den: int, p: int):
@@ -376,7 +299,7 @@ def _hilbert(va: int, ra: int, vb: int, rb: int, p: int) -> int:
         m = ra
     if va % 2:
         m *= -rb if vb % 2 else rb
-    return 1 if m == 1 or pow(m % p, (p - 1) // 2, p) == 1 else -1
+    return 1 if m == 1 else _legendre(m, p)
 
 
 def hilbert_symbol(a: PAdic, b: PAdic) -> int:
@@ -389,6 +312,14 @@ def hilbert_symbol(a: PAdic, b: PAdic) -> int:
     va, ra = _unit_class(a.value.numerator, a.value.denominator, p)
     vb, rb = _unit_class(b.value.numerator, b.value.denominator, p)
     return _hilbert(va, ra, vb, rb, p)
+
+
+def is_square(a: PAdic) -> bool:
+    """a is a square in Q_p: v(a) is even and its unit residue is a square mod p."""
+    if a.value == 0:
+        return True
+    v, r = _unit_class(a.value.numerator, a.value.denominator, a.ctx.p)
+    return v % 2 == 0 and _legendre(r, a.ctx.p) == 1
 
 
 _EIGHTH_ROOTS = tuple(Mono(turn=Q(k, 8)) for k in range(8))
@@ -405,11 +336,11 @@ def weil_index(a: PAdic, twist=1) -> Mono:
     if b == 0:
         raise PadicError("Weil index needs a nonzero scaling")
     p = a.ctx.p
-    k = fraction_valuation(b, p)
+    k, r = _unit_class(b.numerator, b.denominator, p)
     if k % 2 == 0:
         return _EIGHTH_ROOTS[0]
     root = 0 if p % 4 == 1 else 2
-    return _EIGHTH_ROOTS[root if _legendre_unit(b / Q(p) ** k, p) == 1 else root + 4]
+    return _EIGHTH_ROOTS[root if _legendre(r, p) == 1 else root + 4]
 
 
 def mu_psi(a: PAdic, twist=1) -> Mono:
@@ -417,7 +348,7 @@ def mu_psi(a: PAdic, twist=1) -> Mono:
     return weil_index(a.ctx.of(1), twist) * weil_index(a, twist).inverse()
 
 
-def square_root_in_unit_ball(x: PAdic, m: int, extra_digits: int = 8) -> PAdic:
+def square_root_in_unit_ball(x: PAdic, m: int, extra_digits: int = 8) -> Q:
     """A square root of x in 1 + P^m.
 
     Exact when x is a rational square; otherwise a Hensel approximation y
@@ -425,8 +356,7 @@ def square_root_in_unit_ball(x: PAdic, m: int, extra_digits: int = 8) -> PAdic:
     """
     if m < 1:
         raise PadicError("level m must be >= 1")
-    ctx = x.ctx
-    p = ctx.p
+    p = x.ctx.p
     if fraction_valuation(x.value - 1, p) < m:
         raise PadicError(f"{x.value} is not in 1 + P^{m}")
     num, den = x.value.numerator, x.value.denominator
@@ -437,7 +367,7 @@ def square_root_in_unit_ball(x: PAdic, m: int, extra_digits: int = 8) -> PAdic:
             y = -y
         if fraction_valuation(y - 1, p) < m:
             raise PadicError("square root escapes the unit ball")  # cannot happen for odd p
-        return PAdic(y, ctx)
+        return y
     level = m + extra_digits
     mod = p**level
     t = (num * pow(den, -1, mod)) % mod
@@ -453,4 +383,4 @@ def square_root_in_unit_ball(x: PAdic, m: int, extra_digits: int = 8) -> PAdic:
         y = (-y) % mod
     if (y - 1) % p**m != 0:
         raise PadicError("Hensel root escapes the unit ball")
-    return PAdic(Q(y), ctx)
+    return Q(y)

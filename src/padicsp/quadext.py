@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padic import INF, PAdic, PadicError, PrimeCtx, fraction_valuation, square_root_in_unit_ball
+from .padic import INF, PadicError, PrimeCtx, fraction_valuation, is_square, square_root_in_unit_ball
 
 Q = Fraction
 
@@ -26,7 +26,7 @@ class QuadExt:
     def __post_init__(self):
         d = Q(self.d)
         object.__setattr__(self, "d", d)
-        if PAdic(d, self.ctx).is_square():
+        if is_square(self.ctx.of(d)):
             raise PadicError(f"d = {d} is a square in Q_{self.ctx.p}, not an extension")
 
     @property
@@ -84,7 +84,7 @@ class QuadExtElem:
 
     def __truediv__(self, other):
         o = self._lift(other)
-        n = o.norm_fraction()
+        n = o.norm()
         if n == 0:
             raise ZeroDivisionError("division by zero in quadratic extension")
         c = o.conjugate()
@@ -109,21 +109,18 @@ class QuadExtElem:
     def conjugate(self) -> "QuadExtElem":
         return QuadExtElem(self.ext, self.a, -self.b)
 
-    def norm_fraction(self) -> Q:
+    def norm(self) -> Q:
         return self.a * self.a - self.ext.d * self.b * self.b
 
-    def norm(self) -> PAdic:
-        return PAdic(self.norm_fraction(), self.ext.ctx)
-
-    def trace(self) -> PAdic:
-        return PAdic(2 * self.a, self.ext.ctx)
+    def trace(self) -> Q:
+        return 2 * self.a
 
     def base_valuation(self):
         """v normalized so v(p) = 1; half-integers occur when ramified."""
         p = self.ext.ctx.p
         va = fraction_valuation(self.a, p)
         vb = fraction_valuation(self.b, p)
-        vd = fraction_valuation(self.d_frac(), p)
+        vd = fraction_valuation(self.ext.d, p)
         cand = []
         if va is not INF:
             cand.append(Q(va))
@@ -132,9 +129,6 @@ class QuadExtElem:
         if not cand:
             return INF
         return min(cand)
-
-    def d_frac(self) -> Q:
-        return self.ext.d
 
 
 def norm_one_decompose(x: QuadExtElem, m: int):
@@ -150,7 +144,7 @@ def norm_one_decompose(x: QuadExtElem, m: int):
     ctx = ext.ctx
     p = ctx.p
     d = ext.d
-    t = x.norm_fraction()
+    t = x.norm()
     if fraction_valuation(t - 1, p) < m:
         raise PadicError(f"norm {t} is not in 1 + P^{m}")
     one = ext.one()
@@ -158,7 +152,7 @@ def norm_one_decompose(x: QuadExtElem, m: int):
         e, u = one, x
     else:
         extra = m + 8
-        xn = square_root_in_unit_ball(PAdic(t, ctx), m, extra_digits=extra).value
+        xn = square_root_in_unit_ball(ctx.of(t), m, extra_digits=extra)
         a0 = x / ext.elem(xn)
         for sigma in (1, -1):
             if fraction_valuation(1 + sigma * a0.a, p) == 0:
@@ -169,7 +163,7 @@ def norm_one_decompose(x: QuadExtElem, m: int):
         den = 1 - d * s * s
         e = ext.elem(sigma * (1 + d * s * s) / den, sigma * 2 * s / den)
         u = x / e
-    if e.norm_fraction() != 1:
+    if e.norm() != 1:
         raise PadicError("norm-one factor has norm other than 1")
     if e * u != x:
         raise PadicError("factors do not recompose x")

@@ -23,7 +23,6 @@ from typing import Optional
 from .padic import (
     Cyclo,
     Mono,
-    PAdic,
     PadicError,
     PrimeCtx,
     _HALF,
@@ -246,9 +245,6 @@ class SchwartzFn:
     def from_terms(cls, ctx: PrimeCtx, terms) -> "SchwartzFn":
         return cls(ctx, tuple(terms)).canonical()
 
-    def is_structural_zero(self) -> bool:
-        return not self.terms
-
     def canonical(self) -> "SchwartzFn":
         """The same function on pairwise disjoint balls, in one fixed form.
 
@@ -288,7 +284,7 @@ class SchwartzFn:
         ).canonical()
 
     def value_at(self, x) -> Cyclo:
-        xq = x.value if isinstance(x, PAdic) else _as_fraction(x)
+        xq = _as_fraction(x)
         p = self.ctx.p
         return Cyclo.of(p, (t.phase(xq, p) for t in self.terms if t.contains(xq, p)))
 
@@ -441,45 +437,30 @@ def fourier(phi: SchwartzFn, twist: int = 1) -> SchwartzFn:
 
 @dataclass(frozen=True)
 class HeisenbergElem:
-    """Group element [x, xp, z]; the commutator pairing carries a factor 2."""
+    """Group element [x, xp, z] of rationals; the commutator pairing carries a factor 2."""
 
-    x: PAdic
-    xp: PAdic
-    z: PAdic
+    x: Q
+    xp: Q
+    z: Q
 
     def __post_init__(self):
-        ps = {self.x.ctx.p, self.xp.ctx.p, self.z.ctx.p}
-        if len(ps) != 1:
-            raise SchwartzError("mixed prime contexts in Heisenberg element")
-
-    @property
-    def ctx(self) -> PrimeCtx:
-        return self.x.ctx
-
-    @classmethod
-    def of(cls, ctx: PrimeCtx, x, xp, z) -> "HeisenbergElem":
-        return cls(ctx.of(x), ctx.of(xp), ctx.of(z))
+        for name in ("x", "xp", "z"):
+            object.__setattr__(self, name, _as_fraction(getattr(self, name)))
 
     def __mul__(self, other: "HeisenbergElem") -> "HeisenbergElem":
-        if other.ctx.p != self.ctx.p:
-            raise SchwartzError("mixed prime contexts in Heisenberg product")
-        x1, y1 = self.x.value, self.xp.value
-        x2, y2 = other.x.value, other.xp.value
-        shift = x1 * y2 - x2 * y1
-        return HeisenbergElem.of(
-            self.ctx, x1 + x2, y1 + y2, self.z.value + other.z.value + shift
-        )
+        shift = self.x * other.xp - other.x * self.xp
+        return HeisenbergElem(self.x + other.x, self.xp + other.xp, self.z + other.z + shift)
 
     def inverse(self) -> "HeisenbergElem":
-        return HeisenbergElem.of(self.ctx, -self.x.value, -self.xp.value, -self.z.value)
+        return HeisenbergElem(-self.x, -self.xp, -self.z)
 
     def is_identity(self) -> bool:
-        return self.x.value == 0 and self.xp.value == 0 and self.z.value == 0
+        return not (self.x or self.xp or self.z)
 
 
 def _norm_item(item):
     if isinstance(item, HeisenbergElem):
-        return ("heis", item.x.value, item.xp.value, item.z.value)
+        return ("heis", item.x, item.xp, item.z)
     if isinstance(item, str):
         item = (item,)
     if not isinstance(item, tuple) or not item:
@@ -502,7 +483,7 @@ def _norm_item(item):
     if tag == "heis":
         if len(item) == 2 and isinstance(item[1], HeisenbergElem):
             h = item[1]
-            return ("heis", h.x.value, h.xp.value, h.z.value)
+            return ("heis", h.x, h.xp, h.z)
         return ("heis", _as_fraction(item[1]), _as_fraction(item[2]), _as_fraction(item[3]))
     raise SchwartzError(f"unknown word item tag {tag!r}")
 

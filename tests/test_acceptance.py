@@ -30,7 +30,6 @@ from test_schwartz import oracle_square_character_trivial
 
 from padicsp.padic import (
     Mono,
-    PAdic,
     PrimeCtx,
     fraction_valuation,
     hilbert_symbol,
@@ -356,7 +355,7 @@ def test_criterion_07_congruence_filtration():
             bump[kk + 1][i + 1] = y * r
         if lhs != levi_embed(n, bump) * mid:
             problems.append(f"conjugation identity k={k}")
-        if generic_character(ctx, levi_embed(n, bump)) != psi(PAdic(ys[-1] * r, ctx)):
+        if generic_character(ctx, levi_embed(n, bump)) != psi(ctx.of(ys[-1] * r)):
             problems.append(f"character extraction k={k}")
         cases += 1
     assert record(7, "congruence filtration and characters", not problems,
@@ -534,10 +533,10 @@ def test_criterion_11_big_cell_and_intertwining():
                 for i in (lvl, lvl + 1):
                     sec = SectionFsi(i, eta, s)
                     for xval in xs:
-                        got = intertwine_eval_exact(sec, ctx.of(xval), bound)
+                        got = intertwine_eval_exact(sec, xval, bound)
                         if got != Mono(1, -3 * i):
                             problems.append(f"exact volume p={p} i={i} x={xval}")
-                        approx = intertwine_eval(sec, ctx.of(xval), bound)
+                        approx = intertwine_eval(sec, xval, bound)
                         if abs(approx - float(p) ** (-3 * i)) > 1e-9:
                             problems.append(f"float volume p={p} i={i} x={xval}")
                         cases += 1

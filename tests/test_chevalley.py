@@ -27,7 +27,7 @@ import padicsp
 from padicsp import chevalley
 from padicsp.harness import CampaignConfig
 from padicsp.harness.checks import _random_word_matrix, check_cell_word_rewrite
-from padicsp.padic import PAdic, PadicError, PrimeCtx, fraction_valuation, psi
+from padicsp.padic import PadicError, PrimeCtx, fraction_valuation, psi
 from padicsp.rootsys import (
     Root,
     WeylElem,
@@ -542,7 +542,7 @@ def test_corner_slice_conjugation_extracts_character_entry():
                 for k, y in enumerate(ys):
                     bump[k + 1][i + 1] = y * r
                 assert lhs == levi_embed(n, bump) * mid
-                assert generic_character(C3, levi_embed(n, bump)) == psi(PAdic(ys[-1] * r, C3))
+                assert generic_character(C3, levi_embed(n, bump)) == psi(C3.of(ys[-1] * r))
 
 
 # ------------------------------------------------------------ Weyl layer
@@ -966,7 +966,7 @@ def test_self_checks_survive_optimize_flag():
         import functools
         from fractions import Fraction as Q
         from padicsp import chevalley, quadext, rootsys
-        from padicsp.padic import PAdic, PadicError, PrimeCtx
+        from padicsp.padic import PadicError, PrimeCtx
 
         assert False, "python -O should strip this assert"
         ctx = PrimeCtx(3)
@@ -986,8 +986,8 @@ def test_self_checks_survive_optimize_flag():
             print(exc)
 
         real = quadext.square_root_in_unit_ball
-        quadext.square_root_in_unit_ball = lambda a, m, extra_digits=0: PAdic(
-            2 * real(a, m, extra_digits=extra_digits).value, a.ctx
+        quadext.square_root_in_unit_ball = lambda a, m, extra_digits=0: 2 * real(
+            a, m, extra_digits=extra_digits
         )
         try:
             quadext.norm_one_decompose(quadext.QuadExt(ctx, Q(2)).elem(-1), 1)

@@ -114,7 +114,7 @@ def oracle_intertwine_riemann(sec, x, box_exp, cell_exp):
     seen_phase = None
     for k in range(count):
         b = Q(k) * Q(p) ** box_exp
-        g = MetaSL2.lower(ctx, -b) * MetaSL2.upper(ctx, x.value)
+        g = MetaSL2.lower(ctx, -b) * MetaSL2.upper(ctx, x)
         val = _eval_fsi_raw(sec, g)
         if val.is_zero():
             continue
@@ -205,17 +205,17 @@ def law_factor(eta, s, a, zeta):
 # ------------------------------------------------------- rao invariants
 
 def test_rao_x_flip_is_minus_one():
-    assert rao_x(C3, ((0, 1), (-1, 0))).value == -1
+    assert rao_x(C3, ((0, 1), (-1, 0))) == -1
 
 
 def test_rao_x_upper_is_one():
     for b in (0, 5, Q(-2, 9)):
-        assert rao_x(C3, ((1, b), (0, 1))).value == 1
+        assert rao_x(C3, ((1, b), (0, 1))) == 1
 
 
 def test_rao_x_diag_is_inverse_entry():
     for a in (2, Q(1, 3), -5):
-        assert rao_x(C3, ((Q(a), 0), (0, 1 / Q(a)))).value == 1 / Q(a)
+        assert rao_x(C3, ((Q(a), 0), (0, 1 / Q(a)))) == 1 / Q(a)
 
 
 def test_rao_x_rejects_non_sl2():
@@ -356,13 +356,11 @@ def test_cover_rejects_bad_data():
 # ------------------------------------------------------------ big cell
 
 def test_big_cell_x_zero():
-    a, b, ybar = decompose_big_cell(C3.of(Q(7, 3)), C3.of(0))
-    assert (a.value, b.value, ybar.value) == (1, 0, Q(7, 3))
+    assert decompose_big_cell(Q(7, 3), 0) == (1, 0, Q(7, 3))
 
 
 def test_big_cell_y_zero():
-    a, b, ybar = decompose_big_cell(C3.of(0), C3.of(Q(4, 9)))
-    assert (a.value, b.value, ybar.value) == (1, Q(4, 9), 0)
+    assert decompose_big_cell(0, Q(4, 9)) == (1, Q(4, 9), 0)
 
 
 def test_big_cell_matrix_identity_and_relations():
@@ -372,20 +370,19 @@ def test_big_cell_matrix_identity_and_relations():
         x = Q(rng.randrange(-30, 31), 3 ** rng.randrange(0, 3))
         if 1 + x * y == 0:
             continue
-        ya, xa = C3.of(y), C3.of(x)
-        a, b, ybar = decompose_big_cell(ya, xa)
+        a, b, ybar = decompose_big_cell(y, x)
         lower = ((1, 0), (y, 1))
         upper = ((1, x), (0, 1))
-        borel = ((a.value, b.value), (0, 1 / a.value))
-        back = ((1, 0), (ybar.value, 1))
+        borel = ((a, b), (0, 1 / a))
+        back = ((1, 0), (ybar, 1))
         assert oracle_mul(lower, upper) == oracle_mul(borel, back)
-        assert a.value == 1 - x * ybar.value
-        assert a.value * y == ybar.value
+        assert a == 1 - x * ybar
+        assert a * y == ybar
 
 
 def test_big_cell_rejects_degenerate_product():
     with pytest.raises(MetaError):
-        decompose_big_cell(C3.of(Q(-1, 2)), C3.of(2))
+        decompose_big_cell(Q(-1, 2), 2)
 
 
 def test_big_cell_torus_entry_depth():
@@ -396,9 +393,9 @@ def test_big_cell_torus_entry_depth():
             for uy in (1, 2, -4):
                 y = Q(uy) * Q(3) ** (3 * i)
                 x = Q(2) * Q(3) ** vx
-                a, _, ybar = decompose_big_cell(C3.of(y), C3.of(x))
-                assert fraction_valuation(a.value - 1, 3) >= c
-                assert fraction_valuation(ybar.value, 3) >= 3 * i
+                a, _, ybar = decompose_big_cell(y, x)
+                assert fraction_valuation(a - 1, 3) >= c
+                assert fraction_valuation(ybar, 3) >= 3 * i
 
 
 # ----------------------------------------------------------- characters
@@ -599,7 +596,7 @@ def test_intertwine_at_zero_is_volume():
     eta = ramified_character(C3, 1)
     for i in (1, 2):
         sec = SectionFsi(i=i, eta=eta, s=Q(1, 2))
-        got = intertwine_eval_exact(sec, C3.of(0), 1)
+        got = intertwine_eval_exact(sec, Q(0), 1)
         assert got == Mono(1, -3 * i)
 
 
@@ -610,7 +607,7 @@ def test_intertwine_on_bounded_set_is_volume():
     i = intertwine_level(eta, bound)
     sec = SectionFsi(i=i, eta=eta, s=Q(1, 2))
     for x in (Q(0), Q(1, 3), Q(2, 243), Q(-4, 27)):
-        got = intertwine_eval(sec, C3.of(x), bound)
+        got = intertwine_eval(sec, x, bound)
         assert abs(got - 3.0 ** (-3 * i)) < 1e-12
 
 
@@ -621,7 +618,7 @@ def test_intertwine_independent_of_s_and_eta():
         i = intertwine_level(eta, bound)
         for s in (Q(1, 2), Q(-2), Q(7, 3)):
             sec = SectionFsi(i=max(i, 2), eta=eta, s=s)
-            vals.add(intertwine_eval_exact(sec, C3.of(Q(2, 9)), bound))
+            vals.add(intertwine_eval_exact(sec, Q(2, 9), bound))
     assert vals == {Mono(1, -6)}
 
 
@@ -632,7 +629,7 @@ def test_intertwine_independent_of_s_and_eta():
 def test_intertwine_matches_riemann_oracle(p, conductor, vx):
     ctx = PrimeCtx(p)
     eta = ramified_character(ctx, conductor)
-    x = ctx.of(Q(2) * Q(p) ** vx)
+    x = Q(2) * Q(p) ** vx
     bound = Q(p) ** (-vx) if vx < 0 else 1
     i = intertwine_level(eta, bound)
     sec = SectionFsi(i=i, eta=eta, s=Q(1, 2))
@@ -648,11 +645,11 @@ def test_intertwine_matches_riemann_oracle(p, conductor, vx):
 def test_intertwine_support_is_exactly_the_ball():
     eta = ramified_character(C3, 1)
     sec = SectionFsi(i=1, eta=eta, s=Q(1, 2))
-    x = C3.of(Q(1, 3))
+    x = Q(1, 3)
     inside = 0
     for k in range(3**6):
         b = Q(k, 3)
-        val = _eval_fsi_raw(sec, MetaSL2.lower(C3, -b) * MetaSL2.upper(C3, x.value))
+        val = _eval_fsi_raw(sec, MetaSL2.lower(C3, -b) * MetaSL2.upper(C3, x))
         if fraction_valuation(b, 3) >= 3:
             assert not val.is_zero()
             inside += 1
@@ -664,20 +661,20 @@ def test_intertwine_support_is_exactly_the_ball():
 def test_intertwine_error_paths():
     eta2 = ramified_character(C3, 2)
     with pytest.raises(MetaError, match="stabilize"):
-        intertwine_eval(SectionFsi(i=1, eta=eta2, s=0), C3.of(Q(1, 9)), 9)
+        intertwine_eval(SectionFsi(i=1, eta=eta2, s=0), Q(1, 9), 9)
     eta1 = ramified_character(C3, 1)
     sec = SectionFsi(i=intertwine_level(eta1, 9), eta=eta1, s=0)
     with pytest.raises(MetaError, match="compact"):
-        intertwine_eval(sec, C3.of(Q(1, 27)), 9)
-    with pytest.raises(MetaError):
-        intertwine_eval(sec, C5.of(0), 9)
+        intertwine_eval(sec, Q(1, 27), 9)
+    with pytest.raises(PadicError, match="exact rational"):
+        intertwine_eval(sec, C5.of(0), 9)  # x is a Fraction; a tagged value is refused
 
 
 def test_intertwine_support_guard_raises(monkeypatch):
     monkeypatch.setattr(metaplectic, "mu_psi", lambda a, twist=1: Mono(turn=Q(1, 4)))
     sec = SectionFsi(i=1, eta=ramified_character(C3, 1), s=Q(1, 2))
     with pytest.raises(MetaError, match="normalizing root"):
-        intertwine_eval_exact(sec, C3.of(0), 1)
+        intertwine_eval_exact(sec, Q(0), 1)
 
 
 def test_intertwine_support_guard_survives_optimize_flag():
@@ -692,7 +689,7 @@ def test_intertwine_support_guard_survives_optimize_flag():
         ctx = PrimeCtx(3)
         sec = meta.SectionFsi(i=1, eta=meta.ramified_character(ctx, 1), s=Q(1, 2))
         try:
-            meta.intertwine_eval_exact(sec, ctx.of(0), 1)
+            meta.intertwine_eval_exact(sec, Q(0), 1)
         except meta.MetaError as exc:
             print(exc)
         """
@@ -718,7 +715,7 @@ def test_intertwine_rejects_float_bounds():
     sec = SectionFsi(i=intertwine_level(eta, 9), eta=eta, s=Q(1, 2))
     with pytest.raises(PadicError, match="exact rational"):
         intertwine_level(eta, 9.0)
-    for x in (C3.of(0), C3.of(Q(1, 3))):
+    for x in (Q(0), Q(1, 3)):
         assert intertwine_eval_exact(sec, x, 9) == Mono(1, -3 * sec.i)
         with pytest.raises(PadicError, match="exact rational"):
             intertwine_eval_exact(sec, x, 9.0)

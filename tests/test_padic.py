@@ -6,10 +6,12 @@ tables below were produced by those oracles.
 """
 from __future__ import annotations
 
+import ast
 import cmath
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,19 +21,24 @@ from padicsp.padic import (
     INF,
     Cyclo,
     Mono,
-    PAdic,
     PadicError,
     PrimeCtx,
+    _as_fraction,
     _pfrac,
+    _unit_class,
     fraction_valuation,
     hilbert_symbol,
+    is_square,
     mu_psi,
     psi,
     square_root_in_unit_ball,
     weil_index,
 )
+import padicsp
 from padicsp import quadext
+from padicsp.metaplectic import decompose_big_cell
 from padicsp.quadext import QuadExt, norm_one_decompose
+from padicsp.schwartz import SchwartzFn
 
 Q = Fraction
 
@@ -110,6 +117,23 @@ def oracle_weil_gauss_sum(b: Q, p: int) -> Mono:
     raise AssertionError(f"Gauss sum {total} for b={b}, p={p} is not an eighth root")
 
 
+def oracle_is_square(x: Q, p: int) -> bool:
+    """x = p^v u, u a unit, is a square in Q_p exactly when v is even and
+    u = y^2 mod p^3 for some y, found by search.  For odd p a unit that
+    is a square mod p lifts by Hensel, so p^3 is more than enough."""
+    v = 0
+    num, den = x.numerator, x.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    mod = p**3
+    u = num * pow(den, -1, mod) % mod
+    return v % 2 == 0 and any(y * y % mod == u for y in range(mod))
+
+
 # Square-class Hilbert table for p = 3, reps [1, 2, 3, 6], frozen from
 # oracle_hilbert_solvable.
 HILBERT_TABLE_P3 = {
@@ -153,15 +177,16 @@ def test_prime_ctx_rejects_bad_primes():
         PrimeCtx(2)
     with pytest.raises(PadicError):
         PrimeCtx(9)
-    assert PrimeCtx(11).q == 11
 
 
 def test_valuation_basics():
-    assert C3.of(Q(18, 5)).valuation() == 2
-    assert C3.of(Q(5, 27)).valuation() == -3
-    assert C3.of(0).valuation() is INF
-    assert C3.of(Q(7)).is_unit()
-    assert C3.of(Q(18, 5)).unit_part() == Q(2, 5)
+    assert fraction_valuation(Q(18, 5), 3) == 2
+    assert fraction_valuation(Q(5, 27), 3) == -3
+    assert fraction_valuation(Q(0), 3) is INF
+    assert _unit_class(7, 1, 3)[0] == 0
+    # 18/5 = 3^2 * (2/5), and 2/5 = 1 mod 3
+    assert _unit_class(18, 5, 3) == (2, 1)
+    assert _unit_class(5, 27, 3) == (-3, 2)
 
 
 @given(any_rationals())
@@ -433,12 +458,12 @@ def test_square_root_exact_path():
         square_root_in_unit_ball(C3.of(Q(2)), 1)  # 2 is not 1 mod P
     x = C3.of(Q(16, 25))  # 16/25 - 1 = -9/25, so inside 1 + P
     y = square_root_in_unit_ball(x, 1)
-    assert y.value * y.value == Q(16, 25) and fraction_valuation(y.value - 1, 3) >= 1
+    assert y * y == Q(16, 25) and fraction_valuation(y - 1, 3) >= 1
     y = square_root_in_unit_ball(C3.of(Q(16)), 1)
-    assert y.value * y.value == 16 and (y.value - 1) % 3 == 0
+    assert y * y == 16 and (y - 1) % 3 == 0
     z = square_root_in_unit_ball(C5.of(Q(36, 121)), 1)
-    assert z.value**2 == Q(36, 121)
-    assert fraction_valuation(z.value - 1, 5) >= 1
+    assert z**2 == Q(36, 121)
+    assert fraction_valuation(z - 1, 5) >= 1
 
 
 @pytest.mark.parametrize("p,m", [(3, 1), (3, 2), (5, 1), (7, 2)])
@@ -451,8 +476,8 @@ def test_square_root_hensel_path(p, m):
             continue
         x = ctx.of(1 + Q(p) ** m * w)
         y = square_root_in_unit_ball(x, m)
-        assert fraction_valuation(y.value - 1, p) >= m
-        assert fraction_valuation(y.value * y.value - x.value, p) >= m + 8
+        assert fraction_valuation(y - 1, p) >= m
+        assert fraction_valuation(y * y - x.value, p) >= m + 8
 
 
 # -------------------------------------------------- quadratic extensions
@@ -473,6 +498,31 @@ def test_quadext_rejects_squares():
     assert not QuadExt(C3, Q(2)).ramified
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_is_square_matches_search_oracle(p):
+    """The four square classes and their negatives, scaled by squares c^2
+    whose numerators and denominators carry p and other primes; QuadExt
+    rejects exactly the square values of d."""
+    ctx = PrimeCtx(p)
+    u = smallest_nonresidue(p)
+    scales = [Q(1), Q(2, p), Q(3 * p, 7), Q(-5, 2 * p**2), Q(p**3, 11)]
+    verdicts = set()
+    for r in (1, u, p, u * p):
+        for sign in (1, -1):
+            for c in scales:
+                x = sign * r * c * c
+                square = oracle_is_square(x, p)
+                assert is_square(ctx.of(x)) == square, (x, p)
+                if square:
+                    with pytest.raises(PadicError, match="is a square"):
+                        QuadExt(ctx, x)
+                else:
+                    assert QuadExt(ctx, x).d == x
+                verdicts.add(square)
+    assert verdicts == {True, False}
+    assert is_square(ctx.of(0))
+
+
 def test_quadext_arithmetic():
     E = EXTS[0]
     x = E.elem(Q(1, 3), 2)
@@ -480,8 +530,8 @@ def test_quadext_arithmetic():
     assert (x + y) - y == x
     assert x * y == y * x
     assert (x * y) / y == x
-    assert x * x.conjugate() == E.elem(x.norm_fraction())
-    assert (x + y).trace().value == x.trace().value + y.trace().value
+    assert x * x.conjugate() == E.elem(x.norm())
+    assert (x + y).trace() == x.trace() + y.trace()
 
 
 def sample_elem(E, rng, spread=3):
@@ -500,7 +550,7 @@ def test_base_valuation_is_half_norm_valuation(E):
         if x == 0:
             continue
         v = x.base_valuation()
-        assert v == Q(fraction_valuation(x.norm_fraction(), p), 2)
+        assert v == Q(fraction_valuation(x.norm(), p), 2)
 
 
 @pytest.mark.parametrize("E", EXTS, ids=["unram3", "unram5", "ram3"])
@@ -508,7 +558,7 @@ def test_norm_is_multiplicative(E):
     rng = random.Random(5 + E.ctx.p)
     for _ in range(60):
         x, y = sample_elem(E, rng), sample_elem(E, rng)
-        assert (x * y).norm_fraction() == x.norm_fraction() * y.norm_fraction()
+        assert (x * y).norm() == x.norm() * y.norm()
         assert (x * y).conjugate() == x.conjugate() * y.conjugate()
 
 
@@ -538,7 +588,7 @@ def test_norm_one_decompose(E, m):
     p = E.ctx.p
     for x in norm_one_samples(E, m, 40, seed=1000 * p + m):
         e, u = norm_one_decompose(x, m)
-        assert e.norm_fraction() == 1
+        assert e.norm() == 1
         assert e * u == x
         assert (u - E.one()).base_valuation() >= m
 
@@ -554,8 +604,102 @@ def test_norm_one_decompose_unit_guard_raises(monkeypatch):
     real = quadext.square_root_in_unit_ball
 
     def doubled(a, m, extra_digits=0):
-        return PAdic(2 * real(a, m, extra_digits=extra_digits).value, a.ctx)
+        return 2 * real(a, m, extra_digits=extra_digits)
 
     monkeypatch.setattr(quadext, "square_root_in_unit_ball", doubled)
     with pytest.raises(PadicError, match="principal-unit factor"):
         norm_one_decompose(EXTS[0].elem(-1), 1)
+
+
+# ---------------------------------------------------------- PAdic lint
+
+def test_a_tagged_value_is_not_a_rational():
+    """ctx.of(x) is the argument of a valuation reader and nothing else."""
+    x = C3.of(Q(2, 3))
+    assert (x.value, x.ctx) == (Q(2, 3), C3)
+    assert x == C3.of(Q(2, 3)) and x != C5.of(Q(2, 3)) and x != Q(2, 3)
+    for use in (
+        _as_fraction,
+        lambda t: SchwartzFn.indicator(C3).value_at(t),
+        lambda t: decompose_big_cell(t, 0),
+    ):
+        with pytest.raises(PadicError, match="exact rational"):
+            use(x)
+
+
+# The functions that read a valuation, with the parameters that take a
+# number as ctx.of(x); every other function takes Fractions.
+PADIC_READERS = {
+    "padic.psi": ("x",),
+    "padic.hilbert_symbol": ("a", "b"),
+    "padic.weil_index": ("a",),
+    "padic.mu_psi": ("a",),
+    "padic.is_square": ("a",),
+    "padic.square_root_in_unit_ball": ("x",),
+}
+
+
+def _names_padic(node) -> bool:
+    """node names PAdic: a name, an attribute, a string annotation, an import or the class."""
+    if isinstance(node, ast.Constant):
+        return node.value == "PAdic"
+    return "PAdic" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+
+
+def padic_annotations(path, prefix=""):
+    """(takers, returners, named): {qualified name: parameters annotated
+    PAdic}, the functions annotated to return a PAdic, and whether the
+    module uses the name PAdic at all."""
+    tree = ast.parse(Path(path).read_text(encoding="utf-8"))
+    takers, returners = {}, set()
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = scope + [child.name]
+                if not isinstance(child, ast.ClassDef):
+                    args = child.args
+                    params = args.posonlyargs + args.args + args.kwonlyargs
+                    params += [a for a in (args.vararg, args.kwarg) if a is not None]
+                    tagged = tuple(a.arg for a in params if _names_padic(a.annotation))
+                    if tagged:
+                        takers[prefix + ".".join(name)] = tagged
+                    if _names_padic(child.returns):
+                        returners.add(prefix + ".".join(name))
+                walk(child, name)
+
+    walk(tree, [])
+    return takers, returners, any(_names_padic(n) for n in ast.walk(tree))
+
+
+def test_only_the_valuation_readers_take_a_padic():
+    src = Path(padicsp.__file__).parent
+    takers, returners, users = {}, set(), set()
+    for path in sorted(src.rglob("*.py")):
+        rel = path.relative_to(src)
+        t, r, named = padic_annotations(path, prefix=".".join(rel.with_suffix("").parts) + ".")
+        takers.update(t)
+        returners |= r
+        if named:
+            users.add(rel.as_posix())
+    assert takers == PADIC_READERS
+    assert returners == {"padic.PrimeCtx.of"}
+    assert users == {"padic.py", "__init__.py"}
+
+
+def test_padic_lint_sees_methods_nested_functions_and_string_annotations(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "def a(x: PAdic, y):\n    return x\n"
+        "def b(x: 'PAdic') -> 'PAdic':\n    return x\n"
+        "class K:\n    def c(self, *, z: padic.PAdic) -> PAdic:\n        return z\n"
+        "def d(x):\n    def e(*w: PAdic):\n        return w\n    return e\n"
+    )
+    (tmp_path / "n.py").write_text("def f(x: Fraction) -> Fraction:\n    return x\n")
+    (tmp_path / "o.py").write_text("from .padic import PAdic\n")
+    assert padic_annotations(tmp_path / "m.py") == (
+        {"a": ("x",), "b": ("x",), "K.c": ("z",), "d.e": ("w",)},
+        {"b", "K.c"},
+        True,
+    )
+    assert padic_annotations(tmp_path / "n.py") == ({}, set(), False)
+    assert padic_annotations(tmp_path / "o.py") == ({}, set(), True)
