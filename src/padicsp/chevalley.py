@@ -216,7 +216,9 @@ def _as_integer(x) -> int:
 def _integer_rows(rows):
     """(d, integer rows) with rows == integer rows / d, d the lcm of the
     denominators; the entries are ints and Fractions."""
-    d = math.lcm(*(x.denominator for row in rows for x in row))
+    # a list, not a generator: star-unpacking a generator over-allocates
+    # the argument tuple and resizes it, which fills a tuple free list
+    d = math.lcm(*[x.denominator for row in rows for x in row])
     return d, tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in rows)
 
 

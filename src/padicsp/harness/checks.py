@@ -673,13 +673,6 @@ def check_obstructed_decompositions(cfg, rng):
     return cases, {"p": list(cfg.p), "n": matrix_ranks(cfg)}
 
 
-def _d_roots(n):
-    out = [Root.from_euclid(n, tuple(2 if k == 0 else 0 for k in range(n)))]
-    for j in range(2, n + 1):
-        out.append(Root.from_euclid(n, tuple(1 if k in (0, j - 1) else 0 for k in range(n))))
-    return out
-
-
 def check_volumes(cfg, rng):
     cases = 0
     for p in cfg.p:
@@ -704,8 +697,9 @@ def check_volumes(cfg, rng):
             plus = ch.volume_exponent("U_w_plus", n, m, w=w0)
             if minus != (2 * n - 1) ** 2 * m or minus + plus != total:
                 raise CheckFailure({"p": p, "n": n, "reason": "minus/plus partition"})
+            # 2e_1 has height 2n-1 and e_1+e_j height 2n-j: m n(3n-2) in all
             d_exp = ch.volume_exponent("D", n, m)
-            if d_exp != sum((2 * g.height - 1) * m for g in _d_roots(n)):
+            if d_exp != m * n * (3 * n - 2):
                 raise CheckFailure({"p": p, "n": n, "kind": "D", "got": d_exp})
             cases += 3
     return cases, {"p": list(cfg.p), "n": matrix_ranks(cfg), "m": [1]}

@@ -1,7 +1,8 @@
 """Double cover of SL2 over Q_p and its induced-section machinery.
 
-An element of the cover is an SL2 matrix g with a sheet sign, and the
-product multiplies the signs against Rao's cocycle
+An element of the cover is an SL2 matrix g, stored as a 2x2
+chevalley.Mat, with a sheet sign, and the product multiplies the
+matrices as Mats and the signs against Rao's cocycle
 
     c(g1, g2) = (x1, x2)(-x1 x2, x12),
 
@@ -19,16 +20,14 @@ the exact evaluation of the standard intertwining integral against that
 family.
 
 Values are exact Monos: a root of unity recorded as a turn fraction
-times a power of q.  Only the float wrappers eval_fsi and
-intertwine_eval collapse one to a complex number, and eval_fsi is the
-one place a complex s is accepted.
+times a power of q, and s is rational.  Nothing here collapses a value
+to a complex number; Mono.as_complex is the one float embedding.
 """
-import cmath
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 
+from .chevalley import Mat, symplectic_inverse
 from .padic import (
     Mono,
     PadicError,
@@ -68,30 +67,22 @@ def rao_cocycle(ctx: PrimeCtx, rows1, rows2) -> int:
 
 
 class MetaSL2:
-    """An element of the double cover: an SL2 matrix plus a sheet sign.
+    """An element of the double cover: a 2x2 chevalley.Mat in SL2 plus a
+    sheet sign.
 
-    Stored like chevalley.Mat: integer rows `num` over one positive
-    denominator `den`, in lowest terms, and `rows` is the Fraction view,
-    built on first use.  `zeta` is the sheet sign and `ctx` the prime
-    whose Hilbert symbols the product reads; `_x` holds the valuation
-    and the unit residue mod p of the invariant x(g).
+    `mat` is the matrix, `zeta` the sheet sign and `ctx` the prime whose
+    Hilbert symbols the product reads; `_x` holds the valuation and the
+    unit residue mod p of the invariant x(g).
     """
 
-    __slots__ = ("ctx", "den", "num", "zeta", "_x", "_rows")
+    __slots__ = ("ctx", "mat", "zeta", "_x")
 
     def __init__(self, ctx: PrimeCtx, rows, zeta=1):
-        rows = [[_as_fraction(v) for v in row] for row in rows]
         if len(rows) != 2 or any(len(row) != 2 for row in rows):
             raise MetaError("need a 2x2 matrix")
         if zeta not in (1, -1):
             raise MetaError("sheet sign must be +1 or -1")
-        (a, b), (c, d) = rows
-        den = math.lcm(a.denominator, b.denominator, c.denominator, d.denominator)
-        num = tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in rows)
-        (a, b), (c, d) = num
-        if a * d - b * c != den * den:
-            raise MetaError("matrix is not in SL2")
-        _store(self, ctx, den, num, zeta, _unit_class(c or d, den, ctx.p))
+        _store(self, ctx, Mat(rows), zeta)
 
     @classmethod
     def identity(cls, ctx: PrimeCtx) -> "MetaSL2":
@@ -122,15 +113,10 @@ class MetaSL2:
     def __eq__(self, other):
         if not isinstance(other, MetaSL2):
             return NotImplemented
-        return (
-            self.zeta == other.zeta
-            and self.den == other.den
-            and self.num == other.num
-            and self.ctx == other.ctx
-        )
+        return self.zeta == other.zeta and self.mat == other.mat and self.ctx == other.ctx
 
     def __hash__(self):
-        return hash((self.ctx, self.den, self.num, self.zeta))
+        return hash((self.ctx, self.mat, self.zeta))
 
     def __repr__(self):
         return f"MetaSL2(ctx={self.ctx!r}, rows={self.rows!r}, zeta={self.zeta!r})"
@@ -138,66 +124,42 @@ class MetaSL2:
     @property
     def rows(self) -> tuple:
         """The matrix entries as Fractions."""
-        rows = self._rows
-        if rows is None:
-            den = self.den
-            rows = tuple(tuple(Q(v, den) for v in row) for row in self.num)
-            object.__setattr__(self, "_rows", rows)
-        return rows
+        return self.mat.rows
 
     def __mul__(self, other: "MetaSL2") -> "MetaSL2":
-        """One 2x2 integer product; the sheet sign is Rao's cocycle of the
-        stored invariants of the factors and the product's own."""
+        """One matrix product; the sheet sign is Rao's cocycle of the stored
+        invariants of the factors and the product's own."""
         ctx = self.ctx
         if other.ctx != ctx:
             raise MetaError("mixed prime contexts")
-        # one entry per statement: a tuple of four would fill the
-        # interpreter's free list for 4-tuples and raise the peak RSS
-        (a, b), (c, d) = self.num
-        (e, f), (g, h) = other.num
-        den = self.den * other.den
-        n00 = a * e + b * g
-        n01 = a * f + b * h
-        n10 = c * e + d * g
-        n11 = c * f + d * h
-        k = math.gcd(den, n00, n01, n10, n11)
-        if k != 1:
-            den //= k
-            n00 //= k
-            n01 //= k
-            n10 //= k
-            n11 //= k
-        if n00 * n11 - n01 * n10 != den * den:
-            raise MetaError("product is not in SL2")
-        x = _unit_class(n10 or n11, den, ctx.p)
-        zeta = self.zeta * other.zeta * _rao_sign(self._x, other._x, x, ctx.p)
-        return _store(object.__new__(MetaSL2), ctx, den, ((n00, n01), (n10, n11)), zeta, x)
+        g = _store(object.__new__(MetaSL2), ctx, self.mat * other.mat, self.zeta * other.zeta)
+        object.__setattr__(g, "zeta", g.zeta * _rao_sign(self._x, other._x, g._x, ctx.p))
+        return g
 
     def inverse(self) -> "MetaSL2":
         """(g, zeta)^-1 = (g^-1, zeta c(g, g^-1)); x(1) = 1, so
-        c(g, g^-1) = (x(g), x(g^-1))."""
-        (a, b), (c, d) = self.num
-        p = self.ctx.p
-        x = _unit_class(-c or a, self.den, p)
-        (v1, r1), (v2, r2) = self._x, x
-        zeta = self.zeta * _hilbert(v1, r1, v2, r2, p)
-        return _store(object.__new__(MetaSL2), self.ctx, self.den, ((d, -b), (-c, a)), zeta, x)
-
-    def matrix_is_identity(self) -> bool:
-        return self.den == 1 and self.num == ((1, 0), (0, 1))
+        c(g, g^-1) = (x(g), x(g^-1)).  SL2 = Sp_2, so g^-1 is the
+        symplectic inverse."""
+        ctx = self.ctx
+        g = _store(object.__new__(MetaSL2), ctx, symplectic_inverse(self.mat), self.zeta)
+        (v1, r1), (v2, r2) = self._x, g._x
+        object.__setattr__(g, "zeta", g.zeta * _hilbert(v1, r1, v2, r2, ctx.p))
+        return g
 
     def is_identity(self) -> bool:
-        return self.matrix_is_identity() and self.zeta == 1
+        return self.mat.is_identity() and self.zeta == 1
 
 
-def _store(g: MetaSL2, ctx: PrimeCtx, den: int, num: tuple, zeta: int, x) -> MetaSL2:
-    # num / den in lowest terms with det 1, and x = (v, r) of x(g)
+def _store(g: MetaSL2, ctx: PrimeCtx, mat: Mat, zeta: int) -> MetaSL2:
+    # the one det = 1 check, and x = (v, r) of x(g) read off the integer rows
+    (a, b), (c, d) = mat.num
+    den = mat.den
+    if a * d - b * c != den * den:
+        raise MetaError("matrix is not in SL2")
     object.__setattr__(g, "ctx", ctx)
-    object.__setattr__(g, "den", den)
-    object.__setattr__(g, "num", num)
+    object.__setattr__(g, "mat", mat)
     object.__setattr__(g, "zeta", zeta)
-    object.__setattr__(g, "_x", x)
-    object.__setattr__(g, "_rows", None)
+    object.__setattr__(g, "_x", _unit_class(c or d, den, ctx.p))
     return g
 
 
@@ -324,11 +286,12 @@ class SectionFsi:
 
     i: int
     eta: CharacterFx
-    s: object = Q(1, 2)
+    s: Q = Q(1, 2)
 
     def __post_init__(self):
-        if isinstance(self.s, (int, Q)):
-            object.__setattr__(self, "s", Q(self.s))
+        if not isinstance(self.s, (int, Q)):
+            raise MetaError(f"s = {self.s!r} is not rational")
+        object.__setattr__(self, "s", Q(self.s))
         if self.i < 1:
             raise MetaError("level must be a positive integer")
 
@@ -362,31 +325,12 @@ def eval_fsi_exact(sec: SectionFsi, g: MetaSL2) -> Mono:
 
     The level must clear section_level(eta), below which the
     right-invariance that makes the family useful is not yet there.
-    A complex s has no exact value: eval_fsi takes that case.
     """
     if sec.eta.ctx != g.ctx:
         raise MetaError("mixed prime contexts")
-    if not isinstance(sec.s, Q):
-        raise MetaError(f"s = {sec.s!r} is not rational; use eval_fsi")
     if sec.i < section_level(sec.eta):
         raise MetaError("level below the section threshold for this character")
     return _eval_fsi_raw(sec, g)
-
-
-def eval_fsi(sec: SectionFsi, g: MetaSL2) -> complex:
-    """eval_fsi_exact as a complex number, for any complex s.
-
-    The exact value at s = -1/2 carries every root of unity and |a|^0;
-    |a|^(s + 1/2) = q^(-v(a)(s + 1/2)) is then applied in floats.
-    """
-    p = g.ctx.p
-    if isinstance(sec.s, Q):
-        return eval_fsi_exact(sec, g).as_complex(p)
-    root = eval_fsi_exact(replace(sec, s=Q(-1, 2)), g)
-    if root.is_zero():
-        return 0j
-    v = -fraction_valuation(g.rows[1][1], p)
-    return root.as_complex(p) * cmath.exp(-v * (complex(sec.s) + 0.5) * cmath.log(p))
 
 
 def section_level(eta: CharacterFx) -> int:
@@ -467,6 +411,3 @@ def intertwine_eval_exact(sec: SectionFsi, x, x_bound) -> Mono:
             raise MetaError("integrand is not 1 on the support")
     return Mono(1, -3 * i)
 
-
-def intertwine_eval(sec: SectionFsi, x, x_bound) -> complex:
-    return intertwine_eval_exact(sec, x, x_bound).as_complex(sec.ctx.p)

@@ -9,7 +9,6 @@ conic; everything it returns is verified exactly.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 

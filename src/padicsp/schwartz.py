@@ -461,8 +461,6 @@ class HeisenbergElem:
 def _norm_item(item):
     if isinstance(item, HeisenbergElem):
         return ("heis", item.x, item.xp, item.z)
-    if isinstance(item, str):
-        item = (item,)
     if not isinstance(item, tuple) or not item:
         raise SchwartzError(f"bad word item {item!r}")
     tag = item[0]
@@ -481,9 +479,6 @@ def _norm_item(item):
             raise SchwartzError(f"sheet sign must be +1 or -1, got {z}")
         return ("sign", z)
     if tag == "heis":
-        if len(item) == 2 and isinstance(item[1], HeisenbergElem):
-            h = item[1]
-            return ("heis", h.x, h.xp, h.z)
         return ("heis", _as_fraction(item[1]), _as_fraction(item[2]), _as_fraction(item[3]))
     raise SchwartzError(f"unknown word item tag {tag!r}")
 
@@ -528,7 +523,7 @@ def cover_lift(ctx: PrimeCtx, word) -> MetaSL2:
     return MetaSL2.identity(ctx) if out is None else out
 
 
-def canonical_word(ctx: PrimeCtx, rows) -> list:
+def canonical_word(rows) -> list:
     """A fixed generator word for the matrix: Bruhat form of the bottom row."""
     (a, b), (c, d) = [[_as_fraction(x) for x in row] for row in rows]
     if a * d - b * c != 1:
@@ -542,7 +537,7 @@ def weil_act_cover(g: MetaSL2, phi: SchwartzFn, twist: int = 1) -> SchwartzFn:
     """Action of a cover element, routed through its canonical word."""
     if g.ctx.p != phi.ctx.p:
         raise SchwartzError("mixed prime contexts")
-    word = canonical_word(g.ctx, g.rows)
+    word = canonical_word(g.rows)
     lifted = cover_lift(g.ctx, word)
     out = weil_act(word, phi, twist)
     sign = g.zeta * lifted.zeta

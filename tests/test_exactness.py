@@ -1,4 +1,4 @@
-"""Exactness lint: floats live only in the complex embeddings and float wrappers.
+"""Exactness lint: floats live only in the complex embeddings and the report encoder.
 
 Every value the library computes is exact (Fraction, Mono, Cyclo).  This
 walks the source and lists each function that touches cmath, the name
@@ -15,8 +15,6 @@ SRC = Path(padicsp.__file__).resolve().parent
 ALLOWED = {
     "padic.Mono.as_complex",  # the embedding of one exact scalar
     "padic.Cyclo.as_complex",  # the same embedding, summed over a canonical form
-    "metaplectic.eval_fsi",  # float wrapper, the only place a complex s is accepted
-    "metaplectic.intertwine_eval",  # float wrapper
     "harness.report.encode_value",  # JSON view of complex values
 }
 

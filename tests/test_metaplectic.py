@@ -12,6 +12,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -20,6 +21,7 @@ from test_padic import legendre, oracle_hilbert_solvable, smallest_nonresidue
 
 import padicsp
 from padicsp import metaplectic
+from padicsp.chevalley import Mat, symplectic_inverse
 from padicsp.padic import Mono, PadicError, PrimeCtx, fraction_valuation, hilbert_symbol, mu_psi
 from padicsp.metaplectic import (
     CharacterFx,
@@ -28,9 +30,7 @@ from padicsp.metaplectic import (
     SectionFsi,
     _eval_fsi_raw,
     decompose_big_cell,
-    eval_fsi,
     eval_fsi_exact,
-    intertwine_eval,
     intertwine_eval_exact,
     intertwine_level,
     ramified_character,
@@ -319,6 +319,18 @@ def test_cover_product_matches_matrix_oracle():
         assert (g * h).rows == oracle_mul(g.rows, h.rows)
 
 
+def test_cover_stores_a_mat_and_a_sheet_sign():
+    # the matrix lives in a chevalley.Mat: no second copy of its storage
+    assert MetaSL2.__slots__ == ("ctx", "mat", "zeta", "_x")
+    rng = random.Random(7)
+    for _ in range(20):
+        g = rand_cover_word(C5, rng, 3)
+        assert isinstance(g.mat, Mat) and g.rows is g.mat.rows
+        assert g.inverse().mat == symplectic_inverse(g.mat) == g.mat.inverse()
+        assert g == MetaSL2(C5, g.rows, g.zeta) and hash(g) == hash(MetaSL2(C5, g.rows, g.zeta))
+        assert g != MetaSL2(C5, g.rows, -g.zeta)
+
+
 def test_cover_rejects_bad_data():
     e = ((1, 0), (0, 1))
     builds = (
@@ -488,16 +500,16 @@ def test_section_requires_positive_level():
 def test_section_value_on_deep_lower_is_one():
     eta = ramified_character(C3, 1)
     sec = SectionFsi(i=2, eta=eta, s=Q(1, 2))
-    assert eval_fsi(sec, MetaSL2.lower(C3, Q(3**6))) == 1 + 0j
-    assert eval_fsi(sec, MetaSL2.lower(C3, Q(2 * 3**7))) == 1 + 0j
+    assert eval_fsi_exact(sec, MetaSL2.lower(C3, Q(3**6))).is_one()
+    assert eval_fsi_exact(sec, MetaSL2.lower(C3, Q(2 * 3**7))).is_one()
 
 
 def test_section_vanishes_outside_support():
     eta = ramified_character(C3, 1)
     sec = SectionFsi(i=2, eta=eta, s=Q(1, 2))
-    assert eval_fsi(sec, MetaSL2.lower(C3, Q(3**5))) == 0j
-    assert eval_fsi(sec, MetaSL2.flip(C3)) == 0j
-    assert eval_fsi(sec, MetaSL2.flip(C3) * MetaSL2.lower(C3, Q(27))) == 0j
+    assert eval_fsi_exact(sec, MetaSL2.lower(C3, Q(3**5))).is_zero()
+    assert eval_fsi_exact(sec, MetaSL2.flip(C3)).is_zero()
+    assert eval_fsi_exact(sec, MetaSL2.flip(C3) * MetaSL2.lower(C3, Q(27))).is_zero()
 
 
 def test_section_on_torus_matches_display():
@@ -515,9 +527,9 @@ def test_section_rejects_level_below_threshold():
     assert section_level(deep) == 2
     sec = SectionFsi(i=1, eta=deep, s=0)
     with pytest.raises(MetaError):
-        eval_fsi(sec, MetaSL2.identity(C3))
+        eval_fsi_exact(sec, MetaSL2.identity(C3))
     ok = SectionFsi(i=2, eta=deep, s=0)
-    assert eval_fsi(ok, MetaSL2.identity(C3)) == 1 + 0j
+    assert eval_fsi_exact(ok, MetaSL2.identity(C3)).is_one()
 
 
 def test_section_levels_at_desk_scale():
@@ -575,19 +587,37 @@ def test_section_right_invariance_at_threshold():
             assert _eval_fsi_raw(sec, g * h) == base
 
 
+def complex_section_value(sec, g, s):
+    """The section at a complex s in the complex embedding.  The exact
+    value at s = -1/2 carries every root of unity and |a|^0; the factor
+    |a|^(s + 1/2) = q^(-v(a)(s + 1/2)) is then applied in floats."""
+    p = g.ctx.p
+    root = eval_fsi_exact(replace(sec, s=Q(-1, 2)), g)
+    if root.is_zero():
+        return 0j
+    v = -fraction_valuation(g.rows[1][1], p)
+    return root.as_complex(p) * cmath.exp(-v * (s + 0.5) * cmath.log(p))
+
+
 def test_section_complex_s_path():
     eta = ramified_character(C3, 1)
     s = complex(0.5, 1.25)
-    sec = SectionFsi(i=1, eta=eta, s=s)
-    got = eval_fsi(sec, MetaSL2.diag(C3, Q(1, 3)))
+    # a section has an exact value only at a rational s
+    for bad in (s, 0.5):
+        with pytest.raises(MetaError, match="not rational"):
+            SectionFsi(i=1, eta=eta, s=bad)
+    sec = SectionFsi(i=1, eta=eta)
+    got = complex_section_value(sec, MetaSL2.diag(C3, Q(1, 3)), s)
     v = -1
     phase = cmath.exp(2j * cmath.pi * float(mu_psi(C3.of(Q(1, 3)), twist=-1).inverse().turn + eta.phase(Q(1, 3))))
     want = phase * cmath.exp(-v * (s + 0.5) * cmath.log(3))
     assert abs(got - want) < 1e-9
-    # the exact route has no value at a complex s; off the support it is 0
-    with pytest.raises(MetaError, match="not rational"):
-        eval_fsi_exact(sec, MetaSL2.diag(C3, Q(1, 3)))
-    assert eval_fsi(sec, MetaSL2.lower(C3, Q(1))) == 0
+    assert complex_section_value(sec, MetaSL2.lower(C3, Q(1)), s) == 0
+    # at a rational s the embedding agrees with the exact value
+    for r in (Q(1, 2), Q(-3, 2)):
+        g = MetaSL2.diag(C3, Q(2, 9), zeta=-1)
+        exact = eval_fsi_exact(SectionFsi(i=1, eta=eta, s=r), g).as_complex(3)
+        assert abs(complex_section_value(sec, g, complex(r)) - exact) < 1e-9
 
 
 # --------------------------------------------------------- intertwining
@@ -607,8 +637,7 @@ def test_intertwine_on_bounded_set_is_volume():
     i = intertwine_level(eta, bound)
     sec = SectionFsi(i=i, eta=eta, s=Q(1, 2))
     for x in (Q(0), Q(1, 3), Q(2, 243), Q(-4, 27)):
-        got = intertwine_eval(sec, x, bound)
-        assert abs(got - 3.0 ** (-3 * i)) < 1e-12
+        assert intertwine_eval_exact(sec, x, bound) == Mono(1, -3 * i)
 
 
 def test_intertwine_independent_of_s_and_eta():
@@ -661,13 +690,13 @@ def test_intertwine_support_is_exactly_the_ball():
 def test_intertwine_error_paths():
     eta2 = ramified_character(C3, 2)
     with pytest.raises(MetaError, match="stabilize"):
-        intertwine_eval(SectionFsi(i=1, eta=eta2, s=0), Q(1, 9), 9)
+        intertwine_eval_exact(SectionFsi(i=1, eta=eta2, s=0), Q(1, 9), 9)
     eta1 = ramified_character(C3, 1)
     sec = SectionFsi(i=intertwine_level(eta1, 9), eta=eta1, s=0)
     with pytest.raises(MetaError, match="compact"):
-        intertwine_eval(sec, Q(1, 27), 9)
+        intertwine_eval_exact(sec, Q(1, 27), 9)
     with pytest.raises(PadicError, match="exact rational"):
-        intertwine_eval(sec, C5.of(0), 9)  # x is a Fraction; a tagged value is refused
+        intertwine_eval_exact(sec, C5.of(0), 9)  # x is a Fraction; a tagged value is refused
 
 
 def test_intertwine_support_guard_raises(monkeypatch):

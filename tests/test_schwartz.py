@@ -399,7 +399,7 @@ def oracle_rep_identity_sides(g1, g2, phi, twist):
     ctx = phi.ctx
     lhs = oracle_weil_act(g1, oracle_weil_act(g2, phi, twist), twist)
     prod = cover_lift(ctx, g1) * cover_lift(ctx, g2)
-    word = canonical_word(ctx, prod.rows)
+    word = canonical_word(prod.rows)
     rhs = oracle_weil_act(word, phi, twist)
     if prod.zeta * cover_lift(ctx, word).zeta == -1:
         rhs = rhs.scaled(Mono(-1)).canonical()
@@ -913,6 +913,19 @@ def test_weil_act_rejects_bad_items():
         weil_act([("flip",)], f, twist=2)
 
 
+def test_word_items_are_tagged_tuples_of_scalars():
+    # a bare letter is not a word item, and a "heis" item takes three
+    # rationals, not an element
+    f = SchwartzFn.indicator(C3)
+    h = HeisenbergElem(Q(1), Q(0), Q(0))
+    for act in (lambda w: weil_act(w, f), lambda w: cover_lift(C3, w)):
+        with pytest.raises(SchwartzError, match="bad word item"):
+            act(["flip"])
+        with pytest.raises(PadicError, match="exact rational"):
+            act([("heis", h)])
+    assert weil_act([h], f) == weil_act([("heis", h.x, h.xp, h.z)], f)
+
+
 def test_generators_match_pointwise_formulas_seeded():
     rng = random.Random(15)
     for p, ctx in ((3, C3), (5, C5)):
@@ -1136,13 +1149,13 @@ def test_canonical_word_rebuilds_matrix():
             c = Q(rng.choice([1, 2, -1, 3]), rng.choice([1, 3]))
             d = (b * c + 1) / a
             rows = ((a, b), (c, d))
-        word = canonical_word(C3, rows)
+        word = canonical_word(rows)
         assert cover_lift(C3, word).rows == rows
 
 
 def test_canonical_word_rejects_non_sl2():
     with pytest.raises(SchwartzError):
-        canonical_word(C3, ((Q(1), Q(1)), (Q(1), Q(1))))
+        canonical_word(((Q(1), Q(1)), (Q(1), Q(1))))
 
 
 def test_cover_lift_folds_from_the_first_letter():
