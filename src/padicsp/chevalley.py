@@ -354,12 +354,7 @@ def root_positions(n: int, root: Root):
 
 
 def root_elem(n: int, root: Root, r) -> Mat:
-    r = _as_fraction(r)
-    den = r.denominator
-    num = [[den if i == j else 0 for j in range(2 * n)] for i in range(2 * n)]
-    for i, j, s in root_positions(n, root):
-        num[i][j] += s * r.numerator
-    return _mat(den, tuple(map(tuple, num)))
+    return mul_root_elem(Mat.identity(2 * n), root, r)
 
 
 # x_root(r) = 1 + r E with E^2 = 0, and the two positions of a short root

@@ -13,7 +13,7 @@ from ..rootsys import (
     weyl_below,
 )
 from ..chevalley import Mat, MatrixError, bruhat_decompose
-from .checks import CATALOG, run_campaign
+from .checks import run_campaign
 from .config import HarnessError, build_config, read_config_file
 from .report import FAIL, PASS, SKIPPED, encode_value
 
@@ -79,16 +79,13 @@ def _cmd_verify(args):
         checks=checks,
         out=args.out,
     )
-    cfg.validate(CATALOG)
     report = run_campaign(cfg)
     for rec in sorted(report.checks, key=lambda r: r.name):
         line = f"{rec.name:<28} {_STATUS_TAG[rec.status]:<8} {rec.cases:>6} cases  {rec.seconds:7.3f}s"
         print(line)
         if rec.status == FAIL:
             print(f"  counterexample: {json.dumps(encode_value(rec.counterexample), sort_keys=True)}")
-    tally = {status: 0 for status in _STATUS_TAG}
-    for rec in report.checks:
-        tally[rec.status] += 1
+    tally = report.tally()
     print(
         f"summary: {len(report.checks)} checks, {tally[PASS]} pass, {tally[FAIL]} fail, "
         f"{tally[SKIPPED]} skipped"

@@ -36,8 +36,6 @@ def encode_value(v):
         return [encode_value(x) for x in v]
     if isinstance(v, (str, int, float, bool)) or v is None:
         return v
-    if isinstance(v, complex):
-        return {"re": v.real, "im": v.imag}
     if hasattr(v, "rows"):
         return {"rows": encode_value(v.rows)}
     return repr(v)
@@ -78,6 +76,13 @@ class Report:
     def add(self, record: CheckRecord):
         self.checks.append(record)
 
+    def tally(self) -> dict:
+        """The number of checks with each status."""
+        out = dict.fromkeys(_STATUSES, 0)
+        for r in self.checks:
+            out[r.status] += 1
+        return out
+
     @property
     def failed(self) -> list:
         return [r for r in self.checks if r.status == FAIL]
@@ -92,11 +97,7 @@ class Report:
             "version": self.version,
             "config": encode_value(self.config),
             "checks": [r.as_dict() for r in sorted(self.checks, key=lambda r: r.name)],
-            "summary": {
-                "pass": sum(1 for r in self.checks if r.status == PASS),
-                "fail": sum(1 for r in self.checks if r.status == FAIL),
-                "skipped": sum(1 for r in self.checks if r.status == SKIPPED),
-            },
+            "summary": self.tally(),
         }
 
     def to_json(self) -> str:

@@ -345,7 +345,7 @@ def section_level(eta: CharacterFx) -> int:
 
 
 def _bound_exponent(p: int, x_bound) -> int:
-    """Smallest integer M with p^M >= x_bound, so the compact set
+    """Smallest M >= 0 with p^M >= x_bound, so the compact set
     {|x| <= x_bound} sits inside P^{-M}."""
     b = _as_fraction(x_bound)
     if b <= 0:
@@ -353,8 +353,6 @@ def _bound_exponent(p: int, x_bound) -> int:
     m = 0
     while Q(p) ** m < b:
         m += 1
-    while m > -64 and Q(p) ** (m - 1) >= b:
-        m -= 1
     return m
 
 
@@ -362,7 +360,7 @@ def intertwine_level(eta: CharacterFx, x_bound) -> int:
     """Level needed for the intertwining integral to stabilize on the
     whole compact set {upper(x): |x| <= x_bound}."""
     m = _bound_exponent(eta.ctx.p, x_bound)
-    need = max(eta.conductor, 1) + max(m, 0)
+    need = max(eta.conductor, 1) + m
     return max(section_level(eta), -(need // -3))
 
 

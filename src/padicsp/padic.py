@@ -2,9 +2,9 @@
 
 A p-adic number is a plain rational, a fractions.Fraction, so every
 valuation, character value and symbol below is exact.  The functions
-that read a valuation -- psi, hilbert_symbol, weil_index, mu_psi,
-is_square and square_root_in_unit_ball -- take it as ctx.of(x), the
-Fraction x tagged with its PrimeCtx; everything else passes Fractions.
+that read a valuation -- psi, hilbert_symbol, weil_index, mu_psi and
+is_square -- take it as ctx.of(x), the Fraction x tagged with its
+PrimeCtx; everything else passes Fractions.
 The additive character psi is the standard unramified one: psi(x)
 depends only on the p-part of x, extracted as a fraction with p-power
 denominator.  Every scalar the library produces -- psi-values, Weil
@@ -347,40 +347,3 @@ def mu_psi(a: PAdic, twist=1) -> Mono:
     """mu(a) = gamma(psi_twist) / gamma(psi_{twist*a})."""
     return weil_index(a.ctx.of(1), twist) * weil_index(a, twist).inverse()
 
-
-def square_root_in_unit_ball(x: PAdic, m: int, extra_digits: int = 8) -> Q:
-    """A square root of x in 1 + P^m.
-
-    Exact when x is a rational square; otherwise a Hensel approximation y
-    with y*y = x mod P^(m + extra_digits).  Requires x in 1 + P^m.
-    """
-    if m < 1:
-        raise PadicError("level m must be >= 1")
-    p = x.ctx.p
-    if fraction_valuation(x.value - 1, p) < m:
-        raise PadicError(f"{x.value} is not in 1 + P^{m}")
-    num, den = x.value.numerator, x.value.denominator
-    rn, rd = math.isqrt(abs(num)), math.isqrt(den)
-    if num > 0 and rn * rn == num and rd * rd == den:
-        y = Q(rn, rd)
-        if fraction_valuation(y - 1, p) < m:
-            y = -y
-        if fraction_valuation(y - 1, p) < m:
-            raise PadicError("square root escapes the unit ball")  # cannot happen for odd p
-        return y
-    level = m + extra_digits
-    mod = p**level
-    t = (num * pow(den, -1, mod)) % mod
-    inv2 = pow(2, -1, mod)
-    y = 1
-    for _ in range(64):
-        if (y * y - t) % mod == 0:
-            break
-        y = (y + t * pow(y, -1, mod)) * inv2 % mod
-    else:
-        raise PadicError("Hensel iteration failed to converge")
-    if (y - 1) % p**m != 0:
-        y = (-y) % mod
-    if (y - 1) % p**m != 0:
-        raise PadicError("Hensel root escapes the unit ball")
-    return Q(y)

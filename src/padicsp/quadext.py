@@ -4,15 +4,16 @@ Elements are pairs of rationals a + b*sqrt(d) for a fixed nonsquare d.
 Valuations are normalized on the base field, so they are half-integers
 in the ramified case (v(d) odd).  The one nontrivial algorithm here
 splits a unit of almost-trivial norm into an exact norm-one element
-times a principal unit, using the rational parametrization of the norm
-conic; everything it returns is verified exactly.
+times a principal unit by reading the rational chart of the norm conic
+at the unit itself, with no square root; everything it returns is
+verified exactly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padic import INF, PadicError, PrimeCtx, fraction_valuation, is_square, square_root_in_unit_ball
+from .padic import INF, PadicError, PrimeCtx, fraction_valuation, is_square
 
 Q = Fraction
 
@@ -130,42 +131,40 @@ class QuadExtElem:
         return min(cand)
 
 
+def _chart_sign(a: Q, p: int) -> int:
+    """The sign sigma with 1 + sigma*a a unit: 1 + a and 1 - a sum to 2."""
+    return 1 if fraction_valuation(1 + a, p) == 0 else -1
+
+
 def norm_one_decompose(x: QuadExtElem, m: int):
     """Split x = e * u with norm(e) = 1 exactly and u in 1 + p^m O_E.
 
-    Requires norm(x) in 1 + P^m.  The norm-one factor comes from the
-    rational point parametrization of a^2 - d b^2 = 1, steered next to
-    x / sqrt(norm(x)); the principal-unit factor is then x / e, exact.
+    Requires norm(x) in 1 + P^m, which makes x = a + b sqrt(d) a unit
+    with a in Z_p.  The norm-one factor is the rational chart of the
+    conic a^2 - d b^2 = 1 read at x itself: with 1 + sigma*a a unit,
+    s = sigma*b / (1 + sigma*a) and e = sigma (1 + s sqrt(d)) / (1 - s sqrt(d)).
+    At the norm-one point x / sqrt(norm(x)) the chart returns that point;
+    at x its parameter moves by b (sqrt(norm(x)) - 1) / unit in P^m while
+    1 +- s sqrt(d) stay units, so e moves by a factor in 1 + P^m O_E and
+    u = x / e, exact, is a principal unit of level m.
     """
     if m < 1:
         raise PadicError("level m must be >= 1")
     ext = x.ext
-    ctx = ext.ctx
-    p = ctx.p
+    p = ext.ctx.p
     d = ext.d
     t = x.norm()
     if fraction_valuation(t - 1, p) < m:
         raise PadicError(f"norm {t} is not in 1 + P^{m}")
-    one = ext.one()
-    if (x - one).base_valuation() >= m:
-        e, u = one, x
-    else:
-        extra = m + 8
-        xn = square_root_in_unit_ball(ctx.of(t), m, extra_digits=extra)
-        a0 = x / ext.elem(xn)
-        for sigma in (1, -1):
-            if fraction_valuation(1 + sigma * a0.a, p) == 0:
-                break
-        else:
-            raise PadicError("no admissible chart point on the norm conic")
-        s = sigma * a0.b / (1 + sigma * a0.a)
-        den = 1 - d * s * s
-        e = ext.elem(sigma * (1 + d * s * s) / den, sigma * 2 * s / den)
-        u = x / e
+    sigma = _chart_sign(x.a, p)
+    s = sigma * x.b / (1 + sigma * x.a)
+    den = 1 - d * s * s
+    e = ext.elem(sigma * (1 + d * s * s) / den, sigma * 2 * s / den)
+    u = x / e
     if e.norm() != 1:
         raise PadicError("norm-one factor has norm other than 1")
     if e * u != x:
         raise PadicError("factors do not recompose x")
-    if (u - one).base_valuation() < m:
+    if (u - ext.one()).base_valuation() < m:
         raise PadicError(f"principal-unit factor is not in 1 + p^{m} O_E")
     return e, u

@@ -29,6 +29,7 @@ from .padic import (
     _as_fraction,
     _pfrac,
     fraction_valuation,
+    hilbert_symbol,
     mu_psi,
     weil_index,
 )
@@ -534,15 +535,20 @@ def canonical_word(rows) -> list:
 
 
 def weil_act_cover(g: MetaSL2, phi: SchwartzFn, twist: int = 1) -> SchwartzFn:
-    """Action of a cover element, routed through its canonical word."""
+    """Action of a cover element, routed through its canonical word.
+
+    The unit-sheet lifts of the word multiply to the sheet (-c, -1), c
+    the lower-left entry (1 when c = 0): upper factors never move the
+    sheet, and Rao's cocycle of diag(-1/c) * flip is (-c, -1).
+    """
     if g.ctx.p != phi.ctx.p:
         raise SchwartzError("mixed prime contexts")
     word = canonical_word(g.rows)
-    lifted = cover_lift(g.ctx, word)
+    c = g.rows[1][0]
+    sheet = hilbert_symbol(g.ctx.of(-c), g.ctx.of(-1)) if c else 1
     out = weil_act(word, phi, twist)
-    sign = g.zeta * lifted.zeta
-    if sign == -1:
-        out = out.scaled(Mono(sign)).canonical()
+    if g.zeta != sheet:
+        out = out.scaled(Mono(-1)).canonical()
     return out
 
 

@@ -985,12 +985,10 @@ def test_self_checks_survive_optimize_flag():
         except chevalley.FactorizationError as exc:
             print(exc)
 
-        real = quadext.square_root_in_unit_ball
-        quadext.square_root_in_unit_ball = lambda a, m, extra_digits=0: 2 * real(
-            a, m, extra_digits=extra_digits
-        )
+        real = quadext._chart_sign
+        quadext._chart_sign = lambda a, p: -real(a, p)
         try:
-            quadext.norm_one_decompose(quadext.QuadExt(ctx, Q(2)).elem(-1), 1)
+            quadext.norm_one_decompose(quadext.QuadExt(ctx, Q(2)).elem(-4), 1)
         except PadicError as exc:
             print(exc)
         """

@@ -15,7 +15,6 @@ SRC = Path(padicsp.__file__).resolve().parent
 ALLOWED = {
     "padic.Mono.as_complex",  # the embedding of one exact scalar
     "padic.Cyclo.as_complex",  # the same embedding, summed over a canonical form
-    "harness.report.encode_value",  # JSON view of complex values
 }
 
 

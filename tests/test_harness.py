@@ -96,8 +96,6 @@ def test_encode_value_shapes():
     enc = encode_value(WeylElem.simple(2, 1))
     assert enc == {"weyl": [2, 1]}
     assert encode_value({"x": [Q(1, 2), 3]}) == {"x": ["1/2", 3]}
-    c = encode_value(complex(1.0, -2.0))
-    assert c == {"im": -2.0, "re": 1.0}
     # the exact scalar as its three rationals: 2 sqrt(q) zeta_8
     assert encode_value(Mono(2, Q(1, 2), Q(1, 8))) == {"rat": "2/1", "qexp": "1/2", "turn": "1/8"}
     assert encode_value(psi(PrimeCtx(3).of(Q(1, 3)))) == {"rat": "1/1", "qexp": "0/1", "turn": "1/3"}

@@ -31,7 +31,6 @@ from padicsp.padic import (
     is_square,
     mu_psi,
     psi,
-    square_root_in_unit_ball,
     weil_index,
 )
 import padicsp
@@ -451,35 +450,6 @@ def test_mu_frozen():
     assert mu_psi(C5.of(10)) == mu8(4)
 
 
-# ------------------------------------------------------------ square root
-
-def test_square_root_exact_path():
-    with pytest.raises(PadicError):
-        square_root_in_unit_ball(C3.of(Q(2)), 1)  # 2 is not 1 mod P
-    x = C3.of(Q(16, 25))  # 16/25 - 1 = -9/25, so inside 1 + P
-    y = square_root_in_unit_ball(x, 1)
-    assert y * y == Q(16, 25) and fraction_valuation(y - 1, 3) >= 1
-    y = square_root_in_unit_ball(C3.of(Q(16)), 1)
-    assert y * y == 16 and (y - 1) % 3 == 0
-    z = square_root_in_unit_ball(C5.of(Q(36, 121)), 1)
-    assert z**2 == Q(36, 121)
-    assert fraction_valuation(z - 1, 5) >= 1
-
-
-@pytest.mark.parametrize("p,m", [(3, 1), (3, 2), (5, 1), (7, 2)])
-def test_square_root_hensel_path(p, m):
-    ctx = PrimeCtx(p)
-    rng = random.Random(p * 100 + m)
-    for _ in range(25):
-        w = Q(rng.randrange(1, 50) * (1 if rng.random() < 0.5 else -1), rng.choice([1, 2, 7, 11]))
-        if fraction_valuation(w, p) < 0:
-            continue
-        x = ctx.of(1 + Q(p) ** m * w)
-        y = square_root_in_unit_ball(x, m)
-        assert fraction_valuation(y - 1, p) >= m
-        assert fraction_valuation(y * y - x.value, p) >= m + 8
-
-
 # -------------------------------------------------- quadratic extensions
 
 EXTS = [
@@ -582,15 +552,34 @@ def norm_one_samples(E, m, count, seed):
     return out[:count]
 
 
-@pytest.mark.parametrize("E", EXTS, ids=["unram3", "unram5", "ram3"])
+# the three classes of nonsquare d (a unit, p, a unit times p) up to
+# p = 13, and d = 18 = 2 * 3^2, where a unit may have b of valuation -1
+SPLIT_EXTS = EXTS + [
+    QuadExt(C7, Q(3)),
+    QuadExt(PrimeCtx(11), Q(22)),
+    QuadExt(PrimeCtx(13), Q(2)),
+    QuadExt(PrimeCtx(13), Q(13)),
+    QuadExt(C3, Q(18)),
+]
+
+
+@pytest.mark.parametrize(
+    "E", SPLIT_EXTS, ids=["unram3", "unram5", "ram3", "unram7", "ram11", "unram13", "ram13", "unram3sq"]
+)
 @pytest.mark.parametrize("m", [1, 2])
 def test_norm_one_decompose(E, m):
+    """x and -x for each sample: both chart signs, and x already in 1 + P^m."""
     p = E.ctx.p
+    signs, principal = set(), 0
     for x in norm_one_samples(E, m, 40, seed=1000 * p + m):
-        e, u = norm_one_decompose(x, m)
-        assert e.norm() == 1
-        assert e * u == x
-        assert (u - E.one()).base_valuation() >= m
+        for y in (x, -x):
+            e, u = norm_one_decompose(y, m)
+            assert e.norm() == 1
+            assert e * u == y
+            assert (u - E.one()).base_valuation() >= m
+            signs.add(1 if fraction_valuation(1 + y.a, p) == 0 else -1)
+            principal += (y - E.one()).base_valuation() >= m
+    assert signs == {1, -1} and principal >= 3
 
 
 def test_norm_one_decompose_rejects_bad_norm():
@@ -600,15 +589,11 @@ def test_norm_one_decompose_rejects_bad_norm():
 
 
 def test_norm_one_decompose_unit_guard_raises(monkeypatch):
-    """A wrong square root steers the chart off x; the level check must say so."""
-    real = quadext.square_root_in_unit_ball
-
-    def doubled(a, m, extra_digits=0):
-        return 2 * real(a, m, extra_digits=extra_digits)
-
-    monkeypatch.setattr(quadext, "square_root_in_unit_ball", doubled)
+    """A wrong chart sign gives an exact norm-one e off x; the level check must say so."""
+    real = quadext._chart_sign
+    monkeypatch.setattr(quadext, "_chart_sign", lambda a, p: -real(a, p))
     with pytest.raises(PadicError, match="principal-unit factor"):
-        norm_one_decompose(EXTS[0].elem(-1), 1)
+        norm_one_decompose(EXTS[0].elem(-4), 1)  # 1 + a = -3 is not a unit
 
 
 # ---------------------------------------------------------- PAdic lint
@@ -635,7 +620,6 @@ PADIC_READERS = {
     "padic.weil_index": ("a",),
     "padic.mu_psi": ("a",),
     "padic.is_square": ("a",),
-    "padic.square_root_in_unit_ball": ("x",),
 }
 
 
