@@ -231,11 +231,7 @@ def check_norm_one_split(cfg, rng):
         for ext in _extensions(p):
             for m in cfg.m:
                 for _ in range(cfg.samples):
-                    s = sample_rational(rng, p, signed=True)
-                    den = 1 - ext.d * s * s
-                    if den == 0:
-                        continue
-                    e0 = ext.elem((1 + ext.d * s * s) / den, 2 * s / den)
+                    e0 = ext.chart(sample_rational(rng, p, signed=True))
                     u0 = ext.one() + ext.elem(
                         Q(rng.randint(-8, 8)) * Q(p) ** m, Q(rng.randint(-8, 8)) * Q(p) ** m
                     )

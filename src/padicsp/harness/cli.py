@@ -18,13 +18,6 @@ from .config import HarnessError, build_config, read_config_file
 from .report import FAIL, PASS, SKIPPED, encode_value
 
 
-def _int_list(text):
-    try:
-        return [int(tok) for tok in text.replace(",", " ").split()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="padicsp",
@@ -34,12 +27,12 @@ def _build_parser():
 
     pv = sub.add_parser("verify", help="run a seeded verification campaign")
     pv.add_argument("--config", help="line-oriented key = value file")
-    pv.add_argument("--n", type=_int_list, help="ranks, e.g. '2,3'")
-    pv.add_argument("--p", type=_int_list, help="odd primes, e.g. '3,5'")
-    pv.add_argument("--m", type=_int_list, help="congruence levels")
-    pv.add_argument("--i", type=_int_list, help="section levels")
-    pv.add_argument("--samples", type=int, help="sample budget per check")
-    pv.add_argument("--seed", type=int, help="campaign seed (64-bit)")
+    pv.add_argument("--n", help="ranks, e.g. '2,3'")
+    pv.add_argument("--p", help="odd primes, e.g. '3,5'")
+    pv.add_argument("--m", help="congruence levels")
+    pv.add_argument("--i", help="section levels")
+    pv.add_argument("--samples", help="sample budget per check")
+    pv.add_argument("--seed", help="campaign seed (64-bit)")
     pv.add_argument("--checks", help="comma-separated check names (default: all)")
     pv.add_argument("--out", help="write the JSON report here")
 
@@ -65,9 +58,6 @@ _STATUS_TAG = {PASS: "PASS", FAIL: "FAIL", SKIPPED: "SKIPPED"}
 
 def _cmd_verify(args):
     file_values = read_config_file(args.config) if args.config else None
-    checks = None
-    if args.checks is not None:
-        checks = [tok for tok in args.checks.replace(",", " ").split() if tok]
     cfg = build_config(
         file_values,
         n=args.n,
@@ -76,7 +66,7 @@ def _cmd_verify(args):
         i=args.i,
         samples=args.samples,
         seed=args.seed,
-        checks=checks,
+        checks=args.checks,
         out=args.out,
     )
     report = run_campaign(cfg)

@@ -1,4 +1,8 @@
-"""Campaign configuration: flags, config files, validation."""
+"""Campaign configuration: flags, config files, validation.
+
+Command-line flags arrive as the same strings a config file holds, and
+one splitter reads every list, so a bad entry is a HarnessError either way.
+"""
 
 from dataclasses import dataclass, replace
 
@@ -82,25 +86,21 @@ class CampaignConfig:
         }
 
 
-def _parse_int_list(text) -> tuple:
+def _split_list(text) -> tuple:
+    """A list or tuple item by item; a string split at commas and spaces."""
     if isinstance(text, (list, tuple)):
-        parts = [str(v) for v in text]
-    else:
-        parts = str(text).replace(",", " ").split()
+        return tuple(str(v) for v in text)
+    return tuple(str(text).replace(",", " ").split())
+
+
+def _parse_int_list(text) -> tuple:
+    parts = _split_list(text)
     if not parts:
         raise HarnessError("empty integer list")
     try:
         return tuple(int(v) for v in parts)
     except ValueError as exc:
         raise HarnessError(f"bad integer list {text!r}") from exc
-
-
-def _parse_name_list(text) -> tuple:
-    if isinstance(text, (list, tuple)):
-        parts = [str(v) for v in text]
-    else:
-        parts = str(text).replace(",", " ").split()
-    return tuple(parts)
 
 
 def read_config_file(path: str) -> dict:
@@ -138,7 +138,7 @@ def build_config(file_values: dict = None, **overrides) -> CampaignConfig:
             except (TypeError, ValueError) as exc:
                 raise HarnessError(f"bad integer for {key}: {val!r}") from exc
         elif key == "checks":
-            cfg = replace(cfg, checks=_parse_name_list(val))
+            cfg = replace(cfg, checks=_split_list(val))
         elif key == "out":
             cfg = replace(cfg, out=str(val) if val else None)
         else:

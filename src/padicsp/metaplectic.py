@@ -90,11 +90,11 @@ class MetaSL2:
 
     @classmethod
     def upper(cls, ctx: PrimeCtx, b, zeta=1) -> "MetaSL2":
-        return cls(ctx, ((1, _as_fraction(b)), (0, 1)), zeta)
+        return cls(ctx, ((1, b), (0, 1)), zeta)
 
     @classmethod
     def lower(cls, ctx: PrimeCtx, y, zeta=1) -> "MetaSL2":
-        return cls(ctx, ((1, 0), (_as_fraction(y), 1)), zeta)
+        return cls(ctx, ((1, 0), (y, 1)), zeta)
 
     @classmethod
     def diag(cls, ctx: PrimeCtx, a, zeta=1) -> "MetaSL2":
@@ -218,8 +218,8 @@ class CharacterFx:
     varpi_phase: Q = Q(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "unit_phase", Q(self.unit_phase) % 1)
-        object.__setattr__(self, "varpi_phase", Q(self.varpi_phase) % 1)
+        object.__setattr__(self, "unit_phase", _as_fraction(self.unit_phase) % 1)
+        object.__setattr__(self, "varpi_phase", _as_fraction(self.varpi_phase) % 1)
         if self.conductor < 0:
             raise MetaError("conductor exponent must be >= 0")
         if self.conductor == 0:

@@ -4,7 +4,10 @@ A p-adic number is a plain rational, a fractions.Fraction, so every
 valuation, character value and symbol below is exact.  The functions
 that read a valuation -- psi, hilbert_symbol, weil_index, mu_psi and
 is_square -- take it as ctx.of(x), the Fraction x tagged with its
-PrimeCtx; everything else passes Fractions.
+PrimeCtx; everything else passes Fractions.  A library input becomes a
+rational in one place, _as_fraction, which takes an int or a Fraction and
+refuses a float or a string; p is split off an integer in one place,
+_strip, which every valuation and unit residue below reads.
 The additive character psi is the standard unramified one: psi(x)
 depends only on the p-part of x, extracted as a fraction with p-power
 denominator.  Every scalar the library produces -- psi-values, Weil
@@ -41,34 +44,35 @@ def _is_prime(k: int) -> bool:
 
 
 def _as_fraction(x) -> Q:
-    if isinstance(x, (int, Q)):
+    """x as an exact rational: a Fraction as it is, an int as a Fraction."""
+    if isinstance(x, Q):
+        return x
+    if isinstance(x, int):
         return Q(x)
     raise PadicError(f"cannot coerce {x!r} to an exact rational")
+
+
+def _strip(k: int, p: int):
+    """(v, k // p^v) for a nonzero integer k, p^v the largest power of p dividing it."""
+    v = 0
+    while not k % p:
+        k //= p
+        v += 1
+    return v, k
 
 
 def fraction_valuation(x: Q, p: int):
     """v_p(x) for a rational x; +inf for 0."""
     if x == 0:
         return INF
-    v = 0
-    num = x.numerator
-    while num % p == 0:
-        num //= p
-        v += 1
-    den = x.denominator
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    # a Fraction is in lowest terms, so p divides at most one side
+    v, _ = _strip(x.numerator, p)
+    return v if v else -_strip(x.denominator, p)[0]
 
 
 def _pfrac(x: Q, p: int) -> Q:
     # p-part of x in Q/Z: the unique a/p^k in [0,1) with x - a/p^k in Z_(p)
-    den = x.denominator
-    k = 0
-    while den % p == 0:
-        den //= p
-        k += 1
+    k, den = _strip(x.denominator, p)
     if k == 0:
         return Q(0)
     pk = p**k
@@ -119,18 +123,17 @@ class Mono:
     turn: Q = Q(0)
 
     def __post_init__(self):
-        rat = self.rat if type(self.rat) is Q else _as_fraction(self.rat)
+        rat = _as_fraction(self.rat)
         if not rat:
             object.__setattr__(self, "rat", Q(0))
             object.__setattr__(self, "qexp", Q(0))
             object.__setattr__(self, "turn", Q(0))
             return
-        turn = self.turn if type(self.turn) is Q else _as_fraction(self.turn)
+        turn = _as_fraction(self.turn)
         if rat < 0:
             rat, turn = -rat, turn + _HALF
         object.__setattr__(self, "rat", rat)
-        if type(self.qexp) is not Q:
-            object.__setattr__(self, "qexp", _as_fraction(self.qexp))
+        object.__setattr__(self, "qexp", _as_fraction(self.qexp))
         if not 0 <= turn < 1:
             turn -= turn.numerator // turn.denominator
         object.__setattr__(self, "turn", turn)
@@ -168,11 +171,7 @@ class Mono:
 
 def _turn_split(turn: Q, p: int):
     # turn = j/8 + a/p^k mod 1 by CRT; the rest of the denominator must divide 8
-    den = turn.denominator
-    k = 0
-    while den % p == 0:
-        den //= p
-        k += 1
+    k, den = _strip(turn.denominator, p)
     if 8 % den:
         raise PadicError(f"turn {turn} has no place in Q(zeta_(8 p^k)) for p = {p}")
     pk = p**k
@@ -279,14 +278,9 @@ def _unit_class(num: int, den: int, p: int):
 
     Read off the integers alone: num != 0 and den != 0.
     """
-    v = 0
-    while not num % p:
-        num //= p
-        v += 1
-    while not den % p:
-        den //= p
-        v -= 1
-    return v, num * pow(den, -1, p) % p
+    vn, num = _strip(num, p)
+    vd, den = _strip(den, p)
+    return vn - vd, num * pow(den, -1, p) % p
 
 
 def _hilbert(va: int, ra: int, vb: int, rb: int, p: int) -> int:

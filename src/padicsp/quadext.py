@@ -1,8 +1,11 @@
 """Quadratic extensions E = Q_p(sqrt(d)) in exact arithmetic.
 
-Elements are pairs of rationals a + b*sqrt(d) for a fixed nonsquare d.
-Valuations are normalized on the base field, so they are half-integers
-in the ramified case (v(d) odd).  The one nontrivial algorithm here
+Elements are pairs of rationals a + b*sqrt(d) for a fixed nonsquare d;
+d, the coordinates and every lifted operand pass through
+padic._as_fraction, so a float or a string is refused.  QuadExt.chart(s)
+is the rational chart of the norm conic a^2 - d b^2 = 1.  Valuations
+are normalized on the base field, so they are half-integers in the
+ramified case (v(d) odd).  The one nontrivial algorithm here
 splits a unit of almost-trivial norm into an exact norm-one element
 times a principal unit by reading the rational chart of the norm conic
 at the unit itself, with no square root; everything it returns is
@@ -13,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padic import INF, PadicError, PrimeCtx, fraction_valuation, is_square
+from .padic import INF, PadicError, PrimeCtx, _as_fraction, fraction_valuation, is_square
 
 Q = Fraction
 
@@ -24,7 +27,7 @@ class QuadExt:
     d: Q
 
     def __post_init__(self):
-        d = Q(self.d)
+        d = _as_fraction(self.d)
         object.__setattr__(self, "d", d)
         if is_square(self.ctx.of(d)):
             raise PadicError(f"d = {d} is a square in Q_{self.ctx.p}, not an extension")
@@ -34,7 +37,15 @@ class QuadExt:
         return fraction_valuation(self.d, self.ctx.p) % 2 == 1
 
     def elem(self, a, b=0) -> "QuadExtElem":
-        return QuadExtElem(self, Q(a), Q(b))
+        return QuadExtElem(self, _as_fraction(a), _as_fraction(b))
+
+    def chart(self, s) -> "QuadExtElem":
+        """The norm-one point (1 + s sqrt(d)) / (1 - s sqrt(d)) of parameter s:
+        ((1 + d s^2) / (1 - d s^2), 2 s / (1 - d s^2)) on the conic
+        a^2 - d b^2 = 1.  d is a nonsquare, so 1 - d s^2 is never 0."""
+        s = _as_fraction(s)
+        ds2 = self.d * s * s
+        return QuadExtElem(self, (1 + ds2) / (1 - ds2), 2 * s / (1 - ds2))
 
     def one(self) -> "QuadExtElem":
         return self.elem(1)
@@ -55,9 +66,7 @@ class QuadExtElem:
             if other.ext != self.ext:
                 raise PadicError("mixed extensions")
             return other
-        if isinstance(other, (int, Q)):
-            return QuadExtElem(self.ext, Q(other), Q(0))
-        raise PadicError(f"cannot coerce {other!r}")
+        return QuadExtElem(self.ext, _as_fraction(other), Q(0))
 
     def __add__(self, other):
         o = self._lift(other)
@@ -142,7 +151,7 @@ def norm_one_decompose(x: QuadExtElem, m: int):
     Requires norm(x) in 1 + P^m, which makes x = a + b sqrt(d) a unit
     with a in Z_p.  The norm-one factor is the rational chart of the
     conic a^2 - d b^2 = 1 read at x itself: with 1 + sigma*a a unit,
-    s = sigma*b / (1 + sigma*a) and e = sigma (1 + s sqrt(d)) / (1 - s sqrt(d)).
+    s = sigma*b / (1 + sigma*a) and e = sigma * chart(s).
     At the norm-one point x / sqrt(norm(x)) the chart returns that point;
     at x its parameter moves by b (sqrt(norm(x)) - 1) / unit in P^m while
     1 +- s sqrt(d) stay units, so e moves by a factor in 1 + P^m O_E and
@@ -152,14 +161,11 @@ def norm_one_decompose(x: QuadExtElem, m: int):
         raise PadicError("level m must be >= 1")
     ext = x.ext
     p = ext.ctx.p
-    d = ext.d
     t = x.norm()
     if fraction_valuation(t - 1, p) < m:
         raise PadicError(f"norm {t} is not in 1 + P^{m}")
     sigma = _chart_sign(x.a, p)
-    s = sigma * x.b / (1 + sigma * x.a)
-    den = 1 - d * s * s
-    e = ext.elem(sigma * (1 + d * s * s) / den, sigma * 2 * s / den)
+    e = sigma * ext.chart(sigma * x.b / (1 + sigma * x.a))
     u = x / e
     if e.norm() != 1:
         raise PadicError("norm-one factor has norm other than 1")

@@ -23,7 +23,7 @@ import time
 from fractions import Fraction as Q
 
 import conftest
-from test_chevalley import oracle_volume_exponent, random_unipotent
+from test_chevalley import oracle_volume_exponent
 from test_padic import oracle_hilbert_solvable, smallest_nonresidue
 from test_rootsys import radical_root
 from test_schwartz import oracle_square_character_trivial
@@ -76,6 +76,7 @@ from padicsp.metaplectic import (
 from padicsp import schwartz as sw
 from padicsp.harness import CampaignConfig, CheckFailure
 from padicsp.harness.checks import (
+    _deep_unipotent,
     check_bad_pair_factorizations,
     check_big_cell,
     check_bruhat_oracle,
@@ -312,7 +313,7 @@ def test_criterion_07_congruence_filtration():
                     problems.append(f"outside lower bound accepted n={n} m={m} g={g}")
                 cases += 1
             for _ in range(10):
-                u = random_unipotent(C3, n, rng, depth=m)
+                u = _deep_unipotent(3, n, rng, m)
                 if not in_skew_level(C3, u, m):
                     problems.append(f"box element outside level n={n} m={m}")
                 if skew_level_character(C3, u, m) != generic_character(C3, u):

@@ -26,7 +26,7 @@ import pytest
 import padicsp
 from padicsp import chevalley
 from padicsp.harness import CampaignConfig
-from padicsp.harness.checks import _random_word_matrix, check_cell_word_rewrite
+from padicsp.harness.checks import _deep_unipotent, _random_word_matrix, check_cell_word_rewrite
 from padicsp.padic import PadicError, PrimeCtx, fraction_valuation, psi
 from padicsp.rootsys import (
     Root,
@@ -245,13 +245,10 @@ def random_root_word_matrix(ctx, n, rng, length=6):
     return g
 
 
-def random_unipotent(ctx, n, rng, depth=None):
+def random_unipotent(ctx, n, rng):
     u = Mat.identity(2 * n)
     for g in positive_roots(n):
-        if depth is None:
-            v = rng.randrange(-3, 3)
-        else:
-            v = radical_coordinate_bound(g, depth) + rng.randrange(0, 3)
+        v = rng.randrange(-3, 3)
         u = mul_root_elem(u, g, Q(rng.randint(-5, 5)) * Q(ctx.p) ** v)
     return u
 
@@ -812,7 +809,7 @@ def test_generic_character_values_and_multiplicativity():
 def test_depth_character_agrees_with_generic_on_unipotent_part(n, m):
     rng = random.Random(110 + n + m)
     for _ in range(15):
-        u = random_unipotent(C3, n, rng, depth=m)
+        u = _deep_unipotent(3, n, rng, m)
         assert in_skew_level(C3, u, m)
         assert skew_level_character(C3, u, m) == generic_character(C3, u)
 
@@ -824,8 +821,8 @@ def test_depth_character_multiplicative_and_nontrivial():
     h = root_elem(n, g, Q(1, 3**m))
     assert not skew_level_character(C3, h, m).is_one()
     for _ in range(15):
-        h1 = random_unipotent(C3, n, rng, depth=m)
-        h2 = random_unipotent(C3, n, rng, depth=m)
+        h1 = _deep_unipotent(3, n, rng, m)
+        h2 = _deep_unipotent(3, n, rng, m)
         lhs = skew_level_character(C3, h1 * h2, m)
         assert lhs == skew_level_character(C3, h1, m) * skew_level_character(C3, h2, m)
     with pytest.raises(MatrixError):
@@ -881,7 +878,7 @@ def test_cell_word_rewrite_rejects_in_depth_word():
     w = highest_root_reflection(n)
     order = ordered_negated_roots(w)
     rs = [Q(3) ** radical_coordinate_bound(g, m) for g in order]
-    u = random_unipotent(C3, n, rng, depth=m)
+    u = _deep_unipotent(3, n, rng, m)
     t = torus([Q(1), Q(1)])
     with pytest.raises(FactorizationError):
         cell_word_rewrite(C3, t, w, rs, u, m)

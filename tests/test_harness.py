@@ -292,6 +292,13 @@ def test_cli_verify_rejects_even_prime(capsys):
     assert "odd" in capsys.readouterr().err
 
 
+def test_cli_verify_bad_integer_is_a_config_error(capsys):
+    assert main(["verify", "--n", "2,x"]) == 2
+    assert "bad integer list '2,x'" in capsys.readouterr().err
+    assert main(["verify", "--samples", "x"]) == 2
+    assert "bad integer for samples: 'x'" in capsys.readouterr().err
+
+
 def test_cli_verify_config_file(tmp_path, capsys):
     cfgfile = tmp_path / "c.cfg"
     cfgfile.write_text("n = 2\np = 3\nm = 1\nsamples = 2\nseed = 9\nchecks = psi-character\n")

@@ -759,3 +759,7 @@ def test_cover_constructors_reject_floats():
         MetaSL2(ctx, ((1, 0.5), (0, 1)))
     with pytest.raises(PadicError, match="exact rational"):
         ramified_character(ctx, 1).phase(0.5)
+    with pytest.raises(PadicError, match="exact rational"):
+        CharacterFx(ctx, 1, 0.5)
+    with pytest.raises(PadicError, match="exact rational"):
+        ramified_character(ctx, 1, varpi_phase=0.25)

@@ -25,6 +25,7 @@ from padicsp.padic import (
     PrimeCtx,
     _as_fraction,
     _pfrac,
+    _strip,
     _unit_class,
     fraction_valuation,
     hilbert_symbol,
@@ -186,6 +187,11 @@ def test_valuation_basics():
     # 18/5 = 3^2 * (2/5), and 2/5 = 1 mod 3
     assert _unit_class(18, 5, 3) == (2, 1)
     assert _unit_class(5, 27, 3) == (-3, 2)
+    assert _strip(7, 3) == (0, 7)
+    assert _strip(-54, 3) == (3, -2)
+    assert _strip(5**4 * 11, 5) == (4, 11)
+    x = Q(2, 9)
+    assert _as_fraction(x) is x and type(_as_fraction(-4)) is Q
 
 
 @given(any_rationals())
@@ -493,6 +499,32 @@ def test_is_square_matches_search_oracle(p):
     assert is_square(ctx.of(0))
 
 
+def test_quadext_takes_exact_rationals_only():
+    """d, the coordinates and a lifted operand all pass through _as_fraction."""
+    E = EXTS[0]
+    builds = (
+        lambda: QuadExt(C3, 2.0),
+        lambda: E.elem(0.1),
+        lambda: E.elem("1/2"),
+        lambda: E.elem(1, 0.5),
+        lambda: E.one() + 0.5,
+        lambda: E.chart(0.5),
+    )
+    for build in builds:
+        with pytest.raises(PadicError, match="exact rational"):
+            build()
+
+
+def test_chart_is_the_cayley_point_of_the_norm_conic():
+    """chart(s) = (1 + s sqrt(d)) / (1 - s sqrt(d)), of norm 1, for s across valuations."""
+    for E in EXTS:
+        root = E.gen()
+        for s in (Q(0), Q(1), Q(-2, 5), Q(E.ctx.p), Q(7, E.ctx.p**2)):
+            point = E.chart(s)
+            assert point == (1 + s * root) / (1 - s * root)
+            assert point.norm() == 1
+
+
 def test_quadext_arithmetic():
     E = EXTS[0]
     x = E.elem(Q(1, 3), 2)
@@ -539,11 +571,7 @@ def norm_one_samples(E, m, count, seed):
     one = E.one()
     out = [one, E.elem(-1), E.elem(1 + Q(p) ** m), E.elem(1, Q(p) ** (2 * m))]
     while len(out) < count:
-        s = Q(rng.randrange(-30, 31), rng.randrange(1, 9)) * Q(p) ** rng.randrange(-2, 3)
-        den = 1 - E.d * s * s
-        if den == 0:
-            continue
-        e0 = E.elem((1 + E.d * s * s) / den, 2 * s / den)
+        e0 = E.chart(Q(rng.randrange(-30, 31), rng.randrange(1, 9)) * Q(p) ** rng.randrange(-2, 3))
         w = sample_elem(E, rng, spread=1)
         if w.base_valuation() is not INF and w.base_valuation() < 0:
             continue
@@ -594,6 +622,67 @@ def test_norm_one_decompose_unit_guard_raises(monkeypatch):
     monkeypatch.setattr(quadext, "_chart_sign", lambda a, p: -real(a, p))
     with pytest.raises(PadicError, match="principal-unit factor"):
         norm_one_decompose(EXTS[0].elem(-4), 1)  # 1 + a = -3 is not a unit
+
+
+# ------------------------------------------------------ p-stripping lint
+
+def _divides_by_p(node) -> bool:
+    """node floor-divides by a name or an attribute p: k //= p, k // p or divmod(k, p)."""
+
+    def is_p(n):
+        return "p" in (getattr(n, "id", None), getattr(n, "attr", None))
+
+    if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.FloorDiv):
+        return is_p(node.value)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv):
+        return is_p(node.right)
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "divmod":
+        return len(node.args) == 2 and is_p(node.args[1])
+    return False
+
+
+def p_stripping_loops(path, prefix=""):
+    """The qualified names of the functions holding a while loop that
+    floor-divides by p; <module> for a loop at module level."""
+    tree = ast.parse(Path(path).read_text(encoding="utf-8"))
+    found = set()
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.While) and any(_divides_by_p(n) for n in ast.walk(child)):
+                found.add(prefix + (".".join(scope) or "<module>"))
+            walk(child, scope)
+
+    walk(tree, [])
+    return found
+
+
+def test_only_strip_splits_p_off_an_integer():
+    src = Path(padicsp.__file__).parent
+    found = set()
+    for path in sorted(src.rglob("*.py")):
+        rel = path.relative_to(src)
+        found |= p_stripping_loops(path, prefix=".".join(rel.with_suffix("").parts) + ".")
+    assert found == {"padic._strip"}
+
+
+def test_p_stripping_lint_sees_methods_nested_functions_and_each_division(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "def a(k, p):\n    while k % p == 0:\n        k //= p\n    return k\n"
+        "class K:\n    def c(self, k):\n        while not k % self.p:\n            k = k // self.p\n        return k\n"
+        "def d(k, p):\n    def e(k):\n        while True:\n            q, r = divmod(k, p)\n"
+        "            if r:\n                return k\n            k = q\n    return e(k)\n"
+        "k, p = 9, 3\nwhile k % p == 0:\n    k //= p\n"
+    )
+    (tmp_path / "n.py").write_text(
+        "def f(k, p):\n    while k > p:\n        k -= p\n    return k // p\n"
+        "def g(k, p):\n    while k % p == 0:\n        k = k // 2\n    return k\n"
+    )
+    assert p_stripping_loops(tmp_path / "m.py") == {"a", "K.c", "d.e", "<module>"}
+    assert p_stripping_loops(tmp_path / "n.py") == set()
 
 
 # ---------------------------------------------------------- PAdic lint
