@@ -4,9 +4,20 @@ Each check re-validates one cluster of library invariants on seeded
 samples or small exhaustive grids and reports a replayable
 counterexample on the first violation.  Checks are pure functions of
 (config, rng); the campaign driver owns timing and status bookkeeping.
+
+Because each check draws from its own seeded rng, the driver runs them
+in lanes, one per usable CPU (`os.sched_getaffinity`).  One lane runs
+in this process, so profilers and debuggers see every call; more lanes
+are forked processes that take the next check off a shared task pipe
+and send each record back as a JSON line.  Records are kept in the
+configured order and stored encoded, so the report bytes do not depend
+on the lane count: `taskset -c 0 padicsp verify` gives the one-process
+run.
 """
 
 import hashlib
+import json
+import os
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
@@ -55,6 +66,7 @@ from ..metaplectic import (
     rao_cocycle,
 )
 from .. import schwartz as sw
+from .report import FAIL, PASS, SKIPPED, CheckRecord, Report, encode_value
 
 
 class CheckFailure(Exception):
@@ -959,38 +971,119 @@ CATALOG = {
 
 # =============================================================== driver
 
-def run_campaign(cfg) -> "Report":
-    """Run the configured checks and collect a deterministic report.
+def _run_check(cfg, name) -> CheckRecord:
+    """One check's record, made in whichever process runs it.
 
     Sampled checks are skipped outright when the sample budget is zero;
     enumerative ones always run.  A raised CheckFailure becomes a fail
     record carrying the counterexample plus the campaign seed, and any
     other exception is reported as a fail with its message, so one
-    broken check never takes down the campaign.
+    broken check never takes down the campaign.  Parameters and
+    counterexamples are stored encoded: `encode_value` is idempotent, so
+    a record reads the same after a trip through a lane's JSON line.
     """
     import random
     import time
 
-    from .report import FAIL, PASS, SKIPPED, CheckRecord, Report
+    spec = CATALOG[name]
+    if spec.sampled and cfg.samples == 0:
+        return CheckRecord(name, SKIPPED, 0, {"reason": "samples = 0"})
+    rng = random.Random(case_seed(cfg.seed, name))
+    start = time.perf_counter()
+    try:
+        cases, parameters = spec.fn(cfg, rng)
+        return CheckRecord(name, PASS, cases, encode_value(dict(parameters)), None, time.perf_counter() - start)
+    except CheckFailure as exc:
+        payload = {"seed": cfg.seed, **exc.payload}
+    except Exception as exc:
+        payload = {"seed": cfg.seed, "error": f"{type(exc).__name__}: {exc}"}
+    return CheckRecord(name, FAIL, 0, {}, encode_value(payload), time.perf_counter() - start)
 
+
+def _lane(cfg, names, tasks, out, inherited):
+    """A lane process: close the parent's other pipe ends, then take check
+    indices off the task pipe until it is empty; before running each,
+    write its index as one JSON line, then the record as another.  Never
+    returns."""
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        with os.fdopen(out, "w") as fh:
+            while taken := os.read(tasks, 1):
+                fh.write(f"{taken[0]}\n")
+                fh.flush()
+                fh.write(json.dumps(vars(_run_check(cfg, names[taken[0]]))) + "\n")
+                fh.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _run_lanes(cfg, names, lanes) -> list:
+    """The records of `names`, in order, from `lanes` forked processes.
+
+    One shared task pipe holds one byte per check index, so a free lane
+    takes the next check in order.  A check that a lane took but never
+    reported fails with the lane's exit status; one that no lane took,
+    because every lane died, runs here.
+    """
+    tasks, fill = os.pipe()
+    os.write(fill, bytes(range(len(names))))
+    os.close(fill)
+    lanes_out, records, dead = {}, {}, []
+    try:
+        for _ in range(lanes):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _lane(cfg, names, tasks, write, [read] + [fh.fileno() for fh in lanes_out.values()])
+            os.close(write)
+            lanes_out[pid] = os.fdopen(read)
+        for pid, fh in list(lanes_out.items()):
+            taken = None
+            for line in fh:
+                if not line.endswith("\n"):
+                    break
+                item = json.loads(line)
+                if isinstance(item, int):
+                    taken = item
+                else:
+                    records[taken], taken = CheckRecord(**item), None
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            fh.close()
+            del lanes_out[pid]
+            if status:
+                dead.append(status)
+            if taken is not None:
+                records[taken] = _lane_failure(cfg, names[taken], status)
+        for index in os.read(tasks, len(names)):
+            records[index] = _run_check(cfg, names[index])
+    except BaseException:
+        import signal
+
+        for pid, fh in lanes_out.items():
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    finally:
+        os.close(tasks)
+    # an index that a lane read off the task pipe and died before it
+    # could write it back
+    return [records.get(i) or _lane_failure(cfg, name, dead[0]) for i, name in enumerate(names)]
+
+
+def _lane_failure(cfg, name, status) -> CheckRecord:
+    return CheckRecord(name, FAIL, 0, {}, {"seed": cfg.seed, "error": f"lane exited with status {status}"})
+
+
+def run_campaign(cfg) -> Report:
+    """Run the configured checks, in one lane per usable CPU, and collect
+    a deterministic report."""
     cfg.validate(CATALOG)
     names = list(cfg.checks) if cfg.checks else sorted(CATALOG)
-    report = Report(version=__version__, config=cfg.as_dict())
-    for name in names:
-        spec = CATALOG[name]
-        if spec.sampled and cfg.samples == 0:
-            report.add(CheckRecord(name, SKIPPED, 0, {"reason": "samples = 0"}))
-            continue
-        rng = random.Random(case_seed(cfg.seed, name))
-        start = time.perf_counter()
-        try:
-            cases, parameters = spec.fn(cfg, rng)
-            record = CheckRecord(name, PASS, cases, dict(parameters), None, time.perf_counter() - start)
-        except CheckFailure as exc:
-            payload = {"seed": cfg.seed, **exc.payload}
-            record = CheckRecord(name, FAIL, 0, {}, payload, time.perf_counter() - start)
-        except Exception as exc:
-            payload = {"seed": cfg.seed, "error": f"{type(exc).__name__}: {exc}"}
-            record = CheckRecord(name, FAIL, 0, {}, payload, time.perf_counter() - start)
-        report.add(record)
-    return report
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    lanes = min(cpus, len(names))
+    records = _run_lanes(cfg, names, lanes) if lanes > 1 else [_run_check(cfg, name) for name in names]
+    return Report(version=__version__, config=cfg.as_dict(), checks=records)

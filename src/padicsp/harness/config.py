@@ -65,6 +65,9 @@ class CampaignConfig:
             raise HarnessError("samples must be nonnegative")
         if not 0 <= self.seed < 2**64:
             raise HarnessError("seed must fit in 64 bits")
+        for k, name in enumerate(self.checks):
+            if name in self.checks[:k]:
+                raise HarnessError(f"check {name!r} is named twice")
         if catalog is not None:
             for name in self.checks:
                 if name not in catalog:

@@ -289,11 +289,12 @@ class SectionFsi:
     s: Q = Q(1, 2)
 
     def __post_init__(self):
-        if not isinstance(self.s, (int, Q)):
-            raise MetaError(f"s = {self.s!r} is not rational")
-        object.__setattr__(self, "s", Q(self.s))
-        if self.i < 1:
-            raise MetaError("level must be a positive integer")
+        try:
+            object.__setattr__(self, "s", _as_fraction(self.s))
+        except PadicError as exc:
+            raise MetaError(f"s = {self.s!r} is not rational") from exc
+        if type(self.i) is not int or self.i < 1:
+            raise MetaError(f"level {self.i!r} is not a positive integer")
 
     @property
     def ctx(self) -> PrimeCtx:

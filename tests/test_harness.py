@@ -1,8 +1,12 @@
-"""Campaign configuration, report shape, and the CLI surface."""
+"""Campaign configuration, report shape, lanes, and the CLI surface."""
 
+import ast
 import json
+import os
 import random
 import re
+import time
+from pathlib import Path
 from fractions import Fraction as Q
 
 import pytest
@@ -22,6 +26,7 @@ from padicsp.harness import (
     run_campaign,
     sample_rational,
 )
+import padicsp
 from padicsp.harness.checks import CheckSpec, case_seed, nonresidue, square_classes
 from padicsp.harness.cli import main
 from padicsp.harness.report import FAIL, PASS, SKIPPED
@@ -73,6 +78,7 @@ def test_build_config_rejects_unknown_key():
         (dict(samples=-1), None),
         (dict(seed=2**64), None),
         (dict(checks=["nope"]), "unknown check"),
+        (dict(checks=["bad-pairs", "bad-pairs", "volumes"]), "'bad-pairs' is named twice"),
     ],
 )
 def test_validate_rejections(kw, msg):
@@ -100,6 +106,21 @@ def test_encode_value_shapes():
     assert encode_value(Mono(2, Q(1, 2), Q(1, 8))) == {"rat": "2/1", "qexp": "1/2", "turn": "1/8"}
     assert encode_value(psi(PrimeCtx(3).of(Q(1, 3)))) == {"rat": "1/1", "qexp": "0/1", "turn": "1/3"}
     assert encode_value([Mono(-1)]) == [{"rat": "1/1", "qexp": "0/1", "turn": "1/2"}]
+
+
+def test_encode_value_is_idempotent():
+    """A lane sends encoded records, so encoding twice must change nothing."""
+    values = [
+        Q(3, 4),
+        Root(2, (1, 1)),
+        WeylElem.simple(2, 1),
+        Mono(2, Q(1, 2), Q(1, 8)),
+        {1: (Q(1, 2), [Mono(-1)]), "s": "x", "f": 0.5, "b": True, "none": None},
+    ]
+    for v in values:
+        once = encode_value(v)
+        assert encode_value(once) == once
+        assert json.loads(json.dumps(once)) == once
 
 
 def test_fail_record_requires_counterexample():
@@ -231,6 +252,183 @@ def test_campaign_rejects_invalid_config():
         run_campaign(cfg)
 
 
+# -------------------------------------------------------------- lanes
+
+def _use_cpus(monkeypatch, k):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+
+
+def test_lanes_give_the_serial_report_bytes(monkeypatch):
+    def boom(cfg, rng):
+        raise CheckFailure({"x": Q(rng.randint(1, 9), 7), "reason": "synthetic"})
+
+    def crash(cfg, rng):
+        raise ValueError("exploded")
+
+    monkeypatch.setitem(CATALOG, "synthetic-failure", CheckSpec(boom, False))
+    monkeypatch.setitem(CATALOG, "synthetic-crash", CheckSpec(crash, False))
+    monkeypatch.setitem(CATALOG, "synthetic-pass", CheckSpec(lambda cfg, rng: (1, {"q": Q(1, 3)}), False))
+    names = ["bad-pairs", "synthetic-failure", "synthetic-crash", "synthetic-pass", "volumes"]
+    cfg = build_config(None, checks=names, **SMALL)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    texts = []
+    for k, forked in ((1, 0), (2, 2)):
+        _use_cpus(monkeypatch, k)
+        rep = run_campaign(cfg)
+        assert len(forks) == forked
+        forks.clear()
+        assert [r.name for r in rep.checks] == names
+        for r in rep.checks:
+            r.seconds = 0.0
+        texts.append(rep.to_json())
+    assert texts[0] == texts[1]
+    by_name = {r.name: r for r in rep.checks}
+    assert by_name["synthetic-failure"].counterexample["x"].endswith("/7")
+    assert by_name["synthetic-crash"].counterexample["error"] == "ValueError: exploded"
+    assert by_name["synthetic-pass"].parameters == {"q": "1/3"}
+    assert by_name["bad-pairs"].status == PASS
+
+
+def test_more_lanes_than_cores_run_each_check_once(monkeypatch):
+    names = [f"synthetic-{k:02d}" for k in range(24)]
+    for name in names:
+        monkeypatch.setitem(CATALOG, name, CheckSpec(lambda cfg, rng, name=name: (1, {"ran": name}), False))
+    _use_cpus(monkeypatch, 8)
+    start = time.monotonic()
+    rep = run_campaign(build_config(None, checks=names, **SMALL))
+    assert time.monotonic() - start < 30
+    assert [(r.name, r.status, r.parameters) for r in rep.checks] == [(n, PASS, {"ran": n}) for n in names]
+
+
+def test_a_lane_that_dies_fails_the_check_it_took(monkeypatch):
+    def die(cfg, rng):
+        os._exit(3)
+
+    monkeypatch.setitem(CATALOG, "synthetic-exit", CheckSpec(die, False))
+    _use_cpus(monkeypatch, 2)
+    names = ["bad-pairs", "synthetic-exit", "volumes", "psi-character"]
+    rep = run_campaign(build_config(None, checks=names, **SMALL))
+    assert [r.name for r in rep.checks] == names
+    dead = rep.checks[1]
+    assert dead.status == FAIL
+    assert dead.counterexample == {"seed": SMALL["seed"], "error": "lane exited with status 3"}
+    assert all(r.status == PASS for r in rep.checks if r is not dead)
+
+
+def test_checks_no_lane_could_take_run_in_the_campaign_process(monkeypatch):
+    monkeypatch.setitem(CATALOG, "synthetic-exit-4", CheckSpec(lambda cfg, rng: os._exit(4), False))
+    monkeypatch.setitem(CATALOG, "synthetic-exit-5", CheckSpec(lambda cfg, rng: os._exit(5), False))
+    _use_cpus(monkeypatch, 2)
+    # each lane takes one of the first two checks and dies on it
+    names = ["synthetic-exit-4", "synthetic-exit-5", "bad-pairs"]
+    rep = run_campaign(build_config(None, checks=names, **SMALL))
+    assert [r.status for r in rep.checks] == [FAIL, FAIL, PASS]
+    errors = [r.counterexample["error"] for r in rep.failed]
+    assert errors == ["lane exited with status 4", "lane exited with status 5"]
+
+
+def test_an_error_in_the_campaign_process_kills_and_reaps_the_lanes(monkeypatch):
+    def stall(cfg, rng):
+        time.sleep(60)
+        return 0, {}
+
+    def broken(line):
+        raise RuntimeError("unreadable lane line")
+
+    monkeypatch.setitem(CATALOG, "synthetic-stall", CheckSpec(stall, False))
+    monkeypatch.setitem(CATALOG, "synthetic-stall-too", CheckSpec(stall, False))
+    _use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(json, "loads", broken)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="unreadable lane line"):
+        run_campaign(build_config(None, checks=["synthetic-stall", "synthetic-stall-too"], **SMALL))
+    assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_one_check_campaign_does_not_fork(monkeypatch):
+    def no_fork():
+        raise AssertionError("a one-check campaign forked")
+
+    _use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run_campaign(build_config(None, checks=["bad-pairs"], **SMALL)).ok
+
+
+# A lane is a forked process that leaves by os._exit; both belong to the
+# campaign driver alone, and the library starts no process pool.
+_LANE_CALLS = ("fork", "_exit")
+_POOL_MODULES = ("multiprocessing", "concurrent")
+
+
+def process_starters(root):
+    """(module.function, use) for each os.fork or os._exit and each import
+    of multiprocessing or concurrent in the modules under root; the
+    function is <module> at module level."""
+    found = set()
+    for path in sorted(Path(root).rglob("*.py")):
+        module = ".".join(path.relative_to(root).with_suffix("").parts)
+
+        def walk(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    walk(child, scope + [child.name])
+                    continue
+                where = ".".join([module] + (scope or ["<module>"]))
+                if (
+                    isinstance(child, ast.Attribute)
+                    and child.attr in _LANE_CALLS
+                    and getattr(child.value, "id", None) == "os"
+                ):
+                    found.add((where, f"os.{child.attr}"))
+                elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                    if child.module == "os":
+                        found.update((where, f"os.{a.name}") for a in child.names if a.name in _LANE_CALLS)
+                    elif child.module.split(".")[0] in _POOL_MODULES:
+                        found.add((where, child.module.split(".")[0]))
+                elif isinstance(child, ast.Import):
+                    tops = {a.name.split(".")[0] for a in child.names}
+                    found.update((where, top) for top in tops & set(_POOL_MODULES))
+                walk(child, scope)
+
+        walk(ast.parse(path.read_text(encoding="utf-8")), [])
+    return found
+
+
+def test_only_the_campaign_driver_forks():
+    assert process_starters(Path(padicsp.__file__).parent) == {
+        ("harness.checks._run_lanes", "os.fork"),
+        ("harness.checks._lane", "os._exit"),
+    }
+
+
+def test_process_lint_sees_each_form(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "import os\n"
+        "import multiprocessing.pool\n"
+        "from concurrent.futures import ProcessPoolExecutor\n"
+        "from os import fork as f, getpid\n"
+        "def a():\n    return os.fork()\n"
+        "class K:\n    def b(self):\n        import concurrent\n        os._exit(0)\n"
+        "exit_now = os._exit\n"
+    )
+    (tmp_path / "n.py").write_text(
+        "import os\nimport multiprocessor\nfrom .concurrent import x\n"
+        "def c():\n    return os.getpid(), os.forkpty, x.fork()\n"
+    )
+    assert process_starters(tmp_path) == {
+        ("m.<module>", "multiprocessing"),
+        ("m.<module>", "concurrent"),
+        ("m.<module>", "os.fork"),
+        ("m.a", "os.fork"),
+        ("m.K.b", "concurrent"),
+        ("m.K.b", "os._exit"),
+        ("m.<module>", "os._exit"),
+    }
+
+
 # ---------------------------------------------------------------- cli
 
 def test_cli_enumerate_bad_pairs(capsys):
@@ -297,6 +495,12 @@ def test_cli_verify_bad_integer_is_a_config_error(capsys):
     assert "bad integer list '2,x'" in capsys.readouterr().err
     assert main(["verify", "--samples", "x"]) == 2
     assert "bad integer for samples: 'x'" in capsys.readouterr().err
+
+
+def test_cli_verify_rejects_a_check_named_twice(capsys):
+    argv = ["verify", "--n", "2", "--p", "3", "--checks", "bad-pairs,bad-pairs,volumes"]
+    assert main(argv) == 2
+    assert "check 'bad-pairs' is named twice" in capsys.readouterr().err
 
 
 def test_cli_verify_config_file(tmp_path, capsys):

@@ -763,3 +763,10 @@ def test_cover_constructors_reject_floats():
         CharacterFx(ctx, 1, 0.5)
     with pytest.raises(PadicError, match="exact rational"):
         ramified_character(ctx, 1, varpi_phase=0.25)
+    eta = ramified_character(ctx, 1)
+    for s in (0.5, "1/2", complex(0.5, 1)):
+        with pytest.raises(MetaError, match="not rational"):
+            SectionFsi(1, eta, s)
+    for level in (1.5, True, Q(1)):
+        with pytest.raises(MetaError, match="not a positive integer"):
+            SectionFsi(level, eta)
