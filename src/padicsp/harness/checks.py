@@ -6,13 +6,15 @@ counterexample on the first violation.  Checks are pure functions of
 (config, rng); the campaign driver owns timing and status bookkeeping.
 
 Because each check draws from its own seeded rng, the driver runs them
-in lanes, one per usable CPU (`os.sched_getaffinity`).  One lane runs
-in this process, so profilers and debuggers see every call; more lanes
-are forked processes that take the next check off a shared task pipe
-and send each record back as a JSON line.  Records are kept in the
-configured order and stored encoded, so the report bytes do not depend
-on the lane count: `taskset -c 0 padicsp verify` gives the one-process
-run.
+in lanes, one per usable CPU (`os.sched_getaffinity`).  This process is
+one lane; the others are forked processes.  Every lane takes the next
+check off one shared task pipe, and a forked lane sends each record
+back as a JSON line of encoded values.  Records are kept in the
+configured order, and the report encodes every value once more, which
+changes nothing, so the report bytes do not depend on the lane count.
+With one usable CPU nothing is forked and every call is made here, where
+profilers, debuggers and in-process tracers see it: `taskset -c 0
+padicsp verify` gives the one-process run.
 """
 
 import hashlib
@@ -978,9 +980,7 @@ def _run_check(cfg, name) -> CheckRecord:
     enumerative ones always run.  A raised CheckFailure becomes a fail
     record carrying the counterexample plus the campaign seed, and any
     other exception is reported as a fail with its message, so one
-    broken check never takes down the campaign.  Parameters and
-    counterexamples are stored encoded: `encode_value` is idempotent, so
-    a record reads the same after a trip through a lane's JSON line.
+    broken check never takes down the campaign.
     """
     import random
     import time
@@ -992,19 +992,19 @@ def _run_check(cfg, name) -> CheckRecord:
     start = time.perf_counter()
     try:
         cases, parameters = spec.fn(cfg, rng)
-        return CheckRecord(name, PASS, cases, encode_value(dict(parameters)), None, time.perf_counter() - start)
+        return CheckRecord(name, PASS, cases, dict(parameters), None, time.perf_counter() - start)
     except CheckFailure as exc:
         payload = {"seed": cfg.seed, **exc.payload}
     except Exception as exc:
         payload = {"seed": cfg.seed, "error": f"{type(exc).__name__}: {exc}"}
-    return CheckRecord(name, FAIL, 0, {}, encode_value(payload), time.perf_counter() - start)
+    return CheckRecord(name, FAIL, 0, {}, payload, time.perf_counter() - start)
 
 
 def _lane(cfg, names, tasks, out, inherited):
-    """A lane process: close the parent's other pipe ends, then take check
+    """A forked lane: close the parent's other pipe ends, then take check
     indices off the task pipe until it is empty; before running each,
-    write its index as one JSON line, then the record as another.  Never
-    returns."""
+    write its index as one JSON line, then its encoded record as another.
+    Never returns."""
     status = 1
     try:
         for fd in inherited:
@@ -1013,33 +1013,43 @@ def _lane(cfg, names, tasks, out, inherited):
             while taken := os.read(tasks, 1):
                 fh.write(f"{taken[0]}\n")
                 fh.flush()
-                fh.write(json.dumps(vars(_run_check(cfg, names[taken[0]]))) + "\n")
+                fh.write(json.dumps(encode_value(vars(_run_check(cfg, names[taken[0]])))) + "\n")
                 fh.flush()
         status = 0
     finally:
         os._exit(status)
 
 
-def _run_lanes(cfg, names, lanes) -> list:
-    """The records of `names`, in order, from `lanes` forked processes.
+def _run_lanes(cfg, names, forks) -> list:
+    """The records of `names`, in order, from this process and `forks`
+    forked lanes.
 
-    One shared task pipe holds one byte per check index, so a free lane
-    takes the next check in order.  A check that a lane took but never
-    reported fails with the lane's exit status; one that no lane took,
-    because every lane died, runs here.
+    One shared task pipe holds one byte per check index, and each process
+    takes the next check in order until the pipe is empty.  This process
+    reads the lanes' record pipes only after that, which cannot deadlock:
+    a lane whose pipe is full stops taking checks, and the rest fall to
+    this process.  A check that a lane took but never reported fails with
+    the lane's exit status.
     """
     tasks, fill = os.pipe()
     os.write(fill, bytes(range(len(names))))
     os.close(fill)
-    lanes_out, records, dead = {}, {}, []
+    lanes_out, records, unannounced = {}, {}, []
     try:
-        for _ in range(lanes):
+        for _ in range(forks):
             read, write = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
             if pid == 0:
                 _lane(cfg, names, tasks, write, [read] + [fh.fileno() for fh in lanes_out.values()])
             os.close(write)
             lanes_out[pid] = os.fdopen(read)
+        while taken := os.read(tasks, 1):
+            records[taken[0]] = _run_check(cfg, names[taken[0]])
         for pid, fh in list(lanes_out.items()):
             taken = None
             for line in fh:
@@ -1050,15 +1060,13 @@ def _run_lanes(cfg, names, lanes) -> list:
                     taken = item
                 else:
                     records[taken], taken = CheckRecord(**item), None
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            fh.close()
             del lanes_out[pid]
-            if status:
-                dead.append(status)
+            fh.close()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             if taken is not None:
                 records[taken] = _lane_failure(cfg, names[taken], status)
-        for index in os.read(tasks, len(names)):
-            records[index] = _run_check(cfg, names[index])
+            elif status:
+                unannounced.append(status)
     except BaseException:
         import signal
 
@@ -1069,9 +1077,13 @@ def _run_lanes(cfg, names, lanes) -> list:
         raise
     finally:
         os.close(tasks)
-    # an index that a lane read off the task pipe and died before it
-    # could write it back
-    return [records.get(i) or _lane_failure(cfg, name, dead[0]) for i, name in enumerate(names)]
+    # A lane killed between reading an index and writing it back leaves
+    # that check unreported and announces nothing; each such check goes to
+    # one of the lanes that died that way (with one forked lane, to it).
+    missing = [i for i in range(len(names)) if i not in records]
+    for i, status in zip(missing, unannounced):
+        records[i] = _lane_failure(cfg, names[i], status)
+    return [records[i] for i in range(len(names))]
 
 
 def _lane_failure(cfg, name, status) -> CheckRecord:
@@ -1084,6 +1096,5 @@ def run_campaign(cfg) -> Report:
     cfg.validate(CATALOG)
     names = list(cfg.checks) if cfg.checks else sorted(CATALOG)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    lanes = min(cpus, len(names))
-    records = _run_lanes(cfg, names, lanes) if lanes > 1 else [_run_check(cfg, name) for name in names]
+    records = _run_lanes(cfg, names, min(cpus, len(names)) - 1)
     return Report(version=__version__, config=cfg.as_dict(), checks=records)

@@ -15,7 +15,7 @@ from ..rootsys import (
 from ..chevalley import Mat, MatrixError, bruhat_decompose
 from .checks import run_campaign
 from .config import HarnessError, build_config, read_config_file
-from .report import FAIL, PASS, SKIPPED
+from .report import FAIL, PASS, SKIPPED, encode_value
 
 
 def _build_parser():
@@ -74,7 +74,7 @@ def _cmd_verify(args):
         line = f"{rec.name:<28} {_STATUS_TAG[rec.status]:<8} {rec.cases:>6} cases  {rec.seconds:7.3f}s"
         print(line)
         if rec.status == FAIL:
-            print(f"  counterexample: {json.dumps(rec.counterexample, sort_keys=True)}")
+            print(f"  counterexample: {json.dumps(encode_value(rec.counterexample), sort_keys=True)}")
     tally = report.tally()
     print(
         f"summary: {len(report.checks)} checks, {tally[PASS]} pass, {tally[FAIL]} fail, "

@@ -5,6 +5,7 @@ import json
 import os
 import random
 import re
+import select
 import time
 from pathlib import Path
 from fractions import Fraction as Q
@@ -258,6 +259,29 @@ def _use_cpus(monkeypatch, k):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
 
 
+def _held_by_each_process(monkeypatch, names, in_lane, in_campaign=lambda: (1, {})):
+    """Register `names` as one synthetic check that calls in_lane() in a
+    forked lane and, in the campaign process, waits until a lane has
+    started one of them and then calls in_campaign().  With one forked
+    lane and the two names first in the campaign, the lane takes one of
+    them and the campaign process the other, whichever way the race for
+    the task pipe goes.  Returns the gate's pipe ends, for the caller to
+    close."""
+    campaign, (gate, opened) = os.getpid(), os.pipe()
+
+    def held(cfg, rng):
+        if os.getpid() == campaign:
+            os.read(gate, 1)
+            return in_campaign()
+        os.write(opened, b"x")
+        return in_lane()
+
+    for name in names:
+        monkeypatch.setitem(CATALOG, name, CheckSpec(held, False))
+    _use_cpus(monkeypatch, 2)
+    return gate, opened
+
+
 def test_lanes_give_the_serial_report_bytes(monkeypatch):
     def boom(cfg, rng):
         raise CheckFailure({"x": Q(rng.randint(1, 9), 7), "reason": "synthetic"})
@@ -265,29 +289,49 @@ def test_lanes_give_the_serial_report_bytes(monkeypatch):
     def crash(cfg, rng):
         raise ValueError("exploded")
 
+    campaign, (done, finished) = os.getpid(), os.pipe()
+
+    def last(cfg, rng):
+        if os.getpid() != campaign:
+            os.write(finished, b"x")
+        return 1, {}
+
     monkeypatch.setitem(CATALOG, "synthetic-failure", CheckSpec(boom, False))
     monkeypatch.setitem(CATALOG, "synthetic-crash", CheckSpec(crash, False))
     monkeypatch.setitem(CATALOG, "synthetic-pass", CheckSpec(lambda cfg, rng: (1, {"q": Q(1, 3)}), False))
-    names = ["bad-pairs", "synthetic-failure", "synthetic-crash", "synthetic-pass", "volumes"]
-    cfg = build_config(None, checks=names, **SMALL)
+    monkeypatch.setitem(CATALOG, "synthetic-last", CheckSpec(last, False))
+    names = ["bad-pairs", "synthetic-failure", "synthetic-crash", "synthetic-pass", "volumes", "synthetic-last"]
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    _use_cpus(monkeypatch, 1)
+    serial = run_campaign(build_config(None, checks=names, **SMALL))
+    assert not forks
+    # With two lanes the campaign process holds until its forked lane has
+    # run every check of `names`, so each record crosses the lane's pipe.
+    def until_last():
+        select.select([done], [], [], 30)  # bounded: a lane that dies writes nothing
+        return 1, {}
+
+    held = ["synthetic-a", "synthetic-b"]
+    fds = _held_by_each_process(monkeypatch, held, lambda: (1, {}), until_last)
+    try:
+        laned = run_campaign(build_config(None, checks=held + names, **SMALL))
+    finally:
+        for fd in fds + (done, finished):
+            os.close(fd)
+    assert len(forks) == 1
+    assert isinstance(laned.checks[3].counterexample["x"], str)  # sent by the lane, encoded
     texts = []
-    for k, forked in ((1, 0), (2, 2)):
-        _use_cpus(monkeypatch, k)
-        rep = run_campaign(cfg)
-        assert len(forks) == forked
-        forks.clear()
-        assert [r.name for r in rep.checks] == names
-        for r in rep.checks:
+    for records in (serial.checks, laned.checks[2:]):
+        for r in records:
             r.seconds = 0.0
-        texts.append(rep.to_json())
+        texts.append(json.dumps([r.as_dict() for r in records], indent=2, sort_keys=True))
     assert texts[0] == texts[1]
-    by_name = {r.name: r for r in rep.checks}
-    assert by_name["synthetic-failure"].counterexample["x"].endswith("/7")
-    assert by_name["synthetic-crash"].counterexample["error"] == "ValueError: exploded"
-    assert by_name["synthetic-pass"].parameters == {"q": "1/3"}
-    assert by_name["bad-pairs"].status == PASS
+    by_name = {r["name"]: r for r in serial.as_dict()["checks"]}
+    assert by_name["synthetic-failure"]["counterexample"]["x"].endswith("/7")
+    assert by_name["synthetic-crash"]["counterexample"]["error"] == "ValueError: exploded"
+    assert by_name["synthetic-pass"]["parameters"] == {"q": "1/3"}
+    assert by_name["bad-pairs"]["status"] == PASS
 
 
 def test_more_lanes_than_cores_run_each_check_once(monkeypatch):
@@ -302,47 +346,37 @@ def test_more_lanes_than_cores_run_each_check_once(monkeypatch):
 
 
 def test_a_lane_that_dies_fails_the_check_it_took(monkeypatch):
-    def die(cfg, rng):
-        os._exit(3)
-
-    monkeypatch.setitem(CATALOG, "synthetic-exit", CheckSpec(die, False))
-    _use_cpus(monkeypatch, 2)
-    names = ["bad-pairs", "synthetic-exit", "volumes", "psi-character"]
-    rep = run_campaign(build_config(None, checks=names, **SMALL))
+    fds = _held_by_each_process(monkeypatch, ["synthetic-a", "synthetic-b"], lambda: os._exit(3))
+    names = ["synthetic-a", "synthetic-b", "bad-pairs", "volumes", "psi-character"]
+    try:
+        rep = run_campaign(build_config(None, checks=names, **SMALL))
+    finally:
+        for fd in fds:
+            os.close(fd)
     assert [r.name for r in rep.checks] == names
-    dead = rep.checks[1]
-    assert dead.status == FAIL
-    assert dead.counterexample == {"seed": SMALL["seed"], "error": "lane exited with status 3"}
-    assert all(r.status == PASS for r in rep.checks if r is not dead)
-
-
-def test_checks_no_lane_could_take_run_in_the_campaign_process(monkeypatch):
-    monkeypatch.setitem(CATALOG, "synthetic-exit-4", CheckSpec(lambda cfg, rng: os._exit(4), False))
-    monkeypatch.setitem(CATALOG, "synthetic-exit-5", CheckSpec(lambda cfg, rng: os._exit(5), False))
-    _use_cpus(monkeypatch, 2)
-    # each lane takes one of the first two checks and dies on it
-    names = ["synthetic-exit-4", "synthetic-exit-5", "bad-pairs"]
-    rep = run_campaign(build_config(None, checks=names, **SMALL))
-    assert [r.status for r in rep.checks] == [FAIL, FAIL, PASS]
-    errors = [r.counterexample["error"] for r in rep.failed]
-    assert errors == ["lane exited with status 4", "lane exited with status 5"]
+    dead = [r for r in rep.checks if r.status == FAIL]
+    assert len(dead) == 1 and dead[0].name in names[:2]
+    assert dead[0].counterexample == {"seed": SMALL["seed"], "error": "lane exited with status 3"}
+    assert all(r.status == PASS for r in rep.checks if r is not dead[0])
 
 
 def test_an_error_in_the_campaign_process_kills_and_reaps_the_lanes(monkeypatch):
-    def stall(cfg, rng):
+    def stall():
         time.sleep(60)
         return 0, {}
 
-    def broken(line):
-        raise RuntimeError("unreadable lane line")
+    def interrupt():
+        raise KeyboardInterrupt
 
-    monkeypatch.setitem(CATALOG, "synthetic-stall", CheckSpec(stall, False))
-    monkeypatch.setitem(CATALOG, "synthetic-stall-too", CheckSpec(stall, False))
-    _use_cpus(monkeypatch, 2)
-    monkeypatch.setattr(json, "loads", broken)
+    # the campaign process is interrupted while its forked lane is stalled
+    fds = _held_by_each_process(monkeypatch, ["synthetic-stall", "synthetic-stall-too"], stall, interrupt)
     start = time.monotonic()
-    with pytest.raises(RuntimeError, match="unreadable lane line"):
-        run_campaign(build_config(None, checks=["synthetic-stall", "synthetic-stall-too"], **SMALL))
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(build_config(None, checks=["synthetic-stall", "synthetic-stall-too"], **SMALL))
+    finally:
+        for fd in fds:
+            os.close(fd)
     assert time.monotonic() - start < 30
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
