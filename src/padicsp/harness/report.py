@@ -73,9 +73,6 @@ class Report:
     config: dict
     checks: list = field(default_factory=list)
 
-    def add(self, record: CheckRecord):
-        self.checks.append(record)
-
     def tally(self) -> dict:
         """The number of checks with each status."""
         out = dict.fromkeys(_STATUSES, 0)

@@ -134,9 +134,8 @@ def test_fail_record_requires_counterexample():
 
 
 def test_report_json_is_sorted_and_stable():
-    rep = Report(version="0", config={"seed": 1})
-    rep.add(CheckRecord("zeta", PASS, 1))
-    rep.add(CheckRecord("alpha", PASS, 2))
+    rep = Report(version="0", config={"seed": 1},
+                 checks=[CheckRecord("zeta", PASS, 1), CheckRecord("alpha", PASS, 2)])
     d = rep.as_dict()
     assert [c["name"] for c in d["checks"]] == ["alpha", "zeta"]
     assert rep.to_json() == rep.to_json()
