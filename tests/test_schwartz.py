@@ -503,28 +503,12 @@ def _cut_equal_balls(fn):
     return SchwartzFn(fn.ctx, tuple(out))
 
 
-def test_canonical_form_on_nested_balls_and_weil_words(monkeypatch):
-    # The inputs: three copies of 1_O at p = 3, whose sum 3 = q moves into
-    # the q exponent; seeded nested balls, some with a full family of
-    # children; every term list canonical() is handed while identity words
-    # run.  canonical() must be a fixed point on pairwise disjoint balls
-    # with no complete family of p equal siblings, ignore the input order
-    # and a cut into equal pieces, and equal its input at the ball_points
-    # of every input ball.
-    seen = []
-    canonical = SchwartzFn.canonical
-    monkeypatch.setattr(SchwartzFn, "canonical", lambda fn: seen.append(fn) or canonical(fn))
-    rng = random.Random(21)
-    for p in (3, 5, 7):
-        for g1, g2, phi, eps in _rep_cases(rng, p, 15):
-            check_rep_identity(g1, g2, phi, twist=eps)
-    monkeypatch.undo()
-    assert len(seen) > 300
-    cases = [(C3, (Term(Mono.one(), Q(0), Q(0), 0),) * 3)] + [(f.ctx, f.terms) for f in seen]
-    for p, count in ((3, 16), (5, 8), (7, 3)):
-        rng = random.Random(20 + p)
-        cases += [(PrimeCtx(p), tuple(_nested_ball_terms(rng, p))) for _ in range(count)]
-    rng = random.Random(22)
+def _assert_canonical_form(cases, seed):
+    # canonical() must be a fixed point on pairwise disjoint balls with no
+    # complete family of p equal siblings, ignore the input order and a cut
+    # into equal pieces, and equal its input at the ball_points of every
+    # input ball.  Returns how many canonical forms the cut refined.
+    rng = random.Random(seed)
     cut = 0
     for ctx, terms in cases:
         p = ctx.p
@@ -549,8 +533,39 @@ def test_canonical_form_on_nested_balls_and_weil_words(monkeypatch):
         points = {x for t in terms for xs in ball_points(t.center, t.rad, p) for x in xs}
         for x in points:
             assert not diff.value_at(x), (p, terms, x)
-    assert cut > len(cases) // 2
+    return cut
+
+
+def test_canonical_matches_fixed_point_oracle_on_nested_balls():
+    # The oracle is the set of exact properties in _assert_canonical_form.
+    # The inputs: three copies of 1_O at p = 3, whose sum 3 = q moves into
+    # the q exponent; seeded nested balls, some with a full family of
+    # children, so that splits cascade and sums meet on shared balls.
+    cases = [(C3, (Term(Mono.one(), Q(0), Q(0), 0),) * 3)]
+    for p, count in ((3, 16), (5, 8), (7, 3)):
+        rng = random.Random(20 + p)
+        cases += [(PrimeCtx(p), tuple(_nested_ball_terms(rng, p))) for _ in range(count)]
+    cut = _assert_canonical_form(cases, 22)
+    assert cut > len(cases) // 2, (cut, len(cases))
     assert SchwartzFn.from_terms(C3, cases[0][1]).terms[0].coeff == Mono(1, 1)
+
+
+def test_canonical_matches_fixed_point_oracle_on_weil_words(monkeypatch):
+    # The oracle is the set of exact properties in _assert_canonical_form.
+    # The inputs: every term list canonical() is handed while identity
+    # words run.
+    seen = []
+    canonical = SchwartzFn.canonical
+    monkeypatch.setattr(SchwartzFn, "canonical", lambda fn: seen.append(fn) or canonical(fn))
+    rng = random.Random(21)
+    for p in (3, 5, 7):
+        for g1, g2, phi, eps in _rep_cases(rng, p, 15):
+            check_rep_identity(g1, g2, phi, twist=eps)
+    monkeypatch.undo()
+    assert len(seen) > 300
+    cases = [(f.ctx, f.terms) for f in seen]
+    cut = _assert_canonical_form(cases, 23)
+    assert cut > len(cases) // 2, (cut, len(cases))
 
 
 def test_plus_rejects_mixed_contexts():
