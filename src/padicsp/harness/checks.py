@@ -867,6 +867,7 @@ def check_fourier_closure(cfg, rng):
     for p in cfg.p:
         ctx = PrimeCtx(p)
         unit = sw.SchwartzFn.indicator(ctx)
+        # both sides are one-term functions, so comparing tuples compares functions
         if sw.fourier(unit) != unit:
             raise CheckFailure({"p": p, "reason": "self-dual ball"})
         cases += 1
@@ -874,6 +875,7 @@ def check_fourier_closure(cfg, rng):
             c = Q(rng.randint(-6, 6), rng.choice([1, p]))
             r = rng.randint(-1, 2)
             f = sw.SchwartzFn.indicator(ctx, c, r)
+            # both sides are one-term functions, so comparing tuples compares functions
             if sw.fourier(sw.fourier(f)) != f.reflect():
                 raise CheckFailure({"p": p, "center": c, "rad": r, "reason": "double transform"})
             if sw.fourier(f).norm_sq() != f.norm_sq():
@@ -903,6 +905,7 @@ def check_deep_ball_invariance(cfg, rng):
             want = sw.SchwartzFn.indicator(ctx, 0, -r).scaled(
                 gamma * Mono(qexp=-r)
             )
+            # both sides are one-term functions, so comparing tuples compares functions
             if out != want:
                 raise CheckFailure({"n": n, "m": m, "reason": "transform closed form"})
             cases += 1

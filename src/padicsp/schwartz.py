@@ -228,7 +228,13 @@ def _gram(terms, ctx: PrimeCtx):
 
 @dataclass(frozen=True)
 class SchwartzFn:
-    """Finite exact combination of quadratic-phase-times-ball terms."""
+    """Finite exact combination of quadratic-phase-times-ball terms.
+
+    `==` compares term lists and `equals` compares functions.  One
+    function can have several canonical term lists (see `canonical`), so
+    `==` decides equality of functions only between one-term functions;
+    everything else needs `equals`.
+    """
 
     ctx: PrimeCtx
     terms: tuple
@@ -256,6 +262,11 @@ class SchwartzFn:
         glues every complete set of p sibling balls with equal terms into
         its parent, fine to coarse.  A single term has exactly one reduced
         form, so two equal one-term functions are equal tuples.
+
+        This is a fixed form of a term list, not of a function: siblings
+        glue only when their terms are equal, so psi(x/3) 1_O and its
+        three pieces psi(k/3) 1_(k+P) stay two tuples for one function.
+        `==` compares these tuples; `equals` compares the functions.
         """
         p = self.ctx.p
         terms = _regroup(list(self.terms), p)

@@ -13,6 +13,9 @@ Where a criterion's verdict is a catalog check of `padicsp verify`
 with its own seed and case counts through `run_check` and adds only
 what the check does not assert.
 
+Each property has one home: a criterion or a catalog check, and a
+per-module test holds only what neither asserts.
+
 Criterion 10 checks the deep-ball vectors at two places: invariance
 at the paper's radii -(4n-3)m upstairs and (4n-1)m downstairs, and
 sharpness at the true walls +/-(4n-2)m, where a brute-force character
@@ -117,7 +120,7 @@ def record(num: int, label: str, ok: bool, note: str = "") -> bool:
 # ---------------------------------------------------------- criterion 1
 
 def test_criterion_01_bad_pair_census():
-    """Census counts 1, 3, 6 and predicate vs closed form, all pairs."""
+    """Census counts 1, 3, 6; predicate and witness vs closed form, all pairs."""
     t0 = time.perf_counter()
     problems = []
     for n, count in ((2, 1), (3, 3), (4, 6)):
@@ -140,8 +143,11 @@ def test_criterion_01_bad_pair_census():
         pos = positive_roots(n)
         for a in pos:
             for b in pos:
-                if is_bad_pair(a, b) != ((a, b) in family):
+                bad = (a, b) in family
+                if is_bad_pair(a, b) != bad:
                     problems.append(f"n={n}: predicate mismatch at {(a, b)}")
+                if not bad and bad_pair_witness(a, b) is not None:
+                    problems.append(f"n={n}: witness off the family at {(a, b)}")
     elapsed = time.perf_counter() - t0
     if elapsed >= 1.0:
         problems.append(f"took {elapsed:.2f}s")
@@ -152,29 +158,33 @@ def test_criterion_01_bad_pair_census():
 # ---------------------------------------------------------- criterion 2
 
 def test_criterion_02_factorization_sets():
-    """Frozen rank-3 factorization sets, with every witness re-multiplied."""
+    """Frozen rank-3 factorization sets; at ranks 2 and 3 every bad pair
+    has a factorization and every witness is re-multiplied."""
     t0 = time.perf_counter()
     problems = []
-    n = 3
     run_check(check_bad_pair_factorizations, 20201, problems)
-    for g1, g2 in bad_pairs(n):
-        i, j = bad_pair_witness(g1, g2)
-        sigma = WeylElem.from_word(n, chain_word_sigma(n, i, j))
-        for w, witness in bad_pair_weyl_factorizations(g1, g2):
-            if witness is None:
-                problems.append(f"missing witness at {(i, j)}")
-                continue
-            w1p, w2p = witness
-            if w1p * sigma * w2p != w:
-                problems.append(f"witness product broken at {(i, j)}")
-            if not bruhat_leq(w1p, WeylElem.from_word(n, range(1, j - 1))):
-                problems.append(f"left factor too large at {(i, j)}")
-            if not bruhat_leq(w2p, WeylElem.from_word(n, range(i - 2, 0, -1))):
-                problems.append(f"right factor too large at {(i, j)}")
+    for n in (2, 3):
+        for g1, g2 in bad_pairs(n):
+            i, j = bad_pair_witness(g1, g2)
+            sigma = WeylElem.from_word(n, chain_word_sigma(n, i, j))
+            facs = bad_pair_weyl_factorizations(g1, g2)
+            if not facs:
+                problems.append(f"n={n}: no factorization at {(i, j)}")
+            for w, witness in facs:
+                if witness is None:
+                    problems.append(f"n={n}: missing witness at {(i, j)}")
+                    continue
+                w1p, w2p = witness
+                if w1p * sigma * w2p != w:
+                    problems.append(f"n={n}: witness product broken at {(i, j)}")
+                if not bruhat_leq(w1p, WeylElem.from_word(n, range(1, j - 1))):
+                    problems.append(f"n={n}: left factor too large at {(i, j)}")
+                if not bruhat_leq(w2p, WeylElem.from_word(n, range(i - 2, 0, -1))):
+                    problems.append(f"n={n}: right factor too large at {(i, j)}")
     elapsed = time.perf_counter() - t0
     if elapsed >= 1.0:
         problems.append(f"took {elapsed:.2f}s")
-    assert record(2, "factorization sets for the rank-3 pairs", not problems,
+    assert record(2, "factorization sets and witnesses", not problems,
                   f"{elapsed:.2f}s"), problems[:3]
 
 
@@ -269,9 +279,12 @@ def test_criterion_04_cell_collapse_descent():
 # ---------------------------------------------------------- criterion 5
 
 def test_criterion_05_pivot_rewriter():
-    """Depth rewriting: exact two-sided identity, pivot size preserved."""
+    """Depth rewriting: exact two-sided identity, pivot size preserved,
+    30 cases per rank, prime and level."""
     problems = []
     cases = run_check(check_cell_word_rewrite, 50501, problems, samples=120)
+    if cases != 240:
+        problems.append(f"{cases} cases, expected 240")
     assert record(5, "pivot rewriter exactness", not problems,
                   f"{cases} cases"), problems[:3]
 
@@ -312,7 +325,7 @@ def test_criterion_07_congruence_filtration():
                 if in_skew_level(C3, root_elem(n, -g, Q(3) ** (nb - 1)), m):
                     problems.append(f"outside lower bound accepted n={n} m={m} g={g}")
                 cases += 1
-            for _ in range(10):
+            for _ in range(15):
                 u = _deep_unipotent(3, n, rng, m)
                 if not in_skew_level(C3, u, m):
                     problems.append(f"box element outside level n={n} m={m}")
@@ -432,13 +445,15 @@ def test_criterion_10_deep_ball_invariance():
     every unit at every valuation from each radius through its wall, a
     witness for every unit one step past the wall, and agreement of each
     verdict with the brute-force square-character oracle (on P^r
-    upstairs, on P^-r downstairs).
+    upstairs, on P^-r downstairs).  Where the upper unipotent fixes
+    phi_m, its image is phi_m's own one-term tuple.  All three parts run
+    at p = 3, 5, n = 1, 2, 3 and m = 1, 2.
     """
     problems = []
     cases = 0
     for p in (3, 5):
         ctx = PrimeCtx(p)
-        for n in (2, 3):
+        for n in (1, 2, 3):
             for m in (1, 2):
                 f = sw.phi_m(ctx, m, n)
                 up = -(4 * n - 3) * m
@@ -451,10 +466,11 @@ def test_criterion_10_deep_ball_invariance():
                         problems.append(f"upper invariance deeper p={p} n={n} m={m} u={u}")
                     cases += 2
                 for u in (1, 2):
-                    g = MetaSL2.lower(ctx, Q(u) * Q(p) ** lo)
-                    if not sw.weil_act_cover(g, f, twist=-1).equals(f):
-                        problems.append(f"lower invariance p={p} n={n} m={m} u={u}")
-                    cases += 1
+                    for v in (lo, lo + 1):
+                        g = MetaSL2.lower(ctx, Q(u) * Q(p) ** v)
+                        if not sw.weil_act_cover(g, f, twist=-1).equals(f):
+                            problems.append(f"lower invariance p={p} n={n} m={m} u={u} v={v}")
+                        cases += 1
                 # part two: closed form of the flipped ball
                 r = (2 * n - 1) * m
                 out = sw.weil_act([("flip",)], f, twist=-1)
@@ -471,10 +487,13 @@ def test_criterion_10_deep_ball_invariance():
                 for u in range(1, p):
                     for v in range(-wall - 1, up + 1):
                         b = Q(u) * Q(p) ** v
-                        fixed = sw.weil_act([("upper", b)], f, twist=-1).equals(f)
+                        out = sw.weil_act([("upper", b)], f, twist=-1)
+                        fixed = out.equals(f)
                         where = f"upper p={p} n={n} m={m} u={u} v={v}"
                         if fixed != (v >= -wall):
                             problems.append(f"{where}: fixed={fixed}, wall at {-wall}")
+                        if fixed and out != f:
+                            problems.append(f"{where}: fixed, but not phi_m's tuple")
                         if fixed != oracle_square_character_trivial(p, b, r):
                             problems.append(f"{where}: oracle disagrees")
                         cases += 1

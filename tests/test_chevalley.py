@@ -7,11 +7,13 @@ Independent routes used here:
   * the corner-rank cell detector (no pivoting choices) against the
     elimination-based Bruhat normal form;
   * a filtration-walk volume oracle that counts one-root coset layers
-    directly, against the closed-form volume exponents.
+    directly, against the closed-form volume exponents (acceptance
+    criterion 13 runs it).
 
-A lint at the end keeps the prime off everything that does not read it.
+The congruence filtration's sharp bounds, the corner-slice identities
+and the cell rewriter and collapse are asserted by acceptance criteria
+04, 05 and 07; the tests here hold what those do not.
 """
-import ast
 import math
 import os
 import random
@@ -19,19 +21,16 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction as Q
-from pathlib import Path
 
 import pytest
 
 import padicsp
 from padicsp import chevalley
-from padicsp.harness import CampaignConfig
-from padicsp.harness.checks import _deep_unipotent, _random_word_matrix, check_cell_word_rewrite
-from padicsp.padic import PadicError, PrimeCtx, fraction_valuation, psi
+from padicsp.harness.checks import _deep_unipotent, _random_word_matrix
+from padicsp.padic import PadicError, PrimeCtx, fraction_valuation
 from padicsp.rootsys import (
     Root,
     WeylElem,
-    bad_triples,
     bruhat_leq,
     coordinate_rotation,
     full_weyl_group,
@@ -69,7 +68,6 @@ from padicsp.chevalley import (
     radical_embed,
     root_elem,
     root_product,
-    rotate_conjugate,
     rotation_matrix,
     skew_level_character,
     sl2_embed,
@@ -228,31 +226,6 @@ def oracle_bruhat_decompose(g):
     return u, d, w, um
 
 
-def random_root_word_matrix(ctx, n, rng, length=6):
-    roots = positive_roots(n)
-    g = Mat.identity(2 * n)
-    for _ in range(length):
-        root = roots[rng.randrange(len(roots))]
-        if rng.random() < 0.5:
-            root = -root
-        g = mul_root_elem(g, root, Q(rng.randint(-6, 6), rng.choice([1, 1, 3, 9])))
-    entries = [Q(ctx.p) ** rng.randrange(-2, 3) * rng.choice([1, 2, -1]) for _ in range(n)]
-    g = g * torus(entries)
-    if rng.random() < 0.5:
-        word = [rng.randrange(1, n + 1) for _ in range(rng.randrange(3))]
-        for k in word:
-            g = g * weyl_rep(WeylElem.simple(n, k))
-    return g
-
-
-def random_unipotent(ctx, n, rng):
-    u = Mat.identity(2 * n)
-    for g in positive_roots(n):
-        v = rng.randrange(-3, 3)
-        u = mul_root_elem(u, g, Q(rng.randint(-5, 5)) * Q(ctx.p) ** v)
-    return u
-
-
 # ---------------------------------------------------------- matrix layer
 
 def test_mat_mul_matches_oracle():
@@ -298,7 +271,7 @@ def test_mat_mul_integer_kernel_matches_oracle():
 def test_mat_inverse_round_trip():
     rng = random.Random(2)
     for n in (1, 2, 3, 4):
-        g = random_root_word_matrix(C3, n, rng)
+        g = _random_word_matrix(3, n, rng)
         assert (g * g.inverse()).is_identity()
         assert symplectic_inverse(g) == g.inverse()
 
@@ -319,10 +292,9 @@ def test_is_symplectic_matches_two_product_oracle():
     verdicts = []
     for n in (1, 2, 3, 4):
         for p in (3, 5, 7):
-            ctx = PrimeCtx(p)
             rng = random.Random(300 + 10 * n + p)
             for _ in range(8):
-                g = random_root_word_matrix(ctx, n, rng)
+                g = _random_word_matrix(p, n, rng)
                 assert is_symplectic(g) and oracle_is_symplectic(g)
                 # one entry changed: symplectic again only when the change
                 # is a long-root factor, which these draws rarely hit
@@ -353,7 +325,7 @@ def test_matrix_canonical_form():
     rng = random.Random(11)
     for n in (1, 2, 3):
         for _ in range(10):
-            a, b = random_root_word_matrix(C3, n, rng), random_root_word_matrix(C3, n, rng)
+            a, b = _random_word_matrix(3, n, rng), _random_word_matrix(3, n, rng)
             left = mul_root_elem_left(-positive_roots(n)[-1], Q(5, 9), a)
             for m in (a * b, symplectic_inverse(a), left) + bruhat_decompose(b)[::3]:
                 assert m.den > 0 and math.gcd(m.den, *(x for row in m.num for x in row)) == 1
@@ -490,56 +462,11 @@ def test_weyl_conjugation_permutes_root_groups(n):
 def test_fast_multiplication_paths():
     rng = random.Random(4)
     for n in (2, 3):
-        g = random_root_word_matrix(C3, n, rng)
+        g = _random_word_matrix(3, n, rng)
         for root in (positive_roots(n)[1], -positive_roots(n)[2]):
             r = Q(rng.randint(-5, 5), 3)
             assert mul_root_elem(g, root, r) == g * root_elem(n, root, r)
             assert mul_root_elem_left(root, r, g) == root_elem(n, root, r) * g
-
-
-# ------------------------------------------------ corner slice relations
-
-def test_corner_slice_torus_product():
-    # t(a) j(r(y, 0)) is the Levi element with first column (a, y, .., 1)
-    for n in (3, 4):
-        rng = random.Random(40 + n)
-        for _ in range(25):
-            ys = [Q(rng.randint(-6, 6), rng.choice([1, 3])) for _ in range(n - 2)]
-            a = Q(rng.choice([1, 2, 5]), rng.choice([1, 3]))
-            lhs = first_axis_torus(n, a) * rotate_conjugate(corner_column_unipotent(n, ys, 0))
-            block = [[Q(1 if i == j else 0) for j in range(n)] for i in range(n)]
-            block[0][0] = a
-            for i, y in enumerate(ys):
-                block[i + 1][0] = y
-            assert lhs == levi_embed(n, block)
-
-
-def test_corner_slice_conjugation_extracts_character_entry():
-    # X(-r) m(lower block) X(r) equals a column bump times the block; the
-    # bump carries y_k r in rows 2..i+1 of column i+2 plus an (a-1) r
-    # corner entry that the superdiagonal character never sees, so its
-    # character value is psi(y_i r) exactly.
-    for n in (3, 4):
-        rng = random.Random(50 + n)
-        for i in range(1, n - 1):
-            for _ in range(12):
-                ys = [Q(rng.randint(-6, 6), rng.choice([1, 3])) for _ in range(i)]
-                a = Q(rng.choice([1, 2, 5]), rng.choice([1, 3]))
-                block = [[Q(1 if u == v else 0) for v in range(n)] for u in range(n)]
-                block[0][0] = a
-                for k, y in enumerate(ys):
-                    block[k + 1][0] = y
-                mid = levi_embed(n, block)
-                r = Q(rng.randint(-5, 5), rng.choice([1, 3, 9]))
-                chain = Root(n, tuple(1 if k <= i else 0 for k in range(n - 1)) + (0,))
-                assert chain.euclid()[0] == 1 and chain.euclid()[i + 1] == -1
-                lhs = root_elem(n, chain, -r) * mid * root_elem(n, chain, r)
-                bump = [[Q(1 if u == v else 0) for v in range(n)] for u in range(n)]
-                bump[0][i + 1] = (a - 1) * r
-                for k, y in enumerate(ys):
-                    bump[k + 1][i + 1] = y * r
-                assert lhs == levi_embed(n, bump) * mid
-                assert generic_character(C3, levi_embed(n, bump)) == psi(C3.of(ys[-1] * r))
 
 
 # ------------------------------------------------------------ Weyl layer
@@ -568,7 +495,7 @@ def test_weyl_rep_consistent_with_abstract_group(n):
 def test_bruhat_decompose_random_products(n):
     rng = random.Random(60 + n)
     for _ in range(60):
-        g = random_root_word_matrix(C3, n, rng)
+        g = _random_word_matrix(3, n, rng)
         u, d, w, um = bruhat_decompose(g)
         assert u * d * weyl_rep(w) * um == g
         assert weyl_from_rank_pattern(g) == w
@@ -590,10 +517,9 @@ def test_bruhat_decompose_matches_gauss_jordan_oracle():
     cases = 0
     for n in (1, 2, 3, 4):
         for p in (3, 5, 7):
-            ctx = PrimeCtx(p)
             rng = random.Random(500 + 10 * n + p)
             for _ in range(20):
-                g = random_root_word_matrix(ctx, n, rng) if rng.random() < 0.5 else _random_word_matrix(p, n, rng)
+                g = _random_word_matrix(p, n, rng)
                 assert bruhat_decompose(g) == oracle_bruhat_decompose(g)
                 cases += 1
     assert cases >= 240
@@ -738,20 +664,6 @@ def test_level_exponents_frozen():
     assert conjugating_torus(C3, 2, 1) == Mat.diagonal([Q(3) ** e for e in (-3, -1, 1, 3)])
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-@pytest.mark.parametrize("m", [1, 2])
-def test_root_coordinate_bounds_sharp(n, m):
-    for g in positive_roots(n):
-        b = radical_coordinate_bound(g, m)
-        assert b == -(2 * g.height - 1) * m
-        assert in_skew_level(C3, root_elem(n, g, Q(3) ** b), m)
-        assert not in_skew_level(C3, root_elem(n, g, Q(3) ** (b - 1)), m)
-        nb = negative_coordinate_bound(g, m)
-        assert nb == (2 * g.height + 1) * m
-        assert in_skew_level(C3, root_elem(n, -g, Q(3) ** nb), m)
-        assert not in_skew_level(C3, root_elem(n, -g, Q(3) ** (nb - 1)), m)
-
-
 def test_skew_level_is_conjugated_standard_level():
     rng = random.Random(5)
     n, m = 2, 1
@@ -798,20 +710,13 @@ def test_generic_character_values_and_multiplicativity():
         if g.height > 1:
             u = root_elem(n, g, Q(1, 27))
             assert generic_character(C3, u).is_one()
+    nontrivial = 0
     for _ in range(20):
-        u1 = random_unipotent(C3, n, rng)
-        u2 = random_unipotent(C3, n, rng)
+        u1 = _deep_unipotent(3, n, rng, 1)
+        u2 = _deep_unipotent(3, n, rng, 1)
         assert generic_character(C3, u1 * u2) == generic_character(C3, u1) * generic_character(C3, u2)
-
-
-@pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("m", [1, 2])
-def test_depth_character_agrees_with_generic_on_unipotent_part(n, m):
-    rng = random.Random(110 + n + m)
-    for _ in range(15):
-        u = _deep_unipotent(3, n, rng, m)
-        assert in_skew_level(C3, u, m)
-        assert skew_level_character(C3, u, m) == generic_character(C3, u)
+        nontrivial += not generic_character(C3, u1).is_one()
+    assert nontrivial
 
 
 def test_depth_character_multiplicative_and_nontrivial():
@@ -848,29 +753,7 @@ def test_volume_exponent_closed_forms():
         volume_exponent("banana", 2, 1)
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_volume_exponent_against_filtration_oracle(n):
-    rng = random.Random(120 + n)
-    m = 1
-    w0 = highest_root_reflection(n)
-    assert volume_exponent("U", n, m) == oracle_volume_exponent(C3, n, m, positive_roots(n), rng)
-    assert volume_exponent("U_w_minus", n, m, w=w0) == oracle_volume_exponent(
-        C3, n, m, w0.negated_positive_roots(), rng
-    )
-    d_roots = [Root.from_euclid(n, tuple(2 if k == 0 else 0 for k in range(n)))]
-    for j in range(2, n + 1):
-        d_roots.append(Root.from_euclid(n, tuple(1 if k in (0, j - 1) else 0 for k in range(n))))
-    assert volume_exponent("D", n, m) == oracle_volume_exponent(C3, n, m, d_roots, rng)
-
-
 # -------------------------------------------------------- cell rewriting
-
-@pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (3, 1), (3, 2)])
-def test_cell_word_rewrite_admissible_cases(n, m):
-    cfg = CampaignConfig(n=(n,), p=(3,), m=(m,), samples=48)
-    cases, _ = check_cell_word_rewrite(cfg, random.Random(130 + 10 * n + m))
-    assert cases == 12
-
 
 def test_cell_word_rewrite_rejects_in_depth_word():
     n, m = 2, 1
@@ -937,17 +820,6 @@ def test_cell_collapse_validation():
         cell_collapse_witness(t, w0, tail, [Q(1), Q(1)])
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_cell_collapse_mode2_over_bad_triples(n):
-    rng = random.Random(150 + n)
-    for g1, g2, w in bad_triples(n):
-        pair = [g1, g2]
-        t = torus([Q(rng.choice([1, 2, 5]))] + [Q(1)] * (n - 1))
-        rs = [Q(rng.choice([1, 2, 5]), rng.choice([1, 3])), Q(rng.choice([1, 2]), rng.choice([1, 3]))]
-        w_prime = cell_collapse_witness(t, w, pair, rs, bad_index=1)
-        assert bruhat_leq(w_prime, w) and w_prime != w
-
-
 # ------------------------------------------------------------ self-checks
 
 def test_bruhat_torus_guard_raises(monkeypatch):
@@ -998,52 +870,3 @@ def test_self_checks_survive_optimize_flag():
     assert out.returncode == 0, out.stderr
     for message in ("no left descent", "monomial part", "principal-unit factor"):
         assert message in out.stdout
-
-
-# ------------------------------------------------------------ prime lint
-
-# The functions of chevalley.py that read p, each taking a PrimeCtx as
-# its leading argument; cells, root groups and Weyl representatives never
-# read it.
-P_READERS = {
-    "conjugating_torus",
-    "in_standard_level",
-    "in_skew_level",
-    "generic_character",
-    "skew_level_character",
-    "cell_word_rewrite",
-}
-
-
-def prime_takers(path):
-    """{qualified name: position of the ctx parameter} over a module's functions."""
-    found = {}
-
-    def walk(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                name = scope + [child.name]
-                if not isinstance(child, ast.ClassDef):
-                    args = child.args
-                    params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
-                    if "ctx" in params:
-                        found[".".join(name)] = params.index("ctx")
-                walk(child, name)
-
-    walk(ast.parse(Path(path).read_text(encoding="utf-8")), [])
-    return found
-
-
-def test_only_the_valuation_readers_take_a_prime():
-    assert prime_takers(chevalley.__file__) == {name: 0 for name in P_READERS}
-
-
-def test_prime_lint_sees_methods_nested_functions_and_keyword_parameters(tmp_path):
-    (tmp_path / "m.py").write_text(
-        "def a(ctx, x):\n    return x\n"
-        "def b(x, *, ctx):\n    return x\n"
-        "class K:\n    def c(self, ctx):\n        return ctx\n"
-        "    @classmethod\n    def d(cls, x):\n        return x\n"
-        "def e(x):\n    def f(ctx):\n        return ctx\n    return f\n"
-    )
-    assert prime_takers(tmp_path / "m.py") == {"a": 0, "b": 1, "K.c": 1, "e.f": 0}

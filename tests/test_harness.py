@@ -1,13 +1,11 @@
 """Campaign configuration, report shape, lanes, and the CLI surface."""
 
-import ast
 import json
 import os
 import random
 import re
 import select
 import time
-from pathlib import Path
 from fractions import Fraction as Q
 
 import pytest
@@ -27,7 +25,6 @@ from padicsp.harness import (
     run_campaign,
     sample_rational,
 )
-import padicsp
 from padicsp.harness.checks import CheckSpec, case_seed, nonresidue, square_classes
 from padicsp.harness.cli import main
 from padicsp.harness.report import FAIL, PASS, SKIPPED
@@ -260,25 +257,28 @@ def _use_cpus(monkeypatch, k):
 
 def _held_by_each_process(monkeypatch, names, in_lane, in_campaign=lambda: (1, {})):
     """Register `names` as one synthetic check that calls in_lane() in a
-    forked lane and, in the campaign process, waits until a lane has
-    started one of them and then calls in_campaign().  With one forked
-    lane and the two names first in the campaign, the lane takes one of
-    them and the campaign process the other, whichever way the race for
-    the task pipe goes.  Returns the gate's pipe ends, for the caller to
-    close."""
-    campaign, (gate, opened) = os.getpid(), os.pipe()
+    forked lane and in_campaign() in the campaign process, behind a
+    two-way gate: the lane announces that it holds one of them and waits
+    until the campaign process, holding another, acknowledges.  With one
+    forked lane and the two names first in the campaign, each process so
+    takes exactly one of them, whichever way the race for the task pipe
+    goes: the lane cannot take the second while it waits.  Returns the
+    gates' pipe ends, for the caller to close."""
+    campaign, (gate, opened), (ack, acked) = os.getpid(), os.pipe(), os.pipe()
 
     def held(cfg, rng):
         if os.getpid() == campaign:
             os.read(gate, 1)
+            os.write(acked, b"x")
             return in_campaign()
         os.write(opened, b"x")
+        os.read(ack, 1)
         return in_lane()
 
     for name in names:
         monkeypatch.setitem(CATALOG, name, CheckSpec(held, False))
     _use_cpus(monkeypatch, 2)
-    return gate, opened
+    return gate, opened, ack, acked
 
 
 def test_lanes_give_the_serial_report_bytes(monkeypatch):
@@ -388,78 +388,6 @@ def test_a_one_check_campaign_does_not_fork(monkeypatch):
     _use_cpus(monkeypatch, 2)
     monkeypatch.setattr(os, "fork", no_fork)
     assert run_campaign(build_config(None, checks=["bad-pairs"], **SMALL)).ok
-
-
-# A lane is a forked process that leaves by os._exit; both belong to the
-# campaign driver alone, and the library starts no process pool.
-_LANE_CALLS = ("fork", "_exit")
-_POOL_MODULES = ("multiprocessing", "concurrent")
-
-
-def process_starters(root):
-    """(module.function, use) for each os.fork or os._exit and each import
-    of multiprocessing or concurrent in the modules under root; the
-    function is <module> at module level."""
-    found = set()
-    for path in sorted(Path(root).rglob("*.py")):
-        module = ".".join(path.relative_to(root).with_suffix("").parts)
-
-        def walk(node, scope):
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                    walk(child, scope + [child.name])
-                    continue
-                where = ".".join([module] + (scope or ["<module>"]))
-                if (
-                    isinstance(child, ast.Attribute)
-                    and child.attr in _LANE_CALLS
-                    and getattr(child.value, "id", None) == "os"
-                ):
-                    found.add((where, f"os.{child.attr}"))
-                elif isinstance(child, ast.ImportFrom) and child.level == 0:
-                    if child.module == "os":
-                        found.update((where, f"os.{a.name}") for a in child.names if a.name in _LANE_CALLS)
-                    elif child.module.split(".")[0] in _POOL_MODULES:
-                        found.add((where, child.module.split(".")[0]))
-                elif isinstance(child, ast.Import):
-                    tops = {a.name.split(".")[0] for a in child.names}
-                    found.update((where, top) for top in tops & set(_POOL_MODULES))
-                walk(child, scope)
-
-        walk(ast.parse(path.read_text(encoding="utf-8")), [])
-    return found
-
-
-def test_only_the_campaign_driver_forks():
-    assert process_starters(Path(padicsp.__file__).parent) == {
-        ("harness.checks._run_lanes", "os.fork"),
-        ("harness.checks._lane", "os._exit"),
-    }
-
-
-def test_process_lint_sees_each_form(tmp_path):
-    (tmp_path / "m.py").write_text(
-        "import os\n"
-        "import multiprocessing.pool\n"
-        "from concurrent.futures import ProcessPoolExecutor\n"
-        "from os import fork as f, getpid\n"
-        "def a():\n    return os.fork()\n"
-        "class K:\n    def b(self):\n        import concurrent\n        os._exit(0)\n"
-        "exit_now = os._exit\n"
-    )
-    (tmp_path / "n.py").write_text(
-        "import os\nimport multiprocessor\nfrom .concurrent import x\n"
-        "def c():\n    return os.getpid(), os.forkpty, x.fork()\n"
-    )
-    assert process_starters(tmp_path) == {
-        ("m.<module>", "multiprocessing"),
-        ("m.<module>", "concurrent"),
-        ("m.<module>", "os.fork"),
-        ("m.a", "os.fork"),
-        ("m.K.b", "concurrent"),
-        ("m.K.b", "os._exit"),
-        ("m.<module>", "os._exit"),
-    }
 
 
 # ---------------------------------------------------------------- cli

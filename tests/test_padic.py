@@ -6,12 +6,10 @@ tables below were produced by those oracles.
 """
 from __future__ import annotations
 
-import ast
 import cmath
 import math
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +32,6 @@ from padicsp.padic import (
     psi,
     weil_index,
 )
-import padicsp
 from padicsp import quadext
 from padicsp.metaplectic import decompose_big_cell
 from padicsp.quadext import QuadExt, norm_one_decompose
@@ -259,15 +256,11 @@ def test_mono_normal_form_and_algebra():
         Mono.zero().inverse()
 
 
-def _legendre(a, p):
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-
-
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_cyclo_gauss_sum_and_cyclotomic_relations_are_zero(p):
     # sum_a (a|p) zeta_p^a = eps sqrt(p), eps = 1 or i as p = 1 or 3 mod 4
     eps = Mono() if p % 4 == 1 else mu8(2)
-    gauss = [Mono(_legendre(a, p), 0, Q(a, p)) for a in range(1, p)]
+    gauss = [Mono(legendre(a, p), 0, Q(a, p)) for a in range(1, p)]
     assert Cyclo.of(p, gauss + [Mono(-1, Q(1, 2)) * eps]).is_zero()
     # a whole p-th roots orbit through zeta_(p^2) sums to zero
     orbit = [Mono(1, 0, Q(a, p) + Q(1, p * p)) for a in range(p)]
@@ -293,7 +286,7 @@ def _random_cyclo_sum(rng, p):
         c = mono()
         eps = Mono() if p % 4 == 1 else mu8(2)
         relation = rng.choice([
-            [Mono(_legendre(a, p), 0, Q(a, p)) for a in range(1, p)] + [Mono(-1, Q(1, 2)) * eps],
+            [Mono(legendre(a, p), 0, Q(a, p)) for a in range(1, p)] + [Mono(-1, Q(1, 2)) * eps],
             [Mono(1, 0, Q(a, p) + Q(rng.randrange(p), p * p)) for a in range(p)],
             [mu8(k) for k in (0, 4)],
             [Mono(1, 1), Mono(-p)],
@@ -624,68 +617,7 @@ def test_norm_one_decompose_unit_guard_raises(monkeypatch):
         norm_one_decompose(EXTS[0].elem(-4), 1)  # 1 + a = -3 is not a unit
 
 
-# ------------------------------------------------------ p-stripping lint
-
-def _divides_by_p(node) -> bool:
-    """node floor-divides by a name or an attribute p: k //= p, k // p or divmod(k, p)."""
-
-    def is_p(n):
-        return "p" in (getattr(n, "id", None), getattr(n, "attr", None))
-
-    if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.FloorDiv):
-        return is_p(node.value)
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv):
-        return is_p(node.right)
-    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "divmod":
-        return len(node.args) == 2 and is_p(node.args[1])
-    return False
-
-
-def p_stripping_loops(path, prefix=""):
-    """The qualified names of the functions holding a while loop that
-    floor-divides by p; <module> for a loop at module level."""
-    tree = ast.parse(Path(path).read_text(encoding="utf-8"))
-    found = set()
-
-    def walk(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                walk(child, scope + [child.name])
-                continue
-            if isinstance(child, ast.While) and any(_divides_by_p(n) for n in ast.walk(child)):
-                found.add(prefix + (".".join(scope) or "<module>"))
-            walk(child, scope)
-
-    walk(tree, [])
-    return found
-
-
-def test_only_strip_splits_p_off_an_integer():
-    src = Path(padicsp.__file__).parent
-    found = set()
-    for path in sorted(src.rglob("*.py")):
-        rel = path.relative_to(src)
-        found |= p_stripping_loops(path, prefix=".".join(rel.with_suffix("").parts) + ".")
-    assert found == {"padic._strip"}
-
-
-def test_p_stripping_lint_sees_methods_nested_functions_and_each_division(tmp_path):
-    (tmp_path / "m.py").write_text(
-        "def a(k, p):\n    while k % p == 0:\n        k //= p\n    return k\n"
-        "class K:\n    def c(self, k):\n        while not k % self.p:\n            k = k // self.p\n        return k\n"
-        "def d(k, p):\n    def e(k):\n        while True:\n            q, r = divmod(k, p)\n"
-        "            if r:\n                return k\n            k = q\n    return e(k)\n"
-        "k, p = 9, 3\nwhile k % p == 0:\n    k //= p\n"
-    )
-    (tmp_path / "n.py").write_text(
-        "def f(k, p):\n    while k > p:\n        k -= p\n    return k // p\n"
-        "def g(k, p):\n    while k % p == 0:\n        k = k // 2\n    return k\n"
-    )
-    assert p_stripping_loops(tmp_path / "m.py") == {"a", "K.c", "d.e", "<module>"}
-    assert p_stripping_loops(tmp_path / "n.py") == set()
-
-
-# ---------------------------------------------------------- PAdic lint
+# --------------------------------------------------------- tagged values
 
 def test_a_tagged_value_is_not_a_rational():
     """ctx.of(x) is the argument of a valuation reader and nothing else."""
@@ -699,80 +631,3 @@ def test_a_tagged_value_is_not_a_rational():
     ):
         with pytest.raises(PadicError, match="exact rational"):
             use(x)
-
-
-# The functions that read a valuation, with the parameters that take a
-# number as ctx.of(x); every other function takes Fractions.
-PADIC_READERS = {
-    "padic.psi": ("x",),
-    "padic.hilbert_symbol": ("a", "b"),
-    "padic.weil_index": ("a",),
-    "padic.mu_psi": ("a",),
-    "padic.is_square": ("a",),
-}
-
-
-def _names_padic(node) -> bool:
-    """node names PAdic: a name, an attribute, a string annotation, an import or the class."""
-    if isinstance(node, ast.Constant):
-        return node.value == "PAdic"
-    return "PAdic" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
-
-
-def padic_annotations(path, prefix=""):
-    """(takers, returners, named): {qualified name: parameters annotated
-    PAdic}, the functions annotated to return a PAdic, and whether the
-    module uses the name PAdic at all."""
-    tree = ast.parse(Path(path).read_text(encoding="utf-8"))
-    takers, returners = {}, set()
-
-    def walk(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                name = scope + [child.name]
-                if not isinstance(child, ast.ClassDef):
-                    args = child.args
-                    params = args.posonlyargs + args.args + args.kwonlyargs
-                    params += [a for a in (args.vararg, args.kwarg) if a is not None]
-                    tagged = tuple(a.arg for a in params if _names_padic(a.annotation))
-                    if tagged:
-                        takers[prefix + ".".join(name)] = tagged
-                    if _names_padic(child.returns):
-                        returners.add(prefix + ".".join(name))
-                walk(child, name)
-
-    walk(tree, [])
-    return takers, returners, any(_names_padic(n) for n in ast.walk(tree))
-
-
-def test_only_the_valuation_readers_take_a_padic():
-    src = Path(padicsp.__file__).parent
-    takers, returners, users = {}, set(), set()
-    for path in sorted(src.rglob("*.py")):
-        rel = path.relative_to(src)
-        t, r, named = padic_annotations(path, prefix=".".join(rel.with_suffix("").parts) + ".")
-        takers.update(t)
-        returners |= r
-        if named:
-            users.add(rel.as_posix())
-    assert takers == PADIC_READERS
-    assert returners == {"padic.PrimeCtx.of"}
-    assert users == {"padic.py", "__init__.py"}
-
-
-def test_padic_lint_sees_methods_nested_functions_and_string_annotations(tmp_path):
-    (tmp_path / "m.py").write_text(
-        "def a(x: PAdic, y):\n    return x\n"
-        "def b(x: 'PAdic') -> 'PAdic':\n    return x\n"
-        "class K:\n    def c(self, *, z: padic.PAdic) -> PAdic:\n        return z\n"
-        "def d(x):\n    def e(*w: PAdic):\n        return w\n    return e\n"
-    )
-    (tmp_path / "n.py").write_text("def f(x: Fraction) -> Fraction:\n    return x\n")
-    (tmp_path / "o.py").write_text("from .padic import PAdic\n")
-    assert padic_annotations(tmp_path / "m.py") == (
-        {"a": ("x",), "b": ("x",), "K.c": ("z",), "d.e": ("w",)},
-        {"b", "K.c"},
-        True,
-    )
-    assert padic_annotations(tmp_path / "n.py") == ({}, set(), False)
-    assert padic_annotations(tmp_path / "o.py") == ({}, set(), True)

@@ -3,7 +3,8 @@
 Independent oracles: BFS word length in the Cayley graph, the subword
 characterization of the Bruhat order, and a filter of the full group
 against the recursive order test.  Counts frozen below came from the
-oracle routes.
+oracle routes.  The bad-pair census, factorizations and root laws are
+acceptance criteria 01-03.
 """
 from __future__ import annotations
 
@@ -19,25 +20,18 @@ from padicsp.rootsys import (
     Root,
     RootError,
     WeylElem,
-    bad_pair_weyl_factorizations,
-    bad_pair_witness,
     bad_pairs,
-    bad_triples,
-    bad_triples_for_pair,
     bruhat_leq,
-    chain_word_sigma,
     coordinate_rotation,
     full_weyl_group,
     has_order_conflict,
     highest_root_reflection,
     highest_root_reflection_word,
-    is_bad_pair,
     ordered_negated_roots,
     positive_roots,
     reflection,
     root_decompositions,
     simple_roots,
-    subword_products,
     weyl_below,
 )
 
@@ -300,106 +294,6 @@ def test_weyl_below_matches_filter(n):
     cone = set(weyl_below(w0))
     filtered = {w for w in full_weyl_group(n) if bruhat_leq(w, w0)}
     assert cone == filtered
-
-
-# -------------------------------------------------------------- bad pairs
-
-def test_bad_pair_counts_and_closed_form():
-    for n, count in ((2, 1), (3, 3), (4, 6)):
-        pairs = bad_pairs(n)
-        assert len(pairs) == count == n * (n - 1) // 2
-        seen = set()
-        for g1, g2 in pairs:
-            ij = bad_pair_witness(g1, g2)
-            assert ij is not None
-            i, j = ij
-            assert g2 == radical_root(n, i, i)
-            assert g1 == radical_root(n, i, j)
-            seen.add(ij)
-        assert seen == {(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
-
-
-def test_bad_pair_predicate_vs_witness_exhaustive():
-    for n in (2, 3, 4):
-        for g1 in positive_roots(n):
-            for g2 in positive_roots(n):
-                pred = is_bad_pair(g1, g2)
-                wit = g1 != g2 and bad_pair_witness(g1, g2) is not None
-                assert pred == wit, (g1, g2)
-
-
-def test_nonbad_short_reflection_stays_positive():
-    # reflecting the taller of a non-bad pair in the shorter keeps it positive
-    for n in (2, 3, 4):
-        pos = positive_roots(n)
-        for g1 in pos:
-            for g2 in pos:
-                if g1 == g2 or g1.height > g2.height or is_bad_pair(g1, g2):
-                    continue
-                assert g1.reflect(g2).is_positive(), (g1, g2)
-
-
-def test_bad_pair_between_height_shapes():
-    # roots between the pair heights reflected negative by the tall member
-    # are pinned to the radical row of i; only g1 survives the chain factor
-    for n in (2, 3, 4):
-        for g1, g2 in bad_pairs(n):
-            i, j = bad_pair_witness(g1, g2)
-            sigma = WeylElem.from_word(n, chain_word_sigma(n, i, j))
-            for g in positive_roots(n):
-                if g1.height <= g.height < g2.height and g2.reflect(g).is_negative():
-                    p = next(
-                        (p for p in range(i + 1, j + 1) if g == radical_root(n, i, p) or (p == i and False)),
-                        None,
-                    )
-                    candidates = [radical_root(n, i, p) for p in range(i + 1, j + 1)]
-                    assert g in candidates, (g, g1, g2)
-                    if sigma.apply(g).is_negative():
-                        assert g == g1
-                if g.height >= g1.height and g2.reflect(g).is_positive():
-                    assert sigma.apply(g).is_positive(), (g, g1, g2)
-
-
-def test_decomposition_obstruction():
-    # whenever g2 - xi splits into positive roots, w kills one of the parts
-    for n in (2, 3):
-        for g1, g2, w in bad_triples(n):
-            for xi in positive_roots(n):
-                if not g1.height <= xi.height <= g2.height:
-                    continue
-                diff = tuple(a - b for a, b in zip(g2.euclid(), xi.euclid()))
-                for decomp in root_decompositions(n, diff):
-                    assert any(w.apply(d).is_negative() for d in decomp), (g2, xi, decomp, w)
-
-
-def test_bad_triples_counts():
-    # every bad triple has a chain factorization witness
-    for n in (2, 3):
-        for g1, g2 in bad_pairs(n):
-            facs = bad_pair_weyl_factorizations(g1, g2)
-            assert facs, (g1, g2)
-            i, j = bad_pair_witness(g1, g2)
-            sigma = WeylElem.from_word(n, chain_word_sigma(n, i, j))
-            for w, witness in facs:
-                assert witness is not None, (g1, g2, w)
-                w1p, w2p = witness
-                assert w1p * sigma * w2p == w
-                assert bruhat_leq(w1p, WeylElem.from_word(n, range(1, j - 1)))
-                assert bruhat_leq(w2p, WeylElem.from_word(n, range(i - 2, 0, -1)))
-
-
-def test_factorization_sets_for_rank3_frozen():
-    n = 3
-    w0 = highest_root_reflection(n)
-    expected = {
-        (1, 2): {w0},
-        (1, 3): {w0, WeylElem.from_word(n, [2, 3, 2, 1])},
-        (2, 3): {WeylElem.from_word(n, [1, 2, 3, 2]), WeylElem.from_word(n, [2, 3, 2])},
-    }
-    for g1, g2 in bad_pairs(n):
-        i, j = bad_pair_witness(g1, g2)
-        got = set(bad_triples_for_pair(g1, g2))
-        assert got == expected[(i, j)], (i, j)
 
 
 # ------------------------------------------------------- negated-root order
