@@ -7,8 +7,8 @@ rewriting can be cross-checked at sample points.  The canonical form is
 checked by its properties: a fixed point on disjoint balls with no
 mergeable siblings, blind to input order and to cutting a ball into equal
 pieces, and equal in value to its input.  Frozen shapes follow, then
-seeded batteries; the deep-ball invariance thresholds are acceptance
-criterion 10.
+seeded batteries.  The deep-ball invariance thresholds are acceptance
+criterion 10; the four threshold tests below restate it at p = 3.
 """
 import cmath
 import itertools
@@ -819,6 +819,50 @@ def test_diag_formula_scaling():
 
 
 # ----------------------------------------------- invariance thresholds
+
+INVARIANCE_GRID = [(n, m) for n in (1, 2, 3) for m in (1, 2)]
+
+
+@pytest.mark.parametrize("n,m", INVARIANCE_GRID)
+def test_upper_fixes_phi_m_through_true_threshold(n, m):
+    f = phi_m(C3, m, n)
+    stated = -(4 * n - 3) * m
+    true_edge = -(4 * n - 2) * m
+    for u in (1, 2):
+        for v in (stated, stated - 1, true_edge):
+            b = Q(u) * Q(3) ** v
+            assert weil_act([("upper", b)], f, twist=-1) == f, (v, u)
+
+
+@pytest.mark.parametrize("n,m", INVARIANCE_GRID)
+def test_upper_breaks_below_true_threshold(n, m):
+    f = phi_m(C3, m, n)
+    v = -(4 * n - 2) * m - 1
+    for u in (1, 2):
+        out = weil_act([("upper", Q(u) * Q(3) ** v)], f, twist=-1)
+        assert not out.equals(f), (n, m, u)
+
+
+@pytest.mark.parametrize("n,m", INVARIANCE_GRID)
+def test_lower_fixes_phi_m_through_true_threshold(n, m):
+    # the word routes through square phases and the stationary-phase flip
+    # and must come back to the ball exactly
+    f = phi_m(C3, m, n)
+    stated = (4 * n - 1) * m
+    true_edge = (4 * n - 2) * m
+    for v in sorted({stated, stated + 1, true_edge}):
+        g = MetaSL2.lower(C3, Q(3) ** v)
+        assert weil_act_cover(g, f, twist=-1).equals(f), v
+
+
+@pytest.mark.parametrize("n,m", INVARIANCE_GRID)
+def test_lower_breaks_below_true_threshold(n, m):
+    f = phi_m(C3, m, n)
+    v = (4 * n - 2) * m - 1
+    g = MetaSL2.lower(C3, Q(3) ** v)
+    out = weil_act_cover(g, f, twist=-1)
+    assert not out.equals(f), (n, m)
+
 
 def test_square_character_oracle_small_cases():
     # psi(t^2 / 3) sees t = 1; on P^1 the square gains p^2
