@@ -141,28 +141,40 @@ class Mat:
         return _mat(self.den * other.den, tuple(out))
 
     def transpose(self) -> "Mat":
-        return _mat(self.den, tuple(zip(*self.num)))
+        return _stored(self.den, tuple(zip(*self.num)))
 
     def inverse(self) -> "Mat":
-        """Gauss-Jordan over Fractions."""
-        n = self.size
-        a = [list(row) for row in self.rows]
-        b = [[Q(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col]), None)
+        """Fraction-free Gauss-Jordan on the integer rows (Bareiss, Math.
+        Comp. 22, 1968, with a gcd in place of his exact division).
+
+        Each column is cleared with x pv - f y, and every touched row,
+        with its half of the augmented matrix b, is reduced by its gcd.
+        The elimination ends at diag(a_i) = b num, so row i of the
+        inverse of num / den is den b[i] / a_i.
+        """
+        size = len(self.num)
+        a = [list(row) for row in self.num]
+        b = [list(row) for row in _eye(size)]
+        for col in range(size):
+            piv = next((r for r in range(col, size) if a[r][col]), None)
             if piv is None:
                 raise MatrixError("singular matrix")
             a[col], a[piv] = a[piv], a[col]
             b[col], b[piv] = b[piv], b[col]
-            d = a[col][col]
-            a[col] = [x / d for x in a[col]]
-            b[col] = [x / d for x in b[col]]
-            for r in range(n):
-                if r != col and a[r][col]:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                    b[r] = [x - f * y for x, y in zip(b[r], b[col])]
-        return _mat(*_integer_rows(b))
+            prow, pb = a[col], b[col]
+            pv = prow[col]
+            for r in range(size):
+                f = a[r][col]
+                if f and r != col:
+                    ra = [x * pv - f * y for x, y in zip(a[r], prow)]
+                    rb = [x * pv - f * y for x, y in zip(b[r], pb)]
+                    g = math.gcd(*ra, *rb)
+                    if g != 1:
+                        ra = [x // g for x in ra]
+                        rb = [x // g for x in rb]
+                    a[r], b[r] = ra, rb
+        den = self.den
+        return _mat(*_over_common_den([_reduced_row([den * x for x in b[i]], a[i][i]) for i in range(size)]))
 
     def is_identity(self) -> bool:
         return self.den == 1 and self.num == _eye(len(self.num))
@@ -191,6 +203,11 @@ def _mat(den: int, num: tuple) -> Mat:
         if g != 1:
             den //= g
             num = tuple(tuple(x // g for x in row) for row in num)
+    return _stored(den, num)
+
+
+def _stored(den: int, num: tuple) -> Mat:
+    """The Mat num / den for num / den already in lowest terms, den > 0."""
     m = object.__new__(Mat)
     _fill(m, den, num)
     return m
@@ -230,22 +247,49 @@ def _over_common_den(rows):
 
 
 def is_symplectic(g: Mat) -> bool:
-    """g^-1 g == 1 with g^-1 = -J' tg J': the same test as tg J' g == J', since J'^2 = -1."""
-    if g.size % 2:
+    """g^-1 g == 1 with g^-1 = -J' tg J': the same test as tg J' g == J', since J'^2 = -1.
+
+    Row i of num(g^-1) num(g) is e_i sum_k e_k num[N-1-k][N-1-i] num[k]
+    (the sign-and-permute formula of symplectic_inverse); each row is
+    compared with den^2 times row i of the identity as soon as it is formed.
+    """
+    num = g.num
+    size = len(num)
+    if size % 2:
         raise MatrixError("odd size")
-    return (symplectic_inverse(g) * g).is_identity()
+    n = size // 2
+    big = size - 1
+    target = g.den * g.den
+    for i in range(size):
+        acc = [0] * size
+        for k, row in enumerate(num):
+            x = num[big - k][big - i]
+            if x:
+                if (k < n) != (i < n):
+                    x = -x
+                for j, y in enumerate(row):
+                    if y:
+                        acc[j] += x * y
+        acc[i] -= target
+        if any(acc):
+            return False
+    return True
 
 
 def symplectic_inverse(g: Mat) -> Mat:
     # g^-1 = -J' tg J' for symplectic g.  J' is the antidiagonal with signs
     # e = +1 on the first n lines and -1 on the last n, so the product only
-    # permutes and signs entries: inv[i][j] = e_i e_j g[N-1-j][N-1-i]
-    n = g.size // 2
-    return _mat(
+    # permutes and signs entries: inv[i][j] = e_i e_j g[N-1-j][N-1-i], so
+    # the result is in lowest terms as g is
+    num = g.num
+    size = len(num)
+    n = size // 2
+    big = size - 1
+    return _stored(
         g.den,
         tuple(
-            tuple(x if (i < n) == (j < n) else -x for j, x in enumerate(reversed(col)))
-            for i, col in enumerate(reversed(tuple(zip(*g.num))))
+            tuple(num[big - j][big - i] if (i < n) == (j < n) else -num[big - j][big - i] for j in range(size))
+            for i in range(size)
         ),
     )
 
@@ -258,13 +302,15 @@ def levi_embed(n: int, a_rows) -> Mat:
     if a.size != n:
         raise MatrixError("Levi block has wrong size")
     ainv = a.inverse()
-    rows = [[Q(0)] * (2 * n) for _ in range(2 * n)]
+    den = math.lcm(a.den, ainv.den)
+    sa, sb = den // a.den, den // ainv.den
+    num = [[0] * (2 * n) for _ in range(2 * n)]
     for i in range(n):
         for j in range(n):
-            rows[i][j] = a.rows[i][j]
+            num[i][j] = sa * a.num[i][j]
             # J tA^-1 J reverses both indices of the transpose
-            rows[n + i][n + j] = ainv.rows[n - 1 - j][n - 1 - i]
-    return Mat(rows)
+            num[n + i][n + j] = sb * ainv.num[n - 1 - j][n - 1 - i]
+    return _mat(den, tuple(map(tuple, num)))
 
 
 def radical_embed(n: int, x_rows) -> Mat:
@@ -333,74 +379,77 @@ def corner_column_unipotent(n: int, ys, x) -> Mat:
 
 # --------------------------------------------------- root group elements
 
-def root_positions(n: int, root: Root):
-    """(row, col, sign) list, 0-based, primary first."""
-    vec = root.euclid()
-    nz = [(i, c) for i, c in enumerate(vec) if c]
+@lru_cache(maxsize=None)
+def _root_positions(n: int) -> dict:
+    """{root: (row, col, sign) triples, 0-based, primary first} over the
+    2 n^2 roots of rank n."""
     big = 2 * n - 1  # mirror index: pos p maps to big - p
-    if len(nz) == 1:
-        a, c = nz[0]
-        if c == 2:
-            return [(a, big - a, 1)]
-        return [(big - a, a, 1)]
-    (a, ca), (b, cb) = nz
-    if ca == 1 and cb == -1:
-        return [(a, b, 1), (big - b, big - a, -1)]
-    if ca == -1 and cb == 1:
-        return [(b, a, 1), (big - a, big - b, -1)]
-    if ca == 1 and cb == 1:
-        return [(a, big - b, 1), (b, big - a, 1)]
-    return [(big - b, a, 1), (big - a, b, 1)]
+    out = {}
+    for g in positive_roots(n):
+        for root in (g, -g):
+            nz = [(i, c) for i, c in enumerate(root.euclid()) if c]
+            if len(nz) == 1:
+                a, c = nz[0]
+                out[root] = ((a, big - a, 1),) if c == 2 else ((big - a, a, 1),)
+                continue
+            (a, ca), (b, cb) = nz
+            if ca == 1 and cb == -1:
+                out[root] = ((a, b, 1), (big - b, big - a, -1))
+            elif ca == -1 and cb == 1:
+                out[root] = ((b, a, 1), (big - a, big - b, -1))
+            elif ca == 1 and cb == 1:
+                out[root] = ((a, big - b, 1), (b, big - a, 1))
+            else:
+                out[root] = ((big - b, a, 1), (big - a, b, 1))
+    return out
 
 
 def root_elem(n: int, root: Root, r) -> Mat:
     return mul_root_elem(Mat.identity(2 * n), root, r)
 
 
-# x_root(r) = 1 + r E with E^2 = 0, and the two positions of a short root
-# never chain (E1 E2 = E2 E1 = 0), so both updates below read the input's
-# entries.  Over the denominator g.den * rd every entry is scaled by rd and
-# the update adds s * rn times an input entry, where r = rn / rd.
-
 def mul_root_elem(g: Mat, root: Root, r) -> Mat:
-    """g * x_root(r) as column updates (cheap for long products)."""
-    r = _as_fraction(r)
-    if not r:
-        return g
-    rn, rd = r.numerator, r.denominator
-    src = g.num
-    out = [list(row) for row in src] if rd == 1 else [[x * rd for x in row] for row in src]
-    for a, b, s in root_positions(g.size // 2, root):
-        c = s * rn
-        for row, orig in zip(out, src):
-            if orig[a]:
-                row[b] += c * orig[a]
-    return _mat(g.den * rd, tuple(map(tuple, out)))
-
-
-def mul_root_elem_left(root: Root, r, g: Mat) -> Mat:
-    """x_root(r) * g as row updates."""
-    r = _as_fraction(r)
-    if not r:
-        return g
-    rn, rd = r.numerator, r.denominator
-    src = g.num
-    out = [list(row) for row in src] if rd == 1 else [[x * rd for x in row] for row in src]
-    for a, b, s in root_positions(g.size // 2, root):
-        c = s * rn
-        dst = out[a]
-        for j, v in enumerate(src[b]):
-            if v:
-                dst[j] += c * v
-    return _mat(g.den * rd, tuple(map(tuple, out)))
+    """g * x_root(r) as column updates: the one-letter root word."""
+    return _times_roots(g, ((root, r),))
 
 
 def root_product(n: int, factors) -> Mat:
-    """x_{g_1}(r_1) ... x_{g_k}(r_k), left to right."""
-    out = Mat.identity(2 * n)
+    """x_{g_1}(r_1) ... x_{g_k}(r_k), left to right.
+
+    The letters act in place on integer rows over one running
+    denominator, and the product is reduced once, so its denominator is
+    at most the product of the letter denominators.
+    """
+    return _times_roots(Mat.identity(2 * n), factors)
+
+
+def _times_roots(g: Mat, factors) -> Mat:
+    """g x_{g_1}(r_1) ... x_{g_k}(r_k) on the integer rows of g.
+
+    x_root(r) = 1 + r E with E^2 = 0, and the two positions of a short
+    root never chain (E1 E2 = E2 E1 = 0), so a letter adds s r times
+    column a to column b and never writes column a.  A letter r = rn / rd
+    first scales the rows and the running denominator by rd; the update
+    then reads x // rd at column a, which is exact.
+    """
+    positions = _root_positions(len(g.num) // 2)
+    den = g.den
+    rows = [list(row) for row in g.num]
     for root, r in factors:
-        out = mul_root_elem(out, root, r)
-    return out
+        r = _as_fraction(r)
+        if not r:
+            continue
+        rn, rd = r.numerator, r.denominator
+        if rd != 1:
+            den *= rd
+            rows = [[x * rd for x in row] for row in rows]
+        for a, b, s in positions[root]:
+            c = s * rn
+            for row in rows:
+                x = row[a]
+                if x:
+                    row[b] += c * x if rd == 1 else c * (x // rd)
+    return _mat(den, tuple(map(tuple, rows)))
 
 
 def root_product_inverse(n: int, factors) -> Mat:
@@ -485,7 +534,7 @@ def bruhat_decompose(g: Mat):
         raise MatrixError("not symplectic")
     a = [(list(row), g.den) for row in g.num]
     linv = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-    rinv = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
+    rinv = [None] * size
     used = [False] * size
     pivots = []
     for col in range(size):
@@ -504,13 +553,12 @@ def bruhat_decompose(g: Mat):
                 linv[r][piv] = Q(c * pden, rden * pval)
                 a[r] = _reduced_row([x * pval - c * y for x, y in zip(row, prow)], rden * pval)
         # Column col is now zero off the pivot, so clearing the pivot row by
-        # column operations changes no other entry of the working matrix.
-        for c2 in range(col + 1, size):
-            if prow[c2]:
-                rinv[col][c2] = Q(prow[c2], pval)
+        # column operations changes no other entry of the working matrix,
+        # and the pivot row, zero left of col, over the pivot is row col of R^-1.
+        rinv[col] = _reduced_row(prow, pval)
         a[piv] = ([pval if j == col else 0 for j in range(size)], pden)
     lm_inv = _mat(*_integer_rows(linv))
-    u_r = _mat(*_integer_rows(rinv))
+    u_r = _mat(*_over_common_den(rinv))
     monomial = _mat(*_over_common_den(a))
     w = weyl_from_monomial_pattern(n, pivots)
     wrep = weyl_rep(w)
@@ -518,13 +566,11 @@ def bruhat_decompose(g: Mat):
     d = monomial * wrep_inv
     if not d.is_diagonal():
         raise FactorizationError("monomial part is not torus times the Weyl representative")
-    a2 = wrep * u_r * wrep_inv
-    bmat, cmat = _unitriangular_ul(a2)
-    um = wrep_inv * cmat * wrep
+    bmat, cmat = _unitriangular_ul(_signed_conjugate(wrep, u_r))
+    um = _signed_conjugate(wrep_inv, cmat)
     if not um.is_upper_unitriangular():
         raise FactorizationError("right factor is not upper unitriangular")
-    dinv = Mat.diagonal([Q(d.den, row[i]) for i, row in enumerate(d.num)])
-    u = lm_inv * (d * bmat * dinv)
+    u = lm_inv * _diagonal_conjugate(d, bmat)
     if not u.is_upper_unitriangular():
         raise FactorizationError("left factor is not upper unitriangular")
     if u * d * wrep * um != g:
@@ -532,6 +578,34 @@ def bruhat_decompose(g: Mat):
     if not all(is_symplectic(part) for part in (d, um, u)):
         raise FactorizationError("a Bruhat factor is not symplectic")
     return u, d, w, um
+
+
+def _signed_conjugate(m: Mat, x: Mat) -> Mat:
+    """m x m^-1 for a signed permutation matrix m, as a signed permutation
+    of entries: when row i of m holds its sign s_i at column pi(i), entry
+    (i, j) is s_i s_j x[pi(i)][pi(j)]."""
+    perm = [row.index(1) if 1 in row else row.index(-1) for row in m.num]
+    sign = [row[k] for row, k in zip(m.num, perm)]
+    xn = x.num
+    return _stored(
+        x.den,
+        tuple(
+            tuple(xn[pi][pj] if si == sj else -xn[pi][pj] for pj, sj in zip(perm, sign))
+            for pi, si in zip(perm, sign)
+        ),
+    )
+
+
+def _diagonal_conjugate(d: Mat, x: Mat) -> Mat:
+    """d x d^-1 for an invertible diagonal d, as an integer scaling: entry
+    (i, j) is d_i / d_j x[i][j], over x.den times the lcm of the d_j."""
+    dn = [row[i] for i, row in enumerate(d.num)]
+    lcm = math.lcm(*dn)
+    scale = [lcm // e for e in dn]
+    return _mat(
+        x.den * lcm,
+        tuple(tuple(y * di * sj for y, sj in zip(row, scale)) for row, di in zip(x.num, dn)),
+    )
 
 
 def _reduced_row(row, den):
@@ -620,17 +694,45 @@ def peel_unipotent(u: Mat):
     n = u.size // 2
     if not u.is_upper_unitriangular():
         raise FactorizationError("not upper unitriangular")
-    coords = {}
-    cur = u
-    for g in positive_roots(n):
-        i, j, s = root_positions(n, g)[0]
-        c = cur[i, j] / s
-        if c:
-            coords[g] = c
-            cur = mul_root_elem_left(g, -c, cur)
-    if not cur.is_identity():
+    rows = [(list(row), u.den) for row in u.num]
+    coords = _peel(n, rows, [(g, g) for g in positive_roots(n)])
+    if not _rows_are_identity(rows):
         raise FactorizationError("residue after peeling")
     return coords
+
+
+def _peel(n: int, rows, cands) -> dict:
+    """{key: c} from peeling x_root(-c) off the left of rows, for each
+    (key, root) of cands in order, with c read at the root's primary
+    position and zero coefficients left out.
+
+    rows is a list of (integer row, den) pairs and is updated in place:
+    x_root(-c) subtracts s c times row b from row a at each position
+    (a, b, s), and each touched row is reduced once.  As for the column
+    updates, the rows b are never written by the same letter.
+    """
+    positions = _root_positions(n)
+    out = {}
+    for key, root in cands:
+        pos = positions[root]
+        i, j, s = pos[0]
+        row, den = rows[i]
+        if row[j]:
+            c = Q(s * row[j], den)
+            out[key] = c
+            cn, cd = c.numerator, c.denominator
+            for a, b, sg in pos:
+                # row a -= sg c row b, over the denominator den_a den_b cd
+                ra, da = rows[a]
+                rb, db = rows[b]
+                f, k = db * cd, sg * cn * da
+                rows[a] = _reduced_row([x * f - k * y for x, y in zip(ra, rb)], da * f)
+    return out
+
+
+def _rows_are_identity(rows) -> bool:
+    """Every (integer row, den) pair of rows is row i of the identity."""
+    return all(row[i] == den and not any(row[:i]) and not any(row[i + 1:]) for i, (row, den) in enumerate(rows))
 
 
 def unipotent_coords(u: Mat, roots_order):
@@ -676,15 +778,9 @@ def commutator_coefficients(n: int, g1: Root, r, g2: Root, s):
             if root is not None:
                 cands.append(((i, j), root))
     cands.sort(key=lambda t: t[1].height)
-    out = {}
-    cur = com
-    for (i, j), root in cands:
-        a, b, sg = root_positions(n, root)[0]
-        c = cur[a, b] / sg
-        if c:
-            out[(i, j)] = c
-            cur = mul_root_elem_left(root, -c, cur)
-    if not cur.is_identity():
+    rows = [(list(row), com.den) for row in com.num]
+    out = _peel(n, rows, cands)
+    if not _rows_are_identity(rows):
         raise FactorizationError("commutator escaped the candidate span")
     return out
 

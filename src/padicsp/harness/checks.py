@@ -119,11 +119,11 @@ def matrix_ranks(cfg):
 
 
 def _deep_unipotent(p, n, rng, m):
-    u = ch.Mat.identity(2 * n)
+    factors = []
     for g in positive_roots(n):
         v = ch.radical_coordinate_bound(g, m) + rng.randrange(0, 3)
-        u = ch.mul_root_elem(u, g, Q(rng.randint(-5, 5)) * Q(p) ** v)
-    return u
+        factors.append((g, Q(rng.randint(-5, 5)) * Q(p) ** v))
+    return ch.root_product(n, factors)
 
 
 def _random_torus(p, n, rng):
@@ -411,13 +411,13 @@ def check_reflection_positivity(cfg, rng):
 
 def _random_word_matrix(p, n, rng, length=6):
     roots = positive_roots(n)
-    g = ch.Mat.identity(2 * n)
+    factors = []
     for _ in range(length):
         root = roots[rng.randrange(len(roots))]
         if rng.random() < 0.5:
             root = -root
-        g = ch.mul_root_elem(g, root, Q(rng.randint(-6, 6), rng.choice([1, 1, 3])))
-    g = g * _random_torus(p, n, rng)
+        factors.append((root, Q(rng.randint(-6, 6), rng.choice([1, 1, 3]))))
+    g = ch.root_product(n, factors) * _random_torus(p, n, rng)
     for k in [rng.randrange(1, n + 1) for _ in range(rng.randrange(3))]:
         g = g * ch.weyl_rep(WeylElem.simple(n, k))
     return g
@@ -466,10 +466,11 @@ def check_chevalley_commutators(cfg, rng):
                         raise CheckFailure({"p": p, "n": n, "g1": g1, "g2": g2, "r": r, "s": s, "reason": "root inverse"})
                     comm = x * y * x_inv * y_inv
                     coeffs = ch.commutator_coefficients(n, g1, r, g2, s)
-                    rebuilt = eye
+                    factors = []
                     for (i, j), c in sorted(coeffs.items(), key=lambda t: sum(t[0])):
                         vec = tuple(i * a + j * b for a, b in zip(g1.euclid(), g2.euclid()))
-                        rebuilt = ch.mul_root_elem(rebuilt, root_from_vector(n, vec), c)
+                        factors.append((root_from_vector(n, vec), c))
+                    rebuilt = ch.root_product(n, factors)
                     if comm != rebuilt:
                         raise CheckFailure(
                             {"p": p, "n": n, "g1": g1, "g2": g2, "r": r, "s": s}
@@ -612,13 +613,9 @@ def check_cell_word_rewrite(cfg, rng):
                         raise CheckFailure({"p": p, "n": n, "m": m, "rs": rs, "reason": "pivot position"})
                     if fraction_valuation(rs_t[qpos], p) != fraction_valuation(rs[qpos], p):
                         raise CheckFailure({"p": p, "n": n, "m": m, "rs": rs, "reason": "pivot size"})
-                    lhs = t * ch.weyl_rep(w)
-                    for k in range(len(order) - 1, qpos - 1, -1):
-                        lhs = ch.mul_root_elem(lhs, order[k], rs[k])
-                    lhs = lhs * u
-                    rhs = u_t * t * ch.weyl_rep(w)
-                    for k in range(len(order) - 1, -1, -1):
-                        rhs = ch.mul_root_elem(rhs, order[k], rs_t[k])
+                    tw = t * ch.weyl_rep(w)
+                    lhs = tw * ch.root_product(n, [(order[k], rs[k]) for k in range(len(order) - 1, qpos - 1, -1)]) * u
+                    rhs = u_t * tw * ch.root_product(n, [(order[k], rs_t[k]) for k in range(len(order) - 1, -1, -1)])
                     if lhs != rhs:
                         raise CheckFailure({"p": p, "n": n, "m": m, "rs": rs, "reason": "identity"})
                     cases += 1

@@ -4,6 +4,9 @@ Independent routes used here:
   * a standalone matrix multiplier plus literal generator matrices, so
     commutator tables and Weyl representatives are cross-checked without
     going through the Mat class;
+  * a Fraction Gauss-Jordan and literal root-group matrices built from
+    the position table, against the integer kernels (the fraction-free
+    inverse, root words over one denominator, the row-form peel);
   * the corner-rank cell detector (no pivoting choices) against the
     elimination-based Bruhat normal form;
   * a filtration-walk volume oracle that counts one-root coset layers
@@ -61,7 +64,6 @@ from padicsp.chevalley import (
     level_exponents,
     levi_embed,
     mul_root_elem,
-    mul_root_elem_left,
     negative_coordinate_bound,
     peel_unipotent,
     radical_coordinate_bound,
@@ -194,9 +196,55 @@ def oracle_unitriangular_ul(a):
     return Mat(b), Mat(c)
 
 
+def oracle_inverse(m):
+    """Gauss-Jordan over Fractions on the Fraction view."""
+    size = m.size
+    a = [list(row) for row in m.rows]
+    b = [list(row) for row in oracle_identity(size)]
+    for col in range(size):
+        piv = next((r for r in range(col, size) if a[r][col]), None)
+        if piv is None:
+            raise MatrixError("singular matrix")
+        a[col], a[piv] = a[piv], a[col]
+        b[col], b[piv] = b[piv], b[col]
+        d = a[col][col]
+        a[col] = [x / d for x in a[col]]
+        b[col] = [x / d for x in b[col]]
+        for r in range(size):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+                b[r] = [x - f * y for x, y in zip(b[r], b[col])]
+    return Mat(b)
+
+
+def oracle_root_elem(n, root, r):
+    """I + r E read off the euclidean vector by the table of the chevalley
+    module docstring (1-based, N = 2n + 1), without its position table."""
+    size, big = 2 * n, 2 * n + 1
+    rows = [list(row) for row in oracle_identity(size)]
+    nz = [(i + 1, c) for i, c in enumerate(root.euclid()) if c]
+    if len(nz) == 1:
+        (a, c), = nz
+        spots = [(a, big - a, 1)] if c > 0 else [(big - a, a, 1)]
+    else:
+        (a, ca), (b, cb) = nz
+        if ca == -cb:
+            if ca < 0:
+                a, b = b, a
+            spots = [(a, b, 1), (big - b, big - a, -1)]
+        elif ca > 0:
+            spots = [(a, big - b, 1), (b, big - a, 1)]
+        else:
+            spots = [(big - b, a, 1), (big - a, b, 1)]
+    for i, j, sign in spots:
+        rows[i - 1][j - 1] += sign * Q(r)
+    return tuple(map(tuple, rows))
+
+
 def oracle_bruhat_decompose(g):
     """The Gauss-Jordan route: Fraction elimination recording L and R, then
-    L^-1, R^-1 and d^-1 by Mat.inverse."""
+    L^-1, R^-1 and d^-1 by the Fraction Gauss-Jordan oracle."""
     size = g.size
     a = [list(row) for row in g.rows]
     lmat = [list(row) for row in oracle_identity(size)]
@@ -218,15 +266,24 @@ def oracle_bruhat_decompose(g):
                 rmat[r][c2] -= f * rmat[r][col]
     w = chevalley.weyl_from_monomial_pattern(size // 2, pivots)
     wrep = weyl_rep(w)
-    wrep_inv = wrep.inverse()
+    wrep_inv = oracle_inverse(wrep)
     d = Mat(a) * wrep_inv
-    bmat, cmat = oracle_unitriangular_ul(wrep * Mat(rmat).inverse() * wrep_inv)
+    bmat, cmat = oracle_unitriangular_ul(wrep * oracle_inverse(Mat(rmat)) * wrep_inv)
     um = wrep_inv * cmat * wrep
-    u = Mat(lmat).inverse() * (d * bmat * d.inverse())
+    u = oracle_inverse(Mat(lmat)) * (d * bmat * oracle_inverse(d))
     return u, d, w, um
 
 
 # ---------------------------------------------------------- matrix layer
+
+def _mixed_matrix(rng, size, p):
+    """Entries over mixed p-power denominators, about 40 % zeros, any signs."""
+    dens = (1, 2, 7 * p, p, p**2, p**3)
+    return Mat([
+        [Q(rng.randint(-9, 9), rng.choice(dens)) if rng.random() < 0.6 else Q(0) for _ in range(size)]
+        for _ in range(size)
+    ])
+
 
 def test_mat_mul_matches_oracle():
     rng = random.Random(1)
@@ -244,22 +301,13 @@ def test_mat_mul_integer_kernel_matches_oracle():
             size = 2 * n
             group = full_weyl_group(n)
             roots = positive_roots(n)
-            dens = (1, 2, 7 * p, p, p**2, p**3)
-
-            def mixed():
-                """Mixed p-power denominators, about 40 % zeros."""
-                return Mat(tuple(
-                    tuple(Q(rng.randint(-9, 9), rng.choice(dens)) if rng.random() < 0.6 else Q(0) for _ in range(size))
-                    for _ in range(size)
-                ))
-
             pairs = []
             for _ in range(3):
                 pairs.append((_random_word_matrix(p, n, rng), _random_word_matrix(p, n, rng)))
                 w = weyl_rep(group[rng.randrange(len(group))])
                 root = roots[rng.randrange(len(roots))]
                 x = root_elem(n, rng.choice((root, -root)), Q(rng.randint(-9, 9), p ** rng.randrange(4)))
-                pairs += [(w, x), (x, w), (mixed(), mixed())]
+                pairs += [(w, x), (x, w), (_mixed_matrix(rng, size, p), _mixed_matrix(rng, size, p))]
             zero = Mat(tuple(tuple(Q(0) for _ in range(size)) for _ in range(size)))
             pairs += [(zero, pairs[0][0]), (pairs[0][1], zero), (zero, zero)]
             for a, b in pairs:
@@ -274,6 +322,49 @@ def test_mat_inverse_round_trip():
         g = _random_word_matrix(3, n, rng)
         assert (g * g.inverse()).is_identity()
         assert symplectic_inverse(g) == g.inverse()
+
+
+def test_mat_inverse_matches_fraction_gauss_jordan_oracle():
+    """The fraction-free inverse against the Fraction Gauss-Jordan: seeded
+    words, mixed p-power denominators, negative pivots; singular input
+    raises on both routes."""
+    singular = 0
+    for n in (1, 2, 3, 4):
+        size = 2 * n
+        for p in (3, 5, 7):
+            rng = random.Random(200 + 10 * n + p)
+            cases = [_random_word_matrix(p, n, rng) for _ in range(4)]
+            cases += [_mixed_matrix(rng, size, p) for _ in range(6)]
+            # negative pivots: a negated permutation matrix and a lower
+            # triangular matrix with a negative diagonal
+            perm = list(range(size))
+            rng.shuffle(perm)
+            cases.append(Mat([[Q(-1 if j == perm[i] else 0) for j in range(size)] for i in range(size)]))
+            cases.append(Mat([
+                [Q(-rng.randint(1, 5), rng.choice((1, p))) if i == j else Q(rng.randint(-3, 3)) if j < i else Q(0)
+                 for j in range(size)]
+                for i in range(size)
+            ]))
+            for m in cases:
+                try:
+                    want = oracle_inverse(m)
+                except MatrixError:
+                    singular += 1
+                    with pytest.raises(MatrixError, match="singular matrix"):
+                        m.inverse()
+                    continue
+                got = m.inverse()
+                assert got == want and (m * got).is_identity()
+            # a repeated row and a zero column are singular
+            rows = [list(row) for row in _mixed_matrix(rng, size, p).rows]
+            rows[-1] = list(rows[0])
+            for m in (Mat(rows), Mat([[Q(0)] + list(row[1:]) for row in rows])):
+                with pytest.raises(MatrixError, match="singular matrix"):
+                    oracle_inverse(m)
+                with pytest.raises(MatrixError, match="singular matrix"):
+                    m.inverse()
+                singular += 1
+    assert singular >= 24
 
 
 def test_form_matrix_and_symplectic_checks():
@@ -326,8 +417,8 @@ def test_matrix_canonical_form():
     for n in (1, 2, 3):
         for _ in range(10):
             a, b = _random_word_matrix(3, n, rng), _random_word_matrix(3, n, rng)
-            left = mul_root_elem_left(-positive_roots(n)[-1], Q(5, 9), a)
-            for m in (a * b, symplectic_inverse(a), left) + bruhat_decompose(b)[::3]:
+            word = mul_root_elem(a, -positive_roots(n)[-1], Q(5, 9))
+            for m in (a * b, symplectic_inverse(a), a.inverse(), word) + bruhat_decompose(b)[::3]:
                 assert m.den > 0 and math.gcd(m.den, *(x for row in m.num for x in row)) == 1
                 assert Mat(m.rows) == m and hash(Mat(m.rows)) == hash(m)
             zero = Mat([[Q(0, 1)] * (2 * n)] * (2 * n))
@@ -357,7 +448,7 @@ def test_matrix_constructors_reject_floats():
         lambda: first_axis_torus(2, 0.5),
         lambda: root_elem(2, root, 0.5),
         lambda: mul_root_elem(eye, root, 0.5),
-        lambda: mul_root_elem_left(root, 0.5, eye),
+        lambda: root_product(2, [(root, 1), (root, 0.5)]),
         lambda: sl2_embed(2, ((0.0, 1), (-1, 0))),
         lambda: corner_column_unipotent(3, [0.5], 1),
         lambda: corner_column_unipotent(2, [], 0.25),
@@ -459,6 +550,39 @@ def test_weyl_conjugation_permutes_root_groups(n):
         assert conj in (root_elem(n, target, r), root_elem(n, target, -r))
 
 
+def test_root_product_matches_literal_oracle():
+    """Root words over one running denominator against oracle_matmul over
+    literal root-group matrices: letters with rd != 1, a repeated root, a
+    root next to its negative, zero letters."""
+    assert all(
+        oracle_root_elem(2, Root(2, coeffs), Q(7, 3)) == rank2_literal(name, Q(7, 3))
+        for coeffs, name in {(1, 0): "line", (0, 1): "long_low", (1, 1): "sum", (2, 1): "long_high"}.items()
+    )
+    for n in (1, 2, 3, 4):
+        roots = positive_roots(n)
+        roots = roots + [-g for g in roots]
+        for p in (3, 5):
+            rng = random.Random(400 + 10 * n + p)
+            for _ in range(6):
+                factors = []
+                for _ in range(rng.randrange(1, 8)):
+                    root = rng.choice(roots)
+                    r = Q(rng.randint(-6, 6), rng.choice((1, p, p**2, 2 * p)))
+                    factors.append((root, r))
+                    if rng.random() < 0.3:
+                        factors.append((rng.choice((root, -root)), Q(rng.randint(-4, 4), rng.choice((1, p)))))
+                want = oracle_identity(2 * n)
+                for root, r in factors:
+                    want = oracle_matmul(want, oracle_root_elem(n, root, r))
+                got = root_product(n, factors)
+                assert got.rows == want
+                assert got.den <= math.prod(Q(r).denominator for _, r in factors)
+                g = _random_word_matrix(p, n, rng)
+                assert mul_root_elem(g, factors[0][0], factors[0][1]).rows == oracle_matmul(
+                    g.rows, oracle_root_elem(n, *factors[0])
+                )
+
+
 def test_fast_multiplication_paths():
     rng = random.Random(4)
     for n in (2, 3):
@@ -466,7 +590,6 @@ def test_fast_multiplication_paths():
         for root in (positive_roots(n)[1], -positive_roots(n)[2]):
             r = Q(rng.randint(-5, 5), 3)
             assert mul_root_elem(g, root, r) == g * root_elem(n, root, r)
-            assert mul_root_elem_left(root, r, g) == root_elem(n, root, r) * g
 
 
 # ------------------------------------------------------------ Weyl layer
@@ -490,6 +613,21 @@ def test_weyl_rep_consistent_with_abstract_group(n):
 
 
 # ---------------------------------------------------------- Bruhat cells
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_signed_and_diagonal_conjugations_match_products(n):
+    """The entry permutation and integer scaling inside bruhat_decompose
+    against plain products, on every Weyl element."""
+    rng = random.Random(40 + n)
+    for w in full_weyl_group(n):
+        wrep = weyl_rep(w)
+        wrep_inv = symplectic_inverse(wrep)
+        x = _mixed_matrix(rng, 2 * n, 3)
+        assert chevalley._signed_conjugate(wrep, x) == wrep * x * wrep_inv
+        assert chevalley._signed_conjugate(wrep_inv, x) == wrep_inv * x * wrep
+        d = torus([Q(rng.choice([1, -1, 2, -5]), rng.choice([1, 3, 9])) for _ in range(n)])
+        assert chevalley._diagonal_conjugate(d, x) == d * x * oracle_inverse(d)
+
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_bruhat_decompose_random_products(n):
@@ -556,7 +694,7 @@ def test_unitriangular_ul_factors_products_and_rejects_matrices_outside_the_cell
 
 # ------------------------------------------------- unipotent coordinates
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_peel_and_coords_round_trip(n):
     rng = random.Random(70 + n)
     roots = positive_roots(n)
@@ -583,6 +721,12 @@ def test_unipotent_coords_rejects_missing_root():
 def test_peel_rejects_non_unipotent():
     with pytest.raises(FactorizationError):
         peel_unipotent(torus([Q(3), Q(5)]))
+    # upper unitriangular but not symplectic: half of a line-root factor
+    for n in (2, 3):
+        rows = [list(row) for row in oracle_identity(2 * n)]
+        rows[0][1] = Q(2, 3)
+        with pytest.raises(FactorizationError, match="residue after peeling"):
+            peel_unipotent(Mat(rows))
 
 
 # ------------------------------------------------------------ commutators

@@ -1,4 +1,4 @@
-"""Source lints: six rules the library's code must keep, read off its syntax.
+"""Source lints: seven rules the library's code must keep, read off its syntax.
 
 - floats live only in the two complex embeddings (every value the
   library computes is exact: Fraction, Mono, Cyclo);
@@ -6,7 +6,8 @@
 - one helper splits the prime off an integer;
 - only the valuation readers take a PAdic;
 - only the chevalley functions that read p take a PrimeCtx;
-- only the campaign driver starts processes.
+- only the campaign driver starts processes;
+- the integer matrix kernels never touch the Fraction view.
 
 One walker names each node by the innermost function or class around
 it, module-qualified (`padic.Mono.as_complex`, `harness.checks.<module>`
@@ -349,4 +350,73 @@ def test_process_lint_sees_each_form(tmp_path):
         ("m.K.b", "concurrent"),
         ("m.K.b", "os._exit"),
         ("m.<module>", "os._exit"),
+    }
+
+
+# ------------------------------------------------------ integer kernels
+
+# The chevalley routines that work on integer rows over one denominator;
+# none of them may build or read the Fraction view of a matrix.
+INTEGER_KERNELS = {
+    "chevalley.Mat.__mul__",
+    "chevalley.Mat.inverse",
+    "chevalley.symplectic_inverse",
+    "chevalley.is_symplectic",
+    "chevalley.root_product",
+    "chevalley.mul_root_elem",
+    "chevalley._times_roots",  # the word kernel behind the last two
+}
+_FRACTION_CALLS = ("Mat", "_integer_rows", "Q", "Fraction")
+
+
+def _fraction_view_use(node):
+    """The form of the Fraction view that node uses, or None: .rows, or a
+    call of Mat, _integer_rows, Q or Fraction (bare or as an attribute)."""
+    if isinstance(node, ast.Attribute) and node.attr == "rows":
+        return ".rows"
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        if name in _FRACTION_CALLS:
+            return f"{name}("
+    return None
+
+
+def fraction_view_users(root=SRC):
+    """(function, form) for each use of the Fraction view of a matrix."""
+    return {
+        (name, form) for name, node in scoped_nodes(root)
+        if (form := _fraction_view_use(node)) is not None
+    }
+
+
+def test_integer_kernels_never_touch_the_fraction_view():
+    functions = {name for name, node in scoped_nodes() if isinstance(node, _FUNCTIONS)}
+    assert INTEGER_KERNELS <= functions
+    assert {(name, form) for name, form in fraction_view_users() if name in INTEGER_KERNELS} == set()
+
+
+def test_fraction_view_lint_sees_each_form(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "from fractions import Fraction\n"
+        "def a(g):\n    return g.rows[0]\n"
+        "class K:\n    def b(self, rows):\n        return Mat(rows)\n"
+        "    def c(self):\n        return _integer_rows(self.num)\n"
+        "def d(x):\n    def e(y):\n        return Q(y, 3)\n    return e(x)\n"
+        "def f(x):\n    return Fraction(x)\n"
+        "def g(x):\n    return chevalley.Mat(x), fractions.Fraction(1, 2)\n"
+        "Z = Q(1)\n"
+    )
+    (tmp_path / "n.py").write_text(
+        "def h(g, rows):\n    return _mat(g.den, rows), Mat.identity(2), g.num, rows, Mat\n"
+    )
+    assert fraction_view_users(tmp_path) == {
+        ("m.a", ".rows"),
+        ("m.K.b", "Mat("),
+        ("m.K.c", "_integer_rows("),
+        ("m.d.e", "Q("),
+        ("m.f", "Fraction("),
+        ("m.g", "Mat("),
+        ("m.g", "Fraction("),
+        ("m.<module>", "Q("),
     }
