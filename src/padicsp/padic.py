@@ -21,11 +21,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 
 Q = Fraction
 
 INF = math.inf
+_ZERO = Q(0)
 
 
 class PadicError(ValueError):
@@ -70,14 +72,27 @@ def fraction_valuation(x: Q, p: int):
     return v if v else -_strip(x.denominator, p)[0]
 
 
+def _head(x: Q, k: int, p: int) -> Q:
+    """The digits of x below p^k: the unique h with x - h in P^k, 0 <= h p^-k < 1
+    and h p^-k of p-power denominator, the canonical representative of x mod P^k.
+
+    With x = n / (p^v d), d prime to p, x p^-k has p-part a / p^(v+k) for
+    a = n d^-1 mod p^(v+k), so h = a p^k / p^(v+k) = a / p^v.
+    """
+    n = x.numerator
+    if not n:
+        return _ZERO
+    v, d = _strip(x.denominator, p)
+    e = v + k
+    if e <= 0:
+        return _ZERO
+    pe = p**e
+    return Q(n * pow(d, -1, pe) % pe, p**v)
+
+
 def _pfrac(x: Q, p: int) -> Q:
     # p-part of x in Q/Z: the unique a/p^k in [0,1) with x - a/p^k in Z_(p)
-    k, den = _strip(x.denominator, p)
-    if k == 0:
-        return Q(0)
-    pk = p**k
-    a = (x.numerator * pow(den, -1, pk)) % pk
-    return Q(a, pk)
+    return _head(x, 0, p)
 
 
 @dataclass(frozen=True)
@@ -115,7 +130,9 @@ class Mono:
     Mono(0, 0, 0).  psi-values are Mono(turn=t), Weil indices
     Mono(turn=k/8), Schwartz coefficients carry half-integer qexp and
     section values qexp = -v(s + 1/2).  q itself is the context's: only
-    the complex embedding needs it.
+    the complex embedding needs it.  Mono(...) coerces its fields and
+    normalises the sign and the turn; the library's own products build
+    their already normalised results with the trusted _mono instead.
     """
 
     rat: Q = Q(1)
@@ -153,15 +170,19 @@ class Mono:
         return self.rat == 1 and not self.qexp and not self.turn
 
     def __mul__(self, other: "Mono") -> "Mono":
-        return Mono(self.rat * other.rat, self.qexp + other.qexp, self.turn + other.turn)
+        rat = self.rat * other.rat
+        if not rat:
+            return _mono(_ZERO, _ZERO, _ZERO)
+        return _mono(rat, self.qexp + other.qexp, _turn_sum(self.turn, other.turn))
 
     def inverse(self) -> "Mono":
-        if not self.rat:
+        rat = self.rat
+        if not rat:
             raise PadicError("0 has no inverse")
-        return Mono(1 / self.rat, -self.qexp, -self.turn)
+        return _mono(Q(rat.denominator, rat.numerator), -self.qexp, _turn_neg(self.turn))
 
     def conjugate(self) -> "Mono":
-        return Mono(self.rat, self.qexp, -self.turn)
+        return _mono(self.rat, self.qexp, _turn_neg(self.turn))
 
     def as_complex(self, q: int) -> complex:
         """The complex embedding: sqrt(q) > 0 and a turn t goes to exp(2 pi i t)."""
@@ -169,14 +190,62 @@ class Mono:
         return mag * cmath.exp(2j * cmath.pi * float(self.turn))
 
 
-def _turn_split(turn: Q, p: int):
-    # turn = j/8 + a/p^k mod 1 by CRT; the rest of the denominator must divide 8
-    k, den = _strip(turn.denominator, p)
-    if 8 % den:
-        raise PadicError(f"turn {turn} has no place in Q(zeta_(8 p^k)) for p = {p}")
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _mono(rat: Q, qexp: Q, turn: Q) -> Mono:
+    """Mono(rat, qexp, turn) without the coercions: the trusted constructor.
+
+    The caller guarantees what Mono.__post_init__ would establish: three
+    Fraction fields, rat > 0 and 0 <= turn < 1, or three zeros.  Only
+    padic and schwartz call it (a tier-1 lint keeps it so), on values
+    their own arithmetic has already normalised.  The fields are set one
+    by one, as __init__ does: writing m.__dict__ would give every Mono a
+    dict of its own, about 60% more memory.
+    """
+    m = _new(Mono)
+    _set(m, "rat", rat)
+    _set(m, "qexp", qexp)
+    _set(m, "turn", turn)
+    return m
+
+
+def _turn_sum(s: Q, t: Q) -> Q:
+    """s + t reduced into [0, 1), for s and t in [0, 1): one compare."""
+    if not t.numerator:
+        return s
+    u = s + t
+    return u - 1 if u.numerator >= u.denominator else u
+
+
+def _turn_neg(t: Q) -> Q:
+    """-t reduced into [0, 1), for t in [0, 1)."""
+    n = t.numerator
+    return Q(t.denominator - n, t.denominator) if n else t
+
+
+@lru_cache(maxsize=64)
+def _level(p: int, k: int):
+    """(p^k, p^-k mod 8, 8^-1 mod p^k): the CRT constants of Q(zeta_(8 p^k))."""
     pk = p**k
-    u = turn.numerator * (8 // den)  # turn = u / (8 p^k)
-    return u * pow(pk, -1, 8) % 8, u * pow(8, -1, pk) % pk, k
+    return pk, pow(pk, -1, 8), pow(8, -1, pk)
+
+
+def _turn_split(num: int, den: int, p: int):
+    """(j, a, k) with num/den = j/8 + a/p^k mod 1, by CRT; the rest of den must divide 8."""
+    k, rest = _strip(den, p)
+    if 8 % rest:
+        raise PadicError(f"turn {Q(num, den)} has no place in Q(zeta_(8 p^k)) for p = {p}")
+    pk, inv_pk, inv_8 = _level(p, k)
+    u = num * (8 // rest)  # turn = u / (8 p^k)
+    return u * inv_pk % 8, u * inv_8 % pk, k
+
+
+@lru_cache(maxsize=16)
+def _sqrt_row(p: int):
+    """The Legendre symbols (r|p), r = 1 .. p - 1: the Gauss sum that is eps sqrt(p)."""
+    return tuple(_legendre(r, p) for r in range(1, p))
 
 
 @dataclass(frozen=True)
@@ -197,12 +266,28 @@ class Cyclo:
 
     @classmethod
     def of(cls, p: int, monos) -> "Cyclo":
-        monos = [m for m in monos if m.rat]
-        if any((2 * m.qexp).denominator != 1 for m in monos):
-            raise PadicError("a q exponent is not a half-integer")
-        splits = [_turn_split(m.turn, p) for m in monos]
-        big = max([1] + [k for _, _, k in splits])  # work in Q(zeta_(8 p^big))
-        pk, step = p**big, p ** (big - 1)
+        # each monomial as an integer coefficient num/den times
+        # zeta_8^j zeta_(p^k)^a, times sqrt(p) when its q exponent is odd
+        parts = []
+        big, common = 1, 1
+        for m in monos:
+            rat = m.rat
+            if not rat:
+                continue
+            qn, qd = m.qexp.numerator, m.qexp.denominator
+            if qd > 2:
+                raise PadicError("a q exponent is not a half-integer")
+            e = qn if qd == 1 else qn // 2  # rat q^qexp = rat p^e, times sqrt(p) if qd == 2
+            num, den = rat.numerator, rat.denominator
+            if e >= 0:
+                num *= p**e
+            else:
+                den *= p**-e
+            j, a, k = _turn_split(m.turn.numerator, m.turn.denominator, p)
+            parts.append((num, den, j, a, k, qd == 2))
+            big = max(big, k)
+            common = math.lcm(common, den)
+        pk, step = p**big, p ** (big - 1)  # work in Q(zeta_(8 p^big)), over 1/common
         phi = pk - step
         acc = {}
 
@@ -218,19 +303,23 @@ class Cyclo:
                 b = a - phi + i * step
                 acc[j, b] = acc.get((j, b), 0) - c
 
-        for m, (j, a, k) in zip(monos, splits):
+        for num, den, j, a, k, half in parts:
+            c = num * (common // den)
             a *= p ** (big - k)
-            twice = int(2 * m.qexp)
-            c = m.rat * Q(p) ** (twice // 2)
-            if not twice % 2:
+            if not half:
                 add(c, j, a)
                 continue
             if p % 4 == 3:  # eps = i
                 j = (j + 6) % 8
-            for r in range(1, p):
-                add(_legendre(r, p) * c, j, (a + r * step) % pk)
-        terms = [Mono(c, 0, Q(j, 8) + Q(a, pk)) for (j, a), c in acc.items() if c]
-        return cls(p, tuple(sorted(terms, key=lambda m: m.turn)))
+            for r, sign in enumerate(_sqrt_row(p), 1):
+                add(sign * c, j, (a + r * step) % pk)
+        # c zeta_8^j zeta_(p^big)^a is |c| e^(2 pi i t), t = (j' p^big + 8 a) / (8 p^big)
+        # with j' = j, or j + 4 when c < 0
+        whole = 8 * pk
+        turns = sorted(
+            (((j if c > 0 else j + 4) * pk + 8 * a) % whole, abs(c)) for (j, a), c in acc.items() if c
+        )
+        return cls(p, tuple(_mono(Q(c, common), _ZERO, Q(t, whole)) for t, c in turns))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -338,6 +427,10 @@ def weil_index(a: PAdic, twist=1) -> Mono:
 
 
 def mu_psi(a: PAdic, twist=1) -> Mono:
-    """mu(a) = gamma(psi_twist) / gamma(psi_{twist*a})."""
-    return weil_index(a.ctx.of(1), twist) * weil_index(a, twist).inverse()
+    """mu(a) = gamma(psi_twist) / gamma(psi_{twist*a}) = 1 / gamma(psi_{twist*a}).
+
+    The numerator gamma(psi_twist) is weil_index(ctx.of(1), twist), which
+    is 1 for both twists: v(+-1) = 0 is even.
+    """
+    return weil_index(a, twist).inverse()
 

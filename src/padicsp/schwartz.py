@@ -26,8 +26,13 @@ from .padic import (
     PadicError,
     PrimeCtx,
     _HALF,
+    _ZERO,
     _as_fraction,
+    _head,
+    _mono,
     _pfrac,
+    _strip,
+    _turn_sum,
     fraction_valuation,
     hilbert_symbol,
     mu_psi,
@@ -40,11 +45,7 @@ class SchwartzError(PadicError):
     pass
 
 
-def _head(x: Q, k: int, p: int) -> Q:
-    # canonical representative of x mod P^k: the digits at positions < k
-    if x == 0:
-        return Q(0)
-    return _pfrac(x * Q(p) ** (-k), p) * Q(p) ** k
+_ONE = Q(1)
 
 
 @dataclass(frozen=True)
@@ -68,34 +69,42 @@ class Term:
 
     def phase(self, x: Q, p: int) -> Mono:
         """coeff * psi(quad x^2 + freq x), the value at a point of the ball."""
-        return self.coeff * Mono(turn=_pfrac((self.quad * x + self.freq) * x, p))
+        return self.coeff * _mono(_ONE, _ZERO, _pfrac((self.quad * x + self.freq) * x, p))
 
 
 def _reduce_coeff(co: Mono, p: int) -> Mono:
     # move every factor of p from the rational part into the q exponent
-    if co.rat == 0 or co.rat.numerator % p != 0 and co.rat.denominator % p != 0:
+    num, den = co.rat.numerator, co.rat.denominator
+    if not num or num % p and den % p:
         return co
-    v = fraction_valuation(co.rat, p)
-    return Mono(co.rat * Q(p) ** (-v), co.qexp + v, co.turn)
+    if num % p:
+        v, den = _strip(den, p)
+        v = -v
+    else:
+        v, num = _strip(num, p)
+    return _mono(Q(num, den), co.qexp + v, co.turn)
 
 
 def _normalize_term(t: Term, p: int) -> Optional[Term]:
-    if t.coeff.is_zero():
+    co = t.coeff
+    if not co.rat:
         return None
-    c_red = _head(t.center, t.rad, p)
-    freq, a_red, shift = t.freq, t.quad, Q(0)
+    rad = t.rad
+    c_red = _head(t.center, rad, p)
+    freq, a_red, shift = t.freq, t.quad, _ZERO
     if a_red:
         # on c + P^rad, a x^2 = 2 a c x - a c^2 mod Z_p for a in P^(-2 rad)
-        a_red = _head(t.quad, -2 * t.rad, p)
-        a_tail = t.quad - a_red
-        freq += 2 * a_tail * c_red
-        shift = -a_tail * c_red * c_red
-    f_red = _head(freq, -t.rad, p)
-    co = _reduce_coeff(t.coeff, p)
-    shift += (freq - f_red) * c_red
-    if shift != 0:
-        co = Mono(co.rat, co.qexp, co.turn + _pfrac(shift, p))
-    return Term(co, f_red, c_red, t.rad, a_red)
+        a_red = _head(t.quad, -2 * rad, p)
+        ac = (t.quad - a_red) * c_red
+        freq += ac + ac
+        shift = -ac * c_red
+    f_red = _head(freq, -rad, p)
+    co = _reduce_coeff(co, p)
+    if c_red:
+        shift += (freq - f_red) * c_red
+    if shift:
+        co = _mono(co.rat, co.qexp, _turn_sum(co.turn, _pfrac(shift, p)))
+    return Term(co, f_red, c_red, rad, a_red)
 
 
 def _split_term(t: Term, new_rad: int, p: int):
@@ -110,25 +119,34 @@ def _split_term(t: Term, new_rad: int, p: int):
 
 def _regroup(terms, p):
     # one slot per ball, reduced phase and monomial; the half turn is
-    # folded into the sign so that c and -c cancel exactly
+    # folded into the sign so that c and -c cancel exactly.  Slots are
+    # keyed on integer pairs, which hash far cheaper than Fractions.
     slots = {}
     for t in terms:
         tn = _normalize_term(t, p)
         if tn is None:
             continue
-        rat, ph = tn.coeff.rat, tn.coeff.turn
-        if ph >= _HALF:
+        co = tn.coeff
+        rat, ph = co.rat, co.turn
+        if 2 * ph.numerator >= ph.denominator:
             rat, ph = -rat, ph - _HALF
-        key = (tn.center, tn.rad, tn.freq, tn.quad, tn.coeff.qexp, ph)
-        v = slots.get(key, 0) + rat
-        if v:
-            slots[key] = v
+        c, f, a, e = tn.center, tn.freq, tn.quad, co.qexp
+        key = (
+            c.numerator, c.denominator, tn.rad, f.numerator, f.denominator, a.numerator,
+            a.denominator, e.numerator, e.denominator, ph.numerator, ph.denominator,
+        )
+        slot = slots.get(key)
+        if slot is None:
+            slots[key] = [rat, tn, ph]
         else:
-            del slots[key]
-    out = [
-        Term(Mono(v, qexp, ph), freq, center, rad, quad)
-        for (center, rad, freq, quad, qexp, ph), v in slots.items()
-    ]
+            slot[0] += rat
+    # ph < 1/2, so the sign of a sum moves into its turn with no reduction
+    out = []
+    for v, tn, ph in slots.values():
+        sign = v.numerator
+        if sign:
+            co = _mono(v, tn.coeff.qexp, ph) if sign > 0 else _mono(-v, tn.coeff.qexp, ph + _HALF)
+            out.append(Term(co, tn.freq, tn.center, tn.rad, tn.quad))
     if len(out) > _REFINE_CAP:
         raise SchwartzError("ball refinement exceeded the term budget")
     # Denominators stay prime to p, but a sum can be divisible by p; its
@@ -392,7 +410,7 @@ def _op_diag(phi: SchwartzFn, a: Q, eps: int) -> SchwartzFn:
         raise SchwartzError("m1(a) needs a nonzero")
     ctx = phi.ctx
     v = fraction_valuation(a, ctx.p)
-    scale = mu_psi(ctx.of(a), twist=eps) * Mono(qexp=Q(-v, 2))
+    scale = mu_psi(ctx.of(a), twist=eps) * _mono(_ONE, Q(-v, 2), _ZERO)
     out = []
     for t in phi.terms:
         out.append(Term(t.coeff * scale, t.freq * a, t.center / a, t.rad - v, t.quad * a * a))
@@ -418,12 +436,12 @@ def _op_flip(phi: SchwartzFn, eps: int) -> SchwartzFn:
             if a:  # a x^2 = 2 a x0 x - a x0^2 on the ball
                 f += 2 * a * x0
                 phase += a * x0 * x0
-            co = t.coeff * Mono(1, -r, _pfrac(phase, p))
+            co = t.coeff * _mono(_ONE, Q(-r), _pfrac(phase, p))
             out.append(Term(co, 2 * eps * x0, Q(-eps) * f / 2, -r))
             continue
         y0 = -eps * (2 * a * x0 + f) / 2
-        turn = weil_index(ctx.of(a)).turn + _pfrac(-f * f / (4 * a), p)
-        out.append(Term(t.coeff * Mono(1, Q(va, 2), turn), -eps * f / a, y0, va + r, -1 / a))
+        turn = _turn_sum(weil_index(ctx.of(a)).turn, _pfrac(-f * f / (4 * a), p))
+        out.append(Term(t.coeff * _mono(_ONE, Q(va, 2), turn), -eps * f / a, y0, va + r, -1 / a))
     return SchwartzFn(ctx, tuple(out)).canonical()
 
 
@@ -435,7 +453,7 @@ def _op_heis(phi: SchwartzFn, x: Q, xp: Q, z: Q, eps: int) -> SchwartzFn:
     for t in phi.terms:
         turn = _pfrac(eps * (z + x * xp) + (t.quad * x + t.freq) * x, p)
         freq = t.freq + 2 * eps * xp + 2 * t.quad * x
-        out.append(Term(t.coeff * Mono(turn=turn), freq, t.center - x, t.rad, t.quad))
+        out.append(Term(t.coeff * _mono(_ONE, _ZERO, turn), freq, t.center - x, t.rad, t.quad))
     return SchwartzFn(phi.ctx, tuple(out)).canonical()
 
 

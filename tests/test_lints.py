@@ -1,4 +1,4 @@
-"""Source lints: seven rules the library's code must keep, read off its syntax.
+"""Source lints: eight rules the library's code must keep, read off its syntax.
 
 - floats live only in the two complex embeddings (every value the
   library computes is exact: Fraction, Mono, Cyclo);
@@ -7,7 +7,8 @@
 - only the valuation readers take a PAdic;
 - only the chevalley functions that read p take a PrimeCtx;
 - only the campaign driver starts processes;
-- the integer matrix kernels never touch the Fraction view.
+- the integer matrix kernels never touch the Fraction view;
+- only padic and schwartz use the trusted Mono constructor.
 
 One walker names each node by the innermost function or class around
 it, module-qualified (`padic.Mono.as_complex`, `harness.checks.<module>`
@@ -420,3 +421,42 @@ def test_fraction_view_lint_sees_each_form(tmp_path):
         ("m.g", "Fraction("),
         ("m.<module>", "Q("),
     }
+
+
+# ------------------------------------------------- trusted constructor
+
+# padic._mono skips Mono's coercions, so its caller must hand it
+# normalised Fraction fields; only the scalar layer and the Schwartz term
+# path, whose arithmetic establishes that, may use it.
+TRUSTED_MONO_MODULES = {"padic", "schwartz"}
+
+
+def _uses_trusted_mono(node) -> bool:
+    return "_mono" in (getattr(node, "id", None), getattr(node, "attr", None))
+
+
+def trusted_mono_users(root=SRC):
+    """The functions (or <module>s) that call or take a reference to _mono,
+    bare or as an attribute; importing it is not a use."""
+    return {name for name, node in scoped_nodes(root) if _uses_trusted_mono(node)}
+
+
+def test_only_the_scalar_layer_builds_trusted_monos():
+    users = trusted_mono_users()
+    assert {"padic.Mono.__mul__", "schwartz._regroup"} <= users
+    assert {name.split(".")[0] for name in users} == TRUSTED_MONO_MODULES
+
+
+def test_trusted_mono_lint_sees_calls_references_and_attributes(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "from .padic import _mono\n"
+        "def a(r):\n    return _mono(r, 0, 0)\n"
+        "class K:\n    def b(self):\n        return padic._mono(1, 0, 0)\n"
+        "def c():\n    def d():\n        return _mono\n    return d\n"
+        "ONE = _mono(1, 0, 0)\n"
+    )
+    (tmp_path / "n.py").write_text(
+        "def _mono(r, e, t):\n    return Mono(r, e, t)\n"
+        "def e(x):\n    return mono(x), x._mono_cache, '_mono'\n"
+    )
+    assert trusted_mono_users(tmp_path) == {"m.a", "m.K.b", "m.c.d", "m.<module>"}

@@ -22,6 +22,7 @@ from padicsp.padic import (
     PadicError,
     PrimeCtx,
     _as_fraction,
+    _head,
     _pfrac,
     _strip,
     _unit_class,
@@ -114,6 +115,54 @@ def oracle_weil_gauss_sum(b: Q, p: int) -> Mono:
     raise AssertionError(f"Gauss sum {total} for b={b}, p={p} is not an eighth root")
 
 
+def oracle_cyclo_terms(p: int, monos) -> tuple:
+    """Cyclo.of's terms computed in Fraction arithmetic, monomial by
+    monomial: the sum is rebuilt in Q(zeta_(8 p^big)) with one Fraction
+    coefficient per basis exponent (j, a), each turn split by CRT on its
+    own, and sqrt(p) expanded through the Legendre symbols above."""
+    monos = [m for m in monos if m.rat]
+    if any((2 * m.qexp).denominator != 1 for m in monos):
+        raise PadicError("a q exponent is not a half-integer")
+
+    def split(turn):
+        k, den = _strip(turn.denominator, p)
+        if 8 % den:
+            raise PadicError(f"turn {turn} has no place in Q(zeta_(8 p^k)) for p = {p}")
+        pk = p**k
+        u = turn.numerator * (8 // den)
+        return u * pow(pk, -1, 8) % 8, u * pow(8, -1, pk) % pk, k
+
+    splits = [split(m.turn) for m in monos]
+    big = max([1] + [k for _, _, k in splits])
+    pk, step = p**big, p ** (big - 1)
+    phi = pk - step
+    acc = {}
+
+    def add(c, j, a):
+        if j >= 4:
+            c, j = -c, j - 4
+        if a < phi:
+            acc[j, a] = acc.get((j, a), 0) + c
+            return
+        for i in range(p - 1):
+            b = a - phi + i * step
+            acc[j, b] = acc.get((j, b), 0) - c
+
+    for m, (j, a, k) in zip(monos, splits):
+        a *= p ** (big - k)
+        twice = int(2 * m.qexp)
+        c = m.rat * Q(p) ** (twice // 2)
+        if not twice % 2:
+            add(c, j, a)
+            continue
+        if p % 4 == 3:  # eps = i
+            j = (j + 6) % 8
+        for r in range(1, p):
+            add(legendre(r, p) * c, j, (a + r * step) % pk)
+    terms = [Mono(c, 0, Q(j, 8) + Q(a, pk)) for (j, a), c in acc.items() if c]
+    return tuple(sorted(terms, key=lambda m: m.turn))
+
+
 def oracle_is_square(x: Q, p: int) -> bool:
     """x = p^v u, u a unit, is a square in Q_p exactly when v is even and
     u = y^2 mod p^3 for some y, found by search.  For odd p a unit that
@@ -202,6 +251,23 @@ def test_pfrac_is_the_p_part(x):
     assert den == 1
     # x - lam lies in the local integer ring
     assert fraction_valuation(x - lam, p) >= 0 or x == lam
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_head_is_the_unique_digit_string_below_k(p):
+    """h = _head(x, k, p) is fixed by three properties: x - h lies in P^k,
+    h p^-k lies in [0, 1), and h p^-k has a p-power denominator."""
+    rng = random.Random(f"head {p}")
+    xs = [Q(0), Q(p), Q(-p * p), Q(p, 7), Q(-2, p**3), Q(1, 2 * p)]
+    xs += [Q(rng.randint(-400, 400), rng.randint(1, 400)) * Q(p) ** rng.randint(-3, 3) for _ in range(60)]
+    for x in xs:
+        for k in range(-4, 5):
+            h = _head(x, k, p)
+            assert type(h) is Q
+            assert fraction_valuation(x - h, p) >= k, (x, k)
+            y = h * Q(p) ** -k
+            assert 0 <= y < 1, (x, k)
+            assert _strip(y.denominator, p)[1] == 1, (x, k)
 
 
 @given(any_rationals(), any_rationals())
@@ -310,6 +376,41 @@ def test_cyclo_zero_verdicts_match_the_complex_embedding():
         assert abs(exact.as_complex() - approx) < 1e-9
         zeros += exact.is_zero()
     assert 400 < zeros < 2000  # both verdicts are well represented
+
+
+def _seeded_monos(rng, p):
+    """Monomials with turns down to level p^3, half-integer q exponents
+    and rationals that carry p; half the time each is followed by a
+    partner that cancels it, written at another q exponent."""
+    def mono():
+        k = rng.randint(0, 3)
+        return Mono(
+            Q(rng.randint(-6, 6), rng.choice([1, 2, 3, p, p * p])),
+            Q(rng.randint(-3, 3), 2),
+            Q(rng.randrange(8), 8) + Q(rng.randrange(p**k), p**k),
+        )
+
+    monos = []
+    for _ in range(rng.randint(0, 5)):
+        m = mono()
+        monos.append(m)
+        if rng.random() < 0.5:
+            monos.append(Mono(-p * m.rat, m.qexp - 1, m.turn))
+    rng.shuffle(monos)
+    return monos
+
+
+def test_cyclo_terms_match_the_fraction_oracle():
+    rng = random.Random(20261018)
+    zeros = 0
+    for trial in range(1000):
+        p = (3, 5, 7, 11, 13)[trial % 5]
+        monos = _seeded_monos(rng, p)
+        terms = Cyclo.of(p, monos).terms
+        assert terms == oracle_cyclo_terms(p, monos), (p, monos)
+        assert all(type(f) is Q for m in terms for f in (m.rat, m.qexp, m.turn))
+        zeros += not terms
+    assert 100 < zeros < 900  # cancelling sets and nonzero sums both occur
 
 
 def test_cyclo_rational_view_and_equality():
@@ -441,6 +542,21 @@ def test_mu_with_negative_twist():
         for a in (2, 3, Q(1, 3), 15):
             expected = weil_index(ctx.of(-1)) * weil_index(ctx.of(-a)).inverse()
             assert mu_psi(ctx.of(a), twist=-1) == expected
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_mu_psi_is_the_long_ratio(p):
+    """mu_psi drops the numerator gamma(psi_twist) of
+    gamma(psi_twist) / gamma(psi_{twist a}): it is 1, since v(+-1) = 0."""
+    ctx = PrimeCtx(p)
+    u = smallest_nonresidue(p)
+    for twist in (1, -1):
+        assert weil_index(ctx.of(1), twist).is_one()
+        for cls in (1, u, -1, -u):
+            for k in range(-3, 4):
+                a = ctx.of(Q(cls) * Q(p) ** k)
+                long = weil_index(ctx.of(1), twist) * weil_index(a, twist).inverse()
+                assert mu_psi(a, twist) == long, (a, twist)
 
 
 def test_mu_frozen():

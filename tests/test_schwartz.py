@@ -18,6 +18,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from padicsp import padic
 from padicsp.padic import (
     Cyclo,
     Mono,
@@ -232,6 +233,52 @@ def test_coeff_sign_and_mu8():
 def test_zero_coeff_normalizes():
     assert Mono(Q(0), 5, Q(1, 3)) == Mono.zero()
     assert Mono.zero().is_zero()
+
+
+def test_trusted_monos_keep_the_normal_form(monkeypatch):
+    """Every Mono the trusted constructor builds, on weil-words-shaped
+    identity cases and on seeded products, inverses and conjugates, has
+    the fields the coercing constructor would give it."""
+    made = []
+    trusted = padic._mono
+
+    def recording(rat, qexp, turn):
+        m = trusted(rat, qexp, turn)
+        made.append(m)
+        return m
+
+    monkeypatch.setattr(padic, "_mono", recording)
+    monkeypatch.setattr(schwartz, "_mono", recording)
+    rng = random.Random("trusted monos")
+    for p in (3, 5, 7, 11, 13):
+        ctx = PrimeCtx(p)
+        phis = [SchwartzFn.indicator(ctx), phi_m(ctx, 1, 2), SchwartzFn.indicator(ctx, Q(1), 1)]
+        for phi in phis:
+            for _ in range(8):
+                g1, g2 = _rep_word(rng, p), _rep_word(rng, p)
+                assert check_rep_identity(g1, g2, phi, twist=rng.choice([1, -1]))
+    from_cases = len(made)
+    assert from_cases > 1000
+
+    def operand(p):
+        return Mono(
+            Q(rng.randint(-9, 9), rng.randint(1, 9)),
+            Q(rng.randint(-4, 4), rng.choice([1, 2])),
+            Q(rng.randint(-20, 20), rng.choice([1, 2, 8, p, p * p, 8 * p])),
+        )
+
+    for _ in range(500):
+        p = rng.choice([3, 5, 7, 11, 13])
+        a, b = operand(p), operand(p)
+        assert a * b == Mono(a.rat * b.rat, a.qexp + b.qexp, a.turn + b.turn)
+        assert a.conjugate() == Mono(a.rat, a.qexp, -a.turn)
+        if a.rat:
+            assert a.inverse() == Mono(1 / a.rat, -a.qexp, -a.turn)
+    assert len(made) > from_cases + 1000
+    for m in made:
+        assert all(type(f) is Q for f in (m.rat, m.qexp, m.turn)), m
+        assert (m.rat > 0 and 0 <= m.turn < 1) or (m.rat, m.qexp, m.turn) == (0, 0, 0), m
+        assert m == Mono(m.rat, m.qexp, m.turn), m
 
 
 def test_indicator_membership_and_value():
