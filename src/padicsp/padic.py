@@ -427,10 +427,6 @@ def weil_index(a: PAdic, twist=1) -> Mono:
 
 
 def mu_psi(a: PAdic, twist=1) -> Mono:
-    """mu(a) = gamma(psi_twist) / gamma(psi_{twist*a}) = 1 / gamma(psi_{twist*a}).
-
-    The numerator gamma(psi_twist) is weil_index(ctx.of(1), twist), which
-    is 1 for both twists: v(+-1) = 0 is even.
-    """
-    return weil_index(a, twist).inverse()
+    """mu(a) = gamma(psi_twist) / gamma(psi_{twist*a})."""
+    return weil_index(a.ctx.of(1), twist) * weil_index(a, twist).inverse()
 

@@ -545,9 +545,9 @@ def test_mu_with_negative_twist():
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
-def test_mu_psi_is_the_long_ratio(p):
-    """mu_psi drops the numerator gamma(psi_twist) of
-    gamma(psi_twist) / gamma(psi_{twist a}): it is 1, since v(+-1) = 0."""
+def test_mu_psi_is_the_inverse_weil_index(p):
+    """The numerator gamma(psi_twist) of mu(a) = gamma(psi_twist) /
+    gamma(psi_{twist a}) is 1, since v(+-1) = 0, so mu is 1 / gamma(psi_{twist a})."""
     ctx = PrimeCtx(p)
     u = smallest_nonresidue(p)
     for twist in (1, -1):
@@ -555,8 +555,7 @@ def test_mu_psi_is_the_long_ratio(p):
         for cls in (1, u, -1, -u):
             for k in range(-3, 4):
                 a = ctx.of(Q(cls) * Q(p) ** k)
-                long = weil_index(ctx.of(1), twist) * weil_index(a, twist).inverse()
-                assert mu_psi(a, twist) == long, (a, twist)
+                assert mu_psi(a, twist) == weil_index(a, twist).inverse(), (a, twist)
 
 
 def test_mu_frozen():
