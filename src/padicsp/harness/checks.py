@@ -4,6 +4,7 @@ Each check re-validates one cluster of library invariants on seeded
 samples or small exhaustive grids and reports a replayable
 counterexample on the first violation.  Checks are pure functions of
 (config, rng); the campaign driver owns timing and status bookkeeping.
+The root-system checks, which read no prime, live in `root_checks`.
 
 Because each check draws from its own seeded rng, the driver runs them
 in lanes, one per usable CPU (`os.sched_getaffinity`).  This process is
@@ -36,24 +37,17 @@ from ..padic import (
 )
 from ..quadext import QuadExt, norm_one_decompose
 from ..rootsys import (
-    Root,
     WeylElem,
-    bad_pair_witness,
-    bad_pairs,
     bad_triples,
-    bad_triples_for_pair,
     bruhat_leq,
-    chain_word_sigma,
+    coordinate_rotation,
     full_weyl_group,
-    has_order_conflict,
     highest_root_reflection,
     is_bad_pair,
     ordered_negated_roots,
     positive_roots,
     reflection,
     root_from_vector,
-    subword_products,
-    weyl_below,
 )
 from .. import chevalley as ch
 from ..chevalley import FactorizationError
@@ -68,15 +62,15 @@ from ..metaplectic import (
     rao_cocycle,
 )
 from .. import schwartz as sw
-from .report import FAIL, PASS, SKIPPED, CheckRecord, Report, encode_value
-
-
-class CheckFailure(Exception):
-    """Carries the replayable counterexample payload."""
-
-    def __init__(self, payload: dict):
-        super().__init__(str(payload))
-        self.payload = payload
+from .report import FAIL, PASS, SKIPPED, CheckFailure, CheckRecord, Report, encode_value
+from .root_checks import (
+    check_bad_pair_factorizations,
+    check_bad_pairs,
+    check_bad_triple_shapes,
+    check_bruhat_order,
+    check_reflection_positivity,
+    check_sigma_minus_order,
+)
 
 
 def case_seed(seed: int, name: str) -> int:
@@ -200,6 +194,20 @@ def check_weil_index(cfg, rng):
             if mu_psi(ctx.of(a), twist=-1) != mu_psi(ctx.of(a)).conjugate():
                 raise CheckFailure({"p": p, "a": a, "reason": "twist conjugation"})
             cases += 1
+        # the cocycle on every pair of strata (square class and valuation),
+        # one draw per 40 samples, moved within the stratum by a square
+        u0 = nonresidue(p)
+        strata = [Q(1), Q(u0), Q(p), Q(u0 * p), Q(1, p), Q(u0, p)]
+        for a0 in strata:
+            for b0 in strata:
+                for _ in range(max(1, cfg.samples // 40)):
+                    sa = Q(rng.choice([1, 2, 4, 7])) * Q(p) ** rng.randint(-1, 1)
+                    sb = Q(rng.choice([1, 2, 4, 7])) * Q(p) ** rng.randint(-1, 1)
+                    a, b = a0 * sa * sa, b0 * sb * sb
+                    h = hilbert_symbol(ctx.of(a), ctx.of(b))
+                    if mu_psi(ctx.of(a)) * mu_psi(ctx.of(b)) != mu_psi(ctx.of(a * b)) * Mono(h):
+                        raise CheckFailure({"p": p, "a": a, "b": b, "reason": "stratified mu cocycle"})
+                    cases += 1
     return cases, {"p": list(cfg.p), "samples": cfg.samples}
 
 
@@ -259,154 +267,6 @@ def check_norm_one_split(cfg, rng):
     return cases, {"p": list(cfg.p), "m": list(cfg.m), "samples": cfg.samples}
 
 
-# ============================================================= rootsys
-
-BAD_PAIR_COUNTS = {2: 1, 3: 3, 4: 6}
-
-
-def check_bad_pairs(cfg, rng):
-    cases = 0
-    counts = {}
-    for n in cfg.n:
-        pairs = bad_pairs(n)
-        counts[f"n={n}"] = len(pairs)
-        want = BAD_PAIR_COUNTS.get(n, n * (n - 1) // 2)
-        if len(pairs) != want:
-            raise CheckFailure({"n": n, "count": len(pairs), "expected": want})
-        roots = positive_roots(n)
-        for g1 in roots:
-            for g2 in roots:
-                flagged = is_bad_pair(g1, g2)
-                witness = bad_pair_witness(g1, g2)
-                if flagged != (witness is not None):
-                    raise CheckFailure({"n": n, "g1": g1, "g2": g2, "reason": "predicate vs witness"})
-                if flagged:
-                    i, j = witness
-                    if not 1 <= i < j <= n:
-                        raise CheckFailure({"n": n, "g1": g1, "g2": g2, "witness": [i, j]})
-                cases += 1
-    return cases, {"n": list(cfg.n), "counts": counts}
-
-
-def check_bad_pair_factorizations(cfg, rng):
-    n = 3
-    w0 = highest_root_reflection(n)
-    expected = {
-        (1, 2): {w0},
-        (1, 3): {w0, WeylElem.from_word(n, [2, 3, 2, 1])},
-        (2, 3): {WeylElem.from_word(n, [1, 2, 3, 2]), WeylElem.from_word(n, [2, 3, 2])},
-    }
-    cases = 0
-    for g1, g2 in bad_pairs(n):
-        i, j = bad_pair_witness(g1, g2)
-        got = set(bad_triples_for_pair(g1, g2))
-        if got != expected[(i, j)]:
-            raise CheckFailure({"pair": [i, j], "got": sorted(w.imgs for w in got)})
-        cases += 1
-    return cases, {"n": [n]}
-
-
-def check_bad_triple_shapes(cfg, rng):
-    cases = 0
-    for n in cfg.n:
-        for g1, g2, w in bad_triples(n):
-            if not is_bad_pair(g1, g2):
-                raise CheckFailure({"n": n, "g1": g1, "g2": g2, "reason": "pair not bad"})
-            if w not in set(bad_triples_for_pair(g1, g2)):
-                raise CheckFailure({"n": n, "g1": g1, "g2": g2, "w": w, "reason": "element mismatch"})
-            neg = set(w.negated_positive_roots())
-            if g1 not in neg or g2 not in neg:
-                raise CheckFailure({"n": n, "g1": g1, "g2": g2, "w": w, "reason": "roots not negated"})
-            cases += 1
-        for g1, g2 in bad_pairs(n):
-            if not bad_triples_for_pair(g1, g2):
-                raise CheckFailure({"n": n, "g1": g1, "g2": g2, "reason": "no completion"})
-            cases += 1
-    return cases, {"n": list(cfg.n)}
-
-
-WEYL_BELOW_COUNTS = {2: 6, 3: 20, 4: 68}
-
-
-def check_bruhat_order(cfg, rng):
-    cases = 0
-    for n in cfg.n:
-        w0 = highest_root_reflection(n)
-        below = weyl_below(w0)
-        if len(below) != WEYL_BELOW_COUNTS[n]:
-            raise CheckFailure({"n": n, "count": len(below), "expected": WEYL_BELOW_COUNTS[n]})
-        subs = subword_products(n, w0.reduced_word())
-        if set(below) != set(subs):
-            raise CheckFailure({"n": n, "reason": "subword set mismatch"})
-        cases += len(below)
-        if n == 2:
-            group = full_weyl_group(2)
-            for w1 in group:
-                for w2 in group:
-                    le = bruhat_leq(w1, w2)
-                    if le and bruhat_leq(w2, w1) and w1 != w2:
-                        raise CheckFailure({"n": n, "w1": w1, "w2": w2, "reason": "antisymmetry"})
-                    if le and w1 != w2 and w1.length() >= w2.length():
-                        raise CheckFailure({"n": n, "w1": w1, "w2": w2, "reason": "length monotonicity"})
-                    cases += 1
-    return cases, {"n": list(cfg.n)}
-
-
-def check_sigma_minus_order(cfg, rng):
-    frozen = [Root(2, (1, 0)), Root(2, (2, 1)), Root(2, (1, 1))]
-    if ordered_negated_roots(highest_root_reflection(2)) != frozen:
-        raise CheckFailure({"n": 2, "reason": "frozen insertion order"})
-    cases = 1
-    for n in cfg.n:
-        for w in weyl_below(highest_root_reflection(n)):
-            order = ordered_negated_roots(w)
-            if sorted(order, key=lambda g: (g.height, g.coeffs)) != w.negated_positive_roots():
-                raise CheckFailure({"n": n, "w": w, "reason": "order is not a permutation"})
-            inside = set(order)
-            partners = {}
-            for g1, g2 in bad_pairs(n):
-                if g1 in inside and g2 in inside:
-                    partners.setdefault(g2, []).append(g1)
-            for g2, g1s in partners.items():
-                if len(g1s) == 1:
-                    k = order.index(g1s[0])
-                    if k == 0 or order[k - 1] != g2:
-                        raise CheckFailure({"n": n, "w": w, "reason": "tall partner not adjacent"})
-            shared = any(len(v) > 1 for v in partners.values())
-            if has_order_conflict(w) != shared:
-                raise CheckFailure({"n": n, "w": w, "reason": "conflict flag"})
-            tall = set(partners)
-            heights = [g.height for g in order if g not in tall]
-            if heights != sorted(heights):
-                raise CheckFailure({"n": n, "w": w, "reason": "trimmed order not monotone"})
-            cases += 1
-        for g1, g2 in bad_pairs(n):
-            i, j = bad_pair_witness(g1, g2)
-            sigma = WeylElem.from_word(n, chain_word_sigma(n, i, j))
-            if sigma.apply(g1).is_positive() or sigma.apply(g2).is_positive():
-                raise CheckFailure({"n": n, "pair": [i, j], "reason": "chain word misses the pair"})
-            cases += 1
-    return cases, {"n": list(cfg.n)}
-
-
-def check_reflection_positivity(cfg, rng):
-    cases = 0
-    for n in cfg.n:
-        roots = positive_roots(n)
-        all_roots = set(roots) | {-g for g in roots}
-        for g in roots:
-            s = reflection(g)
-            if s.apply(g) != -g:
-                raise CheckFailure({"n": n, "root": g, "reason": "reflection fixes its root"})
-            if {s.apply(h) for h in all_roots} != all_roots:
-                raise CheckFailure({"n": n, "root": g, "reason": "not a root permutation"})
-            flipped = [h for h in roots if s.apply(h).is_negative()]
-            if len(flipped) % 2 == 0:
-                raise CheckFailure({"n": n, "root": g, "reason": "even inversion count"})
-            cases += 1
-    return cases, {"n": list(cfg.n)}
-
-
 # ============================================================ chevalley
 
 def _random_word_matrix(p, n, rng, length=6):
@@ -436,6 +296,9 @@ def check_symplectic_generators(cfg, rng):
                 if not ch.is_symplectic(ch.weyl_rep(w)):
                     raise CheckFailure({"p": p, "n": n, "w": w})
                 cases += 1
+            # the generator word of the top reflection is its corner matrix
+            if ch.weyl_rep(highest_root_reflection(n)) != ch.top_cell_matrix(n):
+                raise CheckFailure({"p": p, "n": n, "reason": "top cell representative"})
             for _ in range(max(1, cfg.samples // 4)):
                 g = _random_word_matrix(p, n, rng)
                 if not ch.is_symplectic(g):
@@ -540,22 +403,43 @@ def check_levi_stability(cfg, rng):
     return cases, {"p": list(cfg.p), "n": matrix_ranks(cfg)}
 
 
+def _with_column(n, at, values):
+    """The n x n identity block with the top of column `at` set to values."""
+    block = [[Q(int(i == j)) for j in range(n)] for i in range(n)]
+    for i, value in enumerate(values):
+        block[i][at] = value
+    return block
+
+
 def check_congruence_structure(cfg, rng):
+    """At the matrix ranks: x_g(r) and x_-g(r) lie in the depth-m skew
+    level exactly when v(r) reaches the bound (2 ht g -/+ 1) m, in and
+    one step out; 8 deep unipotents per (p, n, m) lie in the level,
+    conjugate into the standard level, and carry the generic character
+    additively; and at n = 3, 8 seeded pairs per p of the corner-slice
+    identities, the torus product through the coordinate rotation and the
+    conjugation by a chain root, whose bump carries the generic character
+    psi(y r)."""
     cases = 0
     for p in cfg.p:
         ctx = PrimeCtx(p)
         for n in matrix_ranks(cfg):
             for m in cfg.m:
+                for g in positive_roots(n):
+                    b, nb = ch.radical_coordinate_bound(g, m), ch.negative_coordinate_bound(g, m)
+                    if b != -(2 * g.height - 1) * m or nb != (2 * g.height + 1) * m:
+                        raise CheckFailure({"p": p, "n": n, "m": m, "root": g, "reason": "bound formula"})
+                    for root, v in ((g, b), (-g, nb)):
+                        if not ch.in_skew_level(ctx, ch.root_elem(n, root, Q(p) ** v), m):
+                            raise CheckFailure({"p": p, "n": n, "m": m, "root": root, "reason": "bound in"})
+                        if ch.in_skew_level(ctx, ch.root_elem(n, root, Q(p) ** (v - 1)), m):
+                            raise CheckFailure({"p": p, "n": n, "m": m, "root": root, "reason": "bound sharp"})
+                    cases += 1
+        for n in matrix_ranks(cfg):
+            for m in cfg.m:
                 exps = ch.level_exponents(n, m)
                 if len(exps) != 2 * n or exps[-1] != (2 * n - 1) * m:
                     raise CheckFailure({"p": p, "n": n, "m": m, "exps": exps})
-                for g in positive_roots(n):
-                    b = ch.radical_coordinate_bound(g, m)
-                    if not ch.in_skew_level(ctx, ch.root_elem(n, g, Q(p) ** b), m):
-                        raise CheckFailure({"p": p, "n": n, "m": m, "root": g, "reason": "bound in"})
-                    if ch.in_skew_level(ctx, ch.root_elem(n, g, Q(p) ** (b - 1)), m):
-                        raise CheckFailure({"p": p, "n": n, "m": m, "root": g, "reason": "bound sharp"})
-                    cases += 1
                 t = ch.conjugating_torus(ctx, n, m)
                 t_inv = ch.Mat.diagonal([Q(p) ** -e for e in exps])
                 for _ in range(8):
@@ -572,6 +456,29 @@ def check_congruence_structure(cfg, rng):
                     if ch.skew_level_character(ctx, u, m) != ch.generic_character(ctx, u):
                         raise CheckFailure({"p": p, "n": n, "m": m, "reason": "character content"})
                     cases += 1
+        for n in matrix_ranks(cfg):
+            if n < 3:
+                continue
+            if ch.weyl_from_rank_pattern(ch.rotation_matrix(n)) != coordinate_rotation(n):
+                raise CheckFailure({"p": p, "n": n, "reason": "rotation cell"})
+            for _ in range(8):
+                ys = [Q(rng.randint(-6, 6), rng.choice([1, p])) for _ in range(n - 2)]
+                a = Q(rng.choice([1, 2, 5]), rng.choice([1, p]))
+                lhs = ch.first_axis_torus(n, a) * ch.rotate_conjugate(ch.corner_column_unipotent(n, ys, 0))
+                if lhs != ch.levi_embed(n, _with_column(n, 0, [a] + ys)):
+                    raise CheckFailure({"p": p, "n": n, "a": a, "ys": ys, "reason": "torus-product identity"})
+                k = 1 + rng.randrange(n - 2)
+                ys = [Q(rng.randint(-6, 6), rng.choice([1, p])) for _ in range(k)]
+                a = Q(rng.choice([1, 2, 5]), rng.choice([1, p]))
+                mid = ch.levi_embed(n, _with_column(n, 0, [a] + ys))
+                r = Q(rng.randint(-5, 5), rng.choice([1, p, p * p]))
+                chain = root_from_vector(n, tuple(1 if t == 0 else (-1 if t == k + 1 else 0) for t in range(n)))
+                bump = ch.levi_embed(n, _with_column(n, k + 1, [(a - 1) * r] + [y * r for y in ys]))
+                if ch.root_elem(n, chain, -r) * mid * ch.root_elem(n, chain, r) != bump * mid:
+                    raise CheckFailure({"p": p, "n": n, "a": a, "ys": ys, "r": r, "reason": "conjugation identity"})
+                if ch.generic_character(ctx, bump) != psi(ctx.of(ys[-1] * r)):
+                    raise CheckFailure({"p": p, "n": n, "ys": ys, "r": r, "reason": "character extraction"})
+                cases += 2
     return cases, {"p": list(cfg.p), "n": matrix_ranks(cfg), "m": list(cfg.m)}
 
 
@@ -681,35 +588,32 @@ def check_obstructed_decompositions(cfg, rng):
 
 
 def check_volumes(cfg, rng):
+    """The closed-form box volumes at every rank and level: U sums
+    (2 ht - 1) m over the positive roots, U_w0^- and U_w0^+ split it, and
+    the first-row slice D is m n (3n - 2).  The exponents do not depend
+    on p; criterion 13 counts the cosets."""
     cases = 0
-    for p in cfg.p:
-        for n in matrix_ranks(cfg):
-            m = 1
-            roots = positive_roots(n)
+    for n in cfg.n:
+        roots = positive_roots(n)
+        w0 = highest_root_reflection(n)
+        for m in cfg.m:
             total = sum((2 * g.height - 1) * m for g in roots)
             if ch.volume_exponent("U", n, m) != total:
-                raise CheckFailure({"p": p, "n": n, "kind": "U"})
+                raise CheckFailure({"n": n, "m": m, "kind": "U"})
             for g in roots:
-                bound = (2 * g.height - 1) * m
-                if ch.volume_exponent("U_gamma", n, m, root=g) != bound:
-                    raise CheckFailure({"p": p, "n": n, "kind": "U_gamma", "root": g})
-                layer = p**bound
-                if layer <= 3000:
-                    reps = {Q(a, layer) for a in range(layer)}
-                    if len(reps) != layer:
-                        raise CheckFailure({"p": p, "n": n, "root": g, "reason": "coset count"})
+                if ch.volume_exponent("U_gamma", n, m, root=g) != (2 * g.height - 1) * m:
+                    raise CheckFailure({"n": n, "m": m, "kind": "U_gamma", "root": g})
                 cases += 1
-            w0 = highest_root_reflection(n)
             minus = ch.volume_exponent("U_w_minus", n, m, w=w0)
             plus = ch.volume_exponent("U_w_plus", n, m, w=w0)
             if minus != (2 * n - 1) ** 2 * m or minus + plus != total:
-                raise CheckFailure({"p": p, "n": n, "reason": "minus/plus partition"})
+                raise CheckFailure({"n": n, "m": m, "reason": "minus/plus partition"})
             # 2e_1 has height 2n-1 and e_1+e_j height 2n-j: m n(3n-2) in all
             d_exp = ch.volume_exponent("D", n, m)
             if d_exp != m * n * (3 * n - 2):
-                raise CheckFailure({"p": p, "n": n, "kind": "D", "got": d_exp})
+                raise CheckFailure({"n": n, "m": m, "kind": "D", "got": d_exp})
             cases += 3
-    return cases, {"p": list(cfg.p), "n": matrix_ranks(cfg), "m": [1]}
+    return cases, {"n": list(cfg.n), "m": list(cfg.m)}
 
 
 # =========================================================== metaplectic
@@ -786,6 +690,10 @@ def check_big_cell(cfg, rng):
 
 
 def check_intertwining_volume(cfg, rng):
+    """For two conductor-1 characters, two s and the levels lvl, lvl + 1
+    and those of cfg.i up to 3, the section's intertwining integral on
+    |x| <= p is exactly q^(-3i) at six points, and a point outside its
+    stabilised set is refused."""
     cases = 0
     for p in cfg.p:
         ctx = PrimeCtx(p)
@@ -796,12 +704,11 @@ def check_intertwining_volume(cfg, rng):
         bound = p
         for eta in etas:
             lvl = intertwine_level(eta, bound)
+            levels = sorted(i for i in {lvl, lvl + 1, *cfg.i} if lvl <= i <= 3)
             for s in (Q(1, 2), Q(2, 3)):
-                for i in cfg.i:
-                    if i < lvl or i > 3:
-                        continue
+                for i in levels:
                     sec = SectionFsi(i, eta, s)
-                    for xval in (Q(0), Q(1), Q(2), Q(1, p)):
+                    for xval in (Q(0), Q(1), Q(2), Q(1, p), Q(2, p), Q(p)):
                         got = intertwine_eval_exact(sec, xval, bound)
                         if got != Mono(1, -3 * i):
                             raise CheckFailure(
@@ -821,17 +728,17 @@ def check_intertwining_volume(cfg, rng):
 
 # ============================================================= schwartz
 
-def _rep_word(rng, p):
-    """1-3 letters from flip, upper, diag and sign, entries u p^k, u in {1, 2, -1}, |k| <= 2."""
+def _rep_word(rng, p, span):
+    """1-3 letters from flip, upper, diag and sign, entries u p^k, u in {1, 2, -1}, |k| <= span."""
     out = []
     for _ in range(rng.randint(1, 3)):
         k = rng.randrange(4)
         if k == 0:
             out.append(("flip",))
         elif k == 1:
-            out.append(("upper", Q(rng.choice([1, 2, -1])) * Q(p) ** rng.randint(-2, 2)))
+            out.append(("upper", Q(rng.choice([1, 2, -1])) * Q(p) ** rng.randint(-span, span)))
         elif k == 2:
-            out.append(("diag", Q(rng.choice([1, 2, -1])) * Q(p) ** rng.randint(-2, 2)))
+            out.append(("diag", Q(rng.choice([1, 2, -1])) * Q(p) ** rng.randint(-span, span)))
         else:
             out.append(("sign", rng.choice([1, -1])))
     return out
@@ -847,7 +754,7 @@ def check_weil_rep_identity(cfg, rng):
             sw.SchwartzFn.indicator(ctx, Q(1), 1),
         ]
         for _ in range(cfg.samples):
-            g1, g2 = _rep_word(rng, p), _rep_word(rng, p)
+            g1, g2 = _rep_word(rng, p, max(cfg.m) + 1), _rep_word(rng, p, max(cfg.m) + 1)
             phi = rng.choice(phis)
             eps = rng.choice([1, -1])
             if not sw.check_rep_identity(g1, g2, phi, twist=eps):
@@ -881,32 +788,54 @@ def check_fourier_closure(cfg, rng):
     return cases, {"p": list(cfg.p), "samples": cfg.samples}
 
 
+def _deep_ball_cases(p, n, m):
+    """(kind, b, fixed) for each letter that deep-ball-invariance applies
+    to phi_m = 1_(P^r), r = (2n-1)m, and whether it fixes phi_m.
+
+    The upper unipotent of b multiplies by psi(-b x^2), so it fixes phi_m
+    exactly when v(b) >= -2r; the lower one, through the flip, exactly
+    when v(b) >= 2r.  The paper's radii -(4n-3)m and (4n-1)m lie m steps
+    inside these walls.  Every unit u < p, at every valuation from one
+    step past the wall through the radius and on to one step (upper) or
+    two (lower) beyond it.
+    """
+    r = (2 * n - 1) * m
+    upper, lower = -(4 * n - 3) * m, (4 * n - 1) * m
+    for u in range(1, p):
+        for v in range(-2 * r - 1, upper + 2):
+            yield "upper", Q(u) * Q(p) ** v, v >= -2 * r
+        for v in range(2 * r - 1, lower + 3):
+            yield "lower", Q(u) * Q(p) ** v, v >= 2 * r
+
+
 def check_deep_ball_invariance(cfg, rng):
+    """Each `_deep_ball_cases` letter fixes phi_m exactly where its wall
+    says, a fixed image being phi_m's own one-term tuple; and the
+    flip sends phi_m to gamma q^-r 1_(P^-r)."""
     cases = 0
-    ctx = PrimeCtx(3)
-    for n in matrix_ranks(cfg):
-        for m in cfg.m:
-            f = sw.phi_m(ctx, m, n)
-            for u in (1, 2):
-                b = Q(u) * Q(3) ** (-(4 * n - 3) * m)
-                if not sw.weil_act([("upper", b)], f, twist=-1).equals(f):
-                    raise CheckFailure({"n": n, "m": m, "b": b, "reason": "upper invariance"})
+    for p in cfg.p:
+        ctx = PrimeCtx(p)
+        gamma = weil_index(ctx.of(1), twist=-1)
+        for n in matrix_ranks(cfg):
+            for m in cfg.m:
+                f = sw.phi_m(ctx, m, n)
+                for kind, b, fixed in _deep_ball_cases(p, n, m):
+                    if kind == "upper":
+                        out = sw.weil_act([("upper", b)], f, twist=-1)
+                    else:
+                        out = sw.weil_act_cover(MetaSL2.lower(ctx, b), f, twist=-1)
+                    # a fixed image must be phi_m's own one-term tuple
+                    if not (out == f if fixed else not out.equals(f)):
+                        raise CheckFailure({"p": p, "n": n, "m": m, kind: b, "fixed": fixed, "reason": "wall"})
+                    cases += 1
+                r = (2 * n - 1) * m
+                out = sw.weil_act([("flip",)], f, twist=-1)
+                want = sw.SchwartzFn.indicator(ctx, 0, -r).scaled(gamma * Mono(qexp=-r))
+                # both sides are one-term functions, so comparing tuples compares functions
+                if out != want:
+                    raise CheckFailure({"p": p, "n": n, "m": m, "reason": "transform closed form"})
                 cases += 1
-            g = MetaSL2.lower(ctx, Q(3) ** ((4 * n - 1) * m))
-            if not sw.weil_act_cover(g, f, twist=-1).equals(f):
-                raise CheckFailure({"n": n, "m": m, "reason": "lower invariance"})
-            cases += 1
-            r = (2 * n - 1) * m
-            out = sw.weil_act([("flip",)], f, twist=-1)
-            gamma = weil_index(ctx.of(1), twist=-1)
-            want = sw.SchwartzFn.indicator(ctx, 0, -r).scaled(
-                gamma * Mono(qexp=-r)
-            )
-            # both sides are one-term functions, so comparing tuples compares functions
-            if out != want:
-                raise CheckFailure({"n": n, "m": m, "reason": "transform closed form"})
-            cases += 1
-    return cases, {"n": matrix_ranks(cfg), "m": list(cfg.m)}
+    return cases, {"p": list(cfg.p), "n": matrix_ranks(cfg), "m": list(cfg.m)}
 
 
 def check_heisenberg_law(cfg, rng):

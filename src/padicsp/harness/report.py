@@ -20,6 +20,14 @@ SKIPPED = "skipped"
 _STATUSES = (PASS, FAIL, SKIPPED)
 
 
+class CheckFailure(Exception):
+    """Carries the replayable counterexample payload."""
+
+    def __init__(self, payload: dict):
+        super().__init__(str(payload))
+        self.payload = payload
+
+
 def encode_value(v):
     """JSON-safe view of the values that show up in payloads."""
     if isinstance(v, Q):

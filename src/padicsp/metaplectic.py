@@ -260,10 +260,6 @@ class CharacterFx:
         return Mono(turn=self.phase(a))
 
 
-def unramified_character(ctx: PrimeCtx, varpi_phase=Q(0)) -> CharacterFx:
-    return CharacterFx(ctx, 0, Q(0), varpi_phase)
-
-
 def ramified_character(ctx: PrimeCtx, conductor: int, turns: int = 1, varpi_phase=Q(0)) -> CharacterFx:
     """Character of exact conductor c >= 1 sending the canonical residue
     unit generator to turns/#units of a full turn."""

@@ -293,11 +293,6 @@ def highest_root_reflection(n: int) -> WeylElem:
     return WeylElem(n, tuple([-1] + list(range(2, n + 1))))
 
 
-def highest_root_reflection_word(n: int) -> tuple:
-    """1, ..., n-1, n, n-1, ..., 1: a reduced word for the above."""
-    return tuple(list(range(1, n)) + [n] + list(range(n - 1, 0, -1)))
-
-
 def coordinate_rotation(n: int) -> WeylElem:
     """e_k to e_{k+1} for k < n, and e_n to e_1."""
     return WeylElem(n, tuple(list(range(2, n + 1)) + [1]))

@@ -899,18 +899,6 @@ def test_volume_exponent_closed_forms():
 
 # -------------------------------------------------------- cell rewriting
 
-def test_cell_word_rewrite_rejects_in_depth_word():
-    n, m = 2, 1
-    rng = random.Random(9)
-    w = highest_root_reflection(n)
-    order = ordered_negated_roots(w)
-    rs = [Q(3) ** radical_coordinate_bound(g, m) for g in order]
-    u = _deep_unipotent(3, n, rng, m)
-    t = torus([Q(1), Q(1)])
-    with pytest.raises(FactorizationError):
-        cell_word_rewrite(C3, t, w, rs, u, m)
-
-
 def test_cell_word_rewrite_rejects_shallow_u():
     n, m = 2, 1
     w = highest_root_reflection(n)

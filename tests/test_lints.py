@@ -1,4 +1,4 @@
-"""Source lints: eight rules the library's code must keep, read off its syntax.
+"""Source lints: nine rules the code must keep, read off its syntax.
 
 - floats live only in the two complex embeddings (every value the
   library computes is exact: Fraction, Mono, Cyclo);
@@ -8,7 +8,8 @@
 - only the chevalley functions that read p take a PrimeCtx;
 - only the campaign driver starts processes;
 - the integer matrix kernels never touch the Fraction view;
-- only padic and schwartz use the trusted Mono constructor.
+- only padic and schwartz use the trusted Mono constructor;
+- every acceptance criterion runs a catalog check through run_check.
 
 One walker names each node by the innermost function or class around
 it, module-qualified (`padic.Mono.as_complex`, `harness.checks.<module>`
@@ -16,24 +17,34 @@ at module level); a function's own signature counts as inside it.  Each
 lint has a `tmp_path` self-test showing every form it must see.
 """
 import ast
+import functools
 from pathlib import Path
 
 import padicsp
 
 SRC = Path(padicsp.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 _SCOPES = _FUNCTIONS + (ast.ClassDef,)
 
 
-def modules(root=SRC):
-    """(module name, parsed tree) for each Python file under root."""
-    for path in sorted(Path(root).rglob("*.py")):
+@functools.lru_cache(maxsize=None)
+def _parsed(root, pattern):
+    out = []
+    for path in sorted(root.rglob(pattern)):
         name = ".".join(path.relative_to(root).with_suffix("").parts)
-        yield name, ast.parse(path.read_text(encoding="utf-8"))
+        out.append((name, ast.parse(path.read_text(encoding="utf-8"))))
+    return tuple(out)
 
 
-def scoped_nodes(root=SRC):
+def modules(root=SRC, pattern="*.py"):
+    """(module name, parsed tree) for each file under root matching
+    pattern, each parsed once per run; the lints only read the trees."""
+    return _parsed(Path(root), pattern)
+
+
+def scoped_nodes(root=SRC, pattern="*.py"):
     """(qualified name, node) for every node of every module under root."""
 
     def walk(node, scope):
@@ -42,7 +53,7 @@ def scoped_nodes(root=SRC):
             yield ".".join(inner if len(inner) > 1 else inner + ["<module>"]), child
             yield from walk(child, inner)
 
-    for module, tree in modules(root):
+    for module, tree in modules(root, pattern):
         yield from walk(tree, [module])
 
 
@@ -460,3 +471,56 @@ def test_trusted_mono_lint_sees_calls_references_and_attributes(tmp_path):
         "def e(x):\n    return mono(x), x._mono_cache, '_mono'\n"
     )
     assert trusted_mono_users(tmp_path) == {"m.a", "m.K.b", "m.c.d", "m.<module>"}
+
+
+# ---------------------------------------------------------- release gate
+
+# The release gate decides each verdict through a catalog check, so that
+# `padicsp verify` runs every property the gate holds; a criterion adds
+# only the oracles of the per-module suites.
+
+
+def _calls_run_check(node) -> bool:
+    func = getattr(node, "func", None)
+    return isinstance(node, ast.Call) and "run_check" in (getattr(func, "id", None), getattr(func, "attr", None))
+
+
+def criteria_running_checks(root=TESTS):
+    """{criterion: whether its own body calls run_check} for each
+    test_criterion_* function of test_acceptance."""
+    criteria, callers = set(), set()
+    for name, node in scoped_nodes(root, "test_acceptance.py"):
+        if isinstance(node, _FUNCTIONS) and node.name.startswith("test_criterion_"):
+            criteria.add(name)
+        if _calls_run_check(node):
+            callers.add(name)
+    return {name: name in callers for name in criteria}
+
+
+def test_every_criterion_runs_a_catalog_check():
+    verdicts = criteria_running_checks()
+    assert len(verdicts) == 13
+    assert [name for name, checked in verdicts.items() if not checked] == []
+
+
+def test_gate_lint_sees_each_criterion(tmp_path):
+    (tmp_path / "test_acceptance.py").write_text(
+        "def run_check(check, seed, problems):\n    return 0\n"
+        "def test_criterion_01_bare():\n    assert run_check(None, 1, []) == 0\n"
+        "def test_criterion_02_attribute():\n    assert gate.run_check(None, 2, []) == 0\n"
+        "def test_criterion_03_inline():\n    assert all(k < 3 for k in range(3))\n"
+        "def test_criterion_04_nested():\n"
+        "    def inner():\n        return run_check(None, 4, [])\n    assert inner() == 0\n"
+        "def test_criterion_05_reference():\n    assert run_check is not None\n"
+        "def helper():\n    return 0\n"
+    )
+    (tmp_path / "test_other.py").write_text(
+        "def test_criterion_06_elsewhere():\n    assert True\n"
+    )
+    assert criteria_running_checks(tmp_path) == {
+        "test_acceptance.test_criterion_01_bare": True,
+        "test_acceptance.test_criterion_02_attribute": True,
+        "test_acceptance.test_criterion_03_inline": False,
+        "test_acceptance.test_criterion_04_nested": False,
+        "test_acceptance.test_criterion_05_reference": False,
+    }

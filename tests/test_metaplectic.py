@@ -37,7 +37,6 @@ from padicsp.metaplectic import (
     rao_cocycle,
     rao_x,
     section_level,
-    unramified_character,
 )
 
 C3 = PrimeCtx(3)
@@ -535,7 +534,7 @@ def test_section_rejects_level_below_threshold():
 def test_section_levels_at_desk_scale():
     assert section_level(ramified_character(C3, 1)) == 1
     assert section_level(ramified_character(C3, 2)) == 1
-    assert section_level(unramified_character(C3)) == 1
+    assert section_level(CharacterFx(C3, 0)) == 1
     assert section_level(ramified_character(C5, 2, turns=3)) == 1
 
 
@@ -546,7 +545,7 @@ def test_section_level_matches_invariance_oracle(p, max_conductor):
     for c in range(max_conductor + 1):
         for varpi in (Q(0), Q(1, 4)):
             if c == 0:
-                eta = unramified_character(ctx, varpi)
+                eta = CharacterFx(ctx, 0, varpi_phase=varpi)
             else:
                 eta = ramified_character(ctx, c, varpi_phase=varpi)
             assert section_level(eta) == oracle_section_level(eta, batteries), (p, c, varpi)
@@ -643,7 +642,7 @@ def test_intertwine_on_bounded_set_is_volume():
 def test_intertwine_independent_of_s_and_eta():
     bound = 9
     vals = set()
-    for eta in (ramified_character(C3, 1), ramified_character(C3, 2), unramified_character(C3, Q(1, 3))):
+    for eta in (ramified_character(C3, 1), ramified_character(C3, 2), CharacterFx(C3, 0, varpi_phase=Q(1, 3))):
         i = intertwine_level(eta, bound)
         for s in (Q(1, 2), Q(-2), Q(7, 3)):
             sec = SectionFsi(i=max(i, 2), eta=eta, s=s)
