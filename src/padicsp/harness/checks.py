@@ -425,6 +425,9 @@ def check_congruence_structure(cfg, rng):
         ctx = PrimeCtx(p)
         for n in matrix_ranks(cfg):
             for m in cfg.m:
+                exps = ch.level_exponents(n, m)
+                if len(exps) != 2 * n or exps[-1] != (2 * n - 1) * m:
+                    raise CheckFailure({"p": p, "n": n, "m": m, "exps": exps})
                 for g in positive_roots(n):
                     b, nb = ch.radical_coordinate_bound(g, m), ch.negative_coordinate_bound(g, m)
                     if b != -(2 * g.height - 1) * m or nb != (2 * g.height + 1) * m:
@@ -435,11 +438,6 @@ def check_congruence_structure(cfg, rng):
                         if ch.in_skew_level(ctx, ch.root_elem(n, root, Q(p) ** (v - 1)), m):
                             raise CheckFailure({"p": p, "n": n, "m": m, "root": root, "reason": "bound sharp"})
                     cases += 1
-        for n in matrix_ranks(cfg):
-            for m in cfg.m:
-                exps = ch.level_exponents(n, m)
-                if len(exps) != 2 * n or exps[-1] != (2 * n - 1) * m:
-                    raise CheckFailure({"p": p, "n": n, "m": m, "exps": exps})
                 t = ch.conjugating_torus(ctx, n, m)
                 t_inv = ch.Mat.diagonal([Q(p) ** -e for e in exps])
                 for _ in range(8):
