@@ -416,10 +416,10 @@ def check_congruence_structure(cfg, rng):
     level exactly when v(r) reaches the bound (2 ht g -/+ 1) m, in and
     one step out; 8 deep unipotents per (p, n, m) lie in the level,
     conjugate into the standard level, and carry the generic character
-    additively; and at n = 3, 8 seeded pairs per p of the corner-slice
-    identities, the torus product through the coordinate rotation and the
-    conjugation by a chain root, whose bump carries the generic character
-    psi(y r)."""
+    additively; and at each rank from 3, 8 seeded pairs per p of the
+    corner-slice identities, the torus product through the coordinate
+    rotation and the conjugation by a chain root, whose bump carries the
+    generic character psi(y r)."""
     cases = 0
     for p in cfg.p:
         ctx = PrimeCtx(p)
@@ -822,8 +822,10 @@ def check_deep_ball_invariance(cfg, rng):
                         out = sw.weil_act([("upper", b)], f, twist=-1)
                     else:
                         out = sw.weil_act_cover(MetaSL2.lower(ctx, b), f, twist=-1)
-                    # a fixed image must be phi_m's own one-term tuple
-                    if not (out == f if fixed else not out.equals(f)):
+                    # a fixed image must be phi_m's own one-term tuple, and
+                    # `==` decides between one-term functions
+                    same = out == f if fixed or len(out.terms) == 1 else out.equals(f)
+                    if same != fixed:
                         raise CheckFailure({"p": p, "n": n, "m": m, kind: b, "fixed": fixed, "reason": "wall"})
                     cases += 1
                 r = (2 * n - 1) * m

@@ -43,7 +43,7 @@ from padicsp.metaplectic import (
     ramified_character,
 )
 from padicsp import schwartz as sw
-from padicsp.harness import CampaignConfig, CheckFailure
+from padicsp.harness import CampaignConfig, CheckFailure, checks
 from padicsp.harness.checks import (
     _deep_ball_cases,
     check_bad_pair_factorizations,
@@ -197,12 +197,14 @@ def test_criterion_06_cell_identity_and_bruhat_oracle():
 
 # ---------------------------------------------------------- criterion 7
 
-def test_criterion_07_congruence_filtration():
+def test_criterion_07_congruence_filtration(monkeypatch):
     """Filtration bounds are sharp for both signs, the depth character
     restricts, and the two corner-slice matrix identities hold on seeded
-    instances at rank 3."""
+    instances at ranks 3 and 4.  The campaign's matrix ranks stop at 3,
+    so the criterion lifts that cap to reach n = 4."""
+    monkeypatch.setattr(checks, "matrix_ranks", lambda cfg: list(cfg.n))
     problems = []
-    cases = run_check(check_congruence_structure, 70701, problems, p=(3, 5, 7, 11, 13))
+    cases = run_check(check_congruence_structure, 70701, problems, n=(2, 3, 4), p=(3, 5, 7, 11, 13))
     assert record(7, "congruence filtration and characters", not problems,
                   f"{cases} cases"), problems[:3]
 

@@ -17,7 +17,6 @@ at module level); a function's own signature counts as inside it.  Each
 lint has a `tmp_path` self-test showing every form it must see.
 """
 import ast
-import functools
 from pathlib import Path
 
 import padicsp
@@ -29,22 +28,14 @@ _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 _SCOPES = _FUNCTIONS + (ast.ClassDef,)
 
 
-@functools.lru_cache(maxsize=None)
-def _parsed(root, pattern):
-    out = []
-    for path in sorted(root.rglob(pattern)):
+def modules(root=SRC):
+    """(module name, parsed tree) for each Python file under root."""
+    for path in sorted(Path(root).rglob("*.py")):
         name = ".".join(path.relative_to(root).with_suffix("").parts)
-        out.append((name, ast.parse(path.read_text(encoding="utf-8"))))
-    return tuple(out)
+        yield name, ast.parse(path.read_text(encoding="utf-8"))
 
 
-def modules(root=SRC, pattern="*.py"):
-    """(module name, parsed tree) for each file under root matching
-    pattern, each parsed once per run; the lints only read the trees."""
-    return _parsed(Path(root), pattern)
-
-
-def scoped_nodes(root=SRC, pattern="*.py"):
+def scoped_nodes(root=SRC):
     """(qualified name, node) for every node of every module under root."""
 
     def walk(node, scope):
@@ -53,7 +44,7 @@ def scoped_nodes(root=SRC, pattern="*.py"):
             yield ".".join(inner if len(inner) > 1 else inner + ["<module>"]), child
             yield from walk(child, inner)
 
-    for module, tree in modules(root, pattern):
+    for module, tree in modules(root):
         yield from walk(tree, [module])
 
 
@@ -489,7 +480,9 @@ def criteria_running_checks(root=TESTS):
     """{criterion: whether its own body calls run_check} for each
     test_criterion_* function of test_acceptance."""
     criteria, callers = set(), set()
-    for name, node in scoped_nodes(root, "test_acceptance.py"):
+    for name, node in scoped_nodes(root):
+        if not name.startswith("test_acceptance."):
+            continue
         if isinstance(node, _FUNCTIONS) and node.name.startswith("test_criterion_"):
             criteria.add(name)
         if _calls_run_check(node):
