@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 
 from .padic import Mono, fraction_valuation, _as_fraction, _pfrac
 from .rootsys import (
@@ -74,10 +73,10 @@ class Mat:
         den = _as_integer(den)
         if not den:
             raise MatrixError("zero denominator")
-        num = tuple(tuple(_as_integer(x) for x in row) for row in num)
+        num = tuple([tuple([_as_integer(x) for x in row]) for row in num])
         _check_square(num)
         if den < 0:
-            den, num = -den, tuple(tuple(-x for x in row) for row in num)
+            den, num = -den, tuple([tuple([-x for x in row]) for row in num])
         return _mat(den, num)
 
     @classmethod
@@ -112,7 +111,7 @@ class Mat:
         rows = self._rows
         if rows is None:
             den = self.den
-            rows = tuple(tuple(Q(x, den) for x in row) for row in self.num)
+            rows = tuple([tuple([Q(x, den) for x in row]) for row in self.num])
             object.__setattr__(self, "_rows", rows)
         return rows
 
@@ -141,7 +140,7 @@ class Mat:
         return _mat(self.den * other.den, tuple(out))
 
     def transpose(self) -> "Mat":
-        return _stored(self.den, tuple(zip(*self.num)))
+        return _stored(self.den, tuple([*zip(*self.num)]))
 
     def inverse(self) -> "Mat":
         """Fraction-free Gauss-Jordan on the integer rows (Bareiss, Math.
@@ -199,10 +198,10 @@ def _fill(m: Mat, den: int, num: tuple) -> None:
 def _mat(den: int, num: tuple) -> Mat:
     """The Mat num / den for den > 0 and integer rows num, reduced to lowest terms."""
     if den != 1:
-        g = math.gcd(den, *chain.from_iterable(num))
+        g = math.gcd(den, *[x for row in num for x in row])
         if g != 1:
             den //= g
-            num = tuple(tuple(x // g for x in row) for row in num)
+            num = tuple([tuple([x // g for x in row]) for row in num])
     return _stored(den, num)
 
 
@@ -213,6 +212,17 @@ def _stored(den: int, num: tuple) -> Mat:
     return m
 
 
+def _tuple_rows(rows) -> tuple:
+    """Lists of rows as a tuple of tuples, each built at its exact size.
+
+    Every row tuple here is built from a list, never from a generator or
+    a map: CPython sizes a tuple built from an iterator of unknown length
+    at 10 slots and shrinks it, and each such tuple freed lands on the
+    free list of its size, up to 2,000 blocks a size.
+    """
+    return tuple([tuple(row) for row in rows])
+
+
 def _check_square(rows) -> None:
     if any(len(row) != len(rows) for row in rows):
         raise MatrixError("rows do not form a square matrix")
@@ -220,7 +230,7 @@ def _check_square(rows) -> None:
 
 @lru_cache(maxsize=None)
 def _eye(size: int) -> tuple:
-    return tuple(tuple(1 if i == j else 0 for j in range(size)) for i in range(size))
+    return tuple([tuple([1 if i == j else 0 for j in range(size)]) for i in range(size)])
 
 
 def _as_integer(x) -> int:
@@ -233,17 +243,16 @@ def _as_integer(x) -> int:
 def _integer_rows(rows):
     """(d, integer rows) with rows == integer rows / d, d the lcm of the
     denominators; the entries are ints and Fractions."""
-    # a list, not a generator: star-unpacking a generator over-allocates
-    # the argument tuple and resizes it, which fills a tuple free list
+    # a list, not a generator, for the lcm's arguments too (see _tuple_rows)
     d = math.lcm(*[x.denominator for row in rows for x in row])
-    return d, tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in rows)
+    return d, tuple([tuple([x.numerator * (d // x.denominator) for x in row]) for row in rows])
 
 
 def _over_common_den(rows):
     """(d, integer rows) for a list of (integer row, den > 0) pairs, d the
     lcm of the dens."""
-    d = math.lcm(*(den for _, den in rows))
-    return d, tuple(tuple(x * (d // den) for x in row) for row, den in rows)
+    d = math.lcm(*[den for _, den in rows])
+    return d, tuple([tuple([x * (d // den) for x in row]) for row, den in rows])
 
 
 def is_symplectic(g: Mat) -> bool:
@@ -287,10 +296,10 @@ def symplectic_inverse(g: Mat) -> Mat:
     big = size - 1
     return _stored(
         g.den,
-        tuple(
-            tuple(num[big - j][big - i] if (i < n) == (j < n) else -num[big - j][big - i] for j in range(size))
+        tuple([
+            tuple([num[big - j][big - i] if (i < n) == (j < n) else -num[big - j][big - i] for j in range(size)])
             for i in range(size)
-        ),
+        ]),
     )
 
 
@@ -310,7 +319,7 @@ def levi_embed(n: int, a_rows) -> Mat:
             num[i][j] = sa * a.num[i][j]
             # J tA^-1 J reverses both indices of the transpose
             num[n + i][n + j] = sb * ainv.num[n - 1 - j][n - 1 - i]
-    return _mat(den, tuple(map(tuple, num)))
+    return _mat(den, _tuple_rows(num))
 
 
 def radical_embed(n: int, x_rows) -> Mat:
@@ -326,7 +335,7 @@ def radical_embed(n: int, x_rows) -> Mat:
     num = [[den if i == j else 0 for j in range(2 * n)] for i in range(2 * n)]
     for i in range(n):
         num[i][n:] = x.num[i]
-    return _mat(den, tuple(map(tuple, num)))
+    return _mat(den, _tuple_rows(num))
 
 
 def torus(entries) -> Mat:
@@ -449,7 +458,7 @@ def _times_roots(g: Mat, factors) -> Mat:
                 x = row[a]
                 if x:
                     row[b] += c * x if rd == 1 else c * (x // rd)
-    return _mat(den, tuple(map(tuple, rows)))
+    return _mat(den, _tuple_rows(rows))
 
 
 def root_product_inverse(n: int, factors) -> Mat:
@@ -491,7 +500,7 @@ def top_cell_matrix(n: int) -> Mat:
     num[0][0] = num[-1][-1] = 0
     num[0][-1] = 1
     num[-1][0] = -1
-    return _mat(1, tuple(map(tuple, num)))
+    return _mat(1, _tuple_rows(num))
 
 
 # --------------------------------------------------------- Bruhat cells
@@ -589,10 +598,10 @@ def _signed_conjugate(m: Mat, x: Mat) -> Mat:
     xn = x.num
     return _stored(
         x.den,
-        tuple(
-            tuple(xn[pi][pj] if si == sj else -xn[pi][pj] for pj, sj in zip(perm, sign))
+        tuple([
+            tuple([xn[pi][pj] if si == sj else -xn[pi][pj] for pj, sj in zip(perm, sign)])
             for pi, si in zip(perm, sign)
-        ),
+        ]),
     )
 
 
@@ -604,7 +613,7 @@ def _diagonal_conjugate(d: Mat, x: Mat) -> Mat:
     scale = [lcm // e for e in dn]
     return _mat(
         x.den * lcm,
-        tuple(tuple(y * di * sj for y, sj in zip(row, scale)) for row, di in zip(x.num, dn)),
+        tuple([tuple([y * di * sj for y, sj in zip(row, scale)]) for row, di in zip(x.num, dn)]),
     )
 
 

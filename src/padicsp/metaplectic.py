@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 
-from .chevalley import Mat, symplectic_inverse
+from .chevalley import Mat, _stored, symplectic_inverse
 from .padic import (
     Mono,
     PadicError,
@@ -80,32 +80,47 @@ class MetaSL2:
     def __init__(self, ctx: PrimeCtx, rows, zeta=1):
         if len(rows) != 2 or any(len(row) != 2 for row in rows):
             raise MetaError("need a 2x2 matrix")
-        if zeta not in (1, -1):
-            raise MetaError("sheet sign must be +1 or -1")
+        _check_sheet(zeta)
         _store(self, ctx, Mat(rows), zeta)
 
+    # The generators build their integer rows num / den directly, already
+    # in lowest terms with den > 0, as Mat(rows) would store them.
+
     @classmethod
-    def identity(cls, ctx: PrimeCtx) -> "MetaSL2":
-        return cls(ctx, ((1, 0), (0, 1)))
+    def identity(cls, ctx: PrimeCtx, zeta=1) -> "MetaSL2":
+        _check_sheet(zeta)
+        return _generator(ctx, 1, ((1, 0), (0, 1)), zeta)
 
     @classmethod
     def upper(cls, ctx: PrimeCtx, b, zeta=1) -> "MetaSL2":
-        return cls(ctx, ((1, b), (0, 1)), zeta)
+        _check_sheet(zeta)
+        b = _as_fraction(b)
+        n, d = b.numerator, b.denominator
+        return _generator(ctx, d, ((d, n), (0, d)), zeta)
 
     @classmethod
     def lower(cls, ctx: PrimeCtx, y, zeta=1) -> "MetaSL2":
-        return cls(ctx, ((1, 0), (y, 1)), zeta)
+        _check_sheet(zeta)
+        y = _as_fraction(y)
+        n, d = y.numerator, y.denominator
+        return _generator(ctx, d, ((d, 0), (n, d)), zeta)
 
     @classmethod
     def diag(cls, ctx: PrimeCtx, a, zeta=1) -> "MetaSL2":
+        # diag(n/d, d/n) = ((n^2, 0), (0, d^2)) / (n d), in lowest terms
+        # since gcd(n, d) = 1
         a = _as_fraction(a)
         if a == 0:
             raise MetaError("torus entry must be nonzero")
-        return cls(ctx, ((a, 0), (0, 1 / a)), zeta)
+        _check_sheet(zeta)
+        n, d = a.numerator, a.denominator
+        s = 1 if n > 0 else -1
+        return _generator(ctx, s * n * d, ((s * n * n, 0), (0, s * d * d)), zeta)
 
     @classmethod
     def flip(cls, ctx: PrimeCtx, zeta=1) -> "MetaSL2":
-        return cls(ctx, ((0, 1), (-1, 0)), zeta)
+        _check_sheet(zeta)
+        return _generator(ctx, 1, ((0, 1), (-1, 0)), zeta)
 
     def __setattr__(self, name, value):
         raise AttributeError("MetaSL2 is immutable")
@@ -148,6 +163,16 @@ class MetaSL2:
 
     def is_identity(self) -> bool:
         return self.mat.is_identity() and self.zeta == 1
+
+
+def _check_sheet(zeta) -> None:
+    if zeta not in (1, -1):
+        raise MetaError("sheet sign must be +1 or -1")
+
+
+def _generator(ctx: PrimeCtx, den: int, num: tuple, zeta) -> MetaSL2:
+    # a generator from integer rows num / den in lowest terms and a checked sheet
+    return _store(object.__new__(MetaSL2), ctx, _stored(den, num), zeta)
 
 
 def _store(g: MetaSL2, ctx: PrimeCtx, mat: Mat, zeta: int) -> MetaSL2:

@@ -77,7 +77,9 @@ def _head(x: Q, k: int, p: int) -> Q:
     and h p^-k of p-power denominator, the canonical representative of x mod P^k.
 
     With x = n / (p^v d), d prime to p, x p^-k has p-part a / p^(v+k) for
-    a = n d^-1 mod p^(v+k), so h = a p^k / p^(v+k) = a / p^v.
+    a = n d^-1 mod p^(v+k), so h = a p^k / p^(v+k) = a / p^v.  When d = 1
+    and 0 < n < p^(v+k), x is its own head and comes back as the same
+    object; a zero head is always _ZERO.
     """
     n = x.numerator
     if not n:
@@ -87,7 +89,10 @@ def _head(x: Q, k: int, p: int) -> Q:
     if e <= 0:
         return _ZERO
     pe = p**e
-    return Q(n * pow(d, -1, pe) % pe, p**v)
+    if d == 1 and 0 < n < pe:
+        return x
+    a = n * pow(d, -1, pe) % pe
+    return Q(a, p**v) if a else _ZERO
 
 
 def _pfrac(x: Q, p: int) -> Q:

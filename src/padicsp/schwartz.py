@@ -86,6 +86,9 @@ def _reduce_coeff(co: Mono, p: int) -> Mono:
 
 
 def _normalize_term(t: Term, p: int) -> Optional[Term]:
+    # _head hands back a field that is already reduced as the same object
+    # (a zero as _ZERO), so `is` tells which tails are there to fold; a
+    # zero from elsewhere only costs one needless rebuild.
     co = t.coeff
     if not co.rat:
         return None
@@ -95,15 +98,18 @@ def _normalize_term(t: Term, p: int) -> Optional[Term]:
     if a_red:
         # on c + P^rad, a x^2 = 2 a c x - a c^2 mod Z_p for a in P^(-2 rad)
         a_red = _head(t.quad, -2 * rad, p)
-        ac = (t.quad - a_red) * c_red
-        freq += ac + ac
-        shift = -ac * c_red
+        if c_red and a_red is not t.quad:
+            ac = (t.quad - a_red) * c_red
+            freq += ac + ac
+            shift = -ac * c_red
     f_red = _head(freq, -rad, p)
     co = _reduce_coeff(co, p)
-    if c_red:
+    if c_red and f_red is not freq:
         shift += (freq - f_red) * c_red
     if shift:
         co = _mono(co.rat, co.qexp, _turn_sum(co.turn, _pfrac(shift, p)))
+    elif co is t.coeff and c_red is t.center and f_red is t.freq and a_red is t.quad:
+        return t  # already reduced: no tail to fold
     return Term(co, f_red, c_red, rad, a_red)
 
 
@@ -120,7 +126,12 @@ def _split_term(t: Term, new_rad: int, p: int):
 def _regroup(terms, p):
     # one slot per ball, reduced phase and monomial; the half turn is
     # folded into the sign so that c and -c cancel exactly.  Slots are
-    # keyed on integer pairs, which hash far cheaper than Fractions.
+    # keyed on integer pairs, which hash far cheaper than Fractions.  A
+    # normalised term has no power of p in its rational part, so one term
+    # is its own slot.
+    if len(terms) == 1:
+        tn = _normalize_term(terms[0], p)
+        return [] if tn is None else [tn]
     slots = {}
     for t in terms:
         tn = _normalize_term(t, p)
@@ -164,8 +175,9 @@ def _disjointify(terms, p):
     # Split sweep, coarsest radius to finest.  A ball must be cut exactly
     # when it is a strict ancestor of another ball, so every ancestor of
     # every ball is marked once; cutting a marked ball yields its marked
-    # child one radius further down, and the sweep reaches it next.
-    if not terms:
+    # child one radius further down, and the sweep reaches it next.  With
+    # fewer than two balls no ball lies inside another.
+    if len(terms) < 2:
         return terms
     top = min(t.rad for t in terms)
     marked = {}
@@ -188,7 +200,10 @@ def _merge_siblings(terms, p):
     # Merge sweep, finest radius to coarsest: p sibling balls carrying the
     # same (coeff, freq, quad) terms glue into their parent.  A normalised
     # child's phase is already reduced at the parent's radius, and a glued
-    # parent can only complete a family one radius further up.
+    # parent can only complete a family one radius further up.  Fewer
+    # than p terms cannot fill a family.
+    if len(terms) < p:
+        return terms
     levels = {}
     for t in terms:
         levels.setdefault(t.rad, {}).setdefault(t.center, []).append(t)
@@ -546,7 +561,7 @@ def cover_lift(ctx: PrimeCtx, word) -> MetaSL2:
         elif tag == "flip":
             g = MetaSL2.flip(ctx)
         elif tag == "sign":
-            g = MetaSL2(ctx, ((1, 0), (0, 1)), it[1])
+            g = MetaSL2.identity(ctx, it[1])
         else:
             raise SchwartzError("Heisenberg items have no SL2 lift")
         out = g if out is None else out * g

@@ -358,8 +358,9 @@ def test_process_lint_sees_each_form(tmp_path):
 
 # ------------------------------------------------------ integer kernels
 
-# The chevalley routines that work on integer rows over one denominator;
-# none of them may build or read the Fraction view of a matrix.
+# The chevalley routines that work on integer rows over one denominator,
+# and the cover generators, which build their 2x2 rows as integers; none
+# of them may build or read the Fraction view of a matrix.
 INTEGER_KERNELS = {
     "chevalley.Mat.__mul__",
     "chevalley.Mat.inverse",
@@ -368,6 +369,11 @@ INTEGER_KERNELS = {
     "chevalley.root_product",
     "chevalley.mul_root_elem",
     "chevalley._times_roots",  # the word kernel behind the last two
+    "metaplectic.MetaSL2.identity",
+    "metaplectic.MetaSL2.upper",
+    "metaplectic.MetaSL2.lower",
+    "metaplectic.MetaSL2.diag",
+    "metaplectic.MetaSL2.flip",
 }
 _FRACTION_CALLS = ("Mat", "_integer_rows", "Q", "Fraction")
 

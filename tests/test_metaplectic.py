@@ -330,6 +330,33 @@ def test_cover_stores_a_mat_and_a_sheet_sign():
         assert g != MetaSL2(C5, g.rows, -g.zeta)
 
 
+def _same_element(g, h):
+    return (g.ctx, g.mat.den, g.mat.num, g.zeta, g._x) == (h.ctx, h.mat.den, h.mat.num, h.zeta, h._x)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_cover_generators_match_the_generic_constructor(p):
+    """Each generator, built on integer rows, is the element that
+    MetaSL2(ctx, rows, zeta) builds through the Fraction coercion: the
+    same stored Mat, sheet and invariant, on entries of both signs with
+    p-power numerators and denominators, on both sheets."""
+    ctx = PrimeCtx(p)
+    rng = random.Random(f"cover generators {p}")
+    entries = [0, 1, -1, p, Q(-1, p)] + [
+        Q(rng.choice([1, -1]) * rng.randint(1, 40) * p ** rng.randint(0, 3), rng.randint(1, 40) * p ** rng.randint(0, 3))
+        for _ in range(40)
+    ]
+    for zeta in (1, -1):
+        assert _same_element(MetaSL2.identity(ctx, zeta), MetaSL2(ctx, ((1, 0), (0, 1)), zeta))
+        assert _same_element(MetaSL2.flip(ctx, zeta), MetaSL2(ctx, ((0, 1), (-1, 0)), zeta))
+        for x in entries:
+            assert _same_element(MetaSL2.upper(ctx, x, zeta), MetaSL2(ctx, ((1, x), (0, 1)), zeta)), x
+            assert _same_element(MetaSL2.lower(ctx, x, zeta), MetaSL2(ctx, ((1, 0), (x, 1)), zeta)), x
+            if x:
+                a = Q(x)
+                assert _same_element(MetaSL2.diag(ctx, x, zeta), MetaSL2(ctx, ((a, 0), (0, 1 / a)), zeta)), x
+
+
 def test_cover_rejects_bad_data():
     e = ((1, 0), (0, 1))
     builds = (
@@ -354,8 +381,18 @@ def test_cover_rejects_bad_data():
             MetaSL2.upper(C3, 1, zeta=zeta)
         with pytest.raises(MetaError, match="sheet sign"):
             MetaSL2.flip(C3, zeta=zeta)
+        with pytest.raises(MetaError, match="sheet sign"):
+            MetaSL2.lower(C3, 1, zeta=zeta)
+        with pytest.raises(MetaError, match="sheet sign"):
+            MetaSL2.diag(C3, 2, zeta=zeta)
+        with pytest.raises(MetaError, match="sheet sign"):
+            MetaSL2.identity(C3, zeta=zeta)
     with pytest.raises(MetaError):
         MetaSL2.diag(C3, 0)
+    for build in (MetaSL2.upper, MetaSL2.lower, MetaSL2.diag):
+        with pytest.raises(PadicError) as err:
+            build(C3, 0.5)
+        assert type(err.value) is PadicError
     with pytest.raises(MetaError, match="mixed prime"):
         MetaSL2.identity(C3) * MetaSL2.identity(C5)
     with pytest.raises(MetaError, match="mixed prime"):

@@ -256,7 +256,9 @@ def test_pfrac_is_the_p_part(x):
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_head_is_the_unique_digit_string_below_k(p):
     """h = _head(x, k, p) is fixed by three properties: x - h lies in P^k,
-    h p^-k lies in [0, 1), and h p^-k has a p-power denominator."""
+    h p^-k lies in [0, 1), and h p^-k has a p-power denominator.  So h is
+    its own head, and it comes back as the same object (zero as _ZERO):
+    the Schwartz term path reads `is` as "no tail to fold"."""
     rng = random.Random(f"head {p}")
     xs = [Q(0), Q(p), Q(-p * p), Q(p, 7), Q(-2, p**3), Q(1, 2 * p)]
     xs += [Q(rng.randint(-400, 400), rng.randint(1, 400)) * Q(p) ** rng.randint(-3, 3) for _ in range(60)]
@@ -268,6 +270,7 @@ def test_head_is_the_unique_digit_string_below_k(p):
             y = h * Q(p) ** -k
             assert 0 <= y < 1, (x, k)
             assert _strip(y.denominator, p)[1] == 1, (x, k)
+            assert _head(h, k, p) is h, (x, k)
 
 
 @given(any_rationals(), any_rationals())

@@ -605,6 +605,48 @@ def test_canonical_matches_fixed_point_oracle_on_nested_balls():
     assert whole != cut_up and whole.equals(cut_up)
 
 
+def _term_with_tails(rng, p, center, rad):
+    # a term whose center, frequency and square phase carry digits past
+    # its ball and whose rational part may carry a power of p, so that
+    # every fold of the normal form has work to do
+    co = Mono(Q(rng.choice([1, -1, 2, p, Q(1, p), Q(3, 2)])), Q(rng.randint(-1, 1), 2), Q(rng.randint(0, 7), 8))
+    freq = Q(rng.randint(-p * p, p * p), rng.choice([1, p, p**2, p**3]))
+    quad = rng.choice([Q(0), Q(rng.randint(-p * p, p * p), rng.choice([1, p, p**3, p**5]))])
+    return Term(co, freq, center, rad, quad)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_canonical_form_on_short_term_lists(p):
+    # The oracle is the set of exact properties in _assert_canonical_form.
+    # The inputs are the short lists the early exits take: one term with
+    # tails, one already reduced term, two terms, p - 1 equal siblings,
+    # which cannot glue, and p equal siblings, which must.
+    ctx = PrimeCtx(p)
+    rng = random.Random(f"short term lists {p}")
+    cases = []
+    for _ in range(12):
+        rad = rng.randint(-2, 3)
+        center = Q(rng.randint(-p**3, p**3), rng.choice([1, p, p * p]))
+        t = _term_with_tails(rng, p, center, rad)
+        (reduced,) = SchwartzFn.from_terms(ctx, [t]).terms
+        assert schwartz._normalize_term(reduced, p) is reduced
+        assert SchwartzFn(ctx, (reduced,)).canonical().terms == (reduced,)
+        # the one-term shortcut agrees with the slot path, which a zero term forces
+        zero = Term(Mono.zero(), Q(0), center, rad)
+        assert schwartz._regroup([t], p) == schwartz._regroup([t, zero], p) == [reduced]
+        near = rng.randint(rad - 1, rad + 2)
+        u = _term_with_tails(rng, p, center + rng.randint(0, p) * Q(p) ** near, near)
+        # siblings whose phases have no digit at the cut glue into c + P^rad
+        c = schwartz._head(center, rad, p)
+        f = schwartz._head(Q(rng.randint(-p**3, p**3), p**3), -rad - 1, p)
+        a = schwartz._head(Q(rng.randint(-p**3, p**3), p**5), -2 * rad - 2, p)
+        kids = tuple(Term(t.coeff, f, c + k * Q(p) ** rad, rad + 1, a) for k in range(p))
+        cases += [(ctx, (t,)), (ctx, (reduced,)), (ctx, (t, u)), (ctx, kids[:-1]), (ctx, kids)]
+        assert len(SchwartzFn(ctx, kids[:-1]).canonical().terms) == p - 1
+        assert [(s.center, s.rad) for s in SchwartzFn(ctx, kids).canonical().terms] == [(c, rad)]
+    _assert_canonical_form(cases, 24)
+
+
 def test_canonical_matches_fixed_point_oracle_on_weil_words(monkeypatch):
     # The oracle is the set of exact properties in _assert_canonical_form.
     # The inputs: every term list canonical() is handed while identity
