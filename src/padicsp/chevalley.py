@@ -64,20 +64,9 @@ class Mat:
 
     def __init__(self, rows):
         rows = [[_as_fraction(x) for x in row] for row in rows]
-        _check_square(rows)
+        if any(len(row) != len(rows) for row in rows):
+            raise MatrixError("rows do not form a square matrix")
         _fill(self, *_integer_rows(rows))
-
-    @classmethod
-    def from_integers(cls, den, num) -> "Mat":
-        """num / den for a nonzero integer den and square integer rows num."""
-        den = _as_integer(den)
-        if not den:
-            raise MatrixError("zero denominator")
-        num = tuple([tuple([_as_integer(x) for x in row]) for row in num])
-        _check_square(num)
-        if den < 0:
-            den, num = -den, tuple([tuple([-x for x in row]) for row in num])
-        return _mat(den, num)
 
     @classmethod
     def identity(cls, size: int) -> "Mat":
@@ -223,21 +212,9 @@ def _tuple_rows(rows) -> tuple:
     return tuple([tuple(row) for row in rows])
 
 
-def _check_square(rows) -> None:
-    if any(len(row) != len(rows) for row in rows):
-        raise MatrixError("rows do not form a square matrix")
-
-
 @lru_cache(maxsize=None)
 def _eye(size: int) -> tuple:
     return tuple([tuple([1 if i == j else 0 for j in range(size)]) for i in range(size)])
-
-
-def _as_integer(x) -> int:
-    q = _as_fraction(x)
-    if q.denominator != 1:
-        raise MatrixError(f"{x!r} is not an integer")
-    return q.numerator
 
 
 def _integer_rows(rows):
@@ -459,10 +436,6 @@ def _times_roots(g: Mat, factors) -> Mat:
                 if x:
                     row[b] += c * x if rd == 1 else c * (x // rd)
     return _mat(den, _tuple_rows(rows))
-
-
-def root_product_inverse(n: int, factors) -> Mat:
-    return root_product(n, [(root, -r) for root, r in reversed(list(factors))])
 
 
 def weyl_generator_matrix(n: int, k: int) -> Mat:
@@ -821,20 +794,16 @@ def conjugating_torus(ctx, n: int, m: int) -> Mat:
 
 def in_standard_level(ctx, g: Mat, m: int) -> bool:
     """Membership in the principal congruence subgroup of depth m."""
-    p = ctx.p
-    den = g.den
-    bound = m + fraction_valuation(den, p)
-    for i, row in enumerate(g.num):
-        for j, x in enumerate(row):
-            if fraction_valuation(x - den if i == j else x, p) < bound:
-                return False
-    return True
+    return _in_level(ctx.p, g, m, [0] * g.size)
 
 
 def in_skew_level(ctx, g: Mat, m: int) -> bool:
     """Membership in the torus-conjugated congruence subgroup."""
-    p = ctx.p
-    es = level_exponents(g.size // 2, m)
+    return _in_level(ctx.p, g, m, level_exponents(g.size // 2, m))
+
+
+def _in_level(p: int, g: Mat, m: int, es) -> bool:
+    """v(g - 1)[i, j] >= m + es[i] - es[j] at every entry."""
     den = g.den
     base = m + fraction_valuation(den, p)
     for i, row in enumerate(g.num):
@@ -920,10 +889,14 @@ def cell_word_rewrite(ctx, t: Mat, w: WeylElem, rs, u: Mat, m: int):
 
         t W(w) x_{q..top}(r) u  =  u~ t W(w) x_{0..top}(r~)
 
-    returning (u_tilde, rs_tilde, q).  The identity is verified exactly
-    and the pivot coefficient keeps its absolute value, which is also
-    checked.  Raises FactorizationError when every coefficient already
-    sits at depth m (nothing to rewrite).
+    returning (u_tilde, rs_tilde, q).  One factoring does it: the product
+    y = x_{q..top}(r) u splits as u1 v with u1 in U_w^+ (the roots w keeps
+    positive) and v in U_w^-, both unique (Steinberg, Lectures on
+    Chevalley Groups, 1967, Lemma 17); then u~ = t W u1 (t W)^-1 and
+    v = x_{0..top}(r~).  The identity is verified exactly and the pivot
+    coefficient keeps its absolute value, which is also checked.  Raises
+    FactorizationError when every coefficient already sits at depth m
+    (nothing to rewrite).
     """
     n = w.n
     order = ordered_negated_roots(w)
@@ -941,32 +914,21 @@ def cell_word_rewrite(ctx, t: Mat, w: WeylElem, rs, u: Mat, m: int):
     if not t.is_diagonal() or not is_symplectic(t):
         raise MatrixError("t is not in the torus")
 
-    plus_order = sorted(w.kept_positive_roots(), key=lambda g: (g.height, g.coeffs))
-    full_order = plus_order + list(reversed(order))
-    u_coords = unipotent_coords(u, full_order)
-    u_plus = root_product(n, u_coords[: len(plus_order)])
-    tail = u_coords[len(plus_order):]
+    plus_order = w.kept_positive_roots()
+    x_part = root_product(n, [(order[k], rs[k]) for k in range(len(order) - 1, q - 1, -1)])
+    y = x_part * u
+    coords = unipotent_coords(y, plus_order + list(reversed(order)))
+    u1_plus = root_product(n, coords[: len(plus_order)])
+    v_coords = coords[len(plus_order):]
+    rs_tilde = [c for _, c in reversed(v_coords)]
 
-    desc = [(order[k], rs[k]) for k in range(len(order) - 1, q - 1, -1)]
-    x_part = root_product(n, desc)
-    conj = x_part * u_plus * root_product_inverse(n, desc)
-    conj_coords = unipotent_coords(conj, full_order)
-    u1_plus = root_product(n, conj_coords[: len(plus_order)])
-    u1_minus = root_product(n, conj_coords[len(plus_order):])
-
-    v = u1_minus * x_part * root_product(n, tail)
-    v_coords = unipotent_coords(v, list(reversed(order)))
-    rt = {g: c for g, c in v_coords}
-    rs_tilde = [rt[g] for g in order]
-
-    wrep = weyl_rep(w)
-    tw = t * wrep
+    tw = t * weyl_rep(w)
     u_tilde = tw * u1_plus * symplectic_inverse(tw)
     if not u_tilde.is_upper_unitriangular():
         raise FactorizationError("conjugated plus part left the unipotent radical")
 
-    lhs = tw * x_part * u
-    rhs = u_tilde * tw * root_product(n, list(reversed(list(zip(order, rs_tilde)))))
+    lhs = tw * y
+    rhs = u_tilde * tw * root_product(n, v_coords)
     if lhs != rhs:
         raise FactorizationError("rewrite identity failed")
     if fraction_valuation(rs_tilde[q], ctx.p) != fraction_valuation(rs[q], ctx.p):

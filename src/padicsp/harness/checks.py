@@ -23,6 +23,7 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import lru_cache
 
 from .. import __version__
 from ..padic import (
@@ -480,9 +481,15 @@ def check_congruence_structure(cfg, rng):
     return cases, {"p": list(cfg.p), "n": matrix_ranks(cfg), "m": list(cfg.m)}
 
 
-def _admissible_rewrite_case(p, n, m, rng):
+@lru_cache(maxsize=None)
+def _cells_below_top(n: int) -> tuple:
+    """The cells w <= the top reflection other than 1, in full_weyl_group order."""
     w0 = highest_root_reflection(n)
-    ws = [w for w in full_weyl_group(n) if bruhat_leq(w, w0) and w.length() >= 1]
+    return tuple([w for w in full_weyl_group(n) if bruhat_leq(w, w0) and not w.is_identity()])
+
+
+def _admissible_rewrite_case(p, n, m, rng):
+    ws = _cells_below_top(n)
     w = ws[rng.randrange(len(ws))]
     order = ordered_negated_roots(w)
     q_at = rng.randrange(len(order))
@@ -531,8 +538,7 @@ def check_cell_collapse(cfg, rng):
     cases = 0
     for p in cfg.p:
         for n in matrix_ranks(cfg):
-            w0 = highest_root_reflection(n)
-            ws = [w for w in full_weyl_group(n) if bruhat_leq(w, w0) and not w.is_identity()]
+            ws = _cells_below_top(n)
             for _ in range(cfg.samples):
                 w = ws[rng.randrange(len(ws))]
                 order = ordered_negated_roots(w)

@@ -498,7 +498,7 @@ def _double_height(vec) -> int:
     return total + run + vec[-1]  # last coefficient is (run + v_n)/2
 
 
-def root_decompositions(n: int, vec, max_parts: int = 8):
+def root_decompositions(n: int, vec):
     """All multisets of positive roots summing to vec (euclid), by DFS.
 
     Heights are additive and every positive root has height >= 1, so the
@@ -511,8 +511,6 @@ def root_decompositions(n: int, vec, max_parts: int = 8):
         if all(c == 0 for c in remaining):
             if acc:
                 out.append(tuple(acc))
-            return
-        if len(acc) >= max_parts:
             return
         rh2 = _double_height(remaining)
         if rh2 < 2:

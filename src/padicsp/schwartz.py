@@ -568,14 +568,14 @@ def cover_lift(ctx: PrimeCtx, word) -> MetaSL2:
     return MetaSL2.identity(ctx) if out is None else out
 
 
-def canonical_word(rows) -> list:
-    """A fixed generator word for the matrix: Bruhat form of the bottom row."""
-    (a, b), (c, d) = [[_as_fraction(x) for x in row] for row in rows]
-    if a * d - b * c != 1:
-        raise SchwartzError("matrix is not in SL2")
-    if c != 0:
-        return [("upper", a / c), ("diag", -1 / c), ("flip",), ("upper", d / c)]
-    return [("upper", a * b), ("diag", a)]
+def canonical_word(g: MetaSL2) -> list:
+    """A fixed generator word for the matrix of g: Bruhat form of the
+    bottom row, read off the integer rows ((a, b), (c, d)) / den."""
+    (a, b), (c, d) = g.mat.num
+    den = g.mat.den
+    if c:
+        return [("upper", Q(a, c)), ("diag", Q(-den, c)), ("flip",), ("upper", Q(d, c))]
+    return [("upper", Q(a * b, den * den)), ("diag", Q(a, den))]
 
 
 def weil_act_cover(g: MetaSL2, phi: SchwartzFn, twist: int = 1) -> SchwartzFn:
@@ -587,10 +587,9 @@ def weil_act_cover(g: MetaSL2, phi: SchwartzFn, twist: int = 1) -> SchwartzFn:
     """
     if g.ctx.p != phi.ctx.p:
         raise SchwartzError("mixed prime contexts")
-    word = canonical_word(g.rows)
-    c = g.rows[1][0]
-    sheet = hilbert_symbol(g.ctx.of(-c), g.ctx.of(-1)) if c else 1
-    out = weil_act(word, phi, twist)
+    c = g.mat.num[1][0]
+    sheet = hilbert_symbol(g.ctx.of(Q(-c, g.mat.den)), g.ctx.of(-1)) if c else 1
+    out = weil_act(canonical_word(g), phi, twist)
     if g.zeta != sheet:
         out = out.scaled(Mono(-1)).canonical()
     return out

@@ -29,7 +29,7 @@ import pytest
 
 import padicsp
 from padicsp import chevalley
-from padicsp.harness.checks import _deep_unipotent, _random_word_matrix
+from padicsp.harness.checks import _admissible_rewrite_case, _deep_unipotent, _random_word_matrix
 from padicsp.padic import PadicError, PrimeCtx, fraction_valuation
 from padicsp.rootsys import (
     Root,
@@ -408,11 +408,9 @@ def test_matrix_canonical_form():
     by_rows = Mat(rank2_literal("sum", Q(1, 3)))
     by_product = root_elem(2, root, Q(1, 6)) * root_elem(2, root, Q(1, 6))
     by_update = mul_root_elem(root_elem(2, root, Q(1, 2)), root, Q(-1, 6))
-    by_integers = Mat.from_integers(-6, tuple(tuple(-2 * x for x in row) for row in by_rows.num))
-    for m in (by_product, by_update, by_integers):
+    for m in (by_product, by_update):
         assert m == by_rows and hash(m) == hash(by_rows)
         assert (m.den, m.num) == (3, by_rows.num)
-    assert Mat.from_integers(3, by_rows.num) == by_rows
     rng = random.Random(11)
     for n in (1, 2, 3):
         for _ in range(10):
@@ -423,15 +421,9 @@ def test_matrix_canonical_form():
                 assert Mat(m.rows) == m and hash(Mat(m.rows)) == hash(m)
             zero = Mat([[Q(0, 1)] * (2 * n)] * (2 * n))
             assert zero.den == 1 and (a * zero).den == 1 and (a * zero) == zero
-    with pytest.raises(MatrixError):
-        Mat.from_integers(0, ((1,),))
-    with pytest.raises(MatrixError):
-        Mat.from_integers(1, ((Q(1, 2),),))
     for ragged in ([[1, 2], [3]], [[1, 2, 3], [4, 5, 6]]):
         with pytest.raises(MatrixError):
             Mat(ragged)
-        with pytest.raises(MatrixError):
-            Mat.from_integers(1, ragged)
     assert not hasattr(by_rows, "ctx")
 
 
@@ -441,8 +433,6 @@ def test_matrix_constructors_reject_floats():
     calls = [
         lambda: Mat(((0.5, 0), (0, 2))),
         lambda: Mat([[1, 0], [0, 2.0]]),
-        lambda: Mat.from_integers(1, ((1.0, 0), (0, 1))),
-        lambda: Mat.from_integers(2.0, ((1, 0), (0, 1))),
         lambda: Mat.diagonal([0.5, 2]),
         lambda: torus([0.1, 2]),
         lambda: first_axis_torus(2, 0.5),
@@ -908,6 +898,26 @@ def test_cell_word_rewrite_rejects_shallow_u():
     t = torus([Q(1), Q(1)])
     with pytest.raises(MatrixError):
         cell_word_rewrite(C3, t, w, rs, u, m)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("m", [1, 2])
+def test_cell_word_rewrite_at_rank_four(p, m):
+    # the campaigns stop their matrix work at rank 3; re-check the rewrite
+    # at n = 4 as check_cell_word_rewrite does
+    n = 4
+    rng = random.Random(400 + 10 * p + m)
+    ctx = PrimeCtx(p)
+    for _ in range(6):
+        w, rs, u, t, q_at = _admissible_rewrite_case(p, n, m, rng)
+        u_t, rs_t, q = cell_word_rewrite(ctx, t, w, rs, u, m)
+        assert q == q_at and u_t.is_upper_unitriangular()
+        assert fraction_valuation(rs_t[q], p) == fraction_valuation(rs[q], p)
+        order = ordered_negated_roots(w)
+        tw = t * weyl_rep(w)
+        lhs = tw * root_product(n, [(order[k], rs[k]) for k in range(len(order) - 1, q - 1, -1)]) * u
+        rhs = u_t * tw * root_product(n, [(order[k], rs_t[k]) for k in range(len(order) - 1, -1, -1)])
+        assert lhs == rhs
 
 
 # ------------------------------------------------------- cell collapsing

@@ -975,14 +975,9 @@ def test_canonical_word_rebuilds_matrix():
             if rng.random() < 0.7:
                 c = Q(rng.choice([1, 2, -1, p]), rng.choice([1, p]))
             rows = ((a, b), (c, (b * c + 1) / a))
-            lift = cover_lift(ctx, canonical_word(rows))
+            lift = cover_lift(ctx, canonical_word(MetaSL2(ctx, rows)))
             assert lift.rows == rows
             assert lift.zeta == (hilbert_symbol(ctx.of(-c), ctx.of(-1)) if c else 1), (p, rows)
-
-
-def test_canonical_word_rejects_non_sl2():
-    with pytest.raises(SchwartzError):
-        canonical_word(((Q(1), Q(1)), (Q(1), Q(1))))
 
 
 def test_cover_lift_folds_from_the_first_letter():
