@@ -21,8 +21,8 @@ denominator, in lowest terms.  A matrix carries no prime: cells, root
 groups and Weyl representatives never read p, and only the functions
 that read valuations (the congruence levels, the depth characters and
 the cell-word rewrite) take a PrimeCtx, as their leading argument.  The
-structural routines (Bruhat normal form, unipotent refactoring, the two
-cell rewrites) verify their own output before returning it.
+structural routines (Bruhat normal form, the height peel of a unipotent,
+the two cell rewrites) verify their own output before returning it.
 """
 from __future__ import annotations
 
@@ -676,24 +676,22 @@ def peel_unipotent(u: Mat):
     n = u.size // 2
     if not u.is_upper_unitriangular():
         raise FactorizationError("not upper unitriangular")
-    rows = [(list(row), u.den) for row in u.num]
-    coords = _peel(n, rows, [(g, g) for g in positive_roots(n)])
-    if not _rows_are_identity(rows):
-        raise FactorizationError("residue after peeling")
-    return coords
+    return _peel(n, u, [(g, g) for g in positive_roots(n)])
 
 
-def _peel(n: int, rows, cands) -> dict:
-    """{key: c} from peeling x_root(-c) off the left of rows, for each
-    (key, root) of cands in order, with c read at the root's primary
-    position and zero coefficients left out.
+def _peel(n: int, m: Mat, cands) -> dict:
+    """{key: c} with m = prod x_root(c) over the (key, root) pairs of cands
+    in order, zero coefficients left out: each c is read at the root's
+    primary position and x_root(-c) is peeled off the left.  Raises
+    FactorizationError unless the identity is left.
 
-    rows is a list of (integer row, den) pairs and is updated in place:
-    x_root(-c) subtracts s c times row b from row a at each position
-    (a, b, s), and each touched row is reduced once.  As for the column
-    updates, the rows b are never written by the same letter.
+    The rows are (integer row, den) pairs: x_root(-c) subtracts s c times
+    row b from row a at each position (a, b, s), and each touched row is
+    reduced once.  As for the column updates, the rows b are never written
+    by the same letter.
     """
     positions = _root_positions(n)
+    rows = [(list(row), m.den) for row in m.num]
     out = {}
     for key, root in cands:
         pos = positions[root]
@@ -709,37 +707,11 @@ def _peel(n: int, rows, cands) -> dict:
                 rb, db = rows[b]
                 f, k = db * cd, sg * cn * da
                 rows[a] = _reduced_row([x * f - k * y for x, y in zip(ra, rb)], da * f)
+    if not all(
+        row[i] == den and not any(row[:i]) and not any(row[i + 1:]) for i, (row, den) in enumerate(rows)
+    ):
+        raise FactorizationError("residue after peeling")
     return out
-
-
-def _rows_are_identity(rows) -> bool:
-    """Every (integer row, den) pair of rows is row i of the identity."""
-    return all(row[i] == den and not any(row[:i]) and not any(row[i + 1:]) for i, (row, den) in enumerate(rows))
-
-
-def unipotent_coords(u: Mat, roots_order):
-    """Factor u as prod x_g(c_g) along roots_order, exactly.
-
-    Fixed-point refinement: read discrepancies of the current guess by
-    height peeling, push them into the coordinates, repeat.  Converges
-    within the nilpotency class; raises if u needs a root outside the
-    given order.
-    """
-    n = u.size // 2
-    order = list(roots_order)
-    cs = {g: Q(0) for g in order}
-    max_rounds = 2 * n + 2
-    for _ in range(max_rounds):
-        prod = root_product(n, [(g, cs[g]) for g in order])
-        if prod == u:
-            return [(g, cs[g]) for g in order]
-        delta = symplectic_inverse(prod) * u
-        fix = peel_unipotent(delta)
-        for g, c in fix.items():
-            if g not in cs:
-                raise FactorizationError(f"needs root {g.coeffs} outside the given order")
-            cs[g] += c
-    raise FactorizationError("refinement did not converge")
 
 
 def commutator_coefficients(n: int, g1: Root, r, g2: Root, s):
@@ -760,11 +732,7 @@ def commutator_coefficients(n: int, g1: Root, r, g2: Root, s):
             if root is not None:
                 cands.append(((i, j), root))
     cands.sort(key=lambda t: t[1].height)
-    rows = [(list(row), com.den) for row in com.num]
-    out = _peel(n, rows, cands)
-    if not _rows_are_identity(rows):
-        raise FactorizationError("commutator escaped the candidate span")
-    return out
+    return _peel(n, com, cands)
 
 
 def cell_identity_borel_part(n: int, root: Root, r) -> Mat:
@@ -884,19 +852,30 @@ def cell_word_rewrite(ctx, t: Mat, w: WeylElem, rs, u: Mat, m: int):
     """Push a depth-m unipotent through a negated-root word.
 
     Input: torus t, w below the top reflection, coefficients rs along
-    ordered_negated_roots(w), and u in the depth-m unipotent subgroup.
-    With q the first index whose coefficient escapes depth m, rewrites
+    ordered_negated_roots(w) = (o_0, ..., o_top), and u in the depth-m
+    unipotent subgroup.  With q the first index whose coefficient escapes
+    depth m, rewrites
 
         t W(w) x_{q..top}(r) u  =  u~ t W(w) x_{0..top}(r~)
 
-    returning (u_tilde, rs_tilde, q).  One factoring does it: the product
-    y = x_{q..top}(r) u splits as u1 v with u1 in U_w^+ (the roots w keeps
-    positive) and v in U_w^-, both unique (Steinberg, Lectures on
-    Chevalley Groups, 1967, Lemma 17); then u~ = t W u1 (t W)^-1 and
-    v = x_{0..top}(r~).  The identity is verified exactly and the pivot
-    coefficient keeps its absolute value, which is also checked.  Raises
-    FactorizationError when every coefficient already sits at depth m
-    (nothing to rewrite).
+    returning (u_tilde, rs_tilde, q).  The product y = x_{q..top}(r) u
+    splits as u1 v with u1 in U_w^+ (the roots w keeps positive) and v in
+    U_w^-, both unique (Steinberg, Lectures on Chevalley Groups, 1967,
+    Lemma 17).  Conjugating by W = W(w) makes the split upper times lower
+    unitriangular, W y W^-1 = B C with B = W u1 W^-1 and C = W v W^-1,
+    which _unitriangular_ul computes as in bruhat_decompose; then
+    u~ = t B t^-1 and v = W^-1 C W.
+
+    r~ is read off v^-1 = x_{o_0}(-r~_0) ... x_{o_top}(-r~_top) by one
+    left peel along the order.  That is exact: every letter after o_k is
+    at least as tall as o_k, except that a bad-pair partner g2 = 2e_i sits
+    moved in front of its g1; every letter after g2 has height >= ht(g1),
+    and 2 ht(g1) > ht(g2) (is_bad_pair).  So no product of two or more
+    later letters reaches the primary position of o_k.
+
+    The peel residue, the identity and the pivot coefficient's absolute
+    value are all checked.  Raises FactorizationError when every
+    coefficient already sits at depth m (nothing to rewrite).
     """
     n = w.n
     order = ordered_negated_roots(w)
@@ -914,22 +893,18 @@ def cell_word_rewrite(ctx, t: Mat, w: WeylElem, rs, u: Mat, m: int):
     if not t.is_diagonal() or not is_symplectic(t):
         raise MatrixError("t is not in the torus")
 
-    plus_order = w.kept_positive_roots()
-    x_part = root_product(n, [(order[k], rs[k]) for k in range(len(order) - 1, q - 1, -1)])
-    y = x_part * u
-    coords = unipotent_coords(y, plus_order + list(reversed(order)))
-    u1_plus = root_product(n, coords[: len(plus_order)])
-    v_coords = coords[len(plus_order):]
-    rs_tilde = [c for _, c in reversed(v_coords)]
-
-    tw = t * weyl_rep(w)
-    u_tilde = tw * u1_plus * symplectic_inverse(tw)
+    y = root_product(n, [(order[k], rs[k]) for k in range(len(order) - 1, q - 1, -1)]) * u
+    wrep = weyl_rep(w)
+    bmat, cmat = _unitriangular_ul(_signed_conjugate(wrep, y))
+    u_tilde = _diagonal_conjugate(t, bmat)
     if not u_tilde.is_upper_unitriangular():
         raise FactorizationError("conjugated plus part left the unipotent radical")
+    v = _signed_conjugate(symplectic_inverse(wrep), cmat)
+    coords = _peel(n, symplectic_inverse(v), [(g, g) for g in order])
+    rs_tilde = [-coords.get(g, Q(0)) for g in order]
 
-    lhs = tw * y
-    rhs = u_tilde * tw * root_product(n, v_coords)
-    if lhs != rhs:
+    tw = t * wrep
+    if tw * y != u_tilde * tw * v:
         raise FactorizationError("rewrite identity failed")
     if fraction_valuation(rs_tilde[q], ctx.p) != fraction_valuation(rs[q], ctx.p):
         raise FactorizationError("pivot size drifted")

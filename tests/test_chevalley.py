@@ -29,7 +29,12 @@ import pytest
 
 import padicsp
 from padicsp import chevalley
-from padicsp.harness.checks import _admissible_rewrite_case, _deep_unipotent, _random_word_matrix
+from padicsp.harness.checks import (
+    _admissible_rewrite_case,
+    _cells_below_top,
+    _deep_unipotent,
+    _random_word_matrix,
+)
 from padicsp.padic import PadicError, PrimeCtx, fraction_valuation
 from padicsp.rootsys import (
     Root,
@@ -76,7 +81,6 @@ from padicsp.chevalley import (
     symplectic_inverse,
     top_cell_matrix,
     torus,
-    unipotent_coords,
     volume_exponent,
     weyl_from_rank_pattern,
     weyl_rep,
@@ -143,7 +147,6 @@ def oracle_volume_exponent(ctx, n, m, roots, rng, enumerate_cap=60000):
     through coordinate factorization.
     """
     total = 0
-    order = sorted(roots, key=lambda h: (h.height, h.coeffs))
     for g in sorted(roots, key=lambda h: -h.height):
         bound = (2 * g.height - 1) * m
         layer = ctx.p**bound
@@ -157,12 +160,8 @@ def oracle_volume_exponent(ctx, n, m, roots, rng, enumerate_cap=60000):
         total += bound
         # the new coordinate is visible at exactly this layer
         r = Q(rng.randrange(1, ctx.p), layer)
-        x = root_elem(n, g, r)
-        for root, c in unipotent_coords(x, order):
-            if root == g:
-                assert fraction_valuation(c, ctx.p) == -bound
-            else:
-                assert c == 0
+        coords = peel_unipotent(root_elem(n, g, r))
+        assert list(coords) == [g] and fraction_valuation(coords[g], ctx.p) == -bound
     # box closure and unique recovery of shuffled products
     for _ in range(12):
         factors = []
@@ -170,8 +169,9 @@ def oracle_volume_exponent(ctx, n, m, roots, rng, enumerate_cap=60000):
             v = -(2 * g.height - 1) * m + rng.randrange(0, 2 * g.height)
             factors.append((g, Q(rng.randrange(-4, 5)) * Q(ctx.p) ** v))
         rng.shuffle(factors)
-        u = root_product(n, factors)
-        for g, c in unipotent_coords(u, order):
+        coords = peel_unipotent(root_product(n, factors))
+        assert set(coords) <= set(roots)
+        for g, c in coords.items():
             assert fraction_valuation(c, ctx.p) >= -(2 * g.height - 1) * m
     return total
 
@@ -627,8 +627,7 @@ def test_bruhat_decompose_random_products(n):
         u, d, w, um = bruhat_decompose(g)
         assert u * d * weyl_rep(w) * um == g
         assert weyl_from_rank_pattern(g) == w
-        minus = sorted(w.negated_positive_roots(), key=lambda x: (x.height, x.coeffs))
-        unipotent_coords(um, minus)  # must factor over the negated set
+        assert set(peel_unipotent(um)) <= set(w.negated_positive_roots())
 
 
 def test_bruhat_decompose_edge_cells():
@@ -696,16 +695,6 @@ def test_peel_and_coords_round_trip(n):
         cs = peel_unipotent(u)
         asc = sorted(cs.items(), key=lambda t: (t[0].height, t[0].coeffs))
         assert root_product(n, asc) == u
-        shuffled = list(roots)
-        rng.shuffle(shuffled)
-        cs2 = unipotent_coords(u, shuffled)
-        assert root_product(n, cs2) == u
-
-
-def test_unipotent_coords_rejects_missing_root():
-    u = root_elem(2, Root(2, (0, 1)), Q(1, 3))
-    with pytest.raises(FactorizationError):
-        unipotent_coords(u, [Root(2, (1, 0)), Root(2, (1, 1)), Root(2, (2, 1))])
 
 
 def test_peel_rejects_non_unipotent():
@@ -830,8 +819,8 @@ def test_depth_unipotent_product_closure(n, m):
         u = root_product(n, factors)
         assert u.is_upper_unitriangular() and in_skew_level(C3, u, m)
         # factoring back in ascending order stays within the box
-        for g, c in unipotent_coords(u, positive_roots(n)):
-            assert c == 0 or fraction_valuation(c, 3) >= radical_coordinate_bound(g, m)
+        for g, c in peel_unipotent(u).items():
+            assert fraction_valuation(c, 3) >= radical_coordinate_bound(g, m)
 
 
 def test_generic_character_values_and_multiplicativity():
@@ -888,6 +877,32 @@ def test_volume_exponent_closed_forms():
 
 
 # -------------------------------------------------------- cell rewriting
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_rewrite_split_is_the_unitriangular_split_and_one_peel(n):
+    """The two steps of cell_word_rewrite on every cell below the top
+    reflection: for u1 in U_w^+ and v in U_w^-, W u1 v W^-1 splits back
+    into (W u1 W^-1, W v W^-1), and one left peel of v^-1 along
+    ordered_negated_roots(w) gives back the negated coefficients."""
+    rng = random.Random(250 + n)
+    cells = _cells_below_top(n)
+    assert len(cells) == {2: 5, 3: 19, 4: 67}[n]
+
+    def coeff():
+        return Q(rng.choice([1, -1, 2, -4, 7]), 3 ** rng.randrange(4))
+
+    for w in cells:
+        wrep = weyl_rep(w)
+        order = ordered_negated_roots(w)
+        for _ in range(5):
+            u1 = root_product(n, [(g, coeff()) for g in w.kept_positive_roots()])
+            rs = [coeff() for _ in order]
+            v = root_product(n, list(zip(reversed(order), reversed(rs))))
+            split = chevalley._unitriangular_ul(chevalley._signed_conjugate(wrep, u1 * v))
+            assert split == (chevalley._signed_conjugate(wrep, u1), chevalley._signed_conjugate(wrep, v))
+            coords = chevalley._peel(n, symplectic_inverse(v), [(g, g) for g in order])
+            assert coords == {g: -r for g, r in zip(order, rs)}
+
 
 def test_cell_word_rewrite_rejects_shallow_u():
     n, m = 2, 1
