@@ -75,10 +75,7 @@ class Mat:
     @classmethod
     def diagonal(cls, entries) -> "Mat":
         es = [_as_fraction(e) for e in entries]
-        rows = [[0] * len(es) for _ in es]
-        for i, e in enumerate(es):
-            rows[i][i] = e
-        return _mat(*_integer_rows(rows))
+        return _from_entries(len(es), [(i, i, e.numerator, e.denominator) for i, e in enumerate(es)])
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
@@ -201,6 +198,22 @@ def _stored(den: int, num: tuple) -> Mat:
     return m
 
 
+def _from_entries(size: int, entries) -> Mat:
+    """The Mat with num / den at (i, j) for each (i, j, num, den) of
+    entries (integers, den != 0, each (i, j) once) and zeros elsewhere,
+    over the lcm of the dens."""
+    d = math.lcm(*[den for _, _, _, den in entries])
+    rows = [[0] * size for _ in range(size)]
+    for i, j, x, den in entries:
+        rows[i][j] = x * (d // den)
+    return _mat(d, _tuple_rows(rows))
+
+
+def _unit_diagonal(size: int) -> list:
+    """The entries of the identity, for _from_entries."""
+    return [(i, i, 1, 1) for i in range(size)]
+
+
 def _tuple_rows(rows) -> tuple:
     """Lists of rows as a tuple of tuples, each built at its exact size.
 
@@ -317,7 +330,14 @@ def radical_embed(n: int, x_rows) -> Mat:
 
 def torus(entries) -> Mat:
     es = [_as_fraction(e) for e in entries]
-    return Mat.diagonal(es + [1 / e for e in reversed(es)])
+    if not all(es):
+        raise MatrixError("a torus entry is 0")
+    big = 2 * len(es) - 1
+    entries = []
+    for i, e in enumerate(es):
+        # e at (i, i) and 1 / e, numerator and denominator swapped, at the mirror
+        entries += [(i, i, e.numerator, e.denominator), (big - i, big - i, e.denominator, e.numerator)]
+    return _from_entries(big + 1, entries)
 
 
 def first_axis_torus(n: int, a) -> Mat:
@@ -507,15 +527,18 @@ def bruhat_decompose(g: Mat):
     fills the pivot's column of L^-1 with column col of the working matrix
     over the pivot, and undoing its column operations fills row col of
     R^-1 with the pivot row over the pivot.  Rows of the working matrix
-    are integer lists over their own denominator.  The result is verified by
-    recomposition before returning.
+    are integer lists over their own denominator, and L^-1 is built from
+    its entries as integer (num, den) pairs (_from_entries).  The result is verified by
+    recomposition before returning; the torus and Weyl factors enter it
+    as column moves (_times_monomial), so only the product by um is a
+    general one.
     """
     size = g.size
     n = size // 2
     if not is_symplectic(g):
         raise MatrixError("not symplectic")
     a = [(list(row), g.den) for row in g.num]
-    linv = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
+    linv = _unit_diagonal(size)
     rinv = [None] * size
     used = [False] * size
     pivots = []
@@ -532,20 +555,20 @@ def bruhat_decompose(g: Mat):
             c = row[col]
             if c:
                 # row r -= (c / pval) row piv, over the denominator rden * pval
-                linv[r][piv] = Q(c * pden, rden * pval)
+                linv.append((r, piv, c * pden, rden * pval))
                 a[r] = _reduced_row([x * pval - c * y for x, y in zip(row, prow)], rden * pval)
         # Column col is now zero off the pivot, so clearing the pivot row by
         # column operations changes no other entry of the working matrix,
         # and the pivot row, zero left of col, over the pivot is row col of R^-1.
         rinv[col] = _reduced_row(prow, pval)
         a[piv] = ([pval if j == col else 0 for j in range(size)], pden)
-    lm_inv = _mat(*_integer_rows(linv))
+    lm_inv = _from_entries(size, linv)
     u_r = _mat(*_over_common_den(rinv))
     monomial = _mat(*_over_common_den(a))
     w = weyl_from_monomial_pattern(n, pivots)
     wrep = weyl_rep(w)
     wrep_inv = symplectic_inverse(wrep)
-    d = monomial * wrep_inv
+    d = _times_monomial(monomial, wrep_inv)
     if not d.is_diagonal():
         raise FactorizationError("monomial part is not torus times the Weyl representative")
     bmat, cmat = _unitriangular_ul(_signed_conjugate(wrep, u_r))
@@ -555,7 +578,7 @@ def bruhat_decompose(g: Mat):
     u = lm_inv * _diagonal_conjugate(d, bmat)
     if not u.is_upper_unitriangular():
         raise FactorizationError("left factor is not upper unitriangular")
-    if u * d * wrep * um != g:
+    if _times_monomial(_times_monomial(u, d), wrep) * um != g:
         raise FactorizationError("recomposition u t W(w) um differs from the input")
     if not all(is_symplectic(part) for part in (d, um, u)):
         raise FactorizationError("a Bruhat factor is not symplectic")
@@ -576,6 +599,36 @@ def _signed_conjugate(m: Mat, x: Mat) -> Mat:
             for pi, si in zip(perm, sign)
         ]),
     )
+
+
+def _times_monomial(a: Mat, m: Mat) -> Mat:
+    """a m for a monomial m (at most one nonzero entry in each row and in
+    each column), as column moves: when row k of m holds c at column j,
+    column j of the product is c times column k of a.  A signed
+    permutation only moves entries, so a m stays in lowest terms."""
+    size = len(m.num)
+    if len(a.num) != size:
+        raise MatrixError("incompatible matrices")
+    acols = [*zip(*a.num)]
+    cols = [None] * size
+    signed = m.den == 1
+    for k, row in enumerate(m.num):
+        nz = [j for j, x in enumerate(row) if x]
+        if not nz:
+            signed = False
+        else:
+            j = nz[0]
+            if len(nz) > 1 or cols[j] is not None:
+                raise MatrixError("not a monomial matrix")
+            c = row[j]
+            if c == 1:
+                cols[j] = acols[k]
+            else:
+                cols[j] = [c * x for x in acols[k]]
+                signed = signed and c == -1
+    zero = (0,) * size
+    num = tuple([*zip(*[zero if col is None else col for col in cols])])
+    return _stored(a.den, num) if signed else _mat(a.den * m.den, num)
 
 
 def _diagonal_conjugate(d: Mat, x: Mat) -> Mat:
@@ -611,7 +664,7 @@ def _unitriangular_ul(a: Mat):
     """
     size = a.size
     work = [(list(row), a.den) for row in a.num]
-    b = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
+    b = _unit_diagonal(size)
     for k in range(size - 1, -1, -1):
         prow, pden = work[k]
         if prow[k] != pden:
@@ -621,9 +674,9 @@ def _unitriangular_ul(a: Mat):
             c = row[k]
             if c:
                 # row i -= (c / rden) row k, over the denominator rden * pden
-                b[i][k] = Q(c, rden)
+                b.append((i, k, c, rden))
                 work[i] = _reduced_row([x * pden - c * y for x, y in zip(row, prow)], rden * pden)
-    return _mat(*_integer_rows(b)), _mat(*_over_common_den(work))
+    return _from_entries(size, b), _mat(*_over_common_den(work))
 
 
 def weyl_from_rank_pattern(g: Mat) -> WeylElem:
@@ -631,38 +684,49 @@ def weyl_from_rank_pattern(g: Mat) -> WeylElem:
 
     r(i, j) = rank of the submatrix on rows i.., columns ..j; the pivot
     pattern is its discrete mixed difference.  No pivoting choices are
-    involved, so this cross-checks the elimination route.  Ranks are taken
-    on the integer rows by fraction-free elimination.
+    involved, so this cross-checks the elimination route.  The ranks come
+    from _corner_ranks: one fraction-free column sweep per starting row
+    reads off a whole row of the table, 2n sweeps in all.
     """
     size = g.size
-    n = size // 2
-
-    def corner_rank(i: int, j: int) -> int:
-        if i >= size or j <= 0:
-            return 0
-        sub = [list(row[:j]) for row in g.num[i:]]
-        rank = 0
-        rows_n = len(sub)
-        for col in range(j):
-            piv = next((r for r in range(rank, rows_n) if sub[r][col]), None)
-            if piv is None:
-                continue
-            sub[rank], sub[piv] = sub[piv], sub[rank]
-            top = sub[rank]
-            for r in range(rank + 1, rows_n):
-                f = sub[r][col]
-                if f:
-                    sub[r] = [x * top[col] - f * y for x, y in zip(sub[r], top)]
-            rank += 1
-        return rank
-
-    table = [[corner_rank(i, j) for j in range(size + 1)] for i in range(size + 1)]
+    table = _corner_ranks(g)
     positions = []
     for i in range(size):
         for j in range(1, size + 1):
             if table[i][j] - table[i + 1][j] - table[i][j - 1] + table[i + 1][j - 1] == 1:
                 positions.append((i, j - 1))
-    return weyl_from_monomial_pattern(n, positions)
+    return weyl_from_monomial_pattern(size // 2, positions)
+
+
+def _corner_ranks(g: Mat) -> list:
+    """table[i][j] = rank of g on rows i.., columns ..j - 1, for 0 <= i, j <= size.
+
+    For each i, fraction-free elimination of rows i.. runs over the
+    columns left to right (a row below the pivot becomes x pv - f y, with
+    no division); after column j - 1 the number of pivots found is the
+    rank of the first j columns, so one sweep fills row i of the table.
+    """
+    num = g.num
+    size = len(num)
+    table = [[0] * (size + 1) for _ in range(size + 1)]
+    for i in range(size):
+        sub = [list(row) for row in num[i:]]
+        height = len(sub)
+        ranks = table[i]
+        rank = 0
+        for col in range(size):
+            piv = next((r for r in range(rank, height) if sub[r][col]), None)
+            if piv is not None:
+                sub[rank], sub[piv] = sub[piv], sub[rank]
+                top = sub[rank]
+                pv = top[col]
+                for r in range(rank + 1, height):
+                    f = sub[r][col]
+                    if f:
+                        sub[r] = [x * pv - f * y for x, y in zip(sub[r], top)]
+                rank += 1
+            ranks[col + 1] = rank
+    return table
 
 
 # ------------------------------------------------ unipotent coordinates
@@ -903,8 +967,8 @@ def cell_word_rewrite(ctx, t: Mat, w: WeylElem, rs, u: Mat, m: int):
     coords = _peel(n, symplectic_inverse(v), [(g, g) for g in order])
     rs_tilde = [-coords.get(g, Q(0)) for g in order]
 
-    tw = t * wrep
-    if tw * y != u_tilde * tw * v:
+    tw = _times_monomial(t, wrep)
+    if tw * y != _times_monomial(u_tilde, tw) * v:
         raise FactorizationError("rewrite identity failed")
     if fraction_valuation(rs_tilde[q], ctx.p) != fraction_valuation(rs[q], ctx.p):
         raise FactorizationError("pivot size drifted")
@@ -953,7 +1017,7 @@ def cell_collapse_witness(t: Mat, w: WeylElem, roots, rs, bad_index: int = None)
         factors = [(roots[k], rs[k]) for k in range(len(roots) - 1, -1, -1) if k != bad_index]
         factors.append((roots[bad_index], rs[bad_index]))
         factors.append((-roots[bad_index], -1 / rs[bad_index]))
-    g = t * weyl_rep(w) * root_product(n, factors)
+    g = _times_monomial(t, weyl_rep(w)) * root_product(n, factors)
     _, _, w_prime, _ = bruhat_decompose(g)
     if not (bruhat_leq(w_prime, w) and w_prime != w):
         raise FactorizationError("cell did not drop")

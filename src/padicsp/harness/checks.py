@@ -86,6 +86,7 @@ def nonresidue(p: int) -> int:
     raise AssertionError(p)
 
 
+@lru_cache(maxsize=None)
 def square_classes(p: int):
     u0 = nonresidue(p)
     return (Q(1), Q(u0), Q(p), Q(u0 * p))
@@ -103,27 +104,35 @@ def sample_rational(rng, p: int, m: int = 1, square_class=None, signed=False) ->
         den = rng.randint(1, 1000)
     span = max(0, (3 * m - abs(fraction_valuation(square_class, p))) // 2)
     k = rng.randint(-span, span)
-    out = square_class * Q(num, den) ** 2 * Q(p) ** (2 * k)
+    num, den = square_class.numerator * num * num, square_class.denominator * den * den
+    if k >= 0:
+        num *= p ** (2 * k)
+    else:
+        den *= p ** (-2 * k)
     if signed and rng.random() < 0.5:
-        out = -out
-    return out
+        num = -num
+    return Q(num, den)
 
 
 def matrix_ranks(cfg):
     return [n for n in cfg.n if n <= 3]
 
 
+def _power_times(c: int, p: int, v: int) -> Q:
+    """c p^v as one Fraction, from integer powers."""
+    return Q(c * p**v) if v >= 0 else Q(c, p**-v)
+
+
 def _deep_unipotent(p, n, rng, m):
     factors = []
     for g in positive_roots(n):
         v = ch.radical_coordinate_bound(g, m) + rng.randrange(0, 3)
-        factors.append((g, Q(rng.randint(-5, 5)) * Q(p) ** v))
+        factors.append((g, _power_times(rng.randint(-5, 5), p, v)))
     return ch.root_product(n, factors)
 
 
 def _random_torus(p, n, rng):
-    entries = [Q(rng.choice([1, 2, -1])) * Q(p) ** rng.randrange(-2, 3) for _ in range(n)]
-    return ch.torus(entries)
+    return ch.torus([_power_times(rng.choice([1, 2, -1]), p, rng.randrange(-2, 3)) for _ in range(n)])
 
 
 # =============================================================== padic
@@ -202,8 +211,8 @@ def check_weil_index(cfg, rng):
         for a0 in strata:
             for b0 in strata:
                 for _ in range(max(1, cfg.samples // 40)):
-                    sa = Q(rng.choice([1, 2, 4, 7])) * Q(p) ** rng.randint(-1, 1)
-                    sb = Q(rng.choice([1, 2, 4, 7])) * Q(p) ** rng.randint(-1, 1)
+                    sa = _power_times(rng.choice([1, 2, 4, 7]), p, rng.randint(-1, 1))
+                    sb = _power_times(rng.choice([1, 2, 4, 7]), p, rng.randint(-1, 1))
                     a, b = a0 * sa * sa, b0 * sb * sb
                     h = hilbert_symbol(ctx.of(a), ctx.of(b))
                     if mu_psi(ctx.of(a)) * mu_psi(ctx.of(b)) != mu_psi(ctx.of(a * b)) * Mono(h):
@@ -255,9 +264,7 @@ def check_norm_one_split(cfg, rng):
             for m in cfg.m:
                 for _ in range(cfg.samples):
                     e0 = ext.chart(sample_rational(rng, p, signed=True))
-                    u0 = ext.one() + ext.elem(
-                        Q(rng.randint(-8, 8)) * Q(p) ** m, Q(rng.randint(-8, 8)) * Q(p) ** m
-                    )
+                    u0 = ext.one() + ext.elem(rng.randint(-8, 8) * p**m, rng.randint(-8, 8) * p**m)
                     x = e0 * u0
                     e, u = norm_one_decompose(x, m)
                     if e * u != x or e.norm() != 1:
@@ -505,7 +512,7 @@ def _admissible_rewrite_case(p, n, m, rng):
         unit = rng.choice([1, 2, 4, 7])
         while unit % p == 0:
             unit = rng.choice([1, 2, 4, 7])
-        rs.append(Q(unit) * Q(p) ** v)
+        rs.append(_power_times(unit, p, v))
     u = _deep_unipotent(p, n, rng, m)
     t = _random_torus(p, n, rng)
     return w, rs, u, t, q_at
@@ -740,9 +747,9 @@ def _rep_word(rng, p, span):
         if k == 0:
             out.append(("flip",))
         elif k == 1:
-            out.append(("upper", Q(rng.choice([1, 2, -1])) * Q(p) ** rng.randint(-span, span)))
+            out.append(("upper", _power_times(rng.choice([1, 2, -1]), p, rng.randint(-span, span))))
         elif k == 2:
-            out.append(("diag", Q(rng.choice([1, 2, -1])) * Q(p) ** rng.randint(-span, span)))
+            out.append(("diag", _power_times(rng.choice([1, 2, -1]), p, rng.randint(-span, span))))
         else:
             out.append(("sign", rng.choice([1, -1])))
     return out
@@ -807,9 +814,9 @@ def _deep_ball_cases(p, n, m):
     upper, lower = -(4 * n - 3) * m, (4 * n - 1) * m
     for u in range(1, p):
         for v in range(-2 * r - 1, upper + 2):
-            yield "upper", Q(u) * Q(p) ** v, v >= -2 * r
+            yield "upper", _power_times(u, p, v), v >= -2 * r
         for v in range(2 * r - 1, lower + 3):
-            yield "lower", Q(u) * Q(p) ** v, v >= 2 * r
+            yield "lower", _power_times(u, p, v), v >= 2 * r
 
 
 def check_deep_ball_invariance(cfg, rng):

@@ -175,6 +175,11 @@ class Mono:
         return self.rat == 1 and not self.qexp and not self.turn
 
     def __mul__(self, other: "Mono") -> "Mono":
+        # a pure phase (rat 1, qexp 0) only turns the other factor
+        if other.rat == 1 and not other.qexp:
+            return _mono(self.rat, self.qexp, _turn_sum(self.turn, other.turn)) if self.rat else self
+        if self.rat == 1 and not self.qexp:
+            return _mono(other.rat, other.qexp, _turn_sum(self.turn, other.turn)) if other.rat else other
         rat = self.rat * other.rat
         if not rat:
             return _mono(_ZERO, _ZERO, _ZERO)

@@ -526,6 +526,15 @@ def test_torus_conjugation_scales_by_root_value(n):
             assert t * x * symplectic_inverse(t) == root_elem(n, root, val * 5)
 
 
+def test_torus_is_diag_of_the_entries_and_their_inverses():
+    es = [Q(-2, 3), Q(5), Q(7, -9)]
+    assert torus(es).rows == tuple(
+        tuple(x if i == j else 0 for j in range(6)) for i, x in enumerate(es + [1 / e for e in reversed(es)])
+    )
+    with pytest.raises(MatrixError, match="torus entry is 0"):
+        torus([Q(1), Q(0)])
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_weyl_conjugation_permutes_root_groups(n):
     rng = random.Random(30 + n)
@@ -602,6 +611,44 @@ def test_weyl_rep_consistent_with_abstract_group(n):
         assert weyl_from_rank_pattern(rep) == w
 
 
+def oracle_rank(rows):
+    """Rank by Gauss-Jordan over Fractions."""
+    a = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(a[0]) if a else 0):
+        piv = next((r for r in range(rank, len(a)) if a[r][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        for r in range(len(a)):
+            if r != rank and a[r][col]:
+                f = a[r][col] / a[rank][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
+        rank += 1
+    return rank
+
+
+def _low_rank_matrix(rng, size):
+    """An integer matrix of rank at most k < size: an (size x k) by (k x size) product."""
+    k = rng.randrange(size)
+    left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(size)]
+    right = [[rng.randint(-3, 3) if rng.random() < 0.7 else 0 for _ in range(size)] for _ in range(k)]
+    return Mat([[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(size)] for i in range(size)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_corner_ranks_match_fraction_rank_of_every_corner(n):
+    """Each row of the one-sweep table against the Fraction rank of every
+    corner on its own, for symplectic words and rank-deficient matrices."""
+    rng = random.Random(80 + n)
+    size = 2 * n
+    mats = [_random_word_matrix(p, n, rng) for p in (3, 5, 7) for _ in range(2)]
+    mats += [_low_rank_matrix(rng, size) for _ in range(6)]
+    for g in mats:
+        want = [[oracle_rank([row[:j] for row in g.rows[i:]]) for j in range(size + 1)] for i in range(size + 1)]
+        assert chevalley._corner_ranks(g) == want
+
+
 # ---------------------------------------------------------- Bruhat cells
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -617,6 +664,25 @@ def test_signed_and_diagonal_conjugations_match_products(n):
         assert chevalley._signed_conjugate(wrep_inv, x) == wrep_inv * x * wrep
         d = torus([Q(rng.choice([1, -1, 2, -5]), rng.choice([1, 3, 9])) for _ in range(n)])
         assert chevalley._diagonal_conjugate(d, x) == d * x * oracle_inverse(d)
+
+
+def test_times_monomial_matches_mat_mul():
+    """The column-move product against Mat.__mul__ for signed permutations,
+    diagonals (a zero entry too) and their products at sizes 2-8; a row
+    with two entries is refused."""
+    rng = random.Random(90)
+    for size in range(2, 9):
+        for _ in range(4):
+            perm = list(range(size))
+            rng.shuffle(perm)
+            signed = Mat([[rng.choice([1, -1]) if j == perm[i] else 0 for j in range(size)] for i in range(size)])
+            diag = Mat.diagonal([Q(rng.choice([0, 1, -1, 2, -5]), rng.choice([1, 3, 9])) for _ in range(size)])
+            x = _mixed_matrix(rng, size, 3)
+            for m in (signed, diag, signed * diag, diag * signed):
+                assert chevalley._times_monomial(x, m) == x * m
+                assert chevalley._times_monomial(m, signed) == m * signed
+    with pytest.raises(MatrixError, match="not a monomial"):
+        chevalley._times_monomial(Mat.identity(2), Mat([[1, 1], [0, 1]]))
 
 
 @pytest.mark.parametrize("n", [2, 3])

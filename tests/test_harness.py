@@ -1,5 +1,6 @@
 """Campaign configuration, report shape, lanes, and the CLI surface."""
 
+import hashlib
 import json
 import os
 import random
@@ -25,6 +26,7 @@ from padicsp.harness import (
     run_campaign,
     sample_rational,
 )
+from padicsp.harness import checks
 from padicsp.harness.checks import CheckSpec, case_seed, nonresidue, square_classes
 from padicsp.harness.cli import main
 from padicsp.harness.report import FAIL, PASS, SKIPPED
@@ -209,6 +211,49 @@ def test_campaign_deterministic_given_seed():
         for c in d["checks"]:
             c.pop("seconds")
     assert d1 == d2
+
+
+# The checks whose cases come from the seeded samplers, and the samplers.
+SAMPLER_FED = (
+    "psi-character", "hilbert-symbol", "weil-index", "quad-ext", "norm-one-split",
+    "bruhat-oracle", "cell-word-rewrite", "cell-collapse", "congruence-structure",
+)
+SAMPLERS = (
+    "sample_rational", "_random_ext_elem", "_deep_unipotent",
+    "_random_torus", "_random_word_matrix", "_admissible_rewrite_case",
+)
+SAMPLED_REPORT_SHA256 = "2bfd222d0bb318966cb56c7421f91be89dc173f6c380ea3f564272ff41512877"
+SAMPLED_DRAWS_SHA256 = "0b3eb35e1c2dbe312e249299999fa6b33f1781d82d1927fc9479c89ee6e3d53b"
+
+
+def _sha256(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def test_sampler_fed_cases_are_pinned(monkeypatch):
+    """The sampler-fed checks at samples = 8 and seed 2611 give a fixed
+    report (version and timings removed) from a fixed stream of sampled
+    values.  A passing report does not show which cases ran, so every
+    value a sampler returns is recorded (one lane, so every call is made
+    here) and hashed as well: a sampler that reorders a draw, or builds
+    another value from it, fails here.  A change that alters these cases
+    on purpose updates both digests and says so in CHANGES.md."""
+    _use_cpus(monkeypatch, 1)
+    drawn = []
+    for name in SAMPLERS:
+        def traced(*args, _real=getattr(checks, name), _name=name, **kwargs):
+            out = _real(*args, **kwargs)
+            drawn.append([_name, encode_value(out)])
+            return out
+
+        monkeypatch.setattr(checks, name, traced)
+    doc = run_campaign(build_config(None, checks=list(SAMPLER_FED), samples=8, seed=2611)).as_dict()
+    doc.pop("version")
+    for c in doc["checks"]:
+        c.pop("seconds")
+    assert doc["summary"] == {PASS: len(SAMPLER_FED), FAIL: 0, SKIPPED: 0}
+    assert {name for name, _ in drawn} == set(SAMPLERS)
+    assert (_sha256(doc), _sha256(drawn)) == (SAMPLED_REPORT_SHA256, SAMPLED_DRAWS_SHA256)
 
 
 def test_campaign_failure_carries_counterexample():

@@ -7,7 +7,8 @@
 - only the valuation readers take a PAdic;
 - only the chevalley functions that read p take a PrimeCtx;
 - only the campaign driver starts processes;
-- the integer matrix kernels never touch the Fraction view;
+- the integer kernels (matrix rows, quadratic-extension elements) never
+  touch a Fraction view;
 - only padic and schwartz use the trusted Mono constructor;
 - every acceptance criterion runs a catalog check through run_check.
 
@@ -359,8 +360,9 @@ def test_process_lint_sees_each_form(tmp_path):
 # ------------------------------------------------------ integer kernels
 
 # The chevalley routines that work on integer rows over one denominator,
-# and the cover generators, which build their 2x2 rows as integers; none
-# of them may build or read the Fraction view of a matrix.
+# the cover generators, which build their 2x2 rows as integers, and the
+# quadratic-extension arithmetic on (an, bn) over den; none of them may
+# build or read a Fraction view (a Mat's rows, an element's a and b).
 INTEGER_KERNELS = {
     "chevalley.Mat.__mul__",
     "chevalley.Mat.inverse",
@@ -369,20 +371,32 @@ INTEGER_KERNELS = {
     "chevalley.root_product",
     "chevalley.mul_root_elem",
     "chevalley._times_roots",  # the word kernel behind the last two
+    "chevalley.weyl_from_rank_pattern",
+    "chevalley._corner_ranks",  # its one-sweep rank table
+    "chevalley.bruhat_decompose",
+    "chevalley._unitriangular_ul",
+    "chevalley._from_entries",  # L^-1, B and diagonals from (num, den) entries
+    "chevalley._times_monomial",  # products by a torus or Weyl factor
     "metaplectic.MetaSL2.identity",
     "metaplectic.MetaSL2.upper",
     "metaplectic.MetaSL2.lower",
     "metaplectic.MetaSL2.diag",
     "metaplectic.MetaSL2.flip",
+    "quadext.QuadExtElem.__add__",
+    "quadext.QuadExtElem.__sub__",
+    "quadext.QuadExtElem.__mul__",
+    "quadext.QuadExtElem.__truediv__",
 }
 _FRACTION_CALLS = ("Mat", "_integer_rows", "Q", "Fraction")
+_FRACTION_VIEWS = ("rows", "a", "b")
 
 
 def _fraction_view_use(node):
-    """The form of the Fraction view that node uses, or None: .rows, or a
-    call of Mat, _integer_rows, Q or Fraction (bare or as an attribute)."""
-    if isinstance(node, ast.Attribute) and node.attr == "rows":
-        return ".rows"
+    """The form of the Fraction view that node uses, or None: .rows, .a or
+    .b, or a call of Mat, _integer_rows, Q or Fraction (bare or as an
+    attribute)."""
+    if isinstance(node, ast.Attribute) and node.attr in _FRACTION_VIEWS:
+        return f".{node.attr}"
     if isinstance(node, ast.Call):
         func = node.func
         name = getattr(func, "id", None) or getattr(func, "attr", None)
@@ -414,10 +428,11 @@ def test_fraction_view_lint_sees_each_form(tmp_path):
         "def d(x):\n    def e(y):\n        return Q(y, 3)\n    return e(x)\n"
         "def f(x):\n    return Fraction(x)\n"
         "def g(x):\n    return chevalley.Mat(x), fractions.Fraction(1, 2)\n"
+        "class E:\n    def __mul__(self, o):\n        return self.a * o.b\n"
         "Z = Q(1)\n"
     )
     (tmp_path / "n.py").write_text(
-        "def h(g, rows):\n    return _mat(g.den, rows), Mat.identity(2), g.num, rows, Mat\n"
+        "def h(g, rows):\n    return _mat(g.den, rows), Mat.identity(2), g.num, rows, Mat, g.an, g.ab\n"
     )
     assert fraction_view_users(tmp_path) == {
         ("m.a", ".rows"),
@@ -427,6 +442,8 @@ def test_fraction_view_lint_sees_each_form(tmp_path):
         ("m.f", "Fraction("),
         ("m.g", "Mat("),
         ("m.g", "Fraction("),
+        ("m.E.__mul__", ".a"),
+        ("m.E.__mul__", ".b"),
         ("m.<module>", "Q("),
     }
 

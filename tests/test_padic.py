@@ -325,6 +325,21 @@ def test_mono_normal_form_and_algebra():
         Mono.zero().inverse()
 
 
+def test_mono_product_by_a_pure_phase_matches_the_coercing_constructor():
+    """A factor with rat 1 and qexp 0 only turns the other one; the
+    product keeps the normal form Mono(...) gives the field-wise product,
+    zero included."""
+    phases = [mu8(k) for k in range(8)] + [Mono(turn=Q(2, 9)), Mono(turn=Q(24, 25))]
+    others = phases + [Mono.zero(), Mono(Q(3, 5), Q(1, 2), Q(1, 3)), Mono(Q(-2), -1, Q(7, 8)), Mono(1, Q(1, 2))]
+    for phase in phases:
+        for x in others:
+            for a, b in ((phase, x), (x, phase)):
+                got = a * b
+                want = Mono(a.rat * b.rat, a.qexp + b.qexp, a.turn + b.turn)
+                assert (got.rat, got.qexp, got.turn) == (want.rat, want.qexp, want.turn)
+                assert all(type(f) is Q for f in (got.rat, got.qexp, got.turn))
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_cyclo_gauss_sum_and_cyclotomic_relations_are_zero(p):
     # sum_a (a|p) zeta_p^a = eps sqrt(p), eps = 1 or i as p = 1 or 3 mod 4
@@ -645,6 +660,64 @@ def test_quadext_arithmetic():
     assert (x * y) / y == x
     assert x * x.conjugate() == E.elem(x.norm())
     assert (x + y).trace() == x.trace() + y.trace()
+
+
+def test_quadext_elem_hashes_as_the_rational_it_equals():
+    """E.elem(x) == x for a rational x, so the two hash alike and are one
+    set member and one dict key; an element off the base field is not."""
+    E = EXTS[0]
+    for x in (1, 0, -3, Q(1, 3), Q(-7, 9)):
+        y = E.elem(x)
+        assert y == x and y == Q(x) and hash(y) == hash(x) == hash(Q(x))
+        assert len({y, x}) == 1 and len({y, Q(x)}) == 1
+        assert {x: "v"}[y] == "v" and {y: "v"}[Q(x)] == "v"
+    half = E.elem(Q(1, 2), 1)
+    assert half * half.conjugate() == Q(1, 4) - 2 and hash(half * half.conjugate()) == hash(Q(-7, 4))
+    assert E.gen() != 0 and len({E.gen(), E.elem(0, 1), 0}) == 2
+
+
+# unramified and ramified d, with and without a denominator
+PAIR_EXTS = EXTS + [QuadExt(C3, Q(2, 9)), QuadExt(C5, Q(2, 5)), QuadExt(C7, Q(-1, 49))]
+
+
+@pytest.mark.parametrize("E", PAIR_EXTS, ids=["unram3", "unram5", "ram3", "unram3den", "ram5den", "unram7den"])
+def test_quadext_integer_rows_match_fraction_pair_formulas(E):
+    """+ - * /, norm and conjugate on integer rows over one denominator
+    against the pair formulas over Fractions, with int and Fraction
+    operands too; every result is stored in lowest terms."""
+    rng = random.Random(int(E.d.numerator) * 31 + E.d.denominator)
+    d = E.d
+
+    def pair(x):
+        assert x.den > 0 and math.gcd(x.an, x.bn, x.den) == 1
+        assert (Q(x.an, x.den), Q(x.bn, x.den)) == (x.a, x.b)
+        return x.a, x.b
+
+    for _ in range(60):
+        x, y = sample_elem(E, rng), sample_elem(E, rng)
+        if rng.random() < 0.2:
+            y = E.elem(y.a)
+        (a1, b1), (a2, b2) = pair(x), pair(y)
+        assert pair(x + y) == (a1 + a2, b1 + b2)
+        assert pair(x - y) == (a1 - a2, b1 - b2)
+        assert pair(-x) == (-a1, -b1)
+        assert pair(x * y) == (a1 * a2 + d * b1 * b2, a1 * b2 + b1 * a2)
+        assert pair(x.conjugate()) == (a1, -b1)
+        assert x.norm() == a1 * a1 - d * b1 * b1 and x.trace() == 2 * a1
+        n = a2 * a2 - d * b2 * b2
+        if n:
+            assert pair(x / y) == ((a1 * a2 - d * b1 * b2) / n, (b1 * a2 - a1 * b2) / n)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x / y
+        c = Q(rng.randint(-9, 9), rng.choice([1, 3, 9]))
+        assert pair(x + c) == pair(c + x) == (a1 + c, b1)
+        assert pair(c - x) == (c - a1, -b1)
+        assert pair(x * c) == pair(c * x) == (a1 * c, b1 * c)
+        assert pair(x * 3) == (3 * a1, 3 * b1)
+        if c and x.norm():
+            m = a1 * a1 - d * b1 * b1
+            assert pair(c / x) == (c * a1 / m, -c * b1 / m)
 
 
 def sample_elem(E, rng, spread=3):
