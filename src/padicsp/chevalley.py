@@ -20,9 +20,16 @@ word.  Everything is exact: a matrix is integer rows over one positive
 denominator, in lowest terms.  A matrix carries no prime: cells, root
 groups and Weyl representatives never read p, and only the functions
 that read valuations (the congruence levels, the depth characters and
-the cell-word rewrite) take a PrimeCtx, as their leading argument.  The
-structural routines (Bruhat normal form, the height peel of a unipotent,
-the two cell rewrites) verify their own output before returning it.
+the cell-word rewrite) take a PrimeCtx, as their leading argument.
+
+The structural routines verify their own output and raise MatrixError
+(or FactorizationError) when a check fails, so their callers need not
+re-derive it.  bruhat_decompose checks the shapes of its factors and
+recomposes g; peel_unipotent and commutator_coefficients check that the
+peel leaves the identity; cell_identity_borel_part checks that b lies in
+the Borel; cell_word_rewrite checks the rewrite identity, the peel
+residue and the pivot size; and cell_collapse_witness checks that the
+cell it reads off the corner ranks drops below w.
 """
 from __future__ import annotations
 
@@ -684,7 +691,8 @@ def weyl_from_rank_pattern(g: Mat) -> WeylElem:
 
     r(i, j) = rank of the submatrix on rows i.., columns ..j; the pivot
     pattern is its discrete mixed difference.  No pivoting choices are
-    involved, so this cross-checks the elimination route.  The ranks come
+    involved, so this cross-checks the elimination route, and it is how
+    cell_collapse_witness reads its cell.  The ranks come
     from _corner_ranks: one fraction-free column sweep per starting row
     reads off a whole row of the table, 2n sweeps in all.
     """
@@ -985,10 +993,19 @@ def cell_collapse_witness(t: Mat, w: WeylElem, roots, rs, bad_index: int = None)
 
         t W(w) x_{top}(r_top) ... x_{0}(r_0) x_{-roots[0]}(-1/r_0)
 
-    is then decomposed.  With bad_index = l the pair
-    (roots[0], roots[l]) must be bad; the factor at l is omitted from
-    the descending product and reinstated at the far right next to its
-    opposite.  Returns the cell w' of the result, checking w' < w.
+    is then formed.  With bad_index = l the pair (roots[0], roots[l])
+    must be bad; the factor at l is omitted from the descending product
+    and reinstated at the far right next to its opposite.  Returns the
+    cell w' of the result, checking w' < w.
+
+    w' is read off the corner-rank pattern (weyl_from_rank_pattern), with
+    no decomposition.  That is exact for invertible g: left multiplication
+    by an upper triangular matrix recombines rows i.. among themselves and
+    right multiplication recombines columns ..j among themselves, so the
+    rank of every lower-left corner is constant on each double coset
+    B W(w) B, and on the monomial t W(w) those ranks count the pivots of w
+    in the corner.  bruhat-oracle compares the two routes on every
+    campaign, and the tests compare them on the collapse products.
     """
     n = w.n
     roots = list(roots)
@@ -1017,8 +1034,9 @@ def cell_collapse_witness(t: Mat, w: WeylElem, roots, rs, bad_index: int = None)
         factors = [(roots[k], rs[k]) for k in range(len(roots) - 1, -1, -1) if k != bad_index]
         factors.append((roots[bad_index], rs[bad_index]))
         factors.append((-roots[bad_index], -1 / rs[bad_index]))
-    g = _times_monomial(t, weyl_rep(w)) * root_product(n, factors)
-    _, _, w_prime, _ = bruhat_decompose(g)
+    if not t.is_diagonal() or not is_symplectic(t):
+        raise MatrixError("t is not in the torus")
+    w_prime = weyl_from_rank_pattern(_times_roots(_times_monomial(t, weyl_rep(w)), factors))
     if not (bruhat_leq(w_prime, w) and w_prime != w):
         raise FactorizationError("cell did not drop")
     return w_prime

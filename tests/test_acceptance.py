@@ -157,8 +157,9 @@ def test_criterion_04_cell_collapse_descent():
     mode (obstructed-decompositions, which also rejects an in-depth word
     per rank and prime), 200 per rank and prime for the plain mode
     (cell-collapse, which reinserts whenever the tail holds a bad pair);
-    the witness constructor multiplies the factors out and reads the
-    cell off the decomposition, and each check re-checks the strict drop.
+    the witness constructor multiplies the factors out, reads the cell
+    off the corner ranks and raises unless it drops strictly, and each
+    check fails the case it raised on.
     """
     t0 = time.perf_counter()
     problems = []

@@ -984,8 +984,10 @@ def test_cell_word_rewrite_rejects_shallow_u():
 @pytest.mark.parametrize("p", [3, 5])
 @pytest.mark.parametrize("m", [1, 2])
 def test_cell_word_rewrite_at_rank_four(p, m):
-    # the campaigns stop their matrix work at rank 3; re-check the rewrite
-    # at n = 4 as check_cell_word_rewrite does
+    # the independent oracle of the rewrite identity: both sides are
+    # rebuilt here with general products from the returned (u~, r~), where
+    # cell_word_rewrite compares against its lower factor v itself; at
+    # n = 4, which the campaigns' matrix work does not reach
     n = 4
     rng = random.Random(400 + 10 * p + m)
     ctx = PrimeCtx(p)
@@ -1003,26 +1005,32 @@ def test_cell_word_rewrite_at_rank_four(p, m):
 
 # ------------------------------------------------------- cell collapsing
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_cell_collapse_all_insertion_tails(n):
+    """At each of the 9, 52 and 252 insertion tails, the cell that
+    cell_collapse_witness reads off the corner ranks is the one that
+    bruhat_decompose finds for the product, rebuilt here:
+    t W(w) x_top(r_top) ... x_0(r_0), the bad factor moved last, then
+    x_-g(-1/r_g) for g the lowest root or its bad partner."""
     rng = random.Random(140 + n)
-    w0 = highest_root_reflection(n)
     mode2_seen = 0
-    for w in full_weyl_group(n):
-        if not bruhat_leq(w, w0) or w.is_identity():
-            continue
+    for w in _cells_below_top(n):
         order = ordered_negated_roots(w)
         for q in range(len(order)):
             tail = sorted(order[q:], key=lambda g: g.height)
-            bad_ls = [l for l in range(1, len(tail)) if is_bad_pair(tail[0], tail[l])]
+            bad = next((l for l in range(1, len(tail)) if is_bad_pair(tail[0], tail[l])), None)
             t = torus([Q(rng.choice([1, 2, 3, 5]))] + [Q(1)] * (n - 1))
             rs = [Q(rng.choice([1, 2, 5]), rng.choice([1, 3])) for _ in tail]
-            if bad_ls:
-                w_prime = cell_collapse_witness(t, w, tail, rs, bad_index=bad_ls[0])
-                mode2_seen += 1
-            else:
-                w_prime = cell_collapse_witness(t, w, tail, rs)
+            w_prime = cell_collapse_witness(t, w, tail, rs, bad_index=bad)
             assert bruhat_leq(w_prime, w) and w_prime != w
+            word = [(tail[j], rs[j]) for j in reversed(range(len(tail))) if j != bad]
+            k = 0
+            if bad is not None:
+                k = bad
+                word.append((tail[k], rs[k]))
+                mode2_seen += 1
+            word.append((-tail[k], -1 / rs[k]))
+            assert bruhat_decompose(t * weyl_rep(w) * root_product(n, word))[2] == w_prime
     assert mode2_seen >= 1
 
 
@@ -1052,7 +1060,8 @@ def test_bruhat_torus_guard_raises(monkeypatch):
 
 
 def test_self_checks_survive_optimize_flag():
-    """One guard each in rootsys, chevalley and quadext still raises under python -O."""
+    """One guard each in rootsys and quadext, and the Bruhat torus guard and
+    the collapse's drop check in chevalley, still raise under python -O."""
     script = textwrap.dedent(
         """
         import functools
@@ -1077,6 +1086,13 @@ def test_self_checks_survive_optimize_flag():
         except chevalley.FactorizationError as exc:
             print(exc)
 
+        chevalley.weyl_from_rank_pattern = lambda g: w0
+        top = rootsys.ordered_negated_roots(w0)[-1:]
+        try:
+            chevalley.cell_collapse_witness(chevalley.torus([1, 1]), w0, top, [Q(1)])
+        except chevalley.FactorizationError as exc:
+            print(exc)
+
         real = quadext._chart_sign
         quadext._chart_sign = lambda a, p: -real(a, p)
         try:
@@ -1091,5 +1107,5 @@ def test_self_checks_survive_optimize_flag():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    for message in ("no left descent", "monomial part", "principal-unit factor"):
+    for message in ("no left descent", "monomial part", "cell did not drop", "principal-unit factor"):
         assert message in out.stdout

@@ -11,8 +11,10 @@ from fractions import Fraction as Q
 
 import pytest
 
-from padicsp.padic import Mono, PrimeCtx, fraction_valuation, is_square, psi
-from padicsp.rootsys import Root, WeylElem
+from padicsp import chevalley
+from padicsp.chevalley import FactorizationError, MatrixError
+from padicsp.padic import Mono, PadicError, PrimeCtx, fraction_valuation, is_square, psi
+from padicsp.rootsys import Root, WeylElem, ordered_negated_roots
 from padicsp.harness import (
     CATALOG,
     CampaignConfig,
@@ -271,6 +273,49 @@ def test_campaign_failure_carries_counterexample():
     assert rec.status == FAIL
     assert rec.counterexample["reason"] == "synthetic"
     assert rec.counterexample["seed"] == SMALL["seed"]
+
+
+# Each library routine whose self-check a check relies on: the check, where
+# the check finds the routine, the error its self-check raises, and the
+# case parameters a failure must carry, read off the routine's arguments.
+PLANTED_RAISES = [
+    ("norm-one-split", checks, "norm_one_decompose", PadicError,
+     lambda x, m: {"d": x.ext.d, "x": str(x), "m": m}),
+    ("bruhat-oracle", chevalley, "bruhat_decompose", FactorizationError,
+     lambda g: {"n": g.size // 2, "rows": g.rows}),
+    ("cell-identity", chevalley, "cell_identity_borel_part", MatrixError,
+     lambda n, root, r: {"n": n, "root": root, "r": r}),
+    ("cell-word-rewrite", chevalley, "cell_word_rewrite", FactorizationError,
+     lambda ctx, t, w, rs, u, m: {"n": w.n, "m": m, "w": w, "rs": rs, "u": u, "t": t}),
+    ("cell-collapse", chevalley, "cell_collapse_witness", FactorizationError,
+     lambda t, w, roots, rs, bad_index: {
+         "n": w.n, "w": w, "q": len(ordered_negated_roots(w)) - len(roots), "t": t, "rs": rs}),
+    ("obstructed-decompositions", chevalley, "cell_collapse_witness", FactorizationError,
+     lambda t, w, roots, rs, bad_index: {"n": w.n, "g1": roots[0], "g2": roots[1], "w": w, "t": t, "rs": rs}),
+    ("obstructed-decompositions", chevalley, "cell_word_rewrite", FactorizationError,
+     lambda ctx, t, w, rs, u, m: {"n": w.n, "m": m, "rs": rs, "u": u}),
+]
+
+
+@pytest.mark.parametrize(
+    "check,module,routine,error,params", PLANTED_RAISES, ids=[f"{c}-{r}" for c, _, r, _, _ in PLANTED_RAISES]
+)
+def test_a_library_raise_fails_the_case_with_its_parameters(monkeypatch, check, module, routine, error, params):
+    """A check does not re-derive what the routine it calls verifies; a
+    raise of that routine's self-check fails the check's record, and the
+    counterexample holds the case's parameters and the library's message."""
+    seen = []
+
+    def planted(*args, **kwargs):
+        seen.append(params(*args, **kwargs))
+        raise error("planted self-check failure")
+
+    monkeypatch.setattr(module, routine, planted)
+    rec = checks._run_check(build_config(None, checks=[check], **SMALL), check)
+    assert rec.status == FAIL and len(seen) == 1
+    assert rec.counterexample == {
+        "seed": SMALL["seed"], "p": SMALL["p"][0], **seen[0], "error": f"{error.__name__}: planted self-check failure"
+    }
 
 
 def test_campaign_crash_becomes_fail_record():

@@ -377,6 +377,7 @@ INTEGER_KERNELS = {
     "chevalley._unitriangular_ul",
     "chevalley._from_entries",  # L^-1, B and diagonals from (num, den) entries
     "chevalley._times_monomial",  # products by a torus or Weyl factor
+    "chevalley.cell_collapse_witness",  # its cell from the corner ranks
     "metaplectic.MetaSL2.identity",
     "metaplectic.MetaSL2.upper",
     "metaplectic.MetaSL2.lower",
