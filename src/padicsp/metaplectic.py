@@ -21,7 +21,7 @@ family.
 
 Values are exact Monos: a root of unity recorded as a turn fraction
 times a power of q, and s is rational.  Nothing here collapses a value
-to a complex number; Mono.as_complex is the one float embedding.
+to a complex number.
 """
 from dataclasses import dataclass
 from fractions import Fraction as Q
@@ -50,17 +50,11 @@ def _rao_sign(x1, x2, x12, p: int) -> int:
     return _hilbert(v1, r1, v2, r2, p) * _hilbert(v1 + v2, -r1 * r2 % p, v12, r12, p)
 
 
-def rao_x(ctx: PrimeCtx, rows) -> Q:
-    """Lower-row invariant: the (2,1) entry when nonzero, else (2,2)."""
-    c, d = MetaSL2(ctx, rows).rows[1]
-    return c if c else d
-
-
 def rao_cocycle(ctx: PrimeCtx, rows1, rows2) -> int:
     """Rao's cocycle c(g1, g2) = (x1, x2)(-x1 x2, x12) of two SL2 matrices.
 
-    x1, x2 and x12 are the lower-row invariants (see rao_x) of g1, g2
-    and g1 g2 (Kubota 1969; Ranga Rao, Pacific J. Math. 157, 1993): the
+    x1, x2 and x12 are the lower-row invariants x(g) of g1, g2 and
+    g1 g2 (Kubota 1969; Ranga Rao, Pacific J. Math. 157, 1993): the
     sheet sign of the product of the two unit-sheet lifts.
     """
     return (MetaSL2(ctx, rows1) * MetaSL2(ctx, rows2)).zeta

@@ -14,11 +14,10 @@ denominator.  Every scalar the library produces -- psi-values, Weil
 indices, Schwartz coefficients, section values -- is one Mono
 r * q^e * exp(2 pi i t) with r, e, t rational.  A sum of Monos has one
 exact canonical form, Cyclo, in Q(zeta_(8 p^k)), so equality is decided
-without a tolerance; floats appear only in the complex embeddings.
+without a tolerance, and no value is ever a float.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -134,10 +133,10 @@ class Mono:
     rat is kept >= 0 (a sign is half a turn) and turn in [0, 1); zero is
     Mono(0, 0, 0).  psi-values are Mono(turn=t), Weil indices
     Mono(turn=k/8), Schwartz coefficients carry half-integer qexp and
-    section values qexp = -v(s + 1/2).  q itself is the context's: only
-    the complex embedding needs it.  Mono(...) coerces its fields and
-    normalises the sign and the turn; the library's own products build
-    their already normalised results with the trusted _mono instead.
+    section values qexp = -v(s + 1/2).  q itself is the context's and is
+    not stored.  Mono(...) coerces its fields and normalises the sign and
+    the turn; the library's own products build their already normalised
+    results with the trusted _mono instead.
     """
 
     rat: Q = Q(1)
@@ -193,11 +192,6 @@ class Mono:
 
     def conjugate(self) -> "Mono":
         return _mono(self.rat, self.qexp, _turn_neg(self.turn))
-
-    def as_complex(self, q: int) -> complex:
-        """The complex embedding: sqrt(q) > 0 and a turn t goes to exp(2 pi i t)."""
-        mag = float(self.rat) * float(q) ** float(self.qexp)
-        return mag * cmath.exp(2j * cmath.pi * float(self.turn))
 
 
 _new = object.__new__
@@ -356,10 +350,6 @@ class Cyclo:
     def __hash__(self):
         r = self.rational()
         return hash(r) if r is not None else hash((self.p, self.terms))
-
-    def as_complex(self) -> complex:
-        """The complex embedding, summand by summand."""
-        return sum((m.as_complex(self.p) for m in self.terms), 0j)
 
 
 def psi(x: PAdic) -> Mono:

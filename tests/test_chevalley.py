@@ -981,15 +981,23 @@ def test_cell_word_rewrite_rejects_shallow_u():
         cell_word_rewrite(C3, t, w, rs, u, m)
 
 
-@pytest.mark.parametrize("p", [3, 5])
-@pytest.mark.parametrize("m", [1, 2])
-def test_cell_word_rewrite_at_rank_four(p, m):
+# the n = 4 cases keep their ids, m-p
+_REWRITE_ORACLE_CASES = [
+    pytest.param(n, m, p, id=f"{m}-{p}" if n == 4 else f"n{n}-{m}-{p}")
+    for n in (2, 3, 4)
+    for m in (1, 2)
+    for p in (3, 5)
+]
+
+
+@pytest.mark.parametrize("n, m, p", _REWRITE_ORACLE_CASES)
+def test_cell_word_rewrite_at_rank_four(n, m, p):
     # the independent oracle of the rewrite identity: both sides are
     # rebuilt here with general products from the returned (u~, r~), where
-    # cell_word_rewrite compares against its lower factor v itself; at
-    # n = 4, which the campaigns' matrix work does not reach
-    n = 4
-    rng = random.Random(400 + 10 * p + m)
+    # cell_word_rewrite compares against its lower factor v itself, so a
+    # wrong r~ shows here and nowhere in the library; at n = 4, which the
+    # campaigns' matrix work does not reach, and at n = 2, 3 as well
+    rng = random.Random(100 * n + 10 * p + m)
     ctx = PrimeCtx(p)
     for _ in range(6):
         w, rs, u, t, q_at = _admissible_rewrite_case(p, n, m, rng)

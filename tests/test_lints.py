@@ -1,8 +1,9 @@
 """Source lints: nine rules the code must keep, read off its syntax.
 
-- floats live only in the two complex embeddings (every value the
-  library computes is exact: Fraction, Mono, Cyclo);
-- every module-level import is used;
+- the library never touches cmath, complex or float(): every value it
+  computes is exact (Fraction, Mono, Cyclo), and the complex embedding
+  is a test helper;
+- every module-level import is used, in the library and in the tests;
 - one helper splits the prime off an integer;
 - only the valuation readers take a PAdic;
 - only the chevalley functions that read p take a PrimeCtx;
@@ -13,7 +14,7 @@
 - every acceptance criterion runs a catalog check through run_check.
 
 One walker names each node by the innermost function or class around
-it, module-qualified (`padic.Mono.as_complex`, `harness.checks.<module>`
+it, module-qualified (`padic.Mono.inverse`, `harness.checks.<module>`
 at module level); a function's own signature counts as inside it.  Each
 lint has a `tmp_path` self-test showing every form it must see.
 """
@@ -56,10 +57,7 @@ def _params(fn):
 
 # ------------------------------------------------------------- floats
 
-ALLOWED_FLOAT_USERS = {
-    "padic.Mono.as_complex",  # the embedding of one exact scalar
-    "padic.Cyclo.as_complex",  # the same embedding, summed over a canonical form
-}
+ALLOWED_FLOAT_USERS = set()
 
 
 def _is_float_use(node) -> bool:
@@ -127,6 +125,10 @@ def unused_imports(root=SRC):
 
 def test_every_library_import_is_used():
     assert unused_imports() == set()
+
+
+def test_every_test_import_is_used():
+    assert unused_imports(TESTS) == set()
 
 
 def test_import_lint_sees_each_binding_form(tmp_path):

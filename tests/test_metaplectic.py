@@ -17,12 +17,12 @@ from fractions import Fraction as Q
 
 import pytest
 
-from test_padic import legendre, oracle_hilbert_solvable, smallest_nonresidue
+from test_padic import embed, legendre, oracle_hilbert_solvable, smallest_nonresidue
 
 import padicsp
 from padicsp import metaplectic
 from padicsp.chevalley import Mat, symplectic_inverse
-from padicsp.padic import Mono, PadicError, PrimeCtx, fraction_valuation, hilbert_symbol, mu_psi
+from padicsp.padic import Mono, PadicError, PrimeCtx, _unit_class, fraction_valuation, hilbert_symbol, mu_psi
 from padicsp.metaplectic import (
     CharacterFx,
     MetaError,
@@ -35,7 +35,6 @@ from padicsp.metaplectic import (
     intertwine_level,
     ramified_character,
     rao_cocycle,
-    rao_x,
     section_level,
 )
 
@@ -203,23 +202,30 @@ def law_factor(eta, s, a, zeta):
 
 # ------------------------------------------------------- rao invariants
 
+def x_class(x):
+    """The (valuation, unit residue mod 3) pair a MetaSL2 over Q_3 stores
+    for its Rao invariant x."""
+    x = Q(x)
+    return _unit_class(x.numerator, x.denominator, 3)
+
+
 def test_rao_x_flip_is_minus_one():
-    assert rao_x(C3, ((0, 1), (-1, 0))) == -1
+    assert MetaSL2(C3, ((0, 1), (-1, 0)))._x == x_class(-1)
 
 
 def test_rao_x_upper_is_one():
     for b in (0, 5, Q(-2, 9)):
-        assert rao_x(C3, ((1, b), (0, 1))) == 1
+        assert MetaSL2(C3, ((1, b), (0, 1)))._x == x_class(1)
 
 
 def test_rao_x_diag_is_inverse_entry():
     for a in (2, Q(1, 3), -5):
-        assert rao_x(C3, ((Q(a), 0), (0, 1 / Q(a)))) == 1 / Q(a)
+        assert MetaSL2(C3, ((Q(a), 0), (0, 1 / Q(a))))._x == x_class(1 / Q(a))
 
 
 def test_rao_x_rejects_non_sl2():
     with pytest.raises(MetaError):
-        rao_x(C3, ((2, 0), (0, 1)))
+        MetaSL2(C3, ((2, 0), (0, 1)))
 
 
 def test_cocycle_lower_then_upper_is_trivial():
@@ -361,7 +367,6 @@ def test_cover_rejects_bad_data():
     e = ((1, 0), (0, 1))
     builds = (
         lambda r: MetaSL2(C3, r),
-        lambda r: rao_x(C3, r),
         lambda r: rao_cocycle(C3, r, e),
         lambda r: rao_cocycle(C3, e, r),
     )
@@ -503,7 +508,7 @@ def test_character_complex_values_unimodular():
     for _ in range(25):
         a = Q(rng.choice((1, 2, 3, -4, 6))) * Q(5) ** rng.randrange(-3, 4)
         z = eta.value(a)
-        assert abs(abs(z.as_complex(5)) - 1) < 1e-12
+        assert abs(abs(embed(z, 5)) - 1) < 1e-12
         w = eta.value(7) * eta.value(a / 7)
         assert z == w
 
@@ -522,8 +527,8 @@ def test_section_value_algebra():
 def test_section_value_complex_conversion():
     u = Mono(1, -2, Q(1, 8))
     want = cmath.exp(2j * cmath.pi / 8) * 3.0 ** (-2)
-    assert abs(u.as_complex(3) - want) < 1e-12
-    assert Mono.zero().as_complex(3) == 0j
+    assert abs(embed(u, 3) - want) < 1e-12
+    assert embed(Mono.zero(), 3) == 0j
 
 
 # ------------------------------------------------------------- sections
@@ -632,7 +637,7 @@ def complex_section_value(sec, g, s):
     if root.is_zero():
         return 0j
     v = -fraction_valuation(g.rows[1][1], p)
-    return root.as_complex(p) * cmath.exp(-v * (s + 0.5) * cmath.log(p))
+    return embed(root, p) * cmath.exp(-v * (s + 0.5) * cmath.log(p))
 
 
 def test_section_complex_s_path():
@@ -652,7 +657,7 @@ def test_section_complex_s_path():
     # at a rational s the embedding agrees with the exact value
     for r in (Q(1, 2), Q(-3, 2)):
         g = MetaSL2.diag(C3, Q(2, 9), zeta=-1)
-        exact = eval_fsi_exact(SectionFsi(i=1, eta=eta, s=r), g).as_complex(3)
+        exact = embed(eval_fsi_exact(SectionFsi(i=1, eta=eta, s=r), g), 3)
         assert abs(complex_section_value(sec, g, complex(r)) - exact) < 1e-9
 
 

@@ -18,6 +18,8 @@ from fractions import Fraction as Q
 
 import pytest
 
+from test_padic import embed
+
 from padicsp import padic
 from padicsp.padic import (
     Cyclo,
@@ -99,7 +101,7 @@ def oracle_fourier(phi, x, eps=1):
     total = 0j
     for k in range(p ** (box + depth)):
         y = Q(k, p**box)
-        v = phi.value_at(y).as_complex()
+        v = embed(phi.value_at(y))
         if v:
             total += v * psi_num(2 * x * y, p, eps)
     return total * float(p) ** (-depth)
@@ -110,21 +112,21 @@ def oracle_step(tag, args, phi, x, eps):
     p = phi.ctx.p
     if tag == "upper":
         (b,) = args
-        return psi_num(b * x * x, p, eps) * phi.value_at(x).as_complex()
+        return psi_num(b * x * x, p, eps) * embed(phi.value_at(x))
     if tag == "diag":
         (a,) = args
         va = fraction_valuation(a, p)
         mu = e_frac(mu_psi(phi.ctx.of(a), twist=eps).turn)
-        return float(p) ** (-va / 2) * mu * phi.value_at(a * x).as_complex()
+        return float(p) ** (-va / 2) * mu * embed(phi.value_at(a * x))
     if tag == "flip":
         g = e_frac(weil_index(phi.ctx.of(1), twist=eps).turn)
         return g * oracle_fourier(phi, x, eps)
     if tag == "sign":
         (z,) = args
-        return z * phi.value_at(x).as_complex()
+        return z * embed(phi.value_at(x))
     if tag == "heis":
         xx, xp, z = args
-        return psi_num(z + xx * xp + 2 * x * xp, p, eps) * phi.value_at(x + xx).as_complex()
+        return psi_num(z + xx * xp + 2 * x * xp, p, eps) * embed(phi.value_at(x + xx))
     raise AssertionError(tag)
 
 
@@ -218,7 +220,7 @@ def test_coeff_folds_negative_rational_into_phase():
     c = Mono(Q(-3, 2), Q(1, 2), Q(1, 8))
     assert c.rat == Q(3, 2)
     assert c.turn == Q(5, 8)
-    assert abs(c.as_complex(3) - (-Q(3, 2)) * 3 ** 0.5 * e_frac(Q(1, 8))) < 1e-12
+    assert abs(embed(c, 3) - (-Q(3, 2)) * 3 ** 0.5 * e_frac(Q(1, 8))) < 1e-12
 
 
 def test_coeff_sign_and_mu8():
@@ -358,7 +360,7 @@ def test_refinement_budget_guard():
             inside = fraction_valuation(x, 3) >= -3
             want = [Mono(turn=_pfrac(eps * b * x * x, 3))] if inside else []
             assert out.value_at(x) == Cyclo.of(3, want)
-            assert abs(out.value_at(x).as_complex() - oracle_step("upper", (b,), wide, x, eps)) < 1e-9
+            assert abs(embed(out.value_at(x)) - oracle_step("upper", (b,), wide, x, eps)) < 1e-9
 
 
 def test_refinement_budget_guard_on_the_canonical_path(monkeypatch):
@@ -447,7 +449,7 @@ def test_deep_words_match_pointwise_oracle():
             assert len(got.terms) == 1
             pts = [Q(0), Q(1), Q(1, p), Q(2, p * p), Q(p), Q(rng.randint(1, p**3), p**2)]
             for x in pts:
-                assert abs(got.value_at(x).as_complex() - oracle_word(word, phi, x, eps)) < 1e-9, (p, eps, x)
+                assert abs(embed(got.value_at(x)) - oracle_word(word, phi, x, eps)) < 1e-9, (p, eps, x)
 
 
 def _chirp_terms(rng, p):
@@ -491,7 +493,7 @@ def test_chirp_sums_plancherel_integral_values_and_reflection():
                 assert f.value_at(x) == raw.value_at(x) == want
                 assert f.reflect().value_at(-x) == want
             y = Q(rng.randint(0, p * p), p)
-            assert abs(fourier(f).value_at(y).as_complex() - oracle_fourier(f, y)) < 1e-9
+            assert abs(embed(fourier(f).value_at(y)) - oracle_fourier(f, y)) < 1e-9
 
 
 def test_chirp_relation_is_zero_by_mass_and_witnessed_when_broken():
@@ -690,7 +692,7 @@ def test_fourier_fixes_unit_ball():
 def test_fourier_matches_riemann_sum_on_unit_ball():
     f = SchwartzFn.indicator(C3)
     for x in [Q(0), Q(1), Q(1, 3), Q(2, 9), Q(3)]:
-        assert abs(fourier(f).value_at(x).as_complex() - oracle_fourier(f, x)) < 1e-9
+        assert abs(embed(fourier(f).value_at(x)) - oracle_fourier(f, x)) < 1e-9
 
 
 def test_fourier_shifted_ball_shape():
@@ -702,7 +704,7 @@ def test_fourier_shifted_ball_shape():
     assert (t.freq, t.center, t.rad) == (Q(4), Q(0), -2)
     assert t.coeff == Mono(Q(1), -2, Q(0))
     for x in [Q(0), Q(1, 9), Q(5, 9), Q(1, 3), Q(1, 27)]:
-        assert abs(ff.value_at(x).as_complex() - oracle_fourier(f, x)) < 1e-9
+        assert abs(embed(ff.value_at(x)) - oracle_fourier(f, x)) < 1e-9
 
 
 def test_fourier_twice_is_reflection():
@@ -718,7 +720,7 @@ def test_fourier_twisted_kernel_against_sum():
     f = SchwartzFn.indicator(C3, Q(1), 1)
     ff = fourier(f, twist=-1)
     for x in [Q(0), Q(1, 3), Q(2, 3), Q(1)]:
-        assert abs(ff.value_at(x).as_complex() - oracle_fourier(f, x, eps=-1)) < 1e-9
+        assert abs(embed(ff.value_at(x)) - oracle_fourier(f, x, eps=-1)) < 1e-9
 
 
 def test_plancherel_exact_on_monomial_slots():
@@ -749,7 +751,7 @@ def test_integral_is_value_of_transform_at_zero():
     f = SchwartzFn.from_terms(
         C3, [Term(Mono(Q(2)), Q(1, 3), Q(1), 1), Term(Mono.one(), Q(0), Q(9), 3)]
     )
-    assert abs(f.integral().as_complex() - oracle_fourier(f, Q(0))) < 1e-9
+    assert abs(embed(f.integral()) - oracle_fourier(f, Q(0))) < 1e-9
 
 
 # ---------------------------------------------------------- test vector
@@ -841,7 +843,7 @@ def test_generators_match_pointwise_formulas_seeded():
             got = weil_act([item], phi, twist=eps)
             for k in [Q(0), Q(1), Q(1, p), Q(2, p * p), Q(p)]:
                 want = oracle_step(item[0], item[1:], phi, k, eps)
-                assert abs(got.value_at(k).as_complex() - want) < 1e-9, (p, item, eps, k)
+                assert abs(embed(got.value_at(k)) - want) < 1e-9, (p, item, eps, k)
 
 
 def test_short_words_match_pointwise_formulas_seeded():
@@ -859,7 +861,7 @@ def test_short_words_match_pointwise_formulas_seeded():
             got = weil_act(word, phi0, twist=eps)
             for k in [Q(0), Q(1), Q(1, p)]:
                 want = oracle_word(word, phi0, k, eps)
-                assert abs(got.value_at(k).as_complex() - want) < 1e-9, (p, word, eps, k)
+                assert abs(embed(got.value_at(k)) - want) < 1e-9, (p, word, eps, k)
 
 
 def test_generators_on_chirps_match_pointwise_formulas_seeded():
@@ -890,7 +892,7 @@ def test_generators_on_chirps_match_pointwise_formulas_seeded():
             got = weil_act([item], phi, twist=eps)
             for k in [Q(0), Q(1), Q(1, p), Q(2, p * p), Q(p), Q(rng.randint(1, p**3), p)]:
                 want = oracle_step(item[0], item[1:], phi, k, eps)
-                assert abs(got.value_at(k).as_complex() - want) < 1e-9, (p, item, eps, k)
+                assert abs(embed(got.value_at(k)) - want) < 1e-9, (p, item, eps, k)
             pick = lambda: Q(rng.randint(-4, 4), rng.choice([1, p, p * p]))
             h1 = HeisenbergElem(pick(), pick(), pick())
             h2 = HeisenbergElem(pick(), pick(), pick())
@@ -1039,7 +1041,7 @@ def test_norm_sq_is_exact_and_not_always_rational():
     mass = f.norm_sq()
     assert mass == Cyclo.of(3, [Mono(2), zeta8, zeta8.conjugate()])
     assert mass.rational() is None
-    assert abs(mass.as_complex() - (2 + 2 ** 0.5)) < 1e-12
+    assert abs(embed(mass) - (2 + 2 ** 0.5)) < 1e-12
     assert fourier(f).norm_sq() == mass
     # a Gauss-sum slot is rational again: |sum_a (a|5) zeta_5^a|^2 = 5
     gauss = SchwartzFn.from_terms(C5, [
@@ -1053,7 +1055,7 @@ def test_difference_witness_finds_a_point():
     g = f.scaled(Mono(Q(-1)))
     x = f.difference_witness(g)
     assert x is not None
-    assert abs(f.value_at(x).as_complex() - g.value_at(x).as_complex()) > 1
+    assert abs(embed(f.value_at(x)) - embed(g.value_at(x))) > 1
     assert f.difference_witness(f) is None
 
 
@@ -1062,7 +1064,7 @@ def test_difference_witness_distinguishes_frequencies():
     g = SchwartzFn.indicator(C3)
     x = f.difference_witness(g)
     assert x is not None
-    assert abs(f.value_at(x).as_complex() - g.value_at(x).as_complex()) > 1e-9
+    assert abs(embed(f.value_at(x)) - embed(g.value_at(x))) > 1e-9
 
 
 def test_weil_act_cover_tracks_sheet():
