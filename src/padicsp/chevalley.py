@@ -465,12 +465,6 @@ def _times_roots(g: Mat, factors) -> Mat:
     return _mat(den, _tuple_rows(rows))
 
 
-def weyl_generator_matrix(n: int, k: int) -> Mat:
-    if not 1 <= k <= n:
-        raise MatrixError("generator index out of range")
-    return _weyl_generator_matrix(n, k)
-
-
 @lru_cache(maxsize=None)
 def _weyl_generator_matrix(n: int, k: int) -> Mat:
     if k < n:
@@ -490,7 +484,7 @@ def weyl_rep(w: WeylElem) -> Mat:
 def _weyl_rep(w: WeylElem) -> Mat:
     out = Mat.identity(2 * w.n)
     for k in w.reduced_word():
-        out = out * weyl_generator_matrix(w.n, k)
+        out = out * _weyl_generator_matrix(w.n, k)
     return out
 
 
@@ -885,9 +879,6 @@ def skew_level_character(ctx, h: Mat, m: int) -> Mono:
 
 
 # --------------------------------------------------------- volume ledger
-
-VOLUME_KINDS = ("U", "U_gamma", "U_w_minus", "U_w_plus", "D")
-
 
 def volume_exponent(kind: str, n: int, m: int, root: Root = None, w: WeylElem = None) -> int:
     """log_q of the volume of a depth-m coordinate box, vol(U cap K) = 1.

@@ -10,7 +10,8 @@ A library routine that verifies its own result and raises has the one
 home of that verification: its check does not recompute it, but turns
 the raise on a case into that case's failure, with the case's
 parameters and the library's message (`_raised`), and spends its own
-time on what the routine does not verify.
+time on what the routine does not verify.  Conversely, a library routine
+that returns a closed form does not sample it: its check does.
 
 Because each check draws from its own seeded rng, the driver runs them
 in lanes, one per usable CPU (`os.sched_getaffinity`).  This process is
@@ -63,6 +64,7 @@ from ..metaplectic import (
     MetaSL2,
     SectionFsi,
     decompose_big_cell,
+    eval_fsi_exact,
     intertwine_eval_exact,
     intertwine_level,
     ramified_character,
@@ -705,12 +707,13 @@ def check_big_cell(cfg, rng):
             x = sample_rational(rng, p, signed=True)
             if 1 + x * y == 0:
                 continue
-            a, xv, ybar = decompose_big_cell(y, x)
-            if a != 1 - xv * ybar or a * y != ybar:
-                raise CheckFailure({"p": p, "x": x, "y": y, "reason": "relations"})
-            lhs = (MetaSL2.lower(ctx, y) * MetaSL2.upper(ctx, x)).rows
+            try:
+                a, xv, ybar = decompose_big_cell(y, x)
+            except MetaError as exc:
+                raise _raised({"p": p, "x": x, "y": y}, exc) from exc
+            lhs = (MetaSL2.lower(ctx, y) * MetaSL2.upper(ctx, x)).mat
             borel = MetaSL2(ctx, ((a, xv), (0, 1 / a)))
-            rhs = (borel * MetaSL2.lower(ctx, ybar)).rows
+            rhs = (borel * MetaSL2.lower(ctx, ybar)).mat
             if lhs != rhs:
                 raise CheckFailure({"p": p, "x": x, "y": y, "reason": "recomposition"})
             cases += 1
@@ -720,8 +723,9 @@ def check_big_cell(cfg, rng):
 def check_intertwining_volume(cfg, rng):
     """For two conductor-1 characters, two s and the levels lvl, lvl + 1
     and those of cfg.i up to 3, the section's intertwining integral on
-    |x| <= p is exactly q^(-3i) at six points, and a point outside its
-    stabilised set is refused."""
+    |x| <= p is exactly q^(-3i) at six points, the integrand is exactly 1
+    at lower(-b)*upper(x) for b = -z/(1 - z x), z = t p^(3i) with t in
+    {1, 2, p - 1}, and a point outside its stabilised set is refused."""
     cases = 0
     for p in cfg.p:
         ctx = PrimeCtx(p)
@@ -742,6 +746,14 @@ def check_intertwining_volume(cfg, rng):
                             raise CheckFailure(
                                 {"p": p, "i": i, "s": s, "x": xval, "got": got}
                             )
+                        upper = MetaSL2.upper(ctx, xval)
+                        for t in (1, 2, p - 1):
+                            z = _power_times(t, p, 3 * i)
+                            value = eval_fsi_exact(sec, MetaSL2.lower(ctx, z / (1 - z * xval)) * upper)
+                            if not value.is_one():
+                                raise CheckFailure(
+                                    {"p": p, "i": i, "s": s, "x": xval, "t": t, "value": value}
+                                )
                         cases += 1
                     try:
                         intertwine_eval_exact(sec, Q(p) ** (-3 * i - 1), Q(p) ** (3 * i + 1))

@@ -389,39 +389,18 @@ def intertwine_eval_exact(sec: SectionFsi, x, x_bound) -> Mono:
     substitution b = -z/(1 - z*x), which preserves valuations once
     3i + v(x) >= 1; on the support the torus entry lands in a ball where
     the character and the normalizing root are both trivial, so the
-    integral collapses to the volume q^{-3i} exactly.
+    integral collapses to the volume q^{-3i} exactly.  The two gates give
+    that depth: |x| <= x_bound <= p^M puts v(x) >= -M, and
+    i >= intertwine_level puts 3i >= max(c, 1) + M, so
+    3i + v(x) >= max(c, 1) >= 1.  The intertwining-volume check samples
+    the integrand on the support.
     """
     ctx = sec.ctx
     x = _as_fraction(x)
-    i = sec.i
     if x != 0 and Q(ctx.p) ** (-fraction_valuation(x, ctx.p)) > _as_fraction(x_bound):
         raise MetaError("point lies outside the stated compact set")
-    c = max(sec.eta.conductor, 1)
-    depth = 3 * i + (fraction_valuation(x, ctx.p) if x != 0 else 0)
-    if x != 0 and (depth < 1 or depth < c):
-        raise MetaError(
-            "support detection failed to stabilize: level too small for this point"
-        )
-    if i < intertwine_level(sec.eta, x_bound):
+    if sec.i < intertwine_level(sec.eta, x_bound):
         raise MetaError(
             "support detection failed to stabilize somewhere on the compact set"
         )
-    # representative checks on the detected support: the decomposition
-    # lands back in the ball and the integrand is exactly 1 there
-    for t in (1, 2, ctx.p - 1):
-        z = Q(t) * Q(ctx.p) ** (3 * i)
-        b = -z / (1 - z * x)
-        a, _, ybar = decompose_big_cell(-b, x)
-        if fraction_valuation(ybar, ctx.p) < 3 * i:
-            raise MetaError("cell decomposition left the support ball")
-        if fraction_valuation(a - 1, ctx.p) < c:
-            raise MetaError("torus entry outside the conductor ball")
-        if not mu_psi(ctx.of(a), twist=-1).is_one():
-            raise MetaError("normalizing root nontrivial on the support")
-        if sec.eta.phase(a) != 0:
-            raise MetaError("character nontrivial on the support")
-        val = _eval_fsi_raw(sec, MetaSL2.lower(ctx, -b) * MetaSL2.upper(ctx, x))
-        if not val.is_one():
-            raise MetaError("integrand is not 1 on the support")
-    return Mono(1, -3 * i)
-
+    return Mono(1, -3 * sec.i)

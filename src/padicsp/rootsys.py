@@ -429,14 +429,7 @@ def has_order_conflict(w: WeylElem) -> bool:
 
 def bad_triples(n: int):
     """(g1, g2, w) with (g1, g2) bad and w below the top reflection negating both."""
-    w0 = highest_root_reflection(n)
-    cone = weyl_below(w0)
-    out = []
-    for g1, g2 in bad_pairs(n):
-        for w in cone:
-            if w.apply(g1).is_negative() and w.apply(g2).is_negative():
-                out.append((g1, g2, w))
-    return out
+    return [(g1, g2, w) for g1, g2 in bad_pairs(n) for w in bad_triples_for_pair(g1, g2)]
 
 
 def chain_word_sigma(n: int, i: int, j: int) -> tuple:

@@ -13,6 +13,7 @@ import pytest
 
 from padicsp import chevalley
 from padicsp.chevalley import FactorizationError, MatrixError
+from padicsp.metaplectic import MetaError
 from padicsp.padic import Mono, PadicError, PrimeCtx, fraction_valuation, is_square, psi
 from padicsp.rootsys import Root, WeylElem, ordered_negated_roots
 from padicsp.harness import (
@@ -294,6 +295,7 @@ PLANTED_RAISES = [
      lambda t, w, roots, rs, bad_index: {"n": w.n, "g1": roots[0], "g2": roots[1], "w": w, "t": t, "rs": rs}),
     ("obstructed-decompositions", chevalley, "cell_word_rewrite", FactorizationError,
      lambda ctx, t, w, rs, u, m: {"n": w.n, "m": m, "rs": rs, "u": u}),
+    ("big-cell", checks, "decompose_big_cell", MetaError, lambda y, x: {"x": x, "y": y}),
 ]
 
 

@@ -37,6 +37,8 @@ from padicsp.metaplectic import (
     rao_cocycle,
     section_level,
 )
+from padicsp.harness import CheckFailure, build_config
+from padicsp.harness.checks import check_intertwining_volume
 
 C3 = PrimeCtx(3)
 C5 = PrimeCtx(5)
@@ -524,13 +526,6 @@ def test_section_value_algebra():
     assert u * Mono(1) == u
 
 
-def test_section_value_complex_conversion():
-    u = Mono(1, -2, Q(1, 8))
-    want = cmath.exp(2j * cmath.pi / 8) * 3.0 ** (-2)
-    assert abs(embed(u, 3) - want) < 1e-12
-    assert embed(Mono.zero(), 3) == 0j
-
-
 # ------------------------------------------------------------- sections
 
 def test_section_requires_positive_level():
@@ -740,28 +735,61 @@ def test_intertwine_error_paths():
         intertwine_eval_exact(sec, C5.of(0), 9)  # x is a Fraction; a tagged value is refused
 
 
+def test_intertwine_gates_imply_the_substitution_depth():
+    """Wherever the compact-set gate and the level gate both pass,
+    3i + v(x) >= max(c, 1): the depth at which b = -z/(1 - z x) keeps
+    valuations, so the closed form needs no gate of its own per point."""
+    passed = tight = 0
+    for p in (3, 5, 7, 11):
+        ctx = PrimeCtx(p)
+        xs = [Q(0)] + [Q(u) * Q(p) ** v for u in (1, p - 1) for v in range(-5, 4)]
+        for c in range(6):
+            eta = ramified_character(ctx, c) if c else CharacterFx(ctx, 0)
+            for bound in (Q(1, p), Q(1, 2), 1, 2, p, p + 1, p * p - 1, p**3, p**4 + 1):
+                for i in range(1, 8):
+                    sec = SectionFsi(i=i, eta=eta, s=Q(1, 2))
+                    for x in xs:
+                        try:
+                            intertwine_eval_exact(sec, x, bound)
+                        except MetaError:
+                            continue
+                        depth = 3 * i + (fraction_valuation(x, p) if x else 0)
+                        assert depth >= max(c, 1), (p, c, bound, i, x)
+                        passed += 1
+                        tight += depth == max(c, 1)
+    assert passed > 0 and tight > 0
+
+
+def _nontrivial_root_payload():
+    return {"p": 3, "i": 1, "s": Q(1, 2), "x": Q(0), "t": 1, "value": Mono(turn=Q(1, 4)).inverse()}
+
+
 def test_intertwine_support_guard_raises(monkeypatch):
+    """A nontrivial normalizing root on the support fails the
+    intertwining-volume check at its first sample, which names the case."""
     monkeypatch.setattr(metaplectic, "mu_psi", lambda a, twist=1: Mono(turn=Q(1, 4)))
-    sec = SectionFsi(i=1, eta=ramified_character(C3, 1), s=Q(1, 2))
-    with pytest.raises(MetaError, match="normalizing root"):
-        intertwine_eval_exact(sec, Q(0), 1)
+    cfg = build_config(None, p=[3], i=[1])
+    with pytest.raises(CheckFailure) as err:
+        check_intertwining_volume(cfg, random.Random(0))
+    assert err.value.payload == _nontrivial_root_payload()
 
 
 def test_intertwine_support_guard_survives_optimize_flag():
     script = textwrap.dedent(
         """
+        import random
         from fractions import Fraction as Q
         from padicsp import metaplectic as meta
-        from padicsp.padic import Mono, PrimeCtx
+        from padicsp.harness import CheckFailure, build_config
+        from padicsp.harness.checks import check_intertwining_volume
+        from padicsp.padic import Mono
 
         assert False, "python -O should strip this assert"
         meta.mu_psi = lambda a, twist=1: Mono(turn=Q(1, 4))
-        ctx = PrimeCtx(3)
-        sec = meta.SectionFsi(i=1, eta=meta.ramified_character(ctx, 1), s=Q(1, 2))
         try:
-            meta.intertwine_eval_exact(sec, Q(0), 1)
-        except meta.MetaError as exc:
-            print(exc)
+            check_intertwining_volume(build_config(None, p=[3], i=[1]), random.Random(0))
+        except CheckFailure as exc:
+            print(repr(exc.payload))
         """
     )
     src = os.path.dirname(os.path.dirname(padicsp.__file__))
@@ -770,7 +798,7 @@ def test_intertwine_support_guard_survives_optimize_flag():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    assert "normalizing root" in out.stdout
+    assert out.stdout.strip() == repr(_nontrivial_root_payload())
 
 
 def test_intertwine_level_monotone_in_bound():

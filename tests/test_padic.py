@@ -321,6 +321,12 @@ def test_mu8_arithmetic():
 
 # ------------------------------------------------------ the exact scalar
 
+def test_embed_reads_a_negative_q_exponent_and_zero():
+    u = Mono(1, -2, Q(1, 8))
+    assert abs(embed(u, 3) - cmath.exp(2j * cmath.pi / 8) * 3.0 ** (-2)) < 1e-12
+    assert embed(Mono.zero(), 3) == 0j
+
+
 def test_mono_normal_form_and_algebra():
     c = Mono(Q(-3, 2), Q(1, 2), Q(1, 8))
     assert (c.rat, c.qexp, c.turn) == (Q(3, 2), Q(1, 2), Q(5, 8))

@@ -216,13 +216,6 @@ def ball_points(center, rad, p, spread=2):
 
 # ---------------------------------------------------- coeff and terms
 
-def test_coeff_folds_negative_rational_into_phase():
-    c = Mono(Q(-3, 2), Q(1, 2), Q(1, 8))
-    assert c.rat == Q(3, 2)
-    assert c.turn == Q(5, 8)
-    assert abs(embed(c, 3) - (-Q(3, 2)) * 3 ** 0.5 * e_frac(Q(1, 8))) < 1e-12
-
-
 def test_coeff_sign_and_mu8():
     c = Mono.one() * Mono(-1) * Mono(-1)
     assert c == Mono.one()
