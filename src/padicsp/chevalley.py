@@ -304,7 +304,7 @@ def symplectic_inverse(g: Mat) -> Mat:
 
 def levi_embed(n: int, a_rows) -> Mat:
     """m(A) = diag(A, J tA^-1 J) for A in GL_n."""
-    a = Mat(a_rows) if not isinstance(a_rows, Mat) else a_rows
+    a = Mat(a_rows)
     if a.size != n:
         raise MatrixError("Levi block has wrong size")
     ainv = a.inverse()
@@ -321,7 +321,7 @@ def levi_embed(n: int, a_rows) -> Mat:
 
 def radical_embed(n: int, x_rows) -> Mat:
     """n(X) = [[I, X], [0, I]]; X must satisfy tX = J X J."""
-    x = Mat(x_rows) if not isinstance(x_rows, Mat) else x_rows
+    x = Mat(x_rows)
     if x.size != n:
         raise MatrixError("radical block has wrong size")
     for i in range(n):

@@ -290,10 +290,10 @@ def check_norm_one_split(cfg, rng):
 
 # ============================================================ chevalley
 
-def _random_word_matrix(p, n, rng, length=6):
+def _random_word_matrix(p, n, rng):
     roots = positive_roots(n)
     factors = []
-    for _ in range(length):
+    for _ in range(6):
         root = roots[rng.randrange(len(roots))]
         if rng.random() < 0.5:
             root = -root
@@ -680,20 +680,17 @@ def check_rao_cocycle(cfg, rng):
 
 
 def check_section_law(cfg, rng):
+    """g g^-1 is the identity on the identity's sheet.  Associativity is
+    not tested here: on unit-sheet lifts it is rao-cocycle's cocycle
+    identity."""
     cases = 0
     for p in cfg.p:
         ctx = PrimeCtx(p)
         ident = MetaSL2.identity(ctx)
         for _ in range(cfg.samples):
-            g1 = _random_sl2(rng, ctx)
-            g2 = _random_sl2(rng, ctx)
-            g3 = _random_sl2(rng, ctx)
-            if (g1 * g2) * g3 != g1 * (g2 * g3):
-                raise CheckFailure(
-                    {"p": p, "g1": g1.rows, "g2": g2.rows, "g3": g3.rows, "reason": "associativity"}
-                )
-            if g1 * g1.inverse() != ident:
-                raise CheckFailure({"p": p, "g": g1.rows, "reason": "inverse sheet"})
+            g = _random_sl2(rng, ctx)
+            if g * g.inverse() != ident:
+                raise CheckFailure({"p": p, "g": g.rows, "reason": "inverse sheet"})
             cases += 1
     return cases, {"p": list(cfg.p), "samples": cfg.samples}
 
@@ -721,12 +718,12 @@ def check_big_cell(cfg, rng):
 
 
 def check_intertwining_volume(cfg, rng):
-    """For two conductor-1 characters, two s and the levels lvl, lvl + 1
-    and those of cfg.i up to 3, the section's intertwining integral on
-    |x| <= p is exactly q^(-3i) at six points, the integrand is exactly 1
-    at lower(-b)*upper(x) for b = -z/(1 - z x), z = t p^(3i) with t in
-    {1, 2, p - 1}, and a point outside its stabilised set is refused."""
-    cases = 0
+    """For two conductor-1 characters, two s and the levels lvl, lvl + 1,
+    the section's intertwining integral on |x| <= p is exactly q^(-3i)
+    at six points, the integrand is exactly 1 at lower(-b)*upper(x) for
+    b = -z/(1 - z x), z = t p^(3i) with t in {1, 2, p - 1}, and a point
+    outside its stabilised set is refused."""
+    cases, ran = 0, set()
     for p in cfg.p:
         ctx = PrimeCtx(p)
         etas = [
@@ -736,9 +733,9 @@ def check_intertwining_volume(cfg, rng):
         bound = p
         for eta in etas:
             lvl = intertwine_level(eta, bound)
-            levels = sorted(i for i in {lvl, lvl + 1, *cfg.i} if lvl <= i <= 3)
+            ran.update((lvl, lvl + 1))
             for s in (Q(1, 2), Q(2, 3)):
-                for i in levels:
+                for i in (lvl, lvl + 1):
                     sec = SectionFsi(i, eta, s)
                     for xval in (Q(0), Q(1), Q(2), Q(1, p), Q(2, p), Q(p)):
                         got = intertwine_eval_exact(sec, xval, bound)
@@ -763,7 +760,7 @@ def check_intertwining_volume(cfg, rng):
                         raise CheckFailure(
                             {"p": p, "i": i, "s": s, "reason": "level gate missing"}
                         )
-    return cases, {"p": list(cfg.p), "i": list(cfg.i)}
+    return cases, {"p": list(cfg.p), "i": sorted(ran)}
 
 
 # ============================================================= schwartz

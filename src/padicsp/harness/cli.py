@@ -30,7 +30,6 @@ def _build_parser():
     pv.add_argument("--n", help="ranks, e.g. '2,3'")
     pv.add_argument("--p", help="odd primes, e.g. '3,5'")
     pv.add_argument("--m", help="congruence levels")
-    pv.add_argument("--i", help="section levels")
     pv.add_argument("--samples", help="sample budget per check")
     pv.add_argument("--seed", help="campaign seed (64-bit)")
     pv.add_argument("--checks", help="comma-separated check names (default: all)")
@@ -63,7 +62,6 @@ def _cmd_verify(args):
         n=args.n,
         p=args.p,
         m=args.m,
-        i=args.i,
         samples=args.samples,
         seed=args.seed,
         checks=args.checks,

@@ -16,7 +16,6 @@ class HarnessError(PadicError):
 DEFAULT_RANKS = (2, 3)
 DEFAULT_PRIMES = (3, 5)
 DEFAULT_LEVELS = (1, 2)
-DEFAULT_SECTION_LEVELS = (1, 2)
 DEFAULT_SAMPLES = 40
 DEFAULT_SEED = 287454020
 
@@ -26,7 +25,6 @@ class CampaignConfig:
     n: tuple = DEFAULT_RANKS
     p: tuple = DEFAULT_PRIMES
     m: tuple = DEFAULT_LEVELS
-    i: tuple = DEFAULT_SECTION_LEVELS
     samples: int = DEFAULT_SAMPLES
     seed: int = DEFAULT_SEED
     checks: tuple = ()  # empty means the full catalog
@@ -36,11 +34,10 @@ class CampaignConfig:
         object.__setattr__(self, "n", tuple(int(v) for v in self.n))
         object.__setattr__(self, "p", tuple(int(v) for v in self.p))
         object.__setattr__(self, "m", tuple(int(v) for v in self.m))
-        object.__setattr__(self, "i", tuple(int(v) for v in self.i))
         object.__setattr__(self, "checks", tuple(self.checks))
 
     def validate(self, catalog=None) -> "CampaignConfig":
-        for plist in (self.n, self.p, self.m, self.i):
+        for plist in (self.n, self.p, self.m):
             if not plist:
                 raise HarnessError("empty parameter list")
         for q in self.p:
@@ -58,9 +55,6 @@ class CampaignConfig:
         for m in self.m:
             if m < 1:
                 raise HarnessError("level m must be at least 1")
-        for i in self.i:
-            if i < 1:
-                raise HarnessError("section level i must be at least 1")
         if self.samples < 0:
             raise HarnessError("samples must be nonnegative")
         if not 0 <= self.seed < 2**64:
@@ -82,7 +76,6 @@ class CampaignConfig:
             "n": list(self.n),
             "p": list(self.p),
             "m": list(self.m),
-            "i": list(self.i),
             "samples": self.samples,
             "seed": self.seed,
             "checks": list(self.checks),
@@ -133,7 +126,7 @@ def build_config(file_values: dict = None, **overrides) -> CampaignConfig:
         if val is not None:
             merged[key] = val
     for key, val in merged.items():
-        if key in ("n", "p", "m", "i"):
+        if key in ("n", "p", "m"):
             cfg = replace(cfg, **{key: _parse_int_list(val)})
         elif key in ("samples", "seed"):
             try:

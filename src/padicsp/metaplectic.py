@@ -317,23 +317,22 @@ class SectionFsi:
 
 
 def _eval_fsi_raw(sec: SectionFsi, g: MetaSL2) -> Mono:
-    ctx = g.ctx
-    rows = g.rows
-    if rows[1][1] == 0:
+    # the lower row is (c, dn) / den: d = dn / den, a = 1 / d and x = c / dn
+    ctx, p = g.ctx, g.ctx.p
+    c, dn = g.mat.num[1]
+    if dn == 0:
         return Mono.zero()
-    a = 1 / rows[1][1]
-    x = rows[1][0] * a
-    if fraction_valuation(x, ctx.p) < 3 * sec.i:
+    x_lower = _unit_class(c, dn, p) if c else (0, 1)
+    if c and x_lower[0] < 3 * sec.i:
         return Mono.zero()
     # the defining factorization lives in the cover: peeling the lower
     # factor off (g, zeta) flips the sheet by the cocycle of the pair
     # (borel, lower(x)), whose invariants are d, x (1 when x = 0) and x(g)
-    d = rows[1][1]
-    x_lower = _unit_class(x.numerator, x.denominator, ctx.p) if x else (0, 1)
-    peel = _rao_sign(_unit_class(d.numerator, d.denominator, ctx.p), x_lower, g._x, ctx.p)
-    v = fraction_valuation(a, ctx.p)
+    x_d = _unit_class(dn, g.mat.den, p)
+    peel = _rao_sign(x_d, x_lower, g._x, p)
+    a = Q(g.mat.den, dn)
     root = mu_psi(ctx.of(a), twist=-1).inverse() * sec.eta.value(a)
-    return root * Mono(g.zeta * peel, -v * (sec.s + Q(1, 2)))
+    return root * Mono(g.zeta * peel, x_d[0] * (sec.s + Q(1, 2)))
 
 
 def eval_fsi_exact(sec: SectionFsi, g: MetaSL2) -> Mono:

@@ -405,7 +405,7 @@ def ordered_negated_roots(w: WeylElem):
     Base order is (height, coeffs).  For every bad pair (g1, g2) inside
     the set, taken by increasing height of g1, the taller member g2 is
     reinserted immediately before g1.  When one g2 serves several g1
-    only the last relocation can hold; has_order_conflict reports this.
+    only the last relocation can hold.
     """
     order = list(w.negated_positive_roots())
     inside = set(order)
@@ -415,16 +415,6 @@ def ordered_negated_roots(w: WeylElem):
         order.remove(g2)
         order.insert(order.index(g1), g2)
     return order
-
-
-def has_order_conflict(w: WeylElem) -> bool:
-    """True when one bad-pair partner g2 would need two different slots."""
-    inside = set(w.negated_positive_roots())
-    count: dict = {}
-    for g1, g2 in bad_pairs(w.n):
-        if g1 in inside and g2 in inside:
-            count[g2] = count.get(g2, 0) + 1
-    return any(c >= 2 for c in count.values())
 
 
 def bad_triples(n: int):

@@ -225,7 +225,7 @@ SAMPLERS = (
     "sample_rational", "_random_ext_elem", "_deep_unipotent",
     "_random_torus", "_random_word_matrix", "_admissible_rewrite_case",
 )
-SAMPLED_REPORT_SHA256 = "2bfd222d0bb318966cb56c7421f91be89dc173f6c380ea3f564272ff41512877"
+SAMPLED_REPORT_SHA256 = "7699a9926d5d8e81a7e419b6df6e6e6981dc0ed1a478904e8bfbc4448008e06b"
 SAMPLED_DRAWS_SHA256 = "0b3eb35e1c2dbe312e249299999fa6b33f1781d82d1927fc9479c89ee6e3d53b"
 
 
@@ -257,6 +257,20 @@ def test_sampler_fed_cases_are_pinned(monkeypatch):
     assert doc["summary"] == {PASS: len(SAMPLER_FED), FAIL: 0, SKIPPED: 0}
     assert {name for name, _ in drawn} == set(SAMPLERS)
     assert (_sha256(doc), _sha256(drawn)) == (SAMPLED_REPORT_SHA256, SAMPLED_DRAWS_SHA256)
+
+
+DEFAULT_CHECKS_SHA256 = "c805bcd0d64a974298a2ebe8cffa1ad8641db536b33f07b41270f1d2704b1652"
+
+
+def test_default_campaign_checks_are_pinned():
+    """The default campaign's check records, each without `seconds`, hash
+    to a fixed value: a change that keeps every verdict and case count
+    keeps the passing report byte-equal.  A change that alters a passing
+    report on purpose updates the digest and says so in CHANGES.md."""
+    records = run_campaign(build_config(None)).as_dict()["checks"]
+    for c in records:
+        c.pop("seconds")
+    assert _sha256(records) == DEFAULT_CHECKS_SHA256
 
 
 def test_campaign_failure_carries_counterexample():
@@ -336,7 +350,7 @@ def test_campaign_crash_becomes_fail_record():
 
 
 def test_campaign_rejects_invalid_config():
-    cfg = CampaignConfig(n=(2,), p=(2,), m=(1,), i=(1,), samples=1, seed=1, checks=(), out=None)
+    cfg = CampaignConfig(n=(2,), p=(2,), m=(1,), samples=1, seed=1, checks=(), out=None)
     with pytest.raises(HarnessError):
         run_campaign(cfg)
 

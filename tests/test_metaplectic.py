@@ -760,6 +760,33 @@ def test_intertwine_gates_imply_the_substitution_depth():
     assert passed > 0 and tight > 0
 
 
+def test_intertwine_integrand_is_one_on_the_support_at_high_conductor():
+    """intertwining-volume samples conductor 1 only.  At conductors 2-5
+    (p^c <= 7^5), for both varpi phases, bounds 1 and p, the levels
+    intertwine_level and one more, and two s, the closed form is
+    q^(-3i) and the integrand at lower(z/(1 - z x))*upper(x),
+    z = t p^(3i), t in {1, 2, p - 1}, is exactly one."""
+    samples = 0
+    for p in (3, 5, 7):
+        ctx = PrimeCtx(p)
+        for c in (2, 3, 4, 5):
+            for eta in (ramified_character(ctx, c), ramified_character(ctx, c, varpi_phase=Q(1, 4))):
+                for bound in (1, p):
+                    lvl = intertwine_level(eta, bound)
+                    for i in (lvl, lvl + 1):
+                        for s in (Q(1, 2), Q(2, 3)):
+                            sec = SectionFsi(i=i, eta=eta, s=s)
+                            for x in (Q(0), Q(1), Q(p), Q(p * p), Q(p - 1, bound)):
+                                assert intertwine_eval_exact(sec, x, bound) == Mono(1, -3 * i)
+                                upper = MetaSL2.upper(ctx, x)
+                                for t in (1, 2, p - 1):
+                                    z = Q(t * p ** (3 * i))
+                                    value = eval_fsi_exact(sec, MetaSL2.lower(ctx, z / (1 - z * x)) * upper)
+                                    assert value.is_one(), (p, c, eta.varpi_phase, bound, i, s, x, t)
+                                    samples += 1
+    assert samples == 2880
+
+
 def _nontrivial_root_payload():
     return {"p": 3, "i": 1, "s": Q(1, 2), "x": Q(0), "t": 1, "value": Mono(turn=Q(1, 4)).inverse()}
 
@@ -768,7 +795,7 @@ def test_intertwine_support_guard_raises(monkeypatch):
     """A nontrivial normalizing root on the support fails the
     intertwining-volume check at its first sample, which names the case."""
     monkeypatch.setattr(metaplectic, "mu_psi", lambda a, twist=1: Mono(turn=Q(1, 4)))
-    cfg = build_config(None, p=[3], i=[1])
+    cfg = build_config(None, p=[3])
     with pytest.raises(CheckFailure) as err:
         check_intertwining_volume(cfg, random.Random(0))
     assert err.value.payload == _nontrivial_root_payload()
@@ -787,7 +814,7 @@ def test_intertwine_support_guard_survives_optimize_flag():
         assert False, "python -O should strip this assert"
         meta.mu_psi = lambda a, twist=1: Mono(turn=Q(1, 4))
         try:
-            check_intertwining_volume(build_config(None, p=[3], i=[1]), random.Random(0))
+            check_intertwining_volume(build_config(None, p=[3]), random.Random(0))
         except CheckFailure as exc:
             print(repr(exc.payload))
         """
