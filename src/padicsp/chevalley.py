@@ -37,7 +37,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .padic import Mono, fraction_valuation, _as_fraction, _pfrac
+from .padic import Mono, fraction_valuation, _as_fraction, _immutable, _pfrac
 from .rootsys import (
     Root,
     WeylElem,
@@ -84,8 +84,7 @@ class Mat:
         es = [_as_fraction(e) for e in entries]
         return _from_entries(len(es), [(i, i, e.numerator, e.denominator) for i, e in enumerate(es)])
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Mat is immutable")
+    __setattr__ = __delattr__ = _immutable
 
     def __eq__(self, other):
         if not isinstance(other, Mat):

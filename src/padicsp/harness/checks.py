@@ -28,7 +28,6 @@ padicsp verify` gives the one-process run.
 import hashlib
 import json
 import os
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 
@@ -37,7 +36,11 @@ from ..padic import (
     Mono,
     PadicError,
     PrimeCtx,
+    _immutable,
     _legendre,
+    _restore,
+    _set,
+    _slots_repr,
     fraction_valuation,
     hilbert_symbol,
     mu_psi,
@@ -900,10 +903,26 @@ def check_heisenberg_law(cfg, rng):
 
 # ============================================================== catalog
 
-@dataclass(frozen=True)
 class CheckSpec:
-    fn: object
-    sampled: bool
+    """A catalog entry: the check function and whether it draws samples."""
+
+    __slots__ = ("fn", "sampled")
+
+    def __init__(self, fn, sampled: bool):
+        _set(self, "fn", fn)
+        _set(self, "sampled", sampled)
+
+    __setattr__ = __delattr__ = _immutable
+    __setstate__ = _restore
+    __repr__ = _slots_repr
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.fn, self.sampled) == (other.fn, other.sampled)
+
+    def __hash__(self):
+        return hash((self.fn, self.sampled))
 
 
 CATALOG = {
@@ -981,7 +1000,16 @@ def _lane(cfg, names, tasks, out, inherited):
             while taken := os.read(tasks, 1):
                 fh.write(f"{taken[0]}\n")
                 fh.flush()
-                fh.write(json.dumps(encode_value(vars(_run_check(cfg, names[taken[0]])))) + "\n")
+                record = _run_check(cfg, names[taken[0]])
+                fields = {
+                    "name": record.name,
+                    "status": record.status,
+                    "cases": record.cases,
+                    "parameters": record.parameters,
+                    "counterexample": record.counterexample,
+                    "seconds": record.seconds,
+                }
+                fh.write(json.dumps(encode_value(fields)) + "\n")
                 fh.flush()
         status = 0
     finally:

@@ -4,9 +4,7 @@ Command-line flags arrive as the same strings a config file holds, and
 one splitter reads every list, so a bad entry is a HarnessError either way.
 """
 
-from dataclasses import dataclass, replace
-
-from ..padic import PadicError, _is_prime
+from ..padic import PadicError, _immutable, _is_prime, _restore, _set, _slots_repr
 
 
 class HarnessError(PadicError):
@@ -20,21 +18,43 @@ DEFAULT_SAMPLES = 40
 DEFAULT_SEED = 287454020
 
 
-@dataclass(frozen=True)
 class CampaignConfig:
-    n: tuple = DEFAULT_RANKS
-    p: tuple = DEFAULT_PRIMES
-    m: tuple = DEFAULT_LEVELS
-    samples: int = DEFAULT_SAMPLES
-    seed: int = DEFAULT_SEED
-    checks: tuple = ()  # empty means the full catalog
-    out: str = None
+    """One campaign's parameters; the lists and numbers must be ints
+    (a bool is not), the checks are names and out is a path or None."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", tuple(int(v) for v in self.n))
-        object.__setattr__(self, "p", tuple(int(v) for v in self.p))
-        object.__setattr__(self, "m", tuple(int(v) for v in self.m))
-        object.__setattr__(self, "checks", tuple(self.checks))
+    __slots__ = ("n", "p", "m", "samples", "seed", "checks", "out")
+
+    def __init__(
+        self,
+        n: tuple = DEFAULT_RANKS,
+        p: tuple = DEFAULT_PRIMES,
+        m: tuple = DEFAULT_LEVELS,
+        samples: int = DEFAULT_SAMPLES,
+        seed: int = DEFAULT_SEED,
+        checks: tuple = (),  # empty means the full catalog
+        out: str = None,
+    ):
+        _set(self, "n", tuple(_integer("n", v) for v in n))
+        _set(self, "p", tuple(_integer("p", v) for v in p))
+        _set(self, "m", tuple(_integer("m", v) for v in m))
+        _set(self, "samples", _integer("samples", samples))
+        _set(self, "seed", _integer("seed", seed))
+        _set(self, "checks", tuple(checks))
+        _set(self, "out", out)
+
+    __setattr__ = __delattr__ = _immutable
+    __setstate__ = _restore
+    __repr__ = _slots_repr
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.p, self.m, self.samples, self.seed, self.checks, self.out) == (
+            other.n, other.p, other.m, other.samples, other.seed, other.checks, other.out
+        )
+
+    def __hash__(self):
+        return hash((self.n, self.p, self.m, self.samples, self.seed, self.checks, self.out))
 
     def validate(self, catalog=None) -> "CampaignConfig":
         for plist in (self.n, self.p, self.m):
@@ -82,11 +102,26 @@ class CampaignConfig:
         }
 
 
+def _integer(name: str, v) -> int:
+    """v itself when it is an int and not a bool; else a HarnessError naming the field."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise HarnessError(f"{name} takes integers, not {v!r}")
+    return v
+
+
 def _split_list(text) -> tuple:
     """A list or tuple item by item; a string split at commas and spaces."""
     if isinstance(text, (list, tuple)):
         return tuple(str(v) for v in text)
     return tuple(str(text).replace(",", " ").split())
+
+
+def _parse_int(key: str, text) -> int:
+    """One integer, read from its text as _parse_int_list reads each entry."""
+    try:
+        return int(str(text))
+    except ValueError as exc:
+        raise HarnessError(f"bad integer for {key}: {text!r}") from exc
 
 
 def _parse_int_list(text) -> tuple:
@@ -120,23 +155,20 @@ def read_config_file(path: str) -> dict:
 
 def build_config(file_values: dict = None, **overrides) -> CampaignConfig:
     """Config-file values first, then explicit flag overrides on top."""
-    cfg = CampaignConfig()
     merged = dict(file_values or {})
     for key, val in overrides.items():
         if val is not None:
             merged[key] = val
+    fields = {}
     for key, val in merged.items():
         if key in ("n", "p", "m"):
-            cfg = replace(cfg, **{key: _parse_int_list(val)})
+            fields[key] = _parse_int_list(val)
         elif key in ("samples", "seed"):
-            try:
-                cfg = replace(cfg, **{key: int(val)})
-            except (TypeError, ValueError) as exc:
-                raise HarnessError(f"bad integer for {key}: {val!r}") from exc
+            fields[key] = _parse_int(key, val)
         elif key == "checks":
-            cfg = replace(cfg, checks=_split_list(val))
+            fields[key] = _split_list(val)
         elif key == "out":
-            cfg = replace(cfg, out=str(val) if val else None)
+            fields[key] = str(val) if val else None
         else:
             raise HarnessError(f"unknown config key {key!r}")
-    return cfg
+    return CampaignConfig(**fields)

@@ -7,10 +7,9 @@ payloads can be replayed.
 """
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction as Q
 
-from ..padic import Mono
+from ..padic import Mono, _slots_repr
 from ..rootsys import Root, WeylElem
 
 PASS = "pass"
@@ -49,20 +48,40 @@ def encode_value(v):
     return repr(v)
 
 
-@dataclass
 class CheckRecord:
-    name: str
-    status: str
-    cases: int = 0
-    parameters: dict = field(default_factory=dict)
-    counterexample: dict = None
-    seconds: float = 0.0
+    """One check's outcome.  A record stays mutable, so it has no hash."""
 
-    def __post_init__(self):
-        if self.status not in _STATUSES:
-            raise ValueError(f"bad status {self.status!r}")
-        if self.status == FAIL and not self.counterexample:
+    __slots__ = ("name", "status", "cases", "parameters", "counterexample", "seconds")
+
+    def __init__(
+        self,
+        name: str,
+        status: str,
+        cases: int = 0,
+        parameters: dict = None,
+        counterexample: dict = None,
+        seconds: float = 0.0,
+    ):
+        if status not in _STATUSES:
+            raise ValueError(f"bad status {status!r}")
+        if status == FAIL and not counterexample:
             raise ValueError("a failed check must carry a counterexample")
+        self.name = name
+        self.status = status
+        self.cases = cases
+        self.parameters = {} if parameters is None else parameters
+        self.counterexample = counterexample
+        self.seconds = seconds
+
+    __repr__ = _slots_repr
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.status, self.cases, self.parameters, self.counterexample, self.seconds) == (
+            other.name, other.status, other.cases, other.parameters, other.counterexample, other.seconds
+        )
 
     def as_dict(self) -> dict:
         return {
@@ -75,11 +94,23 @@ class CheckRecord:
         }
 
 
-@dataclass
 class Report:
-    version: str
-    config: dict
-    checks: list = field(default_factory=list)
+    """A campaign's records under its version and config; mutable, so it has no hash."""
+
+    __slots__ = ("version", "config", "checks")
+
+    def __init__(self, version: str, config: dict, checks: list = None):
+        self.version = version
+        self.config = config
+        self.checks = [] if checks is None else checks
+
+    __repr__ = _slots_repr
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.version, self.config, self.checks) == (other.version, other.config, other.checks)
 
     def tally(self) -> dict:
         """The number of checks with each status."""

@@ -23,7 +23,6 @@ Values are exact Monos: a root of unity recorded as a turn fraction
 times a power of q, and s is rational.  Nothing here collapses a value
 to a complex number.
 """
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 
@@ -34,6 +33,10 @@ from .padic import (
     PrimeCtx,
     _as_fraction,
     _hilbert,
+    _immutable,
+    _restore,
+    _set,
+    _slots_repr,
     _unit_class,
     fraction_valuation,
     mu_psi,
@@ -116,8 +119,7 @@ class MetaSL2:
         _check_sheet(zeta)
         return _generator(ctx, 1, ((0, 1), (-1, 0)), zeta)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("MetaSL2 is immutable")
+    __setattr__ = __delattr__ = _immutable
 
     def __eq__(self, other):
         if not isinstance(other, MetaSL2):
@@ -221,7 +223,6 @@ def _unit_group_table(p: int, c: int):
     raise MetaError(f"no cyclic generator mod {p}^{c}")
 
 
-@dataclass(frozen=True)
 class CharacterFx:
     """A multiplicative character of Q_p^* with finite conductor data.
 
@@ -231,31 +232,44 @@ class CharacterFx:
     units.  The stated conductor must be exact, not just an upper bound.
     """
 
-    ctx: PrimeCtx
-    conductor: int
-    unit_phase: Q = Q(0)
-    varpi_phase: Q = Q(0)
+    __slots__ = ("ctx", "conductor", "unit_phase", "varpi_phase")
 
-    def __post_init__(self):
-        object.__setattr__(self, "unit_phase", _as_fraction(self.unit_phase) % 1)
-        object.__setattr__(self, "varpi_phase", _as_fraction(self.varpi_phase) % 1)
-        if self.conductor < 0:
+    def __init__(self, ctx: PrimeCtx, conductor: int, unit_phase: Q = Q(0), varpi_phase: Q = Q(0)):
+        _set(self, "ctx", ctx)
+        _set(self, "conductor", conductor)
+        _set(self, "unit_phase", _as_fraction(unit_phase) % 1)
+        _set(self, "varpi_phase", _as_fraction(varpi_phase) % 1)
+        if conductor < 0:
             raise MetaError("conductor exponent must be >= 0")
-        if self.conductor == 0:
+        if conductor == 0:
             if self.unit_phase != 0:
                 raise MetaError("conductor 0 forces trivial unit values")
             return
-        p = self.ctx.p
-        order = (p - 1) * p ** (self.conductor - 1)
+        p = ctx.p
+        order = (p - 1) * p ** (conductor - 1)
         if (self.unit_phase * order) % 1 != 0:
             raise MetaError("unit phase must be a multiple of 1/#units")
-        if self.conductor == 1:
+        if conductor == 1:
             if self.unit_phase == 0:
                 raise MetaError("conductor 1 needs a nontrivial unit phase")
         else:
-            probe = 1 + p ** (self.conductor - 1)
+            probe = 1 + p ** (conductor - 1)
             if self._unit_turn(Q(probe)) == 0:
                 raise MetaError("character is trivial one level down; conductor overstated")
+
+    __setattr__ = __delattr__ = _immutable
+    __setstate__ = _restore
+    __repr__ = _slots_repr
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ctx, self.conductor, self.unit_phase, self.varpi_phase) == (
+            other.ctx, other.conductor, other.unit_phase, other.varpi_phase
+        )
+
+    def __hash__(self):
+        return hash((self.ctx, self.conductor, self.unit_phase, self.varpi_phase))
 
     def _unit_turn(self, u: Q) -> Q:
         if self.conductor == 0:
@@ -290,7 +304,6 @@ def ramified_character(ctx: PrimeCtx, conductor: int, turns: int = 1, varpi_phas
 
 # ------------------------------------------------------------- sections
 
-@dataclass(frozen=True)
 class SectionFsi:
     """Level-i member of the compactly-induced family of sections.
 
@@ -299,17 +312,30 @@ class SectionFsi:
     root at the torus entry times eta(a)|a|^{s+1/2}.
     """
 
-    i: int
-    eta: CharacterFx
-    s: Q = Q(1, 2)
+    __slots__ = ("i", "eta", "s")
 
-    def __post_init__(self):
+    def __init__(self, i: int, eta: CharacterFx, s: Q = Q(1, 2)):
         try:
-            object.__setattr__(self, "s", _as_fraction(self.s))
+            s = _as_fraction(s)
         except PadicError as exc:
-            raise MetaError(f"s = {self.s!r} is not rational") from exc
-        if type(self.i) is not int or self.i < 1:
-            raise MetaError(f"level {self.i!r} is not a positive integer")
+            raise MetaError(f"s = {s!r} is not rational") from exc
+        if type(i) is not int or i < 1:
+            raise MetaError(f"level {i!r} is not a positive integer")
+        _set(self, "i", i)
+        _set(self, "eta", eta)
+        _set(self, "s", s)
+
+    __setattr__ = __delattr__ = _immutable
+    __setstate__ = _restore
+    __repr__ = _slots_repr
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.i, self.eta, self.s) == (other.i, other.eta, other.s)
+
+    def __hash__(self):
+        return hash((self.i, self.eta, self.s))
 
     @property
     def ctx(self) -> PrimeCtx:

@@ -18,26 +18,49 @@ everything it returns is verified exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .padic import INF, PadicError, PrimeCtx, _as_fraction, fraction_valuation, is_square
+from .padic import (
+    INF,
+    PadicError,
+    PrimeCtx,
+    _as_fraction,
+    _immutable,
+    _restore,
+    _set,
+    _slots_repr,
+    fraction_valuation,
+    is_square,
+)
 
 Q = Fraction
 
 
-@dataclass(frozen=True)
 class QuadExt:
-    ctx: PrimeCtx
-    d: Q
+    """Q_p(sqrt(d)) for a nonsquare d, kept beside d as integers (_dnum, _dden)."""
 
-    def __post_init__(self):
-        d = _as_fraction(self.d)
-        object.__setattr__(self, "d", d)
-        if is_square(self.ctx.of(d)):
-            raise PadicError(f"d = {d} is a square in Q_{self.ctx.p}, not an extension")
-        object.__setattr__(self, "_dnum", d.numerator)
-        object.__setattr__(self, "_dden", d.denominator)
+    __slots__ = ("ctx", "d", "_dnum", "_dden")
+
+    def __init__(self, ctx: PrimeCtx, d: Q):
+        d = _as_fraction(d)
+        if is_square(ctx.of(d)):
+            raise PadicError(f"d = {d} is a square in Q_{ctx.p}, not an extension")
+        _set(self, "ctx", ctx)
+        _set(self, "d", d)
+        _set(self, "_dnum", d.numerator)
+        _set(self, "_dden", d.denominator)
+
+    __setattr__ = __delattr__ = _immutable
+    __setstate__ = _restore
+    __repr__ = _slots_repr
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ctx, self.d) == (other.ctx, other.d)
+
+    def __hash__(self):
+        return hash((self.ctx, self.d))
 
     @property
     def ramified(self) -> bool:
@@ -81,8 +104,7 @@ class QuadExtElem:
         den = math.lcm(a.denominator, b.denominator)
         _fill(self, ext, a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadExtElem is immutable")
+    __setattr__ = __delattr__ = _immutable
 
     @property
     def a(self) -> Q:
@@ -188,9 +210,6 @@ class QuadExtElem:
         if not cand:
             return INF
         return min(cand)
-
-
-_set = object.__setattr__
 
 
 def _fill(x: QuadExtElem, ext: QuadExt, an: int, bn: int, den: int) -> None:

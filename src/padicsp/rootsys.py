@@ -13,8 +13,9 @@ bad pair.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
+
+from .padic import _immutable, _restore, _set, _slots_repr
 
 
 class RootError(ValueError):
@@ -52,13 +53,27 @@ def _euclid(n: int, coeffs: tuple) -> tuple:
     return vec
 
 
-@dataclass(frozen=True)
 class Root:
-    n: int
-    coeffs: tuple
+    """A root of C_n by its coefficients over the simple roots."""
 
-    def __post_init__(self):
-        _euclid(self.n, self.coeffs)
+    __slots__ = ("n", "coeffs")
+
+    def __init__(self, n: int, coeffs: tuple):
+        _euclid(n, coeffs)
+        _set(self, "n", n)
+        _set(self, "coeffs", coeffs)
+
+    __setattr__ = __delattr__ = _immutable
+    __setstate__ = _restore
+    __repr__ = _slots_repr
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.coeffs) == (other.n, other.coeffs)
+
+    def __hash__(self):
+        return hash((self.n, self.coeffs))
 
     @classmethod
     def from_euclid(cls, n: int, vec) -> "Root":
@@ -157,16 +172,28 @@ def root_from_vector(n: int, vec):
     return Root.from_euclid(n, vec) if _is_root_vector(tuple(vec)) else None
 
 
-@dataclass(frozen=True)
 class WeylElem:
     """Signed permutation: imgs[k] = +-(j+1) sends e_{k+1} to +-e_{j+1}."""
 
-    n: int
-    imgs: tuple
+    __slots__ = ("n", "imgs")
 
-    def __post_init__(self):
-        if sorted(abs(v) for v in self.imgs) != list(range(1, self.n + 1)):
-            raise RootError(f"{self.imgs} is not a signed permutation")
+    def __init__(self, n: int, imgs: tuple):
+        if sorted(abs(v) for v in imgs) != list(range(1, n + 1)):
+            raise RootError(f"{imgs} is not a signed permutation")
+        _set(self, "n", n)
+        _set(self, "imgs", imgs)
+
+    __setattr__ = __delattr__ = _immutable
+    __setstate__ = _restore
+    __repr__ = _slots_repr
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.imgs) == (other.n, other.imgs)
+
+    def __hash__(self):
+        return hash((self.n, self.imgs))
 
     @classmethod
     def identity(cls, n: int) -> "WeylElem":

@@ -15,10 +15,9 @@ the same Gaussian integrals.  Values, integrals, masses and equality are
 exact sums in the cyclotomic form Cyclo, with no floating-point arithmetic
 at all.
 """
+from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Optional
 
 from .padic import (
     Cyclo,
@@ -29,8 +28,12 @@ from .padic import (
     _ZERO,
     _as_fraction,
     _head,
+    _immutable,
     _mono,
     _pfrac,
+    _restore,
+    _set,
+    _slots_repr,
     _strip,
     _turn_sum,
     fraction_valuation,
@@ -48,7 +51,6 @@ class SchwartzError(PadicError):
 _ONE = Q(1)
 
 
-@dataclass(frozen=True)
 class Term:
     """coeff * psi(quad * x^2 + freq * x) on the ball center + P^rad.
 
@@ -58,11 +60,28 @@ class Term:
     frequency on the ball and lives in coeff and freq instead.
     """
 
-    coeff: Mono
-    freq: Q
-    center: Q
-    rad: int
-    quad: Q = Q(0)
+    __slots__ = ("coeff", "freq", "center", "rad", "quad")
+
+    def __init__(self, coeff: Mono, freq: Q, center: Q, rad: int, quad: Q = _ZERO):
+        _set(self, "coeff", coeff)
+        _set(self, "freq", freq)
+        _set(self, "center", center)
+        _set(self, "rad", rad)
+        _set(self, "quad", quad)
+
+    __setattr__ = __delattr__ = _immutable
+    __setstate__ = _restore
+    __repr__ = _slots_repr
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.coeff, self.freq, self.center, self.rad, self.quad) == (
+            other.coeff, other.freq, other.center, other.rad, other.quad
+        )
+
+    def __hash__(self):
+        return hash((self.coeff, self.freq, self.center, self.rad, self.quad))
 
     def contains(self, x: Q, p: int) -> bool:
         return fraction_valuation(x - self.center, p) >= self.rad
@@ -85,7 +104,7 @@ def _reduce_coeff(co: Mono, p: int) -> Mono:
     return _mono(Q(num, den), co.qexp + v, co.turn)
 
 
-def _normalize_term(t: Term, p: int) -> Optional[Term]:
+def _normalize_term(t: Term, p: int) -> Term | None:
     # _head hands back a field that is already reduced as the same object
     # (a zero as _ZERO), so `is` tells which tails are there to fold; a
     # zero from elsewhere only costs one needless rebuild.
@@ -259,7 +278,6 @@ def _gram(terms, ctx: PrimeCtx):
             yield ti.coeff * tj.coeff.conjugate() * vol
 
 
-@dataclass(frozen=True)
 class SchwartzFn:
     """Finite exact combination of quadratic-phase-times-ball terms.
 
@@ -269,8 +287,23 @@ class SchwartzFn:
     everything else needs `equals`.
     """
 
-    ctx: PrimeCtx
-    terms: tuple
+    __slots__ = ("ctx", "terms")
+
+    def __init__(self, ctx: PrimeCtx, terms: tuple):
+        _set(self, "ctx", ctx)
+        _set(self, "terms", terms)
+
+    __setattr__ = __delattr__ = _immutable
+    __setstate__ = _restore
+    __repr__ = _slots_repr
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ctx, self.terms) == (other.ctx, other.terms)
+
+    def __hash__(self):
+        return hash((self.ctx, self.terms))
 
     @classmethod
     def zero(cls, ctx: PrimeCtx) -> "SchwartzFn":
@@ -371,7 +404,7 @@ class SchwartzFn:
     def equals(self, other: "SchwartzFn") -> bool:
         return not self.minus(other)._residual_balls()
 
-    def difference_witness(self, other: "SchwartzFn") -> Optional[Q]:
+    def difference_witness(self, other: "SchwartzFn") -> Q | None:
         """A rational point where the two functions differ, or None.
 
         Starting from a ball where the difference has mass, descend into a
@@ -480,17 +513,27 @@ def fourier(phi: SchwartzFn, twist: int = 1) -> SchwartzFn:
     return _op_flip(phi, _check_twist(twist))
 
 
-@dataclass(frozen=True)
 class HeisenbergElem:
     """Group element [x, xp, z] of rationals; the commutator pairing carries a factor 2."""
 
-    x: Q
-    xp: Q
-    z: Q
+    __slots__ = ("x", "xp", "z")
 
-    def __post_init__(self):
-        for name in ("x", "xp", "z"):
-            object.__setattr__(self, name, _as_fraction(getattr(self, name)))
+    def __init__(self, x: Q, xp: Q, z: Q):
+        _set(self, "x", _as_fraction(x))
+        _set(self, "xp", _as_fraction(xp))
+        _set(self, "z", _as_fraction(z))
+
+    __setattr__ = __delattr__ = _immutable
+    __setstate__ = _restore
+    __repr__ = _slots_repr
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.x, self.xp, self.z) == (other.x, other.xp, other.z)
+
+    def __hash__(self):
+        return hash((self.x, self.xp, self.z))
 
     def __mul__(self, other: "HeisenbergElem") -> "HeisenbergElem":
         shift = self.x * other.xp - other.x * self.xp

@@ -1,21 +1,28 @@
 """Campaign configuration, report shape, lanes, and the CLI surface."""
 
+import copy
 import hashlib
 import json
 import os
+import pickle
 import random
 import re
 import select
+import subprocess
+import sys
 import time
 from fractions import Fraction as Q
 
 import pytest
 
+import padicsp
 from padicsp import chevalley
 from padicsp.chevalley import FactorizationError, MatrixError
-from padicsp.metaplectic import MetaError
-from padicsp.padic import Mono, PadicError, PrimeCtx, fraction_valuation, is_square, psi
+from padicsp.metaplectic import CharacterFx, MetaError, SectionFsi
+from padicsp.padic import Cyclo, Mono, PadicError, PrimeCtx, fraction_valuation, is_square, psi
+from padicsp.quadext import QuadExt
 from padicsp.rootsys import Root, WeylElem, ordered_negated_roots
+from padicsp.schwartz import HeisenbergElem, SchwartzFn, Term
 from padicsp.harness import (
     CATALOG,
     CampaignConfig,
@@ -96,6 +103,28 @@ def test_p2_message_names_the_hypothesis():
         cfg.validate(CATALOG)
 
 
+@pytest.mark.parametrize(
+    "kw,field",
+    [
+        (dict(n=(2.7,), p=(5.9,)), "n"),
+        (dict(seed="7"), "seed"),
+        (dict(samples=2.5), "samples"),
+        (dict(m=(1, True)), "m"),
+    ],
+    ids=["float-ranks-and-primes", "string-seed", "float-samples", "bool-level"],
+)
+def test_config_takes_integers_only(kw, field):
+    """A float is not truncated and a string is not parsed: the config
+    refuses them, naming the field, before anything validates."""
+    with pytest.raises(HarnessError, match=f"^{field} takes integers"):
+        CampaignConfig(**kw)
+
+
+def test_build_config_refuses_a_fractional_count():
+    with pytest.raises(HarnessError, match="bad integer for samples"):
+        build_config(None, samples=2.5)
+
+
 # ------------------------------------------------------------- report
 
 def test_encode_value_shapes():
@@ -142,6 +171,118 @@ def test_report_json_is_sorted_and_stable():
     assert [c["name"] for c in d["checks"]] == ["alpha", "zeta"]
     assert rep.to_json() == rep.to_json()
     assert d["summary"]["pass"] == 2
+
+
+# -------------------------------------------------------- value types
+
+_C5 = PrimeCtx(5)
+
+# One instance of each value type, by a builder that makes fresh
+# Fractions on every call, with the repr the type has always printed.
+VALUE_TYPES = {
+    "PrimeCtx": (lambda: PrimeCtx(5), "PrimeCtx(p=5)"),
+    "PAdic": (lambda: _C5.of(Q(3, 2)), "PAdic(value=Fraction(3, 2), ctx=PrimeCtx(p=5))"),
+    "Mono": (
+        lambda: Mono(Q(3, 2), Q(1, 2), Q(1, 8)),
+        "Mono(rat=Fraction(3, 2), qexp=Fraction(1, 2), turn=Fraction(1, 8))",
+    ),
+    "Cyclo": (
+        lambda: Cyclo.of(5, [Mono(), Mono(turn=Q(1, 5))]),
+        "Cyclo(p=5, terms=(Mono(rat=Fraction(1, 1), qexp=Fraction(0, 1), turn=Fraction(0, 1)), "
+        "Mono(rat=Fraction(1, 1), qexp=Fraction(0, 1), turn=Fraction(1, 5))))",
+    ),
+    "QuadExt": (lambda: QuadExt(_C5, Q(2)), "QuadExt(ctx=PrimeCtx(p=5), d=Fraction(2, 1))"),
+    "Root": (lambda: Root(2, (2, 1)), "Root(n=2, coeffs=(2, 1))"),
+    "WeylElem": (lambda: WeylElem(2, (2, -1)), "WeylElem(n=2, imgs=(2, -1))"),
+    "CharacterFx": (
+        lambda: CharacterFx(_C5, 1, Q(1, 4)),
+        "CharacterFx(ctx=PrimeCtx(p=5), conductor=1, unit_phase=Fraction(1, 4), varpi_phase=Fraction(0, 1))",
+    ),
+    "SectionFsi": (
+        lambda: SectionFsi(1, CharacterFx(_C5, 1, Q(1, 4))),
+        "SectionFsi(i=1, eta=CharacterFx(ctx=PrimeCtx(p=5), conductor=1, unit_phase=Fraction(1, 4), "
+        "varpi_phase=Fraction(0, 1)), s=Fraction(1, 2))",
+    ),
+    "Term": (
+        lambda: Term(Mono(), Q(1, 5), Q(0), 0),
+        "Term(coeff=Mono(rat=Fraction(1, 1), qexp=Fraction(0, 1), turn=Fraction(0, 1)), "
+        "freq=Fraction(1, 5), center=Fraction(0, 1), rad=0, quad=Fraction(0, 1))",
+    ),
+    "SchwartzFn": (
+        lambda: SchwartzFn.indicator(_C5),
+        "SchwartzFn(ctx=PrimeCtx(p=5), terms=(Term(coeff=Mono(rat=Fraction(1, 1), qexp=Fraction(0, 1), "
+        "turn=Fraction(0, 1)), freq=Fraction(0, 1), center=Fraction(0, 1), rad=0, quad=Fraction(0, 1)),))",
+    ),
+    "HeisenbergElem": (
+        lambda: HeisenbergElem(1, Q(1, 2), 0),
+        "HeisenbergElem(x=Fraction(1, 1), xp=Fraction(1, 2), z=Fraction(0, 1))",
+    ),
+    "CampaignConfig": (
+        lambda: CampaignConfig(),
+        "CampaignConfig(n=(2, 3), p=(3, 5), m=(1, 2), samples=40, seed=287454020, checks=(), out=None)",
+    ),
+    "CheckSpec": (lambda: CheckSpec(len, False), "CheckSpec(fn=<built-in function len>, sampled=False)"),
+    "CheckRecord": (
+        lambda: CheckRecord("x", PASS, 3, {"q": Q(1, 3)}),
+        "CheckRecord(name='x', status='pass', cases=3, parameters={'q': Fraction(1, 3)}, "
+        "counterexample=None, seconds=0.0)",
+    ),
+    "Report": (
+        lambda: Report("0.1", {"seed": 1}, [CheckRecord("x", PASS, 3, {"q": Q(1, 3)})]),
+        "Report(version='0.1', config={'seed': 1}, checks=[CheckRecord(name='x', status='pass', cases=3, "
+        "parameters={'q': Fraction(1, 3)}, counterexample=None, seconds=0.0)])",
+    ),
+}
+RECORDS = ("CheckRecord", "Report")  # mutable, so unhashable
+
+
+@pytest.mark.parametrize("name", list(VALUE_TYPES))
+def test_value_type_contract(name):
+    """Equal fields make equal values with equal hashes; the repr names
+    every field; copy and pickle keep the value; a value cannot be
+    changed, and a record cannot be hashed."""
+    build, shown = VALUE_TYPES[name]
+    a, b = build(), build()
+    assert type(a).__name__ == name
+    assert a is not b and a == b and not a != b
+    assert repr(a) == shown
+    assert copy.copy(a) == a and copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
+    field = shown[len(name) + 1:shown.index("=")]  # the first field
+    if name in RECORDS:
+        with pytest.raises(TypeError):
+            hash(a)
+        setattr(a, field, getattr(b, field))
+        assert a == b
+        return
+    assert hash(a) == hash(b)
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(b, field))
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    assert getattr(a, field) == getattr(b, field)
+
+
+def test_value_types_have_no_instance_dict():
+    """Each value keeps its fields in slots, so it has no dict to fill."""
+    for build, _ in VALUE_TYPES.values():
+        value = build()
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(AttributeError):
+            value.extra = 1
+
+
+@pytest.mark.parametrize(
+    "left,right",
+    [
+        (Root(2, (2, 1)), WeylElem(2, (2, 1))),
+        (HeisenbergElem(1, 2, Q(1, 3)), Mono(1, 2, Q(1, 3))),
+        (Cyclo(5, ()), SchwartzFn(5, ())),
+        (Mono(1, 2, Q(1, 3)), (Q(1), Q(2), Q(1, 3))),
+    ],
+    ids=["root-weyl", "heisenberg-mono", "cyclo-schwartz", "mono-tuple"],
+)
+def test_equal_fields_of_different_types_are_unequal(left, right):
+    assert left != right and right != left
 
 
 # ----------------------------------------------------------- sampling
@@ -497,6 +638,20 @@ def test_a_one_check_campaign_does_not_fork(monkeypatch):
 
 
 # ---------------------------------------------------------------- cli
+
+def test_cold_import_loads_no_code_generator():
+    """Importing the CLI, without site, loads neither dataclasses nor
+    typing, nor the source tools they pull in."""
+    generators = ("dataclasses", "typing", "inspect", "ast", "dis", "tokenize")
+    src = os.path.dirname(os.path.dirname(padicsp.__file__))
+    script = "import padicsp.harness.cli, sys; print(*sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", script, *generators],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == []
+
 
 def test_cli_enumerate_bad_pairs(capsys):
     assert main(["enumerate", "bad-pairs", "--n", "2"]) == 0

@@ -12,7 +12,6 @@ import random
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -628,7 +627,7 @@ def complex_section_value(sec, g, s):
     value at s = -1/2 carries every root of unity and |a|^0; the factor
     |a|^(s + 1/2) = q^(-v(a)(s + 1/2)) is then applied in floats."""
     p = g.ctx.p
-    root = eval_fsi_exact(replace(sec, s=Q(-1, 2)), g)
+    root = eval_fsi_exact(SectionFsi(sec.i, sec.eta, Q(-1, 2)), g)
     if root.is_zero():
         return 0j
     v = -fraction_valuation(g.rows[1][1], p)
