@@ -1,7 +1,8 @@
 """Deterministic verification campaigns over the exact symplectic stack."""
 
 from .config import CampaignConfig, HarnessError, build_config, read_config_file
-from .checks import CATALOG, CheckFailure, run_campaign, sample_rational
+from .checks import CATALOG, CheckFailure, run_campaign
+from .common import sample_rational
 from .report import CheckRecord, Report, encode_value
 
 __all__ = [

@@ -1,7 +1,7 @@
 """The root-system checks of the catalog: the C_n roots, bad pairs and
 the Weyl group, by exhaustion over every rank of the campaign.
 
-They read no prime and use none of the samplers of `checks`, which
+They read no prime and use none of the samplers of `common`; `checks`
 lists them in its catalog.
 """
 

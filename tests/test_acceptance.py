@@ -43,9 +43,8 @@ from padicsp.metaplectic import (
     ramified_character,
 )
 from padicsp import schwartz as sw
-from padicsp.harness import CampaignConfig, CheckFailure, checks
+from padicsp.harness import CampaignConfig, CheckFailure, matrix_checks
 from padicsp.harness.checks import (
-    _deep_ball_cases,
     check_bad_pair_factorizations,
     check_bad_pairs,
     check_bad_triple_shapes,
@@ -68,6 +67,7 @@ from padicsp.harness.checks import (
     check_weil_index,
     check_weil_rep_identity,
 )
+from padicsp.harness.schwartz_checks import _deep_ball_cases
 
 C3 = PrimeCtx(3)
 
@@ -203,7 +203,7 @@ def test_criterion_07_congruence_filtration(monkeypatch):
     restricts, and the two corner-slice matrix identities hold on seeded
     instances at ranks 3 and 4.  The campaign's matrix ranks stop at 3,
     so the criterion lifts that cap to reach n = 4."""
-    monkeypatch.setattr(checks, "matrix_ranks", lambda cfg: list(cfg.n))
+    monkeypatch.setattr(matrix_checks, "matrix_ranks", lambda cfg: list(cfg.n))
     problems = []
     cases = run_check(check_congruence_structure, 70701, problems, n=(2, 3, 4), p=(3, 5, 7, 11, 13))
     assert record(7, "congruence filtration and characters", not problems,

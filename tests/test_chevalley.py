@@ -29,7 +29,7 @@ import pytest
 
 import padicsp
 from padicsp import chevalley
-from padicsp.harness.checks import (
+from padicsp.harness.matrix_checks import (
     _admissible_rewrite_case,
     _cells_below_top,
     _deep_unipotent,

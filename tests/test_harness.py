@@ -36,8 +36,9 @@ from padicsp.harness import (
     run_campaign,
     sample_rational,
 )
-from padicsp.harness import checks
-from padicsp.harness.checks import CheckSpec, case_seed, nonresidue, square_classes
+from padicsp.harness import checks, matrix_checks
+from padicsp.harness.checks import CheckSpec, case_seed
+from padicsp.harness.common import nonresidue, square_classes
 from padicsp.harness.cli import main
 from padicsp.harness.report import FAIL, PASS, SKIPPED
 
@@ -357,15 +358,20 @@ def test_campaign_deterministic_given_seed():
     assert d1 == d2
 
 
-# The checks whose cases come from the seeded samplers, and the samplers.
+# The checks whose cases come from the seeded samplers, and the samplers,
+# each with every module that reads it.
 SAMPLER_FED = (
     "psi-character", "hilbert-symbol", "weil-index", "quad-ext", "norm-one-split",
     "bruhat-oracle", "cell-word-rewrite", "cell-collapse", "congruence-structure",
 )
-SAMPLERS = (
-    "sample_rational", "_random_ext_elem", "_deep_unipotent",
-    "_random_torus", "_random_word_matrix", "_admissible_rewrite_case",
-)
+SAMPLERS = {
+    "sample_rational": (checks, matrix_checks),
+    "_random_ext_elem": (checks,),
+    "_deep_unipotent": (matrix_checks,),
+    "_random_torus": (matrix_checks,),
+    "_random_word_matrix": (matrix_checks,),
+    "_admissible_rewrite_case": (matrix_checks,),
+}
 SAMPLED_REPORT_SHA256 = "7699a9926d5d8e81a7e419b6df6e6e6981dc0ed1a478904e8bfbc4448008e06b"
 SAMPLED_DRAWS_SHA256 = "0b3eb35e1c2dbe312e249299999fa6b33f1781d82d1927fc9479c89ee6e3d53b"
 
@@ -384,13 +390,14 @@ def test_sampler_fed_cases_are_pinned(monkeypatch):
     on purpose updates both digests and says so in CHANGES.md."""
     _use_cpus(monkeypatch, 1)
     drawn = []
-    for name in SAMPLERS:
-        def traced(*args, _real=getattr(checks, name), _name=name, **kwargs):
-            out = _real(*args, **kwargs)
-            drawn.append([_name, encode_value(out)])
-            return out
+    for name, readers in SAMPLERS.items():
+        for module in readers:
+            def traced(*args, _real=getattr(module, name), _name=name, **kwargs):
+                out = _real(*args, **kwargs)
+                drawn.append([_name, encode_value(out)])
+                return out
 
-        monkeypatch.setattr(checks, name, traced)
+            monkeypatch.setattr(module, name, traced)
     doc = run_campaign(build_config(None, checks=list(SAMPLER_FED), samples=8, seed=2611)).as_dict()
     doc.pop("version")
     for c in doc["checks"]:
@@ -400,7 +407,7 @@ def test_sampler_fed_cases_are_pinned(monkeypatch):
     assert (_sha256(doc), _sha256(drawn)) == (SAMPLED_REPORT_SHA256, SAMPLED_DRAWS_SHA256)
 
 
-DEFAULT_CHECKS_SHA256 = "c805bcd0d64a974298a2ebe8cffa1ad8641db536b33f07b41270f1d2704b1652"
+DEFAULT_CHECKS_SHA256 = "4d7ee6d77fda498fb6c2da349441a8b5dfc054151e32ef77088a7adfbf67b874"
 
 
 def test_default_campaign_checks_are_pinned():

@@ -1,4 +1,4 @@
-"""Source lints: nine rules the code must keep, read off its syntax.
+"""Source lints: eleven rules the code must keep, read off its syntax.
 
 - the library never touches cmath, complex or float(): every value it
   computes is exact (Fraction, Mono, Cyclo), and the complex embedding
@@ -11,7 +11,10 @@
 - the integer kernels (matrix rows, quadratic-extension elements) never
   touch a Fraction view;
 - only padic and schwartz use the trusted Mono constructor;
-- every acceptance criterion runs a catalog check through run_check.
+- every acceptance criterion runs a catalog check through run_check;
+- no harness module has more AST nodes than the largest library module;
+- every check function of the harness is the fn of exactly one catalog
+  entry, and every entry's fn is one of them.
 
 One walker names each node by the innermost function or class around
 it, module-qualified (`padic.Mono.inverse`, `harness.checks.<module>`
@@ -22,6 +25,7 @@ import ast
 from pathlib import Path
 
 import padicsp
+from padicsp.harness.checks import CATALOG, CheckSpec
 
 SRC = Path(padicsp.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -542,4 +546,102 @@ def test_gate_lint_sees_each_criterion(tmp_path):
         "test_acceptance.test_criterion_03_inline": False,
         "test_acceptance.test_criterion_04_nested": False,
         "test_acceptance.test_criterion_05_reference": False,
+    }
+
+
+# ---------------------------------------------------------- module size
+
+def oversized_harness_modules(root=SRC):
+    """{module: AST node count} for each module under harness/ with more
+    nodes than the largest module outside it.
+
+    A module's compile peak grows with its syntax tree, and the process
+    keeps its RSS high-water mark, so the first large compile sets the
+    peak memory of every run; the largest library module's compile is
+    paid by every run anyway."""
+    sizes = {module: sum(1 for _ in ast.walk(tree)) for module, tree in modules(root)}
+    library = max(n for module, n in sizes.items() if not module.startswith("harness."))
+    return {module: n for module, n in sizes.items() if module.startswith("harness.") and n > library}
+
+
+def test_no_harness_module_outgrows_the_largest_library_module():
+    assert oversized_harness_modules() == {}
+
+
+def test_size_lint_sees_each_harness_module(tmp_path):
+    (tmp_path / "harness").mkdir()
+    (tmp_path / "lib.py").write_text("x = 1\n")  # 5 nodes
+    (tmp_path / "small.py").write_text("\n")  # 1 node
+    (tmp_path / "harness" / "equal.py").write_text("y = 2\n")  # 5 nodes
+    (tmp_path / "harness" / "big.py").write_text("z = 1 + 2\n")  # 8 nodes
+    (tmp_path / "harness" / "nested").mkdir()
+    (tmp_path / "harness" / "nested" / "deep.py").write_text("def f(x):\n    return x\n")  # 7 nodes
+    assert oversized_harness_modules(tmp_path) == {"harness.big": 8, "harness.nested.deep": 7}
+
+
+# -------------------------------------------------------------- catalog
+
+# The catalog lists checks from several harness modules; a check defined
+# but never listed would silently stop running, and one listed twice
+# would run twice.
+
+
+def harness_checks(root=SRC):
+    """The module-level check_* functions of the modules under harness/,
+    module-qualified."""
+    return {
+        f"{module}.{stmt.name}"
+        for module, tree in modules(root) if module.startswith("harness.")
+        for stmt in tree.body if isinstance(stmt, _FUNCTIONS) and stmt.name.startswith("check_")
+    }
+
+
+def catalog_tally(catalog, root=SRC):
+    """{function: number of catalog entries whose fn it is} over every
+    harness check function and every entry's fn, module-qualified."""
+    tally = dict.fromkeys(harness_checks(root), 0)
+    for spec in catalog.values():
+        name = f"{spec.fn.__module__}.{spec.fn.__qualname__}".removeprefix("padicsp.")
+        tally[name] = tally.get(name, 0) + 1
+    return tally
+
+
+def test_every_check_is_one_catalog_entry():
+    tally = catalog_tally(CATALOG)
+    assert set(tally) == harness_checks()
+    assert {name: k for name, k in tally.items() if k != 1} == {}
+
+
+def test_catalog_lint_sees_unlisted_repeated_and_foreign_checks(tmp_path):
+    (tmp_path / "harness").mkdir()
+    (tmp_path / "harness" / "a.py").write_text(
+        "def check_x(cfg, rng):\n    return 0, {}\n"
+        "async def check_y(cfg, rng):\n    return 0, {}\n"
+        "def helper():\n    def check_inner(cfg, rng):\n        return 0, {}\n    return check_inner\n"
+        "class K:\n    def check_method(self, cfg, rng):\n        return 0, {}\n"
+    )
+    (tmp_path / "harness" / "b.py").write_text("def check_z(cfg, rng):\n    return 0, {}\n")
+    (tmp_path / "lib.py").write_text("def check_w(cfg, rng):\n    return 0, {}\n")
+
+    def entry(qualified):
+        def fn(cfg, rng):
+            return 0, {}
+
+        fn.__module__, _, fn.__qualname__ = f"padicsp.{qualified}".rpartition(".")
+        return CheckSpec(fn, False)
+
+    catalog = {
+        "x": entry("harness.a.check_x"),
+        "x-again": entry("harness.a.check_x"),
+        "z": entry("harness.b.check_z"),
+        "w": entry("lib.check_w"),
+        "inner": entry("harness.a.helper.<locals>.check_inner"),
+    }
+    assert harness_checks(tmp_path) == {"harness.a.check_x", "harness.a.check_y", "harness.b.check_z"}
+    assert catalog_tally(catalog, tmp_path) == {
+        "harness.a.check_x": 2,
+        "harness.a.check_y": 0,
+        "harness.b.check_z": 1,
+        "lib.check_w": 1,
+        "harness.a.helper.<locals>.check_inner": 1,
     }

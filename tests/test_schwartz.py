@@ -35,7 +35,7 @@ from padicsp.padic import (
 )
 from padicsp import schwartz
 from padicsp.harness import CampaignConfig
-from padicsp.harness.checks import _rep_word, check_weil_rep_identity
+from padicsp.harness.schwartz_checks import _rep_word, check_weil_rep_identity
 from padicsp.metaplectic import MetaSL2, rao_cocycle
 from padicsp.schwartz import (
     HeisenbergElem,
