@@ -37,7 +37,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .padic import Mono, fraction_valuation, _as_fraction, _immutable, _pfrac
+from .padic import Mono, fraction_valuation, _Value, _as_fraction, _pfrac
 from .rootsys import (
     Root,
     WeylElem,
@@ -59,7 +59,7 @@ class FactorizationError(MatrixError):
     pass
 
 
-class Mat:
+class Mat(_Value):
     """Immutable exact square matrix.
 
     Stored in lowest terms as one positive integer denominator `den` and
@@ -83,16 +83,6 @@ class Mat:
     def diagonal(cls, entries) -> "Mat":
         es = [_as_fraction(e) for e in entries]
         return _from_entries(len(es), [(i, i, e.numerator, e.denominator) for i, e in enumerate(es)])
-
-    __setattr__ = __delattr__ = _immutable
-
-    def __eq__(self, other):
-        if not isinstance(other, Mat):
-            return NotImplemented
-        return self.den == other.den and self.num == other.num
-
-    def __hash__(self):
-        return hash((self.den, self.num))
 
     def __repr__(self):
         return f"Mat(rows={self.rows!r})"

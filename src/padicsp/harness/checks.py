@@ -45,10 +45,8 @@ from ..padic import (
     Mono,
     PadicError,
     PrimeCtx,
-    _immutable,
-    _restore,
+    _Value,
     _set,
-    _slots_repr,
     hilbert_symbol,
     mu_psi,
     psi,
@@ -363,7 +361,7 @@ def check_intertwining_volume(cfg, rng):
 
 # ============================================================== catalog
 
-class CheckSpec:
+class CheckSpec(_Value):
     """A catalog entry: the check function and whether it draws samples."""
 
     __slots__ = ("fn", "sampled")
@@ -371,18 +369,6 @@ class CheckSpec:
     def __init__(self, fn, sampled: bool):
         _set(self, "fn", fn)
         _set(self, "sampled", sampled)
-
-    __setattr__ = __delattr__ = _immutable
-    __setstate__ = _restore
-    __repr__ = _slots_repr
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.fn, self.sampled) == (other.fn, other.sampled)
-
-    def __hash__(self):
-        return hash((self.fn, self.sampled))
 
 
 CATALOG = {
@@ -461,14 +447,7 @@ def _lane(cfg, names, tasks, out, inherited):
                 fh.write(f"{taken[0]}\n")
                 fh.flush()
                 record = _run_check(cfg, names[taken[0]])
-                fields = {
-                    "name": record.name,
-                    "status": record.status,
-                    "cases": record.cases,
-                    "parameters": record.parameters,
-                    "counterexample": record.counterexample,
-                    "seconds": record.seconds,
-                }
+                fields = {k: getattr(record, k) for k in CheckRecord.__slots__}
                 fh.write(json.dumps(encode_value(fields)) + "\n")
                 fh.flush()
         status = 0

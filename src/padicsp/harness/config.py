@@ -4,7 +4,7 @@ Command-line flags arrive as the same strings a config file holds, and
 one splitter reads every list, so a bad entry is a HarnessError either way.
 """
 
-from ..padic import PadicError, _immutable, _is_prime, _restore, _set, _slots_repr
+from ..padic import PadicError, _Value, _is_prime, _set
 
 
 class HarnessError(PadicError):
@@ -18,7 +18,7 @@ DEFAULT_SAMPLES = 40
 DEFAULT_SEED = 287454020
 
 
-class CampaignConfig:
+class CampaignConfig(_Value):
     """One campaign's parameters; the lists and numbers must be ints
     (a bool is not), the checks are names and out is a path or None."""
 
@@ -41,20 +41,6 @@ class CampaignConfig:
         _set(self, "seed", _integer("seed", seed))
         _set(self, "checks", tuple(checks))
         _set(self, "out", out)
-
-    __setattr__ = __delattr__ = _immutable
-    __setstate__ = _restore
-    __repr__ = _slots_repr
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.p, self.m, self.samples, self.seed, self.checks, self.out) == (
-            other.n, other.p, other.m, other.samples, other.seed, other.checks, other.out
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.p, self.m, self.samples, self.seed, self.checks, self.out))
 
     def validate(self, catalog=None) -> "CampaignConfig":
         for plist in (self.n, self.p, self.m):

@@ -31,12 +31,10 @@ from .padic import (
     Mono,
     PadicError,
     PrimeCtx,
+    _Value,
     _as_fraction,
     _hilbert,
-    _immutable,
-    _restore,
     _set,
-    _slots_repr,
     _unit_class,
     fraction_valuation,
     mu_psi,
@@ -63,7 +61,7 @@ def rao_cocycle(ctx: PrimeCtx, rows1, rows2) -> int:
     return (MetaSL2(ctx, rows1) * MetaSL2(ctx, rows2)).zeta
 
 
-class MetaSL2:
+class MetaSL2(_Value):
     """An element of the double cover: a 2x2 chevalley.Mat in SL2 plus a
     sheet sign.
 
@@ -118,16 +116,6 @@ class MetaSL2:
     def flip(cls, ctx: PrimeCtx, zeta=1) -> "MetaSL2":
         _check_sheet(zeta)
         return _generator(ctx, 1, ((0, 1), (-1, 0)), zeta)
-
-    __setattr__ = __delattr__ = _immutable
-
-    def __eq__(self, other):
-        if not isinstance(other, MetaSL2):
-            return NotImplemented
-        return self.zeta == other.zeta and self.mat == other.mat and self.ctx == other.ctx
-
-    def __hash__(self):
-        return hash((self.ctx, self.mat, self.zeta))
 
     def __repr__(self):
         return f"MetaSL2(ctx={self.ctx!r}, rows={self.rows!r}, zeta={self.zeta!r})"
@@ -223,7 +211,7 @@ def _unit_group_table(p: int, c: int):
     raise MetaError(f"no cyclic generator mod {p}^{c}")
 
 
-class CharacterFx:
+class CharacterFx(_Value):
     """A multiplicative character of Q_p^* with finite conductor data.
 
     unit_phase is the turn fraction assigned to the canonical generator
@@ -235,12 +223,12 @@ class CharacterFx:
     __slots__ = ("ctx", "conductor", "unit_phase", "varpi_phase")
 
     def __init__(self, ctx: PrimeCtx, conductor: int, unit_phase: Q = Q(0), varpi_phase: Q = Q(0)):
+        if type(conductor) is not int or conductor < 0:
+            raise MetaError(f"conductor {conductor!r} is not a nonnegative integer")
         _set(self, "ctx", ctx)
         _set(self, "conductor", conductor)
         _set(self, "unit_phase", _as_fraction(unit_phase) % 1)
         _set(self, "varpi_phase", _as_fraction(varpi_phase) % 1)
-        if conductor < 0:
-            raise MetaError("conductor exponent must be >= 0")
         if conductor == 0:
             if self.unit_phase != 0:
                 raise MetaError("conductor 0 forces trivial unit values")
@@ -256,20 +244,6 @@ class CharacterFx:
             probe = 1 + p ** (conductor - 1)
             if self._unit_turn(Q(probe)) == 0:
                 raise MetaError("character is trivial one level down; conductor overstated")
-
-    __setattr__ = __delattr__ = _immutable
-    __setstate__ = _restore
-    __repr__ = _slots_repr
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ctx, self.conductor, self.unit_phase, self.varpi_phase) == (
-            other.ctx, other.conductor, other.unit_phase, other.varpi_phase
-        )
-
-    def __hash__(self):
-        return hash((self.ctx, self.conductor, self.unit_phase, self.varpi_phase))
 
     def _unit_turn(self, u: Q) -> Q:
         if self.conductor == 0:
@@ -296,15 +270,15 @@ class CharacterFx:
 def ramified_character(ctx: PrimeCtx, conductor: int, turns: int = 1, varpi_phase=Q(0)) -> CharacterFx:
     """Character of exact conductor c >= 1 sending the canonical residue
     unit generator to turns/#units of a full turn."""
-    if conductor < 1:
-        raise MetaError("need conductor >= 1")
+    if type(conductor) is not int or conductor < 1:
+        raise MetaError(f"conductor {conductor!r} is not a positive integer")
     order = (ctx.p - 1) * ctx.p ** (conductor - 1)
     return CharacterFx(ctx, conductor, Q(turns, order), varpi_phase)
 
 
 # ------------------------------------------------------------- sections
 
-class SectionFsi:
+class SectionFsi(_Value):
     """Level-i member of the compactly-induced family of sections.
 
     Supported on products (Borel part)*lower(x) with x in P^{3i}; the
@@ -324,18 +298,6 @@ class SectionFsi:
         _set(self, "i", i)
         _set(self, "eta", eta)
         _set(self, "s", s)
-
-    __setattr__ = __delattr__ = _immutable
-    __setstate__ = _restore
-    __repr__ = _slots_repr
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.i, self.eta, self.s) == (other.i, other.eta, other.s)
-
-    def __hash__(self):
-        return hash((self.i, self.eta, self.s))
 
     @property
     def ctx(self) -> PrimeCtx:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from fractions import Fraction
+from operator import attrgetter
 
 Q = Fraction
 
@@ -120,17 +121,18 @@ def _slots_repr(self) -> str:
     return f"{type(self).__name__}({fields})"
 
 
-class PrimeCtx:
-    """An odd prime p with residue field size q = p."""
+class _Value:
+    """Base of the immutable value types.  A value's fields are its public
+    slots, those not named with a leading "_", in slot order: two values
+    are equal when they are of one class with equal fields, and a value
+    hashes as the tuple of its fields."""
 
-    __slots__ = ("p",)
+    __slots__ = ()
 
-    def __init__(self, p: int):
-        if not _is_prime(p):
-            raise PadicError(f"p = {p} is not prime")
-        if p == 2:
-            raise PadicError("p = 2 rejected: the workbench requires odd residue characteristic")
-        _set(self, "p", p)
+    def __init_subclass__(cls):
+        names = [k for k in cls.__slots__ if k[0] != "_"]
+        get = attrgetter(*names)  # one name gives the bare value, not a 1-tuple
+        cls._fields = staticmethod(get if len(names) > 1 else lambda v: (get(v),))
 
     __setattr__ = __delattr__ = _immutable
     __setstate__ = _restore
@@ -139,16 +141,31 @@ class PrimeCtx:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.p == other.p
+        return self._fields(self) == self._fields(other)
 
     def __hash__(self):
-        return hash((self.p,))
+        return hash(self._fields(self))
+
+
+class PrimeCtx(_Value):
+    """An odd prime p with residue field size q = p."""
+
+    __slots__ = ("p",)
+
+    def __init__(self, p: int):
+        if isinstance(p, bool) or not isinstance(p, int):
+            raise PadicError(f"p = {p!r} is not an integer")
+        if not _is_prime(p):
+            raise PadicError(f"p = {p} is not prime")
+        if p == 2:
+            raise PadicError("p = 2 rejected: the workbench requires odd residue characteristic")
+        _set(self, "p", p)
 
     def of(self, x) -> "PAdic":
         return PAdic(_as_fraction(x), self)
 
 
-class PAdic:
+class PAdic(_Value):
     """A rational tagged with its prime: the argument of a valuation reader."""
 
     __slots__ = ("value", "ctx")
@@ -157,23 +174,11 @@ class PAdic:
         _set(self, "value", value)
         _set(self, "ctx", ctx)
 
-    __setattr__ = __delattr__ = _immutable
-    __setstate__ = _restore
-    __repr__ = _slots_repr
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.value, self.ctx) == (other.value, other.ctx)
-
-    def __hash__(self):
-        return hash((self.value, self.ctx))
-
 
 _HALF = Q(1, 2)
 
 
-class Mono:
+class Mono(_Value):
     """The exact scalar rat * q**qexp * exp(2 pi i turn), for q the residue field size.
 
     rat is kept >= 0 (a sign is half a turn) and turn in [0, 1); zero is
@@ -202,18 +207,6 @@ class Mono:
         _set(self, "rat", rat)
         _set(self, "qexp", _as_fraction(qexp))
         _set(self, "turn", turn)
-
-    __setattr__ = __delattr__ = _immutable
-    __setstate__ = _restore
-    __repr__ = _slots_repr
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.rat, self.qexp, self.turn) == (other.rat, other.qexp, other.turn)
-
-    def __hash__(self):
-        return hash((self.rat, self.qexp, self.turn))
 
     @classmethod
     def one(cls) -> "Mono":

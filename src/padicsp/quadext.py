@@ -24,11 +24,10 @@ from .padic import (
     INF,
     PadicError,
     PrimeCtx,
+    _Value,
     _as_fraction,
     _immutable,
-    _restore,
     _set,
-    _slots_repr,
     fraction_valuation,
     is_square,
 )
@@ -36,7 +35,7 @@ from .padic import (
 Q = Fraction
 
 
-class QuadExt:
+class QuadExt(_Value):
     """Q_p(sqrt(d)) for a nonsquare d, kept beside d as integers (_dnum, _dden)."""
 
     __slots__ = ("ctx", "d", "_dnum", "_dden")
@@ -49,18 +48,6 @@ class QuadExt:
         _set(self, "d", d)
         _set(self, "_dnum", d.numerator)
         _set(self, "_dden", d.denominator)
-
-    __setattr__ = __delattr__ = _immutable
-    __setstate__ = _restore
-    __repr__ = _slots_repr
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ctx, self.d) == (other.ctx, other.d)
-
-    def __hash__(self):
-        return hash((self.ctx, self.d))
 
     @property
     def ramified(self) -> bool:

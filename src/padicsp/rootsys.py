@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .padic import _immutable, _restore, _set, _slots_repr
+from .padic import _Value, _set
 
 
 class RootError(ValueError):
@@ -53,7 +53,7 @@ def _euclid(n: int, coeffs: tuple) -> tuple:
     return vec
 
 
-class Root:
+class Root(_Value):
     """A root of C_n by its coefficients over the simple roots."""
 
     __slots__ = ("n", "coeffs")
@@ -62,18 +62,6 @@ class Root:
         _euclid(n, coeffs)
         _set(self, "n", n)
         _set(self, "coeffs", coeffs)
-
-    __setattr__ = __delattr__ = _immutable
-    __setstate__ = _restore
-    __repr__ = _slots_repr
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.coeffs) == (other.n, other.coeffs)
-
-    def __hash__(self):
-        return hash((self.n, self.coeffs))
 
     @classmethod
     def from_euclid(cls, n: int, vec) -> "Root":
@@ -172,7 +160,7 @@ def root_from_vector(n: int, vec):
     return Root.from_euclid(n, vec) if _is_root_vector(tuple(vec)) else None
 
 
-class WeylElem:
+class WeylElem(_Value):
     """Signed permutation: imgs[k] = +-(j+1) sends e_{k+1} to +-e_{j+1}."""
 
     __slots__ = ("n", "imgs")
@@ -182,18 +170,6 @@ class WeylElem:
             raise RootError(f"{imgs} is not a signed permutation")
         _set(self, "n", n)
         _set(self, "imgs", imgs)
-
-    __setattr__ = __delattr__ = _immutable
-    __setstate__ = _restore
-    __repr__ = _slots_repr
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.imgs) == (other.n, other.imgs)
-
-    def __hash__(self):
-        return hash((self.n, self.imgs))
 
     @classmethod
     def identity(cls, n: int) -> "WeylElem":

@@ -25,15 +25,13 @@ from .padic import (
     PadicError,
     PrimeCtx,
     _HALF,
+    _Value,
     _ZERO,
     _as_fraction,
     _head,
-    _immutable,
     _mono,
     _pfrac,
-    _restore,
     _set,
-    _slots_repr,
     _strip,
     _turn_sum,
     fraction_valuation,
@@ -51,7 +49,7 @@ class SchwartzError(PadicError):
 _ONE = Q(1)
 
 
-class Term:
+class Term(_Value):
     """coeff * psi(quad * x^2 + freq * x) on the ball center + P^rad.
 
     In reduced form the center keeps its digits below rad, quad those
@@ -68,20 +66,6 @@ class Term:
         _set(self, "center", center)
         _set(self, "rad", rad)
         _set(self, "quad", quad)
-
-    __setattr__ = __delattr__ = _immutable
-    __setstate__ = _restore
-    __repr__ = _slots_repr
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.coeff, self.freq, self.center, self.rad, self.quad) == (
-            other.coeff, other.freq, other.center, other.rad, other.quad
-        )
-
-    def __hash__(self):
-        return hash((self.coeff, self.freq, self.center, self.rad, self.quad))
 
     def contains(self, x: Q, p: int) -> bool:
         return fraction_valuation(x - self.center, p) >= self.rad
@@ -278,7 +262,7 @@ def _gram(terms, ctx: PrimeCtx):
             yield ti.coeff * tj.coeff.conjugate() * vol
 
 
-class SchwartzFn:
+class SchwartzFn(_Value):
     """Finite exact combination of quadratic-phase-times-ball terms.
 
     `==` compares term lists and `equals` compares functions.  One
@@ -292,18 +276,6 @@ class SchwartzFn:
     def __init__(self, ctx: PrimeCtx, terms: tuple):
         _set(self, "ctx", ctx)
         _set(self, "terms", terms)
-
-    __setattr__ = __delattr__ = _immutable
-    __setstate__ = _restore
-    __repr__ = _slots_repr
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ctx, self.terms) == (other.ctx, other.terms)
-
-    def __hash__(self):
-        return hash((self.ctx, self.terms))
 
     @classmethod
     def zero(cls, ctx: PrimeCtx) -> "SchwartzFn":
@@ -513,7 +485,7 @@ def fourier(phi: SchwartzFn, twist: int = 1) -> SchwartzFn:
     return _op_flip(phi, _check_twist(twist))
 
 
-class HeisenbergElem:
+class HeisenbergElem(_Value):
     """Group element [x, xp, z] of rationals; the commutator pairing carries a factor 2."""
 
     __slots__ = ("x", "xp", "z")
@@ -522,18 +494,6 @@ class HeisenbergElem:
         _set(self, "x", _as_fraction(x))
         _set(self, "xp", _as_fraction(xp))
         _set(self, "z", _as_fraction(z))
-
-    __setattr__ = __delattr__ = _immutable
-    __setstate__ = _restore
-    __repr__ = _slots_repr
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.x, self.xp, self.z) == (other.x, other.xp, other.z)
-
-    def __hash__(self):
-        return hash((self.x, self.xp, self.z))
 
     def __mul__(self, other: "HeisenbergElem") -> "HeisenbergElem":
         shift = self.x * other.xp - other.x * self.xp

@@ -18,7 +18,7 @@ import pytest
 import padicsp
 from padicsp import chevalley
 from padicsp.chevalley import FactorizationError, MatrixError
-from padicsp.metaplectic import CharacterFx, MetaError, SectionFsi
+from padicsp.metaplectic import CharacterFx, MetaError, MetaSL2, SectionFsi
 from padicsp.padic import Cyclo, Mono, PadicError, PrimeCtx, fraction_valuation, is_square, psi
 from padicsp.quadext import QuadExt
 from padicsp.rootsys import Root, WeylElem, ordered_negated_roots
@@ -223,6 +223,15 @@ VALUE_TYPES = {
         "CampaignConfig(n=(2, 3), p=(3, 5), m=(1, 2), samples=40, seed=287454020, checks=(), out=None)",
     ),
     "CheckSpec": (lambda: CheckSpec(len, False), "CheckSpec(fn=<built-in function len>, sampled=False)"),
+    "Mat": (
+        lambda: chevalley.Mat([[1, Q(1, 2)], [0, 3]]),
+        "Mat(rows=((Fraction(1, 1), Fraction(1, 2)), (Fraction(0, 1), Fraction(3, 1))))",
+    ),
+    "MetaSL2": (
+        lambda: MetaSL2.upper(_C5, Q(1, 5)),
+        "MetaSL2(ctx=PrimeCtx(p=5), rows=((Fraction(1, 1), Fraction(1, 5)), (Fraction(0, 1), Fraction(1, 1))), "
+        "zeta=1)",
+    ),
     "CheckRecord": (
         lambda: CheckRecord("x", PASS, 3, {"q": Q(1, 3)}),
         "CheckRecord(name='x', status='pass', cases=3, parameters={'q': Fraction(1, 3)}, "
@@ -239,9 +248,10 @@ RECORDS = ("CheckRecord", "Report")  # mutable, so unhashable
 
 @pytest.mark.parametrize("name", list(VALUE_TYPES))
 def test_value_type_contract(name):
-    """Equal fields make equal values with equal hashes; the repr names
-    every field; copy and pickle keep the value; a value cannot be
-    changed, and a record cannot be hashed."""
+    """Equal fields make equal values with equal hashes, a value hashing
+    as the tuple of its public slots; the repr names every field; copy and
+    pickle keep the value; a value cannot be changed, and a record cannot
+    be hashed."""
     build, shown = VALUE_TYPES[name]
     a, b = build(), build()
     assert type(a).__name__ == name
@@ -255,7 +265,7 @@ def test_value_type_contract(name):
         setattr(a, field, getattr(b, field))
         assert a == b
         return
-    assert hash(a) == hash(b)
+    assert hash(a) == hash(b) == hash(tuple(getattr(a, k) for k in a.__slots__ if k[0] != "_"))
     with pytest.raises(AttributeError):
         setattr(a, field, getattr(b, field))
     with pytest.raises(AttributeError):

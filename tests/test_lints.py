@@ -1,4 +1,4 @@
-"""Source lints: eleven rules the code must keep, read off its syntax.
+"""Source lints: twelve rules the code must keep, read off its syntax.
 
 - the library never touches cmath, complex or float(): every value it
   computes is exact (Fraction, Mono, Cyclo), and the complex embedding
@@ -14,7 +14,8 @@
 - every acceptance criterion runs a catalog check through run_check;
 - no harness module has more AST nodes than the largest library module;
 - every check function of the harness is the fn of exactly one catalog
-  entry, and every entry's fn is one of them.
+  entry, and every entry's fn is one of them;
+- only the value base and four named classes define __eq__ or __hash__.
 
 One walker names each node by the innermost function or class around
 it, module-qualified (`padic.Mono.inverse`, `harness.checks.<module>`
@@ -645,3 +646,63 @@ def test_catalog_lint_sees_unlisted_repeated_and_foreign_checks(tmp_path):
         "lib.check_w": 1,
         "harness.a.helper.<locals>.check_inner": 1,
     }
+
+
+# ---------------------------------------------------------- value types
+
+# padic._Value gives every immutable value type one equality and one hash,
+# read off its public slots.  Cyclo and QuadExtElem compare equal to
+# rationals, and the mutable CheckRecord and Report have no hash; no
+# other class defines its own.
+EQUALITY_OWNERS = {
+    "padic._Value",
+    "padic.Cyclo",
+    "quadext.QuadExtElem",
+    "harness.report.CheckRecord",
+    "harness.report.Report",
+}
+
+
+def _defines_equality(stmt) -> bool:
+    if isinstance(stmt, _FUNCTIONS):
+        names = {stmt.name}
+    elif isinstance(stmt, ast.Assign):
+        names = {n.id for t in stmt.targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
+        names = {getattr(stmt.target, "id", None)}
+    else:
+        return False
+    return bool(names & {"__eq__", "__hash__"})
+
+
+def equality_definers(root=SRC):
+    """The classes whose own body defines __eq__ or __hash__, by a def or
+    by an assignment."""
+    return {
+        name for name, node in scoped_nodes(root)
+        if isinstance(node, ast.ClassDef) and any(_defines_equality(stmt) for stmt in node.body)
+    }
+
+
+def test_only_the_value_base_and_the_named_classes_define_equality():
+    assert equality_definers() == EQUALITY_OWNERS
+
+
+def test_equality_lint_sees_each_form(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "class A:\n    def __eq__(self, other):\n        return True\n"
+        "class B:\n    def __hash__(self):\n        return 0\n"
+        "class C:\n    __hash__ = None\n"
+        "class D:\n    __eq__, __hash__ = object.__eq__, object.__hash__\n"
+        "class E:\n    __hash__: object = None\n"
+        "def f():\n    class G:\n        __eq__ = lambda self, other: True\n    return G\n"
+        "class H:\n    class I:\n        def __hash__(self):\n            return 1\n"
+    )
+    (tmp_path / "n.py").write_text(
+        "def __eq__(a, b):\n    return True\n"
+        "__hash__ = None\n"
+        "class J:\n    def __ne__(self, other):\n        return False\n"
+        "    def key(self):\n        __hash__ = 0\n        return self.__eq__, __hash__\n"
+        "class K(J):\n    eq = J.__eq__\n"
+    )
+    assert equality_definers(tmp_path) == {"m.A", "m.B", "m.C", "m.D", "m.E", "m.f.G", "m.H.I"}

@@ -501,6 +501,13 @@ def test_character_validation_errors():
         CharacterFx(C3, 2, unit_phase=Q(1, 2))
     with pytest.raises(MetaError):
         ramified_character(C3, 1).phase(0)
+    # the conductor is an int, and a bool is not one
+    for conductor in (True, False, 2.0, Q(2), "2"):
+        with pytest.raises(MetaError):
+            CharacterFx(C5, conductor, Q(1, 4))
+    for conductor in (True, 2.0, Q(2)):
+        with pytest.raises(MetaError):
+            ramified_character(C5, conductor)
 
 
 def test_character_complex_values_unimodular():

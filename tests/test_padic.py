@@ -233,6 +233,10 @@ def test_prime_ctx_rejects_bad_primes():
         PrimeCtx(2)
     with pytest.raises(PadicError):
         PrimeCtx(9)
+    # p is an int, and a bool is not one
+    for p in (5.0, True, Q(5), "5"):
+        with pytest.raises(PadicError):
+            PrimeCtx(p)
 
 
 def test_valuation_basics():
