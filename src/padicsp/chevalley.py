@@ -22,6 +22,16 @@ groups and Weyl representatives never read p, and only the functions
 that read valuations (the congruence levels, the depth characters and
 the cell-word rewrite) take a PrimeCtx, as their leading argument.
 
+The arithmetic on those integer rows (products, inverses, root words,
+peels, the Bruhat elimination, corner ranks and level tests) lives in
+intmat, which knows neither Mat nor the roots; every routine here
+unpacks its Mats, calls the kernel and wraps what it returns with _mat
+or _stored.  The split keeps each module's compile small, since the
+compile peak of one module with both layers set the high-water mark of
+every run's imports, and it gives a rank-n cover a kernel without the
+Bruhat layer.  The public names all stay here, where the benchmark
+tracer's chevalley.* spans find them.
+
 The structural routines verify their own output and raise MatrixError
 (or FactorizationError) when a check fails, so their callers need not
 re-derive it.  bruhat_decompose checks the shapes of its factors and
@@ -33,10 +43,10 @@ cell it reads off the corner ranks drops below w.
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 
+from . import intmat
 from .padic import Mono, fraction_valuation, _Value, _as_fraction, _pfrac
 from .rootsys import (
     Root,
@@ -73,16 +83,16 @@ class Mat(_Value):
         rows = [[_as_fraction(x) for x in row] for row in rows]
         if any(len(row) != len(rows) for row in rows):
             raise MatrixError("rows do not form a square matrix")
-        _fill(self, *_integer_rows(rows))
+        _fill(self, *intmat.integer_rows(rows))
 
     @classmethod
     def identity(cls, size: int) -> "Mat":
-        return _mat(1, _eye(size))
+        return _stored(1, intmat.eye(size))
 
     @classmethod
     def diagonal(cls, entries) -> "Mat":
         es = [_as_fraction(e) for e in entries]
-        return _from_entries(len(es), [(i, i, e.numerator, e.denominator) for i, e in enumerate(es)])
+        return _stored(*intmat.from_entries(len(es), [(i, i, e.numerator, e.denominator) for i, e in enumerate(es)]))
 
     def __repr__(self):
         return f"Mat(rows={self.rows!r})"
@@ -105,60 +115,23 @@ class Mat(_Value):
         return Q(self.num[ij[0]][ij[1]], self.den)
 
     def __mul__(self, other: "Mat") -> "Mat":
-        """Exact product: integer rows times integer rows, skipping zeros,
-        over the product of the two denominators."""
+        """Exact product (intmat.mul)."""
         if len(self.num) != len(other.num):
             raise MatrixError("incompatible matrices")
-        brows = other.num
-        out = []
-        for arow in self.num:
-            acc = [0] * len(arow)
-            for a, brow in zip(arow, brows):
-                if a:
-                    for j, b in enumerate(brow):
-                        if b:
-                            acc[j] += a * b
-            out.append(tuple(acc))
-        return _mat(self.den * other.den, tuple(out))
+        return _stored(*intmat.mul(self.den, self.num, other.den, other.num))
 
     def transpose(self) -> "Mat":
         return _stored(self.den, tuple([*zip(*self.num)]))
 
     def inverse(self) -> "Mat":
-        """Fraction-free Gauss-Jordan on the integer rows (Bareiss, Math.
-        Comp. 22, 1968, with a gcd in place of his exact division).
-
-        Each column is cleared with x pv - f y, and every touched row,
-        with its half of the augmented matrix b, is reduced by its gcd.
-        The elimination ends at diag(a_i) = b num, so row i of the
-        inverse of num / den is den b[i] / a_i.
-        """
-        size = len(self.num)
-        a = [list(row) for row in self.num]
-        b = [list(row) for row in _eye(size)]
-        for col in range(size):
-            piv = next((r for r in range(col, size) if a[r][col]), None)
-            if piv is None:
-                raise MatrixError("singular matrix")
-            a[col], a[piv] = a[piv], a[col]
-            b[col], b[piv] = b[piv], b[col]
-            prow, pb = a[col], b[col]
-            pv = prow[col]
-            for r in range(size):
-                f = a[r][col]
-                if f and r != col:
-                    ra = [x * pv - f * y for x, y in zip(a[r], prow)]
-                    rb = [x * pv - f * y for x, y in zip(b[r], pb)]
-                    g = math.gcd(*ra, *rb)
-                    if g != 1:
-                        ra = [x // g for x in ra]
-                        rb = [x // g for x in rb]
-                    a[r], b[r] = ra, rb
-        den = self.den
-        return _mat(*_over_common_den([_reduced_row([den * x for x in b[i]], a[i][i]) for i in range(size)]))
+        """Fraction-free Gauss-Jordan on the integer rows (intmat.inverse)."""
+        inv = intmat.inverse(self.den, self.num)
+        if inv is None:
+            raise MatrixError("singular matrix")
+        return _stored(*inv)
 
     def is_identity(self) -> bool:
-        return self.den == 1 and self.num == _eye(len(self.num))
+        return self.den == 1 and self.num == intmat.eye(len(self.num))
 
     def is_diagonal(self) -> bool:
         return all(not x for i, row in enumerate(self.num) for j, x in enumerate(row) if i != j)
@@ -179,12 +152,7 @@ def _fill(m: Mat, den: int, num: tuple) -> None:
 
 def _mat(den: int, num: tuple) -> Mat:
     """The Mat num / den for den > 0 and integer rows num, reduced to lowest terms."""
-    if den != 1:
-        g = math.gcd(den, *[x for row in num for x in row])
-        if g != 1:
-            den //= g
-            num = tuple([tuple([x // g for x in row]) for row in num])
-    return _stored(den, num)
+    return _stored(*intmat.lowest(den, num))
 
 
 def _stored(den: int, num: tuple) -> Mat:
@@ -194,99 +162,16 @@ def _stored(den: int, num: tuple) -> Mat:
     return m
 
 
-def _from_entries(size: int, entries) -> Mat:
-    """The Mat with num / den at (i, j) for each (i, j, num, den) of
-    entries (integers, den != 0, each (i, j) once) and zeros elsewhere,
-    over the lcm of the dens."""
-    d = math.lcm(*[den for _, _, _, den in entries])
-    rows = [[0] * size for _ in range(size)]
-    for i, j, x, den in entries:
-        rows[i][j] = x * (d // den)
-    return _mat(d, _tuple_rows(rows))
-
-
-def _unit_diagonal(size: int) -> list:
-    """The entries of the identity, for _from_entries."""
-    return [(i, i, 1, 1) for i in range(size)]
-
-
-def _tuple_rows(rows) -> tuple:
-    """Lists of rows as a tuple of tuples, each built at its exact size.
-
-    Every row tuple here is built from a list, never from a generator or
-    a map: CPython sizes a tuple built from an iterator of unknown length
-    at 10 slots and shrinks it, and each such tuple freed lands on the
-    free list of its size, up to 2,000 blocks a size.
-    """
-    return tuple([tuple(row) for row in rows])
-
-
-@lru_cache(maxsize=None)
-def _eye(size: int) -> tuple:
-    return tuple([tuple([1 if i == j else 0 for j in range(size)]) for i in range(size)])
-
-
-def _integer_rows(rows):
-    """(d, integer rows) with rows == integer rows / d, d the lcm of the
-    denominators; the entries are ints and Fractions."""
-    # a list, not a generator, for the lcm's arguments too (see _tuple_rows)
-    d = math.lcm(*[x.denominator for row in rows for x in row])
-    return d, tuple([tuple([x.numerator * (d // x.denominator) for x in row]) for row in rows])
-
-
-def _over_common_den(rows):
-    """(d, integer rows) for a list of (integer row, den > 0) pairs, d the
-    lcm of the dens."""
-    d = math.lcm(*[den for _, den in rows])
-    return d, tuple([tuple([x * (d // den) for x in row]) for row, den in rows])
-
-
 def is_symplectic(g: Mat) -> bool:
-    """g^-1 g == 1 with g^-1 = -J' tg J': the same test as tg J' g == J', since J'^2 = -1.
-
-    Row i of num(g^-1) num(g) is e_i sum_k e_k num[N-1-k][N-1-i] num[k]
-    (the sign-and-permute formula of symplectic_inverse); each row is
-    compared with den^2 times row i of the identity as soon as it is formed.
-    """
-    num = g.num
-    size = len(num)
-    if size % 2:
+    """tg J' g == J' (intmat.is_symplectic)."""
+    if len(g.num) % 2:
         raise MatrixError("odd size")
-    n = size // 2
-    big = size - 1
-    target = g.den * g.den
-    for i in range(size):
-        acc = [0] * size
-        for k, row in enumerate(num):
-            x = num[big - k][big - i]
-            if x:
-                if (k < n) != (i < n):
-                    x = -x
-                for j, y in enumerate(row):
-                    if y:
-                        acc[j] += x * y
-        acc[i] -= target
-        if any(acc):
-            return False
-    return True
+    return intmat.is_symplectic(g.den, g.num)
 
 
 def symplectic_inverse(g: Mat) -> Mat:
-    # g^-1 = -J' tg J' for symplectic g.  J' is the antidiagonal with signs
-    # e = +1 on the first n lines and -1 on the last n, so the product only
-    # permutes and signs entries: inv[i][j] = e_i e_j g[N-1-j][N-1-i], so
-    # the result is in lowest terms as g is
-    num = g.num
-    size = len(num)
-    n = size // 2
-    big = size - 1
-    return _stored(
-        g.den,
-        tuple([
-            tuple([num[big - j][big - i] if (i < n) == (j < n) else -num[big - j][big - i] for j in range(size)])
-            for i in range(size)
-        ]),
-    )
+    """g^-1 = -J' tg J' for symplectic g, by permuting and signing entries."""
+    return _stored(g.den, intmat.symplectic_inverse(g.num))
 
 
 # ------------------------------------------------------- block builders
@@ -297,15 +182,7 @@ def levi_embed(n: int, a_rows) -> Mat:
     if a.size != n:
         raise MatrixError("Levi block has wrong size")
     ainv = a.inverse()
-    den = math.lcm(a.den, ainv.den)
-    sa, sb = den // a.den, den // ainv.den
-    num = [[0] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            num[i][j] = sa * a.num[i][j]
-            # J tA^-1 J reverses both indices of the transpose
-            num[n + i][n + j] = sb * ainv.num[n - 1 - j][n - 1 - i]
-    return _mat(den, _tuple_rows(num))
+    return _stored(*intmat.levi_block(a.den, a.num, ainv.den, ainv.num))
 
 
 def radical_embed(n: int, x_rows) -> Mat:
@@ -321,7 +198,7 @@ def radical_embed(n: int, x_rows) -> Mat:
     num = [[den if i == j else 0 for j in range(2 * n)] for i in range(2 * n)]
     for i in range(n):
         num[i][n:] = x.num[i]
-    return _mat(den, _tuple_rows(num))
+    return _mat(den, intmat.tuple_rows(num))
 
 
 def torus(entries) -> Mat:
@@ -333,7 +210,7 @@ def torus(entries) -> Mat:
     for i, e in enumerate(es):
         # e at (i, i) and 1 / e, numerator and denominator swapped, at the mirror
         entries += [(i, i, e.numerator, e.denominator), (big - i, big - i, e.denominator, e.numerator)]
-    return _from_entries(big + 1, entries)
+    return _stored(*intmat.from_entries(big + 1, entries))
 
 
 def first_axis_torus(n: int, a) -> Mat:
@@ -412,7 +289,7 @@ def root_elem(n: int, root: Root, r) -> Mat:
 
 def mul_root_elem(g: Mat, root: Root, r) -> Mat:
     """g * x_root(r) as column updates: the one-letter root word."""
-    return _times_roots(g, ((root, r),))
+    return _root_word(g, ((root, r),))
 
 
 def root_product(n: int, factors) -> Mat:
@@ -422,36 +299,19 @@ def root_product(n: int, factors) -> Mat:
     denominator, and the product is reduced once, so its denominator is
     at most the product of the letter denominators.
     """
-    return _times_roots(Mat.identity(2 * n), factors)
+    return _root_word(Mat.identity(2 * n), factors)
 
 
-def _times_roots(g: Mat, factors) -> Mat:
-    """g x_{g_1}(r_1) ... x_{g_k}(r_k) on the integer rows of g.
-
-    x_root(r) = 1 + r E with E^2 = 0, and the two positions of a short
-    root never chain (E1 E2 = E2 E1 = 0), so a letter adds s r times
-    column a to column b and never writes column a.  A letter r = rn / rd
-    first scales the rows and the running denominator by rd; the update
-    then reads x // rd at column a, which is exact.
-    """
+def _root_word(g: Mat, factors) -> Mat:
+    """g x_{g_1}(r_1) ... x_{g_k}(r_k): intmat.times_roots on the nonzero
+    letters, each root at its positions in _root_positions."""
     positions = _root_positions(len(g.num) // 2)
-    den = g.den
-    rows = [list(row) for row in g.num]
+    letters = []
     for root, r in factors:
         r = _as_fraction(r)
-        if not r:
-            continue
-        rn, rd = r.numerator, r.denominator
-        if rd != 1:
-            den *= rd
-            rows = [[x * rd for x in row] for row in rows]
-        for a, b, s in positions[root]:
-            c = s * rn
-            for row in rows:
-                x = row[a]
-                if x:
-                    row[b] += c * x if rd == 1 else c * (x // rd)
-    return _mat(den, _tuple_rows(rows))
+        if r:
+            letters.append((positions[root], r.numerator, r.denominator))
+    return _stored(*intmat.times_roots(g.den, g.num, letters))
 
 
 @lru_cache(maxsize=None)
@@ -479,11 +339,11 @@ def _weyl_rep(w: WeylElem) -> Mat:
 
 def top_cell_matrix(n: int) -> Mat:
     """Representative of the reflection in 2 e_1: the long corner element."""
-    num = [list(row) for row in _eye(2 * n)]
+    num = [list(row) for row in intmat.eye(2 * n)]
     num[0][0] = num[-1][-1] = 0
     num[0][-1] = 1
     num[-1][0] = -1
-    return _mat(1, _tuple_rows(num))
+    return _stored(1, intmat.tuple_rows(num))
 
 
 # --------------------------------------------------------- Bruhat cells
@@ -510,163 +370,50 @@ def bruhat_decompose(g: Mat):
     """g = u * t * W(w) * um with u in U, t in T, um in U_w^-.
 
     Gaussian elimination with lowest-possible pivots brings g to a
-    monomial L g R: row operations only ever add a lower row to a higher
-    one and column operations only push rightward, so L and R are upper
-    unitriangular.  Only their inverses are needed, and the elimination
-    writes them down as it goes: undoing the row operations of column col
-    fills the pivot's column of L^-1 with column col of the working matrix
-    over the pivot, and undoing its column operations fills row col of
-    R^-1 with the pivot row over the pivot.  Rows of the working matrix
-    are integer lists over their own denominator, and L^-1 is built from
-    its entries as integer (num, den) pairs (_from_entries).  The result is verified by
-    recomposition before returning; the torus and Weyl factors enter it
-    as column moves (_times_monomial), so only the product by um is a
-    general one.
+    monomial L g R = t W with L and R upper unitriangular and W = W(w),
+    and writes down L^-1 and R^-1 as it goes (intmat.monomial_form); the
+    pivots give w.  Conjugated by W, R^-1 splits as W R^-1 W^-1 = B C
+    with B upper and C lower unitriangular (intmat.unitriangular_ul), so
+    g = L^-1 t B W um with um = W^-1 C W, and u = L^-1 t B t^-1.  The
+    result is verified by recomposition before returning; the torus and
+    Weyl factors enter it as column moves (intmat.times_monomial), so only
+    the product by um is a general one.
     """
-    size = g.size
-    n = size // 2
+    n = g.size // 2
     if not is_symplectic(g):
         raise MatrixError("not symplectic")
-    a = [(list(row), g.den) for row in g.num]
-    linv = _unit_diagonal(size)
-    rinv = [None] * size
-    used = [False] * size
-    pivots = []
-    for col in range(size):
-        piv = max((r for r in range(size) if not used[r] and a[r][0][col]), default=None)
-        if piv is None:
-            raise MatrixError("singular input")
-        used[piv] = True
-        pivots.append((piv, col))
-        prow, pden = a[piv]
-        pval = prow[col]
-        for r in range(piv):
-            row, rden = a[r]
-            c = row[col]
-            if c:
-                # row r -= (c / pval) row piv, over the denominator rden * pval
-                linv.append((r, piv, c * pden, rden * pval))
-                a[r] = _reduced_row([x * pval - c * y for x, y in zip(row, prow)], rden * pval)
-        # Column col is now zero off the pivot, so clearing the pivot row by
-        # column operations changes no other entry of the working matrix,
-        # and the pivot row, zero left of col, over the pivot is row col of R^-1.
-        rinv[col] = _reduced_row(prow, pval)
-        a[piv] = ([pval if j == col else 0 for j in range(size)], pden)
-    lm_inv = _from_entries(size, linv)
-    u_r = _mat(*_over_common_den(rinv))
-    monomial = _mat(*_over_common_den(a))
+    form = intmat.monomial_form(g.den, g.num)
+    if form is None:
+        raise MatrixError("singular input")
+    pivots, lm_inv, (rden, rnum), monomial = form
     w = weyl_from_monomial_pattern(n, pivots)
     wrep = weyl_rep(w)
     wrep_inv = symplectic_inverse(wrep)
-    d = _times_monomial(monomial, wrep_inv)
+    d = _stored(*intmat.times_monomial(*monomial, wrep_inv.den, wrep_inv.num))
     if not d.is_diagonal():
         raise FactorizationError("monomial part is not torus times the Weyl representative")
-    bmat, cmat = _unitriangular_ul(_signed_conjugate(wrep, u_r))
-    um = _signed_conjugate(wrep_inv, cmat)
+    bmat, (cden, cnum) = _unitriangular_split(rden, intmat.signed_conjugate(wrep.num, rnum))
+    um = _stored(cden, intmat.signed_conjugate(wrep_inv.num, cnum))
     if not um.is_upper_unitriangular():
         raise FactorizationError("right factor is not upper unitriangular")
-    u = lm_inv * _diagonal_conjugate(d, bmat)
+    u = _stored(*lm_inv) * _stored(*intmat.diagonal_conjugate(d.num, *bmat))
     if not u.is_upper_unitriangular():
         raise FactorizationError("left factor is not upper unitriangular")
-    if _times_monomial(_times_monomial(u, d), wrep) * um != g:
+    ud = intmat.times_monomial(u.den, u.num, d.den, d.num)
+    if _stored(*intmat.times_monomial(*ud, wrep.den, wrep.num)) * um != g:
         raise FactorizationError("recomposition u t W(w) um differs from the input")
     if not all(is_symplectic(part) for part in (d, um, u)):
         raise FactorizationError("a Bruhat factor is not symplectic")
     return u, d, w, um
 
 
-def _signed_conjugate(m: Mat, x: Mat) -> Mat:
-    """m x m^-1 for a signed permutation matrix m, as a signed permutation
-    of entries: when row i of m holds its sign s_i at column pi(i), entry
-    (i, j) is s_i s_j x[pi(i)][pi(j)]."""
-    perm = [row.index(1) if 1 in row else row.index(-1) for row in m.num]
-    sign = [row[k] for row, k in zip(m.num, perm)]
-    xn = x.num
-    return _stored(
-        x.den,
-        tuple([
-            tuple([xn[pi][pj] if si == sj else -xn[pi][pj] for pj, sj in zip(perm, sign)])
-            for pi, si in zip(perm, sign)
-        ]),
-    )
-
-
-def _times_monomial(a: Mat, m: Mat) -> Mat:
-    """a m for a monomial m (at most one nonzero entry in each row and in
-    each column), as column moves: when row k of m holds c at column j,
-    column j of the product is c times column k of a.  A signed
-    permutation only moves entries, so a m stays in lowest terms."""
-    size = len(m.num)
-    if len(a.num) != size:
-        raise MatrixError("incompatible matrices")
-    acols = [*zip(*a.num)]
-    cols = [None] * size
-    signed = m.den == 1
-    for k, row in enumerate(m.num):
-        nz = [j for j, x in enumerate(row) if x]
-        if not nz:
-            signed = False
-        else:
-            j = nz[0]
-            if len(nz) > 1 or cols[j] is not None:
-                raise MatrixError("not a monomial matrix")
-            c = row[j]
-            if c == 1:
-                cols[j] = acols[k]
-            else:
-                cols[j] = [c * x for x in acols[k]]
-                signed = signed and c == -1
-    zero = (0,) * size
-    num = tuple([*zip(*[zero if col is None else col for col in cols])])
-    return _stored(a.den, num) if signed else _mat(a.den * m.den, num)
-
-
-def _diagonal_conjugate(d: Mat, x: Mat) -> Mat:
-    """d x d^-1 for an invertible diagonal d, as an integer scaling: entry
-    (i, j) is d_i / d_j x[i][j], over x.den times the lcm of the d_j."""
-    dn = [row[i] for i, row in enumerate(d.num)]
-    lcm = math.lcm(*dn)
-    scale = [lcm // e for e in dn]
-    return _mat(
-        x.den * lcm,
-        tuple([tuple([y * di * sj for y, sj in zip(row, scale)]) for row, di in zip(x.num, dn)]),
-    )
-
-
-def _reduced_row(row, den):
-    """(row, den) scaled to lowest terms with den > 0."""
-    g = math.gcd(den, *row)
-    if den < 0:
-        g = -g
-    if g == 1:
-        return row, den
-    return [x // g for x in row], den // g
-
-
-def _unitriangular_ul(a: Mat):
-    """A = B C with B upper and C lower unitriangular.
-
-    Row operations that add a lower row to a higher one clear the columns
-    above the diagonal from the right, and every pivot must be 1.  Undoing
-    the operations of column k fills column k of B with the cleared
-    entries; what is left is C.  Rows of the working matrix are integer
-    lists over their own denominator.
-    """
-    size = a.size
-    work = [(list(row), a.den) for row in a.num]
-    b = _unit_diagonal(size)
-    for k in range(size - 1, -1, -1):
-        prow, pden = work[k]
-        if prow[k] != pden:
-            raise FactorizationError("input is not in the unitriangular cell")
-        for i in range(k):
-            row, rden = work[i]
-            c = row[k]
-            if c:
-                # row i -= (c / rden) row k, over the denominator rden * pden
-                b.append((i, k, c, rden))
-                work[i] = _reduced_row([x * pden - c * y for x, y in zip(row, prow)], rden * pden)
-    return _from_entries(size, b), _mat(*_over_common_den(work))
+def _unitriangular_split(den: int, num: tuple):
+    """intmat.unitriangular_ul of num / den; raises FactorizationError
+    when there is no split."""
+    split = intmat.unitriangular_ul(den, num)
+    if split is None:
+        raise FactorizationError("input is not in the unitriangular cell")
+    return split
 
 
 def weyl_from_rank_pattern(g: Mat) -> WeylElem:
@@ -676,48 +423,17 @@ def weyl_from_rank_pattern(g: Mat) -> WeylElem:
     pattern is its discrete mixed difference.  No pivoting choices are
     involved, so this cross-checks the elimination route, and it is how
     cell_collapse_witness reads its cell.  The ranks come
-    from _corner_ranks: one fraction-free column sweep per starting row
-    reads off a whole row of the table, 2n sweeps in all.
+    from intmat.corner_ranks: one fraction-free column sweep per starting
+    row reads off a whole row of the table, 2n sweeps in all.
     """
     size = g.size
-    table = _corner_ranks(g)
+    table = intmat.corner_ranks(g.num)
     positions = []
     for i in range(size):
         for j in range(1, size + 1):
             if table[i][j] - table[i + 1][j] - table[i][j - 1] + table[i + 1][j - 1] == 1:
                 positions.append((i, j - 1))
     return weyl_from_monomial_pattern(size // 2, positions)
-
-
-def _corner_ranks(g: Mat) -> list:
-    """table[i][j] = rank of g on rows i.., columns ..j - 1, for 0 <= i, j <= size.
-
-    For each i, fraction-free elimination of rows i.. runs over the
-    columns left to right (a row below the pivot becomes x pv - f y, with
-    no division); after column j - 1 the number of pivots found is the
-    rank of the first j columns, so one sweep fills row i of the table.
-    """
-    num = g.num
-    size = len(num)
-    table = [[0] * (size + 1) for _ in range(size + 1)]
-    for i in range(size):
-        sub = [list(row) for row in num[i:]]
-        height = len(sub)
-        ranks = table[i]
-        rank = 0
-        for col in range(size):
-            piv = next((r for r in range(rank, height) if sub[r][col]), None)
-            if piv is not None:
-                sub[rank], sub[piv] = sub[piv], sub[rank]
-                top = sub[rank]
-                pv = top[col]
-                for r in range(rank + 1, height):
-                    f = sub[r][col]
-                    if f:
-                        sub[r] = [x * pv - f * y for x, y in zip(sub[r], top)]
-                rank += 1
-            ranks[col + 1] = rank
-    return table
 
 
 # ------------------------------------------------ unipotent coordinates
@@ -731,42 +447,18 @@ def peel_unipotent(u: Mat):
     n = u.size // 2
     if not u.is_upper_unitriangular():
         raise FactorizationError("not upper unitriangular")
-    return _peel(n, u, [(g, g) for g in positive_roots(n)])
+    return _coordinates(n, u, [(g, g) for g in positive_roots(n)])
 
 
-def _peel(n: int, m: Mat, cands) -> dict:
+def _coordinates(n: int, m: Mat, cands) -> dict:
     """{key: c} with m = prod x_root(c) over the (key, root) pairs of cands
-    in order, zero coefficients left out: each c is read at the root's
-    primary position and x_root(-c) is peeled off the left.  Raises
-    FactorizationError unless the identity is left.
-
-    The rows are (integer row, den) pairs: x_root(-c) subtracts s c times
-    row b from row a at each position (a, b, s), and each touched row is
-    reduced once.  As for the column updates, the rows b are never written
-    by the same letter.
-    """
+    in order, zero coefficients left out, read by one left peel
+    (intmat.peel).  Raises FactorizationError unless the identity is left."""
     positions = _root_positions(n)
-    rows = [(list(row), m.den) for row in m.num]
-    out = {}
-    for key, root in cands:
-        pos = positions[root]
-        i, j, s = pos[0]
-        row, den = rows[i]
-        if row[j]:
-            c = Q(s * row[j], den)
-            out[key] = c
-            cn, cd = c.numerator, c.denominator
-            for a, b, sg in pos:
-                # row a -= sg c row b, over the denominator den_a den_b cd
-                ra, da = rows[a]
-                rb, db = rows[b]
-                f, k = db * cd, sg * cn * da
-                rows[a] = _reduced_row([x * f - k * y for x, y in zip(ra, rb)], da * f)
-    if not all(
-        row[i] == den and not any(row[:i]) and not any(row[i + 1:]) for i, (row, den) in enumerate(rows)
-    ):
+    coords = intmat.peel(m.den, m.num, [(key, positions[root]) for key, root in cands])
+    if coords is None:
         raise FactorizationError("residue after peeling")
-    return out
+    return {key: Q(cn, cd) for key, (cn, cd) in coords.items()}
 
 
 def commutator_coefficients(n: int, g1: Root, r, g2: Root, s):
@@ -787,7 +479,7 @@ def commutator_coefficients(n: int, g1: Root, r, g2: Root, s):
             if root is not None:
                 cands.append(((i, j), root))
     cands.sort(key=lambda t: t[1].height)
-    return _peel(n, com, cands)
+    return _coordinates(n, com, cands)
 
 
 def cell_identity_borel_part(n: int, root: Root, r) -> Mat:
@@ -817,23 +509,12 @@ def conjugating_torus(ctx, n: int, m: int) -> Mat:
 
 def in_standard_level(ctx, g: Mat, m: int) -> bool:
     """Membership in the principal congruence subgroup of depth m."""
-    return _in_level(ctx.p, g, m, [0] * g.size)
+    return intmat.in_level(ctx.p, g.den, g.num, m, [0] * g.size)
 
 
 def in_skew_level(ctx, g: Mat, m: int) -> bool:
     """Membership in the torus-conjugated congruence subgroup."""
-    return _in_level(ctx.p, g, m, level_exponents(g.size // 2, m))
-
-
-def _in_level(p: int, g: Mat, m: int, es) -> bool:
-    """v(g - 1)[i, j] >= m + es[i] - es[j] at every entry."""
-    den = g.den
-    base = m + fraction_valuation(den, p)
-    for i, row in enumerate(g.num):
-        for j, x in enumerate(row):
-            if fraction_valuation(x - den if i == j else x, p) < base + es[i] - es[j]:
-                return False
-    return True
+    return intmat.in_level(ctx.p, g.den, g.num, m, level_exponents(g.size // 2, m))
 
 
 def radical_coordinate_bound(root: Root, m: int) -> int:
@@ -915,7 +596,7 @@ def cell_word_rewrite(ctx, t: Mat, w: WeylElem, rs, u: Mat, m: int):
     U_w^-, both unique (Steinberg, Lectures on Chevalley Groups, 1967,
     Lemma 17).  Conjugating by W = W(w) makes the split upper times lower
     unitriangular, W y W^-1 = B C with B = W u1 W^-1 and C = W v W^-1,
-    which _unitriangular_ul computes as in bruhat_decompose; then
+    which intmat.unitriangular_ul computes as in bruhat_decompose; then
     u~ = t B t^-1 and v = W^-1 C W.
 
     r~ is read off v^-1 = x_{o_0}(-r~_0) ... x_{o_top}(-r~_top) by one
@@ -947,16 +628,16 @@ def cell_word_rewrite(ctx, t: Mat, w: WeylElem, rs, u: Mat, m: int):
 
     y = root_product(n, [(order[k], rs[k]) for k in range(len(order) - 1, q - 1, -1)]) * u
     wrep = weyl_rep(w)
-    bmat, cmat = _unitriangular_ul(_signed_conjugate(wrep, y))
-    u_tilde = _diagonal_conjugate(t, bmat)
+    bmat, (cden, cnum) = _unitriangular_split(y.den, intmat.signed_conjugate(wrep.num, y.num))
+    u_tilde = _stored(*intmat.diagonal_conjugate(t.num, *bmat))
     if not u_tilde.is_upper_unitriangular():
         raise FactorizationError("conjugated plus part left the unipotent radical")
-    v = _signed_conjugate(symplectic_inverse(wrep), cmat)
-    coords = _peel(n, symplectic_inverse(v), [(g, g) for g in order])
+    v = _stored(cden, intmat.signed_conjugate(symplectic_inverse(wrep).num, cnum))
+    coords = _coordinates(n, symplectic_inverse(v), [(g, g) for g in order])
     rs_tilde = [-coords.get(g, Q(0)) for g in order]
 
-    tw = _times_monomial(t, wrep)
-    if tw * y != _times_monomial(u_tilde, tw) * v:
+    tw = _stored(*intmat.times_monomial(t.den, t.num, wrep.den, wrep.num))
+    if tw * y != _stored(*intmat.times_monomial(u_tilde.den, u_tilde.num, tw.den, tw.num)) * v:
         raise FactorizationError("rewrite identity failed")
     if fraction_valuation(rs_tilde[q], ctx.p) != fraction_valuation(rs[q], ctx.p):
         raise FactorizationError("pivot size drifted")
@@ -1016,7 +697,9 @@ def cell_collapse_witness(t: Mat, w: WeylElem, roots, rs, bad_index: int = None)
         factors.append((-roots[bad_index], -1 / rs[bad_index]))
     if not t.is_diagonal() or not is_symplectic(t):
         raise MatrixError("t is not in the torus")
-    w_prime = weyl_from_rank_pattern(_times_roots(_times_monomial(t, weyl_rep(w)), factors))
+    wrep = weyl_rep(w)
+    tw = _stored(*intmat.times_monomial(t.den, t.num, wrep.den, wrep.num))
+    w_prime = weyl_from_rank_pattern(_root_word(tw, factors))
     if not (bruhat_leq(w_prime, w) and w_prime != w):
         raise FactorizationError("cell did not drop")
     return w_prime

@@ -410,10 +410,12 @@ def _run_check(cfg, name) -> CheckRecord:
     """One check's record, made in whichever process runs it.
 
     Sampled checks are skipped outright when the sample budget is zero;
-    enumerative ones always run.  A raised CheckFailure becomes a fail
-    record carrying the counterexample plus the campaign seed, and any
-    other exception is reported as a fail with its message, so one
-    broken check never takes down the campaign.
+    enumerative ones always run.  A check that runs no case at a nonzero
+    budget is skipped too, since it verified nothing: at n = 4 alone the
+    checks that draw their matrices at rank <= 3 have none.  A
+    raised CheckFailure becomes a fail record carrying the counterexample
+    plus the campaign seed, and any other exception is reported as a fail
+    with its message, so one broken check never takes down the campaign.
     """
     import random
     import time
@@ -425,6 +427,8 @@ def _run_check(cfg, name) -> CheckRecord:
     start = time.perf_counter()
     try:
         cases, parameters = spec.fn(cfg, rng)
+        if not cases and cfg.samples:
+            return CheckRecord(name, SKIPPED, 0, {"reason": "no case at these parameters"})
         return CheckRecord(name, PASS, cases, dict(parameters), None, time.perf_counter() - start)
     except CheckFailure as exc:
         payload = {"seed": cfg.seed, **exc.payload}

@@ -23,7 +23,7 @@ from ..rootsys import (
     positive_roots,
     root_from_vector,
 )
-from .. import chevalley as ch
+from .. import chevalley as ch, intmat
 from ..chevalley import FactorizationError, MatrixError
 from .common import _power_times, _raised, matrix_ranks, sample_rational
 from .report import CheckFailure
@@ -50,10 +50,13 @@ def _random_word_matrix(p, n, rng):
             root = -root
         factors.append((root, Q(rng.randint(-6, 6), rng.choice([1, 1, 3]))))
     # the torus and the Weyl generators are monomial: column moves
-    g = ch._times_monomial(ch.root_product(n, factors), _random_torus(p, n, rng))
+    g = ch.root_product(n, factors)
+    t = _random_torus(p, n, rng)
+    pair = intmat.times_monomial(g.den, g.num, t.den, t.num)
     for k in [rng.randrange(1, n + 1) for _ in range(rng.randrange(3))]:
-        g = ch._times_monomial(g, ch.weyl_rep(WeylElem.simple(n, k)))
-    return g
+        s = ch.weyl_rep(WeylElem.simple(n, k))
+        pair = intmat.times_monomial(*pair, s.den, s.num)
+    return ch._stored(*pair)
 
 
 def check_symplectic_generators(cfg, rng):

@@ -223,6 +223,8 @@ class CharacterFx(_Value):
     __slots__ = ("ctx", "conductor", "unit_phase", "varpi_phase")
 
     def __init__(self, ctx: PrimeCtx, conductor: int, unit_phase: Q = Q(0), varpi_phase: Q = Q(0)):
+        if not isinstance(ctx, PrimeCtx):
+            raise MetaError(f"ctx {ctx!r} is not a PrimeCtx")
         if type(conductor) is not int or conductor < 0:
             raise MetaError(f"conductor {conductor!r} is not a nonnegative integer")
         _set(self, "ctx", ctx)
@@ -270,8 +272,12 @@ class CharacterFx(_Value):
 def ramified_character(ctx: PrimeCtx, conductor: int, turns: int = 1, varpi_phase=Q(0)) -> CharacterFx:
     """Character of exact conductor c >= 1 sending the canonical residue
     unit generator to turns/#units of a full turn."""
+    if not isinstance(ctx, PrimeCtx):
+        raise MetaError(f"ctx {ctx!r} is not a PrimeCtx")
     if type(conductor) is not int or conductor < 1:
         raise MetaError(f"conductor {conductor!r} is not a positive integer")
+    if type(turns) is not int:
+        raise MetaError(f"turns {turns!r} is not an integer")
     order = (ctx.p - 1) * ctx.p ** (conductor - 1)
     return CharacterFx(ctx, conductor, Q(turns, order), varpi_phase)
 
@@ -295,6 +301,8 @@ class SectionFsi(_Value):
             raise MetaError(f"s = {s!r} is not rational") from exc
         if type(i) is not int or i < 1:
             raise MetaError(f"level {i!r} is not a positive integer")
+        if not isinstance(eta, CharacterFx):
+            raise MetaError(f"eta {eta!r} is not a CharacterFx")
         _set(self, "i", i)
         _set(self, "eta", eta)
         _set(self, "s", s)

@@ -358,6 +358,23 @@ def test_campaign_zero_samples_skips_sampled_only():
     assert rep.ok
 
 
+# The checks that draw their matrices at rank <= 3 (matrix_ranks), so
+# that n = 4 alone gives them no case.
+N4_SKIPPED = (
+    "bruhat-oracle", "cell-collapse", "cell-identity", "cell-word-rewrite", "chevalley-commutators",
+    "congruence-structure", "deep-ball-invariance", "levi-stability", "obstructed-decompositions",
+    "symplectic-generators",
+)
+
+
+def test_checks_that_run_no_case_are_skipped():
+    rep = run_campaign(build_config(None, n=[4]))
+    skipped = {r.name: (r.cases, r.parameters) for r in rep.checks if r.status == SKIPPED}
+    assert skipped == {name: (0, {"reason": "no case at these parameters"}) for name in N4_SKIPPED}
+    assert all(r.cases > 0 for r in rep.checks if r.status == PASS)
+    assert rep.ok
+
+
 def test_campaign_deterministic_given_seed():
     cfg = build_config(None, checks=["big-cell", "rao-cocycle", "volumes"], **SMALL)
     d1 = run_campaign(cfg).as_dict()

@@ -1,4 +1,4 @@
-"""Source lints: twelve rules the code must keep, read off its syntax.
+"""Source lints: thirteen rules the code must keep, read off its syntax.
 
 - the library never touches cmath, complex or float(): every value it
   computes is exact (Fraction, Mono, Cyclo), and the complex embedding
@@ -10,9 +10,10 @@
 - only the campaign driver starts processes;
 - the integer kernels (matrix rows, quadratic-extension elements) never
   touch a Fraction view;
+- of the package, the integer-row kernel intmat imports only padic;
 - only padic and schwartz use the trusted Mono constructor;
 - every acceptance criterion runs a catalog check through run_check;
-- no harness module has more AST nodes than the largest library module;
+- no module has more than 5,300 AST nodes;
 - every check function of the harness is the fn of exactly one catalog
   entry, and every entry's fn is one of them;
 - only the value base and four named classes define __eq__ or __hash__.
@@ -366,10 +367,11 @@ def test_process_lint_sees_each_form(tmp_path):
 
 # ------------------------------------------------------ integer kernels
 
-# The chevalley routines that work on integer rows over one denominator,
-# the cover generators, which build their 2x2 rows as integers, and the
-# quadratic-extension arithmetic on (an, bn) over den; none of them may
-# build or read a Fraction view (a Mat's rows, an element's a and b).
+# Every function of intmat, the chevalley routines that hand it integer
+# rows over one denominator, the cover generators, which build their 2x2
+# rows as integers, and the quadratic-extension arithmetic on (an, bn)
+# over den; none of them may build or read a Fraction view (a Mat's rows,
+# an element's a and b).
 INTEGER_KERNELS = {
     "chevalley.Mat.__mul__",
     "chevalley.Mat.inverse",
@@ -377,14 +379,31 @@ INTEGER_KERNELS = {
     "chevalley.is_symplectic",
     "chevalley.root_product",
     "chevalley.mul_root_elem",
-    "chevalley._times_roots",  # the word kernel behind the last two
     "chevalley.weyl_from_rank_pattern",
-    "chevalley._corner_ranks",  # its one-sweep rank table
     "chevalley.bruhat_decompose",
-    "chevalley._unitriangular_ul",
-    "chevalley._from_entries",  # L^-1, B and diagonals from (num, den) entries
-    "chevalley._times_monomial",  # products by a torus or Weyl factor
     "chevalley.cell_collapse_witness",  # its cell from the corner ranks
+    "intmat.lowest",
+    "intmat.tuple_rows",
+    "intmat.eye",
+    "intmat.unit_diagonal",
+    "intmat.from_entries",  # L^-1, B and diagonals from (num, den) entries
+    "intmat.integer_rows",
+    "intmat.over_common_den",
+    "intmat.reduced_row",
+    "intmat.levi_block",
+    "intmat.mul",  # the body of Mat.__mul__
+    "intmat.inverse",  # the body of Mat.inverse
+    "intmat.symplectic_inverse",
+    "intmat.is_symplectic",
+    "intmat.times_roots",  # the word kernel behind root_product and mul_root_elem
+    "intmat.peel",
+    "intmat.monomial_form",  # the elimination of bruhat_decompose
+    "intmat.signed_conjugate",
+    "intmat.times_monomial",  # products by a torus or Weyl factor
+    "intmat.diagonal_conjugate",
+    "intmat.unitriangular_ul",
+    "intmat.corner_ranks",  # the one-sweep rank table of weyl_from_rank_pattern
+    "intmat.in_level",
     "metaplectic.MetaSL2.identity",
     "metaplectic.MetaSL2.upper",
     "metaplectic.MetaSL2.lower",
@@ -395,13 +414,13 @@ INTEGER_KERNELS = {
     "quadext.QuadExtElem.__mul__",
     "quadext.QuadExtElem.__truediv__",
 }
-_FRACTION_CALLS = ("Mat", "_integer_rows", "Q", "Fraction")
+_FRACTION_CALLS = ("Mat", "integer_rows", "Q", "Fraction")
 _FRACTION_VIEWS = ("rows", "a", "b")
 
 
 def _fraction_view_use(node):
     """The form of the Fraction view that node uses, or None: .rows, .a or
-    .b, or a call of Mat, _integer_rows, Q or Fraction (bare or as an
+    .b, or a call of Mat, integer_rows, Q or Fraction (bare or as an
     attribute)."""
     if isinstance(node, ast.Attribute) and node.attr in _FRACTION_VIEWS:
         return f".{node.attr}"
@@ -424,6 +443,7 @@ def fraction_view_users(root=SRC):
 def test_integer_kernels_never_touch_the_fraction_view():
     functions = {name for name, node in scoped_nodes() if isinstance(node, _FUNCTIONS)}
     assert INTEGER_KERNELS <= functions
+    assert {name for name in functions if name.startswith("intmat.")} <= INTEGER_KERNELS
     assert {(name, form) for name, form in fraction_view_users() if name in INTEGER_KERNELS} == set()
 
 
@@ -432,7 +452,7 @@ def test_fraction_view_lint_sees_each_form(tmp_path):
         "from fractions import Fraction\n"
         "def a(g):\n    return g.rows[0]\n"
         "class K:\n    def b(self, rows):\n        return Mat(rows)\n"
-        "    def c(self):\n        return _integer_rows(self.num)\n"
+        "    def c(self):\n        return intmat.integer_rows(self.num)\n"
         "def d(x):\n    def e(y):\n        return Q(y, 3)\n    return e(x)\n"
         "def f(x):\n    return Fraction(x)\n"
         "def g(x):\n    return chevalley.Mat(x), fractions.Fraction(1, 2)\n"
@@ -445,7 +465,7 @@ def test_fraction_view_lint_sees_each_form(tmp_path):
     assert fraction_view_users(tmp_path) == {
         ("m.a", ".rows"),
         ("m.K.b", "Mat("),
-        ("m.K.c", "_integer_rows("),
+        ("m.K.c", "integer_rows("),
         ("m.d.e", "Q("),
         ("m.f", "Fraction("),
         ("m.g", "Mat("),
@@ -453,6 +473,49 @@ def test_fraction_view_lint_sees_each_form(tmp_path):
         ("m.E.__mul__", ".a"),
         ("m.E.__mul__", ".b"),
         ("m.<module>", "Q("),
+    }
+
+
+# --------------------------------------------------------------- kernel
+
+# intmat is the integer-row kernel under chevalley.  Of the package it
+# reads only padic's valuations, so a rank-n cover can sit on it without
+# the group structure above it.
+KERNEL_IMPORTS = {"padic"}
+
+
+def package_imports(module, root=SRC):
+    """The package modules that module imports anywhere in its body, named
+    relative to the package: relative imports, `import padicsp.x` and
+    `from padicsp[.x] import y`."""
+    tree = dict(modules(root))[module]
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {a.name.removeprefix("padicsp.") for a in node.names if a.name.split(".")[0] == "padicsp"}
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if not node.level:
+                if base.split(".")[0] != "padicsp":
+                    continue
+                base = base.removeprefix("padicsp").removeprefix(".")
+            found |= {base} if base else {a.name for a in node.names}
+    return found
+
+
+def test_the_kernel_imports_only_padic():
+    assert package_imports("intmat") <= KERNEL_IMPORTS
+
+
+def test_kernel_import_lint_sees_each_form(tmp_path):
+    (tmp_path / "k.py").write_text(
+        "import math\nimport padicsp.chevalley\nfrom . import schwartz, padic\n"
+        "from .metaplectic import MetaSL2\nfrom padicsp import rootsys\n"
+        "from padicsp.harness.checks import CATALOG\nfrom functools import lru_cache\n"
+        "def f():\n    from .quadext import QuadExt\n    import padicsp\n    return QuadExt\n"
+    )
+    assert package_imports("k", tmp_path) == {
+        "chevalley", "schwartz", "padic", "metaplectic", "rootsys", "harness.checks", "quadext", "padicsp",
     }
 
 
@@ -552,32 +615,31 @@ def test_gate_lint_sees_each_criterion(tmp_path):
 
 # ---------------------------------------------------------- module size
 
-def oversized_harness_modules(root=SRC):
-    """{module: AST node count} for each module under harness/ with more
-    nodes than the largest module outside it.
+# A module's compile peak grows with its syntax tree, and the process
+# keeps its RSS high-water mark, so the largest compile of a run sets a
+# floor under its peak memory, and every run compiles the library.
+MAX_NODES = 5300
 
-    A module's compile peak grows with its syntax tree, and the process
-    keeps its RSS high-water mark, so the first large compile sets the
-    peak memory of every run; the largest library module's compile is
-    paid by every run anyway."""
+
+def oversized_modules(root=SRC, cap=MAX_NODES):
+    """{module: AST node count} for each module under root with more than cap nodes."""
     sizes = {module: sum(1 for _ in ast.walk(tree)) for module, tree in modules(root)}
-    library = max(n for module, n in sizes.items() if not module.startswith("harness."))
-    return {module: n for module, n in sizes.items() if module.startswith("harness.") and n > library}
+    return {module: n for module, n in sizes.items() if n > cap}
 
 
-def test_no_harness_module_outgrows_the_largest_library_module():
-    assert oversized_harness_modules() == {}
+def test_no_module_outgrows_the_node_cap():
+    assert oversized_modules() == {}
 
 
 def test_size_lint_sees_each_harness_module(tmp_path):
     (tmp_path / "harness").mkdir()
-    (tmp_path / "lib.py").write_text("x = 1\n")  # 5 nodes
+    (tmp_path / "lib.py").write_text("x = 1 + 2\n")  # 8 nodes
     (tmp_path / "small.py").write_text("\n")  # 1 node
     (tmp_path / "harness" / "equal.py").write_text("y = 2\n")  # 5 nodes
     (tmp_path / "harness" / "big.py").write_text("z = 1 + 2\n")  # 8 nodes
     (tmp_path / "harness" / "nested").mkdir()
     (tmp_path / "harness" / "nested" / "deep.py").write_text("def f(x):\n    return x\n")  # 7 nodes
-    assert oversized_harness_modules(tmp_path) == {"harness.big": 8, "harness.nested.deep": 7}
+    assert oversized_modules(tmp_path, cap=5) == {"lib": 8, "harness.big": 8, "harness.nested.deep": 7}
 
 
 # -------------------------------------------------------------- catalog

@@ -508,6 +508,15 @@ def test_character_validation_errors():
     for conductor in (True, 2.0, Q(2)):
         with pytest.raises(MetaError):
             ramified_character(C5, conductor)
+    # the context is a PrimeCtx, and turns an int that is not a bool
+    for ctx in (5, None, "5"):
+        with pytest.raises(MetaError, match="ctx"):
+            CharacterFx(ctx, 1, Q(1, 4))
+        with pytest.raises(MetaError, match="ctx"):
+            ramified_character(ctx, 1)
+    for turns in (1.5, True, False, Q(1), "1"):
+        with pytest.raises(MetaError, match="turns"):
+            ramified_character(C5, 1, turns)
 
 
 def test_character_complex_values_unimodular():
@@ -537,6 +546,10 @@ def test_section_value_algebra():
 def test_section_requires_positive_level():
     with pytest.raises(MetaError):
         SectionFsi(i=0, eta=ramified_character(C3, 1), s=0)
+    # the character is a CharacterFx
+    for eta in ("eta", None, C3, Q(1, 4)):
+        with pytest.raises(MetaError, match="eta"):
+            SectionFsi(1, eta)
 
 
 def test_section_value_on_deep_lower_is_one():
