@@ -4,7 +4,7 @@ Command-line flags arrive as the same strings a config file holds, and
 one splitter reads every list, so a bad entry is a HarnessError either way.
 """
 
-from ..padic import PadicError, _Value, _is_prime, _set
+from ..padic import PadicError, PrimeCtx, _Value, _as_int, _set
 
 
 class HarnessError(PadicError):
@@ -34,11 +34,11 @@ class CampaignConfig(_Value):
         checks: tuple = (),  # empty means the full catalog
         out: str = None,
     ):
-        _set(self, "n", tuple(_integer("n", v) for v in n))
-        _set(self, "p", tuple(_integer("p", v) for v in p))
-        _set(self, "m", tuple(_integer("m", v) for v in m))
-        _set(self, "samples", _integer("samples", samples))
-        _set(self, "seed", _integer("seed", seed))
+        _set(self, "n", tuple(_as_int(v, HarnessError, "n") for v in n))
+        _set(self, "p", tuple(_as_int(v, HarnessError, "p") for v in p))
+        _set(self, "m", tuple(_as_int(v, HarnessError, "m") for v in m))
+        _set(self, "samples", _as_int(samples, HarnessError, "samples"))
+        _set(self, "seed", _as_int(seed, HarnessError, "seed"))
         _set(self, "checks", tuple(checks))
         _set(self, "out", out)
 
@@ -47,12 +47,10 @@ class CampaignConfig(_Value):
             if not plist:
                 raise HarnessError("empty parameter list")
         for q in self.p:
-            if q == 2:
-                raise HarnessError(
-                    "p = 2 is rejected: the residue characteristic must be odd"
-                )
-            if not _is_prime(q):
-                raise HarnessError(f"p = {q} is not prime")
+            try:
+                PrimeCtx(q)
+            except PadicError as exc:
+                raise HarnessError(str(exc)) from exc
         for n in self.n:
             if n < 2:
                 raise HarnessError("rank must be at least 2 for root-system checks")
@@ -86,13 +84,6 @@ class CampaignConfig(_Value):
             "seed": self.seed,
             "checks": list(self.checks),
         }
-
-
-def _integer(name: str, v) -> int:
-    """v itself when it is an int and not a bool; else a HarnessError naming the field."""
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise HarnessError(f"{name} takes integers, not {v!r}")
-    return v
 
 
 def _split_list(text) -> tuple:

@@ -185,7 +185,7 @@ def check_levi_stability(cfg, rng):
 
 def _with_column(n, at, values):
     """The n x n identity block with the top of column `at` set to values."""
-    block = [[Q(int(i == j)) for j in range(n)] for i in range(n)]
+    block = [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
     for i, value in enumerate(values):
         block[i][at] = value
     return block

@@ -33,6 +33,9 @@ from .padic import (
     PrimeCtx,
     _Value,
     _as_fraction,
+    _as_instance,
+    _as_int,
+    _as_sign,
     _hilbert,
     _set,
     _unit_class,
@@ -75,27 +78,24 @@ class MetaSL2(_Value):
     def __init__(self, ctx: PrimeCtx, rows, zeta=1):
         if len(rows) != 2 or any(len(row) != 2 for row in rows):
             raise MetaError("need a 2x2 matrix")
-        _check_sheet(zeta)
-        _store(self, ctx, Mat(rows), zeta)
+        _as_instance(ctx, PrimeCtx, MetaError, "ctx")
+        _store(self, ctx, Mat(rows), _as_sign(zeta, MetaError, "sheet sign"))
 
     # The generators build their integer rows num / den directly, already
     # in lowest terms with den > 0, as Mat(rows) would store them.
 
     @classmethod
     def identity(cls, ctx: PrimeCtx, zeta=1) -> "MetaSL2":
-        _check_sheet(zeta)
         return _generator(ctx, 1, ((1, 0), (0, 1)), zeta)
 
     @classmethod
     def upper(cls, ctx: PrimeCtx, b, zeta=1) -> "MetaSL2":
-        _check_sheet(zeta)
         b = _as_fraction(b)
         n, d = b.numerator, b.denominator
         return _generator(ctx, d, ((d, n), (0, d)), zeta)
 
     @classmethod
     def lower(cls, ctx: PrimeCtx, y, zeta=1) -> "MetaSL2":
-        _check_sheet(zeta)
         y = _as_fraction(y)
         n, d = y.numerator, y.denominator
         return _generator(ctx, d, ((d, 0), (n, d)), zeta)
@@ -107,14 +107,12 @@ class MetaSL2(_Value):
         a = _as_fraction(a)
         if a == 0:
             raise MetaError("torus entry must be nonzero")
-        _check_sheet(zeta)
         n, d = a.numerator, a.denominator
         s = 1 if n > 0 else -1
         return _generator(ctx, s * n * d, ((s * n * n, 0), (0, s * d * d)), zeta)
 
     @classmethod
     def flip(cls, ctx: PrimeCtx, zeta=1) -> "MetaSL2":
-        _check_sheet(zeta)
         return _generator(ctx, 1, ((0, 1), (-1, 0)), zeta)
 
     def __repr__(self):
@@ -149,14 +147,11 @@ class MetaSL2(_Value):
         return self.mat.is_identity() and self.zeta == 1
 
 
-def _check_sheet(zeta) -> None:
-    if zeta not in (1, -1):
-        raise MetaError("sheet sign must be +1 or -1")
-
-
 def _generator(ctx: PrimeCtx, den: int, num: tuple, zeta) -> MetaSL2:
-    # a generator from integer rows num / den in lowest terms and a checked sheet
-    return _store(object.__new__(MetaSL2), ctx, _stored(den, num), zeta)
+    # a generator from integer rows num / den in lowest terms; its context
+    # and sheet are checked here, once for every generator
+    _as_instance(ctx, PrimeCtx, MetaError, "ctx")
+    return _store(object.__new__(MetaSL2), ctx, _stored(den, num), _as_sign(zeta, MetaError, "sheet sign"))
 
 
 def _store(g: MetaSL2, ctx: PrimeCtx, mat: Mat, zeta: int) -> MetaSL2:
@@ -223,12 +218,8 @@ class CharacterFx(_Value):
     __slots__ = ("ctx", "conductor", "unit_phase", "varpi_phase")
 
     def __init__(self, ctx: PrimeCtx, conductor: int, unit_phase: Q = Q(0), varpi_phase: Q = Q(0)):
-        if not isinstance(ctx, PrimeCtx):
-            raise MetaError(f"ctx {ctx!r} is not a PrimeCtx")
-        if type(conductor) is not int or conductor < 0:
-            raise MetaError(f"conductor {conductor!r} is not a nonnegative integer")
-        _set(self, "ctx", ctx)
-        _set(self, "conductor", conductor)
+        _set(self, "ctx", _as_instance(ctx, PrimeCtx, MetaError, "ctx"))
+        _set(self, "conductor", _as_int(conductor, MetaError, "conductor", 0))
         _set(self, "unit_phase", _as_fraction(unit_phase) % 1)
         _set(self, "varpi_phase", _as_fraction(varpi_phase) % 1)
         if conductor == 0:
@@ -272,14 +263,10 @@ class CharacterFx(_Value):
 def ramified_character(ctx: PrimeCtx, conductor: int, turns: int = 1, varpi_phase=Q(0)) -> CharacterFx:
     """Character of exact conductor c >= 1 sending the canonical residue
     unit generator to turns/#units of a full turn."""
-    if not isinstance(ctx, PrimeCtx):
-        raise MetaError(f"ctx {ctx!r} is not a PrimeCtx")
-    if type(conductor) is not int or conductor < 1:
-        raise MetaError(f"conductor {conductor!r} is not a positive integer")
-    if type(turns) is not int:
-        raise MetaError(f"turns {turns!r} is not an integer")
+    _as_instance(ctx, PrimeCtx, MetaError, "ctx")
+    _as_int(conductor, MetaError, "conductor", 1)
     order = (ctx.p - 1) * ctx.p ** (conductor - 1)
-    return CharacterFx(ctx, conductor, Q(turns, order), varpi_phase)
+    return CharacterFx(ctx, conductor, Q(_as_int(turns, MetaError, "turns"), order), varpi_phase)
 
 
 # ------------------------------------------------------------- sections
@@ -299,12 +286,8 @@ class SectionFsi(_Value):
             s = _as_fraction(s)
         except PadicError as exc:
             raise MetaError(f"s = {s!r} is not rational") from exc
-        if type(i) is not int or i < 1:
-            raise MetaError(f"level {i!r} is not a positive integer")
-        if not isinstance(eta, CharacterFx):
-            raise MetaError(f"eta {eta!r} is not a CharacterFx")
-        _set(self, "i", i)
-        _set(self, "eta", eta)
+        _set(self, "i", _as_int(i, MetaError, "level", 1))
+        _set(self, "eta", _as_instance(eta, CharacterFx, MetaError, "eta"))
         _set(self, "s", s)
 
     @property

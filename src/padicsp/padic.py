@@ -6,8 +6,10 @@ that read a valuation -- psi, hilbert_symbol, weil_index, mu_psi and
 is_square -- take it as ctx.of(x), the Fraction x tagged with its
 PrimeCtx; everything else passes Fractions.  A library input becomes a
 rational in one place, _as_fraction, which takes an int or a Fraction and
-refuses a float or a string; p is split off an integer in one place,
-_strip, which every valuation and unit residue below reads.
+refuses a float or a string; a count or a level passes _as_int, a sign
+_as_sign (exactly 1 or -1), and a bool is none of these.  p is split off
+an integer in one place, _strip, which every valuation and unit residue
+below reads.
 The additive character psi is the standard unramified one: psi(x)
 depends only on the p-part of x, extracted as a fraction with p-power
 denominator.  Every scalar the library produces -- psi-values, Weil
@@ -45,12 +47,37 @@ def _is_prime(k: int) -> bool:
 
 
 def _as_fraction(x) -> Q:
-    """x as an exact rational: a Fraction as it is, an int as a Fraction."""
+    """x as an exact rational: a Fraction as it is, an int (not a bool) as a Fraction."""
     if isinstance(x, Q):
         return x
-    if isinstance(x, int):
+    if type(x) is int:
         return Q(x)
     raise PadicError(f"cannot coerce {x!r} to an exact rational")
+
+
+_INT_KINDS = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
+
+
+def _as_int(x, error, what: str, least=None) -> int:
+    """x itself when it is an int, not a bool, and no less than least
+    (None for no bound, 0 or 1); else error naming what."""
+    if type(x) is not int or least is not None and x < least:
+        raise error(f"{what} {x!r} is not {_INT_KINDS[least]}")
+    return x
+
+
+def _as_sign(x, error, what: str) -> int:
+    """x itself when it is the int 1 or -1; else error naming what."""
+    if type(x) is not int or x not in (1, -1):
+        raise error(f"{what} {x!r} is not +1 or -1")
+    return x
+
+
+def _as_instance(x, cls, error, what: str):
+    """x itself when it is a cls; else error naming what."""
+    if not isinstance(x, cls):
+        raise error(f"{what} {x!r} is not a {cls.__name__}")
+    return x
 
 
 def _strip(k: int, p: int):
@@ -153,9 +180,7 @@ class PrimeCtx(_Value):
     __slots__ = ("p",)
 
     def __init__(self, p: int):
-        if isinstance(p, bool) or not isinstance(p, int):
-            raise PadicError(f"p = {p!r} is not an integer")
-        if not _is_prime(p):
+        if not _is_prime(_as_int(p, PadicError, "p")):
             raise PadicError(f"p = {p} is not prime")
         if p == 2:
             raise PadicError("p = 2 rejected: the workbench requires odd residue characteristic")

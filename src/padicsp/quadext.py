@@ -26,6 +26,8 @@ from .padic import (
     PrimeCtx,
     _Value,
     _as_fraction,
+    _as_instance,
+    _as_int,
     _immutable,
     _set,
     fraction_valuation,
@@ -41,6 +43,7 @@ class QuadExt(_Value):
     __slots__ = ("ctx", "d", "_dnum", "_dden")
 
     def __init__(self, ctx: PrimeCtx, d: Q):
+        _as_instance(ctx, PrimeCtx, PadicError, "ctx")
         d = _as_fraction(d)
         if is_square(ctx.of(d)):
             raise PadicError(f"d = {d} is a square in Q_{ctx.p}, not an extension")
@@ -241,8 +244,8 @@ def norm_one_decompose(x: QuadExtElem, m: int):
     1 +- s sqrt(d) stay units, so e moves by a factor in 1 + P^m O_E and
     u = x / e, exact, is a principal unit of level m.
     """
-    if m < 1:
-        raise PadicError("level m must be >= 1")
+    _as_instance(x, QuadExtElem, PadicError, "x")
+    _as_int(m, PadicError, "m", 1)
     ext = x.ext
     p = ext.ctx.p
     t = x.norm()

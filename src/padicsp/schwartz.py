@@ -28,6 +28,9 @@ from .padic import (
     _Value,
     _ZERO,
     _as_fraction,
+    _as_instance,
+    _as_int,
+    _as_sign,
     _head,
     _mono,
     _pfrac,
@@ -283,7 +286,8 @@ class SchwartzFn(_Value):
 
     @classmethod
     def indicator(cls, ctx: PrimeCtx, center=0, rad: int = 0) -> "SchwartzFn":
-        t = Term(Mono(), Q(0), _as_fraction(center), int(rad))
+        _as_instance(ctx, PrimeCtx, SchwartzError, "ctx")
+        t = Term(Mono(), Q(0), _as_fraction(center), _as_int(rad, SchwartzError, "rad"))
         return cls(ctx, (t,)).canonical()
 
     @classmethod
@@ -405,15 +409,8 @@ class SchwartzFn(_Value):
 
 def phi_m(ctx: PrimeCtx, m: int, n: int) -> SchwartzFn:
     """Indicator of P^((2n-1)m), the deep-ball test vector at level m."""
-    if m < 1 or n < 1:
-        raise SchwartzError("phi_m needs m >= 1 and n >= 1")
+    m, n = _as_int(m, SchwartzError, "m", 1), _as_int(n, SchwartzError, "n", 1)
     return SchwartzFn.indicator(ctx, 0, (2 * n - 1) * m)
-
-
-def _check_twist(twist: int) -> int:
-    if twist not in (1, -1):
-        raise SchwartzError(f"twist must be +1 or -1, got {twist}")
-    return twist
 
 
 def _op_upper(phi: SchwartzFn, b: Q, eps: int) -> SchwartzFn:
@@ -482,7 +479,7 @@ def fourier(phi: SchwartzFn, twist: int = 1) -> SchwartzFn:
 
     This is also the `flip` letter of `weil_act`: its Weil index factor
     gamma(1) is 1 for both twists, since v(1) is even."""
-    return _op_flip(phi, _check_twist(twist))
+    return _op_flip(phi, _as_sign(twist, SchwartzError, "twist"))
 
 
 class HeisenbergElem(_Value):
@@ -522,10 +519,7 @@ def _norm_item(item):
             raise SchwartzError("m1(a) needs a nonzero")
         return ("diag", a)
     if tag == "sign":
-        z = item[1]
-        if z not in (1, -1):
-            raise SchwartzError(f"sheet sign must be +1 or -1, got {z}")
-        return ("sign", z)
+        return ("sign", _as_sign(item[1], SchwartzError, "sheet sign"))
     if tag == "heis":
         return ("heis", _as_fraction(item[1]), _as_fraction(item[2]), _as_fraction(item[3]))
     raise SchwartzError(f"unknown word item tag {tag!r}")
@@ -533,7 +527,7 @@ def _norm_item(item):
 
 def weil_act(word, phi: SchwartzFn, twist: int = 1) -> SchwartzFn:
     """Apply the product of generator operators, rightmost factor first."""
-    eps = _check_twist(twist)
+    eps = _as_sign(twist, SchwartzError, "twist")
     items = [_norm_item(it) for it in word]
     out = phi
     for it in reversed(items):
@@ -588,6 +582,7 @@ def weil_act_cover(g: MetaSL2, phi: SchwartzFn, twist: int = 1) -> SchwartzFn:
     the lower-left entry (1 when c = 0): upper factors never move the
     sheet, and Rao's cocycle of diag(-1/c) * flip is (-c, -1).
     """
+    _as_instance(g, MetaSL2, SchwartzError, "g")
     if g.ctx.p != phi.ctx.p:
         raise SchwartzError("mixed prime contexts")
     c = g.mat.num[1][0]

@@ -117,7 +117,7 @@ def test_p2_message_names_the_hypothesis():
 def test_config_takes_integers_only(kw, field):
     """A float is not truncated and a string is not parsed: the config
     refuses them, naming the field, before anything validates."""
-    with pytest.raises(HarnessError, match=f"^{field} takes integers"):
+    with pytest.raises(HarnessError, match=f"^{field} .+ is not an integer$"):
         CampaignConfig(**kw)
 
 

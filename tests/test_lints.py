@@ -1,4 +1,4 @@
-"""Source lints: thirteen rules the code must keep, read off its syntax.
+"""Source lints: fifteen rules the code must keep, read off its syntax.
 
 - the library never touches cmath, complex or float(): every value it
   computes is exact (Fraction, Mono, Cyclo), and the complex embedding
@@ -16,7 +16,11 @@
 - no module has more than 5,300 AST nodes;
 - every check function of the harness is the fn of exactly one catalog
   entry, and every entry's fn is one of them;
-- only the value base and four named classes define __eq__ or __hash__.
+- only the value base and four named classes define __eq__ or __hash__;
+- only padic's input helpers test a number's type or a sign's value, only
+  PrimeCtx tests primality, and int(...) only parses text;
+- every public class of the table's five modules is in the input table
+  of test_inputs or named as trusted there.
 
 One walker names each node by the innermost function or class around
 it, module-qualified (`padic.Mono.inverse`, `harness.checks.<module>`
@@ -28,6 +32,7 @@ from pathlib import Path
 
 import padicsp
 from padicsp.harness.checks import CATALOG, CheckSpec
+from test_inputs import INPUT_TABLE, TABLE_MODULES, TRUSTED_CLASSES
 
 SRC = Path(padicsp.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -768,3 +773,142 @@ def test_equality_lint_sees_each_form(tmp_path):
         "class K(J):\n    eq = J.__eq__\n"
     )
     assert equality_definers(tmp_path) == {"m.A", "m.B", "m.C", "m.D", "m.E", "m.f.G", "m.H.I"}
+
+
+# --------------------------------------------------------- number input
+
+# padic holds the whole rule for a number input: _as_fraction takes a
+# rational, _as_int a count or a level, _as_sign a sign, and a bool is
+# none of these; PrimeCtx alone decides what a prime is.  No other
+# function tests a number's type or a sign's value by hand, and int(...)
+# only parses text.
+NUMBER_TESTS = {
+    ("padic._as_fraction", "type() is int"),
+    ("padic._as_int", "type() is int"),
+    ("padic._as_sign", "type() is int"),
+    ("padic._as_sign", "in (1, -1)"),
+    ("padic.PrimeCtx.__init__", "_is_prime()"),
+    ("harness.config._parse_int", "int()"),
+    ("harness.config._parse_int_list", "int()"),
+    ("harness.checks.case_seed", "int()"),
+}
+
+
+def _name_of(node):
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def _is_unit_pair(node) -> bool:
+    """node is a literal tuple, list or set of exactly 1 and -1."""
+    if not isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return False
+    try:
+        return sorted(ast.literal_eval(elt) for elt in node.elts) == [-1, 1]
+    except (ValueError, TypeError):
+        return False
+
+
+def _is_type_call(node) -> bool:
+    return isinstance(node, ast.Call) and _name_of(node.func) == "type"
+
+
+def _number_tests_in(node):
+    """The hand-written number tests that node is: isinstance(x, bool),
+    type(x) is [not] int, x [not] in (1, -1), int(...) and _is_prime(...)."""
+    if isinstance(node, ast.Call):
+        name = _name_of(node.func)
+        if name == "isinstance" and len(node.args) == 2 and _name_of(node.args[1]) == "bool":
+            yield "isinstance(, bool)"
+        elif name in ("int", "_is_prime"):
+            yield f"{name}()"
+    elif isinstance(node, ast.Compare):
+        left = node.left
+        for op, right in zip(node.ops, node.comparators):
+            pair = (left, right)
+            if isinstance(op, (ast.Is, ast.IsNot)) and "int" in map(_name_of, pair) and any(map(_is_type_call, pair)):
+                yield "type() is int"
+            if isinstance(op, (ast.In, ast.NotIn)) and _is_unit_pair(right):
+                yield "in (1, -1)"
+            left = right
+
+
+def number_tests(root=SRC):
+    """(function, form) for each hand-written number test under root."""
+    return {(name, form) for name, node in scoped_nodes(root) for form in _number_tests_in(node)}
+
+
+def test_only_the_input_helpers_test_a_number():
+    assert number_tests() == NUMBER_TESTS
+
+
+def test_number_lint_sees_each_form(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "def a(x):\n    return isinstance(x, bool) or not isinstance(x, int)\n"
+        "class K:\n    def b(self, x):\n        return type(x) is int\n"
+        "    def c(self, x):\n        return int is not type(x)\n"
+        "def d(z):\n    def e():\n        return z not in (1, -1)\n    return e\n"
+        "def f(z):\n    return z in [-1, 1] or 0 < z in {1, -1}\n"
+        "def g(r):\n    return int(r), _is_prime(r), padic._is_prime(r)\n"
+        "SIGNS = 1 in (1, -1)\n"
+    )
+    (tmp_path / "n.py").write_text(
+        "def h(x):\n    for s in (1, -1):\n        x = isinstance(x, (int, bool)), type(x) is Q, x in (1, 2)\n"
+        "    return x == int, isinstance(x, int), x in (-1, 0, 1), Q(x), x is not None\n"
+    )
+    assert number_tests(tmp_path) == {
+        ("m.a", "isinstance(, bool)"),
+        ("m.K.b", "type() is int"),
+        ("m.K.c", "type() is int"),
+        ("m.d.e", "in (1, -1)"),
+        ("m.f", "in (1, -1)"),
+        ("m.g", "int()"),
+        ("m.g", "_is_prime()"),
+        ("m.<module>", "in (1, -1)"),
+    }
+
+
+# ---------------------------------------------------------- input table
+
+def _is_exception(cls: ast.ClassDef) -> bool:
+    return any((_name_of(base) or "").endswith(("Error", "Exception")) for base in cls.bases)
+
+
+def public_classes(modules_of, root=SRC):
+    """The module-level classes of the named modules under root whose
+    names do not start with "_", exceptions apart, module-qualified."""
+    return {
+        f"{module}.{stmt.name}"
+        for module, tree in modules(root) if module in modules_of
+        for stmt in tree.body
+        if isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_") and not _is_exception(stmt)
+    }
+
+
+def tabled_classes(targets, classes):
+    """The classes that some target names: the class itself or one of its methods."""
+    return {cls for cls in classes for t in targets if t == cls or t.startswith(cls + ".")}
+
+
+def test_every_public_class_is_in_the_input_table():
+    classes = public_classes(TABLE_MODULES)
+    targets = {param.values[0] for param in INPUT_TABLE}
+    assert TRUSTED_CLASSES <= classes
+    assert classes - tabled_classes(targets, classes) == TRUSTED_CLASSES
+
+
+def test_table_lint_sees_each_class(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "a.py").write_text(
+        "class A:\n    class Inner:\n        pass\n"
+        "class _Private:\n    pass\n"
+        "class AError(ValueError):\n    pass\n"
+        "class BError(AError):\n    pass\n"
+        "class Warned(padic.PadicError):\n    pass\n"
+        "class B(_Private):\n    pass\n"
+        "def f():\n    class C:\n        pass\n    return C\n"
+    )
+    (tmp_path / "pkg" / "b.py").write_text("class D:\n    pass\nclass DE(Exception):\n    pass\n")
+    (tmp_path / "c.py").write_text("class Elsewhere:\n    pass\n")
+    classes = public_classes(("a", "pkg.b"), tmp_path)
+    assert classes == {"a.A", "a.B", "pkg.b.D"}
+    assert tabled_classes({"a.A.method", "a.AB", "pkg.b.D", "c.Elsewhere"}, classes) == {"a.A", "pkg.b.D"}
