@@ -1,43 +1,41 @@
-"""The rank-n symplectic group over exact p-adic rationals.
+"""The rank-n symplectic group over exact p-adic rationals: matrices and Bruhat cells.
 
 Matrix conventions.  Sp_2n is defined by the form [[0, J], [-J, 0]]
 with J the n x n antidiagonal of ones, so the torus is
-diag(a_1..a_n, a_n^-1..a_1^-1) and the Borel is upper triangular.  The
-Levi embedding is m(A) = diag(A, J tA^-1 J), the abelian radical is
-n(X) = [[I, X], [0, I]] with tX = J X J.  One-parameter root subgroups
-are realized as follows (rows/columns 1-based, N = 2n + 1):
+diag(a_1..a_n, a_n^-1..a_1^-1) and the Borel is upper triangular; the
+root subgroups sit at the positions of congruence._root_positions.
+Weyl generators are the swaps of lines k, k+1 (with their mirrors) for
+the short simple roots and the middle [[0, 1], [-1, 0]] block for the
+long one; canonical monomial representatives multiply those along a
+reduced word.  Everything is exact: a matrix is integer rows over one
+positive denominator, in lowest terms.  A matrix carries no prime:
+cells, root groups and Weyl representatives never read p, and only the
+functions that read valuations (here the cell-word rewrite) take a
+PrimeCtx, as their leading argument.
 
-  line root e_a - e_b:   I + r E[a, b]     - r E[N-b, N-a]
-  sum root  e_a + e_b:   I + r E[a, N-b]   + r E[b, N-a]   (a < b)
-  long root 2 e_a:       I + r E[a, N-a]
-  negatives: the mirrored lower positions with the same signs.
+This module holds the matrix type Mat, root elements and root words,
+Weyl representatives, the Bruhat decomposition, the corner-rank cell
+detector and the two cell moves.  The structure of Sp_2n is spread over
+three more modules, split along its seams so that each compiles small
+(a module's compile peak grows with its syntax tree, and a process
+keeps its RSS high-water mark, so the largest compile of the imports
+sets a floor under every run's peak):
 
-The first listed position is the "primary" one: the coefficient of a
-root factor can be read off there.  Weyl generators are m(swap) for the
-short simple roots and the middle [[0, 1], [-1, 0]] block for the long
-one; canonical monomial representatives multiply those along a reduced
-word.  Everything is exact: a matrix is integer rows over one positive
-denominator, in lowest terms.  A matrix carries no prime: cells, root
-groups and Weyl representatives never read p, and only the functions
-that read valuations (the congruence levels, the depth characters and
-the cell-word rewrite) take a PrimeCtx, as their leading argument.
-
-The arithmetic on those integer rows (products, inverses, root words,
-peels, the Bruhat elimination, corner ranks and level tests) lives in
-intmat, which knows neither Mat nor the roots; every routine here
-unpacks its Mats, calls the kernel and wraps what it returns with _mat
-or _stored.  The split keeps each module's compile small, since the
-compile peak of one module with both layers set the high-water mark of
-every run's imports, and it gives a rank-n cover a kernel without the
-Bruhat layer.  The public names all stay here, where the benchmark
-tracer's chevalley.* spans find them.
+- intmat and intelim, the integer-row kernel: products, inverses, root
+  words, peels, the Bruhat elimination, corner ranks and level tests,
+  on (den, num) pairs.  Every routine here unpacks its Mats, calls the
+  kernel and wraps what it returns with _mat or _stored.
+- congruence, which never builds a Mat: the root positions, the level
+  exponents and level tests, the coordinate bounds, the depth
+  characters and the volume ledger, and MatrixError.
+- subgroups, on top of this module: the Levi, radical and SL_2
+  embeddings, the tori, the rotations, the long corner element and the
+  peels into root coordinates.
 
 The structural routines verify their own output and raise MatrixError
 (or FactorizationError) when a check fails, so their callers need not
 re-derive it.  bruhat_decompose checks the shapes of its factors and
-recomposes g; peel_unipotent and commutator_coefficients check that the
-peel leaves the identity; cell_identity_borel_part checks that b lies in
-the Borel; cell_word_rewrite checks the rewrite identity, the peel
+recomposes g; cell_word_rewrite checks the rewrite identity, the peel
 residue and the pivot size; and cell_collapse_witness checks that the
 cell it reads off the corner ranks drops below w.
 """
@@ -46,23 +44,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from . import intmat
-from .padic import Mono, fraction_valuation, _Value, _as_fraction, _pfrac
-from .rootsys import (
-    Root,
-    WeylElem,
-    bruhat_leq,
-    is_bad_pair,
-    ordered_negated_roots,
-    positive_roots,
-    reflection,
-)
+from . import intelim, intmat
+from .congruence import MatrixError, _root_positions, in_skew_level, radical_coordinate_bound
+from .padic import _as_fraction, _as_int, fraction_valuation
+from .rootsys import Root, WeylElem, bruhat_leq, is_bad_pair, ordered_negated_roots
+from .value import _Value
 
 Q = Fraction
-
-
-class MatrixError(ValueError):
-    pass
 
 
 class FactorizationError(MatrixError):
@@ -87,7 +75,7 @@ class Mat(_Value):
 
     @classmethod
     def identity(cls, size: int) -> "Mat":
-        return _stored(1, intmat.eye(size))
+        return _stored(1, intmat.eye(_as_int(size, MatrixError, "size", 0)))
 
     @classmethod
     def diagonal(cls, entries) -> "Mat":
@@ -124,8 +112,8 @@ class Mat(_Value):
         return _stored(self.den, tuple([*zip(*self.num)]))
 
     def inverse(self) -> "Mat":
-        """Fraction-free Gauss-Jordan on the integer rows (intmat.inverse)."""
-        inv = intmat.inverse(self.den, self.num)
+        """Fraction-free Gauss-Jordan on the integer rows (intelim.inverse)."""
+        inv = intelim.inverse(self.den, self.num)
         if inv is None:
             raise MatrixError("singular matrix")
         return _stored(*inv)
@@ -174,113 +162,7 @@ def symplectic_inverse(g: Mat) -> Mat:
     return _stored(g.den, intmat.symplectic_inverse(g.num))
 
 
-# ------------------------------------------------------- block builders
-
-def levi_embed(n: int, a_rows) -> Mat:
-    """m(A) = diag(A, J tA^-1 J) for A in GL_n."""
-    a = Mat(a_rows)
-    if a.size != n:
-        raise MatrixError("Levi block has wrong size")
-    ainv = a.inverse()
-    return _stored(*intmat.levi_block(a.den, a.num, ainv.den, ainv.num))
-
-
-def radical_embed(n: int, x_rows) -> Mat:
-    """n(X) = [[I, X], [0, I]]; X must satisfy tX = J X J."""
-    x = Mat(x_rows)
-    if x.size != n:
-        raise MatrixError("radical block has wrong size")
-    for i in range(n):
-        for j in range(n):
-            if x.num[j][i] != x.num[n - 1 - i][n - 1 - j]:
-                raise MatrixError("block is not symmetric about the antidiagonal")
-    den = x.den
-    num = [[den if i == j else 0 for j in range(2 * n)] for i in range(2 * n)]
-    for i in range(n):
-        num[i][n:] = x.num[i]
-    return _mat(den, intmat.tuple_rows(num))
-
-
-def torus(entries) -> Mat:
-    es = [_as_fraction(e) for e in entries]
-    if not all(es):
-        raise MatrixError("a torus entry is 0")
-    big = 2 * len(es) - 1
-    entries = []
-    for i, e in enumerate(es):
-        # e at (i, i) and 1 / e, numerator and denominator swapped, at the mirror
-        entries += [(i, i, e.numerator, e.denominator), (big - i, big - i, e.denominator, e.numerator)]
-    return _stored(*intmat.from_entries(big + 1, entries))
-
-
-def first_axis_torus(n: int, a) -> Mat:
-    """diag(a, 1, ..., 1, a^-1)."""
-    return torus([a] + [1] * (n - 1))
-
-
-def sl2_embed(n: int, g2) -> Mat:
-    """The middle SL_2 block at lines n, n+1."""
-    rows = [[1 if i == j else 0 for j in range(2 * n)] for i in range(2 * n)]
-    for i in range(2):
-        for j in range(2):
-            rows[n - 1 + i][n - 1 + j] = g2[i][j]
-    return Mat(rows)
-
-
-def rotation_matrix(n: int) -> Mat:
-    """m of the n-cycle sending line k to line k+1 (line n to line 1)."""
-    c = [[0] * n for _ in range(n)]
-    c[0][n - 1] = 1
-    for i in range(n - 1):
-        c[i + 1][i] = 1
-    return levi_embed(n, c)
-
-
-def rotate_conjugate(g: Mat) -> Mat:
-    """Conjugation by the coordinate rotation."""
-    n = g.size // 2
-    w1 = rotation_matrix(n)
-    return w1 * g * symplectic_inverse(w1)
-
-
-def corner_column_unipotent(n: int, ys, x) -> Mat:
-    """m of [[I_{n-2}, 0, y], [0, 1, x], [0, 0, 1]]: the zeta-integral slice."""
-    if n < 2:
-        raise MatrixError("needs rank >= 2")
-    if len(ys) != n - 2:
-        raise MatrixError("y must have n - 2 entries")
-    a = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i, y in enumerate(ys):
-        a[i][n - 1] = y
-    a[n - 2][n - 1] = x
-    return levi_embed(n, a)
-
-
 # --------------------------------------------------- root group elements
-
-@lru_cache(maxsize=None)
-def _root_positions(n: int) -> dict:
-    """{root: (row, col, sign) triples, 0-based, primary first} over the
-    2 n^2 roots of rank n."""
-    big = 2 * n - 1  # mirror index: pos p maps to big - p
-    out = {}
-    for g in positive_roots(n):
-        for root in (g, -g):
-            nz = [(i, c) for i, c in enumerate(root.euclid()) if c]
-            if len(nz) == 1:
-                a, c = nz[0]
-                out[root] = ((a, big - a, 1),) if c == 2 else ((big - a, a, 1),)
-                continue
-            (a, ca), (b, cb) = nz
-            if ca == 1 and cb == -1:
-                out[root] = ((a, b, 1), (big - b, big - a, -1))
-            elif ca == -1 and cb == 1:
-                out[root] = ((b, a, 1), (big - a, big - b, -1))
-            elif ca == 1 and cb == 1:
-                out[root] = ((a, big - b, 1), (b, big - a, 1))
-            else:
-                out[root] = ((big - b, a, 1), (big - a, b, 1))
-    return out
 
 
 def root_elem(n: int, root: Root, r) -> Mat:
@@ -316,12 +198,20 @@ def _root_word(g: Mat, factors) -> Mat:
 
 @lru_cache(maxsize=None)
 def _weyl_generator_matrix(n: int, k: int) -> Mat:
+    """The k-th Weyl generator (1-based) as integer rows: for k < n,
+    m(A) of the swap A of lines k, k+1, which swaps them and their
+    mirrors 2n+1-k, 2n-k (J tA^-1 J = J A J is the swap of the mirrors);
+    for k = n, the middle [[0, 1], [-1, 0]] block at lines n, n+1."""
+    num = [list(row) for row in intmat.eye(2 * n)]
     if k < n:
-        a = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        a[k - 1][k - 1] = a[k][k] = 0
-        a[k - 1][k] = a[k][k - 1] = 1
-        return levi_embed(n, a)
-    return sl2_embed(n, ((0, 1), (-1, 0)))
+        for a, b in ((k - 1, k), (2 * n - k - 1, 2 * n - k)):
+            num[a][a] = num[b][b] = 0
+            num[a][b] = num[b][a] = 1
+    else:
+        num[n - 1][n - 1] = num[n][n] = 0
+        num[n - 1][n] = 1
+        num[n][n - 1] = -1
+    return _stored(1, intmat.tuple_rows(num))
 
 
 def weyl_rep(w: WeylElem) -> Mat:
@@ -335,15 +225,6 @@ def _weyl_rep(w: WeylElem) -> Mat:
     for k in w.reduced_word():
         out = out * _weyl_generator_matrix(w.n, k)
     return out
-
-
-def top_cell_matrix(n: int) -> Mat:
-    """Representative of the reflection in 2 e_1: the long corner element."""
-    num = [list(row) for row in intmat.eye(2 * n)]
-    num[0][0] = num[-1][-1] = 0
-    num[0][-1] = 1
-    num[-1][0] = -1
-    return _stored(1, intmat.tuple_rows(num))
 
 
 # --------------------------------------------------------- Bruhat cells
@@ -371,9 +252,9 @@ def bruhat_decompose(g: Mat):
 
     Gaussian elimination with lowest-possible pivots brings g to a
     monomial L g R = t W with L and R upper unitriangular and W = W(w),
-    and writes down L^-1 and R^-1 as it goes (intmat.monomial_form); the
+    and writes down L^-1 and R^-1 as it goes (intelim.monomial_form); the
     pivots give w.  Conjugated by W, R^-1 splits as W R^-1 W^-1 = B C
-    with B upper and C lower unitriangular (intmat.unitriangular_ul), so
+    with B upper and C lower unitriangular (intelim.unitriangular_ul), so
     g = L^-1 t B W um with um = W^-1 C W, and u = L^-1 t B t^-1.  The
     result is verified by recomposition before returning; the torus and
     Weyl factors enter it as column moves (intmat.times_monomial), so only
@@ -382,7 +263,7 @@ def bruhat_decompose(g: Mat):
     n = g.size // 2
     if not is_symplectic(g):
         raise MatrixError("not symplectic")
-    form = intmat.monomial_form(g.den, g.num)
+    form = intelim.monomial_form(g.den, g.num)
     if form is None:
         raise MatrixError("singular input")
     pivots, lm_inv, (rden, rnum), monomial = form
@@ -408,9 +289,9 @@ def bruhat_decompose(g: Mat):
 
 
 def _unitriangular_split(den: int, num: tuple):
-    """intmat.unitriangular_ul of num / den; raises FactorizationError
+    """intelim.unitriangular_ul of num / den; raises FactorizationError
     when there is no split."""
-    split = intmat.unitriangular_ul(den, num)
+    split = intelim.unitriangular_ul(den, num)
     if split is None:
         raise FactorizationError("input is not in the unitriangular cell")
     return split
@@ -423,11 +304,11 @@ def weyl_from_rank_pattern(g: Mat) -> WeylElem:
     pattern is its discrete mixed difference.  No pivoting choices are
     involved, so this cross-checks the elimination route, and it is how
     cell_collapse_witness reads its cell.  The ranks come
-    from intmat.corner_ranks: one fraction-free column sweep per starting
+    from intelim.corner_ranks: one fraction-free column sweep per starting
     row reads off a whole row of the table, 2n sweeps in all.
     """
     size = g.size
-    table = intmat.corner_ranks(g.num)
+    table = intelim.corner_ranks(g.num)
     positions = []
     for i in range(size):
         for j in range(1, size + 1):
@@ -438,145 +319,16 @@ def weyl_from_rank_pattern(g: Mat) -> WeylElem:
 
 # ------------------------------------------------ unipotent coordinates
 
-def peel_unipotent(u: Mat):
-    """Coordinates of an upper unipotent over ascending root height.
-
-    Peels x_g(-c) off the left for each positive root in height order;
-    exact because leftover cross terms always sit at taller positions.
-    """
-    n = u.size // 2
-    if not u.is_upper_unitriangular():
-        raise FactorizationError("not upper unitriangular")
-    return _coordinates(n, u, [(g, g) for g in positive_roots(n)])
-
 
 def _coordinates(n: int, m: Mat, cands) -> dict:
     """{key: c} with m = prod x_root(c) over the (key, root) pairs of cands
     in order, zero coefficients left out, read by one left peel
-    (intmat.peel).  Raises FactorizationError unless the identity is left."""
+    (intelim.peel).  Raises FactorizationError unless the identity is left."""
     positions = _root_positions(n)
-    coords = intmat.peel(m.den, m.num, [(key, positions[root]) for key, root in cands])
+    coords = intelim.peel(m.den, m.num, [(key, positions[root]) for key, root in cands])
     if coords is None:
         raise FactorizationError("residue after peeling")
     return {key: Q(cn, cd) for key, (cn, cd) in coords.items()}
-
-
-def commutator_coefficients(n: int, g1: Root, r, g2: Root, s):
-    """[x_g1(r), x_g2(s)] = prod x_{i g1 + j g2}(c_ij); returns {(i, j): c}.
-
-    Candidate roots are peeled in ascending height; the residue must be
-    the identity, which is checked.
-    """
-    from .rootsys import root_from_vector
-
-    r, s = _as_fraction(r), _as_fraction(s)
-    com = root_product(n, [(g1, r), (g2, s), (g1, -r), (g2, -s)])
-    cands = []
-    for i in range(1, 5):
-        for j in range(1, 5):
-            vec = tuple(i * a + j * b for a, b in zip(g1.euclid(), g2.euclid()))
-            root = root_from_vector(n, vec)
-            if root is not None:
-                cands.append(((i, j), root))
-    cands.sort(key=lambda t: t[1].height)
-    return _coordinates(n, com, cands)
-
-
-def cell_identity_borel_part(n: int, root: Root, r) -> Mat:
-    """b with x_g(r) x_{-g}(-1/r) = W(s_g) b; checks b is in the Borel."""
-    r = _as_fraction(r)
-    if not r:
-        raise MatrixError("needs r nonzero")
-    lhs = root_product(n, [(root, r), (-root, -1 / r)])
-    s = reflection(root)
-    b = symplectic_inverse(weyl_rep(s)) * lhs
-    if not b.is_upper_triangular():
-        raise MatrixError("cell identity failed")
-    return b
-
-
-# --------------------------------------------------- congruence layers
-
-def level_exponents(n: int, m: int):
-    """Diagonal valuations of the conjugating torus element."""
-    return [-(2 * n - 2 * i - 1) * m for i in range(n)] + [(2 * k + 1) * m for k in range(n)]
-
-
-def conjugating_torus(ctx, n: int, m: int) -> Mat:
-    p = Q(ctx.p)
-    return Mat.diagonal([p**e for e in level_exponents(n, m)])
-
-
-def in_standard_level(ctx, g: Mat, m: int) -> bool:
-    """Membership in the principal congruence subgroup of depth m."""
-    return intmat.in_level(ctx.p, g.den, g.num, m, [0] * g.size)
-
-
-def in_skew_level(ctx, g: Mat, m: int) -> bool:
-    """Membership in the torus-conjugated congruence subgroup."""
-    return intmat.in_level(ctx.p, g.den, g.num, m, level_exponents(g.size // 2, m))
-
-
-def radical_coordinate_bound(root: Root, m: int) -> int:
-    """x_root(r) lies in the skew level iff v(r) >= this (positive root)."""
-    return -(2 * root.height - 1) * m
-
-
-def negative_coordinate_bound(root: Root, m: int) -> int:
-    """x_{-root}(r) lies in the skew level iff v(r) >= this."""
-    return (2 * root.height + 1) * m
-
-
-def generic_character(ctx, u: Mat) -> Mono:
-    """psi of the sum of the n superdiagonal entries through the middle."""
-    n = u.size // 2
-    if not u.is_upper_unitriangular():
-        raise MatrixError("not unipotent upper triangular")
-    total = Q(sum(u.num[i][i + 1] for i in range(n)), u.den)
-    return Mono(turn=_pfrac(total, ctx.p))
-
-
-def skew_level_character(ctx, h: Mat, m: int) -> Mono:
-    """The depth-m character: conjugate back and read the superdiagonal."""
-    n = h.size // 2
-    if not in_skew_level(ctx, h, m):
-        raise MatrixError("not in the skew level subgroup")
-    # conjugating by d = diag(p^e_i) scales entry (i, j) by p^(e_j - e_i)
-    es = level_exponents(n, m)
-    p = Q(ctx.p)
-    total = sum(h[i, i + 1] * p ** (es[i + 1] - es[i]) for i in range(n)) * p ** (-2 * m)
-    return Mono(turn=_pfrac(total, ctx.p))
-
-
-# --------------------------------------------------------- volume ledger
-
-def volume_exponent(kind: str, n: int, m: int, root: Root = None, w: WeylElem = None) -> int:
-    """log_q of the volume of a depth-m coordinate box, vol(U cap K) = 1.
-
-    Each positive-root coordinate contributes (2 ht - 1) m.
-    """
-    if m < 0:
-        raise MatrixError("level must be nonnegative")
-    if kind == "U":
-        return m * sum(2 * g.height - 1 for g in positive_roots(n))
-    if kind == "U_gamma":
-        if root is None or not root.is_positive():
-            raise MatrixError("needs a positive root")
-        return m * (2 * root.height - 1)
-    if kind in ("U_w_minus", "U_w_plus"):
-        if w is None:
-            raise MatrixError("needs a Weyl element")
-        roots = w.negated_positive_roots() if kind == "U_w_minus" else w.kept_positive_roots()
-        return m * sum(2 * g.height - 1 for g in roots)
-    if kind == "D":
-        # first-row slice of the radical: 2e_1 and e_1 + e_k
-        if n < 2:
-            raise MatrixError("needs rank >= 2")
-        roots = [Root.from_euclid(n, tuple(2 if k == 0 else 0 for k in range(n)))]
-        for j in range(2, n + 1):
-            roots.append(Root.from_euclid(n, tuple(1 if k in (0, j - 1) else 0 for k in range(n))))
-        return m * sum(2 * g.height - 1 for g in roots)
-    raise MatrixError(f"unknown volume kind {kind!r}")
 
 
 # ----------------------------------------------------------- cell moves
@@ -596,7 +348,7 @@ def cell_word_rewrite(ctx, t: Mat, w: WeylElem, rs, u: Mat, m: int):
     U_w^-, both unique (Steinberg, Lectures on Chevalley Groups, 1967,
     Lemma 17).  Conjugating by W = W(w) makes the split upper times lower
     unitriangular, W y W^-1 = B C with B = W u1 W^-1 and C = W v W^-1,
-    which intmat.unitriangular_ul computes as in bruhat_decompose; then
+    which intelim.unitriangular_ul computes as in bruhat_decompose; then
     u~ = t B t^-1 and v = W^-1 C W.
 
     r~ is read off v^-1 = x_{o_0}(-r~_0) ... x_{o_top}(-r~_top) by one

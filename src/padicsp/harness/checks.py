@@ -5,16 +5,18 @@ samples or small exhaustive grids and reports a replayable
 counterexample on the first violation.  Checks are pure functions of
 (config, rng); the campaign driver owns timing and status bookkeeping.
 
-The checks of `CATALOG` live in one module per layer: `root_checks`
-holds the root-system checks, which read no prime, `matrix_checks` the
-Chevalley checks, `schwartz_checks` the Weil-representation checks, and
-this module the p-adic, quadratic-extension and metaplectic ones;
+The checks of `CATALOG` live in one module per layer: `scalar_checks`
+holds the p-adic and quadratic-extension checks, `root_checks` the
+root-system checks, which read no prime, `matrix_checks` the Chevalley
+group checks, `cell_checks` the Bruhat-cell checks, `cover_checks` the
+metaplectic ones and `schwartz_checks` the Weil-representation checks;
 `common` holds what more than one of them reads.  Compiling a module
 takes memory that grows with its syntax tree and is never given back,
 so one large harness module would set the peak memory of every run.
-The Weil-index and Rao-cocycle checks stay here because the benchmark's
-wrapper probe (`bench/test_bench.py`) reads `weil_index` and
-`rao_cocycle` as names of this module.
+This module keeps the catalog, the campaign driver and its lanes, and
+the Weil-index and Rao-cocycle checks, because the benchmark's wrapper
+probe (`bench/test_bench.py`) reads `weil_index` and `rao_cocycle` as
+names of this module.
 
 A library routine that verifies its own result and raises has the one
 home of that verification: its check does not recompute it, but turns
@@ -41,39 +43,22 @@ import os
 from fractions import Fraction as Q
 
 from .. import __version__
-from ..padic import (
-    Mono,
-    PadicError,
-    PrimeCtx,
-    _Value,
-    _set,
-    hilbert_symbol,
-    mu_psi,
-    psi,
-    weil_index,
-)
-from ..quadext import QuadExt, norm_one_decompose
-from ..metaplectic import (
-    MetaError,
-    MetaSL2,
-    SectionFsi,
-    decompose_big_cell,
-    eval_fsi_exact,
-    intertwine_eval_exact,
-    intertwine_level,
-    ramified_character,
-    rao_cocycle,
-)
-from .common import _power_times, _raised, nonresidue, sample_rational, square_classes
-from .matrix_checks import (
+from ..metaplectic import MetaSL2, rao_cocycle
+from ..padic import Mono, PrimeCtx, hilbert_symbol, mu_psi, weil_index
+from ..value import _Value, _set
+from .cell_checks import (
     check_bruhat_oracle,
     check_cell_collapse,
     check_cell_identity,
     check_cell_word_rewrite,
+    check_obstructed_decompositions,
+)
+from .common import _power_times, nonresidue, sample_rational
+from .cover_checks import _random_sl2, check_big_cell, check_intertwining_volume, check_section_law
+from .matrix_checks import (
     check_chevalley_commutators,
     check_congruence_structure,
     check_levi_stability,
-    check_obstructed_decompositions,
     check_symplectic_generators,
     check_volumes,
 )
@@ -86,6 +71,7 @@ from .root_checks import (
     check_reflection_positivity,
     check_sigma_minus_order,
 )
+from .scalar_checks import check_hilbert_symbol, check_norm_one_split, check_psi_character, check_quad_ext
 from .schwartz_checks import (
     check_deep_ball_invariance,
     check_fourier_closure,
@@ -99,53 +85,7 @@ def case_seed(seed: int, name: str) -> int:
     return int(digest[:16], 16)
 
 
-# =============================================================== padic
-
-def check_psi_character(cfg, rng):
-    cases = 0
-    for p in cfg.p:
-        ctx = PrimeCtx(p)
-        if psi(ctx.of(Q(1, p))).is_one() or not psi(ctx.of(1)).is_one():
-            raise CheckFailure({"p": p, "reason": "conductor is not the integer ring"})
-        for _ in range(cfg.samples):
-            x = sample_rational(rng, p, signed=True)
-            y = sample_rational(rng, p, signed=True)
-            if psi(ctx.of(x + y)) != psi(ctx.of(x)) * psi(ctx.of(y)):
-                raise CheckFailure({"p": p, "x": x, "y": y, "reason": "additivity"})
-            if not (psi(ctx.of(x)) * psi(ctx.of(-x))).is_one():
-                raise CheckFailure({"p": p, "x": x, "reason": "inverse"})
-            cases += 1
-    return cases, {"p": list(cfg.p), "samples": cfg.samples}
-
-
-def check_hilbert_symbol(cfg, rng):
-    cases = 0
-    for p in cfg.p:
-        ctx = PrimeCtx(p)
-        reps = square_classes(p)
-        for a in reps:
-            for b in reps:
-                s = hilbert_symbol(ctx.of(a), ctx.of(b))
-                if s != hilbert_symbol(ctx.of(b), ctx.of(a)):
-                    raise CheckFailure({"p": p, "a": a, "b": b, "reason": "symmetry"})
-                if hilbert_symbol(ctx.of(a * b * b), ctx.of(b)) != s:
-                    raise CheckFailure({"p": p, "a": a, "b": b, "reason": "square invariance"})
-                cases += 1
-            if hilbert_symbol(ctx.of(a), ctx.of(-a)) != 1:
-                raise CheckFailure({"p": p, "a": a, "reason": "(a,-a) = 1"})
-            if a != 1 and hilbert_symbol(ctx.of(a), ctx.of(1 - a)) != 1:
-                raise CheckFailure({"p": p, "a": a, "reason": "(a,1-a) = 1"})
-        for _ in range(max(cfg.samples, 4)):
-            a = sample_rational(rng, p, signed=True)
-            b = sample_rational(rng, p, signed=True)
-            c = sample_rational(rng, p, signed=True)
-            lhs = hilbert_symbol(ctx.of(a), ctx.of(b * c))
-            rhs = hilbert_symbol(ctx.of(a), ctx.of(b)) * hilbert_symbol(ctx.of(a), ctx.of(c))
-            if lhs != rhs:
-                raise CheckFailure({"p": p, "a": a, "b": b, "c": c, "reason": "bimultiplicativity"})
-            cases += 1
-    return cases, {"p": list(cfg.p)}
-
+# ========================================================== weil index
 
 def check_weil_index(cfg, rng):
     cases = 0
@@ -185,73 +125,7 @@ def check_weil_index(cfg, rng):
     return cases, {"p": list(cfg.p), "samples": cfg.samples}
 
 
-# ============================================================= quadext
-
-def _extensions(p: int):
-    ctx = PrimeCtx(p)
-    u0 = nonresidue(p)
-    return [QuadExt(ctx, Q(u0)), QuadExt(ctx, Q(p)), QuadExt(ctx, Q(u0 * p))]
-
-
-def _random_ext_elem(rng, ext, m: int = 1):
-    a = sample_rational(rng, ext.ctx.p, m, signed=True)
-    b = sample_rational(rng, ext.ctx.p, m, signed=True)
-    if rng.random() < 0.2:
-        b = Q(0)
-    return ext.elem(a, b)
-
-
-def check_quad_ext(cfg, rng):
-    cases = 0
-    for p in cfg.p:
-        for ext in _extensions(p):
-            for _ in range(cfg.samples):
-                x = _random_ext_elem(rng, ext)
-                y = _random_ext_elem(rng, ext)
-                if (x * y).norm() != x.norm() * y.norm():
-                    raise CheckFailure({"p": p, "d": ext.d, "x": str(x), "y": str(y), "reason": "norm"})
-                if (x * y).conjugate() != x.conjugate() * y.conjugate():
-                    raise CheckFailure({"p": p, "d": ext.d, "x": str(x), "y": str(y), "reason": "conjugation"})
-                if x.norm() != 0 and (x / x) != ext.one():
-                    raise CheckFailure({"p": p, "d": ext.d, "x": str(x), "reason": "division"})
-                tr = x + x.conjugate()
-                if tr.b != 0 or tr.a != x.trace():
-                    raise CheckFailure({"p": p, "d": ext.d, "x": str(x), "reason": "trace"})
-                cases += 1
-    return cases, {"p": list(cfg.p), "samples": cfg.samples}
-
-
-def check_norm_one_split(cfg, rng):
-    cases = 0
-    for p in cfg.p:
-        for ext in _extensions(p):
-            for m in cfg.m:
-                for _ in range(cfg.samples):
-                    e0 = ext.chart(sample_rational(rng, p, signed=True))
-                    u0 = ext.one() + ext.elem(rng.randint(-8, 8) * p**m, rng.randint(-8, 8) * p**m)
-                    x = e0 * u0
-                    # the split verifies N(e) = 1, e u = x and the depth of u
-                    try:
-                        norm_one_decompose(x, m)
-                    except PadicError as exc:
-                        raise _raised({"p": p, "d": ext.d, "x": str(x), "m": m}, exc) from exc
-                    cases += 1
-    return cases, {"p": list(cfg.p), "m": list(cfg.m), "samples": cfg.samples}
-
-
-# =========================================================== metaplectic
-
-def _random_sl2(rng, ctx):
-    p = ctx.p
-    kind = rng.randrange(4)
-    if kind == 0:
-        return MetaSL2.flip(ctx)
-    if kind == 1:
-        return MetaSL2.upper(ctx, sample_rational(rng, p, signed=True))
-    if kind == 2:
-        return MetaSL2.diag(ctx, sample_rational(rng, p, signed=True))
-    return MetaSL2.lower(ctx, sample_rational(rng, p, signed=True))
-
+# ========================================================= rao cocycle
 
 def check_rao_cocycle(cfg, rng):
     cases = 0
@@ -270,93 +144,6 @@ def check_rao_cocycle(cfg, rng):
                 raise CheckFailure({"p": p, "g": g1.rows, "reason": "normalization"})
             cases += 1
     return cases, {"p": list(cfg.p), "samples": cfg.samples}
-
-
-def check_section_law(cfg, rng):
-    """g g^-1 is the identity on the identity's sheet.  Associativity is
-    not tested here: on unit-sheet lifts it is rao-cocycle's cocycle
-    identity."""
-    cases = 0
-    for p in cfg.p:
-        ctx = PrimeCtx(p)
-        ident = MetaSL2.identity(ctx)
-        for _ in range(cfg.samples):
-            g = _random_sl2(rng, ctx)
-            if g * g.inverse() != ident:
-                raise CheckFailure({"p": p, "g": g.rows, "reason": "inverse sheet"})
-            cases += 1
-    return cases, {"p": list(cfg.p), "samples": cfg.samples}
-
-
-def check_big_cell(cfg, rng):
-    cases = 0
-    for p in cfg.p:
-        ctx = PrimeCtx(p)
-        for _ in range(cfg.samples):
-            y = sample_rational(rng, p, signed=True)
-            x = sample_rational(rng, p, signed=True)
-            if 1 + x * y == 0:
-                continue
-            try:
-                a, xv, ybar = decompose_big_cell(y, x)
-            except MetaError as exc:
-                raise _raised({"p": p, "x": x, "y": y}, exc) from exc
-            lhs = (MetaSL2.lower(ctx, y) * MetaSL2.upper(ctx, x)).mat
-            borel = MetaSL2(ctx, ((a, xv), (0, 1 / a)))
-            rhs = (borel * MetaSL2.lower(ctx, ybar)).mat
-            if lhs != rhs:
-                raise CheckFailure({"p": p, "x": x, "y": y, "reason": "recomposition"})
-            cases += 1
-    return cases, {"p": list(cfg.p), "samples": cfg.samples}
-
-
-def check_intertwining_volume(cfg, rng):
-    """For two conductor-1 characters and one of conductor 3, two s and
-    the levels lvl, lvl + 1, the section's intertwining integral on
-    |x| <= p is exactly q^(-3i) at six points, the integrand is exactly 1
-    at lower(-b)*upper(x) for b = -z/(1 - z x), z = t p^(3i) with t in
-    {1, 2, p - 1}, and a point outside its stabilised set is refused.
-    Conductor 3 is the least whose level on |x| <= p differs from
-    conductor 1's: it needs 3i >= 4 where conductor 1 needs 3i >= 2."""
-    cases, ran = 0, set()
-    for p in cfg.p:
-        ctx = PrimeCtx(p)
-        etas = [
-            ramified_character(ctx, 1, 1),
-            ramified_character(ctx, 1, 1, varpi_phase=Q(1, 4)),
-            ramified_character(ctx, 3, 1),
-        ]
-        bound = p
-        for eta in etas:
-            lvl = intertwine_level(eta, bound)
-            ran.update((lvl, lvl + 1))
-            for s in (Q(1, 2), Q(2, 3)):
-                for i in (lvl, lvl + 1):
-                    sec = SectionFsi(i, eta, s)
-                    for xval in (Q(0), Q(1), Q(2), Q(1, p), Q(2, p), Q(p)):
-                        got = intertwine_eval_exact(sec, xval, bound)
-                        if got != Mono(1, -3 * i):
-                            raise CheckFailure(
-                                {"p": p, "i": i, "s": s, "x": xval, "got": got}
-                            )
-                        upper = MetaSL2.upper(ctx, xval)
-                        for t in (1, 2, p - 1):
-                            z = _power_times(t, p, 3 * i)
-                            value = eval_fsi_exact(sec, MetaSL2.lower(ctx, z / (1 - z * xval)) * upper)
-                            if not value.is_one():
-                                raise CheckFailure(
-                                    {"p": p, "i": i, "s": s, "x": xval, "t": t, "value": value}
-                                )
-                        cases += 1
-                    try:
-                        intertwine_eval_exact(sec, Q(p) ** (-3 * i - 1), Q(p) ** (3 * i + 1))
-                    except MetaError:
-                        cases += 1
-                    else:
-                        raise CheckFailure(
-                            {"p": p, "i": i, "s": s, "reason": "level gate missing"}
-                        )
-    return cases, {"p": list(cfg.p), "i": sorted(ran)}
 
 
 # ============================================================== catalog

@@ -5,14 +5,10 @@ import json
 import sys
 from fractions import Fraction as Q
 
-from ..rootsys import (
-    bad_pairs,
-    bad_triples,
-    highest_root_reflection,
-    ordered_negated_roots,
-    weyl_below,
-)
-from ..chevalley import Mat, MatrixError, bruhat_decompose
+from ..badtriples import bad_triples
+from ..rootsys import bad_pairs, highest_root_reflection, ordered_negated_roots, weyl_below
+from ..chevalley import Mat, bruhat_decompose
+from ..congruence import MatrixError
 from .checks import run_campaign
 from .config import HarnessError, build_config, read_config_file
 from .report import FAIL, PASS, SKIPPED, encode_value

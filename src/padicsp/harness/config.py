@@ -4,7 +4,8 @@ Command-line flags arrive as the same strings a config file holds, and
 one splitter reads every list, so a bad entry is a HarnessError either way.
 """
 
-from ..padic import PadicError, PrimeCtx, _Value, _as_int, _set
+from ..padic import PadicError, PrimeCtx, _as_int
+from ..value import _Value, _set
 
 
 class HarnessError(PadicError):

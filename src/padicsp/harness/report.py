@@ -9,8 +9,9 @@ payloads can be replayed.
 import json
 from fractions import Fraction as Q
 
-from ..padic import Mono, _slots_repr
+from ..padic import Mono
 from ..rootsys import Root, WeylElem
+from ..value import _slots_repr
 
 PASS = "pass"
 FAIL = "fail"

@@ -7,23 +7,25 @@ lists them in its catalog.
 
 import itertools
 
+from ..badtriples import (
+    bad_pair_weyl_factorizations,
+    bad_pair_witness,
+    bad_triples,
+    bad_triples_for_pair,
+    chain_word_sigma,
+    root_decompositions,
+)
 from ..rootsys import (
     Root,
     WeylElem,
-    bad_pair_weyl_factorizations,
-    bad_pair_witness,
     bad_pairs,
-    bad_triples,
-    bad_triples_for_pair,
     bruhat_leq,
-    chain_word_sigma,
     full_weyl_group,
     highest_root_reflection,
     is_bad_pair,
     ordered_negated_roots,
     positive_roots,
     reflection,
-    root_decompositions,
     weyl_below,
 )
 from .report import CheckFailure

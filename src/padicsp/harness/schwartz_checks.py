@@ -10,6 +10,7 @@ from fractions import Fraction as Q
 from ..padic import Mono, PrimeCtx, weil_index
 from ..metaplectic import MetaSL2
 from .. import schwartz as sw
+from ..words import HeisenbergElem
 from .common import _power_times, matrix_ranks
 from .report import CheckFailure
 
@@ -135,8 +136,8 @@ def check_heisenberg_law(cfg, rng):
             def pick():
                 return Q(rng.randint(-4, 4), rng.choice([1, p, p * p]))
 
-            h1 = sw.HeisenbergElem(pick(), pick(), pick())
-            h2 = sw.HeisenbergElem(pick(), pick(), pick())
+            h1 = HeisenbergElem(pick(), pick(), pick())
+            h2 = HeisenbergElem(pick(), pick(), pick())
             phi = rng.choice(phis)
             eps = rng.choice([1, -1])
             lhs = sw.weil_act([h1], sw.weil_act([h2], phi, twist=eps), twist=eps)

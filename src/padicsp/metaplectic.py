@@ -26,22 +26,22 @@ to a complex number.
 from fractions import Fraction as Q
 from functools import lru_cache
 
+from . import intmat
 from .chevalley import Mat, _stored, symplectic_inverse
 from .padic import (
     Mono,
     PadicError,
     PrimeCtx,
-    _Value,
     _as_fraction,
     _as_instance,
     _as_int,
     _as_sign,
     _hilbert,
-    _set,
     _unit_class,
     fraction_valuation,
     mu_psi,
 )
+from .value import _Value, _set
 
 
 class MetaError(PadicError):
@@ -79,7 +79,8 @@ class MetaSL2(_Value):
         if len(rows) != 2 or any(len(row) != 2 for row in rows):
             raise MetaError("need a 2x2 matrix")
         _as_instance(ctx, PrimeCtx, MetaError, "ctx")
-        _store(self, ctx, Mat(rows), _as_sign(zeta, MetaError, "sheet sign"))
+        mat = _stored(*intmat.integer_rows([[_as_fraction(x) for x in row] for row in rows]))
+        _store(self, ctx, mat, _as_sign(zeta, MetaError, "sheet sign"))
 
     # The generators build their integer rows num / den directly, already
     # in lowest terms with den > 0, as Mat(rows) would store them.

@@ -24,15 +24,13 @@ from .padic import (
     INF,
     PadicError,
     PrimeCtx,
-    _Value,
     _as_fraction,
     _as_instance,
     _as_int,
-    _immutable,
-    _set,
     fraction_valuation,
     is_square,
 )
+from .value import _Value, _immutable, _set
 
 Q = Fraction
 

@@ -14,18 +14,33 @@ equality is decided by the exact L2 mass of the difference, a Gram sum of
 the same Gaussian integrals.  Values, integrals, masses and equality are
 exact sums in the cyclotomic form Cyclo, with no floating-point arithmetic
 at all.
+
+The term arithmetic (normalising, splitting, sibling merge, the Gaussian
+integrals and the Gram sums) is in chirp, and the generator words with
+their cover lifts are in words; this module holds SchwartzFn, its
+canonical form (_regroup and the split sweep), the generator operators
+and the Weil action.
 """
 from __future__ import annotations
 
 from fractions import Fraction as Q
 
+from .chirp import (
+    _ONE,
+    SchwartzError,
+    Term,
+    _ball_integral,
+    _gram,
+    _merge_siblings,
+    _normalize_term,
+    _split_term,
+)
+from .metaplectic import MetaSL2
 from .padic import (
     Cyclo,
     Mono,
-    PadicError,
     PrimeCtx,
     _HALF,
-    _Value,
     _ZERO,
     _as_fraction,
     _as_instance,
@@ -34,99 +49,14 @@ from .padic import (
     _head,
     _mono,
     _pfrac,
-    _set,
-    _strip,
     _turn_sum,
     fraction_valuation,
     hilbert_symbol,
     mu_psi,
     weil_index,
 )
-from .metaplectic import MetaSL2
-
-
-class SchwartzError(PadicError):
-    pass
-
-
-_ONE = Q(1)
-
-
-class Term(_Value):
-    """coeff * psi(quad * x^2 + freq * x) on the ball center + P^rad.
-
-    In reduced form the center keeps its digits below rad, quad those
-    below -2 rad (so quad is 0 when the square phase is affine on the
-    ball) and freq those below -rad; every dropped tail is a constant or a
-    frequency on the ball and lives in coeff and freq instead.
-    """
-
-    __slots__ = ("coeff", "freq", "center", "rad", "quad")
-
-    def __init__(self, coeff: Mono, freq: Q, center: Q, rad: int, quad: Q = _ZERO):
-        _set(self, "coeff", coeff)
-        _set(self, "freq", freq)
-        _set(self, "center", center)
-        _set(self, "rad", rad)
-        _set(self, "quad", quad)
-
-    def contains(self, x: Q, p: int) -> bool:
-        return fraction_valuation(x - self.center, p) >= self.rad
-
-    def phase(self, x: Q, p: int) -> Mono:
-        """coeff * psi(quad x^2 + freq x), the value at a point of the ball."""
-        return self.coeff * _mono(_ONE, _ZERO, _pfrac((self.quad * x + self.freq) * x, p))
-
-
-def _reduce_coeff(co: Mono, p: int) -> Mono:
-    # move every factor of p from the rational part into the q exponent
-    num, den = co.rat.numerator, co.rat.denominator
-    if not num or num % p and den % p:
-        return co
-    if num % p:
-        v, den = _strip(den, p)
-        v = -v
-    else:
-        v, num = _strip(num, p)
-    return _mono(Q(num, den), co.qexp + v, co.turn)
-
-
-def _normalize_term(t: Term, p: int) -> Term | None:
-    # _head hands back a field that is already reduced as the same object
-    # (a zero as _ZERO), so `is` tells which tails are there to fold; a
-    # zero from elsewhere only costs one needless rebuild.
-    co = t.coeff
-    if not co.rat:
-        return None
-    rad = t.rad
-    c_red = _head(t.center, rad, p)
-    freq, a_red, shift = t.freq, t.quad, _ZERO
-    if a_red:
-        # on c + P^rad, a x^2 = 2 a c x - a c^2 mod Z_p for a in P^(-2 rad)
-        a_red = _head(t.quad, -2 * rad, p)
-        if c_red and a_red is not t.quad:
-            ac = (t.quad - a_red) * c_red
-            freq += ac + ac
-            shift = -ac * c_red
-    f_red = _head(freq, -rad, p)
-    co = _reduce_coeff(co, p)
-    if c_red and f_red is not freq:
-        shift += (freq - f_red) * c_red
-    if shift:
-        co = _mono(co.rat, co.qexp, _turn_sum(co.turn, _pfrac(shift, p)))
-    elif co is t.coeff and c_red is t.center and f_red is t.freq and a_red is t.quad:
-        return t  # already reduced: no tail to fold
-    return Term(co, f_red, c_red, rad, a_red)
-
-
-def _split_term(t: Term, new_rad: int, p: int):
-    # cut the ball into its p^(new_rad - rad) cosets of radius new_rad
-    if new_rad <= t.rad:
-        yield t
-        return
-    step = Q(p) ** t.rad
-    for k in range(p ** (new_rad - t.rad)):
-        yield Term(t.coeff, t.freq, t.center + k * step, new_rad, t.quad)
+from .value import _Value, _set
+from .words import _norm_item, canonical_word, cover_lift
 
 
 def _regroup(terms, p):
@@ -200,69 +130,6 @@ def _disjointify(terms, p):
         if len(nxt) != len(terms):
             terms = _regroup(nxt, p)
     return terms
-
-
-def _merge_siblings(terms, p):
-    # Merge sweep, finest radius to coarsest: p sibling balls carrying the
-    # same (coeff, freq, quad) terms glue into their parent.  A normalised
-    # child's phase is already reduced at the parent's radius, and a glued
-    # parent can only complete a family one radius further up.  Fewer
-    # than p terms cannot fill a family.
-    if len(terms) < p:
-        return terms
-    levels = {}
-    for t in terms:
-        levels.setdefault(t.rad, {}).setdefault(t.center, []).append(t)
-    rad = max(levels, default=0)
-    while levels and rad >= min(levels):
-        families = {}
-        for center, ts in levels.get(rad, {}).items():
-            families.setdefault(_head(center, rad - 1, p), []).append(ts)
-        for pc, kids in families.items():
-            if len(kids) == p and len({frozenset((t.coeff, t.freq, t.quad) for t in ts) for ts in kids}) == 1:
-                for ts in kids:
-                    del levels[rad][ts[0].center]
-                glued = [Term(t.coeff, t.freq, pc, rad - 1, t.quad) for t in kids[0]]
-                levels.setdefault(rad - 1, {})[pc] = glued
-        rad -= 1
-    return [t for balls in levels.values() for ts in balls.values() for t in ts]
-
-
-def _gauss_integral(a: Q, b: Q, r: int, ctx: PrimeCtx) -> Mono:
-    """The integral of psi(a t^2 + b t) over P^r, by p-adic stationary phase.
-
-    Put j = v(a) + 2r.  When j >= 0, psi(a t^2) is 1 on P^r and the
-    integral is vol(P^r) = q^-r if b is in P^-r, else 0.  When j < 0 it is
-    0 unless v(b) >= v(a) + r; then completing the square gives
-    psi(-b^2/4a) q^-r q^(j/2) gamma(a), gamma the Weil index
-    (Igusa, Local Zeta Functions, 2000; Ranga Rao 1993).
-    """
-    p = ctx.p
-    va = fraction_valuation(a, p)
-    if va + 2 * r >= 0:
-        return Mono(1, -r) if fraction_valuation(b, p) >= -r else Mono.zero()
-    if fraction_valuation(b, p) < va + r:
-        return Mono.zero()
-    gamma = weil_index(ctx.of(a))
-    return Mono(1, Q(va, 2), gamma.turn + _pfrac(-b * b / (4 * a), p))
-
-
-def _ball_integral(a: Q, b: Q, center: Q, r: int, ctx: PrimeCtx) -> Mono:
-    # the integral of psi(a x^2 + b x) over center + P^r, with x = center + t
-    lead = Mono(turn=_pfrac((a * center + b) * center, ctx.p))
-    return lead * _gauss_integral(a, 2 * a * center + b, r, ctx)
-
-
-def _gram(terms, ctx: PrimeCtx):
-    # the monomials of the L2 mass of a sum of terms on one ball:
-    # c_i conj(c_j) times the integral of psi((a_i - a_j) x^2 + (b_i - b_j) x)
-    for ti in terms:
-        for tj in terms:
-            if ti.quad == tj.quad and ti.freq == tj.freq:
-                vol = Mono(1, -ti.rad)
-            else:
-                vol = _ball_integral(ti.quad - tj.quad, ti.freq - tj.freq, ti.center, ti.rad, ctx)
-            yield ti.coeff * tj.coeff.conjugate() * vol
 
 
 class SchwartzFn(_Value):
@@ -482,49 +349,6 @@ def fourier(phi: SchwartzFn, twist: int = 1) -> SchwartzFn:
     return _op_flip(phi, _as_sign(twist, SchwartzError, "twist"))
 
 
-class HeisenbergElem(_Value):
-    """Group element [x, xp, z] of rationals; the commutator pairing carries a factor 2."""
-
-    __slots__ = ("x", "xp", "z")
-
-    def __init__(self, x: Q, xp: Q, z: Q):
-        _set(self, "x", _as_fraction(x))
-        _set(self, "xp", _as_fraction(xp))
-        _set(self, "z", _as_fraction(z))
-
-    def __mul__(self, other: "HeisenbergElem") -> "HeisenbergElem":
-        shift = self.x * other.xp - other.x * self.xp
-        return HeisenbergElem(self.x + other.x, self.xp + other.xp, self.z + other.z + shift)
-
-    def inverse(self) -> "HeisenbergElem":
-        return HeisenbergElem(-self.x, -self.xp, -self.z)
-
-    def is_identity(self) -> bool:
-        return not (self.x or self.xp or self.z)
-
-
-def _norm_item(item):
-    if isinstance(item, HeisenbergElem):
-        return ("heis", item.x, item.xp, item.z)
-    if not isinstance(item, tuple) or not item:
-        raise SchwartzError(f"bad word item {item!r}")
-    tag = item[0]
-    if tag == "flip":
-        return ("flip",)
-    if tag == "upper":
-        return ("upper", _as_fraction(item[1]))
-    if tag == "diag":
-        a = _as_fraction(item[1])
-        if a == 0:
-            raise SchwartzError("m1(a) needs a nonzero")
-        return ("diag", a)
-    if tag == "sign":
-        return ("sign", _as_sign(item[1], SchwartzError, "sheet sign"))
-    if tag == "heis":
-        return ("heis", _as_fraction(item[1]), _as_fraction(item[2]), _as_fraction(item[3]))
-    raise SchwartzError(f"unknown word item tag {tag!r}")
-
-
 def weil_act(word, phi: SchwartzFn, twist: int = 1) -> SchwartzFn:
     """Apply the product of generator operators, rightmost factor first."""
     eps = _as_sign(twist, SchwartzError, "twist")
@@ -543,36 +367,6 @@ def weil_act(word, phi: SchwartzFn, twist: int = 1) -> SchwartzFn:
         else:
             out = _op_heis(out, it[1], it[2], it[3], eps)
     return out
-
-
-def cover_lift(ctx: PrimeCtx, word) -> MetaSL2:
-    """Product of the unit-sheet lifts of the SL2 items of a word."""
-    out = None
-    for item in word:
-        it = _norm_item(item)
-        tag = it[0]
-        if tag == "upper":
-            g = MetaSL2.upper(ctx, it[1])
-        elif tag == "diag":
-            g = MetaSL2.diag(ctx, it[1])
-        elif tag == "flip":
-            g = MetaSL2.flip(ctx)
-        elif tag == "sign":
-            g = MetaSL2.identity(ctx, it[1])
-        else:
-            raise SchwartzError("Heisenberg items have no SL2 lift")
-        out = g if out is None else out * g
-    return MetaSL2.identity(ctx) if out is None else out
-
-
-def canonical_word(g: MetaSL2) -> list:
-    """A fixed generator word for the matrix of g: Bruhat form of the
-    bottom row, read off the integer rows ((a, b), (c, d)) / den."""
-    (a, b), (c, d) = g.mat.num
-    den = g.mat.den
-    if c:
-        return [("upper", Q(a, c)), ("diag", Q(-den, c)), ("flip",), ("upper", Q(d, c))]
-    return [("upper", Q(a * b, den * den)), ("diag", Q(a, den))]
 
 
 def weil_act_cover(g: MetaSL2, phi: SchwartzFn, twist: int = 1) -> SchwartzFn:

@@ -34,7 +34,7 @@ from test_schwartz import oracle_square_character_trivial
 
 from padicsp.padic import PrimeCtx, fraction_valuation, hilbert_symbol
 from padicsp.rootsys import highest_root_reflection, positive_roots
-from padicsp.chevalley import volume_exponent
+from padicsp.congruence import volume_exponent
 from padicsp.metaplectic import (
     MetaSL2,
     SectionFsi,
@@ -48,7 +48,6 @@ from padicsp.harness.checks import (
     check_bad_pair_factorizations,
     check_bad_pairs,
     check_bad_triple_shapes,
-    check_big_cell,
     check_bruhat_oracle,
     check_bruhat_order,
     check_cell_collapse,
@@ -57,9 +56,6 @@ from padicsp.harness.checks import (
     check_congruence_structure,
     check_deep_ball_invariance,
     check_fourier_closure,
-    check_hilbert_symbol,
-    check_intertwining_volume,
-    check_norm_one_split,
     check_obstructed_decompositions,
     check_reflection_positivity,
     check_sigma_minus_order,
@@ -67,6 +63,8 @@ from padicsp.harness.checks import (
     check_weil_index,
     check_weil_rep_identity,
 )
+from padicsp.harness.cover_checks import check_big_cell, check_intertwining_volume
+from padicsp.harness.scalar_checks import check_hilbert_symbol, check_norm_one_split
 from padicsp.harness.schwartz_checks import _deep_ball_cases
 
 C3 = PrimeCtx(3)

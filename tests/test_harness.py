@@ -16,13 +16,15 @@ from fractions import Fraction as Q
 import pytest
 
 import padicsp
-from padicsp import chevalley
+from padicsp import chevalley, subgroups
 from padicsp.chevalley import FactorizationError, MatrixError
 from padicsp.metaplectic import CharacterFx, MetaError, MetaSL2, SectionFsi
 from padicsp.padic import Cyclo, Mono, PadicError, PrimeCtx, fraction_valuation, is_square, psi
 from padicsp.quadext import QuadExt
 from padicsp.rootsys import Root, WeylElem, ordered_negated_roots
-from padicsp.schwartz import HeisenbergElem, SchwartzFn, Term
+from padicsp.schwartz import SchwartzFn
+from padicsp.words import HeisenbergElem
+from padicsp.chirp import Term
 from padicsp.harness import (
     CATALOG,
     CampaignConfig,
@@ -36,7 +38,7 @@ from padicsp.harness import (
     run_campaign,
     sample_rational,
 )
-from padicsp.harness import checks, matrix_checks
+from padicsp.harness import cell_checks, checks, cover_checks, matrix_checks, scalar_checks
 from padicsp.harness.checks import CheckSpec, case_seed
 from padicsp.harness.common import nonresidue, square_classes
 from padicsp.harness.cli import main
@@ -392,12 +394,12 @@ SAMPLER_FED = (
     "bruhat-oracle", "cell-word-rewrite", "cell-collapse", "congruence-structure",
 )
 SAMPLERS = {
-    "sample_rational": (checks, matrix_checks),
-    "_random_ext_elem": (checks,),
-    "_deep_unipotent": (matrix_checks,),
-    "_random_torus": (matrix_checks,),
-    "_random_word_matrix": (matrix_checks,),
-    "_admissible_rewrite_case": (matrix_checks,),
+    "sample_rational": (checks, scalar_checks, matrix_checks, cell_checks, cover_checks),
+    "_random_ext_elem": (scalar_checks,),
+    "_deep_unipotent": (matrix_checks, cell_checks),
+    "_random_torus": (matrix_checks, cell_checks),
+    "_random_word_matrix": (matrix_checks, cell_checks),
+    "_admissible_rewrite_case": (cell_checks,),
 }
 SAMPLED_REPORT_SHA256 = "7699a9926d5d8e81a7e419b6df6e6e6981dc0ed1a478904e8bfbc4448008e06b"
 SAMPLED_DRAWS_SHA256 = "0b3eb35e1c2dbe312e249299999fa6b33f1781d82d1927fc9479c89ee6e3d53b"
@@ -469,11 +471,11 @@ def test_campaign_failure_carries_counterexample():
 # the check finds the routine, the error its self-check raises, and the
 # case parameters a failure must carry, read off the routine's arguments.
 PLANTED_RAISES = [
-    ("norm-one-split", checks, "norm_one_decompose", PadicError,
+    ("norm-one-split", scalar_checks, "norm_one_decompose", PadicError,
      lambda x, m: {"d": x.ext.d, "x": str(x), "m": m}),
     ("bruhat-oracle", chevalley, "bruhat_decompose", FactorizationError,
      lambda g: {"n": g.size // 2, "rows": g.rows}),
-    ("cell-identity", chevalley, "cell_identity_borel_part", MatrixError,
+    ("cell-identity", subgroups, "cell_identity_borel_part", MatrixError,
      lambda n, root, r: {"n": n, "root": root, "r": r}),
     ("cell-word-rewrite", chevalley, "cell_word_rewrite", FactorizationError,
      lambda ctx, t, w, rs, u, m: {"n": w.n, "m": m, "w": w, "rs": rs, "u": u, "t": t}),
@@ -484,7 +486,7 @@ PLANTED_RAISES = [
      lambda t, w, roots, rs, bad_index: {"n": w.n, "g1": roots[0], "g2": roots[1], "w": w, "t": t, "rs": rs}),
     ("obstructed-decompositions", chevalley, "cell_word_rewrite", FactorizationError,
      lambda ctx, t, w, rs, u, m: {"n": w.n, "m": m, "rs": rs, "u": u}),
-    ("big-cell", checks, "decompose_big_cell", MetaError, lambda y, x: {"x": x, "y": y}),
+    ("big-cell", cover_checks, "decompose_big_cell", MetaError, lambda y, x: {"x": x, "y": y}),
 ]
 
 
@@ -787,7 +789,8 @@ def _matrix_file(tmp_path, rows):
 
 
 def test_cli_decompose_round_trip(tmp_path, capsys):
-    from padicsp.chevalley import mul_root_elem, root_elem, torus, weyl_rep
+    from padicsp.chevalley import mul_root_elem, root_elem, weyl_rep
+    from padicsp.subgroups import torus
 
     g = root_elem(2, Root(2, (1, 0)), Q(5, 3))
     g = g * torus([Q(3), Q(1, 3)])

@@ -8,8 +8,8 @@ MetaSL2, ...) checks its class.  Each entry below names one argument of
 a public constructor or function, a call that puts a value there with
 every other argument valid, a valid value, a panel of wrong ones (float,
 bool, a Fraction where an int is due, str, None, a wrong value object),
-the PadicError subclass each wrong value must raise and a pattern its
-message must match.  No TypeError or AttributeError may escape.
+the layer's error each wrong value must raise and a pattern its message
+must match.  No TypeError or AttributeError may escape.
 
 Left out on purpose: Cyclo.of, Term and the raw SchwartzFn(ctx, terms)
 are hot constructors that the library feeds its own normalised values,
@@ -17,14 +17,23 @@ so they check nothing (SchwartzFn(ctx, terms) alone runs 9,758 times in
 one weil-words run of bench/run.py at seed 1).  SchwartzFn enters the
 table through indicator; zero and from_terms build the raw form.  PAdic
 is the valuation readers' tag, built by PrimeCtx.of, which coerces.  A
-lint in test_lints holds every public class of the five modules either
-in the table or in TRUSTED_CLASSES.
+lint in test_lints holds every public class of the Schwartz, cover,
+scalar and configuration modules (TABLE_MODULES) either in the table or
+in TRUSTED_CLASSES.
+
+The matrix and root layers (chevalley, congruence, rootsys) are in the
+table only where an argument is cheap to check: Mat.identity's size,
+WeylElem.simple's index and level_exponents' n and m.  Their errors,
+MatrixError and RootError, are ValueErrors outside PadicError, so the
+test catches ValueError and then demands the exact class.
 """
 import re
 from fractions import Fraction as Q
 
 import pytest
 
+from padicsp.chevalley import Mat
+from padicsp.congruence import MatrixError, level_exponents
 from padicsp.harness.config import CampaignConfig, HarnessError
 from padicsp.metaplectic import (
     CharacterFx,
@@ -39,25 +48,25 @@ from padicsp.metaplectic import (
 )
 from padicsp.padic import Mono, PadicError, PrimeCtx
 from padicsp.quadext import QuadExt, QuadExtElem, norm_one_decompose
+from padicsp.rootsys import RootError, WeylElem
 from padicsp.schwartz import (
-    HeisenbergElem,
     SchwartzError,
     SchwartzFn,
     check_rep_identity,
-    cover_lift,
     fourier,
     phi_m,
     weil_act,
     weil_act_cover,
 )
+from padicsp.words import HeisenbergElem, cover_lift
 
 # The modules whose public classes the table must cover.
-TABLE_MODULES = ("padic", "quadext", "metaplectic", "schwartz", "harness.config")
+TABLE_MODULES = ("padic", "quadext", "metaplectic", "schwartz", "chirp", "words", "harness.config")
 
 TRUSTED_CLASSES = {
     "padic.PAdic",  # the valuation readers' tag; PrimeCtx.of coerces
     "padic.Cyclo",  # Cyclo.of sums the library's own Monos
-    "schwartz.Term",  # built only by the Schwartz arithmetic
+    "chirp.Term",  # built only by the Schwartz arithmetic
 }
 
 C5 = PrimeCtx(5)
@@ -166,8 +175,8 @@ INPUT_TABLE = [
           PadicError, EXACT),
     entry("schwartz.weil_act", "heis item", lambda x: weil_act([("heis", x, 0, 0)], F), 1, RATIONALS,
           PadicError, EXACT),
-    entry("schwartz.cover_lift", "ctx", lambda x: cover_lift(x, [("flip",)]), C5, OBJECTS, MetaError, "^ctx "),
-    entry("schwartz.cover_lift", "sign item", lambda x: cover_lift(C5, [("sign", x)]), -1, SIGNS,
+    entry("words.cover_lift", "ctx", lambda x: cover_lift(x, [("flip",)]), C5, OBJECTS, MetaError, "^ctx "),
+    entry("words.cover_lift", "sign item", lambda x: cover_lift(C5, [("sign", x)]), -1, SIGNS,
           SchwartzError, "^sheet sign "),
     entry("schwartz.weil_act_cover", "g", lambda x: weil_act_cover(x, F), G, OBJECTS + (F,),
           SchwartzError, "^g "),
@@ -175,9 +184,14 @@ INPUT_TABLE = [
           SchwartzError, "^twist "),
     entry("schwartz.check_rep_identity", "twist", lambda x: check_rep_identity([("flip",)], [], F, x), -1,
           SIGNS, SchwartzError, "^twist "),
-    entry("schwartz.HeisenbergElem", "x", lambda x: HeisenbergElem(x, 0, 0), 1, RATIONALS, PadicError, EXACT),
-    entry("schwartz.HeisenbergElem", "xp", lambda x: HeisenbergElem(0, x, 0), 1, RATIONALS, PadicError, EXACT),
-    entry("schwartz.HeisenbergElem", "z", lambda x: HeisenbergElem(0, 0, x), 1, RATIONALS, PadicError, EXACT),
+    entry("words.HeisenbergElem", "x", lambda x: HeisenbergElem(x, 0, 0), 1, RATIONALS, PadicError, EXACT),
+    entry("words.HeisenbergElem", "xp", lambda x: HeisenbergElem(0, x, 0), 1, RATIONALS, PadicError, EXACT),
+    entry("words.HeisenbergElem", "z", lambda x: HeisenbergElem(0, 0, x), 1, RATIONALS, PadicError, EXACT),
+    # chevalley, congruence and rootsys
+    entry("chevalley.Mat.identity", "size", lambda x: Mat.identity(x), 4, NONNEGATIVE, MatrixError, "^size "),
+    entry("rootsys.WeylElem.simple", "k", lambda x: WeylElem.simple(3, x), 2, INTS, RootError, "^generator index "),
+    entry("congruence.level_exponents", "n", lambda x: level_exponents(x, 1), 3, INTS, MatrixError, "^n "),
+    entry("congruence.level_exponents", "m", lambda x: level_exponents(2, x), 2, INTS, MatrixError, "^m "),
     # harness.config
     entry("harness.config.CampaignConfig", "n", lambda x: CampaignConfig(n=(2, x)), 4, INTS,
           HarnessError, "^n "),
@@ -198,7 +212,7 @@ def test_each_argument_takes_its_kind_and_refuses_the_panel(target, call, good, 
     for x in wrong:
         try:
             call(x)
-        except PadicError as exc:
+        except ValueError as exc:
             assert type(exc) is error and re.search(match, str(exc)), (x, exc)
         except (TypeError, AttributeError) as exc:
             pytest.fail(f"{target} leaked {type(exc).__name__} on {x!r}: {exc}")

@@ -37,7 +37,7 @@ from padicsp.metaplectic import (
     section_level,
 )
 from padicsp.harness import CheckFailure, build_config
-from padicsp.harness.checks import check_intertwining_volume
+from padicsp.harness.cover_checks import check_intertwining_volume
 
 C3 = PrimeCtx(3)
 C5 = PrimeCtx(5)

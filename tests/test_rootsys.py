@@ -28,10 +28,10 @@ from padicsp.rootsys import (
     highest_root_reflection,
     positive_roots,
     reflection,
-    root_decompositions,
     simple_roots,
     weyl_below,
 )
+from padicsp.badtriples import root_decompositions
 
 
 # ---------------------------------------------------------------- oracles

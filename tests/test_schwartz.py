@@ -33,24 +33,22 @@ from padicsp.padic import (
     psi,
     weil_index,
 )
-from padicsp import schwartz
+from padicsp import chirp, schwartz
 from padicsp.harness import CampaignConfig
 from padicsp.harness.schwartz_checks import _rep_word, check_weil_rep_identity
 from padicsp.metaplectic import MetaSL2, rao_cocycle
 from padicsp.schwartz import (
-    HeisenbergElem,
     SchwartzError,
     SchwartzFn,
-    Term,
-    canonical_word,
     check_rep_identity,
-    cover_lift,
     fourier,
     phi_m,
     rep_identity_witness,
     weil_act,
     weil_act_cover,
 )
+from padicsp.words import HeisenbergElem, canonical_word, cover_lift
+from padicsp.chirp import Term
 
 C3 = PrimeCtx(3)
 C5 = PrimeCtx(5)
@@ -244,6 +242,7 @@ def test_trusted_monos_keep_the_normal_form(monkeypatch):
 
     monkeypatch.setattr(padic, "_mono", recording)
     monkeypatch.setattr(schwartz, "_mono", recording)
+    monkeypatch.setattr(chirp, "_mono", recording)
     rng = random.Random("trusted monos")
     for p in (3, 5, 7, 11, 13):
         ctx = PrimeCtx(p)
@@ -380,7 +379,7 @@ def test_gauss_integral_matches_residue_enumeration():
                 a = Q(u) * Q(p) ** va
                 edge = va + r
                 for b in (Q(0), -2 * Q(p) ** (edge - 1), Q(u + 1) * Q(p) ** edge, Q(p) ** (edge + 1) / 2):
-                    got = schwartz._gauss_integral(a, b, r, ctx)
+                    got = chirp._gauss_integral(a, b, r, ctx)
                     assert Cyclo.of(p, [got]) == oracle_gauss_integral(p, a, b, r), (p, a, b, r)
                     vanishes = b != 0 and fraction_valuation(b, p) < edge
                     assert got.is_zero() == vanishes
@@ -394,7 +393,7 @@ def test_gauss_integral_matches_residue_enumeration():
     # where psi(a t^2) is 1 on P^r the integral is the volume or 0
     for a, b, r, want in ((Q(1, 9), Q(0), 1, Mono(1, -1)), (Q(1, 3), Q(1, 9), 1, Mono.zero()),
                           (Q(0), Q(1, 3), 1, Mono(1, -1)), (Q(2, 3), Q(1, 3), 0, None)):
-        got = schwartz._gauss_integral(a, b, r, C3)
+        got = chirp._gauss_integral(a, b, r, C3)
         assert Cyclo.of(3, [got]) == oracle_gauss_integral(3, a, b, r)
         if want is not None:
             assert got == want
@@ -431,7 +430,7 @@ def test_deep_words_match_pointwise_oracle():
     xs = [Q(0), Q(3) ** 25, Q(2) * Q(3) ** 23, Q(3) ** 22, Q(1, 2) * Q(3) ** 24]
     for x in xs:
         # flip . upper(b) . 1_(P^-3) at x, as the Gaussian integral over P^-3
-        want = schwartz._gauss_integral(b, 2 * x, -3, C3)
+        want = chirp._gauss_integral(b, 2 * x, -3, C3)
         assert out.value_at(x) == Cyclo.of(3, [want]), x
     for p in (3, 5):
         ctx = PrimeCtx(p)
@@ -540,7 +539,7 @@ def _cut_equal_balls(fn):
     for ts in fn._balls().values():
         if all(schwartz._head(t.freq, -t.rad - 1, p) == t.freq
                and schwartz._head(t.quad, -2 * t.rad - 2, p) == t.quad for t in ts):
-            out += [piece for t in ts for piece in schwartz._split_term(t, t.rad + 1, p)]
+            out += [piece for t in ts for piece in chirp._split_term(t, t.rad + 1, p)]
         else:
             out += ts
     return SchwartzFn(fn.ctx, tuple(out))
@@ -624,7 +623,7 @@ def test_canonical_form_on_short_term_lists(p):
         center = Q(rng.randint(-p**3, p**3), rng.choice([1, p, p * p]))
         t = _term_with_tails(rng, p, center, rad)
         (reduced,) = SchwartzFn.from_terms(ctx, [t]).terms
-        assert schwartz._normalize_term(reduced, p) is reduced
+        assert chirp._normalize_term(reduced, p) is reduced
         assert SchwartzFn(ctx, (reduced,)).canonical().terms == (reduced,)
         # the one-term shortcut agrees with the slot path, which a zero term forces
         zero = Term(Mono.zero(), Q(0), center, rad)
