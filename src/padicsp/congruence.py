@@ -31,13 +31,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import intmat
-from .padic import Mono, _as_int, _pfrac
+from .padic import Mono, PadicError, _as_int, _pfrac
 from .rootsys import Root, WeylElem, positive_roots
 
 Q = Fraction
 
 
-class MatrixError(ValueError):
+class MatrixError(PadicError):
     pass
 
 

@@ -29,7 +29,7 @@ from .value import _Value, _immutable, _restore, _set, _slots_repr
 Q = Fraction
 
 INF = math.inf
-_ZERO = Q(0)
+_ZERO, _ONE = Q(0), Q(1)
 
 
 class PadicError(ValueError):
@@ -173,7 +173,7 @@ class Mono(_Value):
 
     __slots__ = ("rat", "qexp", "turn")
 
-    def __init__(self, rat: Q = Q(1), qexp: Q = _ZERO, turn: Q = _ZERO):
+    def __init__(self, rat: Q = _ONE, qexp: Q = _ZERO, turn: Q = _ZERO):
         rat = _as_fraction(rat)
         if not rat:
             _set(self, "rat", _ZERO)
@@ -204,21 +204,23 @@ class Mono(_Value):
         return self.rat == 1 and not self.qexp and not self.turn
 
     def __mul__(self, other: "Mono") -> "Mono":
-        # a pure phase (rat 1, qexp 0) only turns the other factor
-        if other.rat == 1 and not other.qexp:
-            return _mono(self.rat, self.qexp, _turn_sum(self.turn, other.turn)) if self.rat else self
-        if self.rat == 1 and not self.qexp:
-            return _mono(other.rat, other.qexp, _turn_sum(self.turn, other.turn)) if other.rat else other
-        rat = self.rat * other.rat
-        if not rat:
+        # Mono(rat * rat', qexp + qexp', turn + turn'), each field one
+        # Fraction built from integer parts, or a factor's own field when
+        # the other's is 1 (rat) or 0 (qexp, turn)
+        r, s = self.rat, other.rat
+        rn, rd, sn, sd = r.numerator, r.denominator, s.numerator, s.denominator
+        if not (rn and sn):
             return _mono(_ZERO, _ZERO, _ZERO)
-        return _mono(rat, self.qexp + other.qexp, _turn_sum(self.turn, other.turn))
+        rat = s if rn == rd else r if sn == sd else Q(rn * sn, rd * sd)
+        return _mono(rat, _qsum(self.qexp, other.qexp), _turn_sum(self.turn, other.turn))
 
     def inverse(self) -> "Mono":
-        rat = self.rat
-        if not rat:
+        # Mono(1 / rat, -qexp, -turn), a field kept when it is its own inverse
+        rat, e = self.rat, self.qexp
+        n, d = rat.numerator, rat.denominator
+        if not n:
             raise PadicError("0 has no inverse")
-        return _mono(Q(rat.denominator, rat.numerator), -self.qexp, _turn_neg(self.turn))
+        return _mono(rat if n == d else Q(d, n), -e if e else e, _turn_neg(self.turn))
 
     def conjugate(self) -> "Mono":
         return _mono(self.rat, self.qexp, _turn_neg(self.turn))
@@ -229,7 +231,7 @@ def _mono(rat: Q, qexp: Q, turn: Q) -> Mono:
 
     The caller guarantees what Mono.__init__ would establish: three
     Fraction fields, rat > 0 and 0 <= turn < 1, or three zeros.  Only
-    padic and schwartz call it (a tier-1 lint keeps it so), on values
+    padic, schwartz and chirp call it (a tier-1 lint keeps it so), on values
     their own arithmetic has already normalised.  The fields are set one
     by one, as __init__ does, into Mono's three slots: a Mono has no
     __dict__ at all (56 bytes, against 152 with a dict of its own).
@@ -241,12 +243,24 @@ def _mono(rat: Q, qexp: Q, turn: Q) -> Mono:
     return m
 
 
+def _qsum(x: Q, y: Q, wrap: bool = False) -> Q:
+    """x + y, less 1 when wrap and the sum is at least 1: one Fraction
+    Q(xn yd + yn xd, xd yd) from the integer parts, or x or y itself when
+    the other is 0."""
+    yn = y.numerator
+    if not yn:
+        return x
+    xn = x.numerator
+    if not xn:
+        return y
+    xd, yd = x.denominator, y.denominator
+    n, d = xn * yd + yn * xd, xd * yd
+    return Q(n - d if wrap and n >= d else n, d)
+
+
 def _turn_sum(s: Q, t: Q) -> Q:
-    """s + t reduced into [0, 1), for s and t in [0, 1): one compare."""
-    if not t.numerator:
-        return s
-    u = s + t
-    return u - 1 if u.numerator >= u.denominator else u
+    """(s + t) % 1 for s and t in [0, 1)."""
+    return _qsum(s, t, True)
 
 
 def _turn_neg(t: Q) -> Q:
@@ -447,11 +461,13 @@ def weil_index(a: PAdic, twist=1) -> Mono:
     (u|p) * (1 if p = 1 mod 4 else i) when k is odd (Ranga Rao, Pacific
     J. Math. 157, 1993; Kudla, Notes on the local theta correspondence).
     """
-    b = a.value * _as_fraction(twist)
-    if b == 0:
+    # b = a * twist, read off the integer parts (an tn) / (ad td)
+    x, t = a.value, _as_fraction(twist)
+    n = x.numerator * t.numerator
+    if not n:
         raise PadicError("Weil index needs a nonzero scaling")
     p = a.ctx.p
-    k, r = _unit_class(b.numerator, b.denominator, p)
+    k, r = _unit_class(n, x.denominator * t.denominator, p)
     if k % 2 == 0:
         return _EIGHTH_ROOTS[0]
     root = 0 if p % 4 == 1 else 2
@@ -460,5 +476,5 @@ def weil_index(a: PAdic, twist=1) -> Mono:
 
 def mu_psi(a: PAdic, twist=1) -> Mono:
     """mu(a) = gamma(psi_twist) / gamma(psi_{twist*a})."""
-    return weil_index(a.ctx.of(1), twist) * weil_index(a, twist).inverse()
+    return weil_index(a.ctx.of(_ONE), twist) * weil_index(a, twist).inverse()
 

@@ -16,11 +16,11 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .padic import _as_int
+from .padic import PadicError, _as_int
 from .value import _Value, _set
 
 
-class RootError(ValueError):
+class RootError(PadicError):
     pass
 
 

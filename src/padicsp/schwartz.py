@@ -16,21 +16,23 @@ exact sums in the cyclotomic form Cyclo, with no floating-point arithmetic
 at all.
 
 The term arithmetic (normalising, splitting, sibling merge, the Gaussian
-integrals and the Gram sums) is in chirp, and the generator words with
-their cover lifts are in words; this module holds SchwartzFn, its
-canonical form (_regroup and the split sweep), the generator operators
-and the Weil action.
+integrals, the Gram sums and each generator's image of one term) is in
+chirp, and the generator words with their cover lifts are in words; this
+module holds SchwartzFn, its canonical form (_regroup and the split
+sweep), the generator operators and the Weil action.
 """
 from __future__ import annotations
 
 from fractions import Fraction as Q
 
 from .chirp import (
-    _ONE,
     SchwartzError,
     Term,
     _ball_integral,
+    _diag_term,
+    _flip_term,
     _gram,
+    _heis_term,
     _merge_siblings,
     _normalize_term,
     _split_term,
@@ -40,20 +42,16 @@ from .padic import (
     Cyclo,
     Mono,
     PrimeCtx,
-    _HALF,
-    _ZERO,
     _as_fraction,
     _as_instance,
     _as_int,
     _as_sign,
     _head,
     _mono,
-    _pfrac,
-    _turn_sum,
+    _qsum,
     fraction_valuation,
     hilbert_symbol,
     mu_psi,
-    weil_index,
 )
 from .value import _Value, _set
 from .words import _norm_item, canonical_word, cover_lift
@@ -62,9 +60,10 @@ from .words import _norm_item, canonical_word, cover_lift
 def _regroup(terms, p):
     # one slot per ball, reduced phase and monomial; the half turn is
     # folded into the sign so that c and -c cancel exactly.  Slots are
-    # keyed on integer pairs, which hash far cheaper than Fractions.  A
-    # normalised term has no power of p in its rational part, so one term
-    # is its own slot.
+    # keyed on integer pairs, which hash far cheaper than Fractions, and
+    # sum their rationals as integer parts n / d, each slot's sum made a
+    # Fraction once.  A normalised term has no power of p in its rational
+    # part, so one term is its own slot.
     if len(terms) == 1:
         tn = _normalize_term(terms[0], p)
         return [] if tn is None else [tn]
@@ -74,9 +73,9 @@ def _regroup(terms, p):
         if tn is None:
             continue
         co = tn.coeff
-        rat, ph = co.rat, co.turn
+        n, d, ph = co.rat.numerator, co.rat.denominator, co.turn
         if 2 * ph.numerator >= ph.denominator:
-            rat, ph = -rat, ph - _HALF
+            n, ph = -n, Q(2 * ph.numerator - ph.denominator, 2 * ph.denominator)  # ph - 1/2
         c, f, a, e = tn.center, tn.freq, tn.quad, co.qexp
         key = (
             c.numerator, c.denominator, tn.rad, f.numerator, f.denominator, a.numerator,
@@ -84,16 +83,16 @@ def _regroup(terms, p):
         )
         slot = slots.get(key)
         if slot is None:
-            slots[key] = [rat, tn, ph]
+            slots[key] = [n, d, tn, ph]
         else:
-            slot[0] += rat
+            slot[0], slot[1] = slot[0] * d + n * slot[1], slot[1] * d
     # ph < 1/2, so the sign of a sum moves into its turn with no reduction
     out = []
-    for v, tn, ph in slots.values():
-        sign = v.numerator
-        if sign:
-            co = _mono(v, tn.coeff.qexp, ph) if sign > 0 else _mono(-v, tn.coeff.qexp, ph + _HALF)
-            out.append(Term(co, tn.freq, tn.center, tn.rad, tn.quad))
+    for n, d, tn, ph in slots.values():
+        if n:
+            if n < 0:
+                n, ph = -n, Q(2 * ph.numerator + ph.denominator, 2 * ph.denominator)  # ph + 1/2
+            out.append(Term(_mono(Q(n, d), tn.coeff.qexp, ph), tn.freq, tn.center, tn.rad, tn.quad))
     if len(out) > _REFINE_CAP:
         raise SchwartzError("ball refinement exceeded the term budget")
     # Denominators stay prime to p, but a sum can be divisible by p; its
@@ -105,6 +104,7 @@ def _regroup(terms, p):
 
 
 _REFINE_CAP = 20000  # term budget of the split sweep that separates nested balls
+_PLUS_ONE, _MINUS_ONE = Mono(), Mono(-1)  # the sheet signs as scalars
 
 
 def _disjointify(terms, p):
@@ -196,7 +196,7 @@ class SchwartzFn(_Value):
         return SchwartzFn(self.ctx, self.terms + other.terms).canonical()
 
     def minus(self, other: "SchwartzFn") -> "SchwartzFn":
-        return self.plus(other.scaled(Mono(-1)))
+        return self.plus(other.scaled(_MINUS_ONE))
 
     def reflect(self) -> "SchwartzFn":
         return SchwartzFn(
@@ -284,8 +284,9 @@ def _op_upper(phi: SchwartzFn, b: Q, eps: int) -> SchwartzFn:
     # multiply by psi_eps(b x^2): every term's quadratic coefficient gains eps b
     if b == 0:
         return phi
+    eb = b if eps > 0 else -b
     return SchwartzFn(phi.ctx, tuple(
-        Term(t.coeff, t.freq, t.center, t.rad, t.quad + eps * b) for t in phi.terms
+        Term(t.coeff, t.freq, t.center, t.rad, _qsum(t.quad, eb)) for t in phi.terms
     )).canonical()
 
 
@@ -294,51 +295,21 @@ def _op_diag(phi: SchwartzFn, a: Q, eps: int) -> SchwartzFn:
         raise SchwartzError("m1(a) needs a nonzero")
     ctx = phi.ctx
     v = fraction_valuation(a, ctx.p)
-    scale = mu_psi(ctx.of(a), twist=eps) * _mono(_ONE, Q(-v, 2), _ZERO)
-    out = []
-    for t in phi.terms:
-        out.append(Term(t.coeff * scale, t.freq * a, t.center / a, t.rad - v, t.quad * a * a))
-    return SchwartzFn(ctx, tuple(out)).canonical()
+    mu = mu_psi(ctx.of(a), twist=eps)
+    return SchwartzFn(ctx, tuple(_diag_term(t, a, v, mu) for t in phi.terms)).canonical()
 
 
 def _op_flip(phi: SchwartzFn, eps: int) -> SchwartzFn:
-    # The transform of c psi(a x^2 + f x) 1_(x0 + P^r) at y is
-    # c psi(a x0^2 + f x0 + 2 eps x0 y) G(a, 2 a x0 + f + 2 eps y), G the
-    # Gaussian integral over P^r; it lives on the ball where G is not 0,
-    # centred at y0 = -eps (2 a x0 + f) / 2.  When psi(a t^2) is affine on
-    # P^r that ball has radius -r and the phase is linear; otherwise it has
-    # radius v(a) + r, and completing the square leaves
-    # q^(v(a)/2) gamma(a) psi(-f^2/4a) psi(-y^2/a - eps f y / a).
+    # p-adic stationary phase, term by term (chirp._flip_term)
     ctx = phi.ctx
-    p = ctx.p
-    out = []
-    for t in phi.terms:
-        a, f, x0, r = t.quad, t.freq, t.center, t.rad
-        va = fraction_valuation(a, p)
-        if va + 2 * r >= 0:
-            phase = f * x0
-            if a:  # a x^2 = 2 a x0 x - a x0^2 on the ball
-                f += 2 * a * x0
-                phase += a * x0 * x0
-            co = t.coeff * _mono(_ONE, Q(-r), _pfrac(phase, p))
-            out.append(Term(co, 2 * eps * x0, Q(-eps) * f / 2, -r))
-            continue
-        y0 = -eps * (2 * a * x0 + f) / 2
-        turn = _turn_sum(weil_index(ctx.of(a)).turn, _pfrac(-f * f / (4 * a), p))
-        out.append(Term(t.coeff * _mono(_ONE, Q(va, 2), turn), -eps * f / a, y0, va + r, -1 / a))
-    return SchwartzFn(ctx, tuple(out)).canonical()
+    return SchwartzFn(ctx, tuple(_flip_term(t, eps, ctx) for t in phi.terms)).canonical()
 
 
 def _op_heis(phi: SchwartzFn, x: Q, xp: Q, z: Q, eps: int) -> SchwartzFn:
-    # phi(y + x) psi_eps(z + x xp + 2 xp y); the square phase of a term
-    # shifts by x into its frequency and constant
+    # phi(y + x) psi_eps(z + x xp + 2 xp y), term by term (chirp._heis_term)
     p = phi.ctx.p
-    out = []
-    for t in phi.terms:
-        turn = _pfrac(eps * (z + x * xp) + (t.quad * x + t.freq) * x, p)
-        freq = t.freq + 2 * eps * xp + 2 * t.quad * x
-        out.append(Term(t.coeff * _mono(_ONE, _ZERO, turn), freq, t.center - x, t.rad, t.quad))
-    return SchwartzFn(phi.ctx, tuple(out)).canonical()
+    k, e2 = eps * (z + x * xp), 2 * eps * xp
+    return SchwartzFn(phi.ctx, tuple(_heis_term(t, x, k, e2, p) for t in phi.terms)).canonical()
 
 
 def fourier(phi: SchwartzFn, twist: int = 1) -> SchwartzFn:
@@ -363,7 +334,7 @@ def weil_act(word, phi: SchwartzFn, twist: int = 1) -> SchwartzFn:
         elif tag == "flip":
             out = _op_flip(out, eps)
         elif tag == "sign":
-            out = out.scaled(Mono(it[1])).canonical()
+            out = out.scaled(_MINUS_ONE if it[1] < 0 else _PLUS_ONE).canonical()
         else:
             out = _op_heis(out, it[1], it[2], it[3], eps)
     return out
@@ -383,7 +354,7 @@ def weil_act_cover(g: MetaSL2, phi: SchwartzFn, twist: int = 1) -> SchwartzFn:
     sheet = hilbert_symbol(g.ctx.of(Q(-c, g.mat.den)), g.ctx.of(-1)) if c else 1
     out = weil_act(canonical_word(g), phi, twist)
     if g.zeta != sheet:
-        out = out.scaled(Mono(-1)).canonical()
+        out = out.scaled(_MINUS_ONE).canonical()
     return out
 
 

@@ -23,9 +23,9 @@ in TRUSTED_CLASSES.
 
 The matrix and root layers (chevalley, congruence, rootsys) are in the
 table only where an argument is cheap to check: Mat.identity's size,
-WeylElem.simple's index and level_exponents' n and m.  Their errors,
-MatrixError and RootError, are ValueErrors outside PadicError, so the
-test catches ValueError and then demands the exact class.
+WeylElem.simple's index and level_exponents' n and m.  Every layer's
+error is a PadicError, which the test catches before it demands the
+exact class.
 """
 import re
 from fractions import Fraction as Q
@@ -212,7 +212,7 @@ def test_each_argument_takes_its_kind_and_refuses_the_panel(target, call, good, 
     for x in wrong:
         try:
             call(x)
-        except ValueError as exc:
+        except PadicError as exc:
             assert type(exc) is error and re.search(match, str(exc)), (x, exc)
         except (TypeError, AttributeError) as exc:
             pytest.fail(f"{target} leaked {type(exc).__name__} on {x!r}: {exc}")

@@ -1,4 +1,4 @@
-"""Source lints: fifteen rules the code must keep, read off its syntax.
+"""Source lints: sixteen rules the code must keep, read off its syntax.
 
 - the library never touches cmath, complex or float(): every value it
   computes is exact (Fraction, Mono, Cyclo), and the complex embedding
@@ -12,7 +12,9 @@
   touch a Fraction view;
 - of the package outside itself, the integer-row kernel (intmat and
   intelim) imports only padic;
-- only padic and schwartz use the trusted Mono constructor;
+- only padic, schwartz and chirp use the trusted Mono constructor;
+- no module reads a Fraction's private fields or builds one through a
+  private path (_normalize=, _from_coprime_ints);
 - every acceptance criterion runs a catalog check through run_check;
 - no module has more than 3,000 AST nodes;
 - every check function of the harness is the fn of exactly one catalog
@@ -567,6 +569,60 @@ def test_trusted_mono_lint_sees_calls_references_and_attributes(tmp_path):
         "def e(x):\n    return mono(x), x._mono_cache, '_mono'\n"
     )
     assert trusted_mono_users(tmp_path) == {"m.a", "m.K.b", "m.c.d", "m.<module>"}
+
+
+# --------------------------------------------------------- portability
+
+# The library runs on Python 3.10 and later and builds every Fraction
+# through the public Fraction(n, d).  Fraction's private fields and its
+# private construction paths change between versions: the
+# _normalize=False keyword is gone in 3.12, and _from_coprime_ints exists
+# only from 3.12.
+FRACTION_INTERNALS = {"_numerator", "_denominator", "_from_coprime_ints", "_normalize"}
+
+
+def fraction_internal_uses(root=SRC):
+    """(function, name) for each use of a Fraction internal: an attribute
+    (x._numerator, Fraction._from_coprime_ints), a bare name, a keyword
+    argument (_normalize=False) or a string naming one (getattr)."""
+    found = set()
+    for name, node in scoped_nodes(root):
+        if isinstance(node, ast.Constant):
+            used = node.value
+        elif isinstance(node, (ast.Attribute, ast.Name, ast.keyword)):
+            used = getattr(node, "attr", None) or getattr(node, "id", None) or node.arg
+        else:
+            continue
+        if isinstance(used, str) and used in FRACTION_INTERNALS:
+            found.add((name, used))
+    return found
+
+
+def test_the_library_uses_no_fraction_internals():
+    assert fraction_internal_uses() == set()
+
+
+def test_portability_lint_sees_each_form(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "from fractions import Fraction\n"
+        "def a(x):\n    return x._numerator, x._denominator\n"
+        "class K:\n    def b(self, n, d):\n        return Fraction(n, d, _normalize=False)\n"
+        "def c(n, d):\n    def e():\n        return Fraction._from_coprime_ints(n, d)\n    return e\n"
+        "def f(x):\n    return getattr(x, '_numerator')\n"
+        "G = _from_coprime_ints\n"
+    )
+    (tmp_path / "n.py").write_text(
+        "def h(x, n, d, _numerator_cache=None):\n"
+        "    return x.numerator, x.denominator, Fraction(n, d), sorted(n, key=d), '_normalize=False'\n"
+    )
+    assert fraction_internal_uses(tmp_path) == {
+        ("m.a", "_numerator"),
+        ("m.a", "_denominator"),
+        ("m.K.b", "_normalize"),
+        ("m.c.e", "_from_coprime_ints"),
+        ("m.f", "_numerator"),
+        ("m.<module>", "_from_coprime_ints"),
+    }
 
 
 # ---------------------------------------------------------- release gate

@@ -24,7 +24,9 @@ from padicsp.padic import (
     _as_fraction,
     _head,
     _pfrac,
+    _qsum,
     _strip,
+    _turn_sum,
     _unit_class,
     fraction_valuation,
     hilbert_symbol,
@@ -358,6 +360,54 @@ def test_mono_product_by_a_pure_phase_matches_the_coercing_constructor():
                 want = Mono(a.rat * b.rat, a.qexp + b.qexp, a.turn + b.turn)
                 assert (got.rat, got.qexp, got.turn) == (want.rat, want.qexp, want.turn)
                 assert all(type(f) is Q for f in (got.rat, got.qexp, got.turn))
+
+
+def _kernel_mono(rng, p):
+    # a signed rat with p^k (k = 1..3) in its numerator or its denominator,
+    # a half-integer q exponent, and a turn at or next to 0 or 1 over a
+    # denominator 8, p^j or 8 p^j
+    num, den, k = rng.choice([1, 2, 4, 7]), rng.choice([1, 2, 5, 8]), rng.randint(1, 3)
+    rat = Q(num * p**k, den) if rng.random() < 0.5 else Q(num, den * p**k)
+    d = rng.choice([8, p, p * p, 8 * p, 8 * p**3])
+    turn = Q(rng.choice([0, 1, 2, d - 2, d - 1]), d)
+    return Mono(rng.choice([1, -1]) * rat, Q(rng.randint(-7, 7), 2), turn)
+
+
+@pytest.mark.parametrize("p", [3, 5, 13])
+def test_scalar_kernels_keep_the_exact_laws(p):
+    """Mono's product, inverse and turn sum, built from integer parts, keep
+    the laws of the exact scalar: the product commutes and associates, an
+    inverse gives one, and every result is in normal form."""
+    rng = random.Random(f"scalar kernels {p}")
+    monos = [_kernel_mono(rng, p) for _ in range(40)] + [Mono.zero(), Mono.one(), Mono(-1)]
+    turns = sorted({m.turn for m in monos})
+    for s in turns:
+        for t in turns:
+            assert _turn_sum(s, t) == (s + t) % 1
+            assert _qsum(s, t) == s + t and _qsum(s, t, True) == (s + t) % 1
+    for a in monos:
+        b, c = rng.choice(monos), rng.choice(monos)
+        ab = a * b
+        assert ab == b * a and ab * c == a * (b * c)
+        assert ab == Mono(ab.rat, ab.qexp, ab.turn) and all(type(f) is Q for f in (ab.rat, ab.qexp, ab.turn))
+        assert ab.is_zero() == (a.is_zero() or b.is_zero())
+        if not a.is_zero():
+            inv = a.inverse()
+            assert (a * inv).is_one() and inv == Mono(1 / a.rat, -a.qexp, -a.turn)
+
+
+@pytest.mark.parametrize("p", [3, 5, 13])
+def test_weil_index_reads_a_rational_twist(p):
+    """gamma(psi_b), b = twist * a, is the same for an int twist and the
+    equal Fraction, and it is the index of b itself."""
+    rng = random.Random(f"weil twist {p}")
+    ctx = PrimeCtx(p)
+    for _ in range(40):
+        a = _kernel_mono(rng, p).rat * rng.choice([1, -1])
+        for t in (-1, 1, 2, -p):
+            assert weil_index(ctx.of(a), Q(t)) == weil_index(ctx.of(a), t) == weil_index(ctx.of(a * t))
+        t = Q(rng.choice([1, -2, 3]), p ** rng.randint(0, 2))
+        assert weil_index(ctx.of(a), t) == weil_index(ctx.of(a * t))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])

@@ -11,7 +11,9 @@ seeded batteries.  The deep-ball invariance thresholds are acceptance
 criterion 10; the four threshold tests below restate it at p = 3.
 """
 import cmath
+import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction as Q
@@ -609,6 +611,24 @@ def _term_with_tails(rng, p, center, rad):
     return Term(co, freq, center, rad, quad)
 
 
+@pytest.mark.parametrize("p", [3, 5, 13])
+def test_turn_plus_adds_the_p_part_of_integer_parts(p):
+    """chirp._turn_plus(turn, n, d, p, g) is (turn + g + _pfrac(n / d)) % 1
+    for n / d not in lowest terms, of either sign, with p in n, in d or in
+    both, and d negative."""
+    rng = random.Random(f"turn plus {p}")
+    for _ in range(300):
+        den = rng.choice([1, 8, p, 8 * p])
+        turn = Q(rng.randrange(den), den)
+        g = Q(rng.randrange(8), 8)
+        common = rng.choice([1, 2, p, 3 * p])
+        n = rng.randint(-50, 50) * p ** rng.randint(0, 2) * common
+        d = rng.choice([1, -1]) * rng.randint(1, 30) * p ** rng.randint(0, 3) * common
+        want = (turn + g + _pfrac(Q(n, d), p)) % 1
+        assert chirp._turn_plus(turn, n, d, p, g) == want
+        assert chirp._turn_plus(turn, n, d, p) == (turn + _pfrac(Q(n, d), p)) % 1
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_canonical_form_on_short_term_lists(p):
     # The oracle is the set of exact properties in _assert_canonical_form.
@@ -1078,3 +1098,66 @@ def test_torus_law_through_operators():
         assert prod.zeta == hilbert_symbol(C3.of(a), C3.of(b))
         rhs = weil_act_cover(prod, phi)
         assert lhs.equals(rhs)
+
+
+# ----------------------------------------------------- pinned traffic
+
+def _panel_word(rng, p):
+    # 1-3 letters; entries u p^k with u in {1, 2, -1} and |k| <= 2
+    out = []
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randrange(4)
+        if k == 0:
+            out.append(("flip",))
+        elif k == 3:
+            out.append(("sign", rng.choice([1, -1])))
+        else:
+            out.append(("upper" if k == 1 else "diag", rng.choice([1, 2, -1]) * Q(p) ** rng.randint(-2, 2)))
+    return out
+
+
+def _term_fields(fn):
+    # every field of every term, as text: rat, qexp, turn, freq, center, rad, quad
+    return [[str(x) for x in (t.coeff.rat, t.coeff.qexp, t.coeff.turn, t.freq, t.center, t.rad, t.quad)]
+            for t in fn.terms]
+
+
+def weil_panel_traffic(monkeypatch):
+    """(canonical calls, terms handed to canonical, sha256 of the outputs)
+    over a fixed panel: 40 rep-identity cases at each of p = 3, 5, 13, and
+    a Heisenberg letter applied to each composed side."""
+    seen = [0, 0]
+    canonical = SchwartzFn.canonical
+
+    def counted(fn):
+        seen[0] += 1
+        seen[1] += len(fn.terms)
+        return canonical(fn)
+
+    monkeypatch.setattr(SchwartzFn, "canonical", counted)
+    rng = random.Random("weil action traffic panel")
+    out = []
+    for p in (3, 5, 13):
+        ctx = PrimeCtx(p)
+        phis = [SchwartzFn.indicator(ctx), phi_m(ctx, 1, 2), SchwartzFn.indicator(ctx, 1, 1)]
+        for _ in range(40):
+            g1, g2 = _panel_word(rng, p), _panel_word(rng, p)
+            phi, twist = rng.choice(phis), rng.choice([1, -1])
+            lhs, rhs = schwartz._rep_identity_sides(g1, g2, phi, twist)
+            h = HeisenbergElem(*(Q(rng.randint(-9, 9), p**k) for k in (1, 2, 3)))
+            moved = weil_act([h], lhs, twist)
+            assert lhs.equals(rhs)
+            out.append([_term_fields(lhs), _term_fields(rhs), _term_fields(moved)])
+    digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+    return seen[0], seen[1], digest
+
+
+# The panel's traffic and outputs.  A change that moves the number of
+# canonical calls or terms (the weil-words term meter of bench/run.py
+# counts the same), or any output term, updates these and says so in
+# CHANGES.md.
+WEIL_PANEL_TRAFFIC = (1054, 1174, "5f8fd6714fa8d85d5a7448eb65b3a7ca50bd19230c29dfd1f29153d5d6162203")
+
+
+def test_weil_action_traffic_and_outputs_are_pinned(monkeypatch):
+    assert weil_panel_traffic(monkeypatch) == WEIL_PANEL_TRAFFIC
