@@ -5,7 +5,8 @@ g2 = 2 e_i and g1 = e_i + e_j with i < j (bad_pair_witness).  A bad
 triple adds a Weyl element w below the top reflection that negates both
 members of the pair, and bad_pair_weyl_factorizations writes each such
 w as w1p * sigma * w2p around the chain reflection word sigma of the
-pair.  root_decompositions enumerates the multisets of positive roots
+pair, and reflection writes the reflection in any root as a Weyl
+element.  root_decompositions enumerates the multisets of positive roots
 with a given sum.  The height order on negated roots, with its one
 bad-pair adjustment, stays in rootsys (ordered_negated_roots), which the
 cell moves of chevalley read.
@@ -49,6 +50,24 @@ def bad_triples(n: int):
 def chain_word_sigma(n: int, i: int, j: int) -> tuple:
     """j-1, ..., n-1, n, n-1, ..., i: the middle factor for the pair (i, j)."""
     return tuple(list(range(j - 1, n)) + [n] + list(range(n - 1, i - 1, -1)))
+
+
+def reflection(root: Root) -> WeylElem:
+    n = root.n
+    g = root.euclid()
+    gg = sum(c * c for c in g)  # 2 for short roots, 4 for long
+    imgs = []
+    for k in range(n):
+        if (2 * g[k]) % gg:
+            raise RootError(f"reflection in {root.coeffs} is not integral")
+        c = (2 * g[k]) // gg
+        col = tuple((1 if t == k else 0) - c * g[t] for t in range(n))
+        nz = [(i, v) for i, v in enumerate(col) if v]
+        if len(nz) != 1 or abs(nz[0][1]) != 1:
+            raise RootError(f"reflection in {root.coeffs} sends line {k + 1} to {col}")
+        i, v = nz[0]
+        imgs.append((i + 1) * (1 if v > 0 else -1))
+    return WeylElem(n, tuple(imgs))
 
 
 def bad_pair_weyl_factorizations(g1: Root, g2: Root):

@@ -122,14 +122,26 @@ class Mat(_Value):
         return self.den == 1 and self.num == intmat.eye(len(self.num))
 
     def is_diagonal(self) -> bool:
-        return all(not x for i, row in enumerate(self.num) for j, x in enumerate(row) if i != j)
+        """No nonzero entry off the diagonal: each row is zero left and right of it."""
+        for i, row in enumerate(self.num):
+            if any(row[:i]) or any(row[i + 1:]):
+                return False
+        return True
 
     def is_upper_triangular(self) -> bool:
-        return not any(x for i, row in enumerate(self.num) for x in row[:i])
+        """No nonzero entry below the diagonal: each row is zero left of it."""
+        for i, row in enumerate(self.num):
+            if any(row[:i]):
+                return False
+        return True
 
     def is_upper_unitriangular(self) -> bool:
+        """Upper triangular with ones on the diagonal: num[i][i] == den."""
         den = self.den
-        return self.is_upper_triangular() and all(row[i] == den for i, row in enumerate(self.num))
+        for i, row in enumerate(self.num):
+            if row[i] != den or any(row[:i]):
+                return False
+        return True
 
 
 def _fill(m: Mat, den: int, num: tuple) -> None:
@@ -166,34 +178,35 @@ def symplectic_inverse(g: Mat) -> Mat:
 
 
 def root_elem(n: int, root: Root, r) -> Mat:
-    return mul_root_elem(Mat.identity(2 * n), root, r)
+    return root_product(n, ((root, r),))
 
 
 def mul_root_elem(g: Mat, root: Root, r) -> Mat:
     """g * x_root(r) as column updates: the one-letter root word."""
-    return _root_word(g, ((root, r),))
+    return _root_word(g.den, g.num, ((root, r),))
 
 
 def root_product(n: int, factors) -> Mat:
     """x_{g_1}(r_1) ... x_{g_k}(r_k), left to right.
 
-    The letters act in place on integer rows over one running
-    denominator, and the product is reduced once, so its denominator is
-    at most the product of the letter denominators.
+    The word starts from the stored identity rows of intmat.eye, and the
+    letters act in place on integer rows scaled once by the product of
+    the letter denominators (intmat.times_roots).  The product is reduced
+    once, so its denominator is at most that product.
     """
-    return _root_word(Mat.identity(2 * n), factors)
+    return _root_word(1, intmat.eye(_as_int(2 * n, MatrixError, "size", 0)), factors)
 
 
-def _root_word(g: Mat, factors) -> Mat:
-    """g x_{g_1}(r_1) ... x_{g_k}(r_k): intmat.times_roots on the nonzero
-    letters, each root at its positions in _root_positions."""
-    positions = _root_positions(len(g.num) // 2)
+def _root_word(den: int, num: tuple, factors) -> Mat:
+    """num / den x_{g_1}(r_1) ... x_{g_k}(r_k): intmat.times_roots on the
+    nonzero letters, each root at its positions in _root_positions."""
+    positions = _root_positions(len(num) // 2)
     letters = []
     for root, r in factors:
         r = _as_fraction(r)
         if r:
             letters.append((positions[root], r.numerator, r.denominator))
-    return _stored(*intmat.times_roots(g.den, g.num, letters))
+    return _stored(*intmat.times_roots(den, num, letters))
 
 
 @lru_cache(maxsize=None)
@@ -310,10 +323,10 @@ def weyl_from_rank_pattern(g: Mat) -> WeylElem:
     size = g.size
     table = intelim.corner_ranks(g.num)
     positions = []
-    for i in range(size):
-        for j in range(1, size + 1):
-            if table[i][j] - table[i + 1][j] - table[i][j - 1] + table[i + 1][j - 1] == 1:
-                positions.append((i, j - 1))
+    for i, (top, low) in enumerate(zip(table, table[1:])):
+        for j in range(size):
+            if top[j + 1] - low[j + 1] - top[j] + low[j] == 1:
+                positions.append((i, j))
     return weyl_from_monomial_pattern(size // 2, positions)
 
 
@@ -451,7 +464,7 @@ def cell_collapse_witness(t: Mat, w: WeylElem, roots, rs, bad_index: int = None)
         raise MatrixError("t is not in the torus")
     wrep = weyl_rep(w)
     tw = _stored(*intmat.times_monomial(t.den, t.num, wrep.den, wrep.num))
-    w_prime = weyl_from_rank_pattern(_root_word(tw, factors))
+    w_prime = weyl_from_rank_pattern(_root_word(tw.den, tw.num, factors))
     if not (bruhat_leq(w_prime, w) and w_prime != w):
         raise FactorizationError("cell did not drop")
     return w_prime

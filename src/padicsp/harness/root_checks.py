@@ -13,6 +13,7 @@ from ..badtriples import (
     bad_triples,
     bad_triples_for_pair,
     chain_word_sigma,
+    reflection,
     root_decompositions,
 )
 from ..rootsys import (
@@ -25,7 +26,6 @@ from ..rootsys import (
     is_bad_pair,
     ordered_negated_roots,
     positive_roots,
-    reflection,
     weyl_below,
 )
 from .report import CheckFailure

@@ -33,13 +33,20 @@ from .padic import fraction_valuation
 
 
 def lowest(den: int, num: tuple):
-    """(den, num) for den > 0 and integer rows num, reduced to lowest terms."""
-    if den != 1:
-        g = math.gcd(den, *[x for row in num for x in row])
-        if g != 1:
-            den //= g
-            num = tuple([tuple([x // g for x in row]) for row in num])
-    return den, num
+    """(den, num) for den > 0 and integer rows num, reduced to lowest terms.
+
+    The gcd of den and the entries is taken row by row, and a pair whose
+    running gcd reaches 1 is already in lowest terms, so it comes back as
+    it is without reading the rows that are left.
+    """
+    if den == 1:
+        return den, num
+    g = den
+    for row in num:
+        g = math.gcd(g, *row)
+        if g == 1:
+            return den, num
+    return den // g, tuple([tuple([x // g for x in row]) for row in num])
 
 
 def tuple_rows(rows) -> tuple:
@@ -87,7 +94,11 @@ def over_common_den(rows):
     """The matrix of a list of (integer row, den > 0) pairs, over the lcm
     of the dens."""
     d = math.lcm(*[den for _, den in rows])
-    return lowest(d, tuple([tuple([x * (d // den) for x in row]) for row, den in rows]))
+    out = []
+    for row, den in rows:
+        s = d // den
+        out.append(tuple(row) if s == 1 else tuple([x * s for x in row]))
+    return lowest(d, tuple(out))
 
 
 def reduced_row(row, den):
@@ -139,14 +150,16 @@ def symplectic_inverse(num: tuple) -> tuple:
     J' is the antidiagonal with signs e = +1 on the first n lines and -1
     on the last n, so the product only permutes and signs entries:
     inv[i][j] = e_i e_j num[N-1-j][N-1-i], in lowest terms as num / den is.
+    Row i is column N-1-i of num read upwards, with the half whose sign
+    e_j differs from e_i negated.
     """
-    size = len(num)
-    n = size // 2
-    big = size - 1
-    return tuple([
-        tuple([num[big - j][big - i] if (i < n) == (j < n) else -num[big - j][big - i] for j in range(size)])
-        for i in range(size)
-    ])
+    n = len(num) // 2
+    out = []
+    for i, col in enumerate(reversed([*zip(*num)])):
+        col = col[::-1]  # col[j] = num[N-1-j][N-1-i]
+        head, tail = col[:n], col[n:]
+        out.append(head + tuple([-x for x in tail]) if i < n else tuple([-x for x in head]) + tail)
+    return tuple(out)
 
 
 def is_symplectic(den: int, num: tuple) -> bool:
@@ -187,23 +200,25 @@ def times_roots(den: int, num: tuple, letters):
 
     The positions of one letter never chain (E^2 = 0, as for every root
     of Sp_2n), so a letter adds s r times column a to column b and never
-    writes column a.  A letter first scales the rows and the running
-    denominator by rd; the update then reads x // rd at column a, which
-    is exact.  The product is reduced once, so its denominator is at
-    most den times the product of the letter denominators.
+    writes column a.  The rows and the denominator are scaled once, by
+    the product D of the letter denominators, and each letter then adds
+    c (x // rd) to column b for each entry x of column a, which is exact:
+    before letter k every running numerator is divisible by the product
+    of rd_k and the letter denominators after it.  That holds at the
+    start, and letter k adds multiples of the product after it to
+    entries that were already divisible by it.  The product is reduced
+    once, so its denominator is at most den D.
     """
-    rows = [list(row) for row in num]
+    scale = math.prod([rd for _, _, rd in letters])
+    rows = [[x * scale for x in row] for row in num] if scale != 1 else [list(row) for row in num]
     for positions, rn, rd in letters:
-        if rd != 1:
-            den *= rd
-            rows = [[x * rd for x in row] for row in rows]
         for a, b, s in positions:
             c = s * rn
             for row in rows:
                 x = row[a]
                 if x:
-                    row[b] += c * x if rd == 1 else c * (x // rd)
-    return lowest(den, tuple_rows(rows))
+                    row[b] += c * (x // rd)
+    return lowest(den * scale, tuple_rows(rows))
 
 
 # ----------------------------------------------- monomial moves and levels
@@ -266,10 +281,21 @@ def diagonal_conjugate(dnum: tuple, xden: int, xnum: tuple):
 
 
 def in_level(p: int, den: int, num: tuple, m: int, es) -> bool:
-    """v(g - 1)[i, j] >= m + es[i] - es[j] at every entry of g = num / den."""
+    """v(g - 1)[i, j] >= m + es[i] - es[j] at every entry of g = num / den.
+
+    Entry (i, j) of g - 1 is x / den for the integer x = num[i][j] (less
+    den on the diagonal), and v(x / den) = v(x) - v(den), so it meets its
+    bound exactly when x = 0, or t = m + v(den) + es[i] - es[j] <= 0 (x
+    is an integer), or p^t divides x: at most one modulo per entry.
+    """
     base = m + fraction_valuation(den, p)
     for i, row in enumerate(num):
+        top = base + es[i]
         for j, x in enumerate(row):
-            if fraction_valuation(x - den if i == j else x, p) < base + es[i] - es[j]:
-                return False
+            if i == j:
+                x -= den
+            if x:
+                t = top - es[j]
+                if t > 0 and x % p**t:
+                    return False
     return True

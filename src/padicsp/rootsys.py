@@ -9,14 +9,14 @@ the part of the cell analysis that the cell moves read: the "bad pair"
 predicate and the height order on negated roots with its one
 adjustment.  The rest of the bad-pair combinatorics (the closed-form
 witness, bad triples, their Weyl factorizations and root
-decompositions) is in badtriples.
+decompositions) is in badtriples, with the reflection in a root.
 """
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
 
-from .padic import PadicError, _as_int
+from .padic import PadicError, _as_instance, _as_int
 from .value import _Value, _set
 
 
@@ -33,12 +33,10 @@ def _is_root_vector(vec) -> bool:
     return False
 
 
-@lru_cache(maxsize=None)
 def _euclid(n: int, coeffs: tuple) -> tuple:
     """Euclidean vector of the root with these simple coefficients.
 
-    Raises RootError when coeffs is not a root; an error is never
-    cached, so the cache holds the 2n^2 roots of each rank only.
+    Raises RootError when coeffs is not a root.
     """
     if len(coeffs) != n:
         raise RootError("coefficient vector has wrong length")
@@ -56,47 +54,42 @@ def _euclid(n: int, coeffs: tuple) -> tuple:
 
 
 class Root(_Value):
-    """A root of C_n by its coefficients over the simple roots."""
+    """A root of C_n by its coefficients over the simple roots; _vec holds
+    its Euclidean vector."""
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "coeffs", "_vec")
 
     def __init__(self, n: int, coeffs: tuple):
-        _euclid(n, coeffs)
+        _as_int(n, RootError, "rank", 1)
+        for c in _as_instance(coeffs, tuple, RootError, "coefficients"):
+            _as_int(c, RootError, "root coefficient")
         _set(self, "n", n)
         _set(self, "coeffs", coeffs)
+        _set(self, "_vec", _euclid(n, coeffs))
 
     @classmethod
     def from_euclid(cls, n: int, vec) -> "Root":
-        vec = tuple(vec)
-        if len(vec) != n or not _is_root_vector(vec):
-            raise RootError(f"{vec} is not a root vector")
-        coeffs = []
-        prev = 0
-        for k in range(n - 1):
-            c = vec[k] + prev
-            coeffs.append(c)
-            prev = c
-        last = vec[n - 1] + prev
-        if last % 2:
-            raise RootError(f"{vec} is not in the root lattice")
-        coeffs.append(last // 2)
-        return cls(n, tuple(coeffs))
+        """The root with Euclidean coordinates vec, from the root table."""
+        vec = tuple([_as_int(c, RootError, "root coordinate") for c in vec])
+        return _root_table(_as_int(n, RootError, "rank", 1))[vec]
 
     def euclid(self) -> tuple:
-        return _euclid(self.n, self.coeffs)
+        return self._vec
 
     @property
     def height(self) -> int:
         return sum(self.coeffs)
 
     def is_positive(self) -> bool:
-        return any(self.coeffs) and all(c >= 0 for c in self.coeffs)
+        """Every root is positive or negative, its coefficients all of one
+        sign, so the sign of its height decides."""
+        return sum(self.coeffs) > 0
 
     def is_negative(self) -> bool:
-        return any(self.coeffs) and all(c <= 0 for c in self.coeffs)
+        return sum(self.coeffs) < 0
 
     def __neg__(self) -> "Root":
-        return Root(self.n, tuple(-c for c in self.coeffs))
+        return _root_table(self.n)[tuple([-c for c in self.euclid()])]
 
     def is_long(self) -> bool:
         return any(abs(c) == 2 for c in self.euclid())
@@ -121,40 +114,57 @@ class Root(_Value):
     def reflect(self, other: "Root") -> "Root":
         """Image of other under the reflection in self."""
         k = other.pairing(self)
-        vec = tuple(b - k * a for a, b in zip(self.euclid(), other.euclid()))
-        return Root.from_euclid(self.n, vec)
+        return _root_table(self.n)[tuple([b - k * a for a, b in zip(self.euclid(), other.euclid())])]
+
+
+class _RootTable(dict):
+    """{Euclidean vector: Root}; a vector that is not a key raises RootError."""
+
+    def __missing__(self, vec):
+        raise RootError(f"{vec} is not a root vector")
+
+
+@lru_cache(maxsize=None)
+def _root_table(n: int) -> _RootTable:
+    """The 2n^2 roots of rank n by their Euclidean vectors, +-2 e_i and
+    +-e_i +- e_j for i < j.
+
+    Each root is built once, through the validating constructor, from
+    its coefficients: the prefix sums of the vector, then half its sum.
+    Every root the library derives from a root (a negative, a
+    reflection, a Weyl image, a sum in subgroups.commutator_coefficients,
+    the simple and the positive roots) is read from here, so there is one
+    Root per root and none is validated twice; for a vector from a
+    caller, being a key is the validation.
+    The table is kept for the life of the process, as the other caches
+    of this module are: 2n^2 entries, 32 at rank 4.
+    """
+    vecs = []
+    for i in range(n):
+        vecs += [tuple([s if k == i else 0 for k in range(n)]) for s in (2, -2)]
+        for j in range(i + 1, n):
+            for si, sj in itertools.product((1, -1), repeat=2):
+                vecs.append(tuple([si if k == i else sj if k == j else 0 for k in range(n)]))
+    return _RootTable({vec: Root(n, (*itertools.accumulate(vec[:-1]), sum(vec) // 2)) for vec in vecs})
 
 
 def simple_roots(n: int):
-    """a_1, ..., a_{n-1}, then the long simple root."""
-    if n < 1:
-        raise RootError("rank must be positive")
-    out = []
-    for i in range(1, n):
-        out.append(Root(n, tuple(1 if k == i - 1 else 0 for k in range(n))))
-    out.append(Root(n, tuple(1 if k == n - 1 else 0 for k in range(n))))
-    return out
+    """a_1 = e_1 - e_2, ..., a_{n-1} = e_{n-1} - e_n, then the long simple
+    root 2 e_n, from the root table."""
+    table = _root_table(_as_int(n, RootError, "rank", 1))
+    vecs = [tuple([1 if k == i else -1 if k == i + 1 else 0 for k in range(n)]) for i in range(n - 1)]
+    return [table[vec] for vec in vecs] + [table[(0,) * (n - 1) + (2,)]]
 
 
 def positive_roots(n: int):
     """All positive roots, sorted by (height, coefficients)."""
-    return list(_positive_roots(n))
+    return list(_positive_roots(_as_int(n, RootError, "rank", 1)))
 
 
 @lru_cache(maxsize=None)
 def _positive_roots(n: int) -> tuple:
-    out = []
-    for i in range(n):
-        vec = [0] * n
-        vec[i] = 2
-        out.append(Root.from_euclid(n, vec))
-        for j in range(i + 1, n):
-            for sign in (1, -1):
-                vec = [0] * n
-                vec[i], vec[j] = 1, sign
-                out.append(Root.from_euclid(n, vec))
-    out.sort(key=lambda r: (r.height, r.coeffs))
-    return tuple(out)
+    """The positive roots of the root table, by (height, coefficients)."""
+    return tuple(sorted([r for r in _root_table(n).values() if r.is_positive()], key=lambda r: (r.height, r.coeffs)))
 
 
 def root_from_vector(n: int, vec):
@@ -168,14 +178,15 @@ class WeylElem(_Value):
     __slots__ = ("n", "imgs")
 
     def __init__(self, n: int, imgs: tuple):
-        if sorted(abs(v) for v in imgs) != list(range(1, n + 1)):
+        _as_int(n, RootError, "rank", 1)
+        if sorted([abs(_as_int(v, RootError, "image")) for v in imgs]) != list(range(1, n + 1)):
             raise RootError(f"{imgs} is not a signed permutation")
         _set(self, "n", n)
         _set(self, "imgs", imgs)
 
     @classmethod
     def identity(cls, n: int) -> "WeylElem":
-        return cls(n, tuple(range(1, n + 1)))
+        return _weyl(_as_int(n, RootError, "rank", 1), tuple(range(1, n + 1)))
 
     @classmethod
     def simple(cls, n: int, k: int) -> "WeylElem":
@@ -187,7 +198,7 @@ class WeylElem(_Value):
             imgs[k - 1], imgs[k] = imgs[k], imgs[k - 1]
         else:
             imgs[n - 1] = -n
-        return cls(n, tuple(imgs))
+        return _weyl(n, tuple(imgs))
 
     @classmethod
     def from_word(cls, n: int, word) -> "WeylElem":
@@ -205,7 +216,7 @@ class WeylElem(_Value):
         return tuple(out)
 
     def apply(self, root: Root) -> Root:
-        return Root.from_euclid(self.n, self.apply_euclid(root.euclid()))
+        return _root_table(self.n)[self.apply_euclid(root.euclid())]
 
     def __mul__(self, other: "WeylElem") -> "WeylElem":
         if self.n != other.n:
@@ -215,14 +226,14 @@ class WeylElem(_Value):
             t = other.imgs[k]
             s = self.imgs[abs(t) - 1]
             imgs.append(s if t > 0 else -s)
-        return WeylElem(self.n, tuple(imgs))
+        return _weyl(self.n, tuple(imgs))
 
     def inverse(self) -> "WeylElem":
         imgs = [0] * self.n
         for k in range(self.n):
             t = self.imgs[k]
             imgs[abs(t) - 1] = (k + 1) if t > 0 else -(k + 1)
-        return WeylElem(self.n, tuple(imgs))
+        return _weyl(self.n, tuple(imgs))
 
     def is_identity(self) -> bool:
         return self.imgs == tuple(range(1, self.n + 1))
@@ -252,6 +263,15 @@ class WeylElem(_Value):
         return _reduced_word(self)
 
 
+def _weyl(n: int, imgs: tuple) -> WeylElem:
+    """The WeylElem of a signed permutation imgs that the library derived
+    itself (a product, an inverse, a generator), without the constructor's checks."""
+    w = object.__new__(WeylElem)
+    _set(w, "n", n)
+    _set(w, "imgs", imgs)
+    return w
+
+
 @lru_cache(maxsize=None)
 def _root_split(w: WeylElem) -> tuple:
     """(positive roots w sends negative, positive roots w keeps positive)."""
@@ -275,32 +295,14 @@ def _reduced_word(w: WeylElem) -> tuple:
     return tuple(reversed(rev))
 
 
-def reflection(root: Root) -> WeylElem:
-    n = root.n
-    g = root.euclid()
-    gg = sum(c * c for c in g)  # 2 for short roots, 4 for long
-    imgs = []
-    for k in range(n):
-        if (2 * g[k]) % gg:
-            raise RootError(f"reflection in {root.coeffs} is not integral")
-        c = (2 * g[k]) // gg
-        col = tuple((1 if t == k else 0) - c * g[t] for t in range(n))
-        nz = [(i, v) for i, v in enumerate(col) if v]
-        if len(nz) != 1 or abs(nz[0][1]) != 1:
-            raise RootError(f"reflection in {root.coeffs} sends line {k + 1} to {col}")
-        i, v = nz[0]
-        imgs.append((i + 1) * (1 if v > 0 else -1))
-    return WeylElem(n, tuple(imgs))
-
-
 def highest_root_reflection(n: int) -> WeylElem:
     """Reflection in 2 e_1; flips the first coordinate line only."""
-    return WeylElem(n, tuple([-1] + list(range(2, n + 1))))
+    return _weyl(n, tuple([-1] + list(range(2, n + 1))))
 
 
 def coordinate_rotation(n: int) -> WeylElem:
     """e_k to e_{k+1} for k < n, and e_n to e_1."""
-    return WeylElem(n, tuple(list(range(2, n + 1)) + [1]))
+    return _weyl(n, tuple(list(range(2, n + 1)) + [1]))
 
 
 def bruhat_leq(w1: WeylElem, w2: WeylElem) -> bool:
@@ -360,7 +362,7 @@ def full_weyl_group(n: int):
     out = []
     for perm in itertools.permutations(range(1, n + 1)):
         for signs in itertools.product((1, -1), repeat=n):
-            out.append(WeylElem(n, tuple(s * t for s, t in zip(signs, perm))))
+            out.append(_weyl(n, tuple([s * t for s, t in zip(signs, perm)])))
     return out
 
 

@@ -31,7 +31,8 @@ from .chevalley import (
 )
 from .congruence import MatrixError, level_exponents
 from .padic import _as_fraction
-from .rootsys import Root, positive_roots, reflection
+from .badtriples import reflection
+from .rootsys import Root, _root_table, positive_roots
 
 Q = Fraction
 
@@ -157,15 +158,13 @@ def commutator_coefficients(n: int, g1: Root, r, g2: Root, s):
     Candidate roots are peeled in ascending height; the residue must be
     the identity, which is checked.
     """
-    from .rootsys import root_from_vector
-
     r, s = _as_fraction(r), _as_fraction(s)
     com = root_product(n, [(g1, r), (g2, s), (g1, -r), (g2, -s)])
+    table = _root_table(n)
     cands = []
     for i in range(1, 5):
         for j in range(1, 5):
-            vec = tuple(i * a + j * b for a, b in zip(g1.euclid(), g2.euclid()))
-            root = root_from_vector(n, vec)
+            root = table.get(tuple([i * a + j * b for a, b in zip(g1.euclid(), g2.euclid())]))
             if root is not None:
                 cands.append(((i, j), root))
     cands.sort(key=lambda t: t[1].height)

@@ -32,6 +32,7 @@ from padicsp import chevalley, congruence, intelim, intmat
 from padicsp.harness.matrix_checks import _deep_unipotent, _random_word_matrix
 from padicsp.harness.cell_checks import _admissible_rewrite_case, _cells_below_top
 from padicsp.padic import PadicError, PrimeCtx, fraction_valuation
+from padicsp.badtriples import reflection
 from padicsp.rootsys import (
     Root,
     WeylElem,
@@ -42,7 +43,6 @@ from padicsp.rootsys import (
     is_bad_pair,
     ordered_negated_roots,
     positive_roots,
-    reflection,
     root_from_vector,
     simple_roots,
 )

@@ -23,7 +23,10 @@ in TRUSTED_CLASSES.
 
 The matrix and root layers (chevalley, congruence, rootsys) are in the
 table only where an argument is cheap to check: Mat.identity's size,
-WeylElem.simple's index and level_exponents' n and m.  Every layer's
+WeylElem.simple's index, level_exponents' n and m, and the ranks and
+entries of Root, Root.from_euclid and WeylElem, which the library's own
+roots and Weyl elements bypass (rootsys reads its root table and builds
+its products and inverses through a trusted constructor).  Every layer's
 error is a PadicError, which the test catches before it demands the
 exact class.
 """
@@ -48,7 +51,7 @@ from padicsp.metaplectic import (
 )
 from padicsp.padic import Mono, PadicError, PrimeCtx
 from padicsp.quadext import QuadExt, QuadExtElem, norm_one_decompose
-from padicsp.rootsys import RootError, WeylElem
+from padicsp.rootsys import Root, RootError, WeylElem
 from padicsp.schwartz import (
     SchwartzError,
     SchwartzFn,
@@ -189,6 +192,13 @@ INPUT_TABLE = [
     entry("words.HeisenbergElem", "z", lambda x: HeisenbergElem(0, 0, x), 1, RATIONALS, PadicError, EXACT),
     # chevalley, congruence and rootsys
     entry("chevalley.Mat.identity", "size", lambda x: Mat.identity(x), 4, NONNEGATIVE, MatrixError, "^size "),
+    entry("rootsys.Root", "n", lambda x: Root(x, (1, 0)), 2, POSITIVE, RootError, "^rank "),
+    entry("rootsys.Root", "coeffs", lambda x: Root(2, (x, 0)), 1, INTS, RootError, "^root coefficient "),
+    entry("rootsys.Root.from_euclid", "n", lambda x: Root.from_euclid(x, (1, 1)), 2, POSITIVE, RootError, "^rank "),
+    entry("rootsys.Root.from_euclid", "vec", lambda x: Root.from_euclid(2, (x, 0)), 2, INTS, RootError,
+          "^root coordinate "),
+    entry("rootsys.WeylElem", "n", lambda x: WeylElem(x, (1, 2)), 2, POSITIVE, RootError, "^rank "),
+    entry("rootsys.WeylElem", "imgs", lambda x: WeylElem(2, (x, 2)), 1, INTS, RootError, "^image "),
     entry("rootsys.WeylElem.simple", "k", lambda x: WeylElem.simple(3, x), 2, INTS, RootError, "^generator index "),
     entry("congruence.level_exponents", "n", lambda x: level_exponents(x, 1), 3, INTS, MatrixError, "^n "),
     entry("congruence.level_exponents", "m", lambda x: level_exponents(2, x), 2, INTS, MatrixError, "^m "),

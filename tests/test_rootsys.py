@@ -27,11 +27,10 @@ from padicsp.rootsys import (
     full_weyl_group,
     highest_root_reflection,
     positive_roots,
-    reflection,
     simple_roots,
     weyl_below,
 )
-from padicsp.badtriples import root_decompositions
+from padicsp.badtriples import reflection, root_decompositions
 
 
 # ---------------------------------------------------------------- oracles
@@ -235,6 +234,54 @@ def test_skew_diagonal_chain_action():
         sb = WeylElem.simple(n, n)
         for i in range(1, n):
             assert sb.apply(beta[i - 1]) == beta[i - 1]
+
+
+# -------------------------------------------------------------- root table
+
+def oracle_roots_by_vector(n: int) -> dict:
+    """{Euclidean vector: Root} over the coefficient vectors in [-2, 2]^n
+    that the validating constructor takes, the highest root's (2, ..., 2, 1)
+    and its negative included."""
+    out = {}
+    for coeffs in itertools.product(range(-2, 3), repeat=n):
+        try:
+            root = Root(n, coeffs)
+        except RootError:
+            continue
+        out[root.euclid()] = root
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_root_table_hands_out_one_root_per_root(n):
+    roots = oracle_roots_by_vector(n)
+    assert len(roots) == 2 * n * n
+    for vec, root in roots.items():
+        got = Root.from_euclid(n, vec)
+        assert got == root and got is Root.from_euclid(n, list(vec))
+        assert -got is Root.from_euclid(n, tuple(-c for c in vec)) and -got == Root(n, tuple(-c for c in root.coeffs))
+        for h in roots.values():
+            u, v = h.euclid(), vec
+            k = 2 * sum(a * b for a, b in zip(u, v)) // sum(b * b for b in v)
+            image = tuple(a - k * b for a, b in zip(u, v))
+            assert got.reflect(h) == roots[image] and got.reflect(h) is Root.from_euclid(n, image)
+    for w in full_weyl_group(n):
+        for g in roots.values():
+            image = oracle_signed_image(w, g.euclid())
+            assert w.apply(g) == roots[image] and w.apply(g) is Root.from_euclid(n, image)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_derived_weyl_elements_pass_the_validating_constructor(n):
+    group = full_weyl_group(n)
+    assert len({WeylElem(n, w.imgs) for w in group}) == len(group)
+    for w in group:
+        inv = w.inverse()
+        assert WeylElem(n, inv.imgs) == inv and (w * inv).is_identity()
+        for v in group:
+            wv = w * v
+            assert WeylElem(n, wv.imgs) == wv
+            assert wv.apply_euclid(range(1, n + 1)) == w.apply_euclid(v.apply_euclid(range(1, n + 1)))
 
 
 # ------------------------------------------------------------ Bruhat order

@@ -201,7 +201,7 @@ PARENT_SURFACE = {
         "is_bad_pair": ("rootsys", "(g1: 'Root', g2: 'Root') -> 'bool'"),
         "ordered_negated_roots": ("rootsys", "(w: 'WeylElem')"),
         "positive_roots": ("rootsys", "(n: 'int')"),
-        "reflection": ("rootsys", "(root: 'Root') -> 'WeylElem'"),
+        "reflection": ("badtriples", "(root: 'Root') -> 'WeylElem'"),
         "root_decompositions": ("badtriples", "(n: 'int', vec)"),
         "root_from_vector": ("rootsys", "(n: 'int', vec)"),
         "simple_roots": ("rootsys", "(n: 'int')"),
