@@ -6,9 +6,10 @@ diag(a_1..a_n, a_n^-1..a_1^-1) and the Borel is upper triangular; the
 root subgroups sit at the positions of congruence._root_positions.
 Weyl generators are the swaps of lines k, k+1 (with their mirrors) for
 the short simple roots and the middle [[0, 1], [-1, 0]] block for the
-long one; canonical monomial representatives multiply those along a
-reduced word.  Everything is exact: a matrix is integer rows over one
-positive denominator, in lowest terms.  A matrix carries no prime:
+long one; the canonical monomial representative of w, their product
+along any reduced word, is read off its signed permutation.  Everything
+is exact: a matrix is integer rows over one positive denominator, in
+lowest terms.  A matrix carries no prime:
 cells, root groups and Weyl representatives never read p, and only the
 functions that read valuations (here the cell-word rewrite) take a
 PrimeCtx, as their leading argument.
@@ -42,12 +43,11 @@ cell it reads off the corner ranks drops below w.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from . import intelim, intmat
 from .congruence import MatrixError, _root_positions, in_skew_level, radical_coordinate_bound
 from .padic import _as_fraction, _as_int, fraction_valuation
-from .rootsys import Root, WeylElem, bruhat_leq, is_bad_pair, ordered_negated_roots
+from .rootsys import Root, WeylElem, _column_lines, _line_weight, bruhat_leq, is_bad_pair, ordered_negated_roots
 from .value import _Value
 
 Q = Fraction
@@ -209,45 +209,25 @@ def _root_word(den: int, num: tuple, factors) -> Mat:
     return _stored(*intmat.times_roots(den, num, letters))
 
 
-@lru_cache(maxsize=None)
-def _weyl_generator_matrix(n: int, k: int) -> Mat:
-    """The k-th Weyl generator (1-based) as integer rows: for k < n,
-    m(A) of the swap A of lines k, k+1, which swaps them and their
-    mirrors 2n+1-k, 2n-k (J tA^-1 J = J A J is the swap of the mirrors);
-    for k = n, the middle [[0, 1], [-1, 0]] block at lines n, n+1."""
-    num = [list(row) for row in intmat.eye(2 * n)]
-    if k < n:
-        for a, b in ((k - 1, k), (2 * n - k - 1, 2 * n - k)):
-            num[a][a] = num[b][b] = 0
-            num[a][b] = num[b][a] = 1
-    else:
-        num[n - 1][n - 1] = num[n][n] = 0
-        num[n - 1][n] = 1
-        num[n][n - 1] = -1
+def weyl_rep(w: WeylElem) -> Mat:
+    """Canonical monomial representative, read off the signed permutation:
+    column c has its one nonzero entry at line _column_lines(w)[c], -1 on
+    the columns k < n with imgs[k] < 0 and 1 elsewhere.
+
+    It is the generator product along any reduced word of w, by induction
+    on the word: the swap of lines k, k+1 and their mirrors swaps two
+    columns and their mirrors, as s_k swaps two images, and the middle
+    block moves column n's 1, negated, to column n-1, as s_n negates
+    imgs[n-1] > 0.
+    """
+    n = w.n
+    num = [[0] * (2 * n) for _ in range(2 * n)]
+    for col, line in enumerate(_column_lines(w)):
+        num[line][col] = -1 if col < n and w.imgs[col] < 0 else 1
     return _stored(1, intmat.tuple_rows(num))
 
 
-def weyl_rep(w: WeylElem) -> Mat:
-    """Canonical monomial representative: generators along a reduced word."""
-    return _weyl_rep(w)
-
-
-@lru_cache(maxsize=None)
-def _weyl_rep(w: WeylElem) -> Mat:
-    out = Mat.identity(2 * w.n)
-    for k in w.reduced_word():
-        out = out * _weyl_generator_matrix(w.n, k)
-    return out
-
-
 # --------------------------------------------------------- Bruhat cells
-
-def _line_weight(n: int, idx: int):
-    """Torus weight of coordinate line idx (0-based): +-e_k as (k, sign)."""
-    if idx < n:
-        return idx, 1
-    return 2 * n - 1 - idx, -1
-
 
 def weyl_from_monomial_pattern(n: int, positions) -> WeylElem:
     """w with w(weight(col)) = weight(row) for each pivot (row, col)."""

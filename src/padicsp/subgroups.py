@@ -32,7 +32,7 @@ from .chevalley import (
 from .congruence import MatrixError, level_exponents
 from .padic import _as_fraction
 from .badtriples import reflection
-from .rootsys import Root, _root_table, positive_roots
+from .rootsys import Root, _root_table, coordinate_rotation, positive_roots
 
 Q = Fraction
 
@@ -101,12 +101,9 @@ def sl2_embed(n: int, g2) -> Mat:
 
 
 def rotation_matrix(n: int) -> Mat:
-    """m of the n-cycle sending line k to line k+1 (line n to line 1)."""
-    c = [[0] * n for _ in range(n)]
-    c[0][n - 1] = 1
-    for i in range(n - 1):
-        c[i + 1][i] = 1
-    return levi_embed(n, c)
+    """m of the n-cycle sending line k to line k+1 (line n to line 1):
+    the representative of coordinate_rotation(n)."""
+    return weyl_rep(coordinate_rotation(n))
 
 
 def rotate_conjugate(g: Mat) -> Mat:

@@ -18,17 +18,18 @@ one weil-words run of bench/run.py at seed 1).  SchwartzFn enters the
 table through indicator; zero and from_terms build the raw form.  PAdic
 is the valuation readers' tag, built by PrimeCtx.of, which coerces.  A
 lint in test_lints holds every public class of the Schwartz, cover,
-scalar and configuration modules (TABLE_MODULES) either in the table or
-in TRUSTED_CLASSES.
+scalar, configuration, root and matrix modules (TABLE_MODULES) either in
+the table or in TRUSTED_CLASSES.  The root and matrix modules' public
+classes are Root, WeylElem and Mat, and each has rows below.
 
-The matrix and root layers (chevalley, congruence, rootsys) are in the
-table only where an argument is cheap to check: Mat.identity's size,
-WeylElem.simple's index, level_exponents' n and m, and the ranks and
-entries of Root, Root.from_euclid and WeylElem, which the library's own
-roots and Weyl elements bypass (rootsys reads its root table and builds
-its products and inverses through a trusted constructor).  Every layer's
-error is a PadicError, which the test catches before it demands the
-exact class.
+The matrix and root layers are in the table only where an argument is
+cheap to check: Mat.identity's size, the entries of Mat(rows) and
+Mat.diagonal, WeylElem.simple's index, level_exponents' n and m, and the
+ranks and entries of Root, Root.from_euclid and WeylElem, which the
+library's own roots and Weyl elements bypass (rootsys reads its root
+table and builds its products and inverses through a trusted
+constructor).  Every layer's error is a PadicError, which the test
+catches before it demands the exact class.
 """
 import re
 from fractions import Fraction as Q
@@ -64,7 +65,10 @@ from padicsp.schwartz import (
 from padicsp.words import HeisenbergElem, cover_lift
 
 # The modules whose public classes the table must cover.
-TABLE_MODULES = ("padic", "quadext", "metaplectic", "schwartz", "chirp", "words", "harness.config")
+TABLE_MODULES = (
+    "padic", "quadext", "metaplectic", "schwartz", "chirp", "words", "harness.config",
+    "rootsys", "badtriples", "chevalley", "congruence", "subgroups",
+)
 
 TRUSTED_CLASSES = {
     "padic.PAdic",  # the valuation readers' tag; PrimeCtx.of coerces
@@ -191,6 +195,9 @@ INPUT_TABLE = [
     entry("words.HeisenbergElem", "xp", lambda x: HeisenbergElem(0, x, 0), 1, RATIONALS, PadicError, EXACT),
     entry("words.HeisenbergElem", "z", lambda x: HeisenbergElem(0, 0, x), 1, RATIONALS, PadicError, EXACT),
     # chevalley, congruence and rootsys
+    entry("chevalley.Mat", "rows", lambda x: Mat([[x, 0], [0, 1]]), Q(1, 3), RATIONALS, PadicError, EXACT),
+    entry("chevalley.Mat.diagonal", "entries", lambda x: Mat.diagonal([x, 1]), Q(1, 3), RATIONALS,
+          PadicError, EXACT),
     entry("chevalley.Mat.identity", "size", lambda x: Mat.identity(x), 4, NONNEGATIVE, MatrixError, "^size "),
     entry("rootsys.Root", "n", lambda x: Root(x, (1, 0)), 2, POSITIVE, RootError, "^rank "),
     entry("rootsys.Root", "coeffs", lambda x: Root(2, (x, 0)), 1, INTS, RootError, "^root coefficient "),
