@@ -17,6 +17,7 @@ from .rootsys import (
     Root,
     RootError,
     WeylElem,
+    _root_columns,
     bad_pairs,
     highest_root_reflection,
     positive_roots,
@@ -104,13 +105,12 @@ def bad_pair_weyl_factorizations(g1: Root, g2: Root):
 
 
 def bad_triples_for_pair(g1: Root, g2: Root):
-    n = g1.n
-    w0 = highest_root_reflection(n)
-    return [
-        w
-        for w in weyl_below(w0)
-        if w.apply(g1).is_negative() and w.apply(g2).is_negative()
-    ]
+    """The w below the top reflection sending g1 and g2 negative (rootsys._root_columns)."""
+    if g1.n != g2.n:
+        raise RootError("mixed ranks")
+    (a1, b1), (a2, b2) = _root_columns(g1), _root_columns(g2)
+    below = weyl_below(highest_root_reflection(g1.n))
+    return [w for w in below if w._lines[a1] > w._lines[b1] and w._lines[a2] > w._lines[b2]]
 
 
 def _double_height(vec) -> int:

@@ -47,7 +47,7 @@ from fractions import Fraction
 from . import intelim, intmat
 from .congruence import MatrixError, _root_positions, in_skew_level, radical_coordinate_bound
 from .padic import _as_fraction, _as_int, fraction_valuation
-from .rootsys import Root, WeylElem, _column_lines, _line_weight, bruhat_leq, is_bad_pair, ordered_negated_roots
+from .rootsys import Root, WeylElem, _line_weight, bruhat_leq, is_bad_pair, ordered_negated_roots
 from .value import _Value
 
 Q = Fraction
@@ -211,7 +211,7 @@ def _root_word(den: int, num: tuple, factors) -> Mat:
 
 def weyl_rep(w: WeylElem) -> Mat:
     """Canonical monomial representative, read off the signed permutation:
-    column c has its one nonzero entry at line _column_lines(w)[c], -1 on
+    column c has its one nonzero entry at line w._lines[c], -1 on
     the columns k < n with imgs[k] < 0 and 1 elsewhere.
 
     It is the generator product along any reduced word of w, by induction
@@ -222,7 +222,7 @@ def weyl_rep(w: WeylElem) -> Mat:
     """
     n = w.n
     num = [[0] * (2 * n) for _ in range(2 * n)]
-    for col, line in enumerate(_column_lines(w)):
+    for col, line in enumerate(w._lines):
         num[line][col] = -1 if col < n and w.imgs[col] < 0 else 1
     return _stored(1, intmat.tuple_rows(num))
 

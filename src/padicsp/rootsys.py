@@ -4,14 +4,14 @@ Roots are stored by their coefficients over the simple basis
 a_1, ..., a_{n-1}, b where a_i = e_i - e_{i+1} and b = 2 e_n; the last
 coefficient tells whether a positive root lives in the block-diagonal
 Levi (0) or in the abelian unipotent radical (1).  Weyl elements are
-signed permutations of the coordinate lines; the permutation of the 2n
-lines of Sp_2n that each induces (_column_lines) gives the Bruhat order
-here and the Weyl representatives in chevalley.  The module also carries
-the part of the cell analysis that the cell moves read: the "bad pair"
-predicate and the height order on negated roots with its one
-adjustment.  The rest of the bad-pair combinatorics (the closed-form
-witness, bad triples, their Weyl factorizations and root
-decompositions) is in badtriples, with the reflection in a root.
+signed permutations of the coordinate lines; lengths, negated roots,
+descents, the Bruhat order and chevalley's Weyl representatives are read
+off the permutation of the 2n lines of Sp_2n that each induces (_lines).
+The module also carries the part of the cell analysis that the cell
+moves read: the "bad pair" predicate and the height order on negated
+roots with its one adjustment.  The rest of the bad-pair combinatorics
+(the closed-form witness, bad triples, their Weyl factorizations and
+root decompositions) is in badtriples, with the reflection in a root.
 """
 from __future__ import annotations
 
@@ -175,16 +175,18 @@ def root_from_vector(n: int, vec):
 
 
 class WeylElem(_Value):
-    """Signed permutation: imgs[k] = +-(j+1) sends e_{k+1} to +-e_{j+1}."""
+    """Signed permutation: imgs[k] = +-(j+1) sends e_{k+1} to +-e_{j+1}.
+    Its line map _lines sends column k < n of Sp_2n (weight e_{k+1}) to
+    line j, or to the mirror line 2n-1-j if imgs[k] < 0, and column
+    2n-1-k (weight -e_{k+1}) to the mirror of that line."""
 
-    __slots__ = ("n", "imgs")
+    __slots__ = ("n", "imgs", "_lines")
 
     def __init__(self, n: int, imgs: tuple):
         _as_int(n, RootError, "rank", 1)
         if sorted([abs(_as_int(v, RootError, "image")) for v in imgs]) != list(range(1, n + 1)):
             raise RootError(f"{imgs} is not a signed permutation")
-        _set(self, "n", n)
-        _set(self, "imgs", imgs)
+        _fill(self, n, imgs)
 
     @classmethod
     def identity(cls, n: int) -> "WeylElem":
@@ -193,6 +195,7 @@ class WeylElem(_Value):
     @classmethod
     def simple(cls, n: int, k: int) -> "WeylElem":
         """Generators: k in 1..n-1 swaps lines k, k+1; k = n flips line n."""
+        _as_int(n, RootError, "rank", 1)
         if not 1 <= _as_int(k, RootError, "generator index") <= n:
             raise RootError(f"generator index {k} out of range")
         imgs = list(range(1, n + 1))
@@ -245,94 +248,97 @@ class WeylElem(_Value):
         return all(v > 0 for v in self.imgs)
 
     def negated_positive_roots(self):
-        """Sigma_w^-: positive roots sent negative, by (height, coeffs)."""
-        return list(_root_split(self)[0])
+        """Sigma_w^-: positive roots sent negative, by (height, coeffs) (_root_columns)."""
+        lines = self._lines
+        return [g for g, a, b in _positive_columns(self.n) if lines[a] > lines[b]]
 
     def kept_positive_roots(self):
-        return list(_root_split(self)[1])
+        lines = self._lines
+        return [g for g, a, b in _positive_columns(self.n) if lines[a] < lines[b]]
 
     def length(self) -> int:
-        return len(_root_split(self)[0])
+        return len(self.negated_positive_roots())
 
     def right_descents(self):
-        out = []
-        for k, s in enumerate(simple_roots(self.n), start=1):
-            if self.apply(s).is_negative():
-                out.append(k)
-        return out
+        """The k with w(a_k) negative: a_k has the column pair (k-1, k)
+        (_root_columns), for k = n the test imgs[n-1] < 0."""
+        return [k for k in range(1, self.n + 1) if self._lines[k - 1] > self._lines[k]]
 
     def reduced_word(self) -> tuple:
         """Strip the first right descent until none is left."""
         w, rev = self, []
-        while True:
-            ds = w.right_descents()
-            if not ds:
-                return tuple(reversed(rev))
+        while ds := w.right_descents():
             rev.append(ds[0])
             w = w * WeylElem.simple(w.n, ds[0])
+        return tuple(reversed(rev))
 
 
 def _weyl(n: int, imgs: tuple) -> WeylElem:
     """The WeylElem of a signed permutation imgs that the library derived
     itself (a product, an inverse, a generator), without the constructor's checks."""
-    w = object.__new__(WeylElem)
+    return _fill(object.__new__(WeylElem), n, imgs)
+
+
+def _fill(w: WeylElem, n: int, imgs: tuple) -> WeylElem:
+    """w with its slots set: n, imgs and the line map they fix."""
+    top = 2 * n - 1
+    lines = [t - 1 if t > 0 else top + t + 1 for t in imgs]
     _set(w, "n", n)
     _set(w, "imgs", imgs)
+    _set(w, "_lines", tuple(lines + [top - line for line in reversed(lines)]))
     return w
 
 
-@lru_cache(maxsize=None)
-def _root_split(w: WeylElem) -> tuple:
-    """(positive roots w sends negative, positive roots w keeps positive).
+def _root_columns(g: Root) -> tuple:
+    """(a, b), g the weight of column a less that of column b, read off g's
+    first and last nonzero coordinates; for g > 0, a < b: (i, j), (i, 2n-1-j)
+    and (i, 2n-1-i) for e_{i+1} - e_{j+1}, e_{i+1} + e_{j+1} and 2 e_{i+1}.
 
-    Unbounded, since its keys are the Weyl group and lengths, negated-root
-    orders and volumes read it again and again; with all 384 elements of
-    rank 4 asked it holds 180 KiB (tracemalloc, after gc).
-    """
-    negated, kept = [], []
-    for g in _positive_roots(w.n):
-        (negated if w.apply(g).is_negative() else kept).append(g)
-    return tuple(negated), tuple(kept)
+    w sends g negative exactly when w._lines[a] > w._lines[b]: w(g) is the
+    weight of line _lines[a] less that of line _lines[b], and for lines
+    l < l' that difference is a positive root, since the weights fall
+    down the lines, e_1 > ... > e_n > -e_n > ... > -e_1 (Bjorner and
+    Brenti, Combinatorics of Coxeter Groups, Prop 8.1.1, 8.1.2, Cor 8.1.9)."""
+    vec, top = g.euclid(), 2 * g.n - 1
+    nz = [k for k, c in enumerate(vec) if c]
+    i, j = nz[0], nz[-1]
+    return i if vec[i] > 0 else top - i, j if vec[j] < 0 else top - j
+
+
+@lru_cache(maxsize=None)
+def _positive_columns(n: int) -> tuple:
+    """(g, *_root_columns(g)) for each positive root g, by (height, coeffs)."""
+    return tuple([(g, *_root_columns(g)) for g in _positive_roots(n)])
 
 
 def highest_root_reflection(n: int) -> WeylElem:
     """Reflection in 2 e_1; flips the first coordinate line only."""
-    return _weyl(n, tuple([-1] + list(range(2, n + 1))))
+    return _weyl(_as_int(n, RootError, "rank", 1), tuple([-1] + list(range(2, n + 1))))
 
 
 def coordinate_rotation(n: int) -> WeylElem:
     """e_k to e_{k+1} for k < n, and e_n to e_1."""
-    return _weyl(n, tuple(list(range(2, n + 1)) + [1]))
+    return _weyl(_as_int(n, RootError, "rank", 1), tuple(list(range(2, n + 1)) + [1]))
 
 
 def _line_weight(n: int, idx: int):
     """Torus weight of coordinate line idx (0-based): +-e_k as (k, sign).
-    _column_lines goes the other way."""
+    WeylElem._lines goes the other way."""
     if idx < n:
         return idx, 1
     return 2 * n - 1 - idx, -1
 
 
-def _column_lines(w: WeylElem) -> list:
-    """The line (0-based) each of the 2n columns goes to under w: column
-    k < n carries e_{k+1} and goes to line j if imgs[k] = +(j+1), to the
-    mirror line 2n-1-j if imgs[k] = -(j+1); column 2n-1-k goes to the
-    mirror of that."""
-    top = 2 * w.n - 1
-    lines = [t - 1 if t > 0 else top + t + 1 for t in w.imgs]
-    return lines + [top - line for line in reversed(lines)]
-
-
 def bruhat_leq(w1: WeylElem, w2: WeylElem) -> bool:
     """w1 <= w2 exactly when no lower-left corner count of w1 exceeds w2's:
-    the number of columns <= j whose line (_column_lines) is >= i.  The
+    the number of columns <= j whose line (WeylElem._lines) is >= i.  The
     Bruhat order of C_n is induced from the symmetric group on the 2n
     lines, where these counts decide it (Bjorner and Brenti, Combinatorics
     of Coxeter Groups, 2005, Thm 2.1.5, Thm 8.1.8 and Cor 8.1.9)."""
     if w1.n != w2.n:
         raise RootError("mixed ranks")
     gap = [0] * (2 * w1.n)  # by row i, w2's count less w1's, over the columns so far
-    for a, b in zip(_column_lines(w1), _column_lines(w2)):
+    for a, b in zip(w1._lines, w2._lines):
         for i in range(min(a, b) + 1, max(a, b) + 1):
             gap[i] += 1 if b > a else -1
         if min(gap) < 0:
@@ -342,12 +348,8 @@ def bruhat_leq(w1: WeylElem, w2: WeylElem) -> bool:
 
 def subword_products(n: int, word):
     """All distinct products of subwords of word (the lower Bruhat cone)."""
-    seen = {}
-    for mask in range(1 << len(word)):
-        sub = [word[i] for i in range(len(word)) if mask >> i & 1]
-        w = WeylElem.from_word(n, sub)
-        seen.setdefault(w.imgs, w)
-    return sorted(seen.values(), key=lambda w: (w.length(), w.imgs))
+    seen = {WeylElem.from_word(n, [c for i, c in enumerate(word) if mask >> i & 1]) for mask in range(1 << len(word))}
+    return sorted(seen, key=lambda w: (w.length(), w.imgs))
 
 
 def weyl_below(w: WeylElem):
@@ -357,17 +359,15 @@ def weyl_below(w: WeylElem):
 @lru_cache(maxsize=None)
 def _weyl_below(w: WeylElem) -> tuple:
     """Unbounded, since the library asks only for the cone of the top
-    reflection, one entry per rank; at n = 4 that is 68 elements in
-    9 KiB (tracemalloc, after gc, their _root_split entries apart)."""
+    reflection, one entry per rank (68 elements in 9 KiB at n = 4); a miss
+    multiplies out every subword, and a verify-matrix run makes 38 calls, 3 misses."""
     return tuple(subword_products(w.n, w.reduced_word()))
 
 
 def full_weyl_group(n: int):
-    out = []
-    for perm in itertools.permutations(range(1, n + 1)):
-        for signs in itertools.product((1, -1), repeat=n):
-            out.append(_weyl(n, tuple([s * t for s, t in zip(signs, perm)])))
-    return out
+    n = _as_int(n, RootError, "rank", 1)
+    signed = itertools.product(itertools.permutations(range(1, n + 1)), itertools.product((1, -1), repeat=n))
+    return [_weyl(n, tuple([s * t for s, t in zip(signs, perm)])) for perm, signs in signed]
 
 
 # ------------------------------------------------------------- bad pairs
@@ -384,7 +384,7 @@ def is_bad_pair(g1: Root, g2: Root) -> bool:
 
 def bad_pairs(n: int):
     """All bad pairs, via the predicate over positive root pairs."""
-    return list(_bad_pairs(n))
+    return list(_bad_pairs(_as_int(n, RootError, "rank", 1)))
 
 
 @lru_cache(maxsize=None)
@@ -401,9 +401,9 @@ def ordered_negated_roots(w: WeylElem):
     reinserted immediately before g1.  When one g2 serves several g1
     only the last relocation can hold.
     """
-    order = list(w.negated_positive_roots())
+    order = w.negated_positive_roots()
     inside = set(order)
-    pairs = [(g1, g2) for (g1, g2) in bad_pairs(w.n) if g1 in inside and g2 in inside]
+    pairs = [(g1, g2) for (g1, g2) in _bad_pairs(w.n) if g1 in inside and g2 in inside]
     pairs.sort(key=lambda pair: (pair[0].height, pair[0].coeffs))
     for g1, g2 in pairs:
         order.remove(g2)

@@ -24,11 +24,12 @@ classes are Root, WeylElem and Mat, and each has rows below.
 
 The matrix and root layers are in the table only where an argument is
 cheap to check: Mat.identity's size, the entries of Mat(rows) and
-Mat.diagonal, WeylElem.simple's index, level_exponents' n and m, and the
-ranks and entries of Root, Root.from_euclid and WeylElem, which the
-library's own roots and Weyl elements bypass (rootsys reads its root
-table and builds its products and inverses through a trusted
-constructor).  Every layer's error is a PadicError, which the test
+Mat.diagonal, WeylElem.simple's rank and index, level_exponents' n and
+m, the ranks of highest_root_reflection, coordinate_rotation,
+full_weyl_group and bad_pairs, and the ranks and entries of Root,
+Root.from_euclid and WeylElem, which the library's own roots and Weyl
+elements bypass (rootsys reads its root table and builds its products
+and inverses through a trusted constructor).  Every layer's error is a PadicError, which the test
 catches before it demands the exact class.
 """
 import re
@@ -52,7 +53,15 @@ from padicsp.metaplectic import (
 )
 from padicsp.padic import Mono, PadicError, PrimeCtx
 from padicsp.quadext import QuadExt, QuadExtElem, norm_one_decompose
-from padicsp.rootsys import Root, RootError, WeylElem
+from padicsp.rootsys import (
+    Root,
+    RootError,
+    WeylElem,
+    bad_pairs,
+    coordinate_rotation,
+    full_weyl_group,
+    highest_root_reflection,
+)
 from padicsp.schwartz import (
     SchwartzError,
     SchwartzFn,
@@ -207,6 +216,12 @@ INPUT_TABLE = [
     entry("rootsys.WeylElem", "n", lambda x: WeylElem(x, (1, 2)), 2, POSITIVE, RootError, "^rank "),
     entry("rootsys.WeylElem", "imgs", lambda x: WeylElem(2, (x, 2)), 1, INTS, RootError, "^image "),
     entry("rootsys.WeylElem.simple", "k", lambda x: WeylElem.simple(3, x), 2, INTS, RootError, "^generator index "),
+    entry("rootsys.WeylElem.simple", "n", lambda x: WeylElem.simple(x, 1), 3, POSITIVE, RootError, "^rank "),
+    entry("rootsys.highest_root_reflection", "n", lambda x: highest_root_reflection(x), 2, POSITIVE, RootError,
+          "^rank "),
+    entry("rootsys.coordinate_rotation", "n", lambda x: coordinate_rotation(x), 2, POSITIVE, RootError, "^rank "),
+    entry("rootsys.full_weyl_group", "n", lambda x: full_weyl_group(x), 2, POSITIVE, RootError, "^rank "),
+    entry("rootsys.bad_pairs", "n", lambda x: bad_pairs(x), 2, POSITIVE, RootError, "^rank "),
     entry("congruence.level_exponents", "n", lambda x: level_exponents(x, 1), 3, INTS, MatrixError, "^n "),
     entry("congruence.level_exponents", "m", lambda x: level_exponents(2, x), 2, INTS, MatrixError, "^m "),
     # harness.config

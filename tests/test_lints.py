@@ -28,9 +28,12 @@
 One walker names each node by the innermost function or class around
 it, module-qualified (`padic.Mono.inverse`, `harness.checks.<module>`
 at module level); a function's own signature counts as inside it.  Each
-lint has a `tmp_path` self-test showing every form it must see.
+lint has a `tmp_path` self-test showing every form it must see.  The
+package is parsed once per session (src_trees) and every lint reads
+those trees; a self-test parses its own tree.
 """
 import ast
+import functools
 from pathlib import Path
 
 import padicsp
@@ -44,11 +47,26 @@ _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 _SCOPES = _FUNCTIONS + (ast.ClassDef,)
 
 
-def modules(root=SRC):
-    """(module name, parsed tree) for each Python file under root."""
+def parse_tree(root) -> tuple:
+    """(module name, parsed tree) for each Python file under root, by path."""
+    out = []
     for path in sorted(Path(root).rglob("*.py")):
         name = ".".join(path.relative_to(root).with_suffix("").parts)
-        yield name, ast.parse(path.read_text(encoding="utf-8"))
+        out.append((name, ast.parse(path.read_text(encoding="utf-8"))))
+    return tuple(out)
+
+
+@functools.cache
+def src_trees() -> tuple:
+    """The package's trees, parsed on first use and shared by every lint
+    for the rest of the session; no lint changes a tree."""
+    return parse_tree(SRC)
+
+
+def modules(root=SRC):
+    """(module name, parsed tree) for each Python file under root: the
+    package's from src_trees, a self-test's tmp_path tree parsed anew."""
+    return src_trees() if root == SRC else parse_tree(root)
 
 
 def scoped_nodes(root=SRC):

@@ -1,8 +1,10 @@
 """Root and Weyl combinatorics tests.
 
 Independent oracles: BFS word length in the Cayley graph, the subword
-characterization of the Bruhat order, and a filter of the full group
-against the corner-count order test.  Counts frozen below came from the
+characterization of the Bruhat order, a filter of the full group
+against the corner-count order test, the root-walking definitions of
+lengths, negated and kept roots and right descents (apply w to each
+vector and read its sign), and the Poincare polynomial of C_n.  Counts frozen below came from the
 oracle routes.  The bad-pair census, factorizations, root laws and the
 negated-root order are catalog checks run by acceptance criteria 01-03.
 """
@@ -28,7 +30,7 @@ from padicsp.rootsys import (
     simple_roots,
     weyl_below,
 )
-from padicsp.badtriples import reflection, root_decompositions
+from padicsp.badtriples import bad_triples_for_pair, reflection, root_decompositions
 
 
 # ---------------------------------------------------------------- oracles
@@ -350,7 +352,7 @@ def test_root_decompositions_basics():
     assert root_decompositions(n, (-1, 0, 0)) == []
 
 
-# ------------------------------------------------------- memoised accessors
+# ---------------------------------------------------------- list accessors
 
 def test_cached_accessors_hand_out_fresh_lists():
     w0 = highest_root_reflection(3)
@@ -388,17 +390,58 @@ def oracle_signed_image(w: WeylElem, vec) -> tuple:
     return tuple(out)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_cached_length_matches_brute_force_recount(n):
+def oracle_sends_negative(w: WeylElem, vec) -> bool:
+    """The root-walking definition: the first nonzero entry of w(vec) is negative."""
+    return next(c for c in oracle_signed_image(w, vec) if c) < 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_closed_forms_match_the_root_walking_definitions(n):
     for w in full_weyl_group(n):
-        negated = {
-            v for v in oracle_positive_vectors(n)
-            if next(c for c in oracle_signed_image(w, v) if c) < 0
-        }
-        for _ in range(2):  # the second round reads the caches
-            assert w.length() == len(negated)
-            got = w.negated_positive_roots()
-            assert {g.euclid() for g in got} == negated
-            assert got == sorted(got, key=lambda g: (g.height, g.coeffs))
-            kept = {g.euclid() for g in w.kept_positive_roots()}
-            assert kept == set(oracle_positive_vectors(n)) - negated
+        negated = {v for v in oracle_positive_vectors(n) if oracle_sends_negative(w, v)}
+        assert w.length() == len(negated)
+        got = w.negated_positive_roots()
+        assert {g.euclid() for g in got} == negated
+        assert got == sorted(got, key=lambda g: (g.height, g.coeffs))
+        kept = w.kept_positive_roots()
+        assert {g.euclid() for g in kept} == set(oracle_positive_vectors(n)) - negated
+        assert kept == sorted(kept, key=lambda g: (g.height, g.coeffs))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_right_descents_are_the_simple_roots_sent_negative(n):
+    simple = [tuple(1 if t == k else -1 if t == k + 1 else 0 for t in range(n)) for k in range(n - 1)]
+    simple.append(tuple(2 if t == n - 1 else 0 for t in range(n)))
+    for w in full_weyl_group(n):
+        want = [k for k, v in enumerate(simple, start=1) if oracle_sends_negative(w, v)]
+        assert w.right_descents() == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_length_generating_function_is_the_product_over_the_degrees(n):
+    """sum_w t^l(w) = prod_{i=1..n} [2i]_t with [d]_t = 1 + t + ... + t^(d-1):
+    the Poincare polynomial of C_n, whose degrees are 2, 4, ..., 2n
+    (Bjorner and Brenti, Combinatorics of Coxeter Groups, ch. 7;
+    Humphreys, Reflection Groups and Coxeter Groups, sec. 3.15)."""
+    want = [1]
+    for d in range(2, 2 * n + 1, 2):
+        want = [sum(want[k - j] for j in range(d) if 0 <= k - j < len(want)) for k in range(len(want) + d - 1)]
+    got = [0] * (n * n + 1)
+    for w in full_weyl_group(n):
+        got[w.length()] += 1
+    assert got == want
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_bad_triples_for_pair_matches_the_root_walking_filter(n):
+    """Over every pair of roots, either sign, not only the bad pairs."""
+    below = weyl_below(highest_root_reflection(n))
+    roots = positive_roots(n) + [-g for g in positive_roots(n)]
+    for g1, g2 in itertools.product(roots, repeat=2):
+        want = [w for w in below if oracle_sends_negative(w, g1.euclid()) and oracle_sends_negative(w, g2.euclid())]
+        assert bad_triples_for_pair(g1, g2) == want
+
+
+def test_bad_triples_for_pair_refuses_mixed_ranks():
+    with pytest.raises(RootError, match="mixed ranks"):
+        bad_triples_for_pair(positive_roots(2)[0], positive_roots(3)[0])
