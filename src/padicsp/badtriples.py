@@ -6,18 +6,21 @@ triple adds a Weyl element w below the top reflection that negates both
 members of the pair, and bad_pair_weyl_factorizations writes each such
 w as w1p * sigma * w2p around the chain reflection word sigma of the
 pair, and reflection writes the reflection in any root as a Weyl
-element.  root_decompositions enumerates the multisets of positive roots
-with a given sum.  The height order on negated roots, with its one
+element, off its column pair.  root_decompositions enumerates the
+multisets of positive roots with a given sum.  The height order on negated roots, with its one
 bad-pair adjustment, stays in rootsys (ordered_negated_roots), which the
 cell moves of chevalley read.
 """
 from __future__ import annotations
 
+from .padic import _as_instance
 from .rootsys import (
     Root,
     RootError,
     WeylElem,
+    _line_image,
     _root_columns,
+    _weyl,
     bad_pairs,
     highest_root_reflection,
     positive_roots,
@@ -54,21 +57,14 @@ def chain_word_sigma(n: int, i: int, j: int) -> tuple:
 
 
 def reflection(root: Root) -> WeylElem:
-    n = root.n
-    g = root.euclid()
-    gg = sum(c * c for c in g)  # 2 for short roots, 4 for long
-    imgs = []
-    for k in range(n):
-        if (2 * g[k]) % gg:
-            raise RootError(f"reflection in {root.coeffs} is not integral")
-        c = (2 * g[k]) // gg
-        col = tuple((1 if t == k else 0) - c * g[t] for t in range(n))
-        nz = [(i, v) for i, v in enumerate(col) if v]
-        if len(nz) != 1 or abs(nz[0][1]) != 1:
-            raise RootError(f"reflection in {root.coeffs} sends line {k + 1} to {col}")
-        i, v = nz[0]
-        imgs.append((i + 1) * (1 if v > 0 else -1))
-    return WeylElem(n, tuple(imgs))
+    """The reflection in root: on the 2n lines, the transposition of its
+    column pair (a, b) (rootsys._root_columns) and of their mirrors, read
+    back to images by rootsys._line_image."""
+    _as_instance(root, Root, RootError, "root")
+    n, top = root.n, 2 * root.n - 1
+    a, b = _root_columns(root)
+    swap = {a: b, b: a, top - a: top - b, top - b: top - a}
+    return _weyl(n, tuple([_line_image(n, swap.get(k, k)) for k in range(n)]))
 
 
 def bad_pair_weyl_factorizations(g1: Root, g2: Root):

@@ -7,7 +7,8 @@ root subgroups sit at the positions of congruence._root_positions.
 Weyl generators are the swaps of lines k, k+1 (with their mirrors) for
 the short simple roots and the middle [[0, 1], [-1, 0]] block for the
 long one; the canonical monomial representative of w, their product
-along any reduced word, is read off its signed permutation.  Everything
+along any reduced word, is read off its line map, and a monomial
+pattern is read back to w by rootsys._line_image.  Everything
 is exact: a matrix is integer rows over one positive denominator, in
 lowest terms.  A matrix carries no prime:
 cells, root groups and Weyl representatives never read p, and only the
@@ -47,7 +48,7 @@ from fractions import Fraction
 from . import intelim, intmat
 from .congruence import MatrixError, _root_positions, in_skew_level, radical_coordinate_bound
 from .padic import _as_fraction, _as_int, fraction_valuation
-from .rootsys import Root, WeylElem, _line_weight, bruhat_leq, is_bad_pair, ordered_negated_roots
+from .rootsys import Root, WeylElem, _line_image, bruhat_leq, is_bad_pair, ordered_negated_roots
 from .value import _Value
 
 Q = Fraction
@@ -199,7 +200,8 @@ def root_product(n: int, factors) -> Mat:
 
 def _root_word(den: int, num: tuple, factors) -> Mat:
     """num / den x_{g_1}(r_1) ... x_{g_k}(r_k): intmat.times_roots on the
-    nonzero letters, each root at its positions in _root_positions."""
+    nonzero letters, each root at its positions in _root_positions (a root
+    of another rank raises MatrixError there)."""
     positions = _root_positions(len(num) // 2)
     letters = []
     for root, r in factors:
@@ -230,13 +232,11 @@ def weyl_rep(w: WeylElem) -> Mat:
 # --------------------------------------------------------- Bruhat cells
 
 def weyl_from_monomial_pattern(n: int, positions) -> WeylElem:
-    """w with w(weight(col)) = weight(row) for each pivot (row, col)."""
+    """w with w(weight(col)) = weight(row) for each pivot (row, col), by rootsys._line_image."""
     imgs = [0] * n
-    by_col = {col: row for row, col in positions}
-    for j in range(n):
-        row = by_col[j]
-        k, s = _line_weight(n, row)
-        imgs[j] = (k + 1) * s
+    for row, col in positions:
+        if col < n:
+            imgs[col] = _line_image(n, row)
     return WeylElem(n, tuple(imgs))
 
 

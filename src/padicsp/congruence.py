@@ -3,16 +3,17 @@
 Matrix conventions as in chevalley: Sp_2n is defined by the form
 [[0, J], [-J, 0]] with J the n x n antidiagonal of ones, the torus is
 diag(a_1..a_n, a_n^-1..a_1^-1) and the Borel is upper triangular.
-One-parameter root subgroups sit at these positions (rows/columns
-1-based, N = 2n + 1):
+One-parameter root subgroups sit at positions read off the column pair
+(a, b) of each positive root g (rootsys._root_columns: g is the weight
+of column a less that of column b, a < b; 0-based, N = 2n):
 
-  line root e_a - e_b:   I + r E[a, b]     - r E[N-b, N-a]
-  sum root  e_a + e_b:   I + r E[a, N-b]   + r E[b, N-a]   (a < b)
-  long root 2 e_a:       I + r E[a, N-a]
-  negatives: the mirrored lower positions with the same signs.
+  x_g(r)  = I + r E[a, b] + s r E[N-1-b, N-1-a],  s = -1 if b < n, else +1
+  x_-g(r) = the transposes of g's positions, with the same signs.
 
-The first listed position is the "primary" one: the coefficient of a
-root factor can be read off there.  _root_positions holds that table.
+A long root 2 e_i has b = N-1-a, so its mirror is (a, b) itself and it
+has one position.  The first listed position is the "primary" one: the
+coefficient of a root factor can be read off there.  _root_positions
+holds that table, and refuses a root of another rank with MatrixError.
 
 The depth-m congruence subgroup is conjugated by the torus element of
 level_exponents; the coordinate bounds say at which valuation a root
@@ -32,7 +33,7 @@ from functools import lru_cache
 
 from . import intmat
 from .padic import Mono, PadicError, _as_int, _pfrac
-from .rootsys import Root, WeylElem, positive_roots
+from .rootsys import Root, WeylElem, _positive_columns, positive_roots
 
 Q = Fraction
 
@@ -43,29 +44,23 @@ class MatrixError(PadicError):
 
 # --------------------------------------------------- root group positions
 
+class _Positions(dict):
+    """{root: positions} of one rank; any other key raises MatrixError."""
+
+    def __missing__(self, root):
+        raise MatrixError(f"root {root!r} is not a root of rank {next(iter(self)).n}")
+
+
 @lru_cache(maxsize=None)
-def _root_positions(n: int) -> dict:
+def _root_positions(n: int) -> _Positions:
     """{root: (row, col, sign) triples, 0-based, primary first} over the
-    2 n^2 roots of rank n."""
+    2 n^2 roots of rank n, by the rule above from _positive_columns."""
     big = 2 * n - 1  # mirror index: pos p maps to big - p
-    out = {}
-    for g in positive_roots(n):
-        for root in (g, -g):
-            nz = [(i, c) for i, c in enumerate(root.euclid()) if c]
-            if len(nz) == 1:
-                a, c = nz[0]
-                out[root] = ((a, big - a, 1),) if c == 2 else ((big - a, a, 1),)
-                continue
-            (a, ca), (b, cb) = nz
-            if ca == 1 and cb == -1:
-                out[root] = ((a, b, 1), (big - b, big - a, -1))
-            elif ca == -1 and cb == 1:
-                out[root] = ((b, a, 1), (big - a, big - b, -1))
-            elif ca == 1 and cb == 1:
-                out[root] = ((a, big - b, 1), (b, big - a, 1))
-            else:
-                out[root] = ((big - b, a, 1), (big - a, b, 1))
-    return out
+    out = []
+    for g, a, b in _positive_columns(n):
+        pos = ((a, b, 1),) if big - b == a else ((a, b, 1), (big - b, big - a, -1 if b < n else 1))
+        out += [(g, pos), (-g, tuple([(col, row, s) for row, col, s in pos]))]
+    return _Positions(out)
 
 
 # --------------------------------------------------- congruence layers
@@ -88,12 +83,12 @@ def in_skew_level(ctx, g: Mat, m: int) -> bool:
 
 def radical_coordinate_bound(root: Root, m: int) -> int:
     """x_root(r) lies in the skew level iff v(r) >= this (positive root)."""
-    return -(2 * root.height - 1) * m
+    return -(2 * root.height - 1) * _as_int(m, MatrixError, "m")
 
 
 def negative_coordinate_bound(root: Root, m: int) -> int:
     """x_{-root}(r) lies in the skew level iff v(r) >= this."""
-    return (2 * root.height + 1) * m
+    return (2 * root.height + 1) * _as_int(m, MatrixError, "m")
 
 
 def generic_character(ctx, u: Mat) -> Mono:
@@ -124,8 +119,7 @@ def volume_exponent(kind: str, n: int, m: int, root: Root = None, w: WeylElem = 
 
     Each positive-root coordinate contributes (2 ht - 1) m.
     """
-    if m < 0:
-        raise MatrixError("level must be nonnegative")
+    n, m = _as_int(n, MatrixError, "n"), _as_int(m, MatrixError, "m", 0)
     if kind == "U":
         return m * sum(2 * g.height - 1 for g in positive_roots(n))
     if kind == "U_gamma":

@@ -6,7 +6,8 @@ coefficient tells whether a positive root lives in the block-diagonal
 Levi (0) or in the abelian unipotent radical (1).  Weyl elements are
 signed permutations of the coordinate lines; lengths, negated roots,
 descents, the Bruhat order and chevalley's Weyl representatives are read
-off the permutation of the 2n lines of Sp_2n that each induces (_lines).
+off the permutation of the 2n lines of Sp_2n that each induces (_lines),
+and root positions and reflections off each root's column pair (_root_columns).
 The module also carries the part of the cell analysis that the cell
 moves read: the "bad pair" predicate and the height order on negated
 roots with its one adjustment.  The rest of the bad-pair combinatorics
@@ -94,7 +95,7 @@ class Root(_Value):
         return _root_table(self.n)[tuple([-c for c in self.euclid()])]
 
     def is_long(self) -> bool:
-        return any(abs(c) == 2 for c in self.euclid())
+        return max(map(abs, self._vec)) == 2
 
     def in_levi(self) -> bool:
         """Root space inside the block-diagonal GL_n."""
@@ -106,7 +107,9 @@ class Root(_Value):
 
     def pairing(self, other: "Root") -> int:
         """<self, other_coroot> = 2 (self, other) / (other, other)."""
-        u, v = self.euclid(), other.euclid()
+        if self.n != other.n:
+            raise RootError("mixed ranks")
+        u, v = self._vec, other._vec
         num = 2 * sum(a * b for a, b in zip(u, v))
         den = sum(b * b for b in v)
         if num % den:
@@ -116,7 +119,7 @@ class Root(_Value):
     def reflect(self, other: "Root") -> "Root":
         """Image of other under the reflection in self."""
         k = other.pairing(self)
-        return _root_table(self.n)[tuple([b - k * a for a, b in zip(self.euclid(), other.euclid())])]
+        return _root_table(self.n)[tuple([b - k * a for a, b in zip(self._vec, other._vec)])]
 
 
 class _RootTable(dict):
@@ -184,6 +187,7 @@ class WeylElem(_Value):
 
     def __init__(self, n: int, imgs: tuple):
         _as_int(n, RootError, "rank", 1)
+        _as_instance(imgs, tuple, RootError, "imgs")
         if sorted([abs(_as_int(v, RootError, "image")) for v in imgs]) != list(range(1, n + 1)):
             raise RootError(f"{imgs} is not a signed permutation")
         _fill(self, n, imgs)
@@ -280,13 +284,19 @@ def _weyl(n: int, imgs: tuple) -> WeylElem:
 
 
 def _fill(w: WeylElem, n: int, imgs: tuple) -> WeylElem:
-    """w with its slots set: n, imgs and the line map they fix."""
+    """w with its slots set: n, imgs and the line map they fix (_line_image reads it back)."""
     top = 2 * n - 1
     lines = [t - 1 if t > 0 else top + t + 1 for t in imgs]
     _set(w, "n", n)
     _set(w, "imgs", imgs)
     _set(w, "_lines", tuple(lines + [top - line for line in reversed(lines)]))
     return w
+
+
+def _line_image(n: int, line: int) -> int:
+    """The image of a column k < n that goes to line: +(j+1) on line j < n,
+    -(j+1) on its mirror 2n-1-j.  _fill's map read backwards."""
+    return line + 1 if line < n else line - 2 * n
 
 
 def _root_columns(g: Root) -> tuple:
@@ -313,20 +323,12 @@ def _positive_columns(n: int) -> tuple:
 
 def highest_root_reflection(n: int) -> WeylElem:
     """Reflection in 2 e_1; flips the first coordinate line only."""
-    return _weyl(_as_int(n, RootError, "rank", 1), tuple([-1] + list(range(2, n + 1))))
+    return _weyl(_as_int(n, RootError, "rank", 1), (-1, *range(2, n + 1)))
 
 
 def coordinate_rotation(n: int) -> WeylElem:
     """e_k to e_{k+1} for k < n, and e_n to e_1."""
-    return _weyl(_as_int(n, RootError, "rank", 1), tuple(list(range(2, n + 1)) + [1]))
-
-
-def _line_weight(n: int, idx: int):
-    """Torus weight of coordinate line idx (0-based): +-e_k as (k, sign).
-    WeylElem._lines goes the other way."""
-    if idx < n:
-        return idx, 1
-    return 2 * n - 1 - idx, -1
+    return _weyl(_as_int(n, RootError, "rank", 1), (*range(2, n + 1), 1))
 
 
 def bruhat_leq(w1: WeylElem, w2: WeylElem) -> bool:

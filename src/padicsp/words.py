@@ -40,24 +40,30 @@ class HeisenbergElem(_Value):
 
 
 def _norm_item(item):
+    """item in one normal form, refused with fields missing or left over;
+    a "heis" item's fields are read first, to name a misplaced element."""
     if isinstance(item, HeisenbergElem):
         return ("heis", item.x, item.xp, item.z)
     if not isinstance(item, tuple) or not item:
         raise SchwartzError(f"bad word item {item!r}")
-    tag = item[0]
-    if tag == "flip":
+    tag, size = item[0], len(item)
+    if tag == "flip" and size == 1:
         return ("flip",)
-    if tag == "upper":
+    if tag == "upper" and size == 2:
         return ("upper", _as_fraction(item[1]))
-    if tag == "diag":
+    if tag == "diag" and size == 2:
         a = _as_fraction(item[1])
         if a == 0:
             raise SchwartzError("m1(a) needs a nonzero")
         return ("diag", a)
-    if tag == "sign":
+    if tag == "sign" and size == 2:
         return ("sign", _as_sign(item[1], SchwartzError, "sheet sign"))
     if tag == "heis":
-        return ("heis", _as_fraction(item[1]), _as_fraction(item[2]), _as_fraction(item[3]))
+        out = ("heis", *map(_as_fraction, item[1:4]))
+        if size == 4:
+            return out
+    if tag in ("flip", "upper", "diag", "sign", "heis"):
+        raise SchwartzError(f"bad word item {item!r} of the wrong length")
     raise SchwartzError(f"unknown word item tag {tag!r}")
 
 

@@ -36,6 +36,7 @@ from padicsp.padic import PadicError, PrimeCtx, fraction_valuation
 from padicsp.badtriples import reflection
 from padicsp.rootsys import (
     Root,
+    RootError,
     WeylElem,
     bruhat_leq,
     coordinate_rotation,
@@ -59,6 +60,7 @@ from padicsp.chevalley import (
     root_elem,
     root_product,
     symplectic_inverse,
+    weyl_from_monomial_pattern,
     weyl_from_rank_pattern,
     weyl_rep,
 )
@@ -622,7 +624,68 @@ def test_fast_multiplication_paths():
             assert mul_root_elem(g, root, r) == g * root_elem(n, root, r)
 
 
+def line_weights(n):
+    """The torus weights of the 2n lines as Euclidean vectors, e_1, ...,
+    e_n, -e_n, ..., -e_1, enumerated here from the torus
+    diag(a_1..a_n, a_n^-1..a_1^-1)."""
+    units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    return units + [tuple(-c for c in v) for v in reversed(units)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_root_positions_carry_each_root_between_line_weights(n):
+    """Every position (row, col, s) of g has weight(row) - weight(col) = g,
+    a long root has one position and a short one two, the positions of -g
+    are the transposes of g's, and the signs make x_g(r) symplectic."""
+    weights = line_weights(n)
+    positions = congruence._root_positions(n)
+    roots = positive_roots(n) + [-g for g in positive_roots(n)]
+    assert set(positions) == set(roots) and len(positions) == 2 * n * n
+    for g in roots:
+        assert len(positions[g]) == (1 if g.is_long() else 2)
+        for row, col, s in positions[g]:
+            assert tuple(a - b for a, b in zip(weights[row], weights[col])) == g.euclid()
+            assert s in (1, -1)
+        assert positions[-g] == tuple((col, row, s) for row, col, s in positions[g])
+        for r in (Q(1), Q(-2, 3)):
+            assert is_symplectic(root_elem(n, g, r))
+
+
+def test_foreign_roots_are_refused_by_the_position_table():
+    """A root of another rank, or no root at all, raises MatrixError naming
+    it and the rank, not KeyError."""
+    g2, g3 = positive_roots(2)[0], positive_roots(3)[0]
+    calls = (
+        lambda: root_elem(2, g3, 1),
+        lambda: mul_root_elem(Mat.identity(4), g3, 1),
+        lambda: root_product(2, [("x", 1)]),
+        lambda: commutator_coefficients(2, g2, 1, g3, 1),
+        lambda: commutator_coefficients(3, g2, 1, g3, 1),
+        lambda: cell_identity_borel_part(2, g3, 1),
+    )
+    for call in calls:
+        with pytest.raises(PadicError) as exc:
+            call()
+        assert type(exc.value) is MatrixError
+        assert "is not a root of rank" in str(exc.value)
+
+
 # ------------------------------------------------------------ Weyl layer
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_weyl_from_monomial_pattern_inverts_the_representative(n):
+    """The pivot pattern of weyl_rep(w) gives back w, on every element."""
+    for w in full_weyl_group(n):
+        rep = weyl_rep(w)
+        pivots = [(i, j) for i, row in enumerate(rep.num) for j, x in enumerate(row) if x]
+        assert weyl_from_monomial_pattern(n, pivots) == w
+
+
+def test_weyl_from_monomial_pattern_refuses_an_incomplete_pattern():
+    for pivots in ([(0, 0)], [], [(0, 0), (0, 1)]):
+        with pytest.raises(RootError, match="signed permutation"):
+            weyl_from_monomial_pattern(2, pivots)
+
 
 def test_weyl_rep_patterns_and_frozen_top_cell():
     w0 = top_cell_matrix(2)

@@ -25,11 +25,13 @@ classes are Root, WeylElem and Mat, and each has rows below.
 The matrix and root layers are in the table only where an argument is
 cheap to check: Mat.identity's size, the entries of Mat(rows) and
 Mat.diagonal, WeylElem.simple's rank and index, level_exponents' n and
-m, the ranks of highest_root_reflection, coordinate_rotation,
+m, the levels of the coordinate bounds and volume_exponent's rank and
+level, the ranks of highest_root_reflection, coordinate_rotation,
 full_weyl_group and bad_pairs, and the ranks and entries of Root,
-Root.from_euclid and WeylElem, which the library's own roots and Weyl
-elements bypass (rootsys reads its root table and builds its products
-and inverses through a trusted constructor).  Every layer's error is a PadicError, which the test
+Root.from_euclid and WeylElem (and that WeylElem's images are a tuple),
+which the library's own roots and Weyl elements bypass (rootsys reads
+its root table and builds its products and inverses through a trusted
+constructor).  Every layer's error is a PadicError, which the test
 catches before it demands the exact class.
 """
 import re
@@ -38,7 +40,13 @@ from fractions import Fraction as Q
 import pytest
 
 from padicsp.chevalley import Mat
-from padicsp.congruence import MatrixError, level_exponents
+from padicsp.congruence import (
+    MatrixError,
+    level_exponents,
+    negative_coordinate_bound,
+    radical_coordinate_bound,
+    volume_exponent,
+)
 from padicsp.harness.config import CampaignConfig, HarnessError
 from padicsp.metaplectic import (
     CharacterFx,
@@ -101,6 +109,17 @@ SIGNS = (1.0, -1.0, True, Q(1), Q(-1), "1", None, Mono(), 0, 2, -2)
 OBJECTS = (5, 1.0, True, Q(1), "5", None, Mono())
 
 EXACT = "exact rational"
+
+# A valid word item of each tag, and items of that tag with a field
+# missing or left over.
+WORD_ITEMS = (
+    (("flip",), (("flip", 5),)),
+    (("upper", Q(1, 5)), (("upper",), ("upper", 1, 2))),
+    (("diag", 5), (("diag",), ("diag", 5, 1))),
+    (("sign", -1), (("sign",), ("sign", 1, "x"))),
+    (("heis", 1, 0, 0), (("heis", 1), ("heis", 1, 0, 0, 0))),
+)
+G2 = Root(2, (1, 0))
 
 
 def entry(target, slot, call, good, wrong, error, match):
@@ -191,7 +210,17 @@ INPUT_TABLE = [
           PadicError, EXACT),
     entry("schwartz.weil_act", "heis item", lambda x: weil_act([("heis", x, 0, 0)], F), 1, RATIONALS,
           PadicError, EXACT),
+    *[
+        entry("schwartz.weil_act", f"{item[0]} item length", lambda x: weil_act([x], F), item, wrong, SchwartzError,
+              "^bad word item .* wrong length")
+        for item, wrong in WORD_ITEMS
+    ],
     entry("words.cover_lift", "ctx", lambda x: cover_lift(x, [("flip",)]), C5, OBJECTS, MetaError, "^ctx "),
+    *[
+        entry("words.cover_lift", f"{item[0]} item length", lambda x: cover_lift(C5, [x]), item, wrong,
+              SchwartzError, "^bad word item .* wrong length")
+        for item, wrong in WORD_ITEMS if item[0] != "heis"
+    ],
     entry("words.cover_lift", "sign item", lambda x: cover_lift(C5, [("sign", x)]), -1, SIGNS,
           SchwartzError, "^sheet sign "),
     entry("schwartz.weil_act_cover", "g", lambda x: weil_act_cover(x, F), G, OBJECTS + (F,),
@@ -215,6 +244,8 @@ INPUT_TABLE = [
           "^root coordinate "),
     entry("rootsys.WeylElem", "n", lambda x: WeylElem(x, (1, 2)), 2, POSITIVE, RootError, "^rank "),
     entry("rootsys.WeylElem", "imgs", lambda x: WeylElem(2, (x, 2)), 1, INTS, RootError, "^image "),
+    entry("rootsys.WeylElem", "imgs tuple", lambda x: WeylElem(2, x), (2, 1), ([2, 1], "21", range(1, 3), None, 12),
+          RootError, "^imgs "),
     entry("rootsys.WeylElem.simple", "k", lambda x: WeylElem.simple(3, x), 2, INTS, RootError, "^generator index "),
     entry("rootsys.WeylElem.simple", "n", lambda x: WeylElem.simple(x, 1), 3, POSITIVE, RootError, "^rank "),
     entry("rootsys.highest_root_reflection", "n", lambda x: highest_root_reflection(x), 2, POSITIVE, RootError,
@@ -224,6 +255,13 @@ INPUT_TABLE = [
     entry("rootsys.bad_pairs", "n", lambda x: bad_pairs(x), 2, POSITIVE, RootError, "^rank "),
     entry("congruence.level_exponents", "n", lambda x: level_exponents(x, 1), 3, INTS, MatrixError, "^n "),
     entry("congruence.level_exponents", "m", lambda x: level_exponents(2, x), 2, INTS, MatrixError, "^m "),
+    entry("congruence.radical_coordinate_bound", "m", lambda x: radical_coordinate_bound(G2, x), 2, INTS,
+          MatrixError, "^m "),
+    entry("congruence.negative_coordinate_bound", "m", lambda x: negative_coordinate_bound(G2, x), 2, INTS,
+          MatrixError, "^m "),
+    entry("congruence.volume_exponent", "n", lambda x: volume_exponent("U", x, 1), 2, INTS, MatrixError, "^n "),
+    entry("congruence.volume_exponent", "m", lambda x: volume_exponent("U", 2, x), 1, NONNEGATIVE,
+          MatrixError, "^m "),
     # harness.config
     entry("harness.config.CampaignConfig", "n", lambda x: CampaignConfig(n=(2, x)), 4, INTS,
           HarnessError, "^n "),

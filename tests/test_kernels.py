@@ -6,7 +6,8 @@ kernel's own shortcut: times_roots against the Fraction product of its
 letters, in_level against the valuation inequality, lowest against the
 gcd, and the Mat predicates against their entrywise definitions.  A
 fixed small campaign then pins how often the hot kernels run and the
-bytes of its report.
+bytes of its report, and a digest pins the root position table the
+root words read.
 """
 import hashlib
 import json
@@ -163,6 +164,18 @@ MATRIX_TRAFFIC = (
     {"mul": 665, "times_roots": 774, "is_symplectic": 131, "in_level": 304, "lowest": 1803},
     "32991e477131cea719841125b9d923260282cc2c4619ba61789e98e9fad1ad0b",
 )
+
+
+# sha256 of the root positions at ranks 1..4, in table order: each root's
+# coefficients and its (row, col, sign) triples, primary first.  A change
+# of a sign, an order or a primary position updates it and says so in
+# CHANGES.md.
+ROOT_POSITIONS_DIGEST = "640158951a7cca8eb036ea39e68a1ffea9e087a639ce2dfd0e3a0be5b222c752"
+
+
+def test_root_positions_are_pinned():
+    table = [[[list(g.coeffs), [list(t) for t in pos]] for g, pos in _root_positions(n).items()] for n in range(1, 5)]
+    assert hashlib.sha256(json.dumps(table).encode()).hexdigest() == ROOT_POSITIONS_DIGEST
 
 
 def test_matrix_kernel_traffic_and_report_are_pinned():

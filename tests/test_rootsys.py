@@ -26,6 +26,7 @@ from padicsp.rootsys import (
     coordinate_rotation,
     full_weyl_group,
     highest_root_reflection,
+    is_bad_pair,
     positive_roots,
     simple_roots,
     weyl_below,
@@ -174,6 +175,30 @@ def test_reflection_properties():
             assert reflection(radical_root(n, i, i)) == WeylElem.from_word(
                 n, list(range(i, n)) + [n] + list(range(n - 1, i - 1, -1))
             )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_reflection_acts_as_the_pairing_formula(n):
+    """reflection(g), read off g's column pair, against Root.reflect (the
+    pairing formula) on every pair of roots."""
+    roots = positive_roots(n) + [-g for g in positive_roots(n)]
+    for g in roots:
+        s = reflection(g)
+        for h in roots:
+            assert s.apply(h) == g.reflect(h)
+
+
+def test_malformed_root_and_weyl_inputs_are_refused():
+    """A pairing, a reflection or a bad-pair test across ranks, a reflection
+    in a non-root and a list of images raise RootError naming the fault."""
+    g2, g3 = positive_roots(2)[0], positive_roots(3)[1]
+    for call in (lambda: g2.pairing(g3), lambda: g2.reflect(g3), lambda: is_bad_pair(g2, positive_roots(3)[0])):
+        with pytest.raises(RootError, match="mixed ranks"):
+            call()
+    with pytest.raises(RootError, match="^root 'x' is not a Root"):
+        reflection("x")
+    with pytest.raises(RootError, match="^imgs "):
+        WeylElem(2, [2, 1])
 
 
 def test_reflection_conjugation():
