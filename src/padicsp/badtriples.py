@@ -1,13 +1,15 @@
 """The bad-pair and bad-triple combinatorics of the cell analysis, in type C_n.
 
 A bad pair (g1, g2) is the predicate rootsys.is_bad_pair; in closed form
-g2 = 2 e_i and g1 = e_i + e_j with i < j (bad_pair_witness).  A bad
-triple adds a Weyl element w below the top reflection that negates both
-members of the pair, and bad_pair_weyl_factorizations writes each such
-w as w1p * sigma * w2p around the chain reflection word sigma of the
-pair, and reflection writes the reflection in any root as a Weyl
-element, off its column pair.  root_decompositions enumerates the
-multisets of positive roots with a given sum.  The height order on negated roots, with its one
+g2 = 2 e_i and g1 = e_i + e_j with i < j, which bad_pair_witness reads
+off the two column pairs (rootsys._root_columns).  A bad triple adds a
+Weyl element w below the top reflection that negates both members of
+the pair, and bad_pair_weyl_factorizations writes each such w as
+w1p * sigma * w2p around the chain reflection word sigma of the pair;
+reflection writes the reflection in any root as a Weyl element, off its
+column pair.  root_decompositions enumerates the multisets of positive
+roots with given simple coefficients.  No function here reads a root's
+Euclidean vector.  The height order on negated roots, with its one
 bad-pair adjustment, stays in rootsys (ordered_negated_roots), which the
 cell moves of chevalley read.
 """
@@ -30,20 +32,18 @@ from .rootsys import (
 
 
 def bad_pair_witness(g1: Root, g2: Root):
-    """(i, j) with g2 = 2 e_i and g1 = e_i + e_j, i < j <= n, or None."""
-    n = g1.n
-    u, v = g1.euclid(), g2.euclid()
-    two = [k for k, c in enumerate(v) if c == 2]
-    if len(two) != 1 or any(c and abs(c) != 2 for c in v):
-        return None
-    i = two[0] + 1
-    ones = [k for k, c in enumerate(u) if c == 1]
-    if len(ones) != 2 or any(c not in (0, 1) for c in u):
-        return None
-    if ones[0] + 1 != i:
-        return None
-    j = ones[1] + 1
-    return (i, j) if i < j <= n else None
+    """(i, j) with g2 = 2 e_i and g1 = e_i + e_j, i < j <= n, or None.
+
+    Read off the column pairs (rootsys._root_columns): 2 e_i is
+    (i-1, 2n-i) and e_i + e_j is (i-1, 2n-j); a column a < n holds only
+    positive roots, and b >= n with b < 2n-1-a only the sums e_i + e_j."""
+    if g1.n != g2.n:
+        raise RootError("mixed ranks")
+    (a1, b1), (a2, b2) = _root_columns(g1), _root_columns(g2)
+    top = 2 * g1.n - 1
+    if a1 == a2 < g1.n <= b1 < b2 == top - a2:
+        return a2 + 1, top + 1 - b1
+    return None
 
 
 def bad_triples(n: int):
@@ -109,40 +109,26 @@ def bad_triples_for_pair(g1: Root, g2: Root):
     return [w for w in below if w._lines[a1] > w._lines[b1] and w._lines[a2] > w._lines[b2]]
 
 
-def _double_height(vec) -> int:
-    """Twice the simple-coefficient sum of an integer coweight vector."""
-    n = len(vec)
-    total = 0
-    run = 0
-    for k in range(n - 1):
-        run += vec[k]
-        total += 2 * run
-    return total + run + vec[-1]  # last coefficient is (run + v_n)/2
+def root_decompositions(n: int, coeffs):
+    """All multisets of positive roots whose simple coefficients sum to
+    coeffs, by DFS over the positive roots in (height, coeffs) order.
 
-
-def root_decompositions(n: int, vec):
-    """All multisets of positive roots summing to vec (euclid), by DFS.
-
-    Heights are additive and every positive root has height >= 1, so the
-    remaining double height strictly decreases; no extra bound needed.
-    """
+    A positive root has no negative coefficient, so a remainder with one
+    has no decomposition and is dropped; each step lowers the height by
+    at least 1, so the search ends."""
     pos = positive_roots(n)
     out = []
 
     def dfs(remaining, start, acc):
-        if all(c == 0 for c in remaining):
+        if min(remaining) < 0:
+            return
+        if not any(remaining):
             if acc:
                 out.append(tuple(acc))
             return
-        rh2 = _double_height(remaining)
-        if rh2 < 2:
-            return
         for idx in range(start, len(pos)):
             g = pos[idx]
-            if 2 * g.height > rh2:
-                continue
-            nxt = tuple(r - c for r, c in zip(remaining, g.euclid()))
-            dfs(nxt, idx, acc + [g])
+            dfs(tuple([r - c for r, c in zip(remaining, g.coeffs)]), idx, acc + [g])
 
-    dfs(tuple(vec), 0, [])
+    dfs(tuple(coeffs), 0, [])
     return out

@@ -201,13 +201,19 @@ def root_product(n: int, factors) -> Mat:
 def _root_word(den: int, num: tuple, factors) -> Mat:
     """num / den x_{g_1}(r_1) ... x_{g_k}(r_k): intmat.times_roots on the
     nonzero letters, each root at its positions in _root_positions (a root
-    of another rank raises MatrixError there)."""
-    positions = _root_positions(len(num) // 2)
+    of another rank raises MatrixError there, and so does an unhashable one
+    here)."""
+    n = len(num) // 2
+    positions = _root_positions(n)
     letters = []
     for root, r in factors:
         r = _as_fraction(r)
         if r:
-            letters.append((positions[root], r.numerator, r.denominator))
+            try:
+                pos = positions[root]
+            except TypeError:
+                raise MatrixError(f"root {root!r} is not a root of rank {n}") from None
+            letters.append((pos, r.numerator, r.denominator))
     return _stored(*intmat.times_roots(den, num, letters))
 
 

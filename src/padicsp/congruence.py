@@ -132,11 +132,8 @@ def volume_exponent(kind: str, n: int, m: int, root: Root = None, w: WeylElem = 
         roots = w.negated_positive_roots() if kind == "U_w_minus" else w.kept_positive_roots()
         return m * sum(2 * g.height - 1 for g in roots)
     if kind == "D":
-        # first-row slice of the radical: 2e_1 and e_1 + e_k
+        # first-row slice of the radical, 2e_1 and e_1 + e_k: column pair (0, b >= n)
         if n < 2:
             raise MatrixError("needs rank >= 2")
-        roots = [Root.from_euclid(n, tuple(2 if k == 0 else 0 for k in range(n)))]
-        for j in range(2, n + 1):
-            roots.append(Root.from_euclid(n, tuple(1 if k in (0, j - 1) else 0 for k in range(n))))
-        return m * sum(2 * g.height - 1 for g in roots)
+        return m * sum(2 * g.height - 1 for g, a, b in _positive_columns(n) if a == 0 and b >= n)
     raise MatrixError(f"unknown volume kind {kind!r}")

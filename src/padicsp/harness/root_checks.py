@@ -127,7 +127,7 @@ def check_bad_triple_shapes(cfg, rng):
             for xi in roots:
                 if not g1.height <= xi.height <= g2.height:
                     continue
-                diff = tuple(a - b for a, b in zip(g2.euclid(), xi.euclid()))
+                diff = tuple(a - b for a, b in zip(g2.coeffs, xi.coeffs))
                 for split in root_decompositions(n, diff):
                     if not any(w.apply(d).is_negative() for d in split):
                         raise CheckFailure({"n": n, "g2": g2, "xi": xi, "w": w, "split": split, "reason": "unobstructed split"})

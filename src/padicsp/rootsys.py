@@ -7,7 +7,8 @@ Levi (0) or in the abelian unipotent radical (1).  Weyl elements are
 signed permutations of the coordinate lines; lengths, negated roots,
 descents, the Bruhat order and chevalley's Weyl representatives are read
 off the permutation of the 2n lines of Sp_2n that each induces (_lines),
-and root positions and reflections off each root's column pair (_root_columns).
+and root positions, reflections, bad-pair witnesses and the radical's
+first row off each root's column pair (_root_columns).
 The module also carries the part of the cell analysis that the cell
 moves read: the "bad pair" predicate and the height order on negated
 roots with its one adjustment.  The rest of the bad-pair combinatorics
@@ -140,7 +141,10 @@ def _root_table(n: int) -> _RootTable:
     reflection, a Weyl image, a sum in subgroups.commutator_coefficients,
     the simple and the positive roots) is read from here, so there is one
     Root per root and none is validated twice; for a vector from a
-    caller, being a key is the validation.
+    caller, being a key is the validation.  Outside this module only the
+    sums of roots and the checks' oracles look a root up by its vector
+    (Root.from_euclid, root_from_vector); every other fact about a root
+    is read off its column pair (_root_columns) or its coefficients.
     The table is kept for the life of the process, as the other caches
     of this module are: 2n^2 entries, 32 at rank 4.
     """
@@ -376,6 +380,8 @@ def full_weyl_group(n: int):
 
 def is_bad_pair(g1: Root, g2: Root) -> bool:
     """Both positive, distinct, ht(g2)/2 < ht(g1) <= ht(g2), <g2, g1vee> = 2."""
+    if g1.n != g2.n:
+        raise RootError("mixed ranks")
     if g1 == g2 or not (g1.is_positive() and g2.is_positive()):
         return False
     h1, h2 = g1.height, g2.height

@@ -40,12 +40,12 @@ Q = Fraction
 # ------------------------------------------------------- block builders
 
 def _block(n: int, rows, what: str) -> Mat:
-    """The n x n block of an embedding, built from its integer rows; every
-    entry passes _as_fraction."""
-    rows = [[_as_fraction(x) for x in row] for row in rows]
+    """The n x n block of an embedding, through Mat(rows); rows may be any
+    iterable of iterables, as for Mat."""
+    rows = [tuple(row) for row in rows]
     if len(rows) != n or any(len(row) != n for row in rows):
         raise MatrixError(f"{what} block has wrong size")
-    return _stored(*intmat.integer_rows(rows))
+    return Mat(rows)
 
 
 def levi_embed(n: int, a_rows) -> Mat:

@@ -502,6 +502,12 @@ def test_levi_embed_is_homomorphism():
         assert ma * mb == levi_embed(3, ab)
 
 
+def test_embedding_blocks_take_any_iterable_of_rows():
+    a, x = [[Q(2), Q(1)], [Q(1), Q(1)]], [[Q(1), Q(2)], [Q(3), Q(1)]]
+    assert levi_embed(2, (iter(row) for row in a)) == levi_embed(2, a)
+    assert radical_embed(2, (iter(row) for row in x)) == radical_embed(2, x)
+
+
 def test_radical_embed_addition_and_validation():
     x = [[Q(1), Q(2)], [Q(3), Q(1)]]
     y = [[Q(0), Q(5)], [Q(7), Q(0)]]

@@ -24,7 +24,8 @@ classes are Root, WeylElem and Mat, and each has rows below.
 
 The matrix and root layers are in the table only where an argument is
 cheap to check: Mat.identity's size, the entries of Mat(rows) and
-Mat.diagonal, WeylElem.simple's rank and index, level_exponents' n and
+Mat.diagonal, the root of a root word (root_product, root_elem and
+mul_root_elem), WeylElem.simple's rank and index, level_exponents' n and
 m, the levels of the coordinate bounds and volume_exponent's rank and
 level, the ranks of highest_root_reflection, coordinate_rotation,
 full_weyl_group and bad_pairs, and the ranks and entries of Root,
@@ -39,7 +40,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from padicsp.chevalley import Mat
+from padicsp.chevalley import Mat, mul_root_elem, root_elem, root_product
 from padicsp.congruence import (
     MatrixError,
     level_exponents,
@@ -120,6 +121,8 @@ WORD_ITEMS = (
     (("heis", 1, 0, 0), (("heis", 1), ("heis", 1, 0, 0, 0))),
 )
 G2 = Root(2, (1, 0))
+# Not a root of rank 2: unhashable, a coefficient tuple, another rank's root.
+NOT_ROOTS = ([1, 0], {1: 0}, set(), (1, 0), Root(3, (1, 0, 0)), "x", None, 1.0)
 
 
 def entry(target, slot, call, good, wrong, error, match):
@@ -237,6 +240,12 @@ INPUT_TABLE = [
     entry("chevalley.Mat.diagonal", "entries", lambda x: Mat.diagonal([x, 1]), Q(1, 3), RATIONALS,
           PadicError, EXACT),
     entry("chevalley.Mat.identity", "size", lambda x: Mat.identity(x), 4, NONNEGATIVE, MatrixError, "^size "),
+    entry("chevalley.root_product", "root", lambda x: root_product(2, [(x, 1)]), G2, NOT_ROOTS, MatrixError,
+          "^root .* is not a root of rank 2"),
+    entry("chevalley.root_elem", "root", lambda x: root_elem(2, x, 1), G2, NOT_ROOTS, MatrixError,
+          "^root .* is not a root of rank 2"),
+    entry("chevalley.mul_root_elem", "root", lambda x: mul_root_elem(Mat.identity(4), x, 1), G2, NOT_ROOTS,
+          MatrixError, "^root .* is not a root of rank 2"),
     entry("rootsys.Root", "n", lambda x: Root(x, (1, 0)), 2, POSITIVE, RootError, "^rank "),
     entry("rootsys.Root", "coeffs", lambda x: Root(2, (x, 0)), 1, INTS, RootError, "^root coefficient "),
     entry("rootsys.Root.from_euclid", "n", lambda x: Root.from_euclid(x, (1, 1)), 2, POSITIVE, RootError, "^rank "),

@@ -1,4 +1,4 @@
-"""Source lints: sixteen rules the code must keep, read off its syntax.
+"""Source lints: seventeen rules the code must keep, read off its syntax.
 
 - the library never touches cmath, complex or float(): every value it
   computes is exact (Fraction, Mono, Cyclo), and the complex embedding
@@ -13,6 +13,9 @@
 - of the package outside itself, the integer-row kernel (intmat and
   intelim) imports only padic;
 - only padic, schwartz and chirp use the trusted Mono constructor;
+- outside rootsys, only the sums of roots and the checks' oracles read a
+  root's Euclidean vector (.euclid(), Root.from_euclid,
+  root_from_vector);
 - no module reads a Fraction's private fields or builds one through a
   private path (_normalize=, _from_coprime_ints);
 - every acceptance criterion runs a catalog check through run_check;
@@ -587,6 +590,58 @@ def test_trusted_mono_lint_sees_calls_references_and_attributes(tmp_path):
         "def e(x):\n    return mono(x), x._mono_cache, '_mono'\n"
     )
     assert trusted_mono_users(tmp_path) == {"m.a", "m.K.b", "m.c.d", "m.<module>"}
+
+
+# ---------------------------------------------------- Euclidean reads
+
+# Every combinatorial fact about a root is read off its column pair
+# (rootsys._root_columns) or its simple coefficients.  Outside rootsys
+# only a sum of roots, which is a vector sum, and the checks' own oracles
+# read a root's Euclidean vector.
+EUCLID_FORMS = ("euclid", "from_euclid", "root_from_vector")
+EUCLID_READERS = {
+    "subgroups.commutator_coefficients",
+    "harness.matrix_checks.check_chevalley_commutators",
+    "harness.matrix_checks.check_congruence_structure",
+    "harness.root_checks._radical_root",
+}
+
+
+def euclid_reads(root=SRC):
+    """(function, form) for each call of or reference to .euclid,
+    from_euclid or root_from_vector outside rootsys; importing a name is
+    not a read."""
+    return {
+        (name, form) for name, node in scoped_nodes(root)
+        if not name.startswith("rootsys.") and (form := _name_of(node)) in EUCLID_FORMS
+    }
+
+
+def test_only_the_sums_and_the_oracles_read_euclidean_vectors():
+    assert {name for name, _ in euclid_reads()} == EUCLID_READERS
+
+
+def test_euclid_lint_sees_methods_nested_functions_and_each_form(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "from .rootsys import Root, root_from_vector\n"
+        "class K:\n    def a(self, g):\n        return g.euclid()\n"
+        "def b(n):\n    def c(v):\n        return Root.from_euclid(n, v)\n    return c\n"
+        "def d(n, v):\n    return root_from_vector(n, v)\n"
+        "VECS = map(Root.euclid, ())\n"
+    )
+    (tmp_path / "rootsys.py").write_text(
+        "def root_from_vector(n, vec):\n    return Root.from_euclid(n, vec)\n"
+        "class Root:\n    def __neg__(self):\n        return self.euclid()\n"
+    )
+    (tmp_path / "n.py").write_text(
+        "def e(g, w):\n    return g.coeffs, w.apply_euclid(g), _euclid(2, g), 'euclid', euclidean\n"
+    )
+    assert euclid_reads(tmp_path) == {
+        ("m.K.a", "euclid"),
+        ("m.b.c", "from_euclid"),
+        ("m.d", "root_from_vector"),
+        ("m.<module>", "euclid"),
+    }
 
 
 # --------------------------------------------------------- portability

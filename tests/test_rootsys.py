@@ -4,7 +4,9 @@ Independent oracles: BFS word length in the Cayley graph, the subword
 characterization of the Bruhat order, a filter of the full group
 against the corner-count order test, the root-walking definitions of
 lengths, negated and kept roots and right descents (apply w to each
-vector and read its sign), and the Poincare polynomial of C_n.  Counts frozen below came from the
+vector and read its sign), the Poincare polynomial of C_n, the bad-pair
+predicate for the column-pair witness, and brute-force multisets of
+positive roots for root decompositions.  Counts frozen below came from the
 oracle routes.  The bad-pair census, factorizations, root laws and the
 negated-root order are catalog checks run by acceptance criteria 01-03.
 """
@@ -31,7 +33,7 @@ from padicsp.rootsys import (
     simple_roots,
     weyl_below,
 )
-from padicsp.badtriples import bad_triples_for_pair, reflection, root_decompositions
+from padicsp.badtriples import bad_pair_witness, bad_triples_for_pair, reflection, root_decompositions
 
 
 # ---------------------------------------------------------------- oracles
@@ -364,7 +366,7 @@ def test_bruhat_matches_subword_cones_at_rank_4():
 def test_root_decompositions_basics():
     n = 3
     a1, a2, b = simple_roots(n)
-    decs = root_decompositions(n, (1, 1, 0))  # e1 + e2
+    decs = root_decompositions(n, (1, 2, 1))  # e1 + e2
     as_sets = {tuple(sorted(r.coeffs for r in d)) for d in decs}
     assert ((1, 2, 1),) in as_sets  # the root itself
     assert len(decs) >= 3
@@ -375,6 +377,27 @@ def test_root_decompositions_basics():
         assert tuple(total) == (1, 1, 0)
     assert root_decompositions(n, (0, 0, 0)) == []
     assert root_decompositions(n, (-1, 0, 0)) == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_root_decompositions_match_brute_force_multisets(n):
+    """Every multiset of at most five positive roots, bucketed by its
+    coefficient sum, against the DFS on every nonnegative coefficient
+    vector of height <= 5: the same multisets, each once, in the order of
+    their index sequences.  A vector with a negative entry has none."""
+    pos = positive_roots(n)
+    buckets = {}
+    for k in range(1, 6):
+        for combo in itertools.combinations_with_replacement(pos, k):
+            total = tuple(map(sum, zip(*[g.coeffs for g in combo])))
+            if sum(total) <= 5:
+                buckets.setdefault(total, set()).add(combo)
+    for coeffs in itertools.product(range(6), repeat=n):
+        if sum(coeffs) <= 5:
+            got = root_decompositions(n, coeffs)
+            assert len(got) == len(set(got)) and set(got) == buckets.get(coeffs, set()), coeffs
+            assert got == sorted(got, key=lambda d: [pos.index(g) for g in d])
+    assert root_decompositions(n, tuple([2] * (n - 1) + [-1])) == []
 
 
 # ---------------------------------------------------------- list accessors
@@ -465,6 +488,35 @@ def test_bad_triples_for_pair_matches_the_root_walking_filter(n):
     for g1, g2 in itertools.product(roots, repeat=2):
         want = [w for w in below if oracle_sends_negative(w, g1.euclid()) and oracle_sends_negative(w, g2.euclid())]
         assert bad_triples_for_pair(g1, g2) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_bad_pair_witness_matches_the_definition(n):
+    """Over every ordered pair of roots, either sign: a witness (i, j)
+    names a pair that is_bad_pair accepts and that equals (e_i + e_j, 2 e_i)
+    rebuilt by Root.from_euclid; no witness, no bad pair."""
+    roots = positive_roots(n) + [-g for g in positive_roots(n)]
+    for g1, g2 in itertools.product(roots, repeat=2):
+        ij = bad_pair_witness(g1, g2)
+        assert is_bad_pair(g1, g2) == (ij is not None)
+        if ij is not None:
+            i, j = ij
+            assert g1 == Root.from_euclid(n, tuple(int(k in (i - 1, j - 1)) for k in range(n)))
+            assert g2 == Root.from_euclid(n, tuple(2 * (k == i - 1) for k in range(n)))
+
+
+MIXED = (Root.from_euclid(2, (1, 1)), Root.from_euclid(3, (2, 0, 0)))
+
+
+@pytest.mark.parametrize("g1,g2", [MIXED, MIXED[::-1]])
+def test_is_bad_pair_refuses_mixed_ranks(g1, g2):
+    with pytest.raises(RootError, match="mixed ranks"):
+        is_bad_pair(g1, g2)
+
+
+def test_bad_pair_witness_refuses_mixed_ranks():
+    with pytest.raises(RootError, match="mixed ranks"):
+        bad_pair_witness(*MIXED)
 
 
 def test_bad_triples_for_pair_refuses_mixed_ranks():

@@ -202,7 +202,7 @@ PARENT_SURFACE = {
         "ordered_negated_roots": ("rootsys", "(w: 'WeylElem')"),
         "positive_roots": ("rootsys", "(n: 'int')"),
         "reflection": ("badtriples", "(root: 'Root') -> 'WeylElem'"),
-        "root_decompositions": ("badtriples", "(n: 'int', vec)"),
+        "root_decompositions": ("badtriples", "(n: 'int', coeffs)"),
         "root_from_vector": ("rootsys", "(n: 'int', vec)"),
         "simple_roots": ("rootsys", "(n: 'int')"),
         "subword_products": ("rootsys", "(n: 'int', word)"),
