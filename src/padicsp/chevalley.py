@@ -30,8 +30,8 @@ sets a floor under every run's peak):
 - congruence, which never builds a Mat: the root positions, the level
   exponents and level tests, the coordinate bounds, the depth
   characters and the volume ledger, and MatrixError.
-- subgroups, on top of this module: the Levi, radical and SL_2
-  embeddings, the tori, the rotations, the long corner element and the
+- subgroups, on top of this module: the Levi and radical embeddings,
+  the tori, the rotations, the long corner element and the
   peels into root coordinates.
 
 The structural routines verify their own output and raise MatrixError
@@ -69,7 +69,10 @@ class Mat(_Value):
     __slots__ = ("den", "num", "_rows")
 
     def __init__(self, rows):
-        rows = [[_as_fraction(x) for x in row] for row in rows]
+        try:
+            rows = [[_as_fraction(x) for x in row] for row in rows]
+        except TypeError:
+            raise MatrixError(f"rows {rows!r} are not an iterable of rows of entries") from None
         if any(len(row) != len(rows) for row in rows):
             raise MatrixError("rows do not form a square matrix")
         _fill(self, *intmat.integer_rows(rows))
@@ -200,19 +203,19 @@ def root_product(n: int, factors) -> Mat:
 
 def _root_word(den: int, num: tuple, factors) -> Mat:
     """num / den x_{g_1}(r_1) ... x_{g_k}(r_k): intmat.times_roots on the
-    nonzero letters, each root at its positions in _root_positions (a root
-    of another rank raises MatrixError there, and so does an unhashable one
-    here)."""
+    nonzero letters, each root at its positions in _root_positions.  Every
+    letter's root is looked up, a zero letter's too: a root of another
+    rank raises MatrixError there, and so does an unhashable one here."""
     n = len(num) // 2
     positions = _root_positions(n)
     letters = []
     for root, r in factors:
         r = _as_fraction(r)
+        try:
+            pos = positions[root]
+        except TypeError:
+            raise MatrixError(f"root {root!r} is not a root of rank {n}") from None
         if r:
-            try:
-                pos = positions[root]
-            except TypeError:
-                raise MatrixError(f"root {root!r} is not a root of rank {n}") from None
             letters.append((pos, r.numerator, r.denominator))
     return _stored(*intmat.times_roots(den, num, letters))
 

@@ -27,6 +27,7 @@ from fractions import Fraction as Q
 from functools import lru_cache
 
 from .chevalley import Mat, _stored, symplectic_inverse
+from .congruence import MatrixError
 from .padic import (
     Mono,
     PadicError,
@@ -75,10 +76,15 @@ class MetaSL2(_Value):
     __slots__ = ("ctx", "mat", "zeta", "_x")
 
     def __init__(self, ctx: PrimeCtx, rows, zeta=1):
-        if len(rows) != 2 or any(len(row) != 2 for row in rows):
+        # Mat(rows) takes any iterable of rows and refuses anything else
+        try:
+            mat = Mat(rows)
+        except MatrixError:
+            mat = None
+        if mat is None or mat.size != 2:
             raise MetaError("need a 2x2 matrix")
         _as_instance(ctx, PrimeCtx, MetaError, "ctx")
-        _store(self, ctx, Mat(rows), _as_sign(zeta, MetaError, "sheet sign"))
+        _store(self, ctx, mat, _as_sign(zeta, MetaError, "sheet sign"))
 
     # The generators build their integer rows num / den directly, already
     # in lowest terms with den > 0, as Mat(rows) would store them.

@@ -197,9 +197,6 @@ class Mono(_Value):
     def zero(cls) -> "Mono":
         return cls(Q(0))
 
-    def is_zero(self) -> bool:
-        return not self.rat
-
     def is_one(self) -> bool:
         return self.rat == 1 and not self.qexp and not self.turn
 
@@ -370,9 +367,6 @@ class Cyclo:
             (((j if c > 0 else j + 4) * pk + 8 * a) % whole, abs(c)) for (j, a), c in acc.items() if c
         )
         return cls(p, tuple(_mono(Q(c, common), _ZERO, Q(t, whole)) for t, c in turns))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)

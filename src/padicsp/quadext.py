@@ -50,10 +50,6 @@ class QuadExt(_Value):
         _set(self, "_dnum", d.numerator)
         _set(self, "_dden", d.denominator)
 
-    @property
-    def ramified(self) -> bool:
-        return fraction_valuation(self.d, self.ctx.p) % 2 == 1
-
     def elem(self, a, b=0) -> "QuadExtElem":
         return QuadExtElem(self, a, b)
 
@@ -70,10 +66,6 @@ class QuadExt(_Value):
 
     def one(self) -> "QuadExtElem":
         return self.elem(1)
-
-    def gen(self) -> "QuadExtElem":
-        """The formal square root of d."""
-        return self.elem(0, 1)
 
 
 class QuadExtElem:

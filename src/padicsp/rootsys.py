@@ -95,17 +95,6 @@ class Root(_Value):
     def __neg__(self) -> "Root":
         return _root_table(self.n)[tuple([-c for c in self.euclid()])]
 
-    def is_long(self) -> bool:
-        return max(map(abs, self._vec)) == 2
-
-    def in_levi(self) -> bool:
-        """Root space inside the block-diagonal GL_n."""
-        return self.coeffs[-1] == 0
-
-    def in_radical(self) -> bool:
-        """Positive root whose space lies in the abelian radical."""
-        return self.coeffs[-1] == 1
-
     def pairing(self, other: "Root") -> int:
         """<self, other_coroot> = 2 (self, other) / (other, other)."""
         if self.n != other.n:
@@ -139,7 +128,7 @@ def _root_table(n: int) -> _RootTable:
     its coefficients: the prefix sums of the vector, then half its sum.
     Every root the library derives from a root (a negative, a
     reflection, a Weyl image, a sum in subgroups.commutator_coefficients,
-    the simple and the positive roots) is read from here, so there is one
+    the positive roots) is read from here, so there is one
     Root per root and none is validated twice; for a vector from a
     caller, being a key is the validation.  Outside this module only the
     sums of roots and the checks' oracles look a root up by its vector
@@ -155,14 +144,6 @@ def _root_table(n: int) -> _RootTable:
             for si, sj in itertools.product((1, -1), repeat=2):
                 vecs.append(tuple([si if k == i else sj if k == j else 0 for k in range(n)]))
     return _RootTable({vec: Root(n, (*itertools.accumulate(vec[:-1]), sum(vec) // 2)) for vec in vecs})
-
-
-def simple_roots(n: int):
-    """a_1 = e_1 - e_2, ..., a_{n-1} = e_{n-1} - e_n, then the long simple
-    root 2 e_n, from the root table."""
-    table = _root_table(_as_int(n, RootError, "rank", 1))
-    vecs = [tuple([1 if k == i else -1 if k == i + 1 else 0 for k in range(n)]) for i in range(n - 1)]
-    return [table[vec] for vec in vecs] + [table[(0,) * (n - 1) + (2,)]]
 
 
 def positive_roots(n: int):
@@ -250,10 +231,6 @@ class WeylElem(_Value):
 
     def is_identity(self) -> bool:
         return self.imgs == tuple(range(1, self.n + 1))
-
-    def in_levi(self) -> bool:
-        """No sign flips: a word in the short generators only."""
-        return all(v > 0 for v in self.imgs)
 
     def negated_positive_roots(self):
         """Sigma_w^-: positive roots sent negative, by (height, coeffs) (_root_columns)."""

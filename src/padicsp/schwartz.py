@@ -157,10 +157,6 @@ class SchwartzFn(_Value):
         t = Term(Mono(), Q(0), _as_fraction(center), _as_int(rad, SchwartzError, "rad"))
         return cls(ctx, (t,)).canonical()
 
-    @classmethod
-    def from_terms(cls, ctx: PrimeCtx, terms) -> "SchwartzFn":
-        return cls(ctx, tuple(terms)).canonical()
-
     def canonical(self) -> "SchwartzFn":
         """The same function on pairwise disjoint balls, in one fixed form.
 

@@ -2,13 +2,12 @@
 
 The Levi embedding is m(A) = diag(A, J tA^-1 J) and the abelian radical
 is n(X) = [[I, X], [0, I]] with tX = J X J, J the n x n antidiagonal of
-ones; the middle SL_2 sits at lines n, n+1.  Here are those embeddings,
-the torus and its conjugating element at a level, the coordinate
-rotation, the zeta-integral slice and the long corner element, and the
-routines that read a product of root factors back into coordinates:
-peel_unipotent, commutator_coefficients and the Borel part of the cell
-identity.  Every matrix is built through chevalley's Mat, which this
-module imports and which does not import it.
+ones.  Here are those embeddings, the torus and its conjugating element
+at a level, the coordinate rotation, the zeta-integral slice and the
+long corner element, and the routines that read a product of root
+factors back into coordinates: peel_unipotent, commutator_coefficients
+and the Borel part of the cell identity.  Every matrix is built through
+chevalley's Mat, which this module imports and which does not import it.
 
 peel_unipotent and commutator_coefficients check that the peel leaves
 the identity, and cell_identity_borel_part checks that b lies in the
@@ -40,12 +39,12 @@ Q = Fraction
 # ------------------------------------------------------- block builders
 
 def _block(n: int, rows, what: str) -> Mat:
-    """The n x n block of an embedding, through Mat(rows); rows may be any
-    iterable of iterables, as for Mat."""
-    rows = [tuple(row) for row in rows]
-    if len(rows) != n or any(len(row) != n for row in rows):
+    """The n x n block of an embedding: Mat(rows), which takes any
+    iterable of iterables and refuses anything else, then its size."""
+    block = Mat(rows)
+    if block.size != n:
         raise MatrixError(f"{what} block has wrong size")
-    return Mat(rows)
+    return block
 
 
 def levi_embed(n: int, a_rows) -> Mat:
@@ -89,15 +88,6 @@ def first_axis_torus(n: int, a) -> Mat:
 def conjugating_torus(ctx, n: int, m: int) -> Mat:
     p = Q(ctx.p)
     return Mat.diagonal([p**e for e in level_exponents(n, m)])
-
-
-def sl2_embed(n: int, g2) -> Mat:
-    """The middle SL_2 block at lines n, n+1."""
-    rows = [[1 if i == j else 0 for j in range(2 * n)] for i in range(2 * n)]
-    for i in range(2):
-        for j in range(2):
-            rows[n - 1 + i][n - 1 + j] = g2[i][j]
-    return Mat(rows)
 
 
 def rotation_matrix(n: int) -> Mat:

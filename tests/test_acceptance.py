@@ -293,7 +293,7 @@ def _support_is_exactly_the_ball(sec, xval, i):
         b = Q(k) * Q(p) ** low
         val = _eval_fsi_raw(sec, MetaSL2.lower(ctx, -b) * MetaSL2.upper(ctx, xval))
         inside = b == 0 or fraction_valuation(b, p) >= 3 * i
-        if val.is_zero() == inside:
+        if (val.rat == 0) == inside:
             return False
     return True
 

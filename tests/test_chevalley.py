@@ -29,6 +29,7 @@ from fractions import Fraction as Q
 import pytest
 
 import padicsp
+from conftest import in_radical, simple_roots
 from padicsp import chevalley, congruence, intelim, intmat
 from padicsp.harness.matrix_checks import _deep_unipotent, _random_word_matrix
 from padicsp.harness.cell_checks import _admissible_rewrite_case, _cells_below_top
@@ -46,7 +47,6 @@ from padicsp.rootsys import (
     ordered_negated_roots,
     positive_roots,
     root_from_vector,
-    simple_roots,
 )
 from padicsp.chevalley import (
     FactorizationError,
@@ -74,7 +74,6 @@ from padicsp.subgroups import (
     peel_unipotent,
     radical_embed,
     rotation_matrix,
-    sl2_embed,
     top_cell_matrix,
     torus,
 )
@@ -98,6 +97,15 @@ def pair(m):
 
 
 # --------------------------------------------------------------- oracles
+
+def sl2_embed(n: int, g2) -> Mat:
+    """The middle SL_2 block at lines n, n+1."""
+    rows = [[1 if i == j else 0 for j in range(2 * n)] for i in range(2 * n)]
+    for i in range(2):
+        for j in range(2):
+            rows[n - 1 + i][n - 1 + j] = g2[i][j]
+    return Mat(rows)
+
 
 def oracle_matmul(a, b):
     """Plain nested-loop product on tuples, independent of Mat."""
@@ -472,7 +480,6 @@ def test_matrix_constructors_reject_floats():
         lambda: root_elem(2, root, 0.5),
         lambda: mul_root_elem(eye, root, 0.5),
         lambda: root_product(2, [(root, 1), (root, 0.5)]),
-        lambda: sl2_embed(2, ((0.0, 1), (-1, 0))),
         lambda: corner_column_unipotent(3, [0.5], 1),
         lambda: corner_column_unipotent(2, [], 0.25),
         lambda: levi_embed(2, [[1, 0.5], [0, 1]]),
@@ -523,10 +530,18 @@ def test_radical_embed_addition_and_validation():
         radical_embed(2, [[1]])
 
 
-def test_sl2_embed_and_middle_block():
-    g = sl2_embed(3, ((Q(2), Q(1)), (Q(1), Q(1))))
-    assert is_symplectic(g)
-    assert g.rows[2][2] == 2 and g.rows[2][3] == 1 and g.rows[3][2] == 1
+def test_long_simple_root_groups_sit_in_the_middle_block():
+    """x_b(r), x_-b(r) and the long Weyl generator's representative are
+    the SL_2 block at lines n, n+1; a block of determinant 1 there is
+    symplectic and one of determinant 2 is not."""
+    r = Q(2, 3)
+    for n in (1, 2, 3):
+        b = simple_roots(n)[-1]
+        assert root_elem(n, b, r) == sl2_embed(n, ((1, r), (0, 1)))
+        assert root_elem(n, -b, r) == sl2_embed(n, ((1, 0), (r, 1)))
+        assert weyl_rep(WeylElem.simple(n, n)) == sl2_embed(n, ((0, 1), (-1, 0)))
+    assert is_symplectic(sl2_embed(3, ((Q(2), Q(1)), (Q(1), Q(1)))))
+    assert not is_symplectic(sl2_embed(3, ((Q(2), Q(1)), (Q(0), Q(1)))))
 
 
 # ------------------------------------------------------- root subgroups
@@ -648,7 +663,7 @@ def test_root_positions_carry_each_root_between_line_weights(n):
     roots = positive_roots(n) + [-g for g in positive_roots(n)]
     assert set(positions) == set(roots) and len(positions) == 2 * n * n
     for g in roots:
-        assert len(positions[g]) == (1 if g.is_long() else 2)
+        assert len(positions[g]) == (1 if 2 in map(abs, g.euclid()) else 2)
         for row, col, s in positions[g]:
             assert tuple(a - b for a, b in zip(weights[row], weights[col])) == g.euclid()
             assert s in (1, -1)
@@ -929,7 +944,7 @@ def test_commutator_frozen_values_rank2():
 @pytest.mark.parametrize("n", [2, 3])
 def test_radical_roots_commute(n):
     rng = random.Random(80 + n)
-    radical = [g for g in positive_roots(n) if g.in_radical()]
+    radical = [g for g in positive_roots(n) if in_radical(g)]
     for g1 in radical:
         for g2 in radical:
             if g1 == g2:
@@ -1061,6 +1076,16 @@ def test_volume_exponent_closed_forms():
         volume_exponent("U", 2, -1)
     with pytest.raises(MatrixError):
         volume_exponent("banana", 2, 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_volume_exponent_d_is_the_radicals_first_row(n):
+    """D sums over the radical roots (the coefficient predicate) that
+    carry e_1: 2 e_1 and e_1 + e_k, n roots."""
+    row = [g for g in positive_roots(n) if in_radical(g) and g.euclid()[0] > 0]
+    assert len(row) == n
+    for m in range(4):
+        assert volume_exponent("D", n, m) == m * sum(2 * g.height - 1 for g in row)
 
 
 # -------------------------------------------------------- cell rewriting

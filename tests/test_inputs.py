@@ -15,7 +15,7 @@ Left out on purpose: Cyclo.of, Term and the raw SchwartzFn(ctx, terms)
 are hot constructors that the library feeds its own normalised values,
 so they check nothing (SchwartzFn(ctx, terms) alone runs 9,758 times in
 one weil-words run of bench/run.py at seed 1).  SchwartzFn enters the
-table through indicator; zero and from_terms build the raw form.  PAdic
+table through indicator; zero builds the raw form.  PAdic
 is the valuation readers' tag, built by PrimeCtx.of, which coerces.  A
 lint in test_lints holds every public class of the Schwartz, cover,
 scalar, configuration, root and matrix modules (TABLE_MODULES) either in
@@ -23,9 +23,10 @@ the table or in TRUSTED_CLASSES.  The root and matrix modules' public
 classes are Root, WeylElem and Mat, and each has rows below.
 
 The matrix and root layers are in the table only where an argument is
-cheap to check: Mat.identity's size, the entries of Mat(rows) and
-Mat.diagonal, the root of a root word (root_product, root_elem and
-mul_root_elem), WeylElem.simple's rank and index, level_exponents' n and
+cheap to check: Mat.identity's size, the rows of Mat(rows) and of the
+Levi and radical blocks, the entries of Mat(rows) and Mat.diagonal, the
+root of a root word (root_product, root_elem and mul_root_elem, with a
+coefficient of 1 or 0), WeylElem.simple's rank and index, level_exponents' n and
 m, the levels of the coordinate bounds and volume_exponent's rank and
 level, the ranks of highest_root_reflection, coordinate_rotation,
 full_weyl_group and bad_pairs, and the ranks and entries of Root,
@@ -71,6 +72,7 @@ from padicsp.rootsys import (
     full_weyl_group,
     highest_root_reflection,
 )
+from padicsp.subgroups import levi_embed, radical_embed
 from padicsp.schwartz import (
     SchwartzError,
     SchwartzFn,
@@ -123,6 +125,9 @@ WORD_ITEMS = (
 G2 = Root(2, (1, 0))
 # Not a root of rank 2: unhashable, a coefficient tuple, another rank's root.
 NOT_ROOTS = ([1, 0], {1: 0}, set(), (1, 0), Root(3, (1, 0, 0)), "x", None, 1.0)
+# Not the rows of a square matrix: no iterable, an iterable of non-iterables, ragged.
+NOT_ROWS = (None, 5, True, 1.0, [5], [None, None], [[1, 0]], ((1, 0), (0,)))
+EYE3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def entry(target, slot, call, good, wrong, error, match):
@@ -150,6 +155,8 @@ INPUT_TABLE = [
     entry("metaplectic.MetaSL2", "ctx", lambda x: MetaSL2(x, ONE), C5, OBJECTS, MetaError, "^ctx "),
     entry("metaplectic.MetaSL2", "rows", lambda x: MetaSL2(C5, ((1, x), (0, 1))), 1, RATIONALS,
           PadicError, EXACT),
+    entry("metaplectic.MetaSL2", "rows shape", lambda x: MetaSL2(C5, x), ONE, NOT_ROWS + (EYE3, ((1,),)),
+          MetaError, "^need a 2x2 matrix"),
     entry("metaplectic.MetaSL2", "zeta", lambda x: MetaSL2(C5, ONE, x), -1, SIGNS, MetaError, "^sheet sign "),
     entry("metaplectic.MetaSL2.identity", "ctx", lambda x: MetaSL2.identity(x), C5, OBJECTS, MetaError, "^ctx "),
     entry("metaplectic.MetaSL2.identity", "zeta", lambda x: MetaSL2.identity(C5, x), -1, SIGNS,
@@ -237,6 +244,7 @@ INPUT_TABLE = [
     entry("words.HeisenbergElem", "z", lambda x: HeisenbergElem(0, 0, x), 1, RATIONALS, PadicError, EXACT),
     # chevalley, congruence and rootsys
     entry("chevalley.Mat", "rows", lambda x: Mat([[x, 0], [0, 1]]), Q(1, 3), RATIONALS, PadicError, EXACT),
+    entry("chevalley.Mat", "rows shape", lambda x: Mat(x), ONE, NOT_ROWS, MatrixError, "^rows "),
     entry("chevalley.Mat.diagonal", "entries", lambda x: Mat.diagonal([x, 1]), Q(1, 3), RATIONALS,
           PadicError, EXACT),
     entry("chevalley.Mat.identity", "size", lambda x: Mat.identity(x), 4, NONNEGATIVE, MatrixError, "^size "),
@@ -246,6 +254,16 @@ INPUT_TABLE = [
           "^root .* is not a root of rank 2"),
     entry("chevalley.mul_root_elem", "root", lambda x: mul_root_elem(Mat.identity(4), x, 1), G2, NOT_ROOTS,
           MatrixError, "^root .* is not a root of rank 2"),
+    entry("chevalley.root_product", "root at 0", lambda x: root_product(2, [(x, 0)]), G2, NOT_ROOTS, MatrixError,
+          "^root .* is not a root of rank 2"),
+    entry("chevalley.root_elem", "root at 0", lambda x: root_elem(2, x, 0), G2, NOT_ROOTS, MatrixError,
+          "^root .* is not a root of rank 2"),
+    entry("chevalley.mul_root_elem", "root at 0", lambda x: mul_root_elem(Mat.identity(4), x, 0), G2, NOT_ROOTS,
+          MatrixError, "^root .* is not a root of rank 2"),
+    entry("subgroups.levi_embed", "a_rows", lambda x: levi_embed(2, x), ONE, NOT_ROWS + (EYE3,), MatrixError,
+          "^(rows|Levi block) "),
+    entry("subgroups.radical_embed", "x_rows", lambda x: radical_embed(2, x), ONE, NOT_ROWS + (EYE3,),
+          MatrixError, "^(rows|radical block) "),
     entry("rootsys.Root", "n", lambda x: Root(x, (1, 0)), 2, POSITIVE, RootError, "^rank "),
     entry("rootsys.Root", "coeffs", lambda x: Root(2, (x, 0)), 1, INTS, RootError, "^root coefficient "),
     entry("rootsys.Root.from_euclid", "n", lambda x: Root.from_euclid(x, (1, 1)), 2, POSITIVE, RootError, "^rank "),

@@ -1,4 +1,4 @@
-"""Source lints: seventeen rules the code must keep, read off its syntax.
+"""Source lints: eighteen rules the code must keep, read off its syntax.
 
 - the library never touches cmath, complex or float(): every value it
   computes is exact (Fraction, Mono, Cyclo), and the complex embedding
@@ -22,6 +22,9 @@
 - no module has more than 3,000 AST nodes;
 - every check function of the harness is the fn of exactly one catalog
   entry, and every entry's fn is one of them;
+- every function and method of the package is called from elsewhere in
+  it, or is public API that README documents or the benchmark traces,
+  listed with its reason (PUBLIC_UNCALLED);
 - only the value base and four named classes define __eq__ or __hash__;
 - only padic's input helpers test a number's type or a sign's value, only
   PrimeCtx tests primality, and int(...) only parses text;
@@ -36,6 +39,7 @@ package is parsed once per session (src_trees) and every lint reads
 those trees; a self-test parses its own tree.
 """
 import ast
+import collections
 import functools
 from pathlib import Path
 
@@ -857,6 +861,101 @@ def test_catalog_lint_sees_unlisted_repeated_and_foreign_checks(tmp_path):
         "harness.b.check_z": 1,
         "lib.check_w": 1,
         "harness.a.helper.<locals>.check_inner": 1,
+    }
+
+
+# ---------------------------------------------------------- uncalled code
+
+# A function that nothing in the package calls serves only its tests.
+# The exceptions are public API that README documents for a user of the
+# workbench or that the benchmark traces, each with its reason; dunder
+# methods, the catalog's check functions and the CLI's main are exempt.
+PUBLIC_UNCALLED = {
+    "chevalley.Mat.transpose": "README: products and transposes work on the integer rows",
+    "chevalley.mul_root_elem": "bench/run.py traces it as the span chevalley.mul_root_elem",
+    "schwartz.SchwartzFn.value_at": "README: value_at and integral return a Cyclo",
+    "schwartz.SchwartzFn.integral": "README: value_at and integral return a Cyclo",
+    "subgroups.peel_unipotent": "README: peel_unipotent peels a unipotent into root coordinates in row form",
+}
+
+
+def _names_read(node):
+    """Each name that node reads, with repeats: a bare name, an attribute,
+    and the last part of an imported name (an import or a re-export)."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name.rpartition(".")[2]
+
+
+def _top_functions(tree):
+    """(name, node) for each module-level function and each method of a
+    module-level class, the method as Class.method."""
+    for stmt in tree.body:
+        if isinstance(stmt, _FUNCTIONS):
+            yield stmt.name, stmt
+        elif isinstance(stmt, ast.ClassDef):
+            yield from ((f"{stmt.name}.{sub.name}", sub) for sub in stmt.body if isinstance(sub, _FUNCTIONS))
+
+
+def uncalled_functions(root=SRC, public=PUBLIC_UNCALLED):
+    """The module-level functions and methods under root, module-qualified,
+    whose name nothing outside their own body reads, less the exempt ones
+    and those in public."""
+    trees = modules(root)
+    reads = collections.Counter(name for _, tree in trees for name in _names_read(tree))
+    exempt = harness_checks(root) | set(public)
+    found = set()
+    for module, tree in trees:
+        for name, fn in _top_functions(tree):
+            dunder = fn.name.startswith("__") and fn.name.endswith("__")
+            qualified = f"{module}.{name}"
+            if dunder or fn.name == "main" or qualified in exempt:
+                continue
+            if reads[fn.name] == sum(1 for read in _names_read(fn) if read == fn.name):
+                found.add(qualified)
+    return found
+
+
+def test_every_library_function_is_called_or_public():
+    assert uncalled_functions() == set()
+
+
+def test_every_public_uncalled_entry_is_uncalled_and_cites_its_reader():
+    repo = TESTS.parent
+    readme = (repo / "README.md").read_text(encoding="utf-8")
+    traced = (repo / "bench" / "run.py").read_text(encoding="utf-8")
+    assert uncalled_functions(public={}) == set(PUBLIC_UNCALLED)
+    for qualified, why in PUBLIC_UNCALLED.items():
+        short = qualified.rpartition(".")[2]
+        assert why.startswith("README: ") and short in readme or why.startswith("bench/") and qualified in traced
+    assert [q for q, why in PUBLIC_UNCALLED.items() if "bench/" in why] == ["chevalley.mul_root_elem"]
+
+
+def test_uncalled_lint_sees_functions_and_methods(tmp_path):
+    (tmp_path / "harness").mkdir()
+    (tmp_path / "m.py").write_text(
+        "from .n import used_elsewhere\n"
+        "def lonely():\n    return lonely()\n"
+        "def called():\n    return 1\n"
+        "def kept():\n    return 2\n"
+        "class K:\n    def __eq__(self, other):\n        return called()\n"
+        "    def idle(self):\n        return self.idle\n"
+        "    def read(self):\n        return 3\n"
+        "    @property\n    def prop(self):\n        return K.read\n"
+        "def outer():\n    def inner():\n        return 4\n    return used_elsewhere\n"
+        "def main():\n    return 0\n"
+    )
+    (tmp_path / "n.py").write_text("def used_elsewhere():\n    return 5\nclass L:\n    def lone(self):\n        return 6\n")
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "__init__.py").write_text("from .o import exported\n__all__ = ['exported']\n")
+    (tmp_path / "pkg" / "o.py").write_text("def exported():\n    return 7\n")
+    (tmp_path / "harness" / "c.py").write_text("def check_x(cfg, rng):\n    return 0, {}\n")
+    assert uncalled_functions(tmp_path, {"m.kept": "README: kept"}) == {
+        "m.lonely", "m.K.idle", "m.K.prop", "m.outer", "n.L.lone",
     }
 
 

@@ -337,7 +337,7 @@ def test_mono_normal_form_and_algebra():
     c = Mono(Q(-3, 2), Q(1, 2), Q(1, 8))
     assert (c.rat, c.qexp, c.turn) == (Q(3, 2), Q(1, 2), Q(5, 8))
     assert abs(embed(c, 3) - (-1.5) * 3 ** 0.5 * cmath.exp(2j * cmath.pi / 8)) < 1e-12
-    assert Mono(Q(0), 5, Q(1, 3)) == Mono.zero() and Mono.zero().is_zero()
+    assert Mono(Q(0), 5, Q(1, 3)) == Mono.zero() and Mono.zero().rat == 0
     assert c * c.inverse() == Mono.one() and (c * c.inverse()).is_one()
     assert c * c.conjugate() == Mono(Q(9, 4), 1)
     assert Mono(-1) * Mono(-1) == Mono.one()
@@ -390,8 +390,8 @@ def test_scalar_kernels_keep_the_exact_laws(p):
         ab = a * b
         assert ab == b * a and ab * c == a * (b * c)
         assert ab == Mono(ab.rat, ab.qexp, ab.turn) and all(type(f) is Q for f in (ab.rat, ab.qexp, ab.turn))
-        assert ab.is_zero() == (a.is_zero() or b.is_zero())
-        if not a.is_zero():
+        assert (ab.rat == 0) == (a.rat == 0 or b.rat == 0)
+        if a.rat:
             inv = a.inverse()
             assert (a * inv).is_one() and inv == Mono(1 / a.rat, -a.qexp, -a.turn)
 
@@ -415,13 +415,13 @@ def test_cyclo_gauss_sum_and_cyclotomic_relations_are_zero(p):
     # sum_a (a|p) zeta_p^a = eps sqrt(p), eps = 1 or i as p = 1 or 3 mod 4
     eps = Mono() if p % 4 == 1 else mu8(2)
     gauss = [Mono(legendre(a, p), 0, Q(a, p)) for a in range(1, p)]
-    assert Cyclo.of(p, gauss + [Mono(-1, Q(1, 2)) * eps]).is_zero()
+    assert Cyclo.of(p, gauss + [Mono(-1, Q(1, 2)) * eps]) == 0
     # a whole p-th roots orbit through zeta_(p^2) sums to zero
     orbit = [Mono(1, 0, Q(a, p) + Q(1, p * p)) for a in range(p)]
-    assert Cyclo.of(p, orbit).is_zero()
+    assert Cyclo.of(p, orbit) == 0
     # sqrt(p)^2 = p, and a lone root of unity is not zero
-    assert Cyclo.of(p, [Mono(1, 1), Mono(-p)]).is_zero()
-    assert not Cyclo.of(p, [Mono(1, Q(1, 2), Q(3, p * p))]).is_zero()
+    assert Cyclo.of(p, [Mono(1, 1), Mono(-p)]) == 0
+    assert Cyclo.of(p, [Mono(1, Q(1, 2), Q(3, p * p))]) != 0
     # the form does not depend on the level the turns were written at
     assert Cyclo.of(p, [Mono(turn=Q(p - 1, p))]) == Cyclo.of(p, [Mono(turn=Q(p * (p - 1), p * p))])
 
@@ -460,9 +460,9 @@ def test_cyclo_zero_verdicts_match_the_complex_embedding():
         monos = _random_cyclo_sum(rng, p)
         exact = Cyclo.of(p, monos)
         approx = sum((embed(m, p) for m in monos), 0j)
-        assert exact.is_zero() == (abs(approx) < 1e-9), (p, monos)
+        assert (exact == 0) == (abs(approx) < 1e-9), (p, monos)
         assert abs(embed(exact) - approx) < 1e-9
-        zeros += exact.is_zero()
+        zeros += not exact
     assert 400 < zeros < 2000  # both verdicts are well represented
 
 
@@ -666,8 +666,6 @@ def test_quadext_rejects_squares():
         QuadExt(C3, Q(4))
     with pytest.raises(PadicError):
         QuadExt(C7, Q(2))  # 2 = 3^2 mod 7
-    assert QuadExt(C3, Q(3)).ramified
-    assert not QuadExt(C3, Q(2)).ramified
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -714,7 +712,7 @@ def test_quadext_takes_exact_rationals_only():
 def test_chart_is_the_cayley_point_of_the_norm_conic():
     """chart(s) = (1 + s sqrt(d)) / (1 - s sqrt(d)), of norm 1, for s across valuations."""
     for E in EXTS:
-        root = E.gen()
+        root = E.elem(0, 1)
         for s in (Q(0), Q(1), Q(-2, 5), Q(E.ctx.p), Q(7, E.ctx.p**2)):
             point = E.chart(s)
             assert point == (1 + s * root) / (1 - s * root)
@@ -743,7 +741,8 @@ def test_quadext_elem_hashes_as_the_rational_it_equals():
         assert {x: "v"}[y] == "v" and {y: "v"}[Q(x)] == "v"
     half = E.elem(Q(1, 2), 1)
     assert half * half.conjugate() == Q(1, 4) - 2 and hash(half * half.conjugate()) == hash(Q(-7, 4))
-    assert E.gen() != 0 and len({E.gen(), E.elem(0, 1), 0}) == 2
+    root = E.elem(0, 1)
+    assert root != 0 and len({root, E.elem(0, Q(1)), 0}) == 2
 
 
 # unramified and ramified d, with and without a denominator

@@ -5,8 +5,10 @@ characterization of the Bruhat order, a filter of the full group
 against the corner-count order test, the root-walking definitions of
 lengths, negated and kept roots and right descents (apply w to each
 vector and read its sign), the Poincare polynomial of C_n, the bad-pair
-predicate for the column-pair witness, and brute-force multisets of
-positive roots for root decompositions.  Counts frozen below came from the
+predicate for the column-pair witness, brute-force multisets of
+positive roots for root decompositions, and the coefficient predicates
+of conftest for the Levi and the radical, against the column pairs and
+the line maps.  Counts frozen below came from the
 oracle routes.  The bad-pair census, factorizations, root laws and the
 negated-root order are catalog checks run by acceptance criteria 01-03.
 """
@@ -18,11 +20,13 @@ from collections import deque
 
 import pytest
 
+from conftest import in_levi, in_radical, simple_roots
 from padicsp.harness.root_checks import _radical_root as radical_root
 from padicsp.rootsys import (
     Root,
     RootError,
     WeylElem,
+    _root_columns,
     bad_pairs,
     bruhat_leq,
     coordinate_rotation,
@@ -30,7 +34,6 @@ from padicsp.rootsys import (
     highest_root_reflection,
     is_bad_pair,
     positive_roots,
-    simple_roots,
     weyl_below,
 )
 from padicsp.badtriples import bad_pair_witness, bad_triples_for_pair, reflection, root_decompositions
@@ -66,13 +69,20 @@ def oracle_bruhat_subword(w1: WeylElem, w2: WeylElem) -> bool:
     return False
 
 
+def flips_no_sign(w: WeylElem) -> bool:
+    """A Weyl element of the block-diagonal Levi: a word in the short
+    generators only, so no image is negative."""
+    return all(v > 0 for v in w.imgs)
+
+
 # ------------------------------------------------------------------ roots
 
 def test_simple_roots_and_euclid():
     rs = simple_roots(3)
-    assert [r.euclid() for r in rs] == [(1, -1, 0), (0, 1, -1), (0, 0, 2)]
-    assert all(r.height == 1 for r in rs)
-    assert rs[2].is_long() and not rs[0].is_long()
+    vecs = [(1, -1, 0), (0, 1, -1), (0, 0, 2)]
+    assert [Root.from_euclid(3, vec) for vec in vecs] == rs
+    assert [r.euclid() for r in rs] == vecs
+    assert set(rs) == {r for r in positive_roots(3) if r.height == 1}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -95,8 +105,8 @@ def test_euclid_round_trip():
 def test_levi_vs_radical_split():
     for n in (2, 3, 4):
         pos = positive_roots(n)
-        levi = [r for r in pos if r.in_levi()]
-        rad = [r for r in pos if r.in_radical()]
+        levi = [r for r in pos if in_levi(r)]
+        rad = [r for r in pos if in_radical(r)]
         assert len(levi) == n * (n - 1) // 2
         assert len(rad) == n * (n + 1) // 2
         assert set(levi + rad) == set(pos)
@@ -230,18 +240,34 @@ def test_coordinate_rotation():
     w = coordinate_rotation(n)
     assert w.apply_euclid((1, 0, 0, 0)) == (0, 1, 0, 0)
     assert w.apply_euclid((0, 0, 0, 1)) == (1, 0, 0, 0)
-    assert w.in_levi()
+    assert flips_no_sign(w)
 
 
 def test_levi_elements_preserve_radical_roots():
     # sign-flip-free Weyl elements keep radical roots in the radical
     for n in (2, 3, 4):
-        levis = [w for w in full_weyl_group(n) if w.in_levi()]
-        rad = [g for g in positive_roots(n) if g.in_radical()]
+        levis = [w for w in full_weyl_group(n) if flips_no_sign(w)]
+        rad = [g for g in positive_roots(n) if in_radical(g)]
         for w in levis:
             for g in rad:
                 img = w.apply(g)
-                assert img.is_positive() and img.in_radical()
+                assert img.is_positive() and in_radical(img)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_levi_and_radical_are_read_off_column_pairs_and_line_maps(n):
+    """A positive root with column pair (a, b) lies in the Levi exactly
+    when b < n and in the radical exactly when a < n <= b; a Weyl element
+    flips no sign exactly when its line map keeps the top n lines, and
+    then it permutes the Levi roots of both signs."""
+    for g in positive_roots(n):
+        a, b = _root_columns(g)
+        assert (in_levi(g), in_radical(g)) == (b < n, a < n <= b)
+    levi = {h for g in positive_roots(n) if in_levi(g) for h in (g, -g)}
+    for w in full_weyl_group(n):
+        assert flips_no_sign(w) == (max(w._lines[:n]) < n)
+        if flips_no_sign(w):
+            assert {w.apply(g) for g in levi} == levi
 
 
 def test_skew_diagonal_chain_action():

@@ -58,6 +58,11 @@ C5 = PrimeCtx(5)
 
 # ------------------------------------------------------------- oracles
 
+def from_terms(ctx: PrimeCtx, terms) -> SchwartzFn:
+    """The canonical function of a term list."""
+    return SchwartzFn(ctx, tuple(terms)).canonical()
+
+
 def e_frac(turn):
     return cmath.exp(2j * cmath.pi * float(turn))
 
@@ -227,7 +232,7 @@ def test_coeff_sign_and_mu8():
 
 def test_zero_coeff_normalizes():
     assert Mono(Q(0), 5, Q(1, 3)) == Mono.zero()
-    assert Mono.zero().is_zero()
+    assert Mono.zero().rat == 0
 
 
 def test_trusted_monos_keep_the_normal_form(monkeypatch):
@@ -297,7 +302,7 @@ def test_canonical_balls_pairwise_disjoint_seeded():
             terms.append(
                 Term(Mono(Q(rng.randint(1, 4))), Q(rng.randint(-2, 2)), c, rng.randint(-2, 2))
             )
-        f = SchwartzFn.from_terms(C3, terms)
+        f = from_terms(C3, terms)
         balls = sorted({(t.center, t.rad) for t in f.terms}, key=lambda b: b[1])
         for i, (c1, r1) in enumerate(balls):
             for c2, r2 in balls[i + 1:]:
@@ -325,8 +330,8 @@ def test_sibling_cosets_merge_to_parent():
     # three children of P^1 glue into it; nine grandchildren of O glue twice
     children = [Term(Mono.one(), Q(0), k * Q(3), 2) for k in range(3)]
     grandchildren = [Term(Mono.one(), Q(0), Q(k), 2) for k in range(9)]
-    assert SchwartzFn.from_terms(C3, children) == SchwartzFn.indicator(C3, 0, 1)
-    assert SchwartzFn.from_terms(C3, grandchildren) == SchwartzFn.indicator(C3, 0, 0)
+    assert from_terms(C3, children) == SchwartzFn.indicator(C3, 0, 1)
+    assert from_terms(C3, grandchildren) == SchwartzFn.indicator(C3, 0, 0)
 
 
 def test_full_residue_split_merges_even_with_frequency():
@@ -334,7 +339,7 @@ def test_full_residue_split_merges_even_with_frequency():
     kids = []
     for k in range(3):
         kids.append(Term(Mono.one(), Q(1, 9), Q(k), 1))
-    f = SchwartzFn.from_terms(C3, kids)
+    f = from_terms(C3, kids)
     assert len(f.terms) == 1
     t = f.terms[0]
     assert (t.center, t.rad, t.freq) == (Q(0), 0, Q(1, 9))
@@ -362,10 +367,10 @@ def test_refinement_budget_guard_on_the_canonical_path(monkeypatch):
     # sweep holds has 11 terms (2 pieces per radius, plus the merged P^5)
     nested = [Term(Mono.one(), Q(0), Q(0), 0), Term(Mono.one(), Q(0), Q(0), 5)]
     monkeypatch.setattr(schwartz, "_REFINE_CAP", 11)
-    assert len(SchwartzFn.from_terms(C3, nested).terms) == 11
+    assert len(from_terms(C3, nested).terms) == 11
     monkeypatch.setattr(schwartz, "_REFINE_CAP", 10)
     with pytest.raises(SchwartzError, match="term budget"):
-        SchwartzFn.from_terms(C3, nested)
+        from_terms(C3, nested)
 
 
 def test_gauss_integral_matches_residue_enumeration():
@@ -384,7 +389,7 @@ def test_gauss_integral_matches_residue_enumeration():
                     got = chirp._gauss_integral(a, b, r, ctx)
                     assert Cyclo.of(p, [got]) == oracle_gauss_integral(p, a, b, r), (p, a, b, r)
                     vanishes = b != 0 and fraction_valuation(b, p) < edge
-                    assert got.is_zero() == vanishes
+                    assert (got.rat == 0) == vanishes
                     if not vanishes:
                         # magnitude q^-r q^(j/2), phase psi(-b^2/4a) times an eighth root
                         assert got.rat == 1 and got.qexp == -r + Q(j, 2)
@@ -496,8 +501,8 @@ def test_chirp_relation_is_zero_by_mass_and_witnessed_when_broken():
     for p in (3, 5, 7):
         ctx = PrimeCtx(p)
         for u in (1, p - 1):
-            chirp = SchwartzFn.from_terms(ctx, [Term(Mono.one(), Q(0), Q(0), 0, Q(u, p))])
-            expansion = SchwartzFn.from_terms(ctx, [
+            chirp = from_terms(ctx, [Term(Mono.one(), Q(0), Q(0), 0, Q(u, p))])
+            expansion = from_terms(ctx, [
                 Term(Mono(Q(1, p), 0, Q(u * k * k - b * k, p)), Q(b, p), Q(0), 0)
                 for b in range(p) for k in range(p)
             ])
@@ -505,12 +510,12 @@ def test_chirp_relation_is_zero_by_mass_and_witnessed_when_broken():
             assert len(diff.terms) > 1 and diff._residual_balls() == []
             assert chirp.equals(expansion) and diff.norm_sq() == 0
             assert chirp.difference_witness(expansion) is None
-            broken = expansion.plus(SchwartzFn.from_terms(ctx, [Term(Mono(Q(1, p)), Q(1, p), Q(0), 0)]))
+            broken = expansion.plus(from_terms(ctx, [Term(Mono(Q(1, p)), Q(1, p), Q(0), 0)]))
             assert not chirp.equals(broken)
             x = chirp.difference_witness(broken)
             assert chirp.value_at(x) != broken.value_at(x)
     # a chirp against its own square-phase-free neighbour, deep in a ball
-    f = SchwartzFn.from_terms(C3, [Term(Mono.one(), Q(0), Q(0), -2, Q(1, 3) ** 9)])
+    f = from_terms(C3, [Term(Mono.one(), Q(0), Q(0), -2, Q(1, 3) ** 9)])
     g = SchwartzFn.indicator(C3, 0, -2)
     x = f.difference_witness(g)
     assert f.value_at(x) != g.value_at(x)
@@ -596,8 +601,8 @@ def test_canonical_matches_fixed_point_oracle_on_nested_balls():
         cases += [(PrimeCtx(p), tuple(_nested_ball_terms(rng, p))) for _ in range(count)]
     cut = _assert_canonical_form(cases, 22)
     assert cut > len(cases) // 2, (cut, len(cases))
-    assert SchwartzFn.from_terms(C3, cases[0][1]).terms[0].coeff == Mono(1, 1)
-    whole, cut_up = SchwartzFn.from_terms(C3, chirp), SchwartzFn.from_terms(C3, pieces)
+    assert from_terms(C3, cases[0][1]).terms[0].coeff == Mono(1, 1)
+    whole, cut_up = from_terms(C3, chirp), from_terms(C3, pieces)
     assert whole != cut_up and whole.equals(cut_up)
 
 
@@ -642,7 +647,7 @@ def test_canonical_form_on_short_term_lists(p):
         rad = rng.randint(-2, 3)
         center = Q(rng.randint(-p**3, p**3), rng.choice([1, p, p * p]))
         t = _term_with_tails(rng, p, center, rad)
-        (reduced,) = SchwartzFn.from_terms(ctx, [t]).terms
+        (reduced,) = from_terms(ctx, [t]).terms
         assert chirp._normalize_term(reduced, p) is reduced
         assert SchwartzFn(ctx, (reduced,)).canonical().terms == (reduced,)
         # the one-term shortcut agrees with the slot path, which a zero term forces
@@ -736,7 +741,7 @@ def test_fourier_twisted_kernel_against_sum():
 
 
 def test_plancherel_exact_on_monomial_slots():
-    f = SchwartzFn.from_terms(
+    f = from_terms(
         C3,
         [
             Term(Mono(Q(2)), Q(0), Q(0), 1),
@@ -755,12 +760,12 @@ def test_plancherel_seeded():
         for _ in range(rng.randint(1, 4)):
             co = Mono(Q(rng.randint(1, 5), rng.randint(1, 3)), Q(rng.randint(-1, 1), 2), Q(rng.randint(0, 7), 8))
             terms.append(Term(co, Q(rng.randint(-2, 2)), Q(rng.randint(-5, 5), 3), rng.randint(-1, 2)))
-        f = SchwartzFn.from_terms(C3, terms)
+        f = from_terms(C3, terms)
         assert fourier(f).norm_sq() == f.norm_sq()
 
 
 def test_integral_is_value_of_transform_at_zero():
-    f = SchwartzFn.from_terms(
+    f = from_terms(
         C3, [Term(Mono(Q(2)), Q(1, 3), Q(1), 1), Term(Mono.one(), Q(0), Q(9), 3)]
     )
     assert abs(embed(f.integral()) - oracle_fourier(f, Q(0))) < 1e-9
@@ -882,8 +887,8 @@ def test_generators_on_chirps_match_pointwise_formulas_seeded():
     rng = random.Random(27)
     for p, ctx in ((3, C3), (5, C5)):
         phis = [
-            SchwartzFn.from_terms(ctx, [Term(Mono.one(), Q(1, p), Q(0), 0, Q(1, p))]),
-            SchwartzFn.from_terms(ctx, [
+            from_terms(ctx, [Term(Mono.one(), Q(1, p), Q(0), 0, Q(1, p))]),
+            from_terms(ctx, [
                 Term(Mono(2, 0, Q(1, 8)), Q(0), Q(1), 1, Q(2, p**3)),
                 Term(Mono.one(), Q(1), Q(1), 1, Q(-1, p**4)),
             ]),
@@ -1049,14 +1054,14 @@ def test_rep_identity_witness_none_on_success():
 def test_norm_sq_is_exact_and_not_always_rational():
     # |1 + zeta_8|^2 = 2 + zeta_8 + zeta_8^-1 = 2 + sqrt 2 on the unit ball
     zeta8 = Mono(turn=Q(1, 8))
-    f = SchwartzFn.from_terms(C3, [Term(Mono.one(), Q(0), Q(0), 0), Term(zeta8, Q(0), Q(0), 0)])
+    f = from_terms(C3, [Term(Mono.one(), Q(0), Q(0), 0), Term(zeta8, Q(0), Q(0), 0)])
     mass = f.norm_sq()
     assert mass == Cyclo.of(3, [Mono(2), zeta8, zeta8.conjugate()])
     assert mass.rational() is None
     assert abs(embed(mass) - (2 + 2 ** 0.5)) < 1e-12
     assert fourier(f).norm_sq() == mass
     # a Gauss-sum slot is rational again: |sum_a (a|5) zeta_5^a|^2 = 5
-    gauss = SchwartzFn.from_terms(C5, [
+    gauss = from_terms(C5, [
         Term(Mono(1 if a in (1, 4) else -1, 0, Q(a, 5)), Q(0), Q(0), 0) for a in range(1, 5)
     ])
     assert gauss.norm_sq() == 5 and isinstance(gauss.norm_sq(), Q)
@@ -1072,7 +1077,7 @@ def test_difference_witness_finds_a_point():
 
 
 def test_difference_witness_distinguishes_frequencies():
-    f = SchwartzFn.from_terms(C3, [Term(Mono.one(), Q(1, 3), Q(0), 0)])
+    f = from_terms(C3, [Term(Mono.one(), Q(1, 3), Q(0), 0)])
     g = SchwartzFn.indicator(C3)
     x = f.difference_witness(g)
     assert x is not None

@@ -80,8 +80,10 @@ SPLITS = {
 }
 
 # Every public class and function of those modules before the split, with
-# the public methods of its classes and __mul__: {name: (home now,
-# inspect.signature before the split, None for an exception)}.
+# the public methods of its classes and __mul__, less those the package
+# has since dropped because nothing in it called them (test_lints,
+# uncalled_functions): {name: (home now, inspect.signature before the
+# split, None for an exception)}.
 PARENT_SURFACE = {
     "chevalley": {
         "FactorizationError": ("chevalley", None),
@@ -120,7 +122,6 @@ PARENT_SURFACE = {
         "rotate_conjugate": ("subgroups", "(g: 'Mat') -> 'Mat'"),
         "rotation_matrix": ("subgroups", "(n: 'int') -> 'Mat'"),
         "skew_level_character": ("congruence", "(ctx, h: 'Mat', m: 'int') -> 'Mono'"),
-        "sl2_embed": ("subgroups", "(n: 'int', g2) -> 'Mat'"),
         "symplectic_inverse": ("chevalley", "(g: 'Mat') -> 'Mat'"),
         "top_cell_matrix": ("subgroups", "(n: 'int') -> 'Mat'"),
         "torus": ("subgroups", "(entries) -> 'Mat'"),
@@ -139,7 +140,6 @@ PARENT_SURFACE = {
         "SchwartzFn.canonical": ("schwartz", "(self) -> \"'SchwartzFn'\""),
         "SchwartzFn.difference_witness": ("schwartz", "(self, other: \"'SchwartzFn'\") -> 'Q | None'"),
         "SchwartzFn.equals": ("schwartz", "(self, other: \"'SchwartzFn'\") -> 'bool'"),
-        "SchwartzFn.from_terms": ("schwartz", "(ctx: 'PrimeCtx', terms) -> \"'SchwartzFn'\""),
         "SchwartzFn.indicator": ("schwartz", "(ctx: 'PrimeCtx', center=0, rad: 'int' = 0) -> \"'SchwartzFn'\""),
         "SchwartzFn.integral": ("schwartz", "(self) -> 'Cyclo'"),
         "SchwartzFn.minus": ("schwartz", "(self, other: \"'SchwartzFn'\") -> \"'SchwartzFn'\""),
@@ -165,9 +165,6 @@ PARENT_SURFACE = {
         "Root": ("rootsys", "(n: 'int', coeffs: 'tuple')"),
         "Root.euclid": ("rootsys", "(self) -> 'tuple'"),
         "Root.from_euclid": ("rootsys", "(n: 'int', vec) -> \"'Root'\""),
-        "Root.in_levi": ("rootsys", "(self) -> 'bool'"),
-        "Root.in_radical": ("rootsys", "(self) -> 'bool'"),
-        "Root.is_long": ("rootsys", "(self) -> 'bool'"),
         "Root.is_negative": ("rootsys", "(self) -> 'bool'"),
         "Root.is_positive": ("rootsys", "(self) -> 'bool'"),
         "Root.pairing": ("rootsys", "(self, other: \"'Root'\") -> 'int'"),
@@ -179,7 +176,6 @@ PARENT_SURFACE = {
         "WeylElem.apply_euclid": ("rootsys", "(self, vec) -> 'tuple'"),
         "WeylElem.from_word": ("rootsys", "(n: 'int', word) -> \"'WeylElem'\""),
         "WeylElem.identity": ("rootsys", "(n: 'int') -> \"'WeylElem'\""),
-        "WeylElem.in_levi": ("rootsys", "(self) -> 'bool'"),
         "WeylElem.inverse": ("rootsys", "(self) -> \"'WeylElem'\""),
         "WeylElem.is_identity": ("rootsys", "(self) -> 'bool'"),
         "WeylElem.kept_positive_roots": ("rootsys", "(self)"),
@@ -204,7 +200,6 @@ PARENT_SURFACE = {
         "reflection": ("badtriples", "(root: 'Root') -> 'WeylElem'"),
         "root_decompositions": ("badtriples", "(n: 'int', coeffs)"),
         "root_from_vector": ("rootsys", "(n: 'int', vec)"),
-        "simple_roots": ("rootsys", "(n: 'int')"),
         "subword_products": ("rootsys", "(n: 'int', word)"),
         "weyl_below": ("rootsys", "(w: 'WeylElem')"),
     },
@@ -234,7 +229,6 @@ PARENT_SURFACE = {
     },
     "padic": {
         "Cyclo": ("padic", "(p: 'int', terms: 'tuple')"),
-        "Cyclo.is_zero": ("padic", "(self) -> 'bool'"),
         "Cyclo.of": ("padic", "(p: 'int', monos) -> \"'Cyclo'\""),
         "Cyclo.rational": ("padic", "(self)"),
         "Mono": ("padic", "(rat: 'Q' = Fraction(1, 1), qexp: 'Q' = Fraction(0, 1), turn: 'Q' = Fraction(0, 1))"),
@@ -242,7 +236,6 @@ PARENT_SURFACE = {
         "Mono.conjugate": ("padic", "(self) -> \"'Mono'\""),
         "Mono.inverse": ("padic", "(self) -> \"'Mono'\""),
         "Mono.is_one": ("padic", "(self) -> 'bool'"),
-        "Mono.is_zero": ("padic", "(self) -> 'bool'"),
         "Mono.one": ("padic", "() -> \"'Mono'\""),
         "Mono.zero": ("padic", "() -> \"'Mono'\""),
         "PAdic": ("padic", "(value: 'Q', ctx: 'PrimeCtx')"),
